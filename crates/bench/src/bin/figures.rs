@@ -67,10 +67,14 @@ fn main() {
             "usage: figures [all|table1|table2|table3|fig2..fig22|profile]... \
              [--scale tiny|small|paper] [--threads N] [--json] [--trace]"
         );
-        eprintln!("experiments: {}", figures::ALL_EXPERIMENTS.join(" "));
+        let known: Vec<&str> = figures::EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        eprintln!("experiments: {}", known.join(" "));
         std::process::exit(2);
     }
     for name in names {
-        figures::run(&name, scale);
+        if let Err(e) = figures::run(&name, scale) {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
     }
 }

@@ -26,8 +26,9 @@
 //! same workload, or any two files the suite emits.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 
+use ggpu_bench::export::{write_json_doc, Table};
+use ggpu_bench::measure::matrix::scale_tag;
 use ggpu_core::json::{Json, JsonWriter};
 use ggpu_core::{
     benchmark, render_table, GpuConfig, KernelPcProfile, PcProfile, ProfileReport, Scale,
@@ -113,7 +114,7 @@ fn run_main(args: &[String]) -> i32 {
     println!(
         "ggpu-prof: {} ({}), cdp={}, sim_threads={}\n{}\n",
         abbrev,
-        scale_name(scale),
+        scale_tag(scale),
         cdp,
         r.sim_threads,
         r.detail
@@ -144,20 +145,12 @@ fn run_main(args: &[String]) -> i32 {
         println!("profile complete: 0 samples dropped, 0 events dropped");
     }
 
-    write_outputs(&tag, abbrev, scale, cdp, &r.stats, r.sim_threads, &profile);
+    write_outputs(&tag, abbrev, scale, cdp, &r.stats, &profile);
     if !r.verified {
         eprintln!("WARNING: {abbrev} failed functional validation");
         return 1;
     }
     0
-}
-
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    }
 }
 
 /// Annotated listing for one kernel: every PC with its counters, the
@@ -279,15 +272,10 @@ fn print_sm_heatmap(units: &UnitProfile) {
         .sms
         .iter()
         .map(|u| {
-            let ipc = if u.stats.cycles == 0 {
-                0.0
-            } else {
-                u.stats.issued as f64 / u.stats.cycles as f64
-            };
             vec![
                 format!("{}", u.sm),
                 format!("{}", u.stats.issued),
-                format!("{:.3}", ipc),
+                format!("{:.3}", u.stats.ipc()),
                 format!("{:.1}", u.stats.avg_active_lanes()),
                 format!(
                     "{:.1}",
@@ -331,18 +319,13 @@ fn print_mem_heatmap(units: &UnitProfile) {
         .partitions
         .iter()
         .map(|p| {
-            let row_hit = if p.dram.requests == 0 {
-                0.0
-            } else {
-                100.0 * p.dram.row_hits as f64 / p.dram.requests as f64
-            };
             let banks_hot = p.banks.iter().filter(|&&(req, _)| req > 0).count();
             vec![
                 format!("{}", p.partition),
                 format!("{}", p.l2.accesses()),
                 format!("{:.1}", 100.0 * p.l2.miss_rate()),
                 format!("{}", p.dram.requests),
-                format!("{:.1}", row_hit),
+                format!("{:.1}", 100.0 * p.dram.row_hit_rate()),
                 format!("{}/{}", banks_hot, p.banks.len()),
                 format!("{}", p.req_delivered),
                 format!("{}", p.rep_injected),
@@ -365,89 +348,22 @@ fn print_mem_heatmap(units: &UnitProfile) {
 
 // ---- exports ---------------------------------------------------------------
 
-/// Directory machine-readable outputs land in (`results/` unless
-/// `GGPU_RESULTS_DIR` overrides it) — the shared workspace resolution.
-fn results_dir() -> PathBuf {
-    ggpu_bench::results_dir()
-}
-
-fn csv_cell(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| csv_cell(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(
-            &row.iter()
-                .map(|c| csv_cell(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-    }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Write a JSON document after validating it parses, so every emitted file
-/// is machine-readable by construction.
-fn write_json_doc(name: &str, doc: &str) {
-    if let Err(e) = Json::parse(doc) {
-        eprintln!("warning: {name} JSON failed validation, not writing: {e}");
-        return;
-    }
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, doc) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
 fn write_outputs(
     tag: &str,
     abbrev: &str,
     scale: Scale,
     cdp: bool,
     stats: &ggpu_core::RunStats,
-    sim_threads: usize,
     profile: &ProfileReport,
 ) {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.str("workload", abbrev)
-        .str("scale", scale_name(scale))
-        .bool("cdp", cdp)
-        .u64("sim_threads", sim_threads as u64)
-        .f64("ipc", stats.ipc())
-        .raw("profile", &profile.to_json());
-    w.end_obj();
-    write_json_doc(&format!("prof_{tag}"), &w.finish());
+    let doc = JsonWriter::object(|w| {
+        w.str("workload", abbrev)
+            .str("scale", scale_tag(scale))
+            .bool("cdp", cdp)
+            .f64("ipc", stats.ipc())
+            .raw("profile", &profile.to_json());
+    });
+    write_json_doc(&format!("prof_{tag}"), &doc);
 
     let sm_rows: Vec<Vec<String>> = profile
         .units
@@ -468,9 +384,9 @@ fn write_outputs(
             ]
         })
         .collect();
-    write_csv(
-        &format!("prof_{tag}_sm"),
-        &[
+    Table::new(
+        format!("prof_{tag}_sm"),
+        [
             "sm",
             "cycles",
             "issued",
@@ -482,8 +398,9 @@ fn write_outputs(
             "req_injected",
             "rep_delivered",
         ],
-        &sm_rows,
-    );
+        sm_rows,
+    )
+    .write_csv();
 
     let mem_rows: Vec<Vec<String>> = profile
         .units
@@ -502,9 +419,9 @@ fn write_outputs(
             ]
         })
         .collect();
-    write_csv(
-        &format!("prof_{tag}_mem"),
-        &[
+    Table::new(
+        format!("prof_{tag}_mem"),
+        [
             "partition",
             "l2_accesses",
             "l2_hits",
@@ -514,8 +431,9 @@ fn write_outputs(
             "req_delivered",
             "rep_injected",
         ],
-        &mem_rows,
-    );
+        mem_rows,
+    )
+    .write_csv();
 
     let bank_rows: Vec<Vec<String>> = profile
         .units
@@ -532,11 +450,12 @@ fn write_outputs(
             })
         })
         .collect();
-    write_csv(
-        &format!("prof_{tag}_banks"),
-        &["partition", "bank", "requests", "row_hits"],
-        &bank_rows,
-    );
+    Table::new(
+        format!("prof_{tag}_banks"),
+        ["partition", "bank", "requests", "row_hits"],
+        bank_rows,
+    )
+    .write_csv();
 }
 
 // ---- diff mode -------------------------------------------------------------

@@ -33,10 +33,8 @@
 //! single-device run or if per-device counters fail to telescope to the
 //! node totals.
 
-use std::path::PathBuf;
-
-use ggpu_core::json::{Json, JsonWriter};
-use ggpu_core::render_table;
+use ggpu_bench::export::{write_json_doc, Table};
+use ggpu_core::json::JsonWriter;
 use ggpu_genomics::random_genome;
 use ggpu_isa::{LaunchDims, Program};
 use ggpu_kernels::dp::{build_dp_kernel, scoring_const_data, DpKernelCfg, DpMode};
@@ -243,23 +241,26 @@ fn main() {
     json.end_arr();
     json.end_obj();
 
-    const HEADERS: [&str; 11] = [
-        "workload",
-        "devices",
-        "node_cycles",
-        "speedup",
-        "efficiency",
-        "kernel_cycles",
-        "p2p_cycles",
-        "p2p_bytes",
-        "fabric_packets",
-        "fabric_frac",
-        "class",
-    ];
-    println!("== scaling curves");
-    println!("{}", render_table(&HEADERS, &rows));
+    let curves = Table::new(
+        format!("scaling_{tag}"),
+        [
+            "workload",
+            "devices",
+            "node_cycles",
+            "speedup",
+            "efficiency",
+            "kernel_cycles",
+            "p2p_cycles",
+            "p2p_bytes",
+            "fabric_packets",
+            "fabric_frac",
+            "class",
+        ],
+        rows,
+    );
+    println!("== scaling curves\n{}", curves.text());
     write_json_doc(&format!("scaling_{tag}"), &json.finish());
-    write_csv(&format!("scaling_{tag}"), &HEADERS, &rows);
+    curves.write_csv();
     if let Some(t) = node_trace {
         write_json_doc("scaling_trace", &t);
     }
@@ -612,49 +613,5 @@ fn verify_telescoping(stats: &ggpu_sim::NodeStats) {
     if bytes_out != bytes_in {
         eprintln!("INVARIANT VIOLATED: fabric bytes out {bytes_out} != bytes in {bytes_in}");
         std::process::exit(1);
-    }
-}
-
-// ---- exports ---------------------------------------------------------------
-
-fn results_dir() -> PathBuf {
-    ggpu_bench::results_dir()
-}
-
-fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mut out = String::new();
-    out.push_str(&headers.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Write a JSON document after validating it parses.
-fn write_json_doc(name: &str, doc: &str) {
-    if let Err(e) = Json::parse(doc) {
-        eprintln!("warning: {name} JSON failed validation, not writing: {e}");
-        return;
-    }
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, doc) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
 }

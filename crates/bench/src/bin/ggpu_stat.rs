@@ -26,9 +26,9 @@
 //! (load at <https://ui.perfetto.dev>).
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 
-use ggpu_core::json::{Json, JsonWriter};
+use ggpu_bench::export::{write_json_doc, Table};
+use ggpu_core::json::JsonWriter;
 use ggpu_core::render_table;
 use ggpu_genomics::random_genome;
 use ggpu_serve::traffic::{self, GENOME_LEN};
@@ -117,11 +117,12 @@ fn main() {
         seed,
         report.clock_ghz
     );
-    print_metrics(&report);
-    print_latency(&report);
-    print_slowest(&report, top);
     let tag = tag.as_deref().unwrap_or(scenario.tag());
-    write_outputs(tag, seed, jobs, wave, &report, trace);
+    let latency = latency_table(tag, &report);
+    print_metrics(&report);
+    println!("== latency (cycles)\n{}", latency.text());
+    print_slowest(&report, top);
+    write_outputs(tag, seed, jobs, wave, &report, &latency, trace);
     let violations = verify_invariants(&report);
     if !violations.is_empty() {
         for v in &violations {
@@ -258,27 +259,8 @@ fn run_scenario(scenario: Scenario, seed: u64, jobs: usize, wave: usize) -> Serv
 
 fn print_metrics(r: &ServeReport) {
     let m = r.metrics;
-    let rows = vec![
-        vec!["submitted".into(), m.submitted.to_string()],
-        vec!["admitted".into(), m.admitted.to_string()],
-        vec!["rejected_overload".into(), m.rejected_overload.to_string()],
-        vec!["rejected_quota".into(), m.rejected_quota.to_string()],
-        vec!["rejected_shape".into(), m.rejected_shape.to_string()],
-        vec!["completed".into(), m.completed.to_string()],
-        vec!["failed".into(), m.failed.to_string()],
-        vec!["deadline_exceeded".into(), m.deadline_exceeded.to_string()],
-        vec!["shed".into(), m.shed.to_string()],
-        vec!["batches_launched".into(), m.batches_launched.to_string()],
-        vec!["retries".into(), m.retries.to_string()],
-        vec!["splits".into(), m.splits.to_string()],
-        vec!["stream_resets".into(), m.stream_resets.to_string()],
-        vec!["queue_depth_hwm".into(), m.queue_depth_hwm.to_string()],
-        vec![
-            "inflight_batches_hwm".into(),
-            m.inflight_batches_hwm.to_string(),
-        ],
-        vec!["rounds".into(), m.rounds.to_string()],
-    ];
+    let mut rows = Vec::new();
+    m.for_each_field(|name, v| rows.push(vec![name.to_string(), v.to_string()]));
     println!("== serving metrics");
     println!("{}", render_table(&["counter", "value"], &rows));
     // The conservation ledger, stated explicitly so a glance at the
@@ -293,30 +275,35 @@ fn print_metrics(r: &ServeReport) {
     );
 }
 
+/// One latency-table row: a histogram's count, quantiles, max and mean.
+fn histogram_row(scope: &str, stage: &str, h: &Histogram) -> Vec<String> {
+    vec![
+        scope.to_string(),
+        stage.to_string(),
+        h.count().to_string(),
+        h.percentile(50.0).to_string(),
+        h.percentile(90.0).to_string(),
+        h.percentile(99.0).to_string(),
+        h.max().to_string(),
+        format!("{:.1}", h.mean()),
+    ]
+}
+
 fn stage_rows(scope: &str, stats: &LatencyStats, rows: &mut Vec<Vec<String>>) {
-    let stages: [(&str, &Histogram); 4] = [
+    for (stage, h) in [
         ("queue_wait", &stats.queue_wait),
         ("batch_formation", &stats.batch_formation),
         ("device_exec", &stats.device_exec),
         ("e2e", &stats.e2e),
-    ];
-    for (stage, h) in stages {
-        rows.push(vec![
-            scope.to_string(),
-            stage.to_string(),
-            h.count().to_string(),
-            h.percentile(50.0).to_string(),
-            h.percentile(90.0).to_string(),
-            h.percentile(99.0).to_string(),
-            h.max().to_string(),
-            format!("{:.1}", h.mean()),
-        ]);
+    ] {
+        rows.push(histogram_row(scope, stage, h));
     }
 }
 
-/// Every scope × stage latency row: global, per tenant, per shape, and
-/// the per-outcome end-to-end histograms.
-fn latency_rows(r: &ServeReport) -> Vec<Vec<String>> {
+/// The latency table (`serve_<tag>_latency`): every scope × stage row —
+/// global, per tenant, per shape, and the per-outcome end-to-end
+/// histograms.
+fn latency_table(tag: &str, r: &ServeReport) -> Table {
     let mut rows = Vec::new();
     stage_rows("global", &r.global, &mut rows);
     for (t, stats) in &r.per_tenant {
@@ -325,31 +312,16 @@ fn latency_rows(r: &ServeReport) -> Vec<Vec<String>> {
     for (shape, stats) in &r.per_shape {
         stage_rows(&format!("shape/{shape}"), stats, &mut rows);
     }
-    for (tag, h) in &r.per_outcome {
-        if h.count() == 0 {
-            continue;
-        }
-        rows.push(vec![
-            format!("outcome/{tag}"),
-            "e2e".to_string(),
-            h.count().to_string(),
-            h.percentile(50.0).to_string(),
-            h.percentile(90.0).to_string(),
-            h.percentile(99.0).to_string(),
-            h.max().to_string(),
-            format!("{:.1}", h.mean()),
-        ]);
+    for (outcome, h) in r.per_outcome.iter().filter(|(_, h)| h.count() > 0) {
+        rows.push(histogram_row(&format!("outcome/{outcome}"), "e2e", h));
     }
-    rows
-}
-
-const LATENCY_HEADERS: [&str; 8] = [
-    "scope", "stage", "count", "p50", "p90", "p99", "max", "mean",
-];
-
-fn print_latency(r: &ServeReport) {
-    println!("== latency (cycles)");
-    println!("{}", render_table(&LATENCY_HEADERS, &latency_rows(r)));
+    Table::new(
+        format!("serve_{tag}_latency"),
+        [
+            "scope", "stage", "count", "p50", "p90", "p99", "max", "mean",
+        ],
+        rows,
+    )
 }
 
 fn print_slowest(r: &ServeReport, top: usize) {
@@ -415,84 +387,24 @@ fn print_slowest(r: &ServeReport, top: usize) {
 
 // ---- exports ---------------------------------------------------------------
 
-fn results_dir() -> PathBuf {
-    ggpu_bench::results_dir()
-}
-
-fn csv_cell(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| csv_cell(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(
-            &row.iter()
-                .map(|c| csv_cell(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-    }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Write a JSON document after validating it parses, so every emitted
-/// file is machine-readable by construction.
-fn write_json_doc(name: &str, doc: &str) {
-    if let Err(e) = Json::parse(doc) {
-        eprintln!("warning: {name} JSON failed validation, not writing: {e}");
-        return;
-    }
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, doc) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-fn write_outputs(tag: &str, seed: u64, jobs: usize, wave: usize, r: &ServeReport, trace: bool) {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.str("scenario", tag)
-        .u64("seed", seed)
-        .u64("jobs", jobs as u64)
-        .u64("wave", wave as u64)
-        .raw("report", &r.to_json());
-    w.end_obj();
-    write_json_doc(&format!("serve_{tag}"), &w.finish());
-
-    write_csv(
-        &format!("serve_{tag}_latency"),
-        &LATENCY_HEADERS,
-        &latency_rows(r),
-    );
+fn write_outputs(
+    tag: &str,
+    seed: u64,
+    jobs: usize,
+    wave: usize,
+    r: &ServeReport,
+    latency: &Table,
+    trace: bool,
+) {
+    let doc = JsonWriter::object(|w| {
+        w.str("scenario", tag)
+            .u64("seed", seed)
+            .u64("jobs", jobs as u64)
+            .u64("wave", wave as u64)
+            .raw("report", &r.to_json());
+    });
+    write_json_doc(&format!("serve_{tag}"), &doc);
+    latency.write_csv();
 
     let request_rows: Vec<Vec<String>> = r
         .trails
@@ -518,9 +430,9 @@ fn write_outputs(tag: &str, seed: u64, jobs: usize, wave: usize, r: &ServeReport
             ]
         })
         .collect();
-    write_csv(
-        &format!("serve_{tag}_requests"),
-        &[
+    Table::new(
+        format!("serve_{tag}_requests"),
+        [
             "job",
             "tenant",
             "shape",
@@ -534,8 +446,9 @@ fn write_outputs(tag: &str, seed: u64, jobs: usize, wave: usize, r: &ServeReport
             "e2e_cycles",
             "launches",
         ],
-        &request_rows,
-    );
+        request_rows,
+    )
+    .write_csv();
 
     if trace {
         write_json_doc(&format!("serve_{tag}_trace"), &r.chrome_trace());

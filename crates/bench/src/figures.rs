@@ -6,96 +6,18 @@
 //! simulate a scaled workload); the *shape* — who wins, by what rough
 //! factor, where the crossovers are — is what EXPERIMENTS.md tracks.
 
-use std::path::PathBuf;
-
-use ggpu_core::json::{Json, JsonWriter};
+use ggpu_core::json::JsonWriter;
 use ggpu_core::{
-    all_benchmarks, chrome_trace_json, cpu_baseline, render_table, sram_usage, BenchResult,
-    Benchmark, GpuConfig, ProfileReport, Scale, TraceEvent,
+    all_benchmarks, chrome_trace_json, cpu_baseline, sram_usage, BenchResult, Benchmark, GpuConfig,
+    ProfileReport, Scale, TraceEvent,
 };
 use ggpu_icnt::Topology;
 use ggpu_isa::{InstrClass, Space};
 use ggpu_mem::DramScheduler;
 use ggpu_sm::{SchedPolicy, StallReason};
 
-/// Directory machine-readable outputs (CSV/JSON) land in — the shared
-/// workspace resolution from [`crate::results_dir`].
-fn results_dir() -> PathBuf {
-    crate::results_dir()
-}
-
-/// Quote a CSV cell when it contains a delimiter, quote, or newline.
-fn csv_cell(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Write one table as `results/<name>.csv`. Failures warn and continue —
-/// CSV export never breaks figure regeneration.
-fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| csv_cell(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(
-            &row.iter()
-                .map(|c| csv_cell(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-    }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Print a table and mirror it to `results/<name>.csv`.
-fn emit(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("{}", render_table(headers, rows));
-    write_csv(name, headers, rows);
-}
-
-/// Write a JSON document to `results/<name>.json` after validating it
-/// parses, so every emitted file is machine-readable by construction.
-fn write_json_doc(name: &str, doc: &str) -> Option<PathBuf> {
-    if let Err(e) = Json::parse(doc) {
-        eprintln!("warning: {name}.json failed self-validation: {e}");
-        return None;
-    }
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return None;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, doc) {
-        Ok(()) => {
-            println!("[wrote {}]", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-            None
-        }
-    }
-}
+use crate::export::{write_json_doc, Table};
+use crate::measure::matrix::scale_tag;
 
 /// All benchmark labels including CDP variants, in display order.
 fn variant_labels() -> Vec<String> {
@@ -121,6 +43,26 @@ fn check(results: &[(String, BenchResult)]) {
     for (name, r) in results {
         assert!(r.verified, "{name} failed functional validation");
     }
+}
+
+/// One row per benchmark variant at the baseline configuration: the
+/// variant label followed by `cells(result)`. Fails on a validation miss.
+fn baseline_rows(scale: Scale, cells: impl Fn(&BenchResult) -> Vec<String>) -> Vec<Vec<String>> {
+    let results = run_all_variants(scale, &GpuConfig::rtx3070());
+    check(&results);
+    results
+        .iter()
+        .map(|(name, r)| {
+            let mut row = vec![name.clone()];
+            row.extend(cells(r));
+            row
+        })
+        .collect()
+}
+
+/// A fraction rendered as a percentage with one decimal.
+fn pct(fraction: f64) -> String {
+    format!("{:.1}", fraction * 100.0)
 }
 
 /// Table I: hardware configuration space (baseline bolded in the paper).
@@ -177,7 +119,7 @@ pub fn table1() {
         ],
         vec!["Scheduler".into(), "LRR, GTO, OLD, 2LV".into()],
     ];
-    emit("table1", &["Configuration", "Settings"], &rows);
+    Table::new("table1", ["Configuration", "Settings"], rows).emit();
 }
 
 /// Table II: interconnect configuration space.
@@ -207,7 +149,7 @@ pub fn table2() {
             format!("8, 16, 32, [{}]", c.icnt.flit_bytes),
         ],
     ];
-    emit("table2", &["Configuration", "Settings"], &rows);
+    Table::new("table2", ["Configuration", "Settings"], rows).emit();
 }
 
 /// Table III: benchmark properties.
@@ -229,9 +171,9 @@ pub fn table3(scale: Scale) {
             format!("{}", u.resident_ctas),
         ]);
     }
-    emit(
+    Table::new(
         "table3",
-        &[
+        [
             "Benchmark",
             "Abr.",
             "Input",
@@ -241,8 +183,9 @@ pub fn table3(scale: Scale) {
             "Const?",
             "CTA/core",
         ],
-        &rows,
-    );
+        rows,
+    )
+    .emit();
 }
 
 /// Figure 2: CPU vs GPU vs GPU+CDP for SW, NW, STAR (normalized to CPU).
@@ -270,11 +213,12 @@ pub fn fig2(scale: Scale) {
             format!("{:.1}x", cpu_s / gpu_s),
         ]);
     }
-    emit(
+    Table::new(
         "fig2",
-        &["Bench", "CPU", "GPU", "GPU+CDP", "GPU speedup"],
-        &rows,
-    );
+        ["Bench", "CPU", "GPU", "GPU+CDP", "GPU speedup"],
+        rows,
+    )
+    .emit();
 }
 
 /// Figure 3: kernel execution time, CDP vs non-CDP.
@@ -305,36 +249,32 @@ pub fn fig3(scale: Scale) {
             improvements.iter().sum::<f64>() / improvements.len() as f64 * 100.0
         ),
     ]);
-    emit(
+    Table::new(
         "fig3",
-        &["Bench", "non-CDP cycles", "CDP cycles", "CDP improvement"],
-        &rows,
-    );
+        ["Bench", "non-CDP cycles", "CDP cycles", "CDP improvement"],
+        rows,
+    )
+    .emit();
 }
 
 /// Figure 4: kernel/PCI invocation counts and times.
 pub fn fig4(scale: Scale) {
     println!("FIGURE 4(a): kernel and PCI (cudaMemcpy) invocation counts");
     println!("FIGURE 4(b): total and average kernel / PCI time (cycles)\n");
-    let config = GpuConfig::rtx3070();
-    let results = run_all_variants(scale, &config);
-    check(&results);
-    let mut rows = Vec::new();
-    for (name, r) in &results {
+    let rows = baseline_rows(scale, |r| {
         let h = r.stats.host;
-        rows.push(vec![
-            name.clone(),
+        vec![
             format!("{}", h.kernel_launches),
             format!("{}", h.pci_count),
             format!("{}", h.kernel_cycles),
             format!("{:.0}", h.avg_kernel_cycles()),
             format!("{}", h.pci_cycles),
             format!("{:.0}", h.avg_pci_cycles()),
-        ]);
-    }
-    emit(
+        ]
+    });
+    Table::new(
         "fig4",
-        &[
+        [
             "Bench",
             "Kernel count",
             "PCI count",
@@ -343,29 +283,24 @@ pub fn fig4(scale: Scale) {
             "PCI cyc",
             "Avg PCI",
         ],
-        &rows,
-    );
+        rows,
+    )
+    .emit();
 }
 
 /// Figure 5: pipeline-stall breakdown.
 pub fn fig5(scale: Scale) {
     println!("FIGURE 5: pipeline stall breakdown (% of stall cycles)\n");
-    let config = GpuConfig::rtx3070();
-    let results = run_all_variants(scale, &config);
-    check(&results);
-    let mut rows = Vec::new();
-    for (name, r) in &results {
-        let s = &r.stats.sm.stalls;
-        let mut row = vec![name.clone()];
-        for reason in StallReason::ALL {
-            row.push(format!("{:.1}", s.fraction(reason) * 100.0));
-        }
-        rows.push(row);
-    }
+    let rows = baseline_rows(scale, |r| {
+        let stalls = &r.stats.sm.stalls;
+        StallReason::ALL
+            .map(|reason| pct(stalls.fraction(reason)))
+            .to_vec()
+    });
     let mut headers = vec!["Bench"];
     let names: Vec<&str> = StallReason::ALL.iter().map(|r| r.name()).collect();
     headers.extend(names);
-    emit("fig5", &headers, &rows);
+    Table::new("fig5", headers, rows).emit();
 }
 
 /// Figure 6: SRAM utilization.
@@ -378,135 +313,93 @@ pub fn fig6(scale: Scale) {
         rows.push(vec![
             b.abbrev().to_string(),
             format!("{}", u.resident_ctas),
-            format!("{:.1}", u.registers * 100.0),
-            format!("{:.1}", u.shared * 100.0),
-            format!("{:.1}", u.constant * 100.0),
+            pct(u.registers),
+            pct(u.shared),
+            pct(u.constant),
         ]);
     }
-    emit(
+    Table::new(
         "fig6",
-        &["Bench", "CTAs/SM", "Registers %", "Shared %", "Constant %"],
-        &rows,
-    );
+        ["Bench", "CTAs/SM", "Registers %", "Shared %", "Constant %"],
+        rows,
+    )
+    .emit();
 }
 
 /// Figure 7: NW and PairHMM with vs without shared memory.
 pub fn fig7(scale: Scale) {
     println!("FIGURE 7: execution time without shared memory, normalized to with shared memory\n");
     let config = GpuConfig::rtx3070();
-    let mut rows = Vec::new();
-    {
-        let smem = ggpu_kernels::pairwise::PairwiseBench::nw(scale, true).run(&config, false);
-        let nosmem = ggpu_kernels::pairwise::PairwiseBench::nw(scale, false).run(&config, false);
-        assert!(smem.verified && nosmem.verified);
-        rows.push(vec![
+    let run = |b: &dyn Benchmark| {
+        let r = b.run(&config, false);
+        assert!(r.verified);
+        r.kernel_cycles as f64
+    };
+    let nw = |smem| ggpu_kernels::pairwise::PairwiseBench::nw(scale, smem);
+    let phmm = |smem| ggpu_kernels::pairhmm::PairHmmBench::new(scale, smem);
+    let rows = vec![
+        vec![
             "NW".into(),
-            format!(
-                "{:.2}x",
-                nosmem.kernel_cycles as f64 / smem.kernel_cycles as f64
-            ),
-        ]);
-    }
-    {
-        let smem = ggpu_kernels::pairhmm::PairHmmBench::new(scale, true).run(&config, false);
-        let nosmem = ggpu_kernels::pairhmm::PairHmmBench::new(scale, false).run(&config, false);
-        assert!(smem.verified && nosmem.verified);
-        rows.push(vec![
+            format!("{:.2}x", run(&nw(false)) / run(&nw(true))),
+        ],
+        vec![
             "PairHMM".into(),
-            format!(
-                "{:.2}x",
-                nosmem.kernel_cycles as f64 / smem.kernel_cycles as f64
-            ),
-        ]);
-    }
-    emit("fig7", &["Bench", "slowdown without shared memory"], &rows);
+            format!("{:.2}x", run(&phmm(false)) / run(&phmm(true))),
+        ],
+    ];
+    Table::new("fig7", ["Bench", "slowdown without shared memory"], rows).emit();
 }
 
 /// Figure 8: instruction-type distribution.
 pub fn fig8(scale: Scale) {
     println!("FIGURE 8: distribution of instruction types (% of issued instructions)\n");
-    let config = GpuConfig::rtx3070();
-    let results = run_all_variants(scale, &config);
-    check(&results);
-    let classes = [
-        InstrClass::Int,
-        InstrClass::Fp,
-        InstrClass::LdSt,
-        InstrClass::Sfu,
-        InstrClass::Ctrl,
-    ];
-    let mut rows = Vec::new();
-    for (name, r) in &results {
-        let total: u64 = classes.iter().map(|&c| r.stats.sm.class_count(c)).sum();
-        let mut row = vec![name.clone()];
-        for &c in &classes {
-            row.push(format!(
-                "{:.1}",
-                r.stats.sm.class_count(c) as f64 / total.max(1) as f64 * 100.0
-            ));
-        }
-        rows.push(row);
-    }
-    emit(
-        "fig8",
-        &["Bench", "int", "fp", "ld/st", "sfu", "ctrl"],
-        &rows,
-    );
+    let rows = baseline_rows(scale, |r| {
+        InstrClass::ALL
+            .map(|c| pct(r.stats.sm.class_fraction(c)))
+            .to_vec()
+    });
+    Table::new("fig8", ["Bench", "int", "fp", "ld/st", "sfu", "ctrl"], rows).emit();
 }
 
 /// Figure 9: memory-instruction space distribution.
 pub fn fig9(scale: Scale) {
     println!("FIGURE 9: distribution of memory instruction types (% of memory instructions)\n");
-    let config = GpuConfig::rtx3070();
-    let results = run_all_variants(scale, &config);
-    check(&results);
-    let mut rows = Vec::new();
-    for (name, r) in &results {
-        let total: u64 = Space::ALL.iter().map(|&s| r.stats.sm.space_count(s)).sum();
-        let mut row = vec![name.clone()];
-        for &s in &Space::ALL {
-            row.push(format!(
-                "{:.1}",
-                r.stats.sm.space_count(s) as f64 / total.max(1) as f64 * 100.0
-            ));
-        }
-        rows.push(row);
-    }
-    emit(
+    let rows = baseline_rows(scale, |r| {
+        Space::ALL
+            .map(|s| pct(r.stats.sm.space_fraction(s)))
+            .to_vec()
+    });
+    Table::new(
         "fig9",
-        &[
+        [
             "Bench", "shared", "tex", "const", "param", "local", "global",
         ],
-        &rows,
-    );
+        rows,
+    )
+    .emit();
 }
 
 /// Figure 10: warp-occupancy histogram (8 buckets of 4 lanes).
 pub fn fig10(scale: Scale) {
     println!("FIGURE 10: warp occupancy (% of issues per active-lane bucket)\n");
-    let config = GpuConfig::rtx3070();
-    let results = run_all_variants(scale, &config);
-    check(&results);
-    let mut rows = Vec::new();
-    for (name, r) in &results {
-        let mut row = vec![name.clone()];
-        for bucket in 0..8u32 {
-            let lo = bucket * 4 + 1;
-            let hi = bucket * 4 + 4;
-            row.push(format!(
-                "{:.1}",
-                r.stats.sm.occupancy_fraction(lo, hi) * 100.0
-            ));
-        }
-        rows.push(row);
-    }
-    emit(
+    let rows = baseline_rows(scale, |r| {
+        (0..8u32)
+            .map(|bucket| {
+                pct(r
+                    .stats
+                    .sm
+                    .occupancy_fraction(bucket * 4 + 1, bucket * 4 + 4))
+            })
+            .collect()
+    });
+    Table::new(
         "fig10",
-        &[
+        [
             "Bench", "W1-4", "W5-8", "W9-12", "W13-16", "W17-20", "W21-24", "W25-28", "W29-32",
         ],
-        &rows,
-    );
+        rows,
+    )
+    .emit();
 }
 
 /// Generic sweep: per-benchmark speedup (baseline kernel cycles / config
@@ -534,6 +427,19 @@ fn sweep(scale: Scale, configs: &[(String, GpuConfig)], baseline_idx: usize) -> 
     rows
 }
 
+/// Header row of a configuration sweep: `Bench` then one column per config.
+fn sweep_headers(configs: &[(String, GpuConfig)]) -> Vec<String> {
+    let mut headers = vec!["Bench".to_string()];
+    headers.extend(configs.iter().map(|(n, _)| n.clone()));
+    headers
+}
+
+/// Run [`sweep`] and emit it as table `name`.
+fn emit_sweep(name: &str, scale: Scale, configs: &[(String, GpuConfig)], baseline_idx: usize) {
+    let rows = sweep(scale, configs, baseline_idx);
+    Table::new(name, sweep_headers(configs), rows).emit();
+}
+
 /// Figure 11: CTA-per-core scaling (25/50/100/150/200% of resources).
 pub fn fig11(scale: Scale) {
     println!("FIGURE 11: speedup when scaling SM resources (CTAs/threads/regs/smem)\n");
@@ -541,11 +447,7 @@ pub fn fig11(scale: Scale) {
         .iter()
         .map(|&p| (format!("{p}%"), GpuConfig::rtx3070().with_cta_scale(p)))
         .collect();
-    let rows = sweep(scale, &configs, 2);
-    let mut headers = vec!["Bench".to_string()];
-    headers.extend(configs.iter().map(|(n, _)| n.clone()));
-    let hdr: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    emit("fig11", &hdr, &rows);
+    emit_sweep("fig11", scale, &configs, 2);
 }
 
 /// The cache-size sweep shared by Figures 12-14.
@@ -572,11 +474,7 @@ fn cache_configs() -> Vec<(String, GpuConfig)> {
 pub fn fig12(scale: Scale) {
     println!("FIGURE 12: speedup vs cache sizes (normalized to 128KB L1 + 4MB L2)\n");
     let configs = cache_configs();
-    let rows = sweep(scale, &configs, 2);
-    let mut headers = vec!["Bench".to_string()];
-    headers.extend(configs.iter().map(|(n, _)| n.clone()));
-    let hdr: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    emit("fig12", &hdr, &rows);
+    emit_sweep("fig12", scale, &configs, 2);
 }
 
 /// Figures 13 and 14: L1 and L2 miss rates across the cache sweep.
@@ -590,17 +488,15 @@ pub fn fig13_14(scale: Scale) {
         let results = run_all_variants(scale, config);
         check(&results);
         for (i, (_, r)) in results.iter().enumerate() {
-            l1_rows[i].push(format!("{:.1}", r.stats.l1.miss_rate() * 100.0));
-            l2_rows[i].push(format!("{:.1}", r.stats.l2.miss_rate() * 100.0));
+            l1_rows[i].push(pct(r.stats.l1.miss_rate()));
+            l2_rows[i].push(pct(r.stats.l2.miss_rate()));
         }
     }
-    let mut headers = vec!["Bench".to_string()];
-    headers.extend(configs.iter().map(|(n, _)| n.clone()));
-    let hdr: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
+    let headers = sweep_headers(&configs);
     println!("L1 miss rate (Figure 13):");
-    emit("fig13", &hdr, &l1_rows);
+    Table::new("fig13", headers.clone(), l1_rows).emit();
     println!("L2 miss rate (Figure 14):");
-    emit("fig14", &hdr, &l2_rows);
+    Table::new("fig14", headers, l2_rows).emit();
 }
 
 /// Figure 15: perfect-memory speedup.
@@ -624,11 +520,12 @@ pub fn fig15(scale: Scale) {
         String::new(),
         format!("{:.3}", avg / variant_labels().len() as f64),
     ]);
-    emit(
+    Table::new(
         "fig15",
-        &["Bench", "baseline", "perfect-memory speedup"],
-        &rows,
-    );
+        ["Bench", "baseline", "perfect-memory speedup"],
+        rows,
+    )
+    .emit();
 }
 
 /// Figures 16-18: memory-controller sweep + DRAM efficiency/utilization.
@@ -663,8 +560,8 @@ pub fn fig16_17_18(scale: Scale) {
                 "{:.3}",
                 base_cycles[i] as f64 / r.kernel_cycles.max(1) as f64
             ));
-            rows[i].push(format!("{:.1}", r.stats.dram.efficiency() * 100.0));
-            rows[i].push(format!("{:.1}", r.stats.dram_utilization() * 100.0));
+            rows[i].push(pct(r.stats.dram.efficiency()));
+            rows[i].push(pct(r.stats.dram_utilization()));
         }
     }
     let mut headers = vec!["Bench".to_string()];
@@ -673,8 +570,7 @@ pub fn fig16_17_18(scale: Scale) {
         headers.push(format!("{n} eff%"));
         headers.push(format!("{n} util%"));
     }
-    let hdr: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    emit("fig16_17_18", &hdr, &rows);
+    Table::new("fig16_17_18", headers, rows).emit();
 }
 
 /// Figure 19: warp-scheduler sweep.
@@ -691,11 +587,7 @@ pub fn fig19(scale: Scale) {
         ("OLD".to_string(), mk(SchedPolicy::Old)),
         ("2LV".to_string(), mk(SchedPolicy::TwoLevel)),
     ];
-    let rows = sweep(scale, &configs, 0);
-    let mut headers = vec!["Bench".to_string()];
-    headers.extend(configs.iter().map(|(n, _)| n.clone()));
-    let hdr: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    emit("fig19", &hdr, &rows);
+    emit_sweep("fig19", scale, &configs, 0);
 }
 
 /// Figure 20: interconnect-topology sweep.
@@ -712,11 +604,7 @@ pub fn fig20(scale: Scale) {
         ("fattree".to_string(), mk(Topology::FatTree)),
         ("butterfly".to_string(), mk(Topology::Butterfly)),
     ];
-    let rows = sweep(scale, &configs, 0);
-    let mut headers = vec!["Bench".to_string()];
-    headers.extend(configs.iter().map(|(n, _)| n.clone()));
-    let hdr: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    emit("fig20", &hdr, &rows);
+    emit_sweep("fig20", scale, &configs, 0);
 }
 
 /// Figure 21: mesh router-latency sweep.
@@ -732,11 +620,7 @@ pub fn fig21(scale: Scale) {
         .iter()
         .map(|&d| (format!("+{d}"), mk(d)))
         .collect();
-    let rows = sweep(scale, &configs, 0);
-    let mut headers = vec!["Bench".to_string()];
-    headers.extend(configs.iter().map(|(n, _)| n.clone()));
-    let hdr: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    emit("fig21", &hdr, &rows);
+    emit_sweep("fig21", scale, &configs, 0);
 }
 
 /// Figure 22: mesh channel-bandwidth sweep.
@@ -752,11 +636,7 @@ pub fn fig22(scale: Scale) {
         .iter()
         .map(|&f| (format!("{f}B"), mk(f)))
         .collect();
-    let rows = sweep(scale, &configs, 0);
-    let mut headers = vec!["Bench".to_string()];
-    headers.extend(configs.iter().map(|(n, _)| n.clone()));
-    let hdr: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    emit("fig22", &hdr, &rows);
+    emit_sweep("fig22", scale, &configs, 0);
 }
 
 /// Ablation: design choices called out in DESIGN.md.
@@ -788,11 +668,12 @@ pub fn ablation(scale: Scale) {
             format!("{}", r.stats.sm.offchip_txns),
         ]);
     }
-    emit(
+    Table::new(
         "ablation",
-        &["Design point", "cycles", "slowdown", "off-chip txns"],
-        &rows,
-    );
+        ["Design point", "cycles", "slowdown", "off-chip txns"],
+        rows,
+    )
+    .emit();
 }
 
 /// Extension: GASAL2 "with traceback" — the optional mode the paper lists
@@ -820,7 +701,7 @@ pub fn extension_traceback(scale: Scale) {
             ),
         ],
     ];
-    emit("extension", &["Kernel", "cycles", "relative"], &rows);
+    Table::new("extension", ["Kernel", "cycles", "relative"], rows).emit();
 }
 
 /// Observability mode (`--json` / `--trace`): run every benchmark in both
@@ -865,9 +746,9 @@ pub fn profile(scale: Scale, write_json: bool, write_trace: bool) {
             profiles.push((label, p));
         }
     }
-    emit(
+    Table::new(
         "profile",
-        &[
+        [
             "Bench",
             "kernels",
             "CDP children",
@@ -876,21 +757,17 @@ pub fn profile(scale: Scale, write_json: bool, write_trace: bool) {
             "dropped",
             "IPC",
         ],
-        &rows,
-    );
-    let tag = match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    };
+        rows,
+    )
+    .emit();
+    let tag = scale_tag(scale);
     if write_json {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        for (label, p) in &profiles {
-            w.raw(label, &p.to_json());
-        }
-        w.end_obj();
-        write_json_doc(&format!("profile_{tag}"), &w.finish());
+        let doc = JsonWriter::object(|w| {
+            for (label, p) in &profiles {
+                w.raw(label, &p.to_json());
+            }
+        });
+        write_json_doc(&format!("profile_{tag}"), &doc);
     }
     if write_trace {
         let logs: Vec<(String, &[TraceEvent])> = profiles
@@ -907,67 +784,58 @@ pub fn profile(scale: Scale, write_json: bool, write_trace: bool) {
     }
 }
 
-/// Run a named experiment ("table1" ... "fig22", "profile", or "all").
-pub fn run(name: &str, scale: Scale) {
-    match name {
-        "table1" => table1(),
-        "table2" => table2(),
-        "table3" => table3(scale),
-        "fig2" => fig2(scale),
-        "fig3" => fig3(scale),
-        "fig4" => fig4(scale),
-        "fig5" => fig5(scale),
-        "fig6" => fig6(scale),
-        "fig7" => fig7(scale),
-        "fig8" => fig8(scale),
-        "fig9" => fig9(scale),
-        "fig10" => fig10(scale),
-        "fig11" => fig11(scale),
-        "fig12" => fig12(scale),
-        "fig13" | "fig14" | "fig13_14" => fig13_14(scale),
-        "fig15" => fig15(scale),
-        "fig16" | "fig17" | "fig18" | "fig16_17_18" => fig16_17_18(scale),
-        "fig19" => fig19(scale),
-        "fig20" => fig20(scale),
-        "fig21" => fig21(scale),
-        "fig22" => fig22(scale),
-        "ablation" => ablation(scale),
-        "extension" => extension_traceback(scale),
-        "profile" => profile(scale, true, true),
-        "all" => {
-            for n in ALL_EXPERIMENTS {
-                println!("\n=== {n} ===\n");
-                run(n, scale);
-            }
-        }
-        other => eprintln!("unknown experiment: {other}"),
-    }
-}
+/// One experiment: its name and the function regenerating it.
+pub type Experiment = (&'static str, fn(Scale));
 
-/// All experiment names in paper order.
-pub const ALL_EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13_14",
-    "fig15",
-    "fig16_17_18",
-    "fig19",
-    "fig20",
-    "fig21",
-    "fig22",
-    "ablation",
-    "extension",
-    "profile",
+/// Every experiment in paper order — the one table both `all` and name
+/// lookup go through.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("table1", |_| table1()),
+    ("table2", |_| table2()),
+    ("table3", table3),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13_14", fig13_14),
+    ("fig15", fig15),
+    ("fig16_17_18", fig16_17_18),
+    ("fig19", fig19),
+    ("fig20", fig20),
+    ("fig21", fig21),
+    ("fig22", fig22),
+    ("ablation", ablation),
+    ("extension", extension_traceback),
+    ("profile", |scale| profile(scale, true, true)),
 ];
+
+/// Run a named experiment (an [`EXPERIMENTS`] name, a single figure number
+/// of a combined experiment such as `fig13`, or `all`). An unknown name
+/// runs nothing and is returned as the error message.
+pub fn run(name: &str, scale: Scale) -> Result<(), String> {
+    if name == "all" {
+        for (n, f) in EXPERIMENTS {
+            println!("\n=== {n} ===\n");
+            f(scale);
+        }
+        return Ok(());
+    }
+    let canonical = match name {
+        "fig13" | "fig14" => "fig13_14",
+        "fig16" | "fig17" | "fig18" => "fig16_17_18",
+        n => n,
+    };
+    let (_, f) = EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == canonical)
+        .ok_or_else(|| format!("unknown experiment: {name}"))?;
+    f(scale);
+    Ok(())
+}

@@ -19,10 +19,13 @@
 //! cargo run --release -p ggpu-bench --bin ggpu-bench -- cmp --baseline results/records
 //! ```
 //!
-//! Criterion microbenchmarks of the CPU substrate live under `benches/`.
+//! The [`export`] module is the one table/CSV/JSON artifact writer all
+//! the harness binaries share. Criterion microbenchmarks of the CPU
+//! substrate live under `benches/`.
 
 #![forbid(unsafe_code)]
 
+pub mod export;
 pub mod figures;
 pub mod measure;
 
@@ -32,9 +35,7 @@ use std::path::PathBuf;
 ///
 /// `GGPU_RESULTS_DIR` overrides; the default is the workspace-root
 /// `results/` directory, resolved against the compiled-in crate path so
-/// every binary and bench agrees on one location regardless of the
-/// invocation cwd. This is the single copy of a resolution that used to
-/// be duplicated across five tools.
+/// every binary agrees on one location regardless of the invocation cwd.
 pub fn results_dir() -> PathBuf {
     std::env::var_os("GGPU_RESULTS_DIR")
         .map(PathBuf::from)

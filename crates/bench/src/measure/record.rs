@@ -4,8 +4,7 @@
 //! a single metric of a single benchmark-matrix cell, summarized over
 //! its timed iterations and stamped with full provenance. The store is
 //! **append-only** — `ggpu-bench run` only ever adds lines — so the file
-//! accumulates the engine's performance trajectory commit over commit
-//! instead of being overwritten like the old `bench_engine.json`.
+//! accumulates the engine's performance trajectory commit over commit.
 //!
 //! `results/records/baseline.jsonl` holds the curated record set the CI
 //! regression gate compares against (same format, one blessed run).

@@ -177,7 +177,38 @@ pub struct IcntStats {
     pub queueing: u64,
 }
 
+// `merge` / `delta_since` / `for_each_field` mirror what
+// `ggpu_mem::counter_set!` generates for the memory counters; they are
+// written out here because this crate has no dependencies.
 impl IcntStats {
+    /// Field-wise accumulation of `other` into `self`.
+    pub fn merge(&mut self, other: &Self) {
+        self.packets += other.packets;
+        self.flits += other.flits;
+        self.total_latency += other.total_latency;
+        self.queueing += other.queueing;
+    }
+
+    /// Field-wise counter delta since the earlier snapshot `base`
+    /// (saturating, so a reset in between yields zeros rather than
+    /// wrapping).
+    pub fn delta_since(&self, base: &Self) -> Self {
+        IcntStats {
+            packets: self.packets.saturating_sub(base.packets),
+            flits: self.flits.saturating_sub(base.flits),
+            total_latency: self.total_latency.saturating_sub(base.total_latency),
+            queueing: self.queueing.saturating_sub(base.queueing),
+        }
+    }
+
+    /// Visit every counter as `(name, value)`, in declaration order.
+    pub fn for_each_field(&self, mut f: impl FnMut(&'static str, u64)) {
+        f("packets", self.packets);
+        f("flits", self.flits);
+        f("total_latency", self.total_latency);
+        f("queueing", self.queueing);
+    }
+
     /// Mean end-to-end packet latency; zero when no traffic.
     pub fn avg_latency(&self) -> f64 {
         if self.packets == 0 {
@@ -447,6 +478,34 @@ impl Icnt {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The hand-written counter operations cover every field: a counter
+    /// added to the struct but not to them fails here.
+    #[test]
+    fn stats_operations_cover_every_field() {
+        let one = IcntStats {
+            packets: 1,
+            flits: 2,
+            total_latency: 3,
+            queueing: 4,
+        };
+        let mut two = one;
+        two.merge(&one);
+        let mut seen = Vec::new();
+        two.for_each_field(|name, v| seen.push((name, v)));
+        assert_eq!(
+            seen,
+            [
+                ("packets", 2),
+                ("flits", 4),
+                ("total_latency", 6),
+                ("queueing", 8)
+            ]
+        );
+        assert_eq!(seen.len() * 8, std::mem::size_of::<IcntStats>());
+        assert_eq!(two.delta_since(&one), one);
+        assert_eq!(one.delta_since(&two), IcntStats::default());
+    }
 
     #[test]
     fn delivery_queue_orders_by_time_then_insertion() {

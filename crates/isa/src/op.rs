@@ -20,16 +20,31 @@ pub enum InstrClass {
     Ctrl,
 }
 
-impl fmt::Display for InstrClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl InstrClass {
+    /// All classes, in Figure 8's display order.
+    pub const ALL: [InstrClass; 5] = [
+        InstrClass::Int,
+        InstrClass::Fp,
+        InstrClass::LdSt,
+        InstrClass::Sfu,
+        InstrClass::Ctrl,
+    ];
+
+    /// Short lowercase name (what [`fmt::Display`] prints).
+    pub fn name(self) -> &'static str {
+        match self {
             InstrClass::Int => "int",
             InstrClass::Fp => "fp",
             InstrClass::LdSt => "ldst",
             InstrClass::Sfu => "sfu",
             InstrClass::Ctrl => "ctrl",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for InstrClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -105,23 +105,24 @@ pub enum CacheOutcome {
     Bypass,
 }
 
-/// Hit/miss counters, split by read/write.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Read accesses.
-    pub read_access: u64,
-    /// Read hits.
-    pub read_hit: u64,
-    /// Write accesses.
-    pub write_access: u64,
-    /// Write hits.
-    pub write_hit: u64,
-    /// Misses merged into an existing MSHR.
-    pub mshr_merged: u64,
-    /// Accesses rejected because the MSHR file was full.
-    pub reservation_fails: u64,
-    /// Dirty evictions (writebacks generated).
-    pub writebacks: u64,
+crate::counter_set! {
+    /// Hit/miss counters, split by read/write.
+    pub struct CacheStats {
+        /// Read accesses.
+        pub read_access,
+        /// Read hits.
+        pub read_hit,
+        /// Write accesses.
+        pub write_access,
+        /// Write hits.
+        pub write_hit,
+        /// Misses merged into an existing MSHR.
+        pub mshr_merged,
+        /// Accesses rejected because the MSHR file was full.
+        pub reservation_fails,
+        /// Dirty evictions (writebacks generated).
+        pub writebacks,
+    }
 }
 
 impl CacheStats {

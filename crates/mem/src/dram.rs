@@ -53,20 +53,21 @@ impl Default for DramConfig {
     }
 }
 
-/// Counters behind the paper's DRAM efficiency (Fig 17) and utilization
-/// (Fig 18) metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Requests serviced.
-    pub requests: u64,
-    /// Requests that hit an open row.
-    pub row_hits: u64,
-    /// Cycles the data pins were transferring data.
-    pub data_cycles: u64,
-    /// Cycles the controller had pending or in-flight requests.
-    pub active_cycles: u64,
-    /// Requests rejected due to a full queue.
-    pub rejected: u64,
+crate::counter_set! {
+    /// Counters behind the paper's DRAM efficiency (Fig 17) and utilization
+    /// (Fig 18) metrics.
+    pub struct DramStats {
+        /// Requests serviced.
+        pub requests,
+        /// Requests that hit an open row.
+        pub row_hits,
+        /// Cycles the data pins were transferring data.
+        pub data_cycles,
+        /// Cycles the controller had pending or in-flight requests.
+        pub active_cycles,
+        /// Requests rejected due to a full queue.
+        pub rejected,
+    }
 }
 
 impl DramStats {

@@ -179,22 +179,20 @@ impl Histogram {
     /// Serialize as a standalone JSON object: exact summary stats, the
     /// standard percentile ladder, and the occupied buckets.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.u64("count", self.count)
-            .u64("sum", self.sum)
-            .u64("min", self.min())
-            .u64("max", self.max())
-            .u64("p50", self.percentile(50.0))
-            .u64("p90", self.percentile(90.0))
-            .u64("p99", self.percentile(99.0));
-        w.begin_arr_key("buckets");
-        for (low, high, n) in self.nonzero_buckets() {
-            w.elem_raw(&format!("{{\"low\":{low},\"high\":{high},\"count\":{n}}}"));
-        }
-        w.end_arr();
-        w.end_obj();
-        w.finish()
+        JsonWriter::object(|w| {
+            w.u64("count", self.count)
+                .u64("sum", self.sum)
+                .u64("min", self.min())
+                .u64("max", self.max())
+                .u64("p50", self.percentile(50.0))
+                .u64("p90", self.percentile(90.0))
+                .u64("p99", self.percentile(99.0));
+            w.begin_arr_key("buckets");
+            for (low, high, n) in self.nonzero_buckets() {
+                w.elem_raw(&format!("{{\"low\":{low},\"high\":{high},\"count\":{n}}}"));
+            }
+            w.end_arr();
+        })
     }
 }
 
@@ -228,14 +226,12 @@ pub struct LatencyStats {
 impl LatencyStats {
     /// Serialize the four stage histograms as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.raw("queue_wait", &self.queue_wait.to_json())
-            .raw("batch_formation", &self.batch_formation.to_json())
-            .raw("device_exec", &self.device_exec.to_json())
-            .raw("e2e", &self.e2e.to_json());
-        w.end_obj();
-        w.finish()
+        JsonWriter::object(|w| {
+            w.raw("queue_wait", &self.queue_wait.to_json())
+                .raw("batch_formation", &self.batch_formation.to_json())
+                .raw("device_exec", &self.device_exec.to_json())
+                .raw("e2e", &self.e2e.to_json());
+        })
     }
 }
 

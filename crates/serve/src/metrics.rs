@@ -84,30 +84,34 @@ impl ServeMetrics {
         self.inflight_batches_hwm = self.inflight_batches_hwm.max(n);
     }
 
+    /// Visit every field as `(name, value)`, in declaration order — the
+    /// one list the JSON export and `ggpu-stat`'s table are driven by.
+    pub fn for_each_field(&self, mut f: impl FnMut(&'static str, u64)) {
+        f("submitted", self.submitted);
+        f("admitted", self.admitted);
+        f("rejected_overload", self.rejected_overload);
+        f("rejected_quota", self.rejected_quota);
+        f("rejected_shape", self.rejected_shape);
+        f("shed", self.shed);
+        f("completed", self.completed);
+        f("failed", self.failed);
+        f("deadline_exceeded", self.deadline_exceeded);
+        f("batches_launched", self.batches_launched);
+        f("retries", self.retries);
+        f("splits", self.splits);
+        f("stream_resets", self.stream_resets);
+        f("streams_created", self.streams_created);
+        f("rounds", self.rounds);
+        f("queue_depth", self.queue_depth);
+        f("queue_depth_hwm", self.queue_depth_hwm);
+        f("inflight_batches", self.inflight_batches);
+        f("inflight_batches_hwm", self.inflight_batches_hwm);
+    }
+
     /// Serialize as a standalone JSON object (one key per field).
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.u64("submitted", self.submitted)
-            .u64("admitted", self.admitted)
-            .u64("rejected_overload", self.rejected_overload)
-            .u64("rejected_quota", self.rejected_quota)
-            .u64("rejected_shape", self.rejected_shape)
-            .u64("shed", self.shed)
-            .u64("completed", self.completed)
-            .u64("failed", self.failed)
-            .u64("deadline_exceeded", self.deadline_exceeded)
-            .u64("batches_launched", self.batches_launched)
-            .u64("retries", self.retries)
-            .u64("splits", self.splits)
-            .u64("stream_resets", self.stream_resets)
-            .u64("streams_created", self.streams_created)
-            .u64("rounds", self.rounds)
-            .u64("queue_depth", self.queue_depth)
-            .u64("queue_depth_hwm", self.queue_depth_hwm)
-            .u64("inflight_batches", self.inflight_batches)
-            .u64("inflight_batches_hwm", self.inflight_batches_hwm);
-        w.end_obj();
-        w.finish()
+        JsonWriter::object(|w| {
+            self.for_each_field(w.u64_fields());
+        })
     }
 }

@@ -15,8 +15,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ggpu_sim::json::{escape, num, JsonWriter};
-use ggpu_sim::{grid_device, KernelRecord, TraceEvent, TraceEventKind};
+use ggpu_sim::json::{quoted, JsonWriter};
+use ggpu_sim::{grid_device, ChromeTrace, InstantScope, KernelRecord, TraceEvent, TraceEventKind};
 
 use crate::histogram::{Histogram, LatencyStats};
 use crate::metrics::ServeMetrics;
@@ -126,103 +126,41 @@ impl ServeReport {
     /// Serialize the whole report as one JSON document (hand-rolled via
     /// [`ggpu_sim::json`]; parse it back with [`ggpu_sim::json::Json`]).
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.f64("clock_ghz", self.clock_ghz)
-            .raw("metrics", &self.metrics.to_json())
-            .u64("in_flight", self.in_flight)
-            .u64("events_dropped", self.events_dropped);
-        w.begin_obj_key("latency");
-        w.raw("global", &self.global.to_json());
-        w.begin_obj_key("per_tenant");
-        for (t, stats) in &self.per_tenant {
-            w.raw(&t.to_string(), &stats.to_json());
-        }
-        w.end_obj();
-        w.begin_obj_key("per_shape");
-        for (shape, stats) in &self.per_shape {
-            w.raw(&shape.to_string(), &stats.to_json());
-        }
-        w.end_obj();
-        w.begin_obj_key("per_outcome");
-        for (tag, h) in &self.per_outcome {
-            w.raw(tag, &h.to_json());
-        }
-        w.end_obj();
-        w.end_obj();
-        w.begin_arr_key("events");
-        for ev in &self.events {
-            w.elem_raw(&ev.to_json());
-        }
-        w.end_arr();
-        w.begin_arr_key("batches");
-        for span in &self.spans {
-            w.elem_raw(&span.to_json());
-        }
-        w.end_arr();
-        w.begin_arr_key("requests");
-        for t in &self.trails {
-            w.elem_raw(&trail_json(t));
-        }
-        w.end_arr();
-        w.begin_arr_key("device_events");
-        for ev in self.device_events() {
-            w.elem_raw(&ev.to_json());
-        }
-        w.end_arr();
-        w.begin_arr_key("kernels");
-        for r in self.device_records() {
-            w.elem_raw(&r.to_json());
-        }
-        w.end_arr();
-        w.end_obj();
-        w.finish()
+        JsonWriter::object(|w| {
+            w.f64("clock_ghz", self.clock_ghz)
+                .raw("metrics", &self.metrics.to_json())
+                .u64("in_flight", self.in_flight)
+                .u64("events_dropped", self.events_dropped);
+            w.begin_obj_key("latency");
+            w.raw("global", &self.global.to_json());
+            w.begin_obj_key("per_tenant");
+            for (t, stats) in &self.per_tenant {
+                w.raw(&t.to_string(), &stats.to_json());
+            }
+            w.end_obj();
+            w.begin_obj_key("per_shape");
+            for (shape, stats) in &self.per_shape {
+                w.raw(&shape.to_string(), &stats.to_json());
+            }
+            w.end_obj();
+            w.begin_obj_key("per_outcome");
+            for (tag, h) in &self.per_outcome {
+                w.raw(tag, &h.to_json());
+            }
+            w.end_obj();
+            w.end_obj();
+            w.arr_raw("events", self.events.iter().map(|ev| ev.to_json()));
+            w.arr_raw("batches", self.spans.iter().map(|span| span.to_json()));
+            w.arr_raw("requests", self.trails.iter().map(trail_json));
+            w.arr_raw("device_events", self.device_events().map(|ev| ev.to_json()));
+            w.arr_raw("kernels", self.device_records().map(|r| r.to_json()));
+        })
     }
 
     /// Render the unified host+device Chrome trace. Load at
     /// <https://ui.perfetto.dev>.
     pub fn chrome_trace(&self) -> String {
-        let ghz = if self.clock_ghz > 0.0 {
-            self.clock_ghz
-        } else {
-            1.0
-        };
-        let us = |cycles: u64| cycles as f64 / (ghz * 1000.0);
-        let mut out: Vec<String> = Vec::new();
-        let mut ev = |name: &str,
-                      ph: char,
-                      ts: f64,
-                      dur: Option<f64>,
-                      pid: usize,
-                      tid: u64,
-                      args: &[(&str, String)]| {
-            let mut s = format!(
-                "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-                escape(name),
-                ph,
-                num(ts),
-                pid,
-                tid
-            );
-            if let Some(d) = dur {
-                s.push_str(&format!(",\"dur\":{}", num(d.max(0.001))));
-            }
-            if ph == 'i' {
-                s.push_str(",\"s\":\"t\"");
-            }
-            if !args.is_empty() {
-                s.push_str(",\"args\":{");
-                for (i, (k, v)) in args.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!("\"{}\":{}", escape(k), v));
-                }
-                s.push('}');
-            }
-            s.push('}');
-            out.push(s);
-        };
+        let mut tr = ChromeTrace::new(self.clock_ghz, InstantScope::Thread);
 
         const HOST: usize = 0;
         // Device `d` renders as pid DEV0 + d.
@@ -231,44 +169,12 @@ impl ServeReport {
         const TID_WORKER0: u64 = 1;
         const TID_TENANT0: u64 = 100;
 
-        ev(
-            "process_name",
-            'M',
-            0.0,
-            None,
-            HOST,
-            0,
-            &[("name", "\"ggpu-serve host\"".into())],
-        );
+        tr.process_name(HOST, "ggpu-serve host");
         for d in 0..self.devices.len() {
-            ev(
-                "process_name",
-                'M',
-                0.0,
-                None,
-                DEV0 + d,
-                0,
-                &[("name", format!("\"device {d}\""))],
-            );
-            ev(
-                "thread_name",
-                'M',
-                0.0,
-                None,
-                DEV0 + d,
-                0,
-                &[("name", "\"transfers (pcie/p2p)\"".into())],
-            );
+            tr.process_name(DEV0 + d, &format!("device {d}"));
+            tr.thread_name(DEV0 + d, 0, "transfers (pcie/p2p)");
         }
-        ev(
-            "thread_name",
-            'M',
-            0.0,
-            None,
-            HOST,
-            TID_QUEUE,
-            &[("name", "\"admission queue\"".into())],
-        );
+        tr.thread_name(HOST, TID_QUEUE, "admission queue");
 
         // --- host: queue-depth counter track -------------------------------
         for e in &self.events {
@@ -278,14 +184,12 @@ impl ServeReport {
                 | ServeEventKind::BatchAssign { queue_depth, .. } => *queue_depth,
                 _ => continue,
             };
-            ev(
-                "queue_depth",
-                'C',
-                us(e.cycle),
-                None,
+            tr.counter(
                 HOST,
                 TID_QUEUE,
-                &[("jobs", format!("{depth}"))],
+                "queue_depth",
+                e.cycle,
+                &[("jobs", depth.to_string())],
             );
         }
 
@@ -303,26 +207,26 @@ impl ServeReport {
                 span.jobs,
                 if span.faulted { " FAULTED" } else { "" }
             );
-            ev(
-                &name,
-                'X',
-                us(span.launch_cycle),
-                Some(us(span.end_cycle.saturating_sub(span.launch_cycle))),
+            tr.slice(
                 HOST,
                 TID_WORKER0 + span.worker as u64,
+                &name,
+                span.launch_cycle,
+                span.end_cycle.saturating_sub(span.launch_cycle),
                 &[
-                    ("batch", format!("{}", span.batch)),
-                    ("grid", format!("{}", span.grid)),
-                    ("stream", format!("{}", span.stream)),
-                    ("attempt", format!("{}", span.attempt)),
-                    ("jobs", format!("{}", span.jobs)),
-                    ("launch_cycle", format!("{}", span.launch_cycle)),
-                    ("start_cycle", format!("{start}")),
-                    ("end_cycle", format!("{}", span.end_cycle)),
-                    ("faulted", format!("{}", span.faulted)),
+                    ("batch", span.batch.to_string()),
+                    ("grid", span.grid.to_string()),
+                    ("stream", span.stream.to_string()),
+                    ("attempt", span.attempt.to_string()),
+                    ("jobs", span.jobs.to_string()),
+                    ("launch_cycle", span.launch_cycle.to_string()),
+                    ("start_cycle", start.to_string()),
+                    ("end_cycle", span.end_cycle.to_string()),
+                    ("faulted", span.faulted.to_string()),
                 ],
             );
         }
+        let worker_of = |batch: &u64| batch_worker.get(batch).copied().unwrap_or(0) as u64;
         for e in &self.events {
             match &e.kind {
                 ServeEventKind::StreamReset {
@@ -331,16 +235,14 @@ impl ServeReport {
                     new_stream,
                 } => {
                     workers.insert(*worker);
-                    ev(
-                        &format!("stream reset {} -> {}", old_stream.0, new_stream.0),
-                        'i',
-                        us(e.cycle),
-                        None,
+                    tr.instant(
                         HOST,
                         TID_WORKER0 + *worker as u64,
+                        &format!("stream reset {} -> {}", old_stream.0, new_stream.0),
+                        e.cycle,
                         &[
-                            ("old_stream", format!("{}", old_stream.0)),
-                            ("new_stream", format!("{}", new_stream.0)),
+                            ("old_stream", old_stream.0.to_string()),
+                            ("new_stream", new_stream.0.to_string()),
                         ],
                     );
                 }
@@ -348,45 +250,31 @@ impl ServeReport {
                     batch,
                     attempt,
                     not_before_round,
-                } => {
-                    let worker = batch_worker.get(batch).copied().unwrap_or(0);
-                    ev(
-                        &format!("retry batch {batch}"),
-                        'i',
-                        us(e.cycle),
-                        None,
-                        HOST,
-                        TID_WORKER0 + worker as u64,
-                        &[
-                            ("attempt", format!("{attempt}")),
-                            ("not_before_round", format!("{not_before_round}")),
-                        ],
-                    );
-                }
-                ServeEventKind::Split { batch, left, right } => {
-                    let worker = batch_worker.get(batch).copied().unwrap_or(0);
-                    ev(
-                        &format!("split batch {batch} -> {left}+{right}"),
-                        'i',
-                        us(e.cycle),
-                        None,
-                        HOST,
-                        TID_WORKER0 + worker as u64,
-                        &[("batch", format!("{batch}"))],
-                    );
-                }
+                } => tr.instant(
+                    HOST,
+                    TID_WORKER0 + worker_of(batch),
+                    &format!("retry batch {batch}"),
+                    e.cycle,
+                    &[
+                        ("attempt", attempt.to_string()),
+                        ("not_before_round", not_before_round.to_string()),
+                    ],
+                ),
+                ServeEventKind::Split { batch, left, right } => tr.instant(
+                    HOST,
+                    TID_WORKER0 + worker_of(batch),
+                    &format!("split batch {batch} -> {left}+{right}"),
+                    e.cycle,
+                    &[("batch", batch.to_string())],
+                ),
                 _ => {}
             }
         }
         for w_idx in &workers {
-            ev(
-                "thread_name",
-                'M',
-                0.0,
-                None,
+            tr.thread_name(
                 HOST,
                 TID_WORKER0 + *w_idx as u64,
-                &[("name", format!("\"worker {w_idx}\""))],
+                &format!("worker {w_idx}"),
             );
         }
 
@@ -395,38 +283,29 @@ impl ServeReport {
         for t in &self.trails {
             tenants.insert(t.tenant.0);
             let mut args = vec![
-                ("job", format!("{}", t.job.0)),
-                ("shape", format!("\"{}\"", escape(&t.shape.to_string()))),
-                ("priority", format!("{}", t.priority.0)),
-                ("outcome", format!("\"{}\"", t.outcome.tag())),
-                ("submit_cycle", format!("{}", t.submit_cycle)),
-                ("complete_cycle", format!("{}", t.complete_cycle)),
-                ("e2e_cycles", format!("{}", t.e2e)),
+                ("job", t.job.0.to_string()),
+                ("shape", quoted(&t.shape.to_string())),
+                ("priority", t.priority.0.to_string()),
+                ("outcome", quoted(t.outcome.tag())),
+                ("submit_cycle", t.submit_cycle.to_string()),
+                ("complete_cycle", t.complete_cycle.to_string()),
+                ("e2e_cycles", t.e2e.to_string()),
             ];
             if let Some(g) = t.grids.last() {
-                args.push(("grid", format!("{}", g.grid)));
-                args.push(("stream", format!("{}", g.stream)));
+                args.push(("grid", g.grid.to_string()));
+                args.push(("stream", g.stream.to_string()));
             }
-            ev(
-                &format!("job {} [{}]", t.job.0, t.outcome.tag()),
-                'X',
-                us(t.submit_cycle),
-                Some(us(t.e2e)),
+            tr.slice(
                 HOST,
                 TID_TENANT0 + t.tenant.0 as u64,
+                &format!("job {} [{}]", t.job.0, t.outcome.tag()),
+                t.submit_cycle,
+                t.e2e,
                 &args,
             );
         }
         for t in &tenants {
-            ev(
-                "thread_name",
-                'M',
-                0.0,
-                None,
-                HOST,
-                TID_TENANT0 + *t as u64,
-                &[("name", format!("\"tenant {t}\""))],
-            );
+            tr.thread_name(HOST, TID_TENANT0 + *t as u64, &format!("tenant {t}"));
         }
 
         // --- devices: one pid per device, one row per stream ----------------
@@ -435,54 +314,45 @@ impl ServeReport {
             let mut streams: BTreeSet<usize> = BTreeSet::new();
             for r in &log.records {
                 streams.insert(r.stream);
-                ev(
-                    &format!("{} #{}", r.kernel, r.grid),
-                    'X',
-                    us(r.start_cycle),
-                    Some(us(r.retire_cycle.saturating_sub(r.start_cycle))),
+                tr.slice(
                     pid,
                     1 + r.stream as u64,
+                    &format!("{} #{}", r.kernel, r.grid),
+                    r.start_cycle,
+                    r.retire_cycle.saturating_sub(r.start_cycle),
                     &[
-                        ("grid", format!("{}", r.grid)),
-                        ("kernel", format!("\"{}\"", escape(&r.kernel))),
-                        ("stream", format!("{}", r.stream)),
-                        ("ctas", format!("{}", r.ctas)),
-                        ("launch_cycle", format!("{}", r.launch_cycle)),
-                        ("retire_cycle", format!("{}", r.retire_cycle)),
+                        ("grid", r.grid.to_string()),
+                        ("kernel", quoted(&r.kernel)),
+                        ("stream", r.stream.to_string()),
+                        ("ctas", r.ctas.to_string()),
+                        ("launch_cycle", r.launch_cycle.to_string()),
+                        ("retire_cycle", r.retire_cycle.to_string()),
                     ],
                 );
             }
             // Faults, watchdog fires, and PCIe/P2P transfers from the trace.
             for e in &log.events {
                 match &e.kind {
-                    TraceEventKind::Memcpy { dir, bytes, cycles } => {
-                        ev(
-                            &format!("memcpy_{dir}"),
-                            'X',
-                            us(e.cycle),
-                            Some(us(*cycles)),
-                            pid,
-                            0,
-                            &[("bytes", format!("{bytes}"))],
-                        );
-                    }
+                    TraceEventKind::Memcpy { dir, bytes, cycles } => tr.slice(
+                        pid,
+                        0,
+                        &format!("memcpy_{dir}"),
+                        e.cycle,
+                        *cycles,
+                        &[("bytes", bytes.to_string())],
+                    ),
                     TraceEventKind::Fault {
                         kind,
                         kernel,
                         stream,
                     } => {
                         streams.insert(*stream);
-                        ev(
-                            &format!("FAULT: {kind}"),
-                            'i',
-                            us(e.cycle),
-                            None,
+                        tr.instant(
                             pid,
                             1 + *stream as u64,
-                            &[
-                                ("kernel", format!("\"{}\"", escape(kernel))),
-                                ("stream", format!("{stream}")),
-                            ],
+                            &format!("FAULT: {kind}"),
+                            e.cycle,
+                            &[("kernel", quoted(kernel)), ("stream", stream.to_string())],
                         );
                     }
                     TraceEventKind::Deadlock {
@@ -490,62 +360,47 @@ impl ServeReport {
                         stream,
                     } => {
                         streams.insert(*stream);
-                        ev(
-                            "DEADLOCK (watchdog)",
-                            'i',
-                            us(e.cycle),
-                            None,
+                        tr.instant(
                             pid,
                             1 + *stream as u64,
-                            &[("stalled_for", format!("{stalled_for}"))],
+                            "DEADLOCK (watchdog)",
+                            e.cycle,
+                            &[("stalled_for", stalled_for.to_string())],
                         );
                     }
                     _ => {}
                 }
             }
             for s in &streams {
-                ev(
-                    "thread_name",
-                    'M',
-                    0.0,
-                    None,
-                    pid,
-                    1 + *s as u64,
-                    &[("name", format!("\"stream {s}\""))],
-                );
+                tr.thread_name(pid, 1 + *s as u64, &format!("stream {s}"));
             }
         }
 
-        let mut doc = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        doc.push_str(&out.join(","));
-        doc.push_str("]}");
-        doc
+        tr.finish()
     }
 }
 
 /// Serialize one trail as a JSON object.
 fn trail_json(t: &JobTrail) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.u64("job", t.job.0)
-        .u64("tenant", t.tenant.0 as u64)
-        .str("shape", &t.shape.to_string())
-        .u64("priority", t.priority.0 as u64)
-        .str("outcome", t.outcome.tag())
-        .u64("submit_cycle", t.submit_cycle)
-        .opt_u64("batch_assign_cycle", t.batch_assign_cycle)
-        .opt_u64("first_launch_cycle", t.first_launch_cycle)
-        .u64("complete_cycle", t.complete_cycle)
-        .opt_u64("device_exec_cycles", t.device_exec)
-        .u64("e2e_cycles", t.e2e);
-    w.begin_arr_key("grids");
-    for g in &t.grids {
-        w.elem_raw(&format!(
-            "{{\"grid\":{},\"stream\":{},\"worker\":{},\"launch_cycle\":{}}}",
-            g.grid, g.stream, g.worker, g.launch_cycle
-        ));
-    }
-    w.end_arr();
-    w.end_obj();
-    w.finish()
+    JsonWriter::object(|w| {
+        w.u64("job", t.job.0)
+            .u64("tenant", t.tenant.0 as u64)
+            .str("shape", &t.shape.to_string())
+            .u64("priority", t.priority.0 as u64)
+            .str("outcome", t.outcome.tag())
+            .u64("submit_cycle", t.submit_cycle)
+            .opt_u64("batch_assign_cycle", t.batch_assign_cycle)
+            .opt_u64("first_launch_cycle", t.first_launch_cycle)
+            .u64("complete_cycle", t.complete_cycle)
+            .opt_u64("device_exec_cycles", t.device_exec)
+            .u64("e2e_cycles", t.e2e);
+        w.begin_arr_key("grids");
+        for g in &t.grids {
+            w.elem_raw(&format!(
+                "{{\"grid\":{},\"stream\":{},\"worker\":{},\"launch_cycle\":{}}}",
+                g.grid, g.stream, g.worker, g.launch_cycle
+            ));
+        }
+        w.end_arr();
+    })
 }

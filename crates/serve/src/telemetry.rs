@@ -214,100 +214,98 @@ pub struct ServeEvent {
 impl ServeEvent {
     /// Serialize as a standalone JSON object.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.u64("cycle", self.cycle)
-            .u64("round", self.round)
-            .str("event", self.kind.tag());
-        match &self.kind {
-            ServeEventKind::Submit { tenant, priority } => {
-                w.u64("tenant", tenant.0 as u64)
-                    .u64("priority", priority.0 as u64);
+        JsonWriter::object(|w| {
+            w.u64("cycle", self.cycle)
+                .u64("round", self.round)
+                .str("event", self.kind.tag());
+            match &self.kind {
+                ServeEventKind::Submit { tenant, priority } => {
+                    w.u64("tenant", tenant.0 as u64)
+                        .u64("priority", priority.0 as u64);
+                }
+                ServeEventKind::Admit {
+                    job,
+                    tenant,
+                    shape,
+                    priority,
+                    queue_depth,
+                } => {
+                    w.u64("job", job.0)
+                        .u64("tenant", tenant.0 as u64)
+                        .str("shape", &shape.to_string())
+                        .u64("priority", priority.0 as u64)
+                        .u64("queue_depth", *queue_depth);
+                }
+                ServeEventKind::Reject { tenant, reason } => {
+                    w.u64("tenant", tenant.0 as u64).str("reason", reason.tag());
+                }
+                ServeEventKind::Shed {
+                    job,
+                    tenant,
+                    queue_depth,
+                } => {
+                    w.u64("job", job.0)
+                        .u64("tenant", tenant.0 as u64)
+                        .u64("queue_depth", *queue_depth);
+                }
+                ServeEventKind::BatchAssign {
+                    job,
+                    batch,
+                    queue_depth,
+                } => {
+                    w.u64("job", job.0)
+                        .u64("batch", *batch)
+                        .u64("queue_depth", *queue_depth);
+                }
+                ServeEventKind::Launch {
+                    batch,
+                    worker,
+                    stream,
+                    grid,
+                    jobs,
+                    attempt,
+                } => {
+                    w.u64("batch", *batch)
+                        .u64("worker", *worker as u64)
+                        .u64("stream", stream.0 as u64)
+                        .u64("grid", *grid)
+                        .u64("jobs", *jobs)
+                        .u64("attempt", *attempt as u64);
+                }
+                ServeEventKind::Retry {
+                    batch,
+                    attempt,
+                    not_before_round,
+                } => {
+                    w.u64("batch", *batch)
+                        .u64("attempt", *attempt as u64)
+                        .u64("not_before_round", *not_before_round);
+                }
+                ServeEventKind::Split { batch, left, right } => {
+                    w.u64("batch", *batch)
+                        .u64("left", *left)
+                        .u64("right", *right);
+                }
+                ServeEventKind::StreamReset {
+                    worker,
+                    old_stream,
+                    new_stream,
+                } => {
+                    w.u64("worker", *worker as u64)
+                        .u64("old_stream", old_stream.0 as u64)
+                        .u64("new_stream", new_stream.0 as u64);
+                }
+                ServeEventKind::Complete {
+                    job,
+                    tenant,
+                    outcome,
+                } => {
+                    w.u64("job", job.0)
+                        .u64("tenant", tenant.0 as u64)
+                        .str("outcome", outcome.tag());
+                }
             }
-            ServeEventKind::Admit {
-                job,
-                tenant,
-                shape,
-                priority,
-                queue_depth,
-            } => {
-                w.u64("job", job.0)
-                    .u64("tenant", tenant.0 as u64)
-                    .str("shape", &shape.to_string())
-                    .u64("priority", priority.0 as u64)
-                    .u64("queue_depth", *queue_depth);
-            }
-            ServeEventKind::Reject { tenant, reason } => {
-                w.u64("tenant", tenant.0 as u64).str("reason", reason.tag());
-            }
-            ServeEventKind::Shed {
-                job,
-                tenant,
-                queue_depth,
-            } => {
-                w.u64("job", job.0)
-                    .u64("tenant", tenant.0 as u64)
-                    .u64("queue_depth", *queue_depth);
-            }
-            ServeEventKind::BatchAssign {
-                job,
-                batch,
-                queue_depth,
-            } => {
-                w.u64("job", job.0)
-                    .u64("batch", *batch)
-                    .u64("queue_depth", *queue_depth);
-            }
-            ServeEventKind::Launch {
-                batch,
-                worker,
-                stream,
-                grid,
-                jobs,
-                attempt,
-            } => {
-                w.u64("batch", *batch)
-                    .u64("worker", *worker as u64)
-                    .u64("stream", stream.0 as u64)
-                    .u64("grid", *grid)
-                    .u64("jobs", *jobs)
-                    .u64("attempt", *attempt as u64);
-            }
-            ServeEventKind::Retry {
-                batch,
-                attempt,
-                not_before_round,
-            } => {
-                w.u64("batch", *batch)
-                    .u64("attempt", *attempt as u64)
-                    .u64("not_before_round", *not_before_round);
-            }
-            ServeEventKind::Split { batch, left, right } => {
-                w.u64("batch", *batch)
-                    .u64("left", *left)
-                    .u64("right", *right);
-            }
-            ServeEventKind::StreamReset {
-                worker,
-                old_stream,
-                new_stream,
-            } => {
-                w.u64("worker", *worker as u64)
-                    .u64("old_stream", old_stream.0 as u64)
-                    .u64("new_stream", new_stream.0 as u64);
-            }
-            ServeEventKind::Complete {
-                job,
-                tenant,
-                outcome,
-            } => {
-                w.u64("job", job.0)
-                    .u64("tenant", tenant.0 as u64)
-                    .str("outcome", outcome.tag());
-            }
-        }
-        w.end_obj();
-        w.finish()
+        })
     }
 }
 
@@ -390,21 +388,19 @@ pub struct BatchSpan {
 impl BatchSpan {
     /// Serialize as a standalone JSON object.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.u64("batch", self.batch)
-            .u64("worker", self.worker as u64)
-            .u64("stream", self.stream as u64)
-            .u64("grid", self.grid)
-            .str("shape", &self.shape.to_string())
-            .u64("jobs", self.jobs)
-            .u64("attempt", self.attempt as u64)
-            .u64("launch_cycle", self.launch_cycle)
-            .opt_u64("start_cycle", self.start_cycle)
-            .u64("end_cycle", self.end_cycle)
-            .bool("faulted", self.faulted);
-        w.end_obj();
-        w.finish()
+        JsonWriter::object(|w| {
+            w.u64("batch", self.batch)
+                .u64("worker", self.worker as u64)
+                .u64("stream", self.stream as u64)
+                .u64("grid", self.grid)
+                .str("shape", &self.shape.to_string())
+                .u64("jobs", self.jobs)
+                .u64("attempt", self.attempt as u64)
+                .u64("launch_cycle", self.launch_cycle)
+                .opt_u64("start_cycle", self.start_cycle)
+                .u64("end_cycle", self.end_cycle)
+                .bool("faulted", self.faulted);
+        })
     }
 }
 

@@ -374,13 +374,13 @@ impl Gpu {
         };
         for sm in cores {
             r.sm.merge(sm.stats());
-            RunStats::merge_cache(&mut r.l1, sm.l1_stats());
+            r.l1.merge(sm.l1_stats());
         }
         for l2 in &self.l2 {
-            RunStats::merge_cache(&mut r.l2, l2.stats());
+            r.l2.merge(l2.stats());
         }
         for d in &self.dram {
-            RunStats::merge_dram(&mut r.dram, d.stats());
+            r.dram.merge(d.stats());
         }
         r
     }

@@ -32,6 +32,11 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Serialize `s` as a complete JSON string literal (quotes included).
+pub fn quoted(s: &str) -> String {
+    format!("\"{}\"", escape(s))
+}
+
 /// Render an `f64` as a JSON number. JSON has no NaN/infinity, so those
 /// (which only arise from degenerate 0/0-style metrics) render as `0`.
 pub fn num(v: f64) -> String {
@@ -62,6 +67,15 @@ impl JsonWriter {
     /// Fresh writer with an empty document.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Build one standalone JSON object: `body` writes its fields.
+    pub fn object(body: impl FnOnce(&mut JsonWriter)) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_obj();
+        body(&mut w);
+        w.end_obj();
+        w.finish()
     }
 
     fn comma(&mut self) {
@@ -190,6 +204,24 @@ impl JsonWriter {
         self.key(key);
         self.buf.push_str(json);
         self
+    }
+
+    /// A `(name, value)` sink writing `"name": value` into the current
+    /// object — what a counter struct's `for_each_field` is handed to
+    /// export every counter under its own name.
+    pub fn u64_fields(&mut self) -> impl FnMut(&str, u64) + '_ {
+        move |name, v| {
+            self.u64(name, v);
+        }
+    }
+
+    /// `"key": [...]` of already-serialized JSON fragments.
+    pub fn arr_raw(&mut self, key: &str, elems: impl IntoIterator<Item = String>) -> &mut Self {
+        self.begin_arr_key(key);
+        for e in elems {
+            self.elem_raw(&e);
+        }
+        self.end_arr()
     }
 
     /// Splice an already-serialized JSON fragment as an array element.

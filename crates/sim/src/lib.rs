@@ -67,7 +67,7 @@ pub use profile::{
 };
 pub use stats::{HostStats, RunStats};
 pub use trace::{
-    chrome_trace_events, chrome_trace_json, CopyDir, TraceBuffer, TraceEvent, TraceEventKind,
+    chrome_trace_json, ChromeTrace, CopyDir, InstantScope, TraceBuffer, TraceEvent, TraceEventKind,
     TraceSink,
 };
 

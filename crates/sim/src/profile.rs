@@ -10,18 +10,8 @@
 
 use std::collections::VecDeque;
 
-use ggpu_isa::{InstrClass, Space, WARP_SIZE};
 use ggpu_mem::{CacheStats, DramStats};
-use ggpu_sm::{PcCounters, SmStats, StallBreakdown, StallReason};
-
-/// All instruction classes, in Figure 8's display order.
-const INSTR_CLASSES: [InstrClass; 5] = [
-    InstrClass::Int,
-    InstrClass::Fp,
-    InstrClass::LdSt,
-    InstrClass::Sfu,
-    InstrClass::Ctrl,
-];
+use ggpu_sm::{PcCounters, SmField, SmStats, StallBreakdown, StallReason};
 
 use crate::json::JsonWriter;
 use crate::stats::RunStats;
@@ -93,24 +83,22 @@ impl KernelRecord {
 
     /// Serialize as a standalone JSON object.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.u64("grid", self.grid)
-            .str("kernel", &self.kernel)
-            .u64("kernel_id", self.kernel_id as u64)
-            .u64("ctas", self.ctas)
-            .u64("threads_per_cta", self.threads_per_cta as u64)
-            .str("origin", if self.is_cdp_child() { "cdp" } else { "host" })
-            .opt_u64("parent", self.parent)
-            .u64("depth", self.depth as u64)
-            .u64("stream", self.stream as u64)
-            .u64("launch_cycle", self.launch_cycle)
-            .u64("start_cycle", self.start_cycle)
-            .u64("retire_cycle", self.retire_cycle)
-            .f64("ipc", self.ipc())
-            .raw("stats", &run_stats_json(&self.stats));
-        w.end_obj();
-        w.finish()
+        JsonWriter::object(|w| {
+            w.u64("grid", self.grid)
+                .str("kernel", &self.kernel)
+                .u64("kernel_id", self.kernel_id as u64)
+                .u64("ctas", self.ctas)
+                .u64("threads_per_cta", self.threads_per_cta as u64)
+                .str("origin", if self.is_cdp_child() { "cdp" } else { "host" })
+                .opt_u64("parent", self.parent)
+                .u64("depth", self.depth as u64)
+                .u64("stream", self.stream as u64)
+                .u64("launch_cycle", self.launch_cycle)
+                .u64("start_cycle", self.start_cycle)
+                .u64("retire_cycle", self.retire_cycle)
+                .f64("ipc", self.ipc())
+                .raw("stats", &run_stats_json(&self.stats));
+        })
     }
 }
 
@@ -186,24 +174,22 @@ impl IntervalSample {
     /// Serialize as a standalone JSON object (derived rates plus the raw
     /// counter delta).
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.u64("start_cycle", self.start_cycle)
-            .u64("end_cycle", self.end_cycle)
-            .f64("ipc", self.ipc())
-            .f64("occupancy", self.occupancy())
-            .f64("l1_miss_rate", self.l1_miss_rate())
-            .f64("l2_miss_rate", self.l2_miss_rate())
-            .f64("dram_utilization", self.dram_utilization())
-            .f64("noc_flits_per_cycle", self.noc_flits_per_cycle());
-        w.begin_obj_key("stall_fractions");
-        for reason in StallReason::ALL {
-            w.f64(reason.name(), self.stall_fraction(reason));
-        }
-        w.end_obj();
-        w.raw("stats", &run_stats_json(&self.stats));
-        w.end_obj();
-        w.finish()
+        JsonWriter::object(|w| {
+            w.u64("start_cycle", self.start_cycle)
+                .u64("end_cycle", self.end_cycle)
+                .f64("ipc", self.ipc())
+                .f64("occupancy", self.occupancy())
+                .f64("l1_miss_rate", self.l1_miss_rate())
+                .f64("l2_miss_rate", self.l2_miss_rate())
+                .f64("dram_utilization", self.dram_utilization())
+                .f64("noc_flits_per_cycle", self.noc_flits_per_cycle());
+            w.begin_obj_key("stall_fractions");
+            for reason in StallReason::ALL {
+                w.f64(reason.name(), self.stall_fraction(reason));
+            }
+            w.end_obj();
+            w.raw("stats", &run_stats_json(&self.stats));
+        })
     }
 }
 
@@ -290,17 +276,11 @@ impl KernelPcProfile {
 
     /// Serialize as a standalone JSON object.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.u64("kernel_id", self.kernel_id as u64)
-            .str("kernel", &self.kernel);
-        w.begin_arr_key("rows");
-        for r in &self.rows {
-            w.elem_raw(&pc_row_json(r));
-        }
-        w.end_arr();
-        w.end_obj();
-        w.finish()
+        JsonWriter::object(|w| {
+            w.u64("kernel_id", self.kernel_id as u64)
+                .str("kernel", &self.kernel);
+            w.arr_raw("rows", self.rows.iter().map(pc_row_json));
+        })
     }
 }
 
@@ -327,16 +307,10 @@ impl PcProfile {
 
     /// Serialize as a standalone JSON object.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.begin_arr_key("kernels");
-        for k in &self.kernels {
-            w.elem_raw(&k.to_json());
-        }
-        w.end_arr();
-        w.raw("unattributed", &stalls_json(&self.unattributed));
-        w.end_obj();
-        w.finish()
+        JsonWriter::object(|w| {
+            w.arr_raw("kernels", self.kernels.iter().map(|k| k.to_json()));
+            w.raw("unattributed", &stalls_json(&self.unattributed));
+        })
     }
 }
 
@@ -388,108 +362,80 @@ pub struct UnitProfile {
 impl UnitProfile {
     /// Serialize as a standalone JSON object.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.begin_arr_key("sms");
-        for u in &self.sms {
-            w.elem_raw(&sm_unit_json(u));
-        }
-        w.end_arr();
-        w.begin_arr_key("partitions");
-        for p in &self.partitions {
-            w.elem_raw(&partition_unit_json(p));
-        }
-        w.end_arr();
-        w.end_obj();
-        w.finish()
+        JsonWriter::object(|w| {
+            w.arr_raw("sms", self.sms.iter().map(sm_unit_json));
+            w.arr_raw(
+                "partitions",
+                self.partitions.iter().map(partition_unit_json),
+            );
+        })
     }
 }
 
 fn stalls_json(s: &StallBreakdown) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    for reason in StallReason::ALL {
-        w.u64(reason.name(), s.get(reason));
-    }
-    w.end_obj();
-    w.finish()
+    JsonWriter::object(|w| {
+        for reason in StallReason::ALL {
+            w.u64(reason.name(), s.get(reason));
+        }
+    })
 }
 
 fn cache_json(c: &CacheStats) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.u64("read_access", c.read_access)
-        .u64("read_hit", c.read_hit)
-        .u64("write_access", c.write_access)
-        .u64("write_hit", c.write_hit)
-        .u64("mshr_merged", c.mshr_merged)
-        .u64("reservation_fails", c.reservation_fails)
-        .u64("writebacks", c.writebacks);
-    w.end_obj();
-    w.finish()
+    JsonWriter::object(|w| {
+        c.for_each_field(w.u64_fields());
+    })
 }
 
 fn pc_row_json(r: &PcProfileRow) -> String {
     let c = &r.counters;
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.u64("pc", r.pc as u64)
-        .str("instr", &r.instr)
-        .u64("issues", c.issues)
-        .u64("lanes", c.lanes)
-        .u64("l1_accesses", c.l1_accesses)
-        .u64("l1_hits", c.l1_hits)
-        .u64("mem_txns", c.mem_txns)
-        .u64("replays", c.replays)
-        .u64("offchip_txns", c.offchip_txns)
-        .raw("stalls", &stalls_json(&c.stalls));
-    w.end_obj();
-    w.finish()
+    JsonWriter::object(|w| {
+        w.u64("pc", r.pc as u64)
+            .str("instr", &r.instr)
+            .u64("issues", c.issues)
+            .u64("lanes", c.lanes)
+            .u64("l1_accesses", c.l1_accesses)
+            .u64("l1_hits", c.l1_hits)
+            .u64("mem_txns", c.mem_txns)
+            .u64("replays", c.replays)
+            .u64("offchip_txns", c.offchip_txns)
+            .raw("stalls", &stalls_json(&c.stalls));
+    })
 }
 
 fn sm_unit_json(u: &SmUnit) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.u64("sm", u.sm as u64)
-        .u64("cycles", u.stats.cycles)
-        .u64("issued", u.stats.issued)
-        .u64("thread_instrs", u.stats.thread_instrs)
-        .u64("offchip_txns", u.stats.offchip_txns)
-        .u64("ctas_completed", u.stats.ctas_completed)
-        .f64("avg_active_lanes", u.stats.avg_active_lanes())
-        .raw("stalls", &stalls_json(&u.stats.stalls))
-        .raw("l1", &cache_json(&u.l1))
-        .u64("req_injected", u.req_injected)
-        .u64("rep_delivered", u.rep_delivered);
-    w.end_obj();
-    w.finish()
+    JsonWriter::object(|w| {
+        w.u64("sm", u.sm as u64)
+            .u64("cycles", u.stats.cycles)
+            .u64("issued", u.stats.issued)
+            .u64("thread_instrs", u.stats.thread_instrs)
+            .u64("offchip_txns", u.stats.offchip_txns)
+            .u64("ctas_completed", u.stats.ctas_completed)
+            .f64("avg_active_lanes", u.stats.avg_active_lanes())
+            .raw("stalls", &stalls_json(&u.stats.stalls))
+            .raw("l1", &cache_json(&u.l1))
+            .u64("req_injected", u.req_injected)
+            .u64("rep_delivered", u.rep_delivered);
+    })
 }
 
 fn partition_unit_json(p: &PartitionUnit) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.u64("partition", p.partition as u64)
-        .raw("l2", &cache_json(&p.l2));
-    w.begin_obj_key("dram");
-    w.u64("requests", p.dram.requests)
-        .u64("row_hits", p.dram.row_hits)
-        .u64("data_cycles", p.dram.data_cycles)
-        .u64("active_cycles", p.dram.active_cycles)
-        .u64("rejected", p.dram.rejected);
-    w.end_obj();
-    w.begin_arr_key("banks");
-    for &(requests, row_hits) in &p.banks {
-        let mut b = JsonWriter::new();
-        b.begin_obj();
-        b.u64("requests", requests).u64("row_hits", row_hits);
-        b.end_obj();
-        w.elem_raw(&b.finish());
-    }
-    w.end_arr();
-    w.u64("req_delivered", p.req_delivered)
-        .u64("rep_injected", p.rep_injected);
-    w.end_obj();
-    w.finish()
+    JsonWriter::object(|w| {
+        w.u64("partition", p.partition as u64)
+            .raw("l2", &cache_json(&p.l2));
+        w.begin_obj_key("dram");
+        p.dram.for_each_field(w.u64_fields());
+        w.end_obj();
+        w.arr_raw(
+            "banks",
+            p.banks.iter().map(|&(requests, row_hits)| {
+                JsonWriter::object(|b| {
+                    b.u64("requests", requests).u64("row_hits", row_hits);
+                })
+            }),
+        );
+        w.u64("req_delivered", p.req_delivered)
+            .u64("rep_injected", p.rep_injected);
+    })
 }
 
 /// Everything the profiler collected over a run, in one machine-readable
@@ -522,34 +468,20 @@ impl ProfileReport {
     /// Serialize the full report (stats, kernels, samples, events) as one
     /// JSON document.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.f64("clock_ghz", self.clock_ghz)
-            .raw("stats", &run_stats_json(&self.stats));
-        w.begin_arr_key("kernels");
-        for k in &self.kernels {
-            w.elem_raw(&k.to_json());
-        }
-        w.end_arr();
-        w.begin_arr_key("samples");
-        for s in &self.samples {
-            w.elem_raw(&s.to_json());
-        }
-        w.end_arr();
-        w.u64("samples_dropped", self.samples_dropped);
-        w.begin_arr_key("events");
-        for e in &self.events {
-            w.elem_raw(&e.to_json());
-        }
-        w.end_arr();
-        w.u64("events_dropped", self.events_dropped);
-        match &self.pc {
-            Some(p) => w.raw("pc_profile", &p.to_json()),
-            None => w.raw("pc_profile", "null"),
-        };
-        w.raw("units", &self.units.to_json());
-        w.end_obj();
-        w.finish()
+        JsonWriter::object(|w| {
+            w.f64("clock_ghz", self.clock_ghz)
+                .raw("stats", &run_stats_json(&self.stats));
+            w.arr_raw("kernels", self.kernels.iter().map(|k| k.to_json()));
+            w.arr_raw("samples", self.samples.iter().map(|s| s.to_json()));
+            w.u64("samples_dropped", self.samples_dropped);
+            w.arr_raw("events", self.events.iter().map(|e| e.to_json()));
+            w.u64("events_dropped", self.events_dropped);
+            match &self.pc {
+                Some(p) => w.raw("pc_profile", &p.to_json()),
+                None => w.raw("pc_profile", "null"),
+            };
+            w.raw("units", &self.units.to_json());
+        })
     }
 
     /// Total observability records silently truncated: dropped interval
@@ -565,11 +497,7 @@ impl ProfileReport {
     pub fn chrome_trace(&self, label: &str) -> String {
         chrome_trace_json(
             &[(label.to_string(), self.events.as_slice())],
-            if self.clock_ghz > 0.0 {
-                self.clock_ghz
-            } else {
-                1.0
-            },
+            self.clock_ghz,
         )
     }
 }
@@ -577,93 +505,58 @@ impl ProfileReport {
 /// Serialize a [`RunStats`] snapshot (or delta) as a JSON object: every
 /// raw counter, plus a `derived` block with the headline rates.
 pub fn run_stats_json(s: &RunStats) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-
-    w.begin_obj_key("host");
-    w.u64("kernel_launches", s.host.kernel_launches)
-        .u64("pci_count", s.host.pci_count)
-        .u64("pci_cycles", s.host.pci_cycles)
-        .u64("kernel_cycles", s.host.kernel_cycles)
-        .u64("h2d_bytes", s.host.h2d_bytes)
-        .u64("d2h_bytes", s.host.d2h_bytes)
-        .u64("p2p_sends", s.host.p2p_sends)
-        .u64("p2p_recvs", s.host.p2p_recvs)
-        .u64("p2p_bytes_out", s.host.p2p_bytes_out)
-        .u64("p2p_bytes_in", s.host.p2p_bytes_in)
-        .u64("p2p_cycles", s.host.p2p_cycles);
-    w.end_obj();
-
-    w.begin_obj_key("sm");
-    w.u64("cycles", s.sm.cycles)
-        .u64("issued", s.sm.issued)
-        .u64("thread_instrs", s.sm.thread_instrs);
-    w.begin_obj_key("instr_mix");
-    for class in INSTR_CLASSES {
-        w.u64(&class.to_string(), s.sm.class_count(class));
-    }
-    w.end_obj();
-    w.begin_obj_key("mem_space");
-    for space in Space::ALL {
-        w.u64(space.name(), s.sm.space_count(space));
-    }
-    w.end_obj();
-    w.begin_arr_key("occupancy");
-    for i in 0..WARP_SIZE {
-        w.elem_u64(s.sm.occupancy[i]);
-    }
-    w.end_arr();
-    w.begin_obj_key("stalls");
-    for reason in StallReason::ALL {
-        w.u64(reason.name(), s.sm.stalls.get(reason));
-    }
-    w.end_obj();
-    w.u64("bank_conflict_cycles", s.sm.bank_conflict_cycles)
-        .u64("offchip_txns", s.sm.offchip_txns)
-        .u64("ctas_completed", s.sm.ctas_completed)
-        .u64("device_launches", s.sm.device_launches);
-    w.end_obj();
-
-    for (key, c) in [("l1", &s.l1), ("l2", &s.l2)] {
-        w.begin_obj_key(key);
-        w.u64("read_access", c.read_access)
-            .u64("read_hit", c.read_hit)
-            .u64("write_access", c.write_access)
-            .u64("write_hit", c.write_hit)
-            .u64("mshr_merged", c.mshr_merged)
-            .u64("reservation_fails", c.reservation_fails)
-            .u64("writebacks", c.writebacks);
+    JsonWriter::object(|w| {
+        w.begin_obj_key("host");
+        s.host.for_each_field(w.u64_fields());
         w.end_obj();
-    }
 
-    w.begin_obj_key("dram");
-    w.u64("requests", s.dram.requests)
-        .u64("row_hits", s.dram.row_hits)
-        .u64("data_cycles", s.dram.data_cycles)
-        .u64("active_cycles", s.dram.active_cycles)
-        .u64("rejected", s.dram.rejected);
-    w.end_obj();
-
-    for (key, n) in [("icnt_req", &s.icnt_req), ("icnt_rep", &s.icnt_rep)] {
-        w.begin_obj_key(key);
-        w.u64("packets", n.packets)
-            .u64("flits", n.flits)
-            .u64("total_latency", n.total_latency)
-            .u64("queueing", n.queueing);
+        w.begin_obj_key("sm");
+        s.sm.for_each_field(|name, field| match field {
+            SmField::Count(v) => {
+                w.u64(name, v);
+            }
+            SmField::Breakdown(parts) => {
+                w.begin_obj_key(name);
+                for &(part, v) in parts {
+                    w.u64(part, v);
+                }
+                w.end_obj();
+            }
+            SmField::Histogram(bins) => {
+                w.begin_arr_key(name);
+                for &v in bins {
+                    w.elem_u64(v);
+                }
+                w.end_arr();
+            }
+        });
         w.end_obj();
-    }
 
-    w.begin_obj_key("derived");
-    w.f64("ipc", s.ipc())
-        .f64("l1_miss_rate", s.l1.miss_rate())
-        .f64("l2_miss_rate", s.l2.miss_rate())
-        .f64("dram_efficiency", s.dram.efficiency())
-        .f64("dram_utilization", s.dram_utilization())
-        .u64("total_cycles", s.total_cycles());
-    w.end_obj();
+        for (key, c) in [("l1", &s.l1), ("l2", &s.l2)] {
+            w.begin_obj_key(key);
+            c.for_each_field(w.u64_fields());
+            w.end_obj();
+        }
 
-    w.end_obj();
-    w.finish()
+        w.begin_obj_key("dram");
+        s.dram.for_each_field(w.u64_fields());
+        w.end_obj();
+
+        for (key, n) in [("icnt_req", &s.icnt_req), ("icnt_rep", &s.icnt_rep)] {
+            w.begin_obj_key(key);
+            n.for_each_field(w.u64_fields());
+            w.end_obj();
+        }
+
+        w.begin_obj_key("derived");
+        w.f64("ipc", s.ipc())
+            .f64("l1_miss_rate", s.l1.miss_rate())
+            .f64("l2_miss_rate", s.l2.miss_rate())
+            .f64("dram_efficiency", s.dram.efficiency())
+            .f64("dram_utilization", s.dram_utilization())
+            .u64("total_cycles", s.total_cycles());
+        w.end_obj();
+    })
 }
 
 #[cfg(test)]

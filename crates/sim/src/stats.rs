@@ -4,32 +4,33 @@ use ggpu_icnt::IcntStats;
 use ggpu_mem::{CacheStats, DramStats};
 use ggpu_sm::SmStats;
 
-/// Host-side activity counters (the Figure 4 data).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct HostStats {
-    /// Host kernel launches (`<<<>>>` invocations).
-    pub kernel_launches: u64,
-    /// `cudaMemcpy` calls (PCI transactions).
-    pub pci_count: u64,
-    /// Cycles spent in PCI transfers.
-    pub pci_cycles: u64,
-    /// Cycles spent executing kernels (inside `synchronize`).
-    pub kernel_cycles: u64,
-    /// Host→device bytes moved.
-    pub h2d_bytes: u64,
-    /// Device→host bytes moved.
-    pub d2h_bytes: u64,
-    /// Peer-to-peer transfers this device initiated over the node fabric.
-    pub p2p_sends: u64,
-    /// Peer-to-peer transfers that landed in this device's memory.
-    pub p2p_recvs: u64,
-    /// Bytes this device sent to peer devices.
-    pub p2p_bytes_out: u64,
-    /// Bytes this device received from peer devices.
-    pub p2p_bytes_in: u64,
-    /// Modelled fabric cycles charged to this device's outbound transfers
-    /// (serialization + link latency, including queueing).
-    pub p2p_cycles: u64,
+ggpu_mem::counter_set! {
+    /// Host-side activity counters (the Figure 4 data).
+    pub struct HostStats {
+        /// Host kernel launches (`<<<>>>` invocations).
+        pub kernel_launches,
+        /// `cudaMemcpy` calls (PCI transactions).
+        pub pci_count,
+        /// Cycles spent in PCI transfers.
+        pub pci_cycles,
+        /// Cycles spent executing kernels (inside `synchronize`).
+        pub kernel_cycles,
+        /// Host→device bytes moved.
+        pub h2d_bytes,
+        /// Device→host bytes moved.
+        pub d2h_bytes,
+        /// Peer-to-peer transfers this device initiated over the node fabric.
+        pub p2p_sends,
+        /// Peer-to-peer transfers that landed in this device's memory.
+        pub p2p_recvs,
+        /// Bytes this device sent to peer devices.
+        pub p2p_bytes_out,
+        /// Bytes this device received from peer devices.
+        pub p2p_bytes_in,
+        /// Modelled fabric cycles charged to this device's outbound transfers
+        /// (serialization + link latency, including queueing).
+        pub p2p_cycles,
+    }
 }
 
 impl HostStats {
@@ -96,49 +97,19 @@ impl RunStats {
         self.total_cycles() as f64 / (clock_ghz * 1e9)
     }
 
-    /// Merge two cache stats (helper for aggregation).
-    pub(crate) fn merge_cache(into: &mut CacheStats, from: &CacheStats) {
-        into.read_access += from.read_access;
-        into.read_hit += from.read_hit;
-        into.write_access += from.write_access;
-        into.write_hit += from.write_hit;
-        into.mshr_merged += from.mshr_merged;
-        into.reservation_fails += from.reservation_fails;
-        into.writebacks += from.writebacks;
-    }
-
-    /// Merge two DRAM stats (helper for aggregation).
-    pub(crate) fn merge_dram(into: &mut DramStats, from: &DramStats) {
-        into.requests += from.requests;
-        into.row_hits += from.row_hits;
-        into.data_cycles += from.data_cycles;
-        into.active_cycles += from.active_cycles;
-        into.rejected += from.rejected;
-    }
-
     /// Field-wise accumulation of another snapshot into this one — the
     /// node-level aggregation primitive: per-device [`RunStats`] merge in
     /// device-index order and the result is the node total every per-device
     /// counter telescopes to. `sm.cycles` merges as a max (the same rule
     /// the device applies across its SMs); every other counter sums.
     pub fn merge(&mut self, other: &RunStats) {
-        self.host.kernel_launches += other.host.kernel_launches;
-        self.host.pci_count += other.host.pci_count;
-        self.host.pci_cycles += other.host.pci_cycles;
-        self.host.kernel_cycles += other.host.kernel_cycles;
-        self.host.h2d_bytes += other.host.h2d_bytes;
-        self.host.d2h_bytes += other.host.d2h_bytes;
-        self.host.p2p_sends += other.host.p2p_sends;
-        self.host.p2p_recvs += other.host.p2p_recvs;
-        self.host.p2p_bytes_out += other.host.p2p_bytes_out;
-        self.host.p2p_bytes_in += other.host.p2p_bytes_in;
-        self.host.p2p_cycles += other.host.p2p_cycles;
+        self.host.merge(&other.host);
         self.sm.merge(&other.sm);
-        Self::merge_cache(&mut self.l1, &other.l1);
-        Self::merge_cache(&mut self.l2, &other.l2);
-        Self::merge_dram(&mut self.dram, &other.dram);
-        merge_icnt(&mut self.icnt_req, &other.icnt_req);
-        merge_icnt(&mut self.icnt_rep, &other.icnt_rep);
+        self.l1.merge(&other.l1);
+        self.l2.merge(&other.l2);
+        self.dram.merge(&other.dram);
+        self.icnt_req.merge(&other.icnt_req);
+        self.icnt_rep.merge(&other.icnt_rep);
     }
 
     /// Field-wise counter delta since an earlier snapshot `base`
@@ -148,75 +119,14 @@ impl RunStats {
     /// the window between the two snapshots.
     pub fn delta_since(&self, base: &RunStats) -> RunStats {
         RunStats {
-            host: HostStats {
-                kernel_launches: self
-                    .host
-                    .kernel_launches
-                    .saturating_sub(base.host.kernel_launches),
-                pci_count: self.host.pci_count.saturating_sub(base.host.pci_count),
-                pci_cycles: self.host.pci_cycles.saturating_sub(base.host.pci_cycles),
-                kernel_cycles: self
-                    .host
-                    .kernel_cycles
-                    .saturating_sub(base.host.kernel_cycles),
-                h2d_bytes: self.host.h2d_bytes.saturating_sub(base.host.h2d_bytes),
-                d2h_bytes: self.host.d2h_bytes.saturating_sub(base.host.d2h_bytes),
-                p2p_sends: self.host.p2p_sends.saturating_sub(base.host.p2p_sends),
-                p2p_recvs: self.host.p2p_recvs.saturating_sub(base.host.p2p_recvs),
-                p2p_bytes_out: self
-                    .host
-                    .p2p_bytes_out
-                    .saturating_sub(base.host.p2p_bytes_out),
-                p2p_bytes_in: self
-                    .host
-                    .p2p_bytes_in
-                    .saturating_sub(base.host.p2p_bytes_in),
-                p2p_cycles: self.host.p2p_cycles.saturating_sub(base.host.p2p_cycles),
-            },
+            host: self.host.delta_since(&base.host),
             sm: self.sm.delta_since(&base.sm),
-            l1: delta_cache(&self.l1, &base.l1),
-            l2: delta_cache(&self.l2, &base.l2),
-            dram: DramStats {
-                requests: self.dram.requests.saturating_sub(base.dram.requests),
-                row_hits: self.dram.row_hits.saturating_sub(base.dram.row_hits),
-                data_cycles: self.dram.data_cycles.saturating_sub(base.dram.data_cycles),
-                active_cycles: self
-                    .dram
-                    .active_cycles
-                    .saturating_sub(base.dram.active_cycles),
-                rejected: self.dram.rejected.saturating_sub(base.dram.rejected),
-            },
-            icnt_req: delta_icnt(&self.icnt_req, &base.icnt_req),
-            icnt_rep: delta_icnt(&self.icnt_rep, &base.icnt_rep),
+            l1: self.l1.delta_since(&base.l1),
+            l2: self.l2.delta_since(&base.l2),
+            dram: self.dram.delta_since(&base.dram),
+            icnt_req: self.icnt_req.delta_since(&base.icnt_req),
+            icnt_rep: self.icnt_rep.delta_since(&base.icnt_rep),
         }
-    }
-}
-
-fn delta_cache(now: &CacheStats, base: &CacheStats) -> CacheStats {
-    CacheStats {
-        read_access: now.read_access.saturating_sub(base.read_access),
-        read_hit: now.read_hit.saturating_sub(base.read_hit),
-        write_access: now.write_access.saturating_sub(base.write_access),
-        write_hit: now.write_hit.saturating_sub(base.write_hit),
-        mshr_merged: now.mshr_merged.saturating_sub(base.mshr_merged),
-        reservation_fails: now.reservation_fails.saturating_sub(base.reservation_fails),
-        writebacks: now.writebacks.saturating_sub(base.writebacks),
-    }
-}
-
-fn merge_icnt(into: &mut IcntStats, from: &IcntStats) {
-    into.packets += from.packets;
-    into.flits += from.flits;
-    into.total_latency += from.total_latency;
-    into.queueing += from.queueing;
-}
-
-fn delta_icnt(now: &IcntStats, base: &IcntStats) -> IcntStats {
-    IcntStats {
-        packets: now.packets.saturating_sub(base.packets),
-        flits: now.flits.saturating_sub(base.flits),
-        total_latency: now.total_latency.saturating_sub(base.total_latency),
-        queueing: now.queueing.saturating_sub(base.queueing),
     }
 }
 

@@ -11,7 +11,7 @@ use std::fmt;
 
 use ggpu_isa::FaultKind;
 
-use crate::json::{escape, num, JsonWriter};
+use crate::json::{escape, num, quoted, JsonWriter};
 
 /// Direction of a `cudaMemcpy` transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,75 +162,73 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// Serialize as a standalone JSON object (the structured export form).
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.u64("cycle", self.cycle);
-        w.str("event", self.kind.tag());
-        match &self.kind {
-            TraceEventKind::KernelLaunch {
-                grid,
-                kernel,
-                ctas,
-                threads_per_cta,
-                stream,
-            } => {
-                w.u64("grid", *grid)
-                    .str("kernel", kernel)
-                    .u64("ctas", *ctas)
-                    .u64("threads_per_cta", *threads_per_cta as u64)
-                    .u64("stream", *stream as u64);
+        JsonWriter::object(|w| {
+            w.u64("cycle", self.cycle);
+            w.str("event", self.kind.tag());
+            match &self.kind {
+                TraceEventKind::KernelLaunch {
+                    grid,
+                    kernel,
+                    ctas,
+                    threads_per_cta,
+                    stream,
+                } => {
+                    w.u64("grid", *grid)
+                        .str("kernel", kernel)
+                        .u64("ctas", *ctas)
+                        .u64("threads_per_cta", *threads_per_cta as u64)
+                        .u64("stream", *stream as u64);
+                }
+                TraceEventKind::CdpEnqueue {
+                    grid,
+                    kernel,
+                    parent,
+                    depth,
+                    ctas,
+                    threads_per_cta,
+                    stream,
+                } => {
+                    w.u64("grid", *grid)
+                        .str("kernel", kernel)
+                        .u64("parent", *parent)
+                        .u64("depth", *depth as u64)
+                        .u64("ctas", *ctas)
+                        .u64("threads_per_cta", *threads_per_cta as u64)
+                        .u64("stream", *stream as u64);
+                }
+                TraceEventKind::KernelStart { grid, stream }
+                | TraceEventKind::KernelRetire { grid, stream } => {
+                    w.u64("grid", *grid).u64("stream", *stream as u64);
+                }
+                TraceEventKind::CdpDrain { parent, child } => {
+                    w.u64("parent", *parent).u64("child", *child);
+                }
+                TraceEventKind::Memcpy { dir, bytes, cycles } => {
+                    w.str("dir", &dir.to_string())
+                        .u64("bytes", *bytes)
+                        .u64("cycles", *cycles);
+                }
+                TraceEventKind::CacheFill { partition, addr } => {
+                    w.u64("partition", *partition).u64("addr", *addr);
+                }
+                TraceEventKind::Fault {
+                    kind,
+                    kernel,
+                    stream,
+                } => {
+                    w.str("kind", &kind.to_string())
+                        .str("kernel", kernel)
+                        .u64("stream", *stream as u64);
+                }
+                TraceEventKind::Deadlock {
+                    stalled_for,
+                    stream,
+                } => {
+                    w.u64("stalled_for", *stalled_for)
+                        .u64("stream", *stream as u64);
+                }
             }
-            TraceEventKind::CdpEnqueue {
-                grid,
-                kernel,
-                parent,
-                depth,
-                ctas,
-                threads_per_cta,
-                stream,
-            } => {
-                w.u64("grid", *grid)
-                    .str("kernel", kernel)
-                    .u64("parent", *parent)
-                    .u64("depth", *depth as u64)
-                    .u64("ctas", *ctas)
-                    .u64("threads_per_cta", *threads_per_cta as u64)
-                    .u64("stream", *stream as u64);
-            }
-            TraceEventKind::KernelStart { grid, stream }
-            | TraceEventKind::KernelRetire { grid, stream } => {
-                w.u64("grid", *grid).u64("stream", *stream as u64);
-            }
-            TraceEventKind::CdpDrain { parent, child } => {
-                w.u64("parent", *parent).u64("child", *child);
-            }
-            TraceEventKind::Memcpy { dir, bytes, cycles } => {
-                w.str("dir", &dir.to_string())
-                    .u64("bytes", *bytes)
-                    .u64("cycles", *cycles);
-            }
-            TraceEventKind::CacheFill { partition, addr } => {
-                w.u64("partition", *partition).u64("addr", *addr);
-            }
-            TraceEventKind::Fault {
-                kind,
-                kernel,
-                stream,
-            } => {
-                w.str("kind", &kind.to_string())
-                    .str("kernel", kernel)
-                    .u64("stream", *stream as u64);
-            }
-            TraceEventKind::Deadlock {
-                stalled_for,
-                stream,
-            } => {
-                w.u64("stalled_for", *stalled_for)
-                    .u64("stream", *stream as u64);
-            }
-        }
-        w.end_obj();
-        w.finish()
+        })
     }
 }
 
@@ -297,293 +295,328 @@ impl TraceSink for TraceBuffer {
     }
 }
 
-/// Convert device cycles to Chrome-trace microseconds at `clock_ghz`.
-fn cycles_to_us(cycles: u64, clock_ghz: f64) -> f64 {
-    cycles as f64 / (clock_ghz * 1000.0)
+/// Scope of a Chrome-trace instant (`ph: "i"`) event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InstantScope {
+    /// Global: Perfetto draws a full-height line across every track.
+    Global,
+    /// Thread: a marker on the event's own track only.
+    Thread,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn chrome_event(
-    out: &mut Vec<String>,
-    name: &str,
-    ph: char,
-    ts_us: f64,
-    dur_us: Option<f64>,
-    pid: usize,
-    tid: u64,
-    args: &[(&str, String)],
-) {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-        escape(name),
-        ph,
-        num(ts_us),
-        pid,
-        tid
-    ));
-    if let Some(d) = dur_us {
-        s.push_str(&format!(",\"dur\":{}", num(d.max(0.001))));
+/// The Chrome-trace (`chrome://tracing` / Perfetto) document builder: the
+/// one event serializer, cycle→µs conversion and document envelope every
+/// trace in the workspace — single device, node, serving — is written
+/// through. Load the result at <https://ui.perfetto.dev>.
+#[derive(Debug)]
+pub struct ChromeTrace {
+    clock_ghz: f64,
+    instant_scope: InstantScope,
+    events: Vec<String>,
+}
+
+impl ChromeTrace {
+    /// Empty trace on a `clock_ghz` cycle clock (a non-positive clock is
+    /// read as 1 GHz) whose instant events get `instant_scope`.
+    pub fn new(clock_ghz: f64, instant_scope: InstantScope) -> Self {
+        ChromeTrace {
+            clock_ghz: if clock_ghz > 0.0 { clock_ghz } else { 1.0 },
+            instant_scope,
+            events: Vec::new(),
+        }
     }
-    if ph == 'i' {
-        // Instant events: global scope so Perfetto draws a full-height line.
-        s.push_str(",\"s\":\"g\"");
+
+    /// Convert device cycles to Chrome-trace microseconds.
+    pub fn cycles_to_us(&self, cycles: u64) -> f64 {
+        cycles as f64 / (self.clock_ghz * 1000.0)
     }
-    if !args.is_empty() {
-        s.push_str(",\"args\":{");
-        for (i, (k, v)) in args.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+
+    /// Serialize one event. `ph` is the Chrome phase; `args` values are
+    /// already-serialized JSON fragments (numbers as-is, strings through
+    /// [`quoted`](crate::json::quoted)).
+    #[allow(clippy::too_many_arguments)]
+    fn event(
+        &mut self,
+        name: &str,
+        ph: char,
+        cycle: u64,
+        dur_cycles: Option<u64>,
+        pid: usize,
+        tid: u64,
+        args: &[(&str, String)],
+    ) {
+        let mut s = format!(
+            "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
+            escape(name),
+            ph,
+            num(self.cycles_to_us(cycle)),
+            pid,
+            tid
+        );
+        if let Some(d) = dur_cycles {
+            s.push_str(&format!(
+                ",\"dur\":{}",
+                num(self.cycles_to_us(d).max(0.001))
+            ));
+        }
+        if ph == 'i' {
+            s.push_str(match self.instant_scope {
+                InstantScope::Global => ",\"s\":\"g\"",
+                InstantScope::Thread => ",\"s\":\"t\"",
+            });
+        }
+        if !args.is_empty() {
+            s.push_str(",\"args\":{");
+            for (i, (k, v)) in args.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                s.push_str(&format!("\"{}\":{}", escape(k), v));
             }
-            s.push_str(&format!("\"{}\":{}", escape(k), v));
+            s.push('}');
         }
         s.push('}');
+        self.events.push(s);
     }
-    s.push('}');
-    out.push(s);
-}
 
-/// Emit Chrome-trace events for one device's event log under process id
-/// `pid`, appending serialized event objects to `out`.
-///
-/// Track (tid) layout inside the process: tid 0 is the host (memcpy)
-/// track, tid `1 + depth` holds kernels at CDP nesting `depth`, so parent
-/// and child launches land on adjacent rows. Faults and watchdog fires are
-/// instant events.
-pub fn chrome_trace_events(
-    pid: usize,
-    process_name: &str,
-    events: &[TraceEvent],
-    clock_ghz: f64,
-    out: &mut Vec<String>,
-) {
-    chrome_event(
-        out,
-        "process_name",
-        'M',
-        0.0,
-        None,
-        pid,
-        0,
-        &[("name", format!("\"{}\"", escape(process_name)))],
-    );
-    chrome_event(
-        out,
-        "thread_name",
-        'M',
-        0.0,
-        None,
-        pid,
-        0,
-        &[("name", "\"host (memcpy)\"".to_string())],
-    );
-
-    // Launch metadata and start cycles, keyed by grid handle.
-    struct Open {
-        name: String,
-        depth: u32,
-        ctas: u64,
-        threads: u32,
-        start: Option<u64>,
-        launch_cycle: u64,
-        stream: usize,
+    /// A complete slice (`ph: "X"`) of `dur_cycles` starting at `cycle`.
+    pub fn slice(
+        &mut self,
+        pid: usize,
+        tid: u64,
+        name: &str,
+        cycle: u64,
+        dur_cycles: u64,
+        args: &[(&str, String)],
+    ) {
+        self.event(name, 'X', cycle, Some(dur_cycles), pid, tid, args);
     }
-    let mut open: Vec<(u64, Open)> = Vec::new();
-    let find = |open: &mut Vec<(u64, Open)>, grid: u64| -> Option<usize> {
-        open.iter().position(|(g, _)| *g == grid)
-    };
-    let mut max_depth = 0u32;
 
-    for ev in events {
-        let ts = cycles_to_us(ev.cycle, clock_ghz);
-        match &ev.kind {
-            TraceEventKind::KernelLaunch {
-                grid,
-                kernel,
-                ctas,
-                threads_per_cta,
-                stream,
-            } => {
-                open.push((
-                    *grid,
-                    Open {
-                        name: kernel.clone(),
-                        depth: 0,
-                        ctas: *ctas,
-                        threads: *threads_per_cta,
-                        start: None,
-                        launch_cycle: ev.cycle,
-                        stream: *stream,
-                    },
-                ));
-            }
-            TraceEventKind::CdpEnqueue {
-                grid,
-                kernel,
-                depth,
-                ctas,
-                threads_per_cta,
-                stream,
-                ..
-            } => {
-                max_depth = max_depth.max(*depth);
-                open.push((
-                    *grid,
-                    Open {
-                        name: kernel.clone(),
+    /// An instant marker (`ph: "i"`) at `cycle`.
+    pub fn instant(
+        &mut self,
+        pid: usize,
+        tid: u64,
+        name: &str,
+        cycle: u64,
+        args: &[(&str, String)],
+    ) {
+        self.event(name, 'i', cycle, None, pid, tid, args);
+    }
+
+    /// A counter sample (`ph: "C"`) at `cycle`; each arg is one series.
+    pub fn counter(
+        &mut self,
+        pid: usize,
+        tid: u64,
+        name: &str,
+        cycle: u64,
+        args: &[(&str, String)],
+    ) {
+        self.event(name, 'C', cycle, None, pid, tid, args);
+    }
+
+    /// Label process `pid` (metadata event).
+    pub fn process_name(&mut self, pid: usize, label: &str) {
+        self.event(
+            "process_name",
+            'M',
+            0,
+            None,
+            pid,
+            0,
+            &[("name", quoted(label))],
+        );
+    }
+
+    /// Label track `tid` of process `pid` (metadata event).
+    pub fn thread_name(&mut self, pid: usize, tid: u64, label: &str) {
+        self.event(
+            "thread_name",
+            'M',
+            0,
+            None,
+            pid,
+            tid,
+            &[("name", quoted(label))],
+        );
+    }
+
+    /// Append one device's event log under process id `pid`.
+    ///
+    /// Track (tid) layout inside the process: tid 0 is the host (memcpy)
+    /// track, tid `1 + depth` holds kernels at CDP nesting `depth`, so
+    /// parent and child launches land on adjacent rows. Faults and watchdog
+    /// fires are instant events.
+    pub fn device_log(&mut self, pid: usize, process_name: &str, events: &[TraceEvent]) {
+        self.process_name(pid, process_name);
+        self.thread_name(pid, 0, "host (memcpy)");
+
+        // Launch metadata and start cycles, keyed by grid handle.
+        struct Open<'a> {
+            grid: u64,
+            name: &'a str,
+            depth: u32,
+            ctas: u64,
+            threads: u32,
+            start: Option<u64>,
+            launch_cycle: u64,
+            stream: usize,
+        }
+        let mut open: Vec<Open<'_>> = Vec::new();
+        let mut max_depth = 0u32;
+
+        for ev in events {
+            match &ev.kind {
+                TraceEventKind::KernelLaunch {
+                    grid,
+                    kernel,
+                    ctas,
+                    threads_per_cta,
+                    stream,
+                } => open.push(Open {
+                    grid: *grid,
+                    name: kernel,
+                    depth: 0,
+                    ctas: *ctas,
+                    threads: *threads_per_cta,
+                    start: None,
+                    launch_cycle: ev.cycle,
+                    stream: *stream,
+                }),
+                TraceEventKind::CdpEnqueue {
+                    grid,
+                    kernel,
+                    depth,
+                    ctas,
+                    threads_per_cta,
+                    stream,
+                    ..
+                } => {
+                    max_depth = max_depth.max(*depth);
+                    open.push(Open {
+                        grid: *grid,
+                        name: kernel,
                         depth: *depth,
                         ctas: *ctas,
                         threads: *threads_per_cta,
                         start: None,
                         launch_cycle: ev.cycle,
                         stream: *stream,
-                    },
-                ));
-            }
-            TraceEventKind::KernelStart { grid, .. } => {
-                if let Some(i) = find(&mut open, *grid) {
-                    open[i].1.start = Some(ev.cycle);
+                    });
                 }
-            }
-            TraceEventKind::KernelRetire { grid, .. } => {
-                if let Some(i) = find(&mut open, *grid) {
-                    let (g, o) = open.remove(i);
-                    let start = o.start.unwrap_or(o.launch_cycle);
-                    chrome_event(
-                        out,
-                        &format!("{} #{g}", o.name),
-                        'X',
-                        cycles_to_us(start, clock_ghz),
-                        Some(cycles_to_us(ev.cycle.saturating_sub(start), clock_ghz)),
-                        pid,
-                        1 + o.depth as u64,
-                        &[
-                            ("grid", format!("{g}")),
-                            ("ctas", format!("{}", o.ctas)),
-                            ("threads_per_cta", format!("{}", o.threads)),
-                            ("depth", format!("{}", o.depth)),
-                            ("stream", format!("{}", o.stream)),
-                            ("launch_cycle", format!("{}", o.launch_cycle)),
-                            ("retire_cycle", format!("{}", ev.cycle)),
-                        ],
-                    );
+                TraceEventKind::KernelStart { grid, .. } => {
+                    if let Some(o) = open.iter_mut().find(|o| o.grid == *grid) {
+                        o.start = Some(ev.cycle);
+                    }
                 }
-            }
-            TraceEventKind::CdpDrain { .. } => {}
-            TraceEventKind::Memcpy { dir, bytes, cycles } => {
-                chrome_event(
-                    out,
+                TraceEventKind::KernelRetire { grid, .. } => {
+                    if let Some(i) = open.iter().position(|o| o.grid == *grid) {
+                        let o = open.remove(i);
+                        let start = o.start.unwrap_or(o.launch_cycle);
+                        self.slice(
+                            pid,
+                            1 + o.depth as u64,
+                            &format!("{} #{grid}", o.name),
+                            start,
+                            ev.cycle.saturating_sub(start),
+                            &[
+                                ("grid", grid.to_string()),
+                                ("ctas", o.ctas.to_string()),
+                                ("threads_per_cta", o.threads.to_string()),
+                                ("depth", o.depth.to_string()),
+                                ("stream", o.stream.to_string()),
+                                ("launch_cycle", o.launch_cycle.to_string()),
+                                ("retire_cycle", ev.cycle.to_string()),
+                            ],
+                        );
+                    }
+                }
+                TraceEventKind::CdpDrain { .. } => {}
+                TraceEventKind::Memcpy { dir, bytes, cycles } => self.slice(
+                    pid,
+                    0,
                     &format!("memcpy_{dir}"),
-                    'X',
-                    ts,
-                    Some(cycles_to_us(*cycles, clock_ghz)),
+                    ev.cycle,
+                    *cycles,
+                    &[("bytes", bytes.to_string())],
+                ),
+                TraceEventKind::CacheFill { partition, addr } => self.instant(
                     pid,
                     0,
-                    &[("bytes", format!("{bytes}"))],
-                );
-            }
-            TraceEventKind::CacheFill { partition, addr } => {
-                chrome_event(
-                    out,
                     "l2_fill",
-                    'i',
-                    ts,
-                    None,
+                    ev.cycle,
+                    &[
+                        ("partition", partition.to_string()),
+                        ("addr", addr.to_string()),
+                    ],
+                ),
+                TraceEventKind::Fault {
+                    kind,
+                    kernel,
+                    stream,
+                } => self.instant(
                     pid,
                     0,
-                    &[
-                        ("partition", format!("{partition}")),
-                        ("addr", format!("{addr}")),
-                    ],
-                );
-            }
-            TraceEventKind::Fault {
-                kind,
-                kernel,
-                stream,
-            } => {
-                chrome_event(
-                    out,
                     &format!("FAULT: {kind}"),
-                    'i',
-                    ts,
-                    None,
+                    ev.cycle,
+                    &[("kernel", quoted(kernel)), ("stream", stream.to_string())],
+                ),
+                TraceEventKind::Deadlock {
+                    stalled_for,
+                    stream,
+                } => self.instant(
                     pid,
                     0,
-                    &[
-                        ("kernel", format!("\"{}\"", escape(kernel))),
-                        ("stream", format!("{stream}")),
-                    ],
-                );
-            }
-            TraceEventKind::Deadlock {
-                stalled_for,
-                stream,
-            } => {
-                chrome_event(
-                    out,
                     "DEADLOCK (watchdog)",
-                    'i',
-                    ts,
-                    None,
-                    pid,
-                    0,
+                    ev.cycle,
                     &[
-                        ("stalled_for", format!("{stalled_for}")),
-                        ("stream", format!("{stream}")),
+                        ("stalled_for", stalled_for.to_string()),
+                        ("stream", stream.to_string()),
                     ],
-                );
+                ),
             }
+        }
+
+        // A grid still open at the end of the log (fault/deadlock killed it)
+        // renders as an instant so the timeline shows where it got to.
+        for o in open {
+            self.instant(
+                pid,
+                1 + o.depth as u64,
+                &format!("{} #{} (unfinished)", o.name, o.grid),
+                o.start.unwrap_or(o.launch_cycle),
+                &[("grid", o.grid.to_string())],
+            );
+        }
+
+        for depth in 0..=max_depth {
+            let origin = if depth == 0 { "host" } else { "CDP" };
+            self.thread_name(
+                pid,
+                1 + depth as u64,
+                &format!("kernels depth {depth} ({origin})"),
+            );
         }
     }
 
-    // A grid still open at the end of the log (fault/deadlock killed it)
-    // renders as an instant so the timeline shows where it got to.
-    for (g, o) in open {
-        chrome_event(
-            out,
-            &format!("{} #{g} (unfinished)", o.name),
-            'i',
-            cycles_to_us(o.start.unwrap_or(o.launch_cycle), clock_ghz),
-            None,
-            pid,
-            1 + o.depth as u64,
-            &[("grid", format!("{g}"))],
-        );
-    }
-
-    for depth in 0..=max_depth {
-        chrome_event(
-            out,
-            "thread_name",
-            'M',
-            0.0,
-            None,
-            pid,
-            1 + depth as u64,
-            &[(
-                "name",
-                format!(
-                    "\"kernels depth {depth}{}\"",
-                    if depth == 0 { " (host)" } else { " (CDP)" }
-                ),
-            )],
-        );
+    /// Finish and return the complete JSON document.
+    pub fn finish(self) -> String {
+        let mut s = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        s.push_str(&self.events.join(","));
+        s.push_str("]}");
+        s
     }
 }
 
 /// Render one or more `(label, events)` logs as a complete Chrome-trace
-/// JSON document (one Perfetto "process" per log). Load the result at
-/// <https://ui.perfetto.dev> or `chrome://tracing`.
+/// JSON document (one Perfetto "process" per log, pid = index).
 pub fn chrome_trace_json(logs: &[(String, &[TraceEvent])], clock_ghz: f64) -> String {
-    let mut events = Vec::new();
+    let mut t = ChromeTrace::new(clock_ghz, InstantScope::Global);
     for (pid, (label, log)) in logs.iter().enumerate() {
-        chrome_trace_events(pid, label, log, clock_ghz, &mut events);
+        t.device_log(pid, label, log);
     }
-    let mut s = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    s.push_str(&events.join(","));
-    s.push_str("]}");
-    s
+    t.finish()
 }
 
 #[cfg(test)]

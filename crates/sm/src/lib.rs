@@ -36,7 +36,7 @@ pub use crate::ports::{
 pub use coalesce::{bank_conflict_degree, coalesce_lines, SMEM_BANKS};
 pub use config::{LatencyConfig, SchedPolicy, SmConfig};
 pub use pc::{PcCounters, PcTable};
-pub use stats::{SmStats, StallBreakdown, StallReason};
+pub use stats::{SmField, SmStats, StallBreakdown, StallReason};
 pub use warp::{lane_mask, lanes, SimtEntry, WaitKind, Warp, WarpBlock, FULL_MASK, NO_RECONV};
 
 /// Why [`run_standalone`] could not run the resident work to completion.

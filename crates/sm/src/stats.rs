@@ -126,6 +126,18 @@ fn space_index(s: Space) -> usize {
     }
 }
 
+/// One field of [`SmStats`] as [`SmStats::for_each_field`] presents it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SmField<'a> {
+    /// A scalar counter.
+    Count(u64),
+    /// A keyed breakdown `(name, count)` in reporting order (instruction
+    /// class, memory space, stall reason).
+    Breakdown(&'a [(&'static str, u64)]),
+    /// A positional histogram (warp occupancy by active lanes).
+    Histogram(&'a [u64]),
+}
+
 /// Full per-SM counter set, merged across SMs by the device.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SmStats {
@@ -210,6 +222,30 @@ impl SmStats {
         } else {
             self.thread_instrs as f64 / self.issued as f64
         }
+    }
+
+    /// Visit every field as `(name, value)`, in declaration order — the
+    /// one list full-struct exports (the `sm` block of the stats JSON) are
+    /// driven by, so a counter added here reaches them without edits
+    /// elsewhere.
+    pub fn for_each_field(&self, mut f: impl FnMut(&'static str, SmField<'_>)) {
+        f("cycles", SmField::Count(self.cycles));
+        f("issued", SmField::Count(self.issued));
+        f("thread_instrs", SmField::Count(self.thread_instrs));
+        let mix = InstrClass::ALL.map(|c| (c.name(), self.class_count(c)));
+        f("instr_mix", SmField::Breakdown(&mix));
+        let spaces = Space::ALL.map(|s| (s.name(), self.space_count(s)));
+        f("mem_space", SmField::Breakdown(&spaces));
+        f("occupancy", SmField::Histogram(&self.occupancy));
+        let stalls = StallReason::ALL.map(|r| (r.name(), self.stalls.get(r)));
+        f("stalls", SmField::Breakdown(&stalls));
+        f(
+            "bank_conflict_cycles",
+            SmField::Count(self.bank_conflict_cycles),
+        );
+        f("offchip_txns", SmField::Count(self.offchip_txns));
+        f("ctas_completed", SmField::Count(self.ctas_completed));
+        f("device_launches", SmField::Count(self.device_launches));
     }
 
     /// Counter delta since `base` (field-wise saturating subtraction).
@@ -382,16 +418,7 @@ mod tests {
         s.record_issue(InstrClass::LdSt, 8);
         s.record_mem(Space::Global);
         s.record_mem(Space::Shared);
-        let class_sum: f64 = [
-            InstrClass::Int,
-            InstrClass::Fp,
-            InstrClass::LdSt,
-            InstrClass::Sfu,
-            InstrClass::Ctrl,
-        ]
-        .iter()
-        .map(|&c| s.class_fraction(c))
-        .sum();
+        let class_sum: f64 = InstrClass::ALL.iter().map(|&c| s.class_fraction(c)).sum();
         assert!((class_sum - 1.0).abs() < 1e-12);
         let space_sum: f64 = Space::ALL.iter().map(|&sp| s.space_fraction(sp)).sum();
         assert!((space_sum - 1.0).abs() < 1e-12);

@@ -14,12 +14,13 @@
 //!   trace events on the same stream, inside the host launch window.
 
 use ggpu_genomics::random_genome;
+use ggpu_isa::{KernelBuilder, LaunchDims, Program};
 use ggpu_serve::{
     AdmitError, JobKind, OutcomeTag, Priority, ServeConfig, ServeEventKind, ServeReport, Service,
     Tenant,
 };
 use ggpu_sim::json::Json;
-use ggpu_sim::{FaultPlan, GpuConfig, TraceEventKind};
+use ggpu_sim::{chrome_trace_json, FaultPlan, GpuConfig, GpuNode, NodeConfig, TraceEventKind};
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
@@ -279,4 +280,51 @@ fn report_json_parses_and_chrome_trace_is_well_formed() {
         names.iter().any(|n| n.starts_with("stream reset")),
         "the dropped reply must surface a stream reset instant"
     );
+}
+
+/// Sim-, node- and serve-produced traces all come out of the one
+/// `ChromeTrace` builder: each parses, has exactly the
+/// `displayTimeUnit`/`traceEvents` envelope, and every event carries the
+/// mandatory keys (instants with the producer's scope).
+#[test]
+fn sim_node_and_serve_traces_share_one_envelope() {
+    let mut b = KernelBuilder::new("noop");
+    b.exit();
+    let mut program = Program::new();
+    let kernel = program.add(b.finish());
+    let mut cfg = NodeConfig::test_small(2);
+    cfg.gpu.trace = true;
+    let mut node = GpuNode::new(program, cfg);
+    for d in 0..2 {
+        node.device_mut(d)
+            .try_launch(kernel, LaunchDims::linear(1, 32), &[])
+            .expect("launch");
+    }
+    node.sync_all();
+    let sim = chrome_trace_json(&[("gpu".to_string(), node.device(0).trace_events())], 1.5);
+    let serve = run_soak(7004, 24, 6, 1).chrome_trace();
+
+    for (producer, doc, instant_scope) in [
+        ("sim", sim, "g"),
+        ("node", node.chrome_trace(), "g"),
+        ("serve", serve, "t"),
+    ] {
+        let v = Json::parse(&doc).unwrap_or_else(|e| panic!("{producer} trace: {e}"));
+        let Json::Obj(fields) = &v else {
+            panic!("{producer} trace is not an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["displayTimeUnit", "traceEvents"], "{producer}");
+        assert_eq!(v.get("displayTimeUnit").and_then(Json::as_str), Some("ms"));
+        let events = v.get("traceEvents").and_then(Json::as_arr).expect("array");
+        assert!(!events.is_empty(), "{producer} trace has events");
+        for e in events {
+            for key in ["name", "ph", "ts", "pid", "tid"] {
+                assert!(e.get(key).is_some(), "{producer} event lacks `{key}`");
+            }
+            if e.get("ph").and_then(Json::as_str) == Some("i") {
+                assert_eq!(e.get("s").and_then(Json::as_str), Some(instant_scope));
+            }
+        }
+    }
 }
