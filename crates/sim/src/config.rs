@@ -117,8 +117,10 @@ pub struct GpuConfig {
     /// (SM index, issue order) — so this is purely a wall-clock knob.
     /// Clamped to the SM count at `synchronize` time (see
     /// [`GpuConfig::resolved_sim_threads`]). [`GpuConfig::rtx3070`] seeds
-    /// it from the `GGPU_SIM_THREADS` environment variable when set,
-    /// falling back to the host's available parallelism.
+    /// it from the `GGPU_SIM_THREADS` environment variable when set and
+    /// otherwise from 1: on the figure configurations the barrier pair per
+    /// cycle costs more than sharding a handful of busy SMs saves, so more
+    /// threads are an opt-in ([`GpuConfig::with_sim_threads`]).
     pub sim_threads: usize,
     /// Idle-cycle fast-forward: when no SM can issue and no queue, channel,
     /// or dispatcher can change state before a provably-known future cycle,
@@ -271,14 +273,16 @@ impl GpuConfig {
 }
 
 /// Default engine thread count: `GGPU_SIM_THREADS` when set to a positive
-/// integer, otherwise the host's available parallelism (the engine is
-/// bit-identical at any thread count, so defaulting to all cores is safe).
+/// integer, otherwise 1. Results are bit-identical at any count, but wall
+/// clock is not: with a handful of busy SMs the barrier pair per epoch
+/// costs more than sharding saves (all cores on a 2-core host ran SW/Tiny
+/// 1.7–2.9× slower than one thread), so more threads are an opt-in.
 fn sim_threads_from_env() -> usize {
     std::env::var("GGPU_SIM_THREADS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .unwrap_or(1)
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@
 //!   runtime.
 //! * [`memcpy`] — host transfers: `malloc`, `memcpy_h2d`/`d2h`, constant
 //!   binding, and the PCIe cost model.
-//! * [`parallel`] — the SM-sharded multi-threaded executor behind
-//!   [`GpuConfig::sim_threads`], plus the lane/shard plumbing shared with
-//!   the single-threaded path.
+//! * [`parallel`] — the lanes, the awake-lane list with its lazily credited
+//!   idle counters, and the SM-sharded multi-threaded executor behind
+//!   [`GpuConfig::sim_threads`].
 
 mod engine;
 mod fastforward;
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use ggpu_icnt::{DeliveryQueue, Icnt};
 use ggpu_isa::{KernelId, Program};
 use ggpu_mem::{Cache, Dram};
-use ggpu_sm::{SmCore, SmPorts};
+use ggpu_sm::SmCore;
 
 use crate::config::GpuConfig;
 use crate::error::SimError;
@@ -44,7 +44,7 @@ use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind, TraceSink};
 use self::engine::{DramTarget, Ev};
 use self::launch::Grid;
 use self::memcpy::InboundCopy;
-use self::parallel::{LaneSet, SmLane};
+use self::parallel::{LaneSet, SmLane, WakeList};
 
 /// Identifier of a host-side stream. Stream 0 is the default stream every
 /// [`Gpu::launch`] targets; additional streams come from
@@ -104,6 +104,10 @@ pub struct Gpu {
     /// the ports, so lanes can tick concurrently against a read-only memory
     /// snapshot (see [`parallel`]).
     lanes: Vec<SmLane>,
+    /// Which lanes are awake, and the clock the sleeping ones are credited
+    /// from (see DESIGN.md, "Sleeping SMs"). Between runs every sleeping
+    /// lane is settled, so `&self` readers see current counters.
+    wake: WakeList,
     mem: DeviceMemory,
     l2: Vec<Cache>,
     dram: Vec<Dram>,
@@ -143,6 +147,9 @@ pub struct Gpu {
     dispatch_cursor: usize,
     /// Reused per-cycle scratch for the device-queue dispatch sweep.
     scratch_handles: Vec<u64>,
+    /// Launch shapes `(kernel, threads per CTA)` no SM can currently place,
+    /// valid for one dispatch sweep or one fast-forward scan.
+    refused_shapes: Vec<(KernelId, u32)>,
     host: HostStats,
     /// Sticky device fault (CUDA semantics): once set, every device-touching
     /// API call returns it until [`Gpu::reset_fault`].
@@ -183,10 +190,7 @@ impl Gpu {
             .unwrap_or_else(|(name, e)| panic!("kernel `{name}` invalid: {e}"));
         let program = Arc::new(program);
         let lanes = (0..config.n_sms)
-            .map(|_| SmLane {
-                core: SmCore::new(config.sm, Arc::clone(&program)),
-                ports: SmPorts::new(),
-            })
+            .map(|_| SmLane::new(SmCore::new(config.sm, Arc::clone(&program))))
             .collect();
         let l2 = (0..config.n_partitions)
             .map(|_| Cache::new(config.l2_slice))
@@ -200,6 +204,7 @@ impl Gpu {
         mem.set_poison(config.fault_plan.poison);
         Gpu {
             lanes,
+            wake: WakeList::default(),
             mem,
             l2,
             dram,
@@ -222,6 +227,7 @@ impl Gpu {
             next_dram_key: 0,
             dispatch_cursor: 0,
             scratch_handles: Vec::new(),
+            refused_shapes: Vec::new(),
             host: HostStats::default(),
             fault: None,
             last_progress: 0,
@@ -362,10 +368,9 @@ impl Gpu {
         self.stats_over(self.lanes.iter().map(|l| &l.core))
     }
 
-    /// [`Gpu::stats`] over an explicit SM-core iterator, so the engine can
-    /// snapshot counters while the lanes are checked out of `self` (e.g.
-    /// mid-`synchronize` for per-kernel records and interval samples).
-    pub(super) fn stats_over<'a>(&self, cores: impl Iterator<Item = &'a SmCore>) -> RunStats {
+    /// [`Gpu::stats`] over an explicit SM-core iterator (every core, each
+    /// with current counters).
+    fn stats_over<'a>(&self, cores: impl Iterator<Item = &'a SmCore>) -> RunStats {
         let mut r = RunStats {
             host: self.host,
             icnt_req: *self.icnt_req.stats(),
@@ -383,6 +388,13 @@ impl Gpu {
             r.dram.merge(d.stats());
         }
         r
+    }
+
+    /// [`Gpu::stats`] mid-run: a settle point — sleeping lanes are credited
+    /// up to the current cycle before their counters are read.
+    fn stats_with(&self, lanes: &mut LaneSet<'_>) -> RunStats {
+        lanes.settle();
+        self.stats_over(lanes.all_cores())
     }
 
     /// Reset every statistic (not memory contents or cache tags), including
@@ -602,9 +614,9 @@ impl Gpu {
     }
 
     /// [`Gpu::flush_sample`] while the lanes are checked out of `self`.
-    fn flush_sample_with(&mut self, lanes: &LaneSet<'_>) {
+    fn flush_sample_with(&mut self, lanes: &mut LaneSet<'_>) {
         if self.sampler.is_some() {
-            let snap = self.stats_over(lanes.cores());
+            let snap = self.stats_with(lanes);
             if let Some(s) = &mut self.sampler {
                 s.close_window(self.cycle, &snap);
             }

@@ -1,21 +1,30 @@
 //! The cycle engine: event delivery, DRAM, the SM phase, end-of-cycle
 //! commit, `synchronize`, and fault/deadlock handling.
 //!
-//! One device cycle has three strictly ordered phases:
+//! One device cycle has three strictly ordered phases, composed in exactly
+//! one place ([`Gpu::step`]) for `synchronize` at any thread count and for
+//! single-stepping alike:
 //!
 //! 1. **Pre** ([`Gpu::cycle_pre`], serial) — due network packets are
 //!    delivered (replies into each SM's inbound port, requests into the L2
-//!    slices), DRAM channels tick, and CTAs dispatch.
-//! 2. **SM** (parallelizable) — every lane ticks against a *read-only*
-//!    snapshot of device memory, writing only its own core state and its
-//!    own ports. Lanes share nothing, so this phase may run on any number
-//!    of threads (see [`super::parallel`]).
-//! 3. **Post** ([`Gpu::cycle_post`], serial) — each lane's output is
-//!    drained in SM-index order: deferred stores/atomics commit to memory,
-//!    requests enter the interconnect, CDP launches spawn, completed CTAs
-//!    retire, and traps resolve. Because the merge order is (SM index,
-//!    issue order) no matter how phase 2 was scheduled, every counter,
-//!    profile, and trace is bit-identical for any thread count.
+//!    slices), DRAM channels tick, and CTAs dispatch — waking the lanes
+//!    they land on.
+//! 2. **SM** (parallelizable) — every *awake* lane ticks against a
+//!    *read-only* snapshot of device memory, writing only its own core
+//!    state and its own ports. Lanes share nothing, so this phase may run
+//!    on any number of threads (see [`super::parallel`]).
+//! 3. **Post** ([`Gpu::cycle_post`], serial) — each awake lane's output, if
+//!    it produced any, is drained in SM-index order: deferred
+//!    stores/atomics commit to memory, requests enter the interconnect, CDP
+//!    launches spawn, completed CTAs retire, and traps resolve. Because the
+//!    merge order is (SM index, issue order) no matter how phase 2 was
+//!    scheduled, every counter, profile, and trace is bit-identical for any
+//!    thread count. Lanes left with nothing resident, in flight or to merge
+//!    go to sleep.
+//!
+//! A sleeping lane is visited by none of the three; what ticking it would
+//! have added to its counters is credited when it wakes or when counters
+//! are read (DESIGN.md, "Sleeping SMs").
 
 use ggpu_mem::{CacheOutcome, LINE_BYTES};
 use ggpu_sm::{MemRequest, ReqKind, SmCore, Trap, WarpReport, WarpWait};
@@ -24,7 +33,7 @@ use crate::error::{DeadlockReport, DeviceFault, SimError};
 use crate::memory::DeviceMemory;
 use crate::trace::TraceEventKind;
 
-use super::parallel::{LaneSet, SmLane};
+use super::parallel::{Executor, LaneSet, SerialExec, SmLane, WakeList};
 use super::Gpu;
 
 /// Absolute backstop on simulated cycles per `synchronize`. The configurable
@@ -59,13 +68,14 @@ pub(super) enum DramTarget {
 impl Gpu {
     /// Whether any work remains on the device.
     pub fn busy(&self) -> bool {
-        self.busy_over(self.lanes.iter().map(|l| &l.core))
+        self.busy_over(self.wake.awake().iter().map(|&i| &self.lanes[i].core))
     }
 
     pub(super) fn busy_with(&self, lanes: &LaneSet<'_>) -> bool {
-        self.busy_over(lanes.cores())
+        self.busy_over(lanes.awake_cores())
     }
 
+    /// `cores` are the awake lanes' — a sleeping lane holds no work.
     fn busy_over<'a>(&self, mut cores: impl Iterator<Item = &'a SmCore>) -> bool {
         !self.grids.is_empty()
             || !self.events.is_empty()
@@ -90,33 +100,52 @@ impl Gpu {
         }
         let start = self.cycle;
         self.last_progress = self.cycle;
-        // Clamp the worker count to the lanes and to the cores actually
-        // present: on an oversubscribed host extra shard threads only add
-        // barrier and context-switch cost (the phases are bit-identical at
-        // any count, so this is purely a wall-clock decision).
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = self
-            .config
-            .sim_threads
-            .clamp(1, self.lanes.len().max(1))
-            .min(cores);
-        // Check the lanes and memory out of `self` for the duration of the
-        // run: the cycle phases borrow them independently of the rest of
-        // the device state (and the parallel executor moves them into
-        // shared structures).
-        let mut lanes = std::mem::take(&mut self.lanes);
-        let mut mem = std::mem::take(&mut self.mem);
-        let result = if threads <= 1 {
-            self.sync_serial(start, &mut lanes, &mut mem)
-        } else {
-            self.sync_parallel(start, threads, &mut lanes, &mut mem)
-        };
-        self.lanes = lanes;
-        self.mem = mem;
+        let threads = self.worker_threads();
+        let result = self.with_lanes_out(|gpu, lanes, wake, mem| {
+            if threads <= 1 {
+                gpu.run(start, &mut SerialExec { lanes, wake, mem })
+            } else {
+                gpu.sync_parallel(start, threads, lanes, wake, mem)
+            }
+        });
         let elapsed = self.cycle - start;
         self.host.kernel_cycles += elapsed;
         self.flush_sample();
         result.map(|()| elapsed)
+    }
+
+    /// Worker threads for this run: the configured count clamped to the
+    /// lanes and to the cores actually present — on an oversubscribed host
+    /// extra shard threads only add barrier and context-switch cost (the
+    /// phases are bit-identical at any count, so this is purely a
+    /// wall-clock decision). The host is only asked when more than one
+    /// thread was requested: the query re-reads cgroup files on every call.
+    fn worker_threads(&self) -> usize {
+        let wanted = self.config.sim_threads.clamp(1, self.lanes.len().max(1));
+        if wanted == 1 {
+            return 1;
+        }
+        wanted.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+
+    /// Check the lanes, their wake list and memory out of `self` for the
+    /// duration of `f`: the cycle phases borrow them independently of the
+    /// rest of the device state (and the parallel executor moves them into
+    /// shared structures). On the way back in every sleeping lane is
+    /// settled, so counters read between runs are current.
+    fn with_lanes_out<R>(
+        &mut self,
+        f: impl FnOnce(&mut Gpu, &mut Vec<SmLane>, &mut WakeList, &mut DeviceMemory) -> R,
+    ) -> R {
+        let mut lanes = std::mem::take(&mut self.lanes);
+        let mut wake = std::mem::take(&mut self.wake);
+        let mut mem = std::mem::take(&mut self.mem);
+        let result = f(self, &mut lanes, &mut wake, &mut mem);
+        wake.settle(lanes.iter_mut());
+        self.lanes = lanes;
+        self.wake = wake;
+        self.mem = mem;
+        result
     }
 
     /// Run the device until all launched grids complete; returns elapsed
@@ -131,40 +160,47 @@ impl Gpu {
             .unwrap_or_else(|e| panic!("synchronize failed: {e}"))
     }
 
-    /// The classic single-threaded loop: every phase runs on this thread.
-    fn sync_serial(
-        &mut self,
-        start: u64,
-        lanes: &mut [SmLane],
-        mem: &mut DeviceMemory,
-    ) -> Result<(), SimError> {
-        let mut ls = LaneSet::single(lanes);
-        while self.busy_with(&ls) {
-            let (now, device_busy) = self.cycle_pre(&mut ls);
-            for lane in ls.iter_mut() {
-                lane.core.tick(now, &*mem, device_busy, &mut lane.ports);
-            }
-            self.cycle_post(&mut ls, mem, now);
-            if let Some(outcome) = self.sync_check(start, &mut ls) {
+    /// The `synchronize` loop: step while anything is busy, check for
+    /// faults and hangs after every ticked cycle, and fast-forward the dead
+    /// span behind it.
+    pub(super) fn run(&mut self, start: u64, exec: &mut impl Executor) -> Result<(), SimError> {
+        while exec.serial(|lanes, _| self.busy_with(lanes)) {
+            let outcome = self.step(exec, |gpu, lanes| {
+                let outcome = gpu.sync_check(start, lanes);
+                if outcome.is_none() && gpu.config.fast_forward {
+                    gpu.try_fast_forward(lanes, start);
+                }
+                outcome
+            });
+            if let Some(outcome) = outcome {
                 return outcome;
-            }
-            if self.config.fast_forward {
-                self.try_fast_forward(&mut ls, start);
             }
         }
         Ok(())
     }
 
-    /// Post-cycle fault/watchdog check shared by the serial and parallel
-    /// loops. `Some(Err(..))` ends the run; `None` continues it — including
-    /// after a *non-default* stream was killed for a deadline overrun or a
-    /// watchdog hang, in which case the remaining streams keep running and
-    /// the fault is reported through [`Gpu::stream_fault`].
-    pub(super) fn sync_check(
+    /// One device cycle — the only place the three phases are composed.
+    /// `then` runs in the post phase's serial section, with the lanes still
+    /// at rest.
+    fn step<R>(
         &mut self,
-        start: u64,
-        lanes: &mut LaneSet<'_>,
-    ) -> Option<Result<(), SimError>> {
+        exec: &mut impl Executor,
+        then: impl FnOnce(&mut Gpu, &mut LaneSet<'_>) -> R,
+    ) -> R {
+        let (now, device_busy) = exec.serial(|lanes, _| self.cycle_pre(lanes));
+        exec.sm_phase(now, device_busy);
+        exec.serial(|lanes, mem| {
+            self.cycle_post(lanes, mem, now);
+            then(self, lanes)
+        })
+    }
+
+    /// Post-cycle fault/watchdog check. `Some(Err(..))` ends the run; `None`
+    /// continues it — including after a *non-default* stream was killed for
+    /// a deadline overrun or a watchdog hang, in which case the remaining
+    /// streams keep running and the fault is reported through
+    /// [`Gpu::stream_fault`].
+    fn sync_check(&mut self, start: u64, lanes: &mut LaneSet<'_>) -> Option<Result<(), SimError>> {
         if let Some(f) = self.fault.clone() {
             return Some(Err(f));
         }
@@ -216,23 +252,14 @@ impl Gpu {
         if self.fault.is_some() {
             return;
         }
-        let mut lanes = std::mem::take(&mut self.lanes);
-        let mut mem = std::mem::take(&mut self.mem);
-        {
-            let mut ls = LaneSet::single(&mut lanes);
-            let (now, device_busy) = self.cycle_pre(&mut ls);
-            for lane in ls.iter_mut() {
-                lane.core.tick(now, &mem, device_busy, &mut lane.ports);
-            }
-            self.cycle_post(&mut ls, &mut mem, now);
-        }
-        self.lanes = lanes;
-        self.mem = mem;
+        self.with_lanes_out(|gpu, lanes, wake, mem| {
+            gpu.step(&mut SerialExec { lanes, wake, mem }, |_, _| ());
+        });
     }
 
     /// Serial pre-SM phase: deliver due packets, tick DRAM, dispatch CTAs.
     /// Returns `(now, device_busy)` for the SM phase.
-    pub(super) fn cycle_pre(&mut self, lanes: &mut LaneSet<'_>) -> (u64, bool) {
+    fn cycle_pre(&mut self, lanes: &mut LaneSet<'_>) -> (u64, bool) {
         self.cycle += 1;
         let now = self.cycle;
 
@@ -248,7 +275,12 @@ impl Gpu {
                     kind,
                     tex,
                 } => self.handle_l2_arrive(sm, id, addr, kind, tex),
-                Ev::Reply { sm, id } => lanes.get_mut(sm).ports.replies.push(id),
+                Ev::Reply { sm, id } => {
+                    // A reply answers an outstanding request, and a lane
+                    // with one never sleeps.
+                    debug_assert!(lanes.awake().contains(&sm), "reply to sleeping SM {sm}");
+                    lanes.lane_mut(sm).ports.replies.push(id);
+                }
             }
         }
 
@@ -258,7 +290,12 @@ impl Gpu {
         // 3. CTA dispatch (children first, then the active host grid).
         self.arm_and_dispatch(lanes);
 
-        (now, self.device_busy_at(now))
+        // Sleeping lanes see this cycle through the clock; a lane dispatch
+        // just woke was credited up to the previous cycle and ticks this one
+        // itself.
+        let device_busy = self.device_busy_at(now);
+        lanes.advance_clock(1, device_busy);
+        (now, device_busy)
     }
 
     /// Whether, from an idle SM's perspective, the device is mid-kernel at
@@ -284,10 +321,10 @@ impl Gpu {
         }
     }
 
-    /// Serial post-SM phase: drain every lane's output in SM-index order
-    /// (the deterministic merge), then resolve faults, feed the watchdog,
-    /// and sample.
-    pub(super) fn cycle_post(&mut self, lanes: &mut LaneSet<'_>, mem: &mut DeviceMemory, now: u64) {
+    /// Serial post-SM phase: drain every awake lane's output in SM-index
+    /// order (the deterministic merge), then resolve faults, feed the
+    /// watchdog, sample, and put the lanes that ran dry to sleep.
+    fn cycle_post(&mut self, lanes: &mut LaneSet<'_>, mem: &mut DeviceMemory, now: u64) {
         // 3b. Land due peer-to-peer payloads before the SM merge: the DMA
         // write commits at its exact arrival cycle, ahead of any same-cycle
         // SM store, so node-level memory state is deterministic at any host
@@ -305,14 +342,21 @@ impl Gpu {
             }
         }
 
-        // 4. Merge the SM outputs. Each lane's buffers are swapped out,
-        // drained in place (retaining capacity), and swapped back — the
-        // steady-state hot path allocates nothing.
+        // 4. Merge the SM outputs of the lanes that produced any. Each
+        // lane's buffers are swapped out, drained in place (retaining
+        // capacity), and swapped back — the steady-state hot path allocates
+        // nothing. Nothing in the loop wakes or sleeps a lane, so the awake
+        // list is walked by position.
         let mut first_trap: Option<(usize, Trap)> = None;
         let mut issued = 0u64;
-        for sm in 0..lanes.len() {
-            let mut out = std::mem::take(&mut lanes.get_mut(sm).ports.out);
-            lanes.get_mut(sm).core.commit_mem_ops(mem, &mut out.mem_ops);
+        for k in 0..lanes.awake().len() {
+            let sm = lanes.awake()[k];
+            let lane = lanes.lane_mut(sm);
+            if lane.ports.out.is_empty() {
+                continue;
+            }
+            let mut out = std::mem::take(&mut lane.ports.out);
+            lane.core.commit_mem_ops(mem, &mut out.mem_ops);
             for req in out.mem_requests.drain(..) {
                 self.route_request(sm, req);
             }
@@ -340,7 +384,7 @@ impl Gpu {
             }
             issued += out.issued;
             out.issued = 0;
-            lanes.get_mut(sm).ports.out = out;
+            lanes.lane_mut(sm).ports.out = out;
         }
 
         // 5. Fault resolution: a CDP-limit fault raised in `spawn_child`
@@ -372,7 +416,7 @@ impl Gpu {
         if let Some(h) = self.draining {
             let drained = self.events.is_empty()
                 && self.dram.iter().all(|d| d.is_idle())
-                && lanes.cores().all(|c| !c.has_outstanding());
+                && lanes.awake_cores().all(|c| !c.has_outstanding());
             if drained {
                 self.draining = None;
                 for d in &mut self.dram {
@@ -405,6 +449,11 @@ impl Gpu {
         {
             self.flush_sample_with(lanes);
         }
+
+        // 8. Lanes with nothing resident, in flight or left to merge sleep
+        // until dispatch wakes them. (The fault path above returns with its
+        // aborted lanes still awake; they sleep after their next cycle.)
+        lanes.sleep_idle();
     }
 
     // ---- network / memory-partition internals -----------------------------
@@ -565,7 +614,9 @@ impl Gpu {
             // The default stream keeps CUDA's device-wide sticky semantics.
             self.fault = Some(err);
         }
-        for lane in lanes.iter_mut() {
+        // Sleeping lanes too: the abort also resets slot and warp free
+        // lists, which decide where the next CTA lands.
+        for lane in lanes.all_mut() {
             lane.core.abort_workload();
         }
         self.events.clear();
@@ -607,7 +658,7 @@ impl Gpu {
         // boundary; otherwise the first record after recovery absorbs the
         // dead stream's counters.
         if self.profiling_enabled() {
-            self.record_base = self.stats_over(lanes.cores());
+            self.record_base = self.stats_with(lanes);
         }
     }
 
@@ -615,7 +666,7 @@ impl Gpu {
     /// [`Gpu::kill_active_stream`] wipes the state it describes.
     fn deadlock_report_with(&self, stalled_for: u64, lanes: &LaneSet<'_>) -> DeadlockReport {
         let mut warps: Vec<WarpReport> = Vec::new();
-        for (i, sm) in lanes.cores().enumerate() {
+        for (&i, sm) in lanes.awake().iter().zip(lanes.awake_cores()) {
             warps.extend(
                 sm.warp_report(i)
                     .into_iter()
@@ -630,7 +681,7 @@ impl Gpu {
             host_queue: self.streams.iter().map(|s| s.queue.len()).sum(),
             device_queue: self.device_queue.len(),
             events_in_flight: self.events.len(),
-            outstanding_requests: lanes.cores().map(|s| s.outstanding_requests()).sum(),
+            outstanding_requests: lanes.awake_cores().map(|s| s.outstanding_requests()).sum(),
             dram_queued: self.dram.iter().map(|d| d.queue_depth()).sum::<usize>(),
         }
     }

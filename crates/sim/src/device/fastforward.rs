@@ -19,9 +19,13 @@
 //! Each candidate below bounds `T` so that the corresponding unit's
 //! observable behaviour is provably constant over `[c0, T)`:
 //!
-//! * **SM wakes** — [`ggpu_sm::SmCore::next_wake`] returns `c0` unless
-//!   every live warp is blocked (barrier/CDP-join, scoreboard pending, or
-//!   an issue-interval/operand boundary strictly beyond `c0`). Boundaries
+//! * **SM wakes** — only awake lanes are asked. A sleeping lane has nothing
+//!   resident and nothing in flight, so it has no timed wake-up at all
+//!   (dispatch wakes it, and the dispatcher is bounded below); its share of
+//!   the span reaches it through the idle clock. For an awake lane
+//!   [`ggpu_sm::SmCore::next_wake`] returns `c0` unless every live warp is
+//!   blocked (barrier/CDP-join, scoreboard pending, or an
+//!   issue-interval/operand boundary strictly beyond `c0`). Boundaries
 //!   (`next_issue_at`, `reg_ready`) bound `T`, and scoreboard releases only
 //!   happen via replies, which are network events — bounded below. Hence
 //!   every warp's wait classification, and therefore the per-scheduler
@@ -41,10 +45,12 @@
 //!   future bounds `T` by its arm cycle, and a cycle budget bounds `T` by
 //!   its expiry so the kill lands on the per-cycle engine's exact cycle;
 //!   an armed, partially-dispatched grid vetoes only if some SM could
-//!   actually accept a CTA ([`ggpu_sm::SmCore::can_accept`]) — otherwise
-//!   the sweep fails on every SM each cycle, whose only effect is
-//!   advancing the round-robin cursor by exactly `n_sms` (invisible
-//!   modulo `n_sms`).
+//!   actually accept a CTA ([`ggpu_sm::SmCore::can_accept`], asked of the
+//!   awake lanes and of one sleeping lane on behalf of all — they hold
+//!   nothing, so they answer alike — and once per launch shape, however
+//!   many grids of that shape are queued) — otherwise the sweep fails on
+//!   every SM each cycle, whose only effect is advancing the round-robin
+//!   cursor by exactly `n_sms` (invisible modulo `n_sms`).
 //! * **Sampler** — interval windows close at absolute multiples of the
 //!   period, so the next boundary bounds `T`; the boundary cycle itself is
 //!   ticked normally and flushes with counters identical to the per-cycle
@@ -60,10 +66,16 @@
 //! Anything not listed (L2, interconnect links, memcpy engine) is purely
 //! event-driven on absolute cycle numbers and has no per-cycle state.
 //!
-//! The skip runs in the serial section of both engine variants. In the
-//! multi-threaded engine this is what makes barriers *epoch-batched*: each
-//! barrier pair now fences one **active** cycle plus the entire dead span
-//! behind it, executed by the main thread in the post-phase while the
+//! The span is credited in O(awake lanes): each awake lane in one
+//! `skip_cycles` call, every sleeping lane by advancing the idle clock
+//! ([`super::parallel`]) by the span — the same two totals a ticked cycle
+//! advances by one, which is why a lane cannot tell how the cycles it slept
+//! through were retired.
+//!
+//! The skip runs in the post phase's serial section whatever the thread
+//! count. In the multi-threaded engine this is what makes barriers
+//! *epoch-batched*: each barrier pair fences one **active** cycle plus the
+//! entire dead span behind it, executed by the main thread while the
 //! workers are parked — so barrier cost is paid per epoch, not per cycle.
 
 use super::parallel::LaneSet;
@@ -71,7 +83,8 @@ use super::Gpu;
 
 impl Gpu {
     /// If the next cycle begins a dead span, credit the span to every unit
-    /// and advance the clock to its last cycle. No-op (the engine keeps
+    /// (awake lanes directly, sleeping lanes through the idle clock) and
+    /// advance the clock to its last cycle. No-op (the engine keeps
     /// ticking per-cycle) whenever any unit might act on the next cycle.
     ///
     /// Must run between `cycle_post`/`sync_check` of one cycle and
@@ -89,10 +102,12 @@ impl Gpu {
             .saturating_add(self.config.watchdog_cycles)
             .min(start.saturating_add(super::engine::MAX_SYNC_CYCLES));
 
-        // SM wakes; pending replies in a port mean the SM consumes them on
+        // SM wakes, over the awake lanes (a sleeping lane has no timed
+        // wake-up); pending replies in a port mean the SM consumes them on
         // the very next tick (cannot happen after a fully merged cycle, but
         // cheap to keep the invariant local).
-        for lane in lanes.iter_mut() {
+        for k in 0..lanes.awake().len() {
+            let lane = lanes.lane_mut(lanes.awake()[k]);
             if !lane.ports.replies.is_empty() {
                 return;
             }
@@ -160,13 +175,20 @@ impl Gpu {
                 }
             }
         }
+        // Nothing moves between the grids scanned here, so one refusal per
+        // launch shape answers for every queued grid of that shape.
+        let refused = &mut self.refused_shapes;
+        refused.clear();
         for g in self.grids.values() {
             match g.armed_at {
                 Some(a) if a > c0 => t = t.min(a),
                 Some(_) if !g.fully_dispatched() => {
-                    let threads = g.dims.threads_per_cta();
-                    if lanes.cores().any(|c| c.can_accept(g.kernel, threads)) {
-                        return;
+                    let shape = (g.kernel, g.dims.threads_per_cta());
+                    if !refused.contains(&shape) {
+                        if lanes.any_can_accept(shape.0, shape.1) {
+                            return;
+                        }
+                        refused.push(shape);
                     }
                 }
                 _ => {}
@@ -200,9 +222,11 @@ impl Gpu {
                 .any(|g| g.armed_at.is_some_and(|a| a > c0));
         let device_busy = self.device_busy_at(c0);
 
-        for lane in lanes.iter_mut() {
-            lane.core.skip_cycles(c0, device_busy, span);
+        for k in 0..lanes.awake().len() {
+            let sm = lanes.awake()[k];
+            lanes.lane_mut(sm).core.skip_cycles(c0, device_busy, span);
         }
+        lanes.advance_clock(span, device_busy);
         for d in &mut self.dram {
             d.skip_cycles(c0, span);
         }

@@ -261,6 +261,9 @@ impl Gpu {
     // ---- dispatch ---------------------------------------------------------
 
     pub(super) fn arm_and_dispatch(&mut self, lanes: &mut LaneSet<'_>) {
+        // Within one call SM resources only shrink, so a launch shape every
+        // SM has refused stays refused until the next cycle.
+        self.refused_shapes.clear();
         // CDP children dispatch immediately (after their overhead window).
         // The handle list is copied into reused scratch so the sweep does
         // not allocate per cycle.
@@ -310,7 +313,7 @@ impl Gpu {
             };
             if arm {
                 if self.config.flush_between_kernels {
-                    for lane in lanes.iter_mut() {
+                    for lane in lanes.all_mut() {
                         lane.core.flush_caches();
                     }
                     for l2 in &mut self.l2 {
@@ -322,7 +325,7 @@ impl Gpu {
                     // restart so intra-grid decisions never depend on where
                     // the previous grid left them.
                     self.dispatch_cursor = 0;
-                    for lane in lanes.iter_mut() {
+                    for lane in lanes.all_mut() {
                         lane.core.reset_schedulers();
                     }
                 }
@@ -339,56 +342,52 @@ impl Gpu {
     }
 
     fn dispatch_grid(&mut self, handle: u64, lanes: &mut LaneSet<'_>) {
-        let (kernel_id, dims, params, const_data, local_base, local_stride, mut next_cta) = {
-            let g = match self.grids.get(&handle) {
-                Some(g) => g,
-                None => return,
-            };
-            if g.armed_at.map(|t| self.cycle < t).unwrap_or(true) || g.fully_dispatched() {
-                return;
-            }
-            (
-                g.kernel,
-                g.dims,
-                Arc::clone(&g.params),
-                Arc::clone(&g.const_data),
-                g.local_base,
-                g.local_stride,
-                g.next_cta,
-            )
+        let Some(g) = self.grids.get_mut(&handle) else {
+            return;
         };
-        let total = dims.num_ctas();
+        if g.armed_at.map(|t| self.cycle < t).unwrap_or(true) || g.fully_dispatched() {
+            return;
+        }
+        // A grid whose shape every SM already refused this cycle would be
+        // refused by every SM again; that sweep's only effect is advancing
+        // the round-robin cursor by exactly `n_sms`, invisible modulo
+        // `n_sms`, so it is skipped.
+        let shape = (g.kernel, g.dims.threads_per_cta());
+        if self.refused_shapes.contains(&shape) {
+            return;
+        }
+        let total = g.dims.num_ctas();
         let n_sms = lanes.len();
         let mut failures = 0;
-        while next_cta < total && failures < n_sms {
+        while g.next_cta < total && failures < n_sms {
             let sm = self.dispatch_cursor % n_sms;
             self.dispatch_cursor += 1;
-            let cfg = CtaConfig {
-                kernel_id,
-                grid_handle: handle,
-                cta_linear: next_cta,
-                dims,
-                params: Arc::clone(&params),
-                const_data: Arc::clone(&const_data),
-                local_base,
-                local_stride,
-            };
-            if lanes.get_mut(sm).core.try_launch_cta(cfg) {
-                next_cta += 1;
-                failures = 0;
-            } else {
+            if !lanes.lane(sm).core.can_accept(shape.0, shape.1) {
                 failures += 1;
+                continue;
             }
+            // The one place a sleeping lane's state changes.
+            lanes.wake(sm);
+            let placed = lanes.lane_mut(sm).core.try_launch_cta(CtaConfig {
+                kernel_id: g.kernel,
+                grid_handle: handle,
+                cta_linear: g.next_cta,
+                dims: g.dims,
+                params: Arc::clone(&g.params),
+                const_data: Arc::clone(&g.const_data),
+                local_base: g.local_base,
+                local_stride: g.local_stride,
+            });
+            debug_assert!(placed, "can_accept and try_launch_cta disagree");
+            g.next_cta += 1;
+            failures = 0;
         }
-        let mut started = None;
-        if let Some(g) = self.grids.get_mut(&handle) {
-            g.next_cta = next_cta;
-            if g.start_cycle.is_none() && next_cta > 0 {
-                g.start_cycle = Some(self.cycle);
-                started = Some(g.stream);
-            }
+        if failures == n_sms {
+            self.refused_shapes.push(shape);
         }
-        if let Some(stream) = started {
+        if g.start_cycle.is_none() && g.next_cta > 0 {
+            g.start_cycle = Some(self.cycle);
+            let stream = g.stream;
             if self.trace_on() {
                 self.emit(TraceEventKind::KernelStart {
                     grid: handle,
@@ -560,7 +559,7 @@ impl Gpu {
             // Per-kernel counter scoping by retire interval: this record's
             // delta covers everything since the previous retire boundary, so
             // record deltas telescope to the run totals.
-            let snap = self.stats_over(lanes.cores());
+            let snap = self.stats_with(lanes);
             let delta = snap.delta_since(&self.record_base);
             self.record_base = snap;
             self.records.push(KernelRecord {
@@ -585,8 +584,10 @@ impl Gpu {
             });
         }
         if let Some((sm, slot, parent_handle)) = grid.parent {
+            // No wake: the notification only reaches a CTA that is still
+            // resident, and a lane with one is awake.
             lanes
-                .get_mut(sm)
+                .lane_mut(sm)
                 .core
                 .child_grid_done(slot, Some(parent_handle));
             if self.trace_on() {

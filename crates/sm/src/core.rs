@@ -556,22 +556,12 @@ impl SmCore {
             self.mem_response(id, now);
         }
         let out = &mut ports.out;
-        self.stats.cycles += 1;
-        let nsched = self.config.schedulers as usize;
         if self.live_warps == 0 {
-            // An SM waiting on kernel setup/drain stalls as "functional
-            // done" (the paper's NvB signature); an SM with no work at all
-            // is unused, not stalled, and contributes nothing to Figure 5.
-            if device_busy {
-                self.stats
-                    .stalls
-                    .add(StallReason::FunctionalDone, nsched as u64);
-                if let Some(t) = self.pc_stats.as_deref_mut() {
-                    t.record_unattributed(StallReason::FunctionalDone, nsched as u64);
-                }
-            }
+            self.credit_idle(1, device_busy as u64);
             return;
         }
+        self.stats.cycles += 1;
+        let nsched = self.config.schedulers as usize;
         let mut fallback: Option<(StallReason, Option<usize>)> = None;
         for sched in 0..nsched {
             match self.pick(sched, now) {
@@ -593,6 +583,25 @@ impl SmCore {
                         self.record_pc_stall(r, rep);
                     }
                 }
+            }
+        }
+    }
+
+    /// Everything `cycles` ticks do to an SM with no resident warps, of
+    /// which `busy_cycles` saw `device_busy`: the cycle counter advances,
+    /// and each busy cycle stalls every scheduler as "functional done" — an
+    /// SM waiting on kernel setup/drain (the paper's NvB signature); an SM
+    /// with no work at all is unused, not stalled, and contributes nothing
+    /// to Figure 5. A pure function of the two counts, so the device may
+    /// credit any number of elapsed cycles in one call.
+    pub fn credit_idle(&mut self, cycles: u64, busy_cycles: u64) {
+        debug_assert_eq!(self.live_warps, 0, "idle credit on a busy SM");
+        self.stats.cycles += cycles;
+        if busy_cycles > 0 {
+            let slots = self.config.schedulers as u64 * busy_cycles;
+            self.stats.stalls.add(StallReason::FunctionalDone, slots);
+            if let Some(t) = self.pc_stats.as_deref_mut() {
+                t.record_unattributed(StallReason::FunctionalDone, slots);
             }
         }
     }
@@ -709,19 +718,12 @@ impl SmCore {
     /// the whole span and per-cycle accounting telescopes into one
     /// multiplication.
     pub fn skip_cycles(&mut self, c0: u64, device_busy: bool, span: u64) {
-        self.stats.cycles += span;
-        let nsched = self.config.schedulers as usize;
         if self.live_warps == 0 {
-            if device_busy {
-                self.stats
-                    .stalls
-                    .add(StallReason::FunctionalDone, nsched as u64 * span);
-                if let Some(t) = self.pc_stats.as_deref_mut() {
-                    t.record_unattributed(StallReason::FunctionalDone, nsched as u64 * span);
-                }
-            }
+            self.credit_idle(span, if device_busy { span } else { 0 });
             return;
         }
+        self.stats.cycles += span;
+        let nsched = self.config.schedulers as usize;
         let mut fallback: Option<(StallReason, Option<usize>)> = None;
         for sched in 0..nsched {
             let (reason, rep) = match self.pick(sched, c0) {

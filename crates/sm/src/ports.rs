@@ -128,6 +128,18 @@ pub struct TickOutput {
     pub issued: u64,
 }
 
+impl TickOutput {
+    /// True when the cycle produced nothing for the device to merge.
+    pub fn is_empty(&self) -> bool {
+        self.issued == 0
+            && self.mem_requests.is_empty()
+            && self.mem_ops.is_empty()
+            && self.launches.is_empty()
+            && self.completed.is_empty()
+            && self.traps.is_empty()
+    }
+}
+
 use crate::core::Trap;
 
 /// The SM's side of the port boundary: one inbound reply queue plus the
