@@ -9,7 +9,7 @@
 //!   per-network-endpoint counters, rendered as text heatmaps.
 //!
 //! ```text
-//! ggpu-prof <WORKLOAD> [--scale tiny|small|paper] [--threads N] [--cdp] [--top N]
+//! ggpu-prof <WORKLOAD> [--scale tiny|small|paper] [--cdp] [--top N]
 //! ggpu-prof SW --scale tiny            # annotated listing + heatmaps
 //! ggpu-prof diff a.json b.json [--limit N]
 //! ```
@@ -28,7 +28,6 @@
 use std::collections::HashMap;
 
 use ggpu_bench::export::{write_json_doc, Table};
-use ggpu_bench::measure::matrix::scale_tag;
 use ggpu_core::json::{Json, JsonWriter};
 use ggpu_core::{
     benchmark, render_table, GpuConfig, KernelPcProfile, PcProfile, ProfileReport, Scale,
@@ -45,7 +44,7 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ggpu-prof <WORKLOAD> [--scale tiny|small|paper] [--threads N] [--cdp] [--top N]\n\
+        "usage: ggpu-prof <WORKLOAD> [--scale tiny|small|paper] [--cdp] [--top N]\n\
          \u{20}      ggpu-prof diff <a.json> <b.json> [--limit N]\n\
          workloads: {}",
         BENCHMARKS.join(" ")
@@ -63,19 +62,9 @@ fn run_main(args: &[String]) -> i32 {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = match it.next().map(|s| s.as_str()) {
-                    Some("tiny") => Scale::Tiny,
-                    Some("small") => Scale::Small,
-                    Some("paper") => Scale::Paper,
-                    _ => usage(),
-                }
-            }
-            "--threads" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                // Every GpuConfig is seeded from rtx3070(), which reads
-                // GGPU_SIM_THREADS, so the flag just sets it.
-                Some(n) if n >= 1 => std::env::set_var("GGPU_SIM_THREADS", n.to_string()),
-                _ => usage(),
+            "--scale" => match it.next().and_then(|s| Scale::from_tag(s)) {
+                Some(s) => scale = s,
+                None => usage(),
             },
             "--cdp" => cdp = true,
             "--top" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
@@ -112,11 +101,10 @@ fn run_main(args: &[String]) -> i32 {
         abbrev.to_lowercase()
     };
     println!(
-        "ggpu-prof: {} ({}), cdp={}, sim_threads={}\n{}\n",
+        "ggpu-prof: {} ({}), cdp={}\n{}\n",
         abbrev,
-        scale_tag(scale),
+        scale.tag(),
         cdp,
-        r.sim_threads,
         r.detail
     );
     println!(
@@ -358,7 +346,7 @@ fn write_outputs(
 ) {
     let doc = JsonWriter::object(|w| {
         w.str("workload", abbrev)
-            .str("scale", scale_tag(scale))
+            .str("scale", scale.tag())
             .bool("cdp", cdp)
             .f64("ipc", stats.ipc())
             .raw("profile", &profile.to_json());

@@ -8,8 +8,8 @@
 //! slowest requests with the device events causally tied to each.
 //!
 //! ```text
-//! ggpu-stat [SCENARIO] [--jobs N] [--wave N] [--seed S] [--threads N]
-//!           [--top N] [--trace] [--tag NAME]
+//! ggpu-stat [SCENARIO] [--jobs N] [--wave N] [--seed S] [--top N]
+//!           [--trace] [--tag NAME]
 //! scenarios: steady    well-provisioned queue, no faults (default)
 //!            overload  burst arrivals into a shallow queue (backpressure)
 //!            faults    the soak fault plan: dropped PCIe transfer +
@@ -59,7 +59,7 @@ impl Scenario {
 fn usage() -> ! {
     eprintln!(
         "usage: ggpu-stat [steady|overload|faults] [--jobs N] [--wave N] [--seed S]\n\
-         \u{20}                [--threads N] [--top N] [--trace] [--tag NAME]"
+         \u{20}                [--top N] [--trace] [--tag NAME]"
     );
     std::process::exit(2);
 }
@@ -89,10 +89,6 @@ fn main() {
             },
             "--seed" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(n) => seed = n,
-                _ => usage(),
-            },
-            "--threads" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => std::env::set_var("GGPU_SIM_THREADS", n.to_string()),
                 _ => usage(),
             },
             "--top" => match it.next().and_then(|s| s.parse().ok()) {

@@ -17,7 +17,6 @@ use ggpu_mem::DramScheduler;
 use ggpu_sm::{SchedPolicy, StallReason};
 
 use crate::export::{write_json_doc, Table};
-use crate::measure::matrix::scale_tag;
 
 /// All benchmark labels including CDP variants, in display order.
 fn variant_labels() -> Vec<String> {
@@ -760,7 +759,7 @@ pub fn profile(scale: Scale, write_json: bool, write_trace: bool) {
         rows,
     )
     .emit();
-    let tag = scale_tag(scale);
+    let tag = scale.tag();
     if write_json {
         let doc = JsonWriter::object(|w| {
             for (label, p) in &profiles {

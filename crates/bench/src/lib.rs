@@ -8,16 +8,9 @@
 //! cargo run --release -p ggpu-bench --bin figures -- fig12 fig13 fig14
 //! ```
 //!
-//! The [`measure`] module is the engine's own performance-measurement
-//! pipeline (declarative benchmark matrix, append-only record store
-//! with provenance, noise-aware regression diffing), fronted by the
-//! `ggpu-bench` binary:
-//!
-//! ```text
-//! cargo run --release -p ggpu-bench --bin ggpu-bench -- run --quick
-//! cargo run --release -p ggpu-bench --bin ggpu-bench -- report
-//! cargo run --release -p ggpu-bench --bin ggpu-bench -- cmp --baseline results/records
-//! ```
+//! Host-time measurement lives in the stand-alone `benchmark/` crate; the
+//! [`measure`] module keeps the two helpers it shares with the binaries
+//! here (summary statistics, provenance stamp).
 //!
 //! The [`export`] module is the one table/CSV/JSON artifact writer all
 //! the harness binaries share. Criterion microbenchmarks of the CPU
@@ -31,7 +24,7 @@ pub mod measure;
 
 use std::path::PathBuf;
 
-/// Directory machine-readable outputs (CSV/JSON/records) land in.
+/// Directory machine-readable outputs (CSV/JSON) land in.
 ///
 /// `GGPU_RESULTS_DIR` overrides; the default is the workspace-root
 /// `results/` directory, resolved against the compiled-in crate path so
@@ -40,9 +33,4 @@ pub fn results_dir() -> PathBuf {
     std::env::var_os("GGPU_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"))
-}
-
-/// The append-only measurement store, `<results_dir()>/records/`.
-pub fn records_dir() -> PathBuf {
-    results_dir().join("records")
 }

@@ -1,38 +1,6 @@
-//! `measure` — rebar-grade performance observability for the engine.
-//!
-//! The paper this suite reproduces is, at bottom, a *measurement
-//! methodology*; this module applies the same discipline to the
-//! engine's own performance (following the rebar harness's
-//! record/diff design):
-//!
-//! * [`matrix`] — declarative benchmark definitions:
-//!   `workload × scale × engine config` cells over the engine probe
-//!   workloads and the sustained-traffic serving benchmark.
-//! * [`stats`] — warmup + N timed iterations per cell, summarized by
-//!   median and MAD instead of single-shot numbers.
-//! * [`record`] — one provenance-stamped (commit, dirty flag, rustc,
-//!   host parallelism, config hash) JSONL record per measurement, in an
-//!   **append-only** store under `results/records/` that accumulates
-//!   the performance trajectory commit over commit.
-//! * [`report`] — ranked comparison tables and speedup ratios across
-//!   engine configurations, deterministic for a given store.
-//! * [`cmp`] — noise-aware regression diffing: two record sets (or the
-//!   latest run vs the committed baseline) compared under per-cell
-//!   noise bounds; the `ggpu-bench cmp` CLI exit code is the CI gate.
-//!
-//! The `ggpu-bench` binary (`run | report | cmp`) is the front end.
+//! The two measurement helpers `benchmark/` and the harness binaries share:
+//! robust summary statistics and a provenance stamp. The measurement
+//! system itself is `benchmark/` (see its README).
 
-pub mod cmp;
-pub mod matrix;
 pub mod provenance;
-pub mod record;
-pub mod report;
-pub mod runner;
 pub mod stats;
-
-pub use cmp::{compare, CmpReport, Verdict};
-pub use matrix::{matrix, Cell, CellKind};
-pub use provenance::Provenance;
-pub use record::{append, latest_run, load, newest_per_cell, Direction, EngineAxes, Record};
-pub use runner::{run_matrix, RunOptions};
-pub use stats::Summary;

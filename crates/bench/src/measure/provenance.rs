@@ -1,9 +1,8 @@
-//! Provenance stamping for measurement records.
+//! Provenance stamping for measurements.
 //!
 //! A throughput number with no record of *what* was measured is noise:
 //! the commit, whether the tree was dirty, the compiler, and the host's
-//! parallelism all move the needle. Every record carries this stamp so
-//! the append-only store reads as a commit-over-commit trajectory.
+//! core count all move the needle, so every report carries this stamp.
 
 use std::process::Command;
 
@@ -18,11 +17,9 @@ pub struct Provenance {
     pub git_dirty: bool,
     /// `rustc -V` of the toolchain on `PATH`, or `"unknown"`.
     pub rustc: String,
-    /// `std::thread::available_parallelism()` on the measuring host;
-    /// multi-thread speedups are meaningless without it.
+    /// `std::thread::available_parallelism()` on the measuring host.
     pub host_parallelism: u64,
-    /// Seconds since the Unix epoch at measurement time; orders runs
-    /// within the store.
+    /// Seconds since the Unix epoch at measurement time.
     pub unix_time: u64,
 }
 
@@ -58,18 +55,6 @@ pub fn collect() -> Provenance {
     }
 }
 
-/// A short run identifier: the abbreviated commit plus the epoch second,
-/// shared by every record appended by one `ggpu-bench run` invocation so
-/// `cmp` can address "the latest run" in the store.
-pub fn run_id(prov: &Provenance) -> String {
-    let commit = if prov.git_commit.len() >= 8 {
-        &prov.git_commit[..8]
-    } else {
-        "unknown"
-    };
-    format!("{commit}-{}", prov.unix_time)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,17 +65,5 @@ mod tests {
         assert!(p.host_parallelism >= 1);
         assert!(!p.git_commit.is_empty());
         assert!(!p.rustc.is_empty());
-    }
-
-    #[test]
-    fn run_id_shape() {
-        let p = Provenance {
-            git_commit: "0123456789abcdef".into(),
-            git_dirty: false,
-            rustc: "rustc 1.0".into(),
-            host_parallelism: 4,
-            unix_time: 1700000000,
-        };
-        assert_eq!(run_id(&p), "01234567-1700000000");
     }
 }

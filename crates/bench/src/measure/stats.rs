@@ -1,15 +1,11 @@
 //! Robust summary statistics for noisy wall-clock measurements.
 //!
-//! Single-shot numbers (the pre-`measure` state of this harness) conflate
-//! engine speed with host noise: a page-cache miss or a scheduler
-//! preemption shows up as a phantom regression. Every matrix cell is
-//! therefore measured as warmup runs plus N timed iterations, summarized
-//! by the **median** (robust location) and the **MAD** (median absolute
-//! deviation — robust spread), from which the regression detector derives
-//! a per-record noise bound instead of guessing a global tolerance.
+//! Single-shot numbers conflate engine speed with host noise: a page-cache
+//! miss or a scheduler preemption shows up as a phantom regression.
+//! Repeated timings are summarized by the **median** (robust location) and
+//! the **MAD** (median absolute deviation — robust spread).
 
-/// Median of `xs`. Empty input returns 0 (degenerate records are
-/// filtered before they are stored, but the math should not panic).
+/// Median of `xs`. Empty input returns 0.
 pub fn median(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
@@ -57,8 +53,8 @@ impl Summary {
         }
     }
 
-    /// MAD relative to the median — the dimensionless noise figure the
-    /// regression detector widens its bound by. 0 when the median is 0.
+    /// MAD relative to the median — a dimensionless noise figure. 0 when
+    /// the median is 0.
     pub fn rel_mad(&self) -> f64 {
         if self.median.abs() < f64::EPSILON {
             0.0

@@ -143,3 +143,73 @@ fn figures_exits_2_on_an_unknown_experiment() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown experiment: fig99"), "{stderr}");
 }
+
+/// `--threads` went with intra-device threading: each binary answers it
+/// with its usage line and exit status 2 rather than accepting a flag that
+/// does nothing.
+#[test]
+fn the_removed_threads_flag_is_a_usage_error() {
+    for (exe, args) in [
+        (env!("CARGO_BIN_EXE_figures"), "--threads 4 fig2"),
+        (env!("CARGO_BIN_EXE_ggpu-stat"), "--threads 4"),
+        (env!("CARGO_BIN_EXE_ggpu-prof"), "SW --threads 4"),
+    ] {
+        let out = Command::new(exe)
+            .args(args.split(' '))
+            .output()
+            .expect("spawn harness binary");
+        assert_eq!(out.status.code(), Some(2), "{exe} {args}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("usage: "), "{exe} {args}: {stderr}");
+    }
+}
+
+/// `results/README.md` marks every entry *committed* or *generated by* a
+/// command. The committed ones exist, and are exactly the files
+/// `.gitignore` un-ignores and git tracks — so an artifact cannot be indexed
+/// but lost to the ignore rule, or tracked but undocumented.
+#[test]
+fn results_index_matches_the_tracked_artifacts() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let index = std::fs::read_to_string(root.join("results/README.md")).expect("index");
+    let mut committed = BTreeSet::from(["README.md".to_string()]);
+    for entry in index.lines().filter(|l| l.starts_with("* `")) {
+        let (names, status) = entry.split_once(" — ").expect("entry has a status");
+        if status.starts_with("*committed*") {
+            committed.extend(names.split('`').skip(1).step_by(2).map(String::from));
+        } else {
+            assert!(status.starts_with("*generated by `"), "unmarked: {entry}");
+        }
+    }
+    for file in &committed {
+        assert!(
+            root.join("results").join(file).is_file(),
+            "results/{file} is indexed as committed but missing"
+        );
+    }
+
+    let ignore = std::fs::read_to_string(root.join(".gitignore")).expect(".gitignore");
+    let unignored: BTreeSet<String> = ignore
+        .lines()
+        .filter_map(|l| l.strip_prefix("!/results/"))
+        .map(String::from)
+        .collect();
+    assert_eq!(committed, unignored, "index vs .gitignore `!` lines");
+
+    // Outside a git checkout (a source tarball) there is no tracked set.
+    let git = Command::new("git")
+        .args(["ls-files", "results"])
+        .current_dir(&root)
+        .output();
+    if let Some(out) = git
+        .ok()
+        .filter(|o| o.status.success() && !o.stdout.is_empty())
+    {
+        let tracked: BTreeSet<String> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter_map(|l| l.strip_prefix("results/"))
+            .map(String::from)
+            .collect();
+        assert_eq!(committed, tracked, "index vs `git ls-files results`");
+    }
+}

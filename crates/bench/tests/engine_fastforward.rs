@@ -2,8 +2,8 @@
 //! ([`ggpu_core::GpuConfig::fast_forward`]) is a pure engine optimisation.
 //! A run with skipping enabled must be **bit-identical** — same counters,
 //! per-kernel records, interval samples, event trace, and per-PC profile —
-//! to the per-cycle run, at every thread count, while actually skipping a
-//! meaningful number of cycles.
+//! to the per-cycle run, while actually skipping a meaningful number of
+//! cycles.
 //!
 //! Exercised over real suite benchmarks (including a CDP one, so skips
 //! interleave with device-side launch overhead windows) and over a
@@ -14,14 +14,11 @@ use ggpu_core::{GpuConfig, RunStats, Scale, SuiteRunner};
 use ggpu_isa::{KernelBuilder, LaunchDims, Operand, Program, Space, Width};
 use ggpu_sim::{FaultPlan, Gpu, IntervalSample, KernelRecord, PcProfile, SimError, TraceEvent};
 
-const THREAD_COUNTS: [usize; 2] = [1, 4];
-
 /// Profiling-heavy configuration so the comparison covers every observable
 /// surface: counters, per-kernel records, interval samples, the trace, and
 /// per-PC attribution.
-fn profiled_cfg(threads: usize, fast_forward: bool) -> GpuConfig {
+fn profiled_cfg(fast_forward: bool) -> GpuConfig {
     let mut cfg = GpuConfig::test_small()
-        .with_sim_threads(threads)
         .with_attribution(true)
         .with_fast_forward(fast_forward);
     cfg.trace = true;
@@ -40,12 +37,12 @@ struct Observed {
     pc: Option<PcProfile>,
 }
 
-fn run_bench(abbrev: &str, cdp: bool, threads: usize, fast_forward: bool) -> Observed {
-    let runner = SuiteRunner::new(Scale::Tiny).with_config(profiled_cfg(threads, fast_forward));
+fn run_bench(abbrev: &str, cdp: bool, fast_forward: bool) -> Observed {
+    let runner = SuiteRunner::new(Scale::Tiny).with_config(profiled_cfg(fast_forward));
     let r = runner.run_one(abbrev, cdp);
     assert!(
         r.verified,
-        "{abbrev} must verify at sim_threads={threads} fast_forward={fast_forward}"
+        "{abbrev} must verify at fast_forward={fast_forward}"
     );
     let p = *r.profile.expect("profiling was enabled");
     Observed {
@@ -65,39 +62,25 @@ fn fast_forward_is_bit_identical_and_actually_skips() {
     // orchestrator launches children from the device, so skips must respect
     // CDP arm windows and parent-join wakeups.
     for (abbrev, cdp) in [("SW", false), ("STAR", true)] {
-        for &threads in &THREAD_COUNTS {
-            let off = run_bench(abbrev, cdp, threads, false);
-            let on = run_bench(abbrev, cdp, threads, true);
-            assert_eq!(
-                off.stats, on.stats,
-                "{abbrev}: RunStats diverge at sim_threads={threads}"
-            );
-            assert_eq!(
-                off.kernel_cycles, on.kernel_cycles,
-                "{abbrev}: cycle count diverges at sim_threads={threads}"
-            );
-            assert_eq!(
-                off.kernels, on.kernels,
-                "{abbrev}: per-kernel records diverge at sim_threads={threads}"
-            );
-            assert_eq!(
-                off.samples, on.samples,
-                "{abbrev}: interval samples diverge at sim_threads={threads}"
-            );
-            assert_eq!(
-                off.events, on.events,
-                "{abbrev}: event trace diverges at sim_threads={threads}"
-            );
-            assert_eq!(
-                off.pc, on.pc,
-                "{abbrev}: per-PC profile diverges at sim_threads={threads}"
-            );
-            assert_eq!(off.skipped, 0, "{abbrev}: disabled engine must not skip");
-            assert!(
-                on.skipped > 0,
-                "{abbrev}: fast-forward skipped nothing at sim_threads={threads}"
-            );
-        }
+        let off = run_bench(abbrev, cdp, false);
+        let on = run_bench(abbrev, cdp, true);
+        assert_eq!(off.stats, on.stats, "{abbrev}: RunStats diverge");
+        assert_eq!(
+            off.kernel_cycles, on.kernel_cycles,
+            "{abbrev}: cycle count diverges"
+        );
+        assert_eq!(
+            off.kernels, on.kernels,
+            "{abbrev}: per-kernel records diverge"
+        );
+        assert_eq!(
+            off.samples, on.samples,
+            "{abbrev}: interval samples diverge"
+        );
+        assert_eq!(off.events, on.events, "{abbrev}: event trace diverges");
+        assert_eq!(off.pc, on.pc, "{abbrev}: per-PC profile diverges");
+        assert_eq!(off.skipped, 0, "{abbrev}: disabled engine must not skip");
+        assert!(on.skipped > 0, "{abbrev}: fast-forward skipped nothing");
     }
 }
 
@@ -116,10 +99,8 @@ fn loader_program() -> Program {
     p
 }
 
-fn run_fault_injected(threads: usize, fast_forward: bool) -> (SimError, RunStats, u64, u64) {
-    let mut config = GpuConfig::test_small()
-        .with_sim_threads(threads)
-        .with_fast_forward(fast_forward);
+fn run_fault_injected(fast_forward: bool) -> (SimError, RunStats, u64, u64) {
+    let mut config = GpuConfig::test_small().with_fast_forward(fast_forward);
     config.watchdog_cycles = 2_000;
     config.fault_plan = FaultPlan {
         drop_reply: Some(0),
@@ -145,26 +126,12 @@ fn watchdog_fires_at_the_same_cycle_across_a_skipped_span() {
     // watchdog deadline is exactly the kind of dead time fast-forward
     // elides, and the deadline cycle itself must still be ticked so the
     // deadlock report is stamped and populated identically.
-    for &threads in &THREAD_COUNTS {
-        let (base_err, base_stats, base_cycle, base_skipped) = run_fault_injected(threads, false);
-        assert!(matches!(base_err, SimError::Deadlock(_)), "{base_err}");
-        assert_eq!(base_skipped, 0);
-        let (err, stats, cycle, skipped) = run_fault_injected(threads, true);
-        assert_eq!(
-            base_err, err,
-            "deadlock report diverges at sim_threads={threads}"
-        );
-        assert_eq!(
-            base_stats, stats,
-            "post-fault stats diverge at sim_threads={threads}"
-        );
-        assert_eq!(
-            base_cycle, cycle,
-            "fault cycle diverges at sim_threads={threads}"
-        );
-        assert!(
-            skipped > 0,
-            "the stalled span should fast-forward at sim_threads={threads}"
-        );
-    }
+    let (base_err, base_stats, base_cycle, base_skipped) = run_fault_injected(false);
+    assert!(matches!(base_err, SimError::Deadlock(_)), "{base_err}");
+    assert_eq!(base_skipped, 0);
+    let (err, stats, cycle, skipped) = run_fault_injected(true);
+    assert_eq!(base_err, err, "deadlock report diverges");
+    assert_eq!(base_stats, stats, "post-fault stats diverge");
+    assert_eq!(base_cycle, cycle, "fault cycle diverges");
+    assert!(skipped > 0, "the stalled span should fast-forward");
 }

@@ -4,9 +4,9 @@
 //! table and trace reads exactly as if it had been ticked every cycle.
 //!
 //! There is no eager engine left to compare against, so the fence is
-//! threefold: every observable is `==` across `fast_forward` × `sim_threads`
-//! on the 78-SM baseline (where 76 lanes sleep at any time); structural identities the
-//! eager engine had by construction still hold (every SM's cycle counter
+//! threefold: every observable is `==` with `fast_forward` on and off on
+//! the 78-SM baseline (where 76 lanes sleep at any time); structural
+//! identities the eager engine had by construction still hold (every SM's cycle counter
 //! equals the device's); and cycle counts, hang cycles and trace order are
 //! pinned to values taken from the commit before lanes could sleep.
 
@@ -17,13 +17,11 @@ use ggpu_sim::{
     StreamId, TraceEvent, TraceEventKind, UnitProfile,
 };
 
-/// `(sim_threads, fast_forward)`; the first entry is the reference.
-const ENGINES: [(usize, bool); 4] = [(1, false), (1, true), (4, false), (4, true)];
+/// `fast_forward` settings; the first entry is the reference.
+const ENGINES: [bool; 2] = [false, true];
 
-fn baseline(threads: usize, fast_forward: bool) -> GpuConfig {
-    GpuConfig::rtx3070()
-        .with_sim_threads(threads)
-        .with_fast_forward(fast_forward)
+fn baseline(fast_forward: bool) -> GpuConfig {
+    GpuConfig::rtx3070().with_fast_forward(fast_forward)
 }
 
 // ---- suite benchmarks under full profiling ----------------------------------
@@ -43,8 +41,8 @@ struct Observed {
 /// and mid-span boundaries are both exercised.
 const SAMPLE_INTERVAL: u64 = 777;
 
-fn run_profiled(abbrev: &str, cdp: bool, threads: usize, fast_forward: bool) -> Observed {
-    let mut cfg = baseline(threads, fast_forward).with_attribution(true);
+fn run_profiled(abbrev: &str, cdp: bool, fast_forward: bool) -> Observed {
+    let mut cfg = baseline(fast_forward).with_attribution(true);
     cfg.trace = true;
     cfg.sample_interval_cycles = SAMPLE_INTERVAL;
     let r = SuiteRunner::new(Scale::Tiny)
@@ -69,7 +67,7 @@ fn profiled_runs_are_bit_identical_with_most_lanes_asleep() {
     // moves them over ten); with CDP the parent launches its children from
     // the device, so lanes wake for child CTAs and sleep again between them.
     for (abbrev, cdp) in [("STAR", false), ("STAR", true)] {
-        let reference = run_profiled(abbrev, cdp, ENGINES[0].0, ENGINES[0].1);
+        let reference = run_profiled(abbrev, cdp, ENGINES[0]);
         assert_ne!(reference.kernel_cycles % SAMPLE_INTERVAL, 0);
         assert!(!reference.samples.is_empty() && !reference.kernels.is_empty());
         // The eager engine ticked every SM every cycle.
@@ -90,11 +88,11 @@ fn profiled_runs_are_bit_identical_with_most_lanes_asleep() {
             resident < 16,
             "{abbrev} cdp={cdp}: {resident} SMs issued; the run no longer leaves lanes asleep"
         );
-        for &(threads, fast_forward) in &ENGINES[1..] {
-            let run = run_profiled(abbrev, cdp, threads, fast_forward);
+        for &fast_forward in &ENGINES[1..] {
+            let run = run_profiled(abbrev, cdp, fast_forward);
             assert_eq!(
                 reference, run,
-                "{abbrev} cdp={cdp} diverges at sim_threads={threads} fast_forward={fast_forward}"
+                "{abbrev} cdp={cdp} diverges at fast_forward={fast_forward}"
             );
         }
     }
@@ -199,9 +197,9 @@ fn per_sm_cycles(gpu: &Gpu) -> Vec<u64> {
 /// Run `fire_and_forget` on one thread. The SM has zero live warps from the
 /// cycle the warp exits, but an outstanding load: it must stay awake until
 /// the reply lands (or the watchdog gives up on it).
-fn run_fire_and_forget(threads: usize, fast_forward: bool, drop_reply: bool) -> Gpu {
+fn run_fire_and_forget(fast_forward: bool, drop_reply: bool) -> Gpu {
     let (program, k) = build_program();
-    let mut cfg = baseline(threads, fast_forward).with_stream_isolation(true);
+    let mut cfg = baseline(fast_forward).with_stream_isolation(true);
     cfg.watchdog_cycles = 2_000;
     // Keep L1 contents across the two grids of the late-reply test.
     cfg.flush_between_kernels = false;
@@ -221,9 +219,9 @@ fn run_fire_and_forget(threads: usize, fast_forward: bool, drop_reply: bool) -> 
 fn a_lane_with_no_warps_and_a_load_in_flight_stays_awake_for_its_reply() {
     // Taken from the commit before lanes could sleep.
     const ELAPSED: u64 = 3_054;
-    for &(threads, fast_forward) in &ENGINES {
-        let at = format!("sim_threads={threads} fast_forward={fast_forward}");
-        let mut gpu = run_fire_and_forget(threads, fast_forward, false);
+    for &fast_forward in &ENGINES {
+        let at = format!("fast_forward={fast_forward}");
+        let mut gpu = run_fire_and_forget(fast_forward, false);
         let elapsed = gpu.try_synchronize().expect("clean run");
         assert_eq!(elapsed, ELAPSED, "{at}");
         let units = gpu.unit_profile();
@@ -250,9 +248,9 @@ fn a_lane_with_no_warps_and_a_load_in_flight_stays_awake_for_its_reply() {
 fn a_dropped_reply_to_a_lane_with_no_warps_hangs_on_the_same_cycle() {
     // Taken from the commit before lanes could sleep.
     const HANG_CYCLE: u64 = 5_048;
-    for &(threads, fast_forward) in &ENGINES {
-        let at = format!("sim_threads={threads} fast_forward={fast_forward}");
-        let mut gpu = run_fire_and_forget(threads, fast_forward, true);
+    for &fast_forward in &ENGINES {
+        let at = format!("fast_forward={fast_forward}");
+        let mut gpu = run_fire_and_forget(fast_forward, true);
         let err = gpu.try_synchronize().expect_err("the reply never arrives");
         let SimError::Deadlock(report) = &err else {
             panic!("{at}: expected a deadlock, got {err}");
@@ -305,9 +303,9 @@ enum Kill {
 
 /// Kill a grid while 77 lanes sleep, recover, and run cleanly. `fresh` is
 /// the same clean run on a new device.
-fn killed_then_clean(kill: Kill, threads: usize, fast_forward: bool, fresh: &CleanRun) -> CleanRun {
+fn killed_then_clean(kill: Kill, fast_forward: bool, fresh: &CleanRun) -> CleanRun {
     let (program, k) = build_program();
-    let mut cfg = baseline(threads, fast_forward)
+    let mut cfg = baseline(fast_forward)
         .with_stream_isolation(true)
         .with_kernel_records(true);
     cfg.watchdog_cycles = 2_000;
@@ -376,7 +374,7 @@ fn killed_then_clean(kill: Kill, threads: usize, fast_forward: bool, fresh: &Cle
 fn a_kill_with_lanes_asleep_leaves_a_device_as_good_as_new() {
     let fresh = {
         let (program, k) = build_program();
-        let cfg = baseline(1, false)
+        let cfg = baseline(false)
             .with_stream_isolation(true)
             .with_kernel_records(true);
         let mut gpu = Gpu::new(program, cfg);
@@ -390,19 +388,19 @@ fn a_kill_with_lanes_asleep_leaves_a_device_as_good_as_new() {
         .all(|u| u.stats.cycles == fresh.elapsed));
     assert_eq!(fresh.record.sm, fresh.stats.sm);
     for kill in [Kill::Trap, Kill::Deadline, Kill::Hang] {
-        for &(threads, fast_forward) in &ENGINES {
-            let recovered = killed_then_clean(kill, threads, fast_forward, &fresh);
+        for &fast_forward in &ENGINES {
+            let recovered = killed_then_clean(kill, fast_forward, &fresh);
             assert_eq!(
                 fresh.elapsed, recovered.elapsed,
-                "{kill:?} at sim_threads={threads} fast_forward={fast_forward}"
+                "{kill:?} at fast_forward={fast_forward}"
             );
             assert_eq!(
                 fresh.stats.sm, recovered.stats.sm,
-                "{kill:?} at sim_threads={threads} fast_forward={fast_forward}"
+                "{kill:?} at fast_forward={fast_forward}"
             );
             assert_eq!(
                 fresh.record.sm, recovered.record.sm,
-                "{kill:?} at sim_threads={threads} fast_forward={fast_forward}"
+                "{kill:?} at fast_forward={fast_forward}"
             );
             let sms = |r: &CleanRun| -> Vec<SmStats> {
                 r.units.sms.iter().map(|u| u.stats.clone()).collect()
@@ -410,7 +408,7 @@ fn a_kill_with_lanes_asleep_leaves_a_device_as_good_as_new() {
             assert_eq!(
                 sms(&fresh),
                 sms(&recovered),
-                "{kill:?} at sim_threads={threads} fast_forward={fast_forward}"
+                "{kill:?} at fast_forward={fast_forward}"
             );
         }
     }
@@ -421,10 +419,10 @@ fn a_kill_with_lanes_asleep_leaves_a_device_as_good_as_new() {
 #[test]
 fn counters_read_between_runs_are_current() {
     let mut reference: Option<Vec<UnitProfile>> = None;
-    for &(threads, fast_forward) in &ENGINES {
-        let at = format!("sim_threads={threads} fast_forward={fast_forward}");
+    for &fast_forward in &ENGINES {
+        let at = format!("fast_forward={fast_forward}");
         let (program, k) = build_program();
-        let mut gpu = Gpu::new(program, baseline(threads, fast_forward));
+        let mut gpu = Gpu::new(program, baseline(fast_forward));
         let out = gpu.malloc(64 * 8);
         let mut seen = Vec::new();
 
@@ -461,12 +459,12 @@ fn counters_read_between_runs_are_current() {
 #[test]
 fn single_stepping_matches_synchronize() {
     let (program, k) = build_program();
-    let mut whole = Gpu::new(program, baseline(1, false));
+    let mut whole = Gpu::new(program, baseline(false));
     let out = whole.malloc(64 * 8);
     let elapsed = whole.run_kernel(k.write_tids, LaunchDims::linear(2, 32), &[out.0]);
 
     let (program, k) = build_program();
-    let mut stepped = Gpu::new(program, baseline(1, true));
+    let mut stepped = Gpu::new(program, baseline(true));
     let out = stepped.malloc(64 * 8);
     stepped.launch(k.write_tids, LaunchDims::linear(2, 32), &[out.0]);
     let mut steps = 0;
@@ -492,12 +490,10 @@ fn a_deep_same_shape_child_queue_dispatches_in_the_unmemoised_order() {
     const FUNCTIONAL_DONE: u64 = 2_188;
     const ISSUED: u64 = 30_732;
     let mut reference: Option<(RunStats, Vec<TraceEvent>)> = None;
-    for &(threads, fast_forward) in &ENGINES {
-        let at = format!("sim_threads={threads} fast_forward={fast_forward}");
+    for &fast_forward in &ENGINES {
+        let at = format!("fast_forward={fast_forward}");
         let (program, k) = build_program();
-        let mut cfg = GpuConfig::test_small()
-            .with_sim_threads(threads)
-            .with_fast_forward(fast_forward);
+        let mut cfg = GpuConfig::test_small().with_fast_forward(fast_forward);
         cfg.trace = true;
         let mut gpu = Gpu::new(program, cfg);
         let out = gpu.malloc(1024 * 8);

@@ -390,16 +390,10 @@ impl Benchmark for ClusterBench {
         };
 
         let verified = got_rep == self.expected_rep;
-        let profile = gpu
-            .profiling_enabled()
-            .then(|| Box::new(gpu.take_profile()));
-        let stats = gpu.stats();
-        BenchResult {
-            kernel_cycles: stats.host.kernel_cycles,
+        BenchResult::collect(
+            &mut gpu,
             verified,
-            sim_threads: config.resolved_sim_threads(),
-            fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
-            detail: format!(
+            format!(
                 "CLUSTER: {} seqs, {} clusters, cdp={}",
                 n,
                 self.expected_rep
@@ -409,9 +403,7 @@ impl Benchmark for ClusterBench {
                     .count(),
                 cdp
             ),
-            stats,
-            profile,
-        }
+        )
     }
 }
 

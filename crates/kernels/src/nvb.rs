@@ -564,22 +564,14 @@ impl Benchmark for NvbBench {
             .map(|c| u64::from_le_bytes(c.try_into().expect("8B")))
             .collect();
         let verified = got == self.expected;
-        let profile = gpu
-            .profiling_enabled()
-            .then(|| Box::new(gpu.take_profile()));
-        let stats = gpu.stats();
-        BenchResult {
-            kernel_cycles: stats.host.kernel_cycles,
+        BenchResult::collect(
+            &mut gpu,
             verified,
-            sim_threads: config.resolved_sim_threads(),
-            fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
-            detail: format!(
+            format!(
                 "NvB: {} reads x {}bp vs {}bp genome, {} batches, cdp={}",
                 n, self.read_len, self.genome_len, self.batches, cdp
             ),
-            stats,
-            profile,
-        }
+        )
     }
 }
 

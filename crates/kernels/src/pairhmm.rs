@@ -505,22 +505,14 @@ impl Benchmark for PairHmmBench {
                 verified = false;
             }
         }
-        let profile = gpu
-            .profiling_enabled()
-            .then(|| Box::new(gpu.take_profile()));
-        let stats = gpu.stats();
-        BenchResult {
-            kernel_cycles: stats.host.kernel_cycles,
+        BenchResult::collect(
+            &mut gpu,
             verified,
-            sim_threads: config.resolved_sim_threads(),
-            fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
-            detail: format!(
+            format!(
                 "PairHMM: {} pairs ({}x{}), rows={:?}, cdp={}",
                 n, self.read_len, self.hap_len, self.rows, cdp
             ),
-            stats,
-            profile,
-        }
+        )
     }
 }
 

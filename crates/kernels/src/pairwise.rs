@@ -395,22 +395,14 @@ impl Benchmark for PairwiseBench {
             .map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect();
         let verified = got == self.expected;
-        let profile = gpu
-            .profiling_enabled()
-            .then(|| Box::new(gpu.take_profile()));
-        let stats = gpu.stats();
-        BenchResult {
-            kernel_cycles: stats.host.kernel_cycles,
+        BenchResult::collect(
+            &mut gpu,
             verified,
-            sim_threads: config.resolved_sim_threads(),
-            fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
-            detail: format!(
+            format!(
                 "{}: {} pairs (max_len {}), {} batches, cdp={}",
                 self.abbrev, n, self.max_len, self.batches, cdp
             ),
-            stats,
-            profile,
-        }
+        )
     }
 }
 

@@ -499,22 +499,14 @@ impl Benchmark for StarBench {
         let verified = center == self.expected_center
             && final_scores == self.expected_final_scores
             && pair_scores == self.expected_pair_scores;
-        let profile = gpu
-            .profiling_enabled()
-            .then(|| Box::new(gpu.take_profile()));
-        let stats = gpu.stats();
-        BenchResult {
-            kernel_cycles: stats.host.kernel_cycles,
+        BenchResult::collect(
+            &mut gpu,
             verified,
-            sim_threads: config.resolved_sim_threads(),
-            fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
-            detail: format!(
+            format!(
                 "STAR: {} seqs x {} bases, {} pairs, center {}, cdp={}",
                 self.n_seqs, self.seq_len, n_pairs, center, cdp
             ),
-            stats,
-            profile,
-        }
+        )
     }
 }
 

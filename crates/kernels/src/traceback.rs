@@ -537,19 +537,11 @@ impl TracebackBench {
             .chunks_exact(8)
             .map(|c| i64::from_le_bytes(c.try_into().expect("8B")))
             .collect();
-        let profile = gpu
-            .profiling_enabled()
-            .then(|| Box::new(gpu.take_profile()));
-        let stats = gpu.stats();
-        crate::BenchResult {
-            kernel_cycles: stats.host.kernel_cycles,
-            verified: scores == self.expected_scores,
-            sim_threads: config.resolved_sim_threads(),
-            fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
-            detail: format!("GG score-only on the traceback workload ({n} pairs)"),
-            stats,
-            profile,
-        }
+        crate::BenchResult::collect(
+            &mut gpu,
+            scores == self.expected_scores,
+            format!("GG score-only on the traceback workload ({n} pairs)"),
+        )
     }
 
     /// Run on the simulator; verifies scores and CIGARs byte-for-byte.
@@ -624,19 +616,11 @@ impl TracebackBench {
                 verified = false;
             }
         }
-        let profile = gpu
-            .profiling_enabled()
-            .then(|| Box::new(gpu.take_profile()));
-        let stats = gpu.stats();
-        crate::BenchResult {
-            kernel_cycles: stats.host.kernel_cycles,
+        crate::BenchResult::collect(
+            &mut gpu,
             verified,
-            sim_threads: config.resolved_sim_threads(),
-            fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
-            detail: format!("GG-TB: {} pairs with full CIGAR traceback", n),
-            stats,
-            profile,
-        }
+            format!("GG-TB: {} pairs with full CIGAR traceback", n),
+        )
     }
 }
 

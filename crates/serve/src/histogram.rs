@@ -6,7 +6,7 @@
 //! bounded relative error. Values below 8 get exact unit buckets.
 //!
 //! Everything here is integer arithmetic over deterministic cycle counts,
-//! so recorded histograms are bit-identical at any `sim_threads`.
+//! so recorded histograms are bit-identical from run to run.
 
 use ggpu_sim::json::JsonWriter;
 

@@ -35,8 +35,9 @@
 //!   including a unified host+device Chrome trace — as a [`ServeReport`].
 //!
 //! Everything is deterministic: given the same submissions and the same
-//! fault plan, outcomes and device statistics are bit-identical at any
-//! `sim_threads` — which is what makes the fault-injection soak in
+//! fault plan, outcomes and device statistics are bit-identical from run
+//! to run — nothing observable depends on hash iteration order or host
+//! timing — which is what makes the fault-injection soak in
 //! `tests/serve_soak.rs` assertable.
 
 #![forbid(unsafe_code)]

@@ -11,7 +11,7 @@
 //!
 //! Everything here is driven by deterministic cycle counts and service
 //! decisions, so the event stream, the latency histograms, and the
-//! per-batch spans are bit-identical at any `sim_threads`.
+//! per-batch spans are bit-identical from run to run.
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -1,8 +1,8 @@
 //! Seeded synthetic traffic and throughput-mode driving.
 //!
 //! Two consumers share this module: the `ggpu-stat` telemetry CLI
-//! (scenario replay) and the `ggpu-bench` measurement harness (the
-//! sustained-traffic serving benchmark). Keeping the job-mix generator
+//! (scenario replay) and `benchmark/` (the sustained-traffic serving
+//! workload). Keeping the job-mix generator
 //! here means both drive the *same* request population, so a latency
 //! histogram in one and a throughput record in the other describe the
 //! same workload.

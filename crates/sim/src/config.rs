@@ -110,17 +110,9 @@ pub struct GpuConfig {
     /// Also emit an event per L2 line fill from DRAM. High frequency;
     /// off by default so traces stay kernel-granular.
     pub trace_cache_fills: bool,
-    /// Worker threads the cycle engine shards SMs across. `1` runs the
-    /// classic single-threaded loop. Any value produces bit-identical
-    /// [`crate::RunStats`], profiles, and traces — SMs tick against a
-    /// read-only memory snapshot and their outputs merge in deterministic
-    /// (SM index, issue order) — so this is purely a wall-clock knob.
-    /// Clamped to the SM count at `synchronize` time (see
-    /// [`GpuConfig::resolved_sim_threads`]). [`GpuConfig::rtx3070`] seeds
-    /// it from the `GGPU_SIM_THREADS` environment variable when set and
-    /// otherwise from 1: on the figure configurations the barrier pair per
-    /// cycle costs more than sharding a handful of busy SMs saves, so more
-    /// threads are an opt-in ([`GpuConfig::with_sim_threads`]).
+    /// Inert: one thread ticks one device. Kept until `benchmark/` stops
+    /// naming it (with [`GpuConfig::with_sim_threads`]); read by nothing.
+    #[doc(hidden)]
     pub sim_threads: usize,
     /// Idle-cycle fast-forward: when no SM can issue and no queue, channel,
     /// or dispatcher can change state before a provably-known future cycle,
@@ -185,7 +177,7 @@ impl GpuConfig {
             trace: false,
             trace_capacity: 1 << 20,
             trace_cache_fills: false,
-            sim_threads: sim_threads_from_env(),
+            sim_threads: 1,
             fast_forward: true,
             stream_isolation: false,
             kernel_records: false,
@@ -222,10 +214,9 @@ impl GpuConfig {
         self
     }
 
-    /// Set the engine's worker-thread count (clamped to at least 1); see
-    /// [`GpuConfig::sim_threads`].
+    #[doc(hidden)]
     pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads.max(1);
+        self.sim_threads = threads;
         self
     }
 
@@ -259,30 +250,10 @@ impl GpuConfig {
         self
     }
 
-    /// The worker-thread count the engine will actually use: `sim_threads`
-    /// clamped to `[1, n_sms]`. Harnesses record this, not the raw knob,
-    /// so results stay interpretable on hosts with fewer cores than SMs.
-    pub fn resolved_sim_threads(&self) -> usize {
-        self.sim_threads.clamp(1, self.n_sms.max(1))
-    }
-
     /// Total L2 capacity across partitions.
     pub fn l2_total(&self) -> u64 {
         self.l2_slice.bytes * self.n_partitions as u64
     }
-}
-
-/// Default engine thread count: `GGPU_SIM_THREADS` when set to a positive
-/// integer, otherwise 1. Results are bit-identical at any count, but wall
-/// clock is not: with a handful of busy SMs the barrier pair per epoch
-/// costs more than sharding saves (all cores on a 2-core host ran SW/Tiny
-/// 1.7–2.9× slower than one thread), so more threads are an opt-in.
-fn sim_threads_from_env() -> usize {
-    std::env::var("GGPU_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -338,27 +309,6 @@ mod tests {
         let c = GpuConfig::rtx3070().with_cache_sizes(0, 128 * 1024);
         assert_eq!(c.sm.l1.bytes, 0);
         assert_eq!(c.l2_total(), 128 * 1024);
-    }
-
-    #[test]
-    fn sim_threads_builder_clamps_to_one() {
-        // The default comes from GGPU_SIM_THREADS (the CI matrix sets it),
-        // so only assert it is sane, not that it equals 1.
-        assert!(GpuConfig::rtx3070().sim_threads >= 1);
-        assert_eq!(GpuConfig::rtx3070().with_sim_threads(4).sim_threads, 4);
-        assert_eq!(GpuConfig::rtx3070().with_sim_threads(0).sim_threads, 1);
-    }
-
-    #[test]
-    fn resolved_sim_threads_clamps_to_sm_count() {
-        let c = GpuConfig::test_small().with_sim_threads(64);
-        assert_eq!(c.resolved_sim_threads(), 4);
-        assert_eq!(
-            GpuConfig::rtx3070()
-                .with_sim_threads(4)
-                .resolved_sim_threads(),
-            4
-        );
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //!   runtime.
 //! * [`memcpy`] — host transfers: `malloc`, `memcpy_h2d`/`d2h`, constant
 //!   binding, and the PCIe cost model.
-//! * [`parallel`] — the lanes, the awake-lane list with its lazily credited
-//!   idle counters, and the SM-sharded multi-threaded executor behind
-//!   [`GpuConfig::sim_threads`].
+//! * [`lanes`] — the SM lanes, the awake-lane list and its lazily credited
+//!   idle counters.
+//!
+//! One thread ticks one device; a [`crate::GpuNode`] may give each of its
+//! devices a host thread of its own.
 
 mod engine;
 mod fastforward;
+mod lanes;
 mod launch;
 mod memcpy;
-mod parallel;
 
 pub use self::launch::LaunchOptions;
 
@@ -42,9 +44,9 @@ use crate::stats::{HostStats, RunStats};
 use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind, TraceSink};
 
 use self::engine::{DramTarget, Ev};
+use self::lanes::Lanes;
 use self::launch::Grid;
 use self::memcpy::InboundCopy;
-use self::parallel::{LaneSet, SmLane, WakeList};
 
 /// Identifier of a host-side stream. Stream 0 is the default stream every
 /// [`Gpu::launch`] targets; additional streams come from
@@ -100,14 +102,12 @@ enum SinkSlot {
 pub struct Gpu {
     config: GpuConfig,
     program: Arc<Program>,
-    /// One lane per SM: the core plus its port pair. All SM traffic crosses
-    /// the ports, so lanes can tick concurrently against a read-only memory
-    /// snapshot (see [`parallel`]).
-    lanes: Vec<SmLane>,
-    /// Which lanes are awake, and the clock the sleeping ones are credited
-    /// from (see DESIGN.md, "Sleeping SMs"). Between runs every sleeping
-    /// lane is settled, so `&self` readers see current counters.
-    wake: WakeList,
+    /// One lane per SM (the core plus the port pair all its traffic
+    /// crosses), which of them are awake, and the clock the sleeping ones
+    /// are credited from (see DESIGN.md, "Sleeping SMs"). Between runs
+    /// every sleeping lane is settled, so `&self` readers see current
+    /// counters.
+    lanes: Lanes,
     mem: DeviceMemory,
     l2: Vec<Cache>,
     dram: Vec<Dram>,
@@ -189,9 +189,8 @@ impl Gpu {
             .validate()
             .unwrap_or_else(|(name, e)| panic!("kernel `{name}` invalid: {e}"));
         let program = Arc::new(program);
-        let lanes = (0..config.n_sms)
-            .map(|_| SmLane::new(SmCore::new(config.sm, Arc::clone(&program))))
-            .collect();
+        let lanes =
+            Lanes::new((0..config.n_sms).map(|_| SmCore::new(config.sm, Arc::clone(&program))));
         let l2 = (0..config.n_partitions)
             .map(|_| Cache::new(config.l2_slice))
             .collect();
@@ -204,7 +203,6 @@ impl Gpu {
         mem.set_poison(config.fault_plan.poison);
         Gpu {
             lanes,
-            wake: WakeList::default(),
             mem,
             l2,
             dram,
@@ -365,7 +363,7 @@ impl Gpu {
 
     /// Snapshot all counters.
     pub fn stats(&self) -> RunStats {
-        self.stats_over(self.lanes.iter().map(|l| &l.core))
+        self.stats_over(self.lanes.all_cores())
     }
 
     /// [`Gpu::stats`] over an explicit SM-core iterator (every core, each
@@ -392,7 +390,7 @@ impl Gpu {
 
     /// [`Gpu::stats`] mid-run: a settle point — sleeping lanes are credited
     /// up to the current cycle before their counters are read.
-    fn stats_with(&self, lanes: &mut LaneSet<'_>) -> RunStats {
+    fn stats_with(&self, lanes: &mut Lanes) -> RunStats {
         lanes.settle();
         self.stats_over(lanes.all_cores())
     }
@@ -402,7 +400,7 @@ impl Gpu {
     pub fn reset_stats(&mut self) {
         self.host = HostStats::default();
         self.fast_forward_skipped_cycles = 0;
-        for lane in &mut self.lanes {
+        for lane in self.lanes.all_mut() {
             let _ = lane.core.take_stats();
             lane.core.reset_cache_stats();
             lane.core.reset_pc_table();
@@ -479,8 +477,8 @@ impl Gpu {
     /// unless the GPU was built with [`ggpu_sm::SmConfig::attribution`].
     pub fn pc_profile(&self) -> Option<PcProfile> {
         let mut merged: Option<ggpu_sm::PcTable> = None;
-        for lane in &self.lanes {
-            let t = lane.core.pc_table()?;
+        for core in self.lanes.all_cores() {
+            let t = core.pc_table()?;
             match &mut merged {
                 Some(m) => m.merge(t),
                 None => merged = Some(t.clone()),
@@ -521,12 +519,12 @@ impl Gpu {
         let n_sms = self.config.n_sms;
         let sms = self
             .lanes
-            .iter()
+            .all_cores()
             .enumerate()
-            .map(|(i, lane)| SmUnit {
+            .map(|(i, core)| SmUnit {
                 sm: i,
-                stats: lane.core.stats().clone(),
-                l1: *lane.core.l1_stats(),
+                stats: core.stats().clone(),
+                l1: *core.l1_stats(),
                 req_injected: req_inj.get(i).copied().unwrap_or(0),
                 rep_delivered: rep_del.get(i).copied().unwrap_or(0),
             })
@@ -614,7 +612,7 @@ impl Gpu {
     }
 
     /// [`Gpu::flush_sample`] while the lanes are checked out of `self`.
-    fn flush_sample_with(&mut self, lanes: &mut LaneSet<'_>) {
+    fn flush_sample_with(&mut self, lanes: &mut Lanes) {
         if self.sampler.is_some() {
             let snap = self.stats_with(lanes);
             if let Some(s) = &mut self.sampler {

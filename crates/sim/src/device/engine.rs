@@ -2,38 +2,36 @@
 //! commit, `synchronize`, and fault/deadlock handling.
 //!
 //! One device cycle has three strictly ordered phases, composed in exactly
-//! one place ([`Gpu::step`]) for `synchronize` at any thread count and for
-//! single-stepping alike:
+//! one place ([`Gpu::step`]) for `synchronize` and for single-stepping
+//! alike, all on the calling thread:
 //!
-//! 1. **Pre** ([`Gpu::cycle_pre`], serial) — due network packets are
-//!    delivered (replies into each SM's inbound port, requests into the L2
-//!    slices), DRAM channels tick, and CTAs dispatch — waking the lanes
-//!    they land on.
-//! 2. **SM** (parallelizable) — every *awake* lane ticks against a
+//! 1. **Pre** ([`Gpu::cycle_pre`]) — due network packets are delivered
+//!    (replies into each SM's inbound port, requests into the L2 slices),
+//!    DRAM channels tick, and CTAs dispatch — waking the lanes they land
+//!    on.
+//! 2. **SM** ([`Lanes::tick_awake`]) — every *awake* lane ticks against a
 //!    *read-only* snapshot of device memory, writing only its own core
-//!    state and its own ports. Lanes share nothing, so this phase may run
-//!    on any number of threads (see [`super::parallel`]).
-//! 3. **Post** ([`Gpu::cycle_post`], serial) — each awake lane's output, if
-//!    it produced any, is drained in SM-index order: deferred
-//!    stores/atomics commit to memory, requests enter the interconnect, CDP
-//!    launches spawn, completed CTAs retire, and traps resolve. Because the
-//!    merge order is (SM index, issue order) no matter how phase 2 was
-//!    scheduled, every counter, profile, and trace is bit-identical for any
-//!    thread count. Lanes left with nothing resident, in flight or to merge
-//!    go to sleep.
+//!    state and its own ports; stores and atomics go to a per-SM log.
+//! 3. **Post** ([`Gpu::cycle_post`]) — each awake lane's output, if it
+//!    produced any, is drained in SM-index order: deferred stores/atomics
+//!    commit to memory, requests enter the interconnect, CDP launches
+//!    spawn, completed CTAs retire, and traps resolve. The (SM index, issue
+//!    order) merge is what makes every counter, profile, and trace a
+//!    function of the workload alone. Lanes left with nothing resident, in
+//!    flight or to merge go to sleep.
 //!
 //! A sleeping lane is visited by none of the three; what ticking it would
 //! have added to its counters is credited when it wakes or when counters
 //! are read (DESIGN.md, "Sleeping SMs").
 
 use ggpu_mem::{CacheOutcome, LINE_BYTES};
-use ggpu_sm::{MemRequest, ReqKind, SmCore, Trap, WarpReport, WarpWait};
+use ggpu_sm::{MemRequest, ReqKind, Trap, WarpReport, WarpWait};
 
 use crate::error::{DeadlockReport, DeviceFault, SimError};
 use crate::memory::DeviceMemory;
 use crate::trace::TraceEventKind;
 
-use super::parallel::{Executor, LaneSet, SerialExec, SmLane, WakeList};
+use super::lanes::Lanes;
 use super::Gpu;
 
 /// Absolute backstop on simulated cycles per `synchronize`. The configurable
@@ -68,19 +66,17 @@ pub(super) enum DramTarget {
 impl Gpu {
     /// Whether any work remains on the device.
     pub fn busy(&self) -> bool {
-        self.busy_over(self.wake.awake().iter().map(|&i| &self.lanes[i].core))
+        self.busy_with(&self.lanes)
     }
 
-    pub(super) fn busy_with(&self, lanes: &LaneSet<'_>) -> bool {
-        self.busy_over(lanes.awake_cores())
-    }
-
-    /// `cores` are the awake lanes' — a sleeping lane holds no work.
-    fn busy_over<'a>(&self, mut cores: impl Iterator<Item = &'a SmCore>) -> bool {
+    /// Only the awake lanes are asked — a sleeping lane holds no work.
+    pub(super) fn busy_with(&self, lanes: &Lanes) -> bool {
         !self.grids.is_empty()
             || !self.events.is_empty()
             || !self.pending_inbound.is_empty()
-            || cores.any(|s| !s.is_idle() || s.has_outstanding())
+            || lanes
+                .awake_cores()
+                .any(|s| !s.is_idle() || s.has_outstanding())
             || self.dram.iter().any(|d| !d.is_idle())
     }
 
@@ -100,50 +96,26 @@ impl Gpu {
         }
         let start = self.cycle;
         self.last_progress = self.cycle;
-        let threads = self.worker_threads();
-        let result = self.with_lanes_out(|gpu, lanes, wake, mem| {
-            if threads <= 1 {
-                gpu.run(start, &mut SerialExec { lanes, wake, mem })
-            } else {
-                gpu.sync_parallel(start, threads, lanes, wake, mem)
-            }
-        });
+        let result = self.with_lanes_out(|gpu, lanes, mem| gpu.run(start, lanes, mem));
         let elapsed = self.cycle - start;
         self.host.kernel_cycles += elapsed;
         self.flush_sample();
         result.map(|()| elapsed)
     }
 
-    /// Worker threads for this run: the configured count clamped to the
-    /// lanes and to the cores actually present — on an oversubscribed host
-    /// extra shard threads only add barrier and context-switch cost (the
-    /// phases are bit-identical at any count, so this is purely a
-    /// wall-clock decision). The host is only asked when more than one
-    /// thread was requested: the query re-reads cgroup files on every call.
-    fn worker_threads(&self) -> usize {
-        let wanted = self.config.sim_threads.clamp(1, self.lanes.len().max(1));
-        if wanted == 1 {
-            return 1;
-        }
-        wanted.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    }
-
-    /// Check the lanes, their wake list and memory out of `self` for the
-    /// duration of `f`: the cycle phases borrow them independently of the
-    /// rest of the device state (and the parallel executor moves them into
-    /// shared structures). On the way back in every sleeping lane is
-    /// settled, so counters read between runs are current.
+    /// Check the lanes and memory out of `self` for the duration of `f`:
+    /// the cycle phases borrow them independently of the rest of the device
+    /// state. On the way back in every sleeping lane is settled, so
+    /// counters read between runs are current.
     fn with_lanes_out<R>(
         &mut self,
-        f: impl FnOnce(&mut Gpu, &mut Vec<SmLane>, &mut WakeList, &mut DeviceMemory) -> R,
+        f: impl FnOnce(&mut Gpu, &mut Lanes, &mut DeviceMemory) -> R,
     ) -> R {
         let mut lanes = std::mem::take(&mut self.lanes);
-        let mut wake = std::mem::take(&mut self.wake);
         let mut mem = std::mem::take(&mut self.mem);
-        let result = f(self, &mut lanes, &mut wake, &mut mem);
-        wake.settle(lanes.iter_mut());
+        let result = f(self, &mut lanes, &mut mem);
+        lanes.settle();
         self.lanes = lanes;
-        self.wake = wake;
         self.mem = mem;
         result
     }
@@ -163,36 +135,29 @@ impl Gpu {
     /// The `synchronize` loop: step while anything is busy, check for
     /// faults and hangs after every ticked cycle, and fast-forward the dead
     /// span behind it.
-    pub(super) fn run(&mut self, start: u64, exec: &mut impl Executor) -> Result<(), SimError> {
-        while exec.serial(|lanes, _| self.busy_with(lanes)) {
-            let outcome = self.step(exec, |gpu, lanes| {
-                let outcome = gpu.sync_check(start, lanes);
-                if outcome.is_none() && gpu.config.fast_forward {
-                    gpu.try_fast_forward(lanes, start);
-                }
-                outcome
-            });
-            if let Some(outcome) = outcome {
+    fn run(
+        &mut self,
+        start: u64,
+        lanes: &mut Lanes,
+        mem: &mut DeviceMemory,
+    ) -> Result<(), SimError> {
+        while self.busy_with(lanes) {
+            self.step(lanes, mem);
+            if let Some(outcome) = self.sync_check(start, lanes) {
                 return outcome;
+            }
+            if self.config.fast_forward {
+                self.try_fast_forward(lanes, start);
             }
         }
         Ok(())
     }
 
     /// One device cycle — the only place the three phases are composed.
-    /// `then` runs in the post phase's serial section, with the lanes still
-    /// at rest.
-    fn step<R>(
-        &mut self,
-        exec: &mut impl Executor,
-        then: impl FnOnce(&mut Gpu, &mut LaneSet<'_>) -> R,
-    ) -> R {
-        let (now, device_busy) = exec.serial(|lanes, _| self.cycle_pre(lanes));
-        exec.sm_phase(now, device_busy);
-        exec.serial(|lanes, mem| {
-            self.cycle_post(lanes, mem, now);
-            then(self, lanes)
-        })
+    fn step(&mut self, lanes: &mut Lanes, mem: &mut DeviceMemory) {
+        let (now, device_busy) = self.cycle_pre(lanes);
+        lanes.tick_awake(now, mem, device_busy);
+        self.cycle_post(lanes, mem, now);
     }
 
     /// Post-cycle fault/watchdog check. `Some(Err(..))` ends the run; `None`
@@ -200,7 +165,7 @@ impl Gpu {
     /// a deadline overrun or a watchdog hang, in which case the remaining
     /// streams keep running and the fault is reported through
     /// [`Gpu::stream_fault`].
-    fn sync_check(&mut self, start: u64, lanes: &mut LaneSet<'_>) -> Option<Result<(), SimError>> {
+    fn sync_check(&mut self, start: u64, lanes: &mut Lanes) -> Option<Result<(), SimError>> {
         if let Some(f) = self.fault.clone() {
             return Some(Err(f));
         }
@@ -252,14 +217,12 @@ impl Gpu {
         if self.fault.is_some() {
             return;
         }
-        self.with_lanes_out(|gpu, lanes, wake, mem| {
-            gpu.step(&mut SerialExec { lanes, wake, mem }, |_, _| ());
-        });
+        self.with_lanes_out(|gpu, lanes, mem| gpu.step(lanes, mem));
     }
 
-    /// Serial pre-SM phase: deliver due packets, tick DRAM, dispatch CTAs.
+    /// Pre-SM phase: deliver due packets, tick DRAM, dispatch CTAs.
     /// Returns `(now, device_busy)` for the SM phase.
-    fn cycle_pre(&mut self, lanes: &mut LaneSet<'_>) -> (u64, bool) {
+    fn cycle_pre(&mut self, lanes: &mut Lanes) -> (u64, bool) {
         self.cycle += 1;
         let now = self.cycle;
 
@@ -321,14 +284,14 @@ impl Gpu {
         }
     }
 
-    /// Serial post-SM phase: drain every awake lane's output in SM-index
+    /// Post-SM phase: drain every awake lane's output in SM-index
     /// order (the deterministic merge), then resolve faults, feed the
     /// watchdog, sample, and put the lanes that ran dry to sleep.
-    fn cycle_post(&mut self, lanes: &mut LaneSet<'_>, mem: &mut DeviceMemory, now: u64) {
+    fn cycle_post(&mut self, lanes: &mut Lanes, mem: &mut DeviceMemory, now: u64) {
         // 3b. Land due peer-to-peer payloads before the SM merge: the DMA
         // write commits at its exact arrival cycle, ahead of any same-cycle
-        // SM store, so node-level memory state is deterministic at any host
-        // thread count.
+        // SM store, so node-level memory state does not depend on how the
+        // node schedules its devices.
         while let Some(copy) = self.pending_inbound.pop_due(now) {
             mem.write_slice(crate::memory::DevicePtr(copy.dst), &copy.bytes);
             self.host.p2p_recvs += 1;
@@ -607,7 +570,7 @@ impl Gpu {
     /// to a clean idle state. Other streams' *queued* grids have not
     /// started and survive untouched; memory contents, cache tags, and
     /// statistics survive too.
-    pub(super) fn kill_active_stream(&mut self, err: SimError, lanes: &mut LaneSet<'_>) {
+    pub(super) fn kill_active_stream(&mut self, err: SimError, lanes: &mut Lanes) {
         let s = self.active_stream.unwrap_or(0);
         self.streams[s].fault = Some(err.clone());
         if s == 0 {
@@ -664,7 +627,7 @@ impl Gpu {
 
     /// Snapshot everything a deadlock post-mortem needs. Must run *before*
     /// [`Gpu::kill_active_stream`] wipes the state it describes.
-    fn deadlock_report_with(&self, stalled_for: u64, lanes: &LaneSet<'_>) -> DeadlockReport {
+    fn deadlock_report_with(&self, stalled_for: u64, lanes: &Lanes) -> DeadlockReport {
         let mut warps: Vec<WarpReport> = Vec::new();
         for (&i, sm) in lanes.awake().iter().zip(lanes.awake_cores()) {
             warps.extend(

@@ -68,17 +68,11 @@
 //!
 //! The span is credited in O(awake lanes): each awake lane in one
 //! `skip_cycles` call, every sleeping lane by advancing the idle clock
-//! ([`super::parallel`]) by the span — the same two totals a ticked cycle
+//! ([`super::lanes`]) by the span — the same two totals a ticked cycle
 //! advances by one, which is why a lane cannot tell how the cycles it slept
 //! through were retired.
-//!
-//! The skip runs in the post phase's serial section whatever the thread
-//! count. In the multi-threaded engine this is what makes barriers
-//! *epoch-batched*: each barrier pair fences one **active** cycle plus the
-//! entire dead span behind it, executed by the main thread while the
-//! workers are parked — so barrier cost is paid per epoch, not per cycle.
 
-use super::parallel::LaneSet;
+use super::lanes::Lanes;
 use super::Gpu;
 
 impl Gpu {
@@ -88,9 +82,9 @@ impl Gpu {
     /// ticking per-cycle) whenever any unit might act on the next cycle.
     ///
     /// Must run between `cycle_post`/`sync_check` of one cycle and
-    /// `cycle_pre` of the next, on the serial thread, with every lane and
-    /// the device state at rest.
-    pub(super) fn try_fast_forward(&mut self, lanes: &mut LaneSet<'_>, start: u64) {
+    /// `cycle_pre` of the next, with every lane and the device state at
+    /// rest.
+    pub(super) fn try_fast_forward(&mut self, lanes: &mut Lanes, start: u64) {
         if !self.busy_with(lanes) {
             // The loop is about to exit; a skip here would credit cycles
             // the per-cycle engine never runs.

@@ -11,7 +11,7 @@ use crate::memory::DeviceMemory;
 use crate::profile::KernelRecord;
 use crate::trace::TraceEventKind;
 
-use super::parallel::LaneSet;
+use super::lanes::Lanes;
 use super::{Gpu, StreamId};
 
 /// Per-launch options for [`Gpu::try_launch_on`]: the target stream and an
@@ -260,7 +260,7 @@ impl Gpu {
 
     // ---- dispatch ---------------------------------------------------------
 
-    pub(super) fn arm_and_dispatch(&mut self, lanes: &mut LaneSet<'_>) {
+    pub(super) fn arm_and_dispatch(&mut self, lanes: &mut Lanes) {
         // Within one call SM resources only shrink, so a launch shape every
         // SM has refused stays refused until the next cycle.
         self.refused_shapes.clear();
@@ -341,7 +341,7 @@ impl Gpu {
             .and_then(|s| self.streams[s].queue.front().copied())
     }
 
-    fn dispatch_grid(&mut self, handle: u64, lanes: &mut LaneSet<'_>) {
+    fn dispatch_grid(&mut self, handle: u64, lanes: &mut Lanes) {
         let Some(g) = self.grids.get_mut(&handle) else {
             return;
         };
@@ -543,7 +543,7 @@ impl Gpu {
 
     // ---- retirement -------------------------------------------------------
 
-    pub(super) fn grid_done(&mut self, handle: u64, lanes: &mut LaneSet<'_>) {
+    pub(super) fn grid_done(&mut self, handle: u64, lanes: &mut Lanes) {
         let grid = match self.grids.remove(&handle) {
             Some(g) => g,
             None => return,

@@ -17,9 +17,9 @@ use super::Gpu;
 
 /// A peer-to-peer payload in flight towards this device over the node
 /// fabric, waiting in [`Gpu`]'s inbound delivery queue until its arrival
-/// cycle. Applied to device memory in the serial post phase, so delivery
-/// order — and therefore memory state — is deterministic at any host
-/// thread count.
+/// cycle. Applied to device memory in the post phase, so delivery
+/// order — and therefore memory state — does not depend on how the node
+/// schedules its devices.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) struct InboundCopy {
     /// Destination address in this device's memory.
@@ -198,7 +198,7 @@ impl Gpu {
 
     /// Destination half of a node P2P copy: queue the payload for delivery
     /// into this device's memory at `arrival` (its own cycle clock). The
-    /// write lands in the serial post phase of that cycle; until then the
+    /// write lands in the post phase of that cycle; until then the
     /// pending payload keeps the device busy and vetoes fast-forward past
     /// the arrival.
     pub(crate) fn p2p_queue_inbound(

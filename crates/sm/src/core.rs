@@ -26,10 +26,10 @@ use crate::warp::{lane_mask, lanes, WaitKind, Warp, WarpBlock};
 /// device (the SM only models timing for these spaces).
 ///
 /// Reads take `&self`: during a tick the SM observes memory as an immutable
-/// snapshot of cycle-start state, which is what allows SMs to tick
-/// concurrently. Mutation happens only through the deferred
-/// [`MemOp`] log committed serially by
-/// [`SmCore::commit_mem_ops`] after every SM has ticked.
+/// snapshot of cycle-start state, so no SM sees another's same-cycle
+/// stores whatever order they tick in. Mutation happens only through the
+/// deferred [`MemOp`] log committed by [`SmCore::commit_mem_ops`] after
+/// every SM has ticked.
 pub trait GlobalMem {
     /// Read `width` bytes at `addr`, zero-extended.
     fn read(&self, addr: u64, width: Width) -> u64;
@@ -767,11 +767,11 @@ impl SmCore {
     /// Apply this cycle's deferred stores/atomics to `gmem`, in issue order.
     ///
     /// Called by the device once per cycle per SM, **after** every SM has
-    /// ticked, in SM-index order — the deterministic merge order that makes
-    /// multi-threaded simulation bit-identical to serial. Atomics write the
-    /// old value back to the issuing warp's destination lane here; register
-    /// scoreboarding (set at issue) guarantees no consumer can read it
-    /// before the next cycle.
+    /// ticked, in SM-index order — with issue order within the SM, the
+    /// deterministic merge order every counter and trace is a function of.
+    /// Atomics write the old value back to the issuing warp's destination
+    /// lane here; register scoreboarding (set at issue) guarantees no
+    /// consumer can read it before the next cycle.
     pub fn commit_mem_ops(&mut self, gmem: &mut dyn GlobalMem, ops: &mut Vec<MemOp>) {
         for op in ops.drain(..) {
             match op {

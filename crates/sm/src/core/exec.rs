@@ -5,8 +5,8 @@
 //! memory snapshot (`&dyn GlobalMem`, reads only): functional stores and
 //! global atomics are **deferred** into [`TickOutput::mem_ops`] and committed
 //! by the device after every SM has ticked, in deterministic merge order —
-//! SM index first, then issue order within the SM. This is what lets SMs
-//! tick concurrently with bit-identical results.
+//! SM index first, then issue order within the SM — so the order SMs tick
+//! in cannot change a result.
 
 use std::sync::Arc;
 

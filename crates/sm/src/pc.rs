@@ -4,10 +4,8 @@
 //! [`PcTable`] — one [`PcCounters`] row per instruction of every kernel in
 //! the program — and charges issues, stall cycles, L1 traffic, coalesced
 //! transactions, replay cycles and off-chip requests to the PC that caused
-//! them. Tables are per-SM (each shard accumulates locally with no sharing)
-//! and merge with field-wise sums, so the device-level aggregate is
-//! bit-identical for any `sim_threads` as long as tables are merged in SM
-//! index order.
+//! them. Tables are per-SM and merge with field-wise sums; the device merges
+//! them in SM index order, so the aggregate is deterministic.
 //!
 //! The counters are designed to *telescope*: summed over all PCs (plus the
 //! [`PcTable::unattributed`] stall bucket) they reproduce the corresponding

@@ -17,8 +17,8 @@
 //! device **after** every SM has ticked, in deterministic merge order — SM
 //! index first, then issue order within the SM
 //! ([`SmCore::commit_mem_ops`](crate::SmCore::commit_mem_ops)). This is what
-//! makes the per-SM phase a pure function of SM-local state plus its ports,
-//! so SMs may tick concurrently with bit-identical results.
+//! makes the per-SM phase a pure function of SM-local state plus its ports:
+//! the order SMs tick in cannot change a result.
 
 use ggpu_isa::{AtomOp, Reg, Width};
 

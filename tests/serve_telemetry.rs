@@ -6,7 +6,7 @@
 //! as the device itself:
 //!
 //! * the JSON report, the unified host+device Chrome trace, and the raw
-//!   `ServeEvent` stream are **bit-identical** at `sim_threads` 1 and 4;
+//!   `ServeEvent` stream are **bit-identical** from run to run;
 //! * histogram bucket counts **telescope** exactly to the `ServeMetrics`
 //!   terminal-outcome counters (per tenant, per shape, per outcome);
 //! * a request's full path is reconstructible: its trail's grid handle
@@ -29,9 +29,9 @@ const FM_READ_LEN: usize = 16;
 const PHMM_READ: usize = 10;
 const PHMM_HAP: usize = 14;
 
-fn soak_config(genome: &[u8], sim_threads: usize, plan: FaultPlan) -> ServeConfig {
+fn soak_config(genome: &[u8], plan: FaultPlan) -> ServeConfig {
     let mut cfg = ServeConfig::test_small();
-    cfg.gpu = GpuConfig::test_small().with_sim_threads(sim_threads);
+    cfg.gpu = GpuConfig::test_small();
     cfg.gpu.watchdog_cycles = 10_000;
     cfg.gpu.fault_plan = plan;
     cfg.workers = 3;
@@ -86,11 +86,10 @@ fn soak_plan() -> FaultPlan {
 
 /// Stream `n_jobs` seeded jobs through a telemetry-observed service and
 /// return the final report.
-fn run_soak(seed: u64, n_jobs: usize, wave: usize, sim_threads: usize) -> ServeReport {
+fn run_soak(seed: u64, n_jobs: usize, wave: usize) -> ServeReport {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let genome = random_genome(GENOME_LEN, &mut rng).codes().to_vec();
-    let mut svc =
-        Service::new(soak_config(&genome, sim_threads, soak_plan())).expect("build service");
+    let mut svc = Service::new(soak_config(&genome, soak_plan())).expect("build service");
     let mut gen_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
     let mut pending: VecDeque<JobKind> = (0..n_jobs)
         .map(|_| gen_job(&genome, &mut gen_rng))
@@ -123,12 +122,12 @@ fn run_soak(seed: u64, n_jobs: usize, wave: usize, sim_threads: usize) -> ServeR
 }
 
 #[test]
-fn telemetry_is_bit_identical_across_sim_threads() {
-    let a = run_soak(7001, 36, 6, 1);
-    let b = run_soak(7001, 36, 6, 4);
+fn telemetry_is_bit_identical_across_runs() {
+    let a = run_soak(7001, 36, 6);
+    let b = run_soak(7001, 36, 6);
     // The raw event stream first (the most granular view), then the full
-    // serialized exports — any engine-parallelism leak shows up here as a
-    // one-byte diff.
+    // serialized exports — any hash-iteration-order leak shows up here as
+    // a one-byte diff.
     assert_eq!(a.events, b.events, "ServeEvent streams diverged");
     assert_eq!(a.to_json(), b.to_json(), "JSON reports diverged");
     assert_eq!(
@@ -140,7 +139,7 @@ fn telemetry_is_bit_identical_across_sim_threads() {
 
 #[test]
 fn histograms_telescope_to_metrics_totals() {
-    let r = run_soak(7002, 36, 6, 1);
+    let r = run_soak(7002, 36, 6);
     let m = r.metrics;
     // Conservation at the metrics layer.
     assert_eq!(
@@ -186,7 +185,7 @@ fn histograms_telescope_to_metrics_totals() {
 
 #[test]
 fn a_request_full_path_joins_host_and_device() {
-    let r = run_soak(7003, 36, 6, 1);
+    let r = run_soak(7003, 36, 6);
     // Pick a completed request that actually ran on device.
     let trail = r
         .trails
@@ -243,7 +242,7 @@ fn a_request_full_path_joins_host_and_device() {
 
 #[test]
 fn report_json_parses_and_chrome_trace_is_well_formed() {
-    let r = run_soak(7004, 24, 6, 1);
+    let r = run_soak(7004, 24, 6);
     let doc = Json::parse(&r.to_json()).expect("report JSON must parse");
     let metrics = doc.get("metrics").expect("metrics key");
     assert_eq!(
@@ -302,7 +301,7 @@ fn sim_node_and_serve_traces_share_one_envelope() {
     }
     node.sync_all();
     let sim = chrome_trace_json(&[("gpu".to_string(), node.device(0).trace_events())], 1.5);
-    let serve = run_soak(7004, 24, 6, 1).chrome_trace();
+    let serve = run_soak(7004, 24, 6).chrome_trace();
 
     for (producer, doc, instant_scope) in [
         ("sim", sim, "g"),

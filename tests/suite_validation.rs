@@ -60,6 +60,29 @@ fn runs_are_deterministic() {
 }
 
 #[test]
+fn the_engine_thread_count_names_are_inert() {
+    // `benchmark/` still names a per-device thread count. Whatever it is
+    // set to, one thread ticks the device and every result is the untouched
+    // config's — so deleting the names later changes nothing.
+    let base = GpuConfig::test_small().with_kernel_records(true);
+    let built = base.clone().with_sim_threads(4);
+    let mut assigned = base.clone();
+    assigned.sim_threads = 64;
+    let b = ggpu_core::benchmark(Scale::Tiny, "SW").expect("SW exists");
+    let want = b.run(&base, false);
+    let records =
+        |r: &ggpu_core::BenchResult| r.profile.as_ref().expect("records on").kernels.clone();
+    assert!(want.verified && !records(&want).is_empty());
+    for config in [built, assigned] {
+        let got = b.run(&config, false);
+        assert_eq!(got.sim_threads, 1);
+        assert_eq!(got.stats, want.stats);
+        assert_eq!(got.kernel_cycles, want.kernel_cycles);
+        assert_eq!(records(&got), records(&want));
+    }
+}
+
+#[test]
 fn benchmarks_respond_to_memory_latency() {
     // A sanity check on the timing model: making DRAM dramatically slower
     // must not speed anything up.
