@@ -12,36 +12,28 @@
 //! sampling and event tracing on — exporting `results/profile_<scale>.json`
 //! and/or `results/trace_<scale>.json` (Perfetto-loadable).
 
+use ggpu_bench::cli::Args;
 use ggpu_bench::figures;
 use ggpu_kernels::Scale;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: figures [all|table1|table2|table3|fig2..fig22|profile]... \
-         [--scale tiny|small|paper] [--json] [--trace]"
-    );
-    let known: Vec<&str> = figures::EXPERIMENTS.iter().map(|(n, _)| *n).collect();
-    eprintln!("experiments: {}", known.join(" "));
-    std::process::exit(2);
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let known: Vec<&str> = figures::EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+    let mut args = Args::from_env(format!(
+        "usage: figures [all|table1|table2|table3|fig2..fig22|profile]... \
+         [--scale tiny|small|paper] [--json] [--trace]\nexperiments: {}",
+        known.join(" ")
+    ));
     let mut scale = Scale::Small;
     let mut names = Vec::new();
     let mut json = false;
     let mut trace = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => match it.next().and_then(|s| Scale::from_tag(s)) {
-                Some(s) => scale = s,
-                None => usage(),
-            },
+            "--scale" => scale = args.value(Scale::from_tag),
             "--json" => json = true,
             "--trace" => trace = true,
-            flag if flag.starts_with("--") => usage(),
-            name => names.push(name.to_string()),
+            flag if flag.starts_with("--") => args.usage(),
+            _ => names.push(a),
         }
     }
     if json || trace {
@@ -51,7 +43,7 @@ fn main() {
         if json || trace {
             return;
         }
-        usage();
+        args.usage();
     }
     for name in names {
         if let Err(e) = figures::run(&name, scale) {

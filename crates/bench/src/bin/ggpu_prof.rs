@@ -27,6 +27,7 @@
 
 use std::collections::HashMap;
 
+use ggpu_bench::cli::{self, Args};
 use ggpu_bench::export::{write_json_doc, Table};
 use ggpu_core::json::{Json, JsonWriter};
 use ggpu_core::{
@@ -35,47 +36,46 @@ use ggpu_core::{
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("diff") {
-        std::process::exit(diff_main(&args[1..]));
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let diff = argv.first().is_some_and(|a| a == "diff");
+    if diff {
+        argv.remove(0);
     }
-    std::process::exit(run_main(&args));
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: ggpu-prof <WORKLOAD> [--scale tiny|small|paper] [--cdp] [--top N]\n\
-         \u{20}      ggpu-prof diff <a.json> <b.json> [--limit N]\n\
-         workloads: {}",
-        BENCHMARKS.join(" ")
+    let args = Args::new(
+        argv,
+        format!(
+            "usage: ggpu-prof <WORKLOAD> [--scale tiny|small|paper] [--cdp] [--top N]\n\
+             \u{20}      ggpu-prof diff <a.json> <b.json> [--limit N]\n\
+             workloads: {}",
+            BENCHMARKS.join(" ")
+        ),
     );
-    std::process::exit(2);
+    std::process::exit(if diff {
+        diff_main(args)
+    } else {
+        run_main(args)
+    });
 }
 
 // ---- run mode --------------------------------------------------------------
 
-fn run_main(args: &[String]) -> i32 {
+fn run_main(mut args: Args) -> i32 {
     let mut scale = Scale::Tiny;
     let mut workload: Option<String> = None;
     let mut cdp = false;
     let mut top = 8usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => match it.next().and_then(|s| Scale::from_tag(s)) {
-                Some(s) => scale = s,
-                None => usage(),
-            },
+            "--scale" => scale = args.value(Scale::from_tag),
             "--cdp" => cdp = true,
-            "--top" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => top = n,
-                _ => usage(),
-            },
-            w if workload.is_none() && !w.starts_with('-') => workload = Some(w.to_string()),
-            _ => usage(),
+            "--top" => top = args.value(cli::positive),
+            w if workload.is_none() && !w.starts_with('-') => workload = Some(a),
+            _ => args.usage(),
         }
     }
-    let Some(workload) = workload else { usage() };
+    let Some(workload) = workload else {
+        args.usage()
+    };
     let Some(abbrev) = BENCHMARKS
         .iter()
         .find(|b| b.eq_ignore_ascii_case(&workload))
@@ -448,22 +448,18 @@ fn write_outputs(
 
 // ---- diff mode -------------------------------------------------------------
 
-fn diff_main(args: &[String]) -> i32 {
+fn diff_main(mut args: Args) -> i32 {
     let mut paths = Vec::new();
     let mut limit = 40usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--limit" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => limit = n,
-                _ => usage(),
-            },
-            p if !p.starts_with('-') => paths.push(p.to_string()),
-            _ => usage(),
+            "--limit" => limit = args.value(cli::positive),
+            p if !p.starts_with('-') => paths.push(a),
+            _ => args.usage(),
         }
     }
     if paths.len() != 2 {
-        usage();
+        args.usage();
     }
     let load = |p: &str| -> Json {
         let text = std::fs::read_to_string(p).unwrap_or_else(|e| {

@@ -33,14 +33,15 @@
 //! single-device run or if per-device counters fail to telescope to the
 //! node totals.
 
+use ggpu_bench::cli::{self, Args};
 use ggpu_bench::export::{write_json_doc, Table};
 use ggpu_core::json::JsonWriter;
 use ggpu_genomics::random_genome;
-use ggpu_isa::{LaunchDims, Program};
-use ggpu_kernels::dp::{build_dp_kernel, scoring_const_data, DpKernelCfg, DpMode};
+use ggpu_isa::{KernelId, LaunchDims, Program};
+use ggpu_kernels::dp::{build_dp_kernel, scoring_const_data};
 use ggpu_kernels::nvb::{build_fm_search_kernel, FmTables};
-use ggpu_kernels::pairhmm::{build_pairhmm_kernel, phred_const_data, PairHmmKernelCfg, RowStorage};
-use ggpu_kernels::pairwise::{GAP_EXTEND, GAP_OPEN, MATCH, MISMATCH};
+use ggpu_kernels::pairhmm::{build_pairhmm_kernel, phred_const_data};
+use ggpu_kernels::served;
 use ggpu_sim::{shard_ranges, DevicePtr, GpuConfig, GpuNode, NodeConfig, RunStats};
 use rand::{Rng, SeedableRng};
 
@@ -52,14 +53,9 @@ const SW_BUCKET: u32 = 48;
 const SW_TPC: u32 = 16;
 const FM_GENOME_LEN: usize = 8192;
 const FM_READ_LEN: u32 = 24;
-const FM_TPC: u32 = 32;
 const PHMM_READ: u32 = 12;
 const PHMM_HAP: u32 = 16;
 const PHMM_TPC: u32 = 16;
-/// Pad codes for pairwise lanes (match the serving encoder: distinct
-/// values outside the 0..4 base alphabet so pad columns never align).
-const PAD_Q: u8 = 4;
-const PAD_T: u8 = 5;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Workload {
@@ -110,46 +106,28 @@ impl Point {
     }
 }
 
-fn usage() -> ! {
-    eprintln!("usage: ggpu-scale [--jobs N] [--seed S] [--devices 1,2,4] [--trace] [--tag NAME]");
-    std::process::exit(2);
+/// `--devices`: a comma-separated list of device counts, each at least 1.
+fn device_list(s: &str) -> Option<Vec<usize>> {
+    s.split(',').map(cli::positive).collect()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(
+        "usage: ggpu-scale [--jobs N] [--seed S] [--devices 1,2,4] [--trace] [--tag NAME]",
+    );
     let mut jobs = 256usize;
     let mut seed = 42u64;
     let mut device_counts = vec![1usize, 2, 4];
     let mut trace = false;
     let mut tag = String::from("curves");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--jobs" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => jobs = n,
-                _ => usage(),
-            },
-            "--seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => seed = n,
-                _ => usage(),
-            },
-            "--devices" => match it.next() {
-                Some(list) => {
-                    let parsed: Option<Vec<usize>> =
-                        list.split(',').map(|s| s.parse().ok()).collect();
-                    match parsed {
-                        Some(v) if !v.is_empty() && v.iter().all(|&n| n >= 1) => device_counts = v,
-                        _ => usage(),
-                    }
-                }
-                None => usage(),
-            },
+            "--jobs" => jobs = args.value(cli::positive),
+            "--seed" => seed = args.value(|s| s.parse().ok()),
+            "--devices" => device_counts = args.value(device_list),
             "--trace" => trace = true,
-            "--tag" => match it.next() {
-                Some(t) if !t.is_empty() && !t.starts_with('-') => tag = t.clone(),
-                _ => usage(),
-            },
-            _ => usage(),
+            "--tag" => tag = args.value(cli::name),
+            _ => args.usage(),
         }
     }
     device_counts.sort_unstable();
@@ -267,28 +245,6 @@ fn main() {
     println!("invariants: sharded results match single-device, per-device counters telescope");
 }
 
-/// Largest power-of-two thread count (≤ `cap`) whose shared rows fit.
-fn pick_tpc(row_bytes: u32, smem_bytes: u32, cap: u32) -> u32 {
-    let mut tpc = cap.max(1).next_power_of_two();
-    while tpc > 1 && row_bytes.saturating_mul(tpc) > smem_bytes {
-        tpc /= 2;
-    }
-    tpc
-}
-
-/// Grid shape for an `n`-job shard: at most one CTA per test-device SM,
-/// grid-stride loops cover the rest.
-fn dims_for(n: u64, tpc: u32) -> LaunchDims {
-    let ctas = n.div_ceil(tpc as u64).clamp(1, 4) as u32;
-    LaunchDims::linear(ctas, tpc)
-}
-
-/// Pack `src` into a `stride`-sized lane padded with `pad`.
-fn pack(dst: &mut Vec<u8>, src: &[u8], stride: usize, pad: u8) {
-    dst.extend_from_slice(src);
-    dst.resize(dst.len() + (stride - src.len()), pad);
-}
-
 /// Run one workload sharded over `n_devices` and measure the node.
 /// Returns the point plus the node Chrome trace when requested.
 fn run_workload(
@@ -302,38 +258,26 @@ fn run_workload(
     gcfg.trace = want_trace;
     let smem = gcfg.sm.smem_bytes;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ (w.tag().len() as u64) << 17);
+    let bases = |rng: &mut rand::rngs::StdRng, n: usize| -> Vec<u8> {
+        (0..n).map(|_| rng.gen_range(0..4u8)).collect()
+    };
 
     let mut program = Program::new();
-    let out = match w {
+    match w {
         Workload::Sw => {
-            let tpc = pick_tpc(2 * (SW_BUCKET + 1) * 8, smem, SW_TPC);
-            let kcfg = DpKernelCfg {
-                mode: DpMode::Local,
-                max_len: SW_BUCKET,
-                rows_in_smem: true,
-                threads_per_cta: tpc,
-                matches: MATCH,
-                mismatch: MISMATCH,
-                open: GAP_OPEN,
-                extend: GAP_EXTEND,
-                shared_target: false,
-                subst_matrix: None,
-            };
+            let kcfg = served::sw_cfg(SW_BUCKET, smem, SW_TPC);
             let kernel = program.add(build_dp_kernel("scale-sw", &kcfg));
             // Long pairs: heavy compute per transferred byte.
             let stride = SW_BUCKET as usize;
-            let mut q = Vec::with_capacity(jobs * stride);
-            let mut t = Vec::with_capacity(jobs * stride);
-            let mut lens = Vec::with_capacity(jobs * 4);
-            for _ in 0..jobs {
-                let ql = rng.gen_range(stride / 2..=stride);
-                let tl = rng.gen_range(stride / 2..=stride);
-                let qs: Vec<u8> = (0..ql).map(|_| rng.gen_range(0..4u8)).collect();
-                let ts: Vec<u8> = (0..tl).map(|_| rng.gen_range(0..4u8)).collect();
-                pack(&mut q, &qs, stride, PAD_Q);
-                pack(&mut t, &ts, stride, PAD_T);
-                lens.extend_from_slice(&SW_BUCKET.to_le_bytes());
-            }
+            let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..jobs)
+                .map(|_| {
+                    let ql = rng.gen_range(stride / 2..=stride);
+                    let tl = rng.gen_range(stride / 2..=stride);
+                    (bases(&mut rng, ql), bases(&mut rng, tl))
+                })
+                .collect();
+            let [q, t, lens] =
+                served::sw_encode(SW_BUCKET, pairs.iter().map(|(q, t)| (&q[..], &t[..])));
             let mut node = GpuNode::new(program, NodeConfig::new(n_devices, gcfg));
             for d in 0..n_devices {
                 node.device_mut(d)
@@ -344,96 +288,42 @@ fn run_workload(
                 jobs,
                 &[(&q, stride), (&t, stride), (&lens, 4)],
                 false,
-                |_, slabs, out, nd, dims| {
-                    [
-                        slabs[0].0,
-                        slabs[1].0,
-                        out.0,
-                        nd,
-                        0,
-                        dims.total_threads(),
-                        slabs[2].0,
-                        0,
-                        0,
-                    ]
-                    .to_vec()
-                },
                 kernel,
-                tpc,
+                |_, s, out, nd| served::sw_launch(&kcfg, [s[0].0, s[1].0, s[2].0], out.0, nd),
             )
         }
         Workload::Fm => {
             let kernel = program.add(build_fm_search_kernel("scale-fm"));
             let genome = random_genome(FM_GENOME_LEN, &mut rng).codes().to_vec();
             let tables = FmTables::build(&genome);
-            let occ_bytes: Vec<u8> = tables.occ.iter().flat_map(|v| v.to_le_bytes()).collect();
-            let sa_bytes: Vec<u8> = tables.sa.iter().flat_map(|v| v.to_le_bytes()).collect();
             let mut reads = Vec::with_capacity(jobs * FM_READ_LEN as usize);
             for _ in 0..jobs {
                 let s = rng.gen_range(0..FM_GENOME_LEN - FM_READ_LEN as usize);
                 reads.extend_from_slice(&genome[s..s + FM_READ_LEN as usize]);
             }
             let mut node = GpuNode::new(program, NodeConfig::new(n_devices, gcfg));
-            // Replicate the reference: PCIe to device 0, fabric to peers.
-            // This is the broadcast cost that makes FM fabric-bound.
-            let mut tabs = Vec::new();
-            for d in 0..n_devices {
-                let dev = node.device_mut(d);
-                dev.bind_constants(kernel, tables.const_data());
-                let text = dev.try_malloc(tables.text.len() as u64).expect("alloc");
-                let occ = dev.try_malloc(occ_bytes.len() as u64).expect("alloc");
-                let sa = dev.try_malloc(sa_bytes.len() as u64).expect("alloc");
-                tabs.push((text, occ, sa));
-            }
-            let dev0 = node.device_mut(0);
-            dev0.memcpy_h2d(tabs[0].0, &tables.text);
-            dev0.memcpy_h2d(tabs[0].1, &occ_bytes);
-            dev0.memcpy_h2d(tabs[0].2, &sa_bytes);
-            for d in 1..n_devices {
-                node.p2p_copy(0, tabs[0].0, d, tabs[d].0, tables.text.len());
-                node.p2p_copy(0, tabs[0].1, d, tabs[d].1, occ_bytes.len());
-                node.p2p_copy(0, tabs[0].2, d, tabs[d].2, sa_bytes.len());
-            }
-            node.sync_all();
+            // Replicating the reference to every peer is the broadcast cost
+            // that makes FM fabric-bound.
+            let tabs = tables
+                .upload_to_node(&mut node, kernel)
+                .expect("replicate the FM tables");
             run_sharded(
                 &mut node,
                 jobs,
                 &[(&reads, FM_READ_LEN as usize)],
                 true,
-                |d, slabs, out, nd, dims| {
-                    let (text, occ, sa) = tabs[d];
-                    [
-                        slabs[0].0,
-                        occ.0,
-                        out.0,
-                        nd,
-                        0,
-                        dims.total_threads(),
-                        sa.0,
-                        text.0,
-                        FM_READ_LEN as u64,
-                        0,
-                    ]
-                    .to_vec()
-                },
                 kernel,
-                FM_TPC,
+                |d, s, out, nd| served::fm_launch(FM_READ_LEN, s[0].0, &tabs[d], out.0, nd),
             )
         }
         Workload::PairHmm => {
-            let cfg = PairHmmKernelCfg {
-                read_len: PHMM_READ,
-                hap_len: PHMM_HAP,
-                rows: RowStorage::Shared,
-                threads_per_cta: pick_tpc(6 * (PHMM_HAP + 1) * 8, smem, PHMM_TPC),
-            };
-            let tpc = cfg.threads_per_cta;
-            let kernel = program.add(build_pairhmm_kernel("scale-phmm", &cfg));
+            let kcfg = served::pairhmm_cfg(PHMM_READ, PHMM_HAP, smem, PHMM_TPC);
+            let kernel = program.add(build_pairhmm_kernel("scale-phmm", &kcfg));
             let mut reads = Vec::new();
             let mut quals = Vec::new();
             let mut haps = Vec::new();
             for _ in 0..jobs {
-                let hap: Vec<u8> = (0..PHMM_HAP).map(|_| rng.gen_range(0..4u8)).collect();
+                let hap = bases(&mut rng, PHMM_HAP as usize);
                 let s = rng.gen_range(0..=(PHMM_HAP - PHMM_READ) as usize);
                 reads.extend_from_slice(&hap[s..s + PHMM_READ as usize]);
                 quals.extend((0..PHMM_READ).map(|_| rng.gen_range(15..45u8)));
@@ -453,44 +343,28 @@ fn run_workload(
                     (&haps, PHMM_HAP as usize),
                 ],
                 false,
-                |_, slabs, out, nd, dims| {
-                    [
-                        slabs[0].0,
-                        slabs[2].0,
-                        out.0,
-                        nd,
-                        0,
-                        dims.total_threads(),
-                        slabs[1].0,
-                        0,
-                        0,
-                    ]
-                    .to_vec()
-                },
                 kernel,
-                tpc,
+                |_, s, out, nd| served::pairhmm_launch(&kcfg, [s[0].0, s[1].0, s[2].0], out.0, nd),
             )
         }
-    };
-    out
+    }
 }
 
 /// Scatter → compute → gather one workload across the node's devices.
 ///
 /// `slabs` is the full per-job input data as `(bytes, per_job_stride)`;
-/// each shard is a contiguous byte range of every slab. `params` builds
-/// the launch parameter words from the shard's device-local slab
-/// pointers, its output pointer, its job count, and its dims. Results
-/// are merged in device-index order and read back from device 0.
-#[allow(clippy::too_many_arguments)]
+/// each shard is a contiguous byte range of every slab. `launch` is the
+/// workload's pipeline: the launch shape and parameter words for a device,
+/// its shard's device-local slab pointers, its output pointer and its job
+/// count. Results are merged in device-index order and read back from
+/// device 0.
 fn run_sharded(
     node: &mut GpuNode,
     jobs: usize,
     slabs: &[(&Vec<u8>, usize)],
     zero_out: bool,
-    params: impl Fn(usize, &[DevicePtr], DevicePtr, u64, LaunchDims) -> Vec<u64>,
-    kernel: ggpu_isa::KernelId,
-    tpc: u32,
+    kernel: KernelId,
+    launch: impl Fn(usize, &[DevicePtr], DevicePtr, u64) -> (LaunchDims, Vec<u64>),
 ) -> (Point, Option<String>) {
     let n_devices = node.n_devices();
     let shards = shard_ranges(jobs, n_devices);
@@ -550,10 +424,9 @@ fn run_sharded(
         if nd == 0 {
             continue;
         }
-        let dims = dims_for(nd, tpc);
-        let p = params(d, &dev_slabs[d], dev_out[d], nd, dims);
+        let (dims, words) = launch(d, &dev_slabs[d], dev_out[d], nd);
         node.device_mut(d)
-            .try_launch(kernel, dims, &p)
+            .try_launch(kernel, dims, &words)
             .expect("launch");
     }
     node.sync_all();

@@ -27,6 +27,7 @@
 
 use std::collections::VecDeque;
 
+use ggpu_bench::cli::{self, Args};
 use ggpu_bench::export::{write_json_doc, Table};
 use ggpu_core::json::JsonWriter;
 use ggpu_core::render_table;
@@ -56,16 +57,11 @@ impl Scenario {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: ggpu-stat [steady|overload|faults] [--jobs N] [--wave N] [--seed S]\n\
-         \u{20}                [--top N] [--trace] [--tag NAME]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: ggpu-stat [steady|overload|faults] [--jobs N] [--wave N] [--seed S]\n\
+    \u{20}                [--top N] [--trace] [--tag NAME]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(USAGE);
     let mut scenario = Scenario::Steady;
     let mut jobs = 48usize;
     let mut wave = 6usize;
@@ -73,34 +69,18 @@ fn main() {
     let mut top = 5usize;
     let mut trace = false;
     let mut tag: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
             "steady" => scenario = Scenario::Steady,
             "overload" => scenario = Scenario::Overload,
             "faults" => scenario = Scenario::Faults,
-            "--jobs" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => jobs = n,
-                _ => usage(),
-            },
-            "--wave" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => wave = n,
-                _ => usage(),
-            },
-            "--seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => seed = n,
-                _ => usage(),
-            },
-            "--top" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => top = n,
-                _ => usage(),
-            },
+            "--jobs" => jobs = args.value(cli::positive),
+            "--wave" => wave = args.value(cli::positive),
+            "--seed" => seed = args.value(|s| s.parse().ok()),
+            "--top" => top = args.value(cli::positive),
             "--trace" => trace = true,
-            "--tag" => match it.next() {
-                Some(t) if !t.is_empty() && !t.starts_with('-') => tag = Some(t.clone()),
-                _ => usage(),
-            },
-            _ => usage(),
+            "--tag" => tag = Some(args.value(cli::name)),
+            _ => args.usage(),
         }
     }
 

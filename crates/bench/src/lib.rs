@@ -9,15 +9,15 @@
 //! ```
 //!
 //! Host-time measurement lives in the stand-alone `benchmark/` crate; the
-//! [`measure`] module keeps the two helpers it shares with the binaries
-//! here (summary statistics, provenance stamp).
+//! [`measure`] module keeps the two helpers it imports from here (the
+//! median, a provenance stamp).
 //!
-//! The [`export`] module is the one table/CSV/JSON artifact writer all
-//! the harness binaries share. Criterion microbenchmarks of the CPU
-//! substrate live under `benches/`.
+//! The [`export`] module is the one table/CSV/JSON artifact writer and
+//! [`cli`] the one argument walker all the harness binaries share.
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod export;
 pub mod figures;
 pub mod measure;

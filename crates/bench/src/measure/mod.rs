@@ -1,6 +1,6 @@
-//! The two measurement helpers `benchmark/` and the harness binaries share:
-//! robust summary statistics and a provenance stamp. The measurement
-//! system itself is `benchmark/` (see its README).
+//! The two helpers `benchmark/` imports from this crate: the median and
+//! a provenance stamp. The measurement system itself is `benchmark/` (see
+//! its README).
 
 pub mod provenance;
 pub mod stats;

@@ -32,10 +32,11 @@ fn parse(path: &Path) -> Json {
     Json::parse(&text).expect("artifact is well-formed JSON")
 }
 
-/// Regenerate the committed serving and attribution artifacts with the
-/// commands `results/README.md` documents and require the same bytes. A
+/// Regenerate the committed serving, attribution and scaling artifacts with
+/// the commands `results/README.md` documents and require the same bytes. A
 /// counter or field added to an export without regenerating `results/`
-/// fails here instead of leaving stale files behind.
+/// fails here instead of leaving stale files behind — and so does a host
+/// driver that allocates, transfers or launches differently.
 #[test]
 fn committed_artifacts_are_regenerated_byte_for_byte() {
     let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
@@ -49,7 +50,14 @@ fn committed_artifacts_are_regenerated_byte_for_byte() {
         env!("CARGO_BIN_EXE_ggpu-prof"),
         "SW --scale tiny",
     );
+    let scale = run_into(
+        "pin-scale",
+        env!("CARGO_BIN_EXE_ggpu-scale"),
+        "--jobs 32 --devices 1,2 --tag smoke",
+    );
     for (dir, file) in [
+        (&scale, "scaling_smoke.json"),
+        (&scale, "scaling_smoke.csv"),
         (&soak, "serve_soak.json"),
         (&soak, "serve_soak_latency.csv"),
         (&soak, "serve_soak_requests.csv"),
@@ -144,24 +152,40 @@ fn figures_exits_2_on_an_unknown_experiment() {
     assert!(stderr.contains("unknown experiment: fig99"), "{stderr}");
 }
 
-/// `--threads` went with intra-device threading: each binary answers it
-/// with its usage line and exit status 2 rather than accepting a flag that
-/// does nothing.
+/// Every harness binary answers an argument it does not understand — an
+/// unknown flag (the removed `--threads` among them), a flag missing its
+/// value, a value of the wrong type — with its usage text on stderr and
+/// exit status 2, before it runs or writes anything.
 #[test]
-fn the_removed_threads_flag_is_a_usage_error() {
-    for (exe, args) in [
-        (env!("CARGO_BIN_EXE_figures"), "--threads 4 fig2"),
-        (env!("CARGO_BIN_EXE_ggpu-stat"), "--threads 4"),
-        (env!("CARGO_BIN_EXE_ggpu-prof"), "SW --threads 4"),
-    ] {
-        let out = Command::new(exe)
-            .args(args.split(' '))
-            .output()
-            .expect("spawn harness binary");
-        assert_eq!(out.status.code(), Some(2), "{exe} {args}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.starts_with("usage: "), "{exe} {args}: {stderr}");
+fn a_bad_argument_is_a_usage_error_in_every_binary() {
+    let binaries = [
+        (env!("CARGO_BIN_EXE_figures"), "fig2", "--scale"),
+        (env!("CARGO_BIN_EXE_ggpu-stat"), "faults", "--jobs"),
+        (env!("CARGO_BIN_EXE_ggpu-prof"), "SW", "--top"),
+        (env!("CARGO_BIN_EXE_ggpu-scale"), "--trace", "--jobs"),
+    ];
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("bad-args");
+    let _ = std::fs::remove_dir_all(&dir);
+    for (exe, good, valued) in binaries {
+        for bad in [
+            format!("{good} --threads 4"),
+            format!("{good} --no-such-flag"),
+            format!("{good} {valued}"),
+            format!("{good} {valued} many"),
+            format!("{valued} 0 {good}"),
+        ] {
+            let out = Command::new(exe)
+                .args(bad.split(' '))
+                .env("GGPU_RESULTS_DIR", &dir)
+                .output()
+                .expect("spawn harness binary");
+            assert_eq!(out.status.code(), Some(2), "{exe} {bad}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.starts_with("usage: "), "{exe} {bad}: {stderr}");
+            assert!(out.stdout.is_empty(), "{exe} {bad} ran before refusing");
+        }
     }
+    assert!(!dir.exists(), "a refused invocation wrote results");
 }
 
 /// `results/README.md` marks every entry *committed* or *generated by* a

@@ -32,7 +32,7 @@ pub use ggpu_sim::{
     FaultKind, FaultPlan, Gpu, GpuConfig, IntervalSample, KernelPcProfile, KernelRecord,
     LaunchProblem, PartitionUnit, PcCounters, PcProfile, PcProfileRow, ProfileReport, RunStats,
     SimError, SmStats, SmUnit, StallBreakdown, StallReason, TraceBuffer, TraceEvent,
-    TraceEventKind, TraceSink, UnitProfile,
+    TraceEventKind, UnitProfile,
 };
 
 use ggpu_genomics::{nw_score, sequence_family, sw_score, GapModel, Simple};

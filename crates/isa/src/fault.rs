@@ -29,6 +29,10 @@ pub enum FaultKind {
     CdpQueueOverflow,
     /// A device-side launch exceeded the maximum nesting depth.
     CdpNestingExceeded,
+    /// A device-side launch asked for a grid the device can never run: an
+    /// unknown kernel, an empty grid, a CTA over an SM's thread, register or
+    /// shared-memory limit, or too few parameter words.
+    CdpInvalidLaunch,
 }
 
 impl fmt::Display for FaultKind {
@@ -41,6 +45,7 @@ impl fmt::Display for FaultKind {
             FaultKind::BarrierDivergence => "barrier reached by divergent warp",
             FaultKind::CdpQueueOverflow => "device-side launch queue overflow",
             FaultKind::CdpNestingExceeded => "device-side launch nesting depth exceeded",
+            FaultKind::CdpInvalidLaunch => "device-side launch configuration invalid",
         };
         f.write_str(s)
     }
@@ -72,6 +77,7 @@ impl Instr {
             Instr::Launch { .. } => &[
                 FaultKind::CdpQueueOverflow,
                 FaultKind::CdpNestingExceeded,
+                FaultKind::CdpInvalidLaunch,
                 FaultKind::IllegalAddress,
             ],
             Instr::Bra { .. } => &[FaultKind::InvalidPc],

@@ -19,9 +19,29 @@ use rand::{Rng, SeedableRng};
 
 use ggpu_genomics::{nw_score, sequence_family, GapModel, Simple};
 
-use crate::dp::{build_dp_kernel, scoring_const_data, DpKernelCfg, DpMode, DP_PARAM_WORDS};
+use crate::dp::{
+    build_dp_kernel, scoring_const_data, st_param_block, DpArgs, DpKernelCfg, DpMode,
+    DP_PARAM_WORDS,
+};
+use crate::host::{i64_bytes, read_i64s, read_u32s, u32_bytes, upload, upload_u32s};
 use crate::pairwise::{GAP_EXTEND, GAP_OPEN, MATCH, MISMATCH};
-use crate::{BenchResult, Benchmark, Scale, Table3Row};
+use crate::{BenchResult, Benchmark, KernelResources, Scale, Table3Row};
+
+arg_block! {
+    /// Launch arguments of the on-device greedy driver (CDP variant).
+    ClusterArgs / ClusterSlot {
+        seqs: "All sequences, `max_len` stride.",
+        lens: "u32 length per sequence.",
+        order: "u32 longest-first processing order.",
+        thresholds: "i64 score threshold per sequence.",
+        rep_of: "u32 representative per sequence, initialised to `0xFFFF_FFFF`.",
+        scores: "i64 score scratch, one per sequence.",
+        n_seqs: "Number of sequences.",
+        max_len: "Sequence stride.",
+        scratch: "The child parameter block.",
+        child_cta: "Child CTA size.",
+    }
+}
 
 /// Identity threshold of the benchmark.
 pub const IDENTITY: f64 = 0.82;
@@ -117,50 +137,29 @@ impl ClusterBench {
 
     fn kernel_cfg(&self) -> DpKernelCfg {
         DpKernelCfg {
-            mode: DpMode::Global,
-            max_len: self.max_len,
             rows_in_smem: true,
-            threads_per_cta: self.dims.threads_per_cta(),
-            matches: MATCH,
-            mismatch: MISMATCH,
-            open: GAP_OPEN,
-            extend: GAP_EXTEND,
             shared_target: true,
-            subst_matrix: None,
+            ..DpKernelCfg::new(DpMode::Global, self.max_len, self.dims.threads_per_cta())
         }
     }
 
-    /// On-device greedy driver (CDP variant).
-    ///
-    /// ABI: 0 `seqs`, 1 `lens` (u32), 2 `order` (u32), 3 `thresholds`
-    /// (i64), 4 `rep_of` (u32, init 0xFFFFFFFF), 5 `scores` (i64 scratch),
-    /// 6 `n_seqs`, 7 `max_len`, 8 `scratch` (child param block),
-    /// 9 `child_cta`.
+    /// On-device greedy driver (CDP variant); arguments are
+    /// [`ClusterArgs`].
     fn build_driver(&self, child: u32) -> Kernel {
         let mut b = KernelBuilder::new("CLUSTER-driver");
         let tid = b.global_tid();
         let is0 = b.cmp_s(CmpOp::Eq, Operand::reg(tid), Operand::imm(0));
         b.if_then(is0, |b| {
-            let seqs = b.reg();
-            b.ld_param(seqs, 0);
-            let lens = b.reg();
-            b.ld_param(lens, 1);
-            let order = b.reg();
-            b.ld_param(order, 2);
-            let thr = b.reg();
-            b.ld_param(thr, 3);
-            let rep_of = b.reg();
-            b.ld_param(rep_of, 4);
-            let scores = b.reg();
-            b.ld_param(scores, 5);
-            let n_seqs = b.reg();
-            b.ld_param(n_seqs, 6);
-            let max_len = b.reg();
-            b.ld_param(max_len, 7);
-            let scratch = b.reg();
-            b.ld_param(scratch, 8);
-            let child_cta = b.reg();
-            b.ld_param(child_cta, 9);
+            let seqs = ClusterSlot::seqs.ld(b);
+            let lens = ClusterSlot::lens.ld(b);
+            let order = ClusterSlot::order.ld(b);
+            let thr = ClusterSlot::thresholds.ld(b);
+            let rep_of = ClusterSlot::rep_of.ld(b);
+            let scores = ClusterSlot::scores.ld(b);
+            let n_seqs = ClusterSlot::n_seqs.ld(b);
+            let max_len = ClusterSlot::max_len.ld(b);
+            let scratch = ClusterSlot::scratch.ld(b);
+            let child_cta = ClusterSlot::child_cta.ld(b);
 
             const UNASSIGNED: i64 = 0xFFFF_FFFF;
             b.for_range(Operand::imm(0), Operand::reg(n_seqs), 1, |b, oi| {
@@ -189,15 +188,18 @@ impl ClusterBench {
                     b.iadd(tl_addr, tl_addr, Operand::reg(lens));
                     let tlen = b.reg();
                     b.ld(Space::Global, Width::B32, tlen, tl_addr, 0);
-                    b.st(Space::Global, Width::B64, Operand::reg(seqs), scratch, 0);
-                    b.st(Space::Global, Width::B64, Operand::reg(tgt), scratch, 8);
-                    b.st(Space::Global, Width::B64, Operand::reg(scores), scratch, 16);
-                    b.st(Space::Global, Width::B64, Operand::reg(n_seqs), scratch, 24);
-                    b.st(Space::Global, Width::B64, Operand::imm(0), scratch, 32);
-                    b.st(Space::Global, Width::B64, Operand::reg(n_seqs), scratch, 40);
-                    b.st(Space::Global, Width::B64, Operand::reg(lens), scratch, 48);
-                    b.st(Space::Global, Width::B64, Operand::reg(tlen), scratch, 56);
-                    b.st(Space::Global, Width::B64, Operand::imm(0), scratch, 64);
+                    let child_args = DpArgs {
+                        q: Operand::reg(seqs),
+                        t: Operand::reg(tgt),
+                        out: Operand::reg(scores),
+                        n_pairs: Operand::reg(n_seqs),
+                        pair_offset: Operand::imm(0),
+                        stride: Operand::reg(n_seqs),
+                        lens: Operand::reg(lens),
+                        t_len: Operand::reg(tlen),
+                        idx: Operand::imm(0),
+                    };
+                    st_param_block(b, scratch, child_args.words());
                     let grid = b.reg();
                     b.iadd(grid, n_seqs, Operand::reg(child_cta));
                     b.isub(grid, Operand::reg(grid), Operand::imm(1));
@@ -272,14 +274,11 @@ impl Benchmark for ClusterBench {
         }
     }
 
-    fn resources(&self) -> crate::KernelResources {
-        let k = build_dp_kernel("CLUSTER-score", &self.kernel_cfg());
-        crate::KernelResources {
-            regs_per_thread: k.regs_per_thread,
-            smem_per_cta: k.smem_per_cta,
-            cmem_bytes: k.cmem_bytes,
-            threads_per_cta: self.dims.threads_per_cta(),
-        }
+    fn resources(&self) -> KernelResources {
+        KernelResources::of(
+            &build_dp_kernel("CLUSTER-score", &self.kernel_cfg()),
+            self.dims.threads_per_cta(),
+        )
     }
 
     fn run(&self, config: &GpuConfig, cdp: bool) -> BenchResult {
@@ -295,54 +294,35 @@ impl Benchmark for ClusterBench {
         gpu.bind_constants(child, scoring_const_data(&cfg));
 
         let n = self.n_seqs;
-        let seqs = gpu.malloc(self.seqs.len() as u64);
-        let lens = gpu.malloc(n as u64 * 4);
+        let seqs = upload(&mut gpu, &self.seqs);
+        let lens = upload_u32s(&mut gpu, &self.lens);
         let order = gpu.malloc(n as u64 * 4);
         let thr = gpu.malloc(n as u64 * 8);
-        let rep_of = gpu.malloc(n as u64 * 4);
+        let rep_of = upload(&mut gpu, &vec![0xFF; n * 4]);
         let scores = gpu.malloc(n as u64 * 8);
         let scratch = gpu.malloc(DP_PARAM_WORDS as u64 * 8);
 
-        gpu.memcpy_h2d(seqs, &self.seqs);
-        let len_bytes: Vec<u8> = self.lens.iter().flat_map(|l| l.to_le_bytes()).collect();
-        gpu.memcpy_h2d(lens, &len_bytes);
-        let rep_init: Vec<u8> = vec![0xFF; n * 4];
-        gpu.memcpy_h2d(rep_of, &rep_init);
-
         let got_rep: Vec<u32> = if let Some(driver) = driver {
-            let order_bytes: Vec<u8> = self.order.iter().flat_map(|v| v.to_le_bytes()).collect();
-            gpu.memcpy_h2d(order, &order_bytes);
-            let thr_bytes: Vec<u8> = self
-                .thresholds
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-                .collect();
-            gpu.memcpy_h2d(thr, &thr_bytes);
-            gpu.launch(
-                driver,
-                LaunchDims::linear(1, 32),
-                &[
-                    seqs.0,
-                    lens.0,
-                    order.0,
-                    thr.0,
-                    rep_of.0,
-                    scores.0,
-                    n as u64,
-                    self.max_len as u64,
-                    scratch.0,
-                    64,
-                ],
-            );
+            gpu.memcpy_h2d(order, &u32_bytes(&self.order));
+            gpu.memcpy_h2d(thr, &i64_bytes(&self.thresholds));
+            let args = ClusterArgs {
+                seqs: seqs.0,
+                lens: lens.0,
+                order: order.0,
+                thresholds: thr.0,
+                rep_of: rep_of.0,
+                scores: scores.0,
+                n_seqs: n as u64,
+                max_len: self.max_len as u64,
+                scratch: scratch.0,
+                child_cta: 64,
+            };
+            gpu.launch(driver, LaunchDims::linear(1, 32), &args.words());
             gpu.synchronize();
-            let raw = gpu.memcpy_d2h(rep_of, n * 4);
-            raw.chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4B")))
-                .collect()
+            read_u32s(&mut gpu, rep_of, n)
         } else {
             // Host-driven greedy loop: one kernel + read-back per round.
             let mut rep = vec![u32::MAX; n];
-            let stride = self.dims.total_threads();
             for &oi in &self.order {
                 let oi = oi as usize;
                 if rep[oi] != u32::MAX {
@@ -359,28 +339,22 @@ impl Benchmark for ClusterBench {
                 if cands.is_empty() {
                     break;
                 }
-                let idx_buf = gpu.malloc(cands.len() as u64 * 4);
-                let idx_bytes: Vec<u8> = cands.iter().flat_map(|v| v.to_le_bytes()).collect();
-                gpu.memcpy_h2d(idx_buf, &idx_bytes);
-                gpu.launch(
-                    child,
-                    self.dims,
-                    &[
-                        seqs.0,
-                        seqs.0 + oi as u64 * self.max_len as u64,
-                        scores.0,
-                        cands.len() as u64,
-                        0,
-                        stride,
-                        lens.0,
-                        self.lens[oi] as u64,
-                        idx_buf.0,
-                    ],
-                );
+                let idx = upload_u32s(&mut gpu, &cands);
+                let args = DpArgs {
+                    q: seqs.0,
+                    t: seqs.0 + oi as u64 * self.max_len as u64,
+                    out: scores.0,
+                    n_pairs: cands.len() as u64,
+                    pair_offset: 0,
+                    stride: self.dims.total_threads(),
+                    lens: lens.0,
+                    t_len: self.lens[oi] as u64,
+                    idx: idx.0,
+                };
+                gpu.launch(child, self.dims, &args.words());
                 gpu.synchronize();
-                let raw = gpu.memcpy_d2h(scores, cands.len() * 8);
-                for (slot, &j) in cands.iter().enumerate() {
-                    let s = i64::from_le_bytes(raw[slot * 8..slot * 8 + 8].try_into().expect("8B"));
+                let round = read_i64s(&mut gpu, scores, cands.len());
+                for (&j, s) in cands.iter().zip(round) {
                     if s >= self.thresholds[j as usize] {
                         rep[j as usize] = oi as u32;
                     }

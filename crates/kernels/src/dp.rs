@@ -7,19 +7,8 @@
 //! memory-space mix of Figure 9 in the paper). It is also reused by the
 //! STAR benchmark (pairwise phases) and CLUSTER (shared-target rounds).
 //!
-//! ## Kernel ABI (u64 parameter words)
-//!
-//! | word | meaning |
-//! |------|---------|
-//! | 0 | `q_base` — queries, one byte per base, `max_len` stride |
-//! | 1 | `t_base` — targets, same layout (or the single shared target) |
-//! | 2 | `out_base` — i64 score per pair |
-//! | 3 | `n_pairs` — pairs strictly below this index are processed |
-//! | 4 | `pair_offset` — first pair this grid handles (CDP children) |
-//! | 5 | `stride` — pair increment per loop iteration (host grids pass the total thread count; CDP children pass `n_pairs` so each thread does one pair) |
-//! | 6 | `len_base` — u32 per-sequence lengths, or 0 for uniform `max_len` |
-//! | 7 | `t_len` — target length when built with `shared_target` (ignored otherwise) |
-//! | 8 | `idx_base` — u32 pair→sequence indirection (0 = identity), used by CLUSTER's candidate lists |
+//! The launch arguments are [`DpArgs`] (and [`DpParentArgs`] for the CDP
+//! parent); their field order is the kernel ABI.
 //!
 //! Scoring parameters (match, mismatch, gap open, gap extend) are read
 //! from **constant memory** (i64 words 0-3), matching Table III's
@@ -30,11 +19,30 @@ use ggpu_isa::{
     AluOp, CmpOp, Kernel, KernelBuilder, Operand, Reg, ScalarType, Space, SpecialReg, Width,
 };
 
+use crate::host::i64_bytes;
+use crate::pairwise::{GAP_EXTEND, GAP_OPEN, MATCH, MISMATCH};
+
 /// Negative infinity inside kernels (far below any reachable score).
 pub const KERNEL_NEG_INF: i64 = -1_000_000_000;
 
+arg_block! {
+    /// Launch arguments of a [`build_dp_kernel`] kernel.
+    DpArgs / DpSlot {
+        q: "Queries, one byte per base, `max_len` stride.",
+        t: "Targets, same layout (or the single shared target).",
+        out: "i64 score per pair.",
+        n_pairs: "Pairs strictly below this index are processed.",
+        pair_offset: "First pair this grid handles (CDP children).",
+        stride: "Pair increment per loop iteration: host grids pass the total thread count, CDP \
+            children `n_pairs` so each thread does one pair.",
+        lens: "u32 per-sequence lengths, or 0 for uniform `max_len`.",
+        t_len: "Target length when built with `shared_target` (ignored otherwise).",
+        idx: "u32 pair→sequence indirection (0 = identity), CLUSTER's candidate lists.",
+    }
+}
+
 /// Number of u64 words in the DP kernel ABI.
-pub const DP_PARAM_WORDS: u32 = 9;
+pub const DP_PARAM_WORDS: u32 = DpSlot::COUNT as u32;
 
 /// DP flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,8 +81,8 @@ pub struct DpKernelCfg {
     pub open: i32,
     /// Gap-extend penalty (positive).
     pub extend: i32,
-    /// All pairs align against one shared target at `t_base` whose length
-    /// is ABI word 7 (STAR phase 2, CLUSTER rounds).
+    /// All pairs align against one shared target at [`DpArgs::t`] whose
+    /// length is [`DpArgs::t_len`] (STAR phase 2, CLUSTER rounds).
     pub shared_target: bool,
     /// Score substitutions through a 20×20 matrix held in constant memory
     /// (BLOSUM62 for the protein STAR benchmark) instead of
@@ -83,6 +91,24 @@ pub struct DpKernelCfg {
 }
 
 impl DpKernelCfg {
+    /// The suite's DNA scoring ([`crate::pairwise::MATCH`] and friends),
+    /// rows in local memory, one target per pair; callers override what
+    /// differs with struct-update syntax.
+    pub fn new(mode: DpMode, max_len: u32, threads_per_cta: u32) -> Self {
+        DpKernelCfg {
+            mode,
+            max_len,
+            rows_in_smem: false,
+            threads_per_cta,
+            matches: MATCH,
+            mismatch: MISMATCH,
+            open: GAP_OPEN,
+            extend: GAP_EXTEND,
+            shared_target: false,
+            subst_matrix: None,
+        }
+    }
+
     /// Bytes of row storage per thread: two rows of `(max_len+1)` i64s.
     pub fn row_bytes(&self) -> u32 {
         2 * (self.max_len + 1) * 8
@@ -92,23 +118,18 @@ impl DpKernelCfg {
 /// Constant-memory image binding the scoring parameters (four i64 words —
 /// match, mismatch, gap open, gap extend).
 pub fn scoring_const_data(cfg: &DpKernelCfg) -> Vec<u8> {
-    let mut v = Vec::with_capacity(32);
-    for x in [cfg.matches, cfg.mismatch, cfg.open, cfg.extend] {
-        v.extend_from_slice(&(x as i64).to_le_bytes());
-    }
+    let mut words: Vec<i64> = [cfg.matches, cfg.mismatch, cfg.open, cfg.extend]
+        .map(i64::from)
+        .to_vec();
     if let Some(table) = &cfg.subst_matrix {
         // Rows padded to a 32-entry stride so the kernel's address
         // arithmetic is a shift: offset = 32 + (q*32 + t)*8.
         for row in table {
-            for &x in row {
-                v.extend_from_slice(&(x as i64).to_le_bytes());
-            }
-            for _ in 20..32 {
-                v.extend_from_slice(&0i64.to_le_bytes());
-            }
+            words.extend(row.iter().map(|&x| x as i64));
+            words.extend([0; 12]);
         }
     }
-    v
+    i64_bytes(&words)
 }
 
 /// Registers holding kernel-wide values inside the emitter.
@@ -150,24 +171,15 @@ pub fn build_dp_kernel(name: &str, cfg: &DpKernelCfg) -> Kernel {
     let e_off = (cfg.max_len as i64 + 1) * 8;
 
     // ---- parameters ----
-    let q_base = b.reg();
-    b.ld_param(q_base, 0);
-    let t_base = b.reg();
-    b.ld_param(t_base, 1);
-    let out_base = b.reg();
-    b.ld_param(out_base, 2);
-    let n_pairs = b.reg();
-    b.ld_param(n_pairs, 3);
-    let pair_off = b.reg();
-    b.ld_param(pair_off, 4);
-    let stride = b.reg();
-    b.ld_param(stride, 5);
-    let len_base = b.reg();
-    b.ld_param(len_base, 6);
-    let t_len = b.reg();
-    b.ld_param(t_len, 7);
-    let idx_base = b.reg();
-    b.ld_param(idx_base, 8);
+    let q_base = DpSlot::q.ld(&mut b);
+    let t_base = DpSlot::t.ld(&mut b);
+    let out_base = DpSlot::out.ld(&mut b);
+    let n_pairs = DpSlot::n_pairs.ld(&mut b);
+    let pair_off = DpSlot::pair_offset.ld(&mut b);
+    let stride = DpSlot::stride.ld(&mut b);
+    let len_base = DpSlot::lens.ld(&mut b);
+    let t_len = DpSlot::t_len.ld(&mut b);
+    let idx_base = DpSlot::idx.ld(&mut b);
 
     // ---- scoring constants from constant memory ----
     let c_mat = b.reg();
@@ -264,7 +276,7 @@ fn emit_one_pair(
     }
 
     // Effective lengths: query from the length table, target either shared
-    // (word 7) or equal to the query length (pairwise benchmarks).
+    // (`t_len`) or equal to the query length (pairwise benchmarks).
     let qlen = b.reg();
     let have_lens = b.cmp_s(CmpOp::Ne, Operand::reg(r.len_base), Operand::imm(0));
     b.if_then_else(
@@ -487,25 +499,40 @@ fn emit_one_pair(
     b.st(Space::Global, Width::B64, Operand::reg(score), oa, 0);
 }
 
+arg_block! {
+    /// Launch arguments of a [`build_dp_parent`] kernel, after the nine words
+    /// of its child: a [`DpArgs`] or a [`crate::pairhmm::PairHmmArgs`], which
+    /// keep `n_pairs`, `pair_offset` and `stride` in the same slots. The
+    /// parent overwrites those three per child grid and passes the rest on.
+    DpParentArgs / DpParentSlot after (DpSlot::COUNT) {
+        scratch: "One child parameter block ([`DP_PARAM_WORDS`] words) per parent thread.",
+        chunk: "Pairs per parent thread, i.e. per child grid.",
+        child_cta: "Child CTA size.",
+    }
+}
+
+/// Store `words` as a child parameter block at `block`, in ABI order.
+pub(crate) fn st_param_block<const N: usize>(
+    b: &mut KernelBuilder,
+    block: Reg,
+    words: [Operand; N],
+) {
+    for (i, w) in words.into_iter().enumerate() {
+        b.st(Space::Global, Width::B64, w, block, i as i64 * 8);
+    }
+}
+
 /// Emit a CDP parent kernel: each parent thread owns a `chunk` of pairs,
 /// writes a child parameter block into its scratch slot, launches the child
-/// grid (one pair per thread), and synchronizes.
-///
-/// Parent ABI: words 0-8 as the child's (word 5 ignored), word 9 =
-/// scratch base for parameter blocks, word 10 = chunk size, word 11 =
-/// child CTA size.
+/// grid (one pair per thread), and synchronizes. Arguments: the child's, then
+/// [`DpParentArgs`].
 pub fn build_dp_parent(name: &str, child_kernel: u32) -> Kernel {
     let mut b = KernelBuilder::new(name);
-    let n_pairs = b.reg();
-    b.ld_param(n_pairs, 3);
-    let pair_offset = b.reg();
-    b.ld_param(pair_offset, 4);
-    let scratch = b.reg();
-    b.ld_param(scratch, 9);
-    let chunk = b.reg();
-    b.ld_param(chunk, 10);
-    let child_cta = b.reg();
-    b.ld_param(child_cta, 11);
+    let n_pairs = DpSlot::n_pairs.ld(&mut b);
+    let pair_offset = DpSlot::pair_offset.ld(&mut b);
+    let scratch = DpParentSlot::scratch.ld(&mut b);
+    let chunk = DpParentSlot::chunk.ld(&mut b);
+    let child_cta = DpParentSlot::child_cta.ld(&mut b);
 
     let tid = b.global_tid();
     let start = b.reg();
@@ -522,22 +549,28 @@ pub fn build_dp_parent(name: &str, child_kernel: u32) -> Kernel {
         let pb = b.reg();
         b.imul(pb, tid, Operand::imm(DP_PARAM_WORDS as i64 * 8));
         b.iadd(pb, pb, Operand::reg(scratch));
-        // Copy pass-through words; set 3 = limit, 4 = start, 5 = n_pairs
-        // (a stride larger than any pair id → one pair per child thread).
-        for w in [0u32, 1, 2, 6, 7, 8] {
-            let v = b.reg();
-            b.ld_param(v, w);
-            b.st(
-                Space::Global,
-                Width::B64,
-                Operand::reg(v),
-                pb,
-                (w as i64) * 8,
-            );
+        // Copy the pass-through words, then the three this child differs in:
+        // a stride of `n_pairs` is larger than any pair id, so each child
+        // thread does one pair.
+        let at = |slot: DpSlot| slot as i64 * 8;
+        for slot in [
+            DpSlot::q,
+            DpSlot::t,
+            DpSlot::out,
+            DpSlot::lens,
+            DpSlot::t_len,
+            DpSlot::idx,
+        ] {
+            let v = slot.ld(b);
+            b.st(Space::Global, Width::B64, Operand::reg(v), pb, at(slot));
         }
-        b.st(Space::Global, Width::B64, Operand::reg(limit), pb, 3 * 8);
-        b.st(Space::Global, Width::B64, Operand::reg(start), pb, 4 * 8);
-        b.st(Space::Global, Width::B64, Operand::reg(n_pairs), pb, 5 * 8);
+        for (slot, v) in [
+            (DpSlot::n_pairs, limit),
+            (DpSlot::pair_offset, start),
+            (DpSlot::stride, n_pairs),
+        ] {
+            b.st(Space::Global, Width::B64, Operand::reg(v), pb, at(slot));
+        }
         // grid = ceil(chunk / child_cta)
         let grid = b.reg();
         b.iadd(grid, chunk, Operand::reg(child_cta));

@@ -17,14 +17,66 @@
 //! Reads are processed in batches staged over PCIe, giving NvB its high
 //! kernel *and* PCI counts in Figure 4.
 
-use ggpu_isa::{AtomOp, CmpOp, Kernel, KernelBuilder, LaunchDims, Operand, Program, Space, Width};
-use ggpu_sim::{Gpu, GpuConfig};
+use ggpu_isa::{
+    AtomOp, CmpOp, Kernel, KernelBuilder, KernelId, LaunchDims, Operand, Program, Space, Width,
+};
+use ggpu_sim::{DevicePtr, Gpu, GpuConfig, GpuNode, SimError};
 use rand::{Rng, SeedableRng};
 
 use ggpu_genomics::fmindex::{bwt_from_sa, suffix_array, SENTINEL};
 use ggpu_genomics::random_genome;
 
-use crate::{BenchResult, Benchmark, Scale, Table3Row};
+use crate::dp::st_param_block;
+use crate::host::{batch_ranges, read_u64s, try_upload, u32_bytes};
+use crate::{BenchResult, Benchmark, KernelResources, Scale, Table3Row};
+
+arg_block! {
+    /// Launch arguments of the search kernel (both variants); constant
+    /// memory holds [`FmTables::const_data`].
+    FmArgs / FmSlot {
+        reads: "Reads, `read_len` bytes each.",
+        occ: "Occ table ([`FmTables::occ`]).",
+        out: "Packed best hit per read ([`unpack_hit`]); written only for mappable reads.",
+        n_reads: "Reads strictly below this index are processed.",
+        read_offset: "First read this grid handles.",
+        stride: "Read increment per loop iteration (the total thread count).",
+        sa: "Suffix array ([`FmTables::sa`]).",
+        text: "Reference text ([`FmTables::text`]).",
+        read_len: "Read length.",
+        scratch: "One [`VerifyArgs`] block per read (CDP variant; unused otherwise).",
+    }
+}
+
+arg_block! {
+    /// Launch arguments of the verification child kernel (CDP variant),
+    /// one thread per candidate row; written by the search kernel.
+    VerifyArgs / VerifySlot {
+        sa: "Suffix array.",
+        text: "Reference text.",
+        reads: "Reads.",
+        out: "Packed best hit per read.",
+        read_idx: "The read to verify.",
+        lo: "First candidate SA row.",
+        read_len: "Read length.",
+    }
+}
+
+/// Addresses of one device's copy of the FM tables.
+#[derive(Debug, Clone, Copy)]
+pub struct FmDevice {
+    /// Reference text.
+    pub text: DevicePtr,
+    /// Occ table.
+    pub occ: DevicePtr,
+    /// Suffix array.
+    pub sa: DevicePtr,
+}
+
+/// Split a packed mapping result into `(match_count, position)`; the
+/// inverse of the packing [`FmTables::map_read`] documents.
+pub fn unpack_hit(word: u64) -> (u32, u32) {
+    ((word >> 32) as u32, word as u32)
+}
 
 /// Maximum candidate positions verified per read.
 pub const MAX_HITS: u64 = 8;
@@ -88,6 +140,52 @@ impl FmTables {
         v
     }
 
+    /// Upload text, Occ and SA, in that order: three allocations, three
+    /// PCIe transfers (the index build cost the paper excludes).
+    pub fn upload(&self, gpu: &mut Gpu) -> Result<FmDevice, SimError> {
+        Ok(FmDevice {
+            text: try_upload(gpu, &self.text)?,
+            occ: try_upload(gpu, &u32_bytes(&self.occ))?,
+            sa: try_upload(gpu, &u32_bytes(&self.sa))?,
+        })
+    }
+
+    /// Make the tables resident on every device of `node` and bind
+    /// [`FmTables::const_data`] to `kernel` there: uploaded once to device
+    /// 0 over PCIe, then replicated to each peer over the inter-GPU fabric
+    /// — the broadcast that makes FM mapping fabric-bound — and landed
+    /// before any kernel can read them.
+    pub fn upload_to_node(
+        &self,
+        node: &mut GpuNode,
+        kernel: KernelId,
+    ) -> Result<Vec<FmDevice>, SimError> {
+        let first = self.upload(node.device_mut(0))?;
+        let mut devices = vec![first];
+        for d in 1..node.n_devices() {
+            let mut peer = first;
+            for (ptr, len) in [
+                (&mut peer.text, self.text.len()),
+                (&mut peer.occ, self.occ.len() * 4),
+                (&mut peer.sa, self.sa.len() * 4),
+            ] {
+                let dst = node.device_mut(d).try_malloc(len as u64)?;
+                node.try_p2p_copy(0, *ptr, d, dst, len)?;
+                *ptr = dst;
+            }
+            devices.push(peer);
+        }
+        for d in 0..node.n_devices() {
+            node.device_mut(d).bind_constants(kernel, self.const_data());
+        }
+        if devices.len() > 1 {
+            for r in node.try_sync_all() {
+                r?;
+            }
+        }
+        Ok(devices)
+    }
+
     /// CPU backward search over these tables: SA interval of `pattern`.
     pub fn backward_search(&self, pattern: &[u8]) -> (usize, usize) {
         let n = self.text.len();
@@ -130,26 +228,17 @@ impl FmTables {
     }
 }
 
-/// Emit the verification child kernel (CDP variant).
-///
-/// ABI: 0 `sa`, 1 `text`, 2 `reads`, 3 `out`, 4 `read_idx`, 5 `lo`,
-/// 6 `read_len`. One thread per candidate row.
+/// Emit the verification child kernel (CDP variant); arguments are
+/// [`VerifyArgs`].
 fn build_verify_kernel() -> Kernel {
     let mut b = KernelBuilder::new("NvB-verify");
-    let sa = b.reg();
-    b.ld_param(sa, 0);
-    let text = b.reg();
-    b.ld_param(text, 1);
-    let reads = b.reg();
-    b.ld_param(reads, 2);
-    let out = b.reg();
-    b.ld_param(out, 3);
-    let ridx = b.reg();
-    b.ld_param(ridx, 4);
-    let lo = b.reg();
-    b.ld_param(lo, 5);
-    let read_len = b.reg();
-    b.ld_param(read_len, 6);
+    let sa = VerifySlot::sa.ld(&mut b);
+    let text = VerifySlot::text.ld(&mut b);
+    let reads = VerifySlot::reads.ld(&mut b);
+    let out = VerifySlot::out.ld(&mut b);
+    let ridx = VerifySlot::read_idx.ld(&mut b);
+    let lo = VerifySlot::lo.ld(&mut b);
+    let read_len = VerifySlot::read_len.ld(&mut b);
 
     let tid = b.global_tid();
     let row = b.reg();
@@ -208,35 +297,20 @@ fn build_verify_kernel() -> Kernel {
     k
 }
 
-/// Emit the search kernel.
-///
-/// ABI: 0 `reads`, 1 `occ`, 2 `out`, 3 `n_reads`, 4 `read_offset`,
-/// 5 `stride`, 6 `sa`, 7 `text`, 8 `read_len`, 9 `scratch` (CDP child
-/// parameter blocks, one per read) — constant memory holds C[0..5] and the
-/// text length.
+/// Emit the search kernel; arguments are [`FmArgs`].
 fn build_search_kernel(name: &str, cdp_child: Option<u32>) -> Kernel {
     let mut b = KernelBuilder::new(name);
     b.set_cmem_bytes(7 * 8);
-    let reads = b.reg();
-    b.ld_param(reads, 0);
-    let occ = b.reg();
-    b.ld_param(occ, 1);
-    let out = b.reg();
-    b.ld_param(out, 2);
-    let n_reads = b.reg();
-    b.ld_param(n_reads, 3);
-    let roff = b.reg();
-    b.ld_param(roff, 4);
-    let stride = b.reg();
-    b.ld_param(stride, 5);
-    let sa = b.reg();
-    b.ld_param(sa, 6);
-    let text = b.reg();
-    b.ld_param(text, 7);
-    let read_len = b.reg();
-    b.ld_param(read_len, 8);
-    let scratch = b.reg();
-    b.ld_param(scratch, 9);
+    let reads = FmSlot::reads.ld(&mut b);
+    let occ = FmSlot::occ.ld(&mut b);
+    let out = FmSlot::out.ld(&mut b);
+    let n_reads = FmSlot::n_reads.ld(&mut b);
+    let roff = FmSlot::read_offset.ld(&mut b);
+    let stride = FmSlot::stride.ld(&mut b);
+    let sa = FmSlot::sa.ld(&mut b);
+    let text = FmSlot::text.ld(&mut b);
+    let read_len = FmSlot::read_len.ld(&mut b);
+    let scratch = FmSlot::scratch.ld(&mut b);
 
     let n_plus1 = b.reg();
     b.ld(Space::Const, Width::B64, n_plus1, Operand::imm(0), 48);
@@ -311,21 +385,24 @@ fn build_search_kernel(name: &str, cdp_child: Option<u32>) -> Kernel {
                     // Launch a verification child per read.
                     b.if_then(have, |b| {
                         let pb = b.reg();
-                        b.imul(pb, r, Operand::imm(7 * 8));
+                        b.imul(pb, r, Operand::imm(VerifySlot::COUNT as i64 * 8));
                         b.iadd(pb, pb, Operand::reg(scratch));
-                        b.st(Space::Global, Width::B64, Operand::reg(sa), pb, 0);
-                        b.st(Space::Global, Width::B64, Operand::reg(text), pb, 8);
-                        b.st(Space::Global, Width::B64, Operand::reg(reads), pb, 16);
-                        b.st(Space::Global, Width::B64, Operand::reg(out), pb, 24);
-                        b.st(Space::Global, Width::B64, Operand::reg(r), pb, 32);
-                        b.st(Space::Global, Width::B64, Operand::reg(lo), pb, 40);
-                        b.st(Space::Global, Width::B64, Operand::reg(read_len), pb, 48);
+                        let args = VerifyArgs {
+                            sa,
+                            text,
+                            reads,
+                            out,
+                            read_idx: r,
+                            lo,
+                            read_len,
+                        };
+                        st_param_block(b, pb, args.words().map(Operand::reg));
                         b.launch(
                             child,
                             Operand::imm(1),
                             Operand::reg(hits),
                             Operand::reg(pb),
-                            7,
+                            VerifySlot::COUNT as u32,
                         );
                         b.dsync();
                     });
@@ -388,10 +465,9 @@ fn build_search_kernel(name: &str, cdp_child: Option<u32>) -> Kernel {
 }
 
 /// Emit the non-CDP FM-index search kernel for embedding in an external
-/// host program (the serving layer builds its mapper from this). Same ABI
-/// as the benchmark's kernel: `0 reads, 1 occ, 2 out, 3 n_reads,
-/// 4 read_offset, 5 stride, 6 sa, 7 text, 8 read_len, 9 scratch(unused)`,
-/// with [`FmTables::const_data`] bound as constant memory.
+/// host program (the served FM pipeline is built from this). Same
+/// [`FmArgs`] as the benchmark's kernel, with [`FmTables::const_data`] bound
+/// as constant memory.
 pub fn build_fm_search_kernel(name: &str) -> Kernel {
     build_search_kernel(name, None)
 }
@@ -478,91 +554,53 @@ impl Benchmark for NvbBench {
         }
     }
 
-    fn resources(&self) -> crate::KernelResources {
-        let k = build_search_kernel("NvB-search", None);
-        crate::KernelResources {
-            regs_per_thread: k.regs_per_thread,
-            smem_per_cta: k.smem_per_cta,
-            cmem_bytes: k.cmem_bytes,
-            threads_per_cta: self.dims.threads_per_cta(),
-        }
+    fn resources(&self) -> KernelResources {
+        KernelResources::of(
+            &build_search_kernel("NvB-search", None),
+            self.dims.threads_per_cta(),
+        )
     }
 
     fn run(&self, config: &GpuConfig, cdp: bool) -> BenchResult {
         let mut program = Program::new();
-        let (search, child) = if cdp {
+        let search = if cdp {
             let child = program.add(build_verify_kernel());
-            let search = program.add(build_search_kernel("NvB-search-cdp", Some(child.0)));
-            (search, Some(child))
+            program.add(build_search_kernel("NvB-search-cdp", Some(child.0)))
         } else {
-            (program.add(build_search_kernel("NvB-search", None)), None)
+            program.add(build_search_kernel("NvB-search", None))
         };
-        let _ = child;
         let mut gpu = Gpu::new(program, config.clone());
         gpu.bind_constants(search, self.tables.const_data());
 
         let n = self.n_reads;
-        let text = gpu.malloc(self.tables.text.len() as u64);
-        let occ = gpu.malloc(self.tables.occ.len() as u64 * 4);
-        let sa = gpu.malloc(self.tables.sa.len() as u64 * 4);
+        let tables = self.tables.upload(&mut gpu).expect("FM tables fit");
         let reads = gpu.malloc(self.reads.len() as u64);
         let out = gpu.malloc(n as u64 * 8);
-        let scratch = gpu.malloc(n as u64 * 7 * 8);
-
-        // Reference tables upload (the index build cost the paper excludes).
-        gpu.memcpy_h2d(text, &self.tables.text);
-        let occ_bytes: Vec<u8> = self
-            .tables
-            .occ
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect();
-        gpu.memcpy_h2d(occ, &occ_bytes);
-        let sa_bytes: Vec<u8> = self
-            .tables
-            .sa
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect();
-        gpu.memcpy_h2d(sa, &sa_bytes);
+        let scratch = gpu.malloc((n * VerifySlot::COUNT * 8) as u64);
 
         // Reads staged per batch, results copied back per batch.
-        let per_batch = n.div_ceil(self.batches);
-        for batch in 0..self.batches {
-            let start = batch * per_batch;
-            let end = ((batch + 1) * per_batch).min(n);
-            if start >= end {
-                break;
-            }
-            let rs = start * self.read_len as usize;
-            let re = end * self.read_len as usize;
+        for batch in batch_ranges(n, self.batches) {
+            let rs = batch.start * self.read_len as usize;
+            let re = batch.end * self.read_len as usize;
             gpu.memcpy_h2d(reads.offset(rs as u64), &self.reads[rs..re]);
-            let stride = self.dims.total_threads();
-            gpu.launch(
-                search,
-                self.dims,
-                &[
-                    reads.0,
-                    occ.0,
-                    out.0,
-                    end as u64,
-                    start as u64,
-                    stride,
-                    sa.0,
-                    text.0,
-                    self.read_len as u64,
-                    scratch.0,
-                ],
-            );
+            let args = FmArgs {
+                reads: reads.0,
+                occ: tables.occ.0,
+                out: out.0,
+                n_reads: batch.end as u64,
+                read_offset: batch.start as u64,
+                stride: self.dims.total_threads(),
+                sa: tables.sa.0,
+                text: tables.text.0,
+                read_len: self.read_len as u64,
+                scratch: scratch.0,
+            };
+            gpu.launch(search, self.dims, &args.words());
             gpu.synchronize();
-            let _ = gpu.memcpy_d2h(out.offset(start as u64 * 8), (end - start) * 8);
+            let _ = gpu.memcpy_d2h(out.offset(batch.start as u64 * 8), batch.len() * 8);
         }
 
-        let raw = gpu.memcpy_d2h(out, n * 8);
-        let got: Vec<u64> = raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8B")))
-            .collect();
+        let got = read_u64s(&mut gpu, out, n);
         let verified = got == self.expected;
         BenchResult::collect(
             &mut gpu,

@@ -7,10 +7,7 @@
 //! operation-for-operation so results validate against the CPU oracle to
 //! floating-point tolerance.
 //!
-//! Kernel ABI: 0 `reads`, 1 `haps`, 2 `out` (f64 bits per pair),
-//! 3 `n_pairs`, 4 `pair_offset`, 5 `stride`, 6 `quals`, 7 `scratch`
-//! (global row arena for the no-shared-memory variant; unused otherwise),
-//! 8 unused (kept compatible with the shared CDP parent).
+//! Launch arguments are [`PairHmmArgs`].
 
 use ggpu_isa::{
     AluOp, CmpOp, Kernel, KernelBuilder, LaunchDims, Operand, Program, Reg, Space, SpecialReg,
@@ -21,8 +18,36 @@ use rand::{Rng, SeedableRng};
 
 use ggpu_genomics::{phred_to_error, random_genome, PairHmm};
 
-use crate::dp::{build_dp_parent, DP_PARAM_WORDS};
-use crate::{BenchResult, Benchmark, Scale, Table3Row};
+use crate::dp::build_dp_parent;
+use crate::host::{batch_ranges, launch_dp_parent, read_u64s, upload};
+use crate::{BenchResult, Benchmark, KernelResources, Scale, Table3Row};
+
+arg_block! {
+    /// Launch arguments of a [`build_pairhmm_kernel`] kernel. `n_pairs`,
+    /// `pair_offset` and `stride` sit in the slots [`crate::dp::DpArgs`]
+    /// gives them, so the shared CDP parent drives this kernel too.
+    PairHmmArgs / PairHmmSlot {
+        reads: "Reads, `read_len` bytes per pair.",
+        haps: "Haplotypes, `hap_len` bytes per pair.",
+        out: "f64 bits of the total likelihood per pair ([`log_likelihood`]).",
+        n_pairs: "Pairs strictly below this index are processed.",
+        pair_offset: "First pair this grid handles (CDP children).",
+        stride: "Pair increment per loop iteration.",
+        quals: "Phred qualities, `read_len` bytes per pair.",
+        scratch: "Global row arena ([`RowStorage::GlobalScratch`]; unused otherwise).",
+        unused: "Never read: pads the block to the nine words the CDP parent copies.",
+    }
+}
+
+/// The log10 likelihood a result word encodes.
+pub fn log_likelihood(word: u64) -> f64 {
+    let total = f64::from_bits(word);
+    if total > 0.0 {
+        total.log10()
+    } else {
+        f64::NEG_INFINITY
+    }
+}
 
 /// Gap-open probability (matches the CPU default).
 pub const GAP_OPEN_P: f64 = 1e-3;
@@ -84,22 +109,14 @@ pub fn build_pairhmm_kernel(name: &str, cfg: &PairHmmKernelCfg) -> Kernel {
                                                // Layout: [m0 x0 y0 m1 x1 y1], prev/cur toggled by a 3-row offset.
     let half = 3 * stripe;
 
-    let reads = b.reg();
-    b.ld_param(reads, 0);
-    let haps = b.reg();
-    b.ld_param(haps, 1);
-    let out = b.reg();
-    b.ld_param(out, 2);
-    let n_pairs = b.reg();
-    b.ld_param(n_pairs, 3);
-    let pair_off = b.reg();
-    b.ld_param(pair_off, 4);
-    let stride = b.reg();
-    b.ld_param(stride, 5);
-    let quals = b.reg();
-    b.ld_param(quals, 6);
-    let scratch = b.reg();
-    b.ld_param(scratch, 7);
+    let reads = PairHmmSlot::reads.ld(&mut b);
+    let haps = PairHmmSlot::haps.ld(&mut b);
+    let out = PairHmmSlot::out.ld(&mut b);
+    let n_pairs = PairHmmSlot::n_pairs.ld(&mut b);
+    let pair_off = PairHmmSlot::pair_offset.ld(&mut b);
+    let stride = PairHmmSlot::stride.ld(&mut b);
+    let quals = PairHmmSlot::quals.ld(&mut b);
+    let scratch = PairHmmSlot::scratch.ld(&mut b);
 
     let tid = b.global_tid();
     let pair = b.reg();
@@ -400,14 +417,11 @@ impl Benchmark for PairHmmBench {
         }
     }
 
-    fn resources(&self) -> crate::KernelResources {
-        let k = build_pairhmm_kernel("PairHMM", &self.kernel_cfg());
-        crate::KernelResources {
-            regs_per_thread: k.regs_per_thread,
-            smem_per_cta: k.smem_per_cta,
-            cmem_bytes: k.cmem_bytes,
-            threads_per_cta: self.dims.threads_per_cta(),
-        }
+    fn resources(&self) -> KernelResources {
+        KernelResources::of(
+            &build_pairhmm_kernel("PairHMM", &self.kernel_cfg()),
+            self.dims.threads_per_cta(),
+        )
     }
 
     fn run(&self, config: &GpuConfig, cdp: bool) -> BenchResult {
@@ -422,9 +436,9 @@ impl Benchmark for PairHmmBench {
         gpu.bind_constants(child, phred_const_data());
 
         let n = self.n_pairs;
-        let reads = gpu.malloc(self.reads.len() as u64);
-        let quals = gpu.malloc(self.quals.len() as u64);
-        let haps = gpu.malloc(self.haps.len() as u64);
+        let reads = upload(&mut gpu, &self.reads);
+        let quals = upload(&mut gpu, &self.quals);
+        let haps = upload(&mut gpu, &self.haps);
         let out = gpu.malloc(n as u64 * 8);
         let scratch = if self.rows == RowStorage::GlobalScratch {
             gpu.malloc(n as u64 * self.kernel_cfg().row_bytes() as u64)
@@ -432,79 +446,39 @@ impl Benchmark for PairHmmBench {
         } else {
             0
         };
-        gpu.memcpy_h2d(reads, &self.reads);
-        gpu.memcpy_h2d(quals, &self.quals);
-        gpu.memcpy_h2d(haps, &self.haps);
 
-        let per_batch = n.div_ceil(self.batches);
-        for batch in 0..self.batches {
-            let start = batch * per_batch;
-            let end = ((batch + 1) * per_batch).min(n);
-            if start >= end {
-                break;
-            }
-            match (cdp, parent) {
-                (true, Some(pk)) => {
-                    // One full, correctly-sliced CTA per child grid.
-                    let child_cta = self.dims.threads_per_cta() as u64;
-                    let chunk = child_cta;
-                    let pthreads = ((end - start) as u64).div_ceil(chunk) as u32;
-                    let pscratch = gpu.malloc(pthreads as u64 * DP_PARAM_WORDS as u64 * 8);
-                    gpu.launch(
-                        pk,
-                        LaunchDims::linear(pthreads.div_ceil(32).max(1), 32),
-                        &[
-                            reads.0,
-                            haps.0,
-                            out.0,
-                            end as u64,
-                            start as u64,
-                            0,
-                            quals.0,
-                            scratch,
-                            0,
-                            pscratch.0,
-                            chunk,
-                            child_cta,
-                        ],
-                    );
+        for batch in batch_ranges(n, self.batches) {
+            let args = PairHmmArgs {
+                reads: reads.0,
+                haps: haps.0,
+                out: out.0,
+                n_pairs: batch.end as u64,
+                pair_offset: batch.start as u64,
+                // The CDP parent sets each child's stride itself.
+                stride: if cdp { 0 } else { self.dims.total_threads() },
+                quals: quals.0,
+                scratch,
+                unused: 0,
+            };
+            match parent {
+                // One full, correctly-sliced CTA per child grid.
+                Some(pk) => {
+                    launch_dp_parent(&mut gpu, pk, args.words(), self.dims.threads_per_cta())
                 }
-                _ => {
-                    let stride = self.dims.total_threads();
-                    gpu.launch(
-                        child,
-                        self.dims,
-                        &[
-                            reads.0,
-                            haps.0,
-                            out.0,
-                            end as u64,
-                            start as u64,
-                            stride,
-                            quals.0,
-                            scratch,
-                            0,
-                        ],
-                    );
+                None => {
+                    gpu.launch(child, self.dims, &args.words());
                 }
             }
             gpu.synchronize();
         }
 
-        let raw = gpu.memcpy_d2h(out, n * 8);
-        let mut verified = true;
-        for (p, c) in raw.chunks_exact(8).enumerate() {
-            let total = f64::from_bits(u64::from_le_bytes(c.try_into().expect("8B")));
-            let got = if total > 0.0 {
-                total.log10()
-            } else {
-                f64::NEG_INFINITY
-            };
-            let want = self.expected[p];
-            if !(got.is_finite() && (got - want).abs() <= 1e-9 * want.abs().max(1.0)) {
-                verified = false;
-            }
-        }
+        let verified = read_u64s(&mut gpu, out, n)
+            .into_iter()
+            .zip(&self.expected)
+            .all(|(word, &want)| {
+                let got = log_likelihood(word);
+                got.is_finite() && (got - want).abs() <= 1e-9 * want.abs().max(1.0)
+            });
         BenchResult::collect(
             &mut gpu,
             verified,

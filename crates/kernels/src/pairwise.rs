@@ -9,7 +9,7 @@
 //! * The GASAL2 benchmarks stage every batch over PCIe (copy in, kernel,
 //!   copy out), so PCI transactions outnumber kernel calls.
 
-use ggpu_isa::{KernelId, LaunchDims, Program};
+use ggpu_isa::{LaunchDims, Program};
 use ggpu_sim::{Gpu, GpuConfig};
 use rand::{Rng, SeedableRng};
 
@@ -18,9 +18,10 @@ use ggpu_genomics::{
 };
 
 use crate::dp::{
-    build_dp_kernel, build_dp_parent, scoring_const_data, DpKernelCfg, DpMode, DP_PARAM_WORDS,
+    build_dp_kernel, build_dp_parent, scoring_const_data, DpArgs, DpKernelCfg, DpMode,
 };
-use crate::{BenchResult, Benchmark, Scale, Table3Row};
+use crate::host::{batch_ranges, launch_dp_parent, read_i64s, u32_bytes, upload};
+use crate::{BenchResult, Benchmark, KernelResources, Scale, Table3Row};
 
 /// Scoring constants shared by every pairwise benchmark (and their CPU
 /// oracles).
@@ -284,16 +285,8 @@ impl PairwiseBench {
 
     fn kernel_cfg(&self) -> DpKernelCfg {
         DpKernelCfg {
-            mode: self.mode,
-            max_len: self.max_len,
             rows_in_smem: self.rows_in_smem,
-            threads_per_cta: self.dims.threads_per_cta(),
-            matches: MATCH,
-            mismatch: MISMATCH,
-            open: GAP_OPEN,
-            extend: GAP_EXTEND,
-            shared_target: false,
-            subst_matrix: None,
+            ..DpKernelCfg::new(self.mode, self.max_len, self.dims.threads_per_cta())
         }
     }
 }
@@ -320,14 +313,11 @@ impl Benchmark for PairwiseBench {
         }
     }
 
-    fn resources(&self) -> crate::KernelResources {
-        let k = build_dp_kernel(self.abbrev, &self.kernel_cfg());
-        crate::KernelResources {
-            regs_per_thread: k.regs_per_thread,
-            smem_per_cta: k.smem_per_cta,
-            cmem_bytes: k.cmem_bytes,
-            threads_per_cta: self.dims.threads_per_cta(),
-        }
+    fn resources(&self) -> KernelResources {
+        KernelResources::of(
+            &build_dp_kernel(self.abbrev, &self.kernel_cfg()),
+            self.dims.threads_per_cta(),
+        )
     }
 
     fn run(&self, config: &GpuConfig, cdp: bool) -> BenchResult {
@@ -343,37 +333,27 @@ impl Benchmark for PairwiseBench {
         gpu.bind_constants(child, scoring_const_data(&cfg));
 
         let n = self.n_pairs();
-        let q = gpu.malloc(self.queries.len() as u64);
-        let t = gpu.malloc(self.targets.len() as u64);
-        let lenp = gpu.malloc(n as u64 * 4);
-        let out = gpu.malloc(n as u64 * 8);
-        let len_bytes: Vec<u8> = self.lens.iter().flat_map(|l| l.to_le_bytes()).collect();
-
-        let per_batch = n.div_ceil(self.batches);
-        if !self.per_batch_memcpy {
-            // SW/NW style: upload once, many kernel launches.
-            gpu.memcpy_h2d(q, &self.queries);
-            gpu.memcpy_h2d(t, &self.targets);
-            gpu.memcpy_h2d(lenp, &len_bytes);
-            for batch in 0..self.batches {
-                let start = batch * per_batch;
-                let end = ((batch + 1) * per_batch).min(n);
-                if start >= end {
-                    break;
-                }
-                launch_batch(
-                    &mut gpu, child, parent, self.dims, q.0, t.0, out.0, lenp.0, start, end, cdp,
-                );
-                gpu.synchronize();
-            }
+        let len_bytes = u32_bytes(&self.lens);
+        let (q, t, lenp) = if self.per_batch_memcpy {
+            (
+                gpu.malloc(self.queries.len() as u64),
+                gpu.malloc(self.targets.len() as u64),
+                gpu.malloc(len_bytes.len() as u64),
+            )
         } else {
-            // GASAL2 style: stage each batch over PCIe.
-            for batch in 0..self.batches {
-                let start = batch * per_batch;
-                let end = ((batch + 1) * per_batch).min(n);
-                if start >= end {
-                    break;
-                }
+            // SW/NW style: upload once, many kernel launches.
+            (
+                upload(&mut gpu, &self.queries),
+                upload(&mut gpu, &self.targets),
+                upload(&mut gpu, &len_bytes),
+            )
+        };
+        let out = gpu.malloc(n as u64 * 8);
+
+        for batch in batch_ranges(n, self.batches) {
+            let (start, end) = (batch.start, batch.end);
+            if self.per_batch_memcpy {
+                // GASAL2 style: stage each batch over PCIe.
                 let qs = start * self.max_len as usize;
                 let qe = end * self.max_len as usize;
                 gpu.memcpy_h2d(q.offset(qs as u64), &self.queries[qs..qe]);
@@ -382,18 +362,32 @@ impl Benchmark for PairwiseBench {
                     lenp.offset(start as u64 * 4),
                     &len_bytes[start * 4..end * 4],
                 );
-                launch_batch(
-                    &mut gpu, child, parent, self.dims, q.0, t.0, out.0, lenp.0, start, end, cdp,
-                );
-                gpu.synchronize();
+            }
+            let args = DpArgs {
+                q: q.0,
+                t: t.0,
+                out: out.0,
+                n_pairs: end as u64,
+                pair_offset: start as u64,
+                // The CDP parent sets each child's stride itself.
+                stride: if cdp { 0 } else { self.dims.total_threads() },
+                lens: lenp.0,
+                ..Default::default()
+            };
+            match parent {
+                Some(pk) => {
+                    launch_dp_parent(&mut gpu, pk, args.words(), self.dims.threads_per_cta())
+                }
+                None => {
+                    gpu.launch(child, self.dims, &args.words());
+                }
+            }
+            gpu.synchronize();
+            if self.per_batch_memcpy {
                 let _ = gpu.memcpy_d2h(out.offset(start as u64 * 8), (end - start) * 8);
             }
         }
-        let raw = gpu.memcpy_d2h(out, n * 8);
-        let got: Vec<i64> = raw
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
+        let got = read_i64s(&mut gpu, out, n);
         let verified = got == self.expected;
         BenchResult::collect(
             &mut gpu,
@@ -403,62 +397,6 @@ impl Benchmark for PairwiseBench {
                 self.abbrev, n, self.max_len, self.batches, cdp
             ),
         )
-    }
-}
-
-/// Launch one batch, either directly (non-CDP) or via a CDP parent grid.
-#[allow(clippy::too_many_arguments)]
-fn launch_batch(
-    gpu: &mut Gpu,
-    child: KernelId,
-    parent: Option<KernelId>,
-    dims: LaunchDims,
-    q: u64,
-    t: u64,
-    out: u64,
-    lens: u64,
-    start: usize,
-    end: usize,
-    cdp: bool,
-) {
-    let n_batch = end - start;
-    match (cdp, parent) {
-        (true, Some(pk)) => {
-            // Parent: one thread per child grid; each child is one full CTA
-            // sized like the non-CDP launch so shared-memory slicing and
-            // occupancy match.
-            let child_cta = dims.threads_per_cta() as u64;
-            let chunk = child_cta;
-            let pthreads = (n_batch as u64).div_ceil(chunk) as u32;
-            let scratch = gpu.malloc(pthreads as u64 * DP_PARAM_WORDS as u64 * 8);
-            let pdims = LaunchDims::linear(pthreads.div_ceil(32).max(1), 32);
-            gpu.launch(
-                pk,
-                pdims,
-                &[
-                    q,
-                    t,
-                    out,
-                    end as u64,
-                    start as u64,
-                    0, // stride unused by the parent
-                    lens,
-                    0, // t_len (no shared target)
-                    0, // idx_base (identity)
-                    scratch.0,
-                    chunk,
-                    child_cta,
-                ],
-            );
-        }
-        _ => {
-            let stride = dims.total_threads();
-            gpu.launch(
-                child,
-                dims,
-                &[q, t, out, end as u64, start as u64, stride, lens, 0, 0],
-            );
-        }
     }
 }
 

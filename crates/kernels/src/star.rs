@@ -25,9 +25,33 @@ use rand::SeedableRng;
 use ggpu_genomics::{blosum62_index_matrix, nw_score, GapModel, IndexedMatrix};
 use rand::Rng;
 
-use crate::dp::{build_dp_kernel, scoring_const_data, DpKernelCfg, DpMode, DP_PARAM_WORDS};
-use crate::pairwise::{GAP_EXTEND, GAP_OPEN, MATCH, MISMATCH};
-use crate::{BenchResult, Benchmark, Scale, Table3Row};
+use crate::dp::{
+    build_dp_kernel, scoring_const_data, st_param_block, DpArgs, DpKernelCfg, DpMode,
+    DP_PARAM_WORDS,
+};
+use crate::host::{batch_ranges, per_batch, read_i64s, u64_words, upload, upload_u32s};
+use crate::pairwise::{GAP_EXTEND, GAP_OPEN};
+use crate::{BenchResult, Benchmark, KernelResources, Scale, Table3Row};
+
+arg_block! {
+    /// Launch arguments of the on-device orchestrator (CDP variant).
+    StarArgs / StarSlot {
+        seqs: "All sequences, `seq_len` stride.",
+        pair_q: "Phase-1 queries, one per pair.",
+        pair_t: "Phase-1 targets, one per pair.",
+        pair_scores: "i64 phase-1 score per pair.",
+        n_pairs: "Number of pairs.",
+        pair_a: "u32 first sequence of each pair.",
+        pair_b: "u32 second sequence of each pair.",
+        sums: "Zeroed i64 score sum per sequence.",
+        final_scores: "i64 phase-2 score per sequence.",
+        center_out: "The chosen center, one u64.",
+        n_seqs: "Number of sequences.",
+        seq_len: "Sequence length.",
+        scratch: "One child parameter block per phase-1 batch plus one for phase 2.",
+        per_batch: "Phase-1 pairs per child grid.",
+    }
+}
 
 /// The STAR benchmark instance.
 #[derive(Debug, Clone)]
@@ -147,16 +171,8 @@ impl StarBench {
 
     fn phase1_cfg(&self) -> DpKernelCfg {
         DpKernelCfg {
-            mode: DpMode::Global,
-            max_len: self.seq_len,
-            rows_in_smem: false,
-            threads_per_cta: self.dims.threads_per_cta(),
-            matches: MATCH,
-            mismatch: MISMATCH,
-            open: GAP_OPEN,
-            extend: GAP_EXTEND,
-            shared_target: false,
             subst_matrix: Some(blosum62_index_matrix()),
+            ..DpKernelCfg::new(DpMode::Global, self.seq_len, self.dims.threads_per_cta())
         }
     }
 
@@ -167,46 +183,27 @@ impl StarBench {
         }
     }
 
-    /// Build the on-device orchestrator kernel (CDP variant).
-    ///
-    /// ABI (u64 words): 0 `seqs`, 1 `pair_q`, 2 `pair_t`, 3 `pair_scores`,
-    /// 4 `n_pairs`, 5 `pair_a`, 6 `pair_b`, 7 `sums` (zeroed i64 per seq),
-    /// 8 `final_scores`, 9 `center_out`, 10 `n_seqs`, 11 `seq_len`,
-    /// 12 `scratch` (one child parameter block per phase-1 batch plus one
-    /// for phase 2), 13 `per_batch` (phase-1 pairs per child grid).
+    /// Build the on-device orchestrator kernel (CDP variant); arguments
+    /// are [`StarArgs`].
     fn build_orchestrator(&self, phase1: u32, phase2: u32) -> Kernel {
         let mut b = KernelBuilder::new("STAR-orchestrator");
         let tid = b.global_tid();
         let is0 = b.cmp_s(CmpOp::Eq, Operand::reg(tid), Operand::imm(0));
         b.if_then(is0, |b| {
-            let seqs = b.reg();
-            b.ld_param(seqs, 0);
-            let pair_q = b.reg();
-            b.ld_param(pair_q, 1);
-            let pair_t = b.reg();
-            b.ld_param(pair_t, 2);
-            let pscores = b.reg();
-            b.ld_param(pscores, 3);
-            let n_pairs = b.reg();
-            b.ld_param(n_pairs, 4);
-            let pair_a = b.reg();
-            b.ld_param(pair_a, 5);
-            let pair_b = b.reg();
-            b.ld_param(pair_b, 6);
-            let sums = b.reg();
-            b.ld_param(sums, 7);
-            let fscores = b.reg();
-            b.ld_param(fscores, 8);
-            let center_out = b.reg();
-            b.ld_param(center_out, 9);
-            let n_seqs = b.reg();
-            b.ld_param(n_seqs, 10);
-            let seq_len = b.reg();
-            b.ld_param(seq_len, 11);
-            let scratch = b.reg();
-            b.ld_param(scratch, 12);
-            let per_batch = b.reg();
-            b.ld_param(per_batch, 13);
+            let seqs = StarSlot::seqs.ld(b);
+            let pair_q = StarSlot::pair_q.ld(b);
+            let pair_t = StarSlot::pair_t.ld(b);
+            let pscores = StarSlot::pair_scores.ld(b);
+            let n_pairs = StarSlot::n_pairs.ld(b);
+            let pair_a = StarSlot::pair_a.ld(b);
+            let pair_b = StarSlot::pair_b.ld(b);
+            let sums = StarSlot::sums.ld(b);
+            let fscores = StarSlot::final_scores.ld(b);
+            let center_out = StarSlot::center_out.ld(b);
+            let n_seqs = StarSlot::n_seqs.ld(b);
+            let seq_len = StarSlot::seq_len.ld(b);
+            let scratch = StarSlot::scratch.ld(b);
+            let per_batch = StarSlot::per_batch.ld(b);
 
             // ---- phase 1: one child grid per batch of pairs, all
             // launched back-to-back, one sync (no host round-trips) ----
@@ -220,15 +217,18 @@ impl StarBench {
                     let limit = b.reg();
                     b.iadd(limit, start, Operand::reg(per_batch));
                     b.imin(limit, limit, Operand::reg(n_pairs));
-                    b.st(Space::Global, Width::B64, Operand::reg(pair_q), pb1, 0);
-                    b.st(Space::Global, Width::B64, Operand::reg(pair_t), pb1, 8);
-                    b.st(Space::Global, Width::B64, Operand::reg(pscores), pb1, 16);
-                    b.st(Space::Global, Width::B64, Operand::reg(limit), pb1, 24);
-                    b.st(Space::Global, Width::B64, Operand::reg(start), pb1, 32);
-                    b.st(Space::Global, Width::B64, Operand::reg(n_pairs), pb1, 40);
-                    b.st(Space::Global, Width::B64, Operand::imm(0), pb1, 48);
-                    b.st(Space::Global, Width::B64, Operand::imm(0), pb1, 56);
-                    b.st(Space::Global, Width::B64, Operand::imm(0), pb1, 64);
+                    let child_args = DpArgs {
+                        q: Operand::reg(pair_q),
+                        t: Operand::reg(pair_t),
+                        out: Operand::reg(pscores),
+                        n_pairs: Operand::reg(limit),
+                        pair_offset: Operand::reg(start),
+                        stride: Operand::reg(n_pairs),
+                        lens: Operand::imm(0),
+                        t_len: Operand::imm(0),
+                        idx: Operand::imm(0),
+                    };
+                    st_param_block(b, pb1, child_args.words());
                     let grid = b.reg();
                     b.iadd(grid, per_batch, Operand::imm(63));
                     b.alu(
@@ -304,15 +304,18 @@ impl StarBench {
             b.iadd(center_ptr, center_ptr, Operand::reg(seqs));
             let pb2 = b.reg();
             b.mov(pb2, Operand::reg(pb1));
-            b.st(Space::Global, Width::B64, Operand::reg(seqs), pb2, 0);
-            b.st(Space::Global, Width::B64, Operand::reg(center_ptr), pb2, 8);
-            b.st(Space::Global, Width::B64, Operand::reg(fscores), pb2, 16);
-            b.st(Space::Global, Width::B64, Operand::reg(n_seqs), pb2, 24);
-            b.st(Space::Global, Width::B64, Operand::imm(0), pb2, 32);
-            b.st(Space::Global, Width::B64, Operand::reg(n_seqs), pb2, 40);
-            b.st(Space::Global, Width::B64, Operand::imm(0), pb2, 48);
-            b.st(Space::Global, Width::B64, Operand::reg(seq_len), pb2, 56);
-            b.st(Space::Global, Width::B64, Operand::imm(0), pb2, 64);
+            let child_args = DpArgs {
+                q: Operand::reg(seqs),
+                t: Operand::reg(center_ptr),
+                out: Operand::reg(fscores),
+                n_pairs: Operand::reg(n_seqs),
+                pair_offset: Operand::imm(0),
+                stride: Operand::reg(n_seqs),
+                lens: Operand::imm(0),
+                t_len: Operand::reg(seq_len),
+                idx: Operand::imm(0),
+            };
+            st_param_block(b, pb2, child_args.words());
             let grid2 = b.reg();
             b.iadd(grid2, n_seqs, Operand::imm(63));
             b.alu(
@@ -359,14 +362,11 @@ impl Benchmark for StarBench {
         }
     }
 
-    fn resources(&self) -> crate::KernelResources {
-        let k = build_dp_kernel("STAR-pairs", &self.phase1_cfg());
-        crate::KernelResources {
-            regs_per_thread: k.regs_per_thread,
-            smem_per_cta: k.smem_per_cta,
-            cmem_bytes: k.cmem_bytes,
-            threads_per_cta: self.dims.threads_per_cta(),
-        }
+    fn resources(&self) -> KernelResources {
+        KernelResources::of(
+            &build_dp_kernel("STAR-pairs", &self.phase1_cfg()),
+            self.dims.threads_per_cta(),
+        )
     }
 
     fn run(&self, config: &GpuConfig, cdp: bool) -> BenchResult {
@@ -384,83 +384,63 @@ impl Benchmark for StarBench {
         gpu.bind_constants(phase2, scoring_const_data(&self.phase2_cfg()));
 
         let sl = self.seq_len as u64;
-        let seqs = gpu.malloc(self.seqs.len() as u64);
-        let pq = gpu.malloc(self.pair_q.len() as u64);
-        let pt = gpu.malloc(self.pair_t.len() as u64);
+        let seqs = upload(&mut gpu, &self.seqs);
+        let pq = upload(&mut gpu, &self.pair_q);
+        let pt = upload(&mut gpu, &self.pair_t);
         let pscores = gpu.malloc(n_pairs as u64 * 8);
         let fscores = gpu.malloc(self.n_seqs as u64 * 8);
-        let pa = gpu.malloc(n_pairs as u64 * 4);
-        let pb = gpu.malloc(n_pairs as u64 * 4);
+        let pa = upload_u32s(&mut gpu, &self.pair_a);
+        let pb = upload_u32s(&mut gpu, &self.pair_b);
         let sums = gpu.malloc(self.n_seqs as u64 * 8);
         let center_out = gpu.malloc(8);
-        let per_batch = n_pairs.div_ceil(self.batches).max(1);
         let scratch = gpu.malloc((self.batches as u64 + 2) * DP_PARAM_WORDS as u64 * 8);
-
-        gpu.memcpy_h2d(seqs, &self.seqs);
-        gpu.memcpy_h2d(pq, &self.pair_q);
-        gpu.memcpy_h2d(pt, &self.pair_t);
-        let a_bytes: Vec<u8> = self.pair_a.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let b_bytes: Vec<u8> = self.pair_b.iter().flat_map(|v| v.to_le_bytes()).collect();
-        gpu.memcpy_h2d(pa, &a_bytes);
-        gpu.memcpy_h2d(pb, &b_bytes);
 
         let (center, final_scores, pair_scores) = if let Some(orch) = orch {
             // CDP: one host launch does everything.
-            gpu.launch(
-                orch,
-                LaunchDims::linear(1, 32),
-                &[
-                    seqs.0,
-                    pq.0,
-                    pt.0,
-                    pscores.0,
-                    n_pairs as u64,
-                    pa.0,
-                    pb.0,
-                    sums.0,
-                    fscores.0,
-                    center_out.0,
-                    self.n_seqs as u64,
-                    sl,
-                    scratch.0,
-                    per_batch as u64,
-                ],
-            );
+            let args = StarArgs {
+                seqs: seqs.0,
+                pair_q: pq.0,
+                pair_t: pt.0,
+                pair_scores: pscores.0,
+                n_pairs: n_pairs as u64,
+                pair_a: pa.0,
+                pair_b: pb.0,
+                sums: sums.0,
+                final_scores: fscores.0,
+                center_out: center_out.0,
+                n_seqs: self.n_seqs as u64,
+                seq_len: sl,
+                scratch: scratch.0,
+                per_batch: per_batch(n_pairs, self.batches) as u64,
+            };
+            gpu.launch(orch, LaunchDims::linear(1, 32), &args.words());
             gpu.synchronize();
+            // Read in place, without a PCIe transfer.
+            let peek = |ptr, n: usize| -> Vec<i64> {
+                u64_words(&gpu.memory().read_slice(ptr, n * 8))
+                    .map(|w| w as i64)
+                    .collect()
+            };
             let center = gpu.memory().read_u64(center_out) as usize;
-            let f = read_i64s(&mut gpu, fscores.0, self.n_seqs);
-            let p = read_i64s(&mut gpu, pscores.0, n_pairs);
-            (center, f, p)
+            (center, peek(fscores, self.n_seqs), peek(pscores, n_pairs))
         } else {
             // Non-CDP: CMSA-style batched phase-1 launches, then a host
             // round-trip before phase 2.
             let stride = self.dims.total_threads();
-            let mut start = 0usize;
-            while start < n_pairs {
-                let end = (start + per_batch).min(n_pairs);
-                gpu.launch(
-                    phase1,
-                    self.dims,
-                    &[
-                        pq.0,
-                        pt.0,
-                        pscores.0,
-                        end as u64,
-                        start as u64,
-                        stride,
-                        0,
-                        0,
-                        0,
-                    ],
-                );
+            for batch in batch_ranges(n_pairs, self.batches) {
+                let args = DpArgs {
+                    q: pq.0,
+                    t: pt.0,
+                    out: pscores.0,
+                    n_pairs: batch.end as u64,
+                    pair_offset: batch.start as u64,
+                    stride,
+                    ..Default::default()
+                };
+                gpu.launch(phase1, self.dims, &args.words());
                 gpu.synchronize();
-                start = end;
             }
-            let raw = gpu.memcpy_d2h(pscores, n_pairs * 8);
-            let pair_scores: Vec<i64> = raw
-                .chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().expect("8B")))
-                .collect();
+            let pair_scores = read_i64s(&mut gpu, pscores, n_pairs);
             let mut sums_host = vec![0i64; self.n_seqs];
             for p in 0..n_pairs {
                 sums_host[self.pair_a[p] as usize] += pair_scores[p];
@@ -472,28 +452,22 @@ impl Benchmark for StarBench {
                     center = i;
                 }
             }
-            gpu.launch(
-                phase2,
-                self.dims,
-                &[
-                    seqs.0,
-                    seqs.0 + center as u64 * sl,
-                    fscores.0,
-                    self.n_seqs as u64,
-                    0,
-                    stride,
-                    0,
-                    sl,
-                    0,
-                ],
-            );
+            let args = DpArgs {
+                q: seqs.0,
+                t: seqs.0 + center as u64 * sl,
+                out: fscores.0,
+                n_pairs: self.n_seqs as u64,
+                stride,
+                t_len: sl,
+                ..Default::default()
+            };
+            gpu.launch(phase2, self.dims, &args.words());
             gpu.synchronize();
-            let raw = gpu.memcpy_d2h(fscores, self.n_seqs * 8);
-            let f: Vec<i64> = raw
-                .chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().expect("8B")))
-                .collect();
-            (center, f, pair_scores)
+            (
+                center,
+                read_i64s(&mut gpu, fscores, self.n_seqs),
+                pair_scores,
+            )
         };
 
         let verified = center == self.expected_center
@@ -508,13 +482,6 @@ impl Benchmark for StarBench {
             ),
         )
     }
-}
-
-fn read_i64s(gpu: &mut Gpu, addr: u64, n: usize) -> Vec<i64> {
-    let raw = gpu.memory().read_slice(ggpu_sim::DevicePtr(addr), n * 8);
-    raw.chunks_exact(8)
-        .map(|c| i64::from_le_bytes(c.try_into().expect("8B")))
-        .collect()
 }
 
 #[cfg(test)]

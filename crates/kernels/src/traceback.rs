@@ -11,14 +11,33 @@
 //! Direction byte per cell: bits 0-1 = H source (0 diag, 1 E, 2 F),
 //! bit 2 = E opened here, bit 3 = F opened here.
 //!
-//! Kernel ABI (u64 words): 0 `q_base`, 1 `t_base`, 2 `out_scores`,
-//! 3 `n_pairs`, 4 `pair_offset`, 5 `stride`, 6 `len_base`,
-//! 7 `out_ops` (u8 per column, `2*max_len` stride per pair),
-//! 8 `out_ops_len` (u32 per pair). Scoring constants as in the DP kernel.
+//! Launch arguments are [`TracebackArgs`]; scoring constants as in the DP
+//! kernel.
 
-use ggpu_isa::{CmpOp, Kernel, KernelBuilder, Operand, Reg, ScalarType, Space, Width};
+use ggpu_isa::{
+    CmpOp, Kernel, KernelBuilder, KernelId, LaunchDims, Operand, Program, Reg, ScalarType, Space,
+    Width,
+};
+use ggpu_sim::{Gpu, GpuConfig};
 
-use crate::dp::KERNEL_NEG_INF;
+use crate::dp::{build_dp_kernel, scoring_const_data, DpArgs, DpKernelCfg, DpMode, KERNEL_NEG_INF};
+use crate::host::{read_i64s, read_u32s, upload, upload_u32s};
+use crate::{BenchResult, Scale};
+
+arg_block! {
+    /// Launch arguments of a [`build_traceback_kernel`] kernel.
+    TracebackArgs / TracebackSlot {
+        q: "Queries, one byte per base, `max_len` stride.",
+        t: "Targets, same layout.",
+        out_scores: "i64 score per pair.",
+        n_pairs: "Pairs strictly below this index are processed.",
+        pair_offset: "First pair this grid handles.",
+        stride: "Pair increment per loop iteration (the total thread count).",
+        lens: "u32 per-pair lengths, or 0 for uniform `max_len`.",
+        out_ops: "u8 CIGAR op per column, `2*max_len` stride per pair.",
+        out_ops_len: "u32 op count per pair.",
+    }
+}
 
 /// CIGAR op codes written by the kernel (per column).
 pub const OP_MATCH: u8 = 0;
@@ -65,24 +84,15 @@ pub fn build_traceback_kernel(name: &str, cfg: &TracebackKernelCfg) -> Kernel {
     b.set_local_bytes(cfg.local_bytes());
     b.set_cmem_bytes(32);
 
-    let q_base = b.reg();
-    b.ld_param(q_base, 0);
-    let t_base = b.reg();
-    b.ld_param(t_base, 1);
-    let out_scores = b.reg();
-    b.ld_param(out_scores, 2);
-    let n_pairs = b.reg();
-    b.ld_param(n_pairs, 3);
-    let pair_off = b.reg();
-    b.ld_param(pair_off, 4);
-    let stride = b.reg();
-    b.ld_param(stride, 5);
-    let len_base = b.reg();
-    b.ld_param(len_base, 6);
-    let out_ops = b.reg();
-    b.ld_param(out_ops, 7);
-    let out_ops_len = b.reg();
-    b.ld_param(out_ops_len, 8);
+    let q_base = TracebackSlot::q.ld(&mut b);
+    let t_base = TracebackSlot::t.ld(&mut b);
+    let out_scores = TracebackSlot::out_scores.ld(&mut b);
+    let n_pairs = TracebackSlot::n_pairs.ld(&mut b);
+    let pair_off = TracebackSlot::pair_offset.ld(&mut b);
+    let stride = TracebackSlot::stride.ld(&mut b);
+    let len_base = TracebackSlot::lens.ld(&mut b);
+    let out_ops = TracebackSlot::out_ops.ld(&mut b);
+    let out_ops_len = TracebackSlot::out_ops_len.ld(&mut b);
 
     let c_mat = b.reg();
     b.ld(Space::Const, Width::B64, c_mat, Operand::imm(0), 0);
@@ -422,18 +432,57 @@ pub struct TracebackBench {
     lens: Vec<u32>,
     expected_scores: Vec<i64>,
     expected_ops: Vec<Vec<u8>>,
-    dims: ggpu_isa::LaunchDims,
+    dims: LaunchDims,
+}
+
+/// Upload a workload, run traceback kernel `k` over it once, and read back
+/// the scores and each pair's op string.
+fn run_traceback_kernel(
+    gpu: &mut Gpu,
+    k: KernelId,
+    max_len: u32,
+    dims: LaunchDims,
+    (q, t, lens): (&[u8], &[u8], &[u32]),
+) -> (Vec<i64>, Vec<Vec<u8>>) {
+    let n = lens.len();
+    let ops_stride = 2 * max_len as usize;
+    let qb = upload(gpu, q);
+    let tb = upload(gpu, t);
+    let lb = upload_u32s(gpu, lens);
+    let sb = gpu.malloc(n as u64 * 8);
+    let ob = gpu.malloc((n * ops_stride) as u64);
+    let nb = gpu.malloc(n as u64 * 4);
+    let args = TracebackArgs {
+        q: qb.0,
+        t: tb.0,
+        out_scores: sb.0,
+        n_pairs: n as u64,
+        pair_offset: 0,
+        stride: dims.total_threads(),
+        lens: lb.0,
+        out_ops: ob.0,
+        out_ops_len: nb.0,
+    };
+    gpu.run_kernel(k, dims, &args.words());
+    let scores = read_i64s(gpu, sb, n);
+    let raw_ops = gpu.memcpy_d2h(ob, n * ops_stride);
+    let ops = read_u32s(gpu, nb, n)
+        .into_iter()
+        .enumerate()
+        .map(|(p, count)| raw_ops[p * ops_stride..p * ops_stride + count as usize].to_vec())
+        .collect();
+    (scores, ops)
 }
 
 impl TracebackBench {
     /// Build an instance at `scale`.
-    pub fn new(scale: crate::Scale) -> Self {
+    pub fn new(scale: Scale) -> Self {
         use ggpu_genomics::{mutate, nw_align, random_genome, CigarOp, GapModel, Simple};
         use rand::{Rng, SeedableRng};
         let (n_pairs, max_len, dims) = match scale {
-            crate::Scale::Tiny => (64usize, 20u32, ggpu_isa::LaunchDims::linear(2, 32)),
-            crate::Scale::Small => (2048, 28, ggpu_isa::LaunchDims::linear(10, 128)),
-            crate::Scale::Paper => (10240, 64, ggpu_isa::LaunchDims::linear(40, 128)),
+            Scale::Tiny => (64usize, 20u32, LaunchDims::linear(2, 32)),
+            Scale::Small => (2048, 28, LaunchDims::linear(10, 128)),
+            Scale::Paper => (10240, 64, LaunchDims::linear(40, 128)),
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(606);
         let mut queries = vec![0u8; n_pairs * max_len as usize];
@@ -486,58 +535,37 @@ impl TracebackBench {
         }
     }
 
+    /// The DP configuration with this instance's scoring: the score-only
+    /// baseline's kernel, and the constant image both kernels bind.
+    fn score_cfg(&self) -> DpKernelCfg {
+        DpKernelCfg::new(DpMode::Global, self.max_len, self.dims.threads_per_cta())
+    }
+
     /// Run the *score-only* DP kernel on this instance's exact inputs and
     /// launch shape — the baseline the traceback cost is measured against.
-    pub fn run_score_only(&self, config: &ggpu_sim::GpuConfig) -> crate::BenchResult {
-        use crate::dp::{build_dp_kernel, scoring_const_data, DpKernelCfg, DpMode};
-        use ggpu_isa::Program;
-        use ggpu_sim::Gpu;
-        let dcfg = DpKernelCfg {
-            mode: DpMode::Global,
-            max_len: self.max_len,
-            rows_in_smem: false,
-            threads_per_cta: self.dims.threads_per_cta(),
-            matches: 2,
-            mismatch: -3,
-            open: 5,
-            extend: 2,
-            shared_target: false,
-            subst_matrix: None,
-        };
+    pub fn run_score_only(&self, config: &GpuConfig) -> BenchResult {
+        let dcfg = self.score_cfg();
         let mut program = Program::new();
         let k = program.add(build_dp_kernel("GG-score", &dcfg));
         let mut gpu = Gpu::new(program, config.clone());
         gpu.bind_constants(k, scoring_const_data(&dcfg));
         let n = self.n_pairs;
-        let qb = gpu.malloc(self.queries.len() as u64);
-        let tb = gpu.malloc(self.targets.len() as u64);
-        let lb = gpu.malloc(n as u64 * 4);
+        let qb = upload(&mut gpu, &self.queries);
+        let tb = upload(&mut gpu, &self.targets);
+        let lb = upload_u32s(&mut gpu, &self.lens);
         let sb = gpu.malloc(n as u64 * 8);
-        gpu.memcpy_h2d(qb, &self.queries);
-        gpu.memcpy_h2d(tb, &self.targets);
-        let len_bytes: Vec<u8> = self.lens.iter().flat_map(|l| l.to_le_bytes()).collect();
-        gpu.memcpy_h2d(lb, &len_bytes);
-        gpu.run_kernel(
-            k,
-            self.dims,
-            &[
-                qb.0,
-                tb.0,
-                sb.0,
-                n as u64,
-                0,
-                self.dims.total_threads(),
-                lb.0,
-                0,
-                0,
-            ],
-        );
-        let scores: Vec<i64> = gpu
-            .memcpy_d2h(sb, n * 8)
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().expect("8B")))
-            .collect();
-        crate::BenchResult::collect(
+        let args = DpArgs {
+            q: qb.0,
+            t: tb.0,
+            out: sb.0,
+            n_pairs: n as u64,
+            stride: self.dims.total_threads(),
+            lens: lb.0,
+            ..Default::default()
+        };
+        gpu.run_kernel(k, self.dims, &args.words());
+        let scores = read_i64s(&mut gpu, sb, n);
+        BenchResult::collect(
             &mut gpu,
             scores == self.expected_scores,
             format!("GG score-only on the traceback workload ({n} pairs)"),
@@ -545,11 +573,7 @@ impl TracebackBench {
     }
 
     /// Run on the simulator; verifies scores and CIGARs byte-for-byte.
-    pub fn run(&self, config: &ggpu_sim::GpuConfig) -> crate::BenchResult {
-        use crate::dp::{scoring_const_data, DpKernelCfg, DpMode};
-        use ggpu_isa::Program;
-        use ggpu_sim::Gpu;
-
+    pub fn run(&self, config: &GpuConfig) -> BenchResult {
         let cfg = TracebackKernelCfg {
             max_len: self.max_len,
             matches: 2,
@@ -560,66 +584,18 @@ impl TracebackBench {
         let mut program = Program::new();
         let k = program.add(build_traceback_kernel("GG-TB", &cfg));
         let mut gpu = Gpu::new(program, config.clone());
-        let dcfg = DpKernelCfg {
-            mode: DpMode::Global,
-            max_len: self.max_len,
-            rows_in_smem: false,
-            threads_per_cta: self.dims.threads_per_cta(),
-            matches: 2,
-            mismatch: -3,
-            open: 5,
-            extend: 2,
-            shared_target: false,
-            subst_matrix: None,
-        };
-        gpu.bind_constants(k, scoring_const_data(&dcfg));
-
-        let n = self.n_pairs;
-        let qb = gpu.malloc(self.queries.len() as u64);
-        let tb = gpu.malloc(self.targets.len() as u64);
-        let lb = gpu.malloc(n as u64 * 4);
-        let sb = gpu.malloc(n as u64 * 8);
-        let ob = gpu.malloc(n as u64 * 2 * self.max_len as u64);
-        let nb = gpu.malloc(n as u64 * 4);
-        gpu.memcpy_h2d(qb, &self.queries);
-        gpu.memcpy_h2d(tb, &self.targets);
-        let len_bytes: Vec<u8> = self.lens.iter().flat_map(|l| l.to_le_bytes()).collect();
-        gpu.memcpy_h2d(lb, &len_bytes);
-        gpu.run_kernel(
-            k,
-            self.dims,
-            &[
-                qb.0,
-                tb.0,
-                sb.0,
-                n as u64,
-                0,
-                self.dims.total_threads(),
-                lb.0,
-                ob.0,
-                nb.0,
-            ],
-        );
-        let scores: Vec<i64> = gpu
-            .memcpy_d2h(sb, n * 8)
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().expect("8B")))
-            .collect();
-        let raw_ops = gpu.memcpy_d2h(ob, n * 2 * self.max_len as usize);
-        let raw_lens = gpu.memcpy_d2h(nb, n * 4);
-        let mut verified = scores == self.expected_scores;
-        for p in 0..n {
-            let count =
-                u32::from_le_bytes(raw_lens[p * 4..p * 4 + 4].try_into().expect("4B")) as usize;
-            let base = p * 2 * self.max_len as usize;
-            if raw_ops[base..base + count] != self.expected_ops[p][..] {
-                verified = false;
-            }
-        }
-        crate::BenchResult::collect(
+        gpu.bind_constants(k, scoring_const_data(&self.score_cfg()));
+        let (scores, ops) = run_traceback_kernel(
             &mut gpu,
-            verified,
-            format!("GG-TB: {} pairs with full CIGAR traceback", n),
+            k,
+            self.max_len,
+            self.dims,
+            (&self.queries, &self.targets, &self.lens),
+        );
+        BenchResult::collect(
+            &mut gpu,
+            scores == self.expected_scores && ops == self.expected_ops,
+            format!("GG-TB: {} pairs with full CIGAR traceback", self.n_pairs),
         )
     }
 }
@@ -627,10 +603,7 @@ impl TracebackBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::{scoring_const_data, DpKernelCfg, DpMode};
     use ggpu_genomics::{mutate, nw_align, random_genome, CigarOp, GapModel, Simple};
-    use ggpu_isa::{LaunchDims, Program};
-    use ggpu_sim::{Gpu, GpuConfig};
     use rand::SeedableRng;
 
     const MAX_LEN: u32 = 20;
@@ -643,54 +616,19 @@ mod tests {
             open: 5,
             extend: 2,
         };
-        let n = lens.len();
         let mut program = Program::new();
         let k = program.add(build_traceback_kernel("tb", &cfg));
         let mut gpu = Gpu::new(program, GpuConfig::test_small());
         // Reuse the DP const layout (match/mismatch/open/extend words).
-        let dcfg = DpKernelCfg {
-            mode: DpMode::Global,
-            max_len: MAX_LEN,
-            rows_in_smem: false,
-            threads_per_cta: 32,
-            matches: 2,
-            mismatch: -3,
-            open: 5,
-            extend: 2,
-            shared_target: false,
-            subst_matrix: None,
-        };
+        let dcfg = DpKernelCfg::new(DpMode::Global, MAX_LEN, 32);
         gpu.bind_constants(k, scoring_const_data(&dcfg));
-        let qb = gpu.malloc(q.len() as u64);
-        let tb = gpu.malloc(t.len() as u64);
-        let lb = gpu.malloc(n as u64 * 4);
-        let sb = gpu.malloc(n as u64 * 8);
-        let ob = gpu.malloc(n as u64 * 2 * MAX_LEN as u64);
-        let nb = gpu.malloc(n as u64 * 4);
-        gpu.memcpy_h2d(qb, q);
-        gpu.memcpy_h2d(tb, t);
-        let len_bytes: Vec<u8> = lens.iter().flat_map(|l| l.to_le_bytes()).collect();
-        gpu.memcpy_h2d(lb, &len_bytes);
-        gpu.run_kernel(
+        run_traceback_kernel(
+            &mut gpu,
             k,
+            MAX_LEN,
             LaunchDims::linear(1, 32),
-            &[qb.0, tb.0, sb.0, n as u64, 0, 32, lb.0, ob.0, nb.0],
-        );
-        let scores: Vec<i64> = gpu
-            .memcpy_d2h(sb, n * 8)
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().expect("8B")))
-            .collect();
-        let raw_ops = gpu.memcpy_d2h(ob, n * 2 * MAX_LEN as usize);
-        let raw_lens = gpu.memcpy_d2h(nb, n * 4);
-        let mut all_ops = Vec::new();
-        for p in 0..n {
-            let count =
-                u32::from_le_bytes(raw_lens[p * 4..p * 4 + 4].try_into().expect("4B")) as usize;
-            let base = p * 2 * MAX_LEN as usize;
-            all_ops.push(raw_ops[base..base + count].to_vec());
-        }
-        (scores, all_ops)
+            (q, t, lens),
+        )
     }
 
     fn cpu_column_ops(q: &[u8], t: &[u8]) -> (i64, Vec<u8>) {
@@ -769,11 +707,10 @@ mod tests {
 #[cfg(test)]
 mod bench_tests {
     use super::*;
-    use ggpu_sim::GpuConfig;
 
     #[test]
     fn traceback_bench_validates() {
-        let b = TracebackBench::new(crate::Scale::Tiny);
+        let b = TracebackBench::new(Scale::Tiny);
         let r = b.run(&GpuConfig {
             n_sms: 8,
             ..GpuConfig::test_small()

@@ -1,20 +1,10 @@
-//! Fused batches: encoding jobs into device slabs and decoding results.
-//!
-//! A batch is a set of same-shape jobs fused into one grid. Encoding pads
-//! every sequence to the shape's fixed stride; padding symbols are chosen
-//! so they can never score (query pads `4` vs target pads `5` never
-//! match, and never match real `0..4` base codes either), which leaves
-//! local-alignment optima untouched.
+//! Fused batches: a set of same-shape jobs that share one grid, and its
+//! retry state. How a batch is laid out in the device slabs and what its
+//! result words mean belongs to the shape's pipeline
+//! ([`ggpu_kernels::served`]).
 
-use crate::job::{JobKind, JobOutput};
 use crate::queue::QueuedJob;
 use crate::shape::ShapeKey;
-
-/// Pad symbol for queries/reads (outside the `0..4` base alphabet).
-const PAD_Q: u8 = 4;
-/// Pad symbol for targets — distinct from [`PAD_Q`] so pad columns always
-/// mismatch.
-const PAD_T: u8 = 5;
 
 /// A unit of device work: same-shape jobs that share one fused grid,
 /// with its retry state.
@@ -47,99 +37,10 @@ impl Batch {
         }
     }
 
-    /// The grid cycle budget: the tightest member budget, with `default`
-    /// standing in for members that set none. `None` only when every
-    /// effective budget is unbounded.
-    pub(crate) fn cycle_budget(&self, default: Option<u64>) -> Option<u64> {
-        self.jobs
-            .iter()
-            .filter_map(|j| j.spec.deadline.or(default))
-            .min()
+    /// The grid cycle budget: the tightest member budget. Members that set
+    /// none are unbounded (the device watchdog still applies), so `None`
+    /// only when every member is.
+    pub(crate) fn cycle_budget(&self) -> Option<u64> {
+        self.jobs.iter().filter_map(|j| j.spec.deadline).min()
     }
-}
-
-/// Copy `src` into the next `stride`-sized lane of `dst`, padded with
-/// `pad`.
-fn pack(dst: &mut Vec<u8>, src: &[u8], stride: usize, pad: u8) {
-    debug_assert!(src.len() <= stride);
-    dst.extend_from_slice(src);
-    dst.resize(dst.len() + (stride - src.len()), pad);
-}
-
-/// Encode a pairwise batch: strided query and target slabs plus the
-/// per-pair length table (every pair runs the full padded stride, which
-/// scores identically — pad columns cannot participate in any positive
-/// local alignment).
-pub(crate) fn encode_pairwise(jobs: &[QueuedJob], bucket: u32) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    let stride = bucket as usize;
-    let mut q = Vec::with_capacity(jobs.len() * stride);
-    let mut t = Vec::with_capacity(jobs.len() * stride);
-    let mut lens = Vec::with_capacity(jobs.len() * 4);
-    for job in jobs {
-        let JobKind::Pairwise { query, target } = &job.spec.kind else {
-            unreachable!("shape-checked at admission");
-        };
-        pack(&mut q, query, stride, PAD_Q);
-        pack(&mut t, target, stride, PAD_T);
-        lens.extend_from_slice(&bucket.to_le_bytes());
-    }
-    (q, t, lens)
-}
-
-/// Encode an FM batch: reads, contiguous at the fixed read length.
-pub(crate) fn encode_fm(jobs: &[QueuedJob]) -> Vec<u8> {
-    let mut reads = Vec::new();
-    for job in jobs {
-        let JobKind::FmMap { read } = &job.spec.kind else {
-            unreachable!("shape-checked at admission");
-        };
-        reads.extend_from_slice(read);
-    }
-    reads
-}
-
-/// Encode a Pair-HMM batch: reads, quals, and haplotypes, contiguous at
-/// their fixed lengths.
-pub(crate) fn encode_pairhmm(jobs: &[QueuedJob]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    let mut reads = Vec::new();
-    let mut quals = Vec::new();
-    let mut haps = Vec::new();
-    for job in jobs {
-        let JobKind::PairHmm {
-            read,
-            quals: q,
-            hap,
-        } = &job.spec.kind
-        else {
-            unreachable!("shape-checked at admission");
-        };
-        reads.extend_from_slice(read);
-        quals.extend_from_slice(q);
-        haps.extend_from_slice(hap);
-    }
-    (reads, quals, haps)
-}
-
-/// Decode the result slab (one u64 word per job) into typed outputs.
-pub(crate) fn decode(shape: ShapeKey, raw: &[u8]) -> Vec<JobOutput> {
-    raw.chunks_exact(8)
-        .map(|c| {
-            let word = u64::from_le_bytes(c.try_into().expect("8-byte result word"));
-            match shape {
-                ShapeKey::Pairwise { .. } => JobOutput::Score(word as i64),
-                ShapeKey::Fm => JobOutput::Mapping {
-                    score: (word >> 32) as u32,
-                    pos: word as u32,
-                },
-                ShapeKey::PairHmm => {
-                    let total = f64::from_bits(word);
-                    JobOutput::LogLik(if total > 0.0 {
-                        total.log10()
-                    } else {
-                        f64::NEG_INFINITY
-                    })
-                }
-            }
-        })
-        .collect()
 }

@@ -61,8 +61,9 @@ pub struct JobSpec {
     /// Shed order under overload.
     pub priority: Priority,
     /// Cycle budget for any grid carrying this job, enforced on-device by
-    /// the watchdog machinery; `None` uses the service default. A fused
-    /// batch runs under the *minimum* budget of its members.
+    /// the watchdog machinery; `None` sets none (the watchdog's own
+    /// forward-progress limit still applies). A fused batch runs under the
+    /// *minimum* budget of its members.
     pub deadline: Option<u64>,
     /// The work itself.
     pub kind: JobKind,

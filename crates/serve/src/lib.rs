@@ -95,14 +95,6 @@ pub struct ServeConfig {
     pub tenant_quota: usize,
     /// Maximum jobs fused into one grid.
     pub max_batch: usize,
-    /// Launch attempts per batch before it splits (deadline overruns
-    /// split immediately — rerunning identical work in a deterministic
-    /// simulator would overrun identically).
-    pub max_attempts: u32,
-    /// Backoff after the first failure, in scheduling rounds.
-    pub backoff_base: u64,
-    /// Backoff ceiling, in rounds.
-    pub backoff_cap: u64,
     /// Pairwise stride buckets (bases). A pair is served by the smallest
     /// bucket that fits it; longer pairs are [`AdmitError::TooLarge`].
     pub pairwise_buckets: Vec<u32>,
@@ -115,12 +107,6 @@ pub struct ServeConfig {
     pub phmm_read_len: u32,
     /// Fixed Pair-HMM haplotype length (must be >= the read length).
     pub phmm_hap_len: u32,
-    /// Cycle budget applied to jobs that set none; `None` leaves them
-    /// unbounded (the device watchdog still applies).
-    pub default_deadline: Option<u64>,
-    /// Capacity of the telemetry event log ([`ServeEvent`]s); further
-    /// events are dropped and counted, like the device trace buffer.
-    pub telemetry_events: usize,
 }
 
 impl ServeConfig {
@@ -135,16 +121,11 @@ impl ServeConfig {
             queue_capacity: 32,
             tenant_quota: 24,
             max_batch: 8,
-            max_attempts: 3,
-            backoff_base: 1,
-            backoff_cap: 8,
             pairwise_buckets: vec![32, 64],
             fm_genome: Vec::new(),
             fm_read_len: 16,
             phmm_read_len: 10,
             phmm_hap_len: 14,
-            default_deadline: None,
-            telemetry_events: 1 << 16,
         }
     }
 

@@ -2,16 +2,19 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use ggpu_isa::{KernelId, LaunchDims, Program};
-use ggpu_kernels::dp::{build_dp_kernel, scoring_const_data, DpKernelCfg, DpMode};
-use ggpu_kernels::nvb::{build_fm_search_kernel, FmTables};
-use ggpu_kernels::pairhmm::{build_pairhmm_kernel, phred_const_data, PairHmmKernelCfg, RowStorage};
-use ggpu_kernels::pairwise::{GAP_EXTEND, GAP_OPEN, MATCH, MISMATCH};
+use ggpu_isa::{KernelId, Program};
+use ggpu_kernels::dp::{build_dp_kernel, scoring_const_data, DpKernelCfg};
+use ggpu_kernels::host::u64_words;
+use ggpu_kernels::nvb::{build_fm_search_kernel, unpack_hit, FmDevice, FmTables};
+use ggpu_kernels::pairhmm::{
+    build_pairhmm_kernel, log_likelihood, phred_const_data, PairHmmKernelCfg,
+};
+use ggpu_kernels::served;
 use ggpu_sim::{DevicePtr, Gpu, GpuNode, LaunchOptions, NodeConfig, SimError, StreamId};
 
-use crate::batch::{self, Batch};
+use crate::batch::Batch;
 use crate::error::{AdmitError, ServiceDead};
-use crate::job::{JobId, JobKind, JobOutcome, JobSpec, Priority, Tenant};
+use crate::job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, Priority, Tenant};
 use crate::metrics::ServeMetrics;
 use crate::queue::{AdmissionQueue, QueuedJob};
 use crate::report::ServeReport;
@@ -19,39 +22,31 @@ use crate::shape::{shape_of, ShapeKey};
 use crate::telemetry::{OutcomeTag, RejectReason, ServeTelemetry};
 use crate::ServeConfig;
 
-/// A compiled pairwise pipeline: one kernel per length bucket.
-struct DpPipe {
-    bucket: u32,
-    kernel: KernelId,
-    tpc: u32,
-}
-
-/// The FM-index pipeline: kernel plus device-resident reference tables
-/// (uploaded once at build, shared read-only by every stream).
-struct FmPipe {
-    kernel: KernelId,
-    text: DevicePtr,
-    occ: DevicePtr,
-    sa: DevicePtr,
-    read_len: u32,
-}
-
-/// The Pair-HMM pipeline (shared-memory rows — no per-launch scratch).
-struct PhPipe {
-    kernel: KernelId,
-    tpc: u32,
-}
+/// Launch attempts per batch before it splits (deadline overruns split
+/// immediately — rerunning identical work in a deterministic simulator
+/// would overrun identically).
+const MAX_ATTEMPTS: u32 = 3;
+/// Backoff after the first failure, in scheduling rounds.
+const BACKOFF_BASE: u64 = 1;
+/// Backoff ceiling, in rounds.
+const BACKOFF_CAP: u64 = 8;
+/// Capacity of the telemetry event log ([`crate::ServeEvent`]s); further
+/// events are dropped and counted, like the device trace buffer.
+const TELEMETRY_EVENTS: usize = 1 << 16;
+/// Most threads per CTA a pairwise / Pair-HMM kernel is compiled for.
+const SW_TPC_CAP: u32 = 64;
+const PHMM_TPC_CAP: u32 = 32;
 
 /// One worker: a device, a stream on it, and private input/output slabs.
 /// Slabs are allocated eagerly at build time and recycled across every
 /// batch and shape, so the request path never allocates device memory —
 /// overload surfaces as a typed admission error, not as OOM mid-flight.
+#[derive(Clone, Copy)]
 struct Worker {
     device: usize,
     stream: StreamId,
-    in_a: DevicePtr,
-    in_b: DevicePtr,
-    in_c: DevicePtr,
+    /// Input slabs, in the order the shape's pipeline lays them out.
+    slabs: [DevicePtr; 3],
     out: DevicePtr,
 }
 
@@ -59,11 +54,14 @@ struct Worker {
 pub struct Service {
     cfg: ServeConfig,
     node: GpuNode,
-    dp: Vec<DpPipe>,
-    /// One FM pipe per device (the reference tables are replicated to
-    /// every device over the fabric); empty when FM serving is disabled.
-    fm: Vec<FmPipe>,
-    ph: Option<PhPipe>,
+    /// One compiled pairwise kernel per length bucket (`max_len`).
+    dp: Vec<(DpKernelCfg, KernelId)>,
+    /// The FM kernel and each device's copy of the reference tables
+    /// (uploaded once at build, shared read-only by every stream); `None`
+    /// when FM serving is disabled.
+    fm: Option<(KernelId, Vec<FmDevice>)>,
+    /// The Pair-HMM kernel; `None` when disabled.
+    ph: Option<(PairHmmKernelCfg, KernelId)>,
     workers: Vec<Worker>,
     queue: AdmissionQueue,
     parked: Vec<Batch>,
@@ -76,16 +74,6 @@ pub struct Service {
     next_batch: u64,
     /// Kernel records already fed to telemetry, per device.
     records_seen: Vec<usize>,
-}
-
-/// Largest thread count (a power of two, at most `cap`) whose shared-
-/// memory rows fit the per-SM budget.
-fn pick_tpc(row_bytes: u32, smem_bytes: u32, cap: u32) -> u32 {
-    let mut tpc = cap.max(1).next_power_of_two();
-    while tpc > 1 && row_bytes.saturating_mul(tpc) > smem_bytes {
-        tpc /= 2;
-    }
-    tpc
 }
 
 impl Service {
@@ -109,105 +97,42 @@ impl Service {
         let smem = gcfg.sm.smem_bytes;
 
         let mut program = Program::new();
-        let mut dp_cfgs = Vec::new();
-        for &bucket in &cfg.pairwise_buckets {
-            let tpc = pick_tpc(2 * (bucket + 1) * 8, smem, 64);
-            let kcfg = DpKernelCfg {
-                mode: DpMode::Local,
-                max_len: bucket,
-                rows_in_smem: true,
-                threads_per_cta: tpc,
-                matches: MATCH,
-                mismatch: MISMATCH,
-                open: GAP_OPEN,
-                extend: GAP_EXTEND,
-                shared_target: false,
-                subst_matrix: None,
-            };
-            let kernel = program.add(build_dp_kernel(&format!("serve-sw-{bucket}"), &kcfg));
-            dp_cfgs.push((
-                DpPipe {
-                    bucket,
-                    kernel,
-                    tpc,
-                },
+        let dp: Vec<(DpKernelCfg, KernelId)> = cfg
+            .pairwise_buckets
+            .iter()
+            .map(|&bucket| {
+                let kcfg = served::sw_cfg(bucket, smem, SW_TPC_CAP);
+                let name = format!("serve-sw-{bucket}");
+                (kcfg, program.add(build_dp_kernel(&name, &kcfg)))
+            })
+            .collect();
+        let fm_kernel =
+            (!cfg.fm_genome.is_empty()).then(|| program.add(build_fm_search_kernel("serve-fm")));
+        let ph = (cfg.phmm_read_len > 0 && cfg.phmm_hap_len >= cfg.phmm_read_len).then(|| {
+            let kcfg = served::pairhmm_cfg(cfg.phmm_read_len, cfg.phmm_hap_len, smem, PHMM_TPC_CAP);
+            (
                 kcfg,
-            ));
-        }
-        let fm_tables = (!cfg.fm_genome.is_empty()).then(|| FmTables::build(&cfg.fm_genome));
-        let fm_kernel = fm_tables
-            .as_ref()
-            .map(|_| program.add(build_fm_search_kernel("serve-fm")));
-        let ph_cfg = (cfg.phmm_read_len > 0 && cfg.phmm_hap_len >= cfg.phmm_read_len).then(|| {
-            PairHmmKernelCfg {
-                read_len: cfg.phmm_read_len,
-                hap_len: cfg.phmm_hap_len,
-                rows: RowStorage::Shared,
-                threads_per_cta: pick_tpc(6 * (cfg.phmm_hap_len + 1) * 8, smem, 32),
-            }
+                program.add(build_pairhmm_kernel("serve-pairhmm", &kcfg)),
+            )
         });
-        let ph_kernel = ph_cfg
-            .as_ref()
-            .map(|c| program.add(build_pairhmm_kernel("serve-pairhmm", c)));
 
         let n_devices = cfg.n_devices.max(1);
         let mut node = GpuNode::new(program, NodeConfig::new(n_devices, gcfg));
-        let mut dp = Vec::new();
-        for (pipe, kcfg) in dp_cfgs {
-            for d in 0..n_devices {
-                node.device_mut(d)
-                    .bind_constants(pipe.kernel, scoring_const_data(&kcfg));
+        for d in 0..n_devices {
+            let dev = node.device_mut(d);
+            for (kcfg, kernel) in &dp {
+                dev.bind_constants(*kernel, scoring_const_data(kcfg));
             }
-            dp.push(pipe);
-        }
-        let mut fm = Vec::new();
-        if let (Some(tables), Some(kernel)) = (fm_tables, fm_kernel) {
-            let occ_bytes: Vec<u8> = tables.occ.iter().flat_map(|v| v.to_le_bytes()).collect();
-            let sa_bytes: Vec<u8> = tables.sa.iter().flat_map(|v| v.to_le_bytes()).collect();
-            for d in 0..n_devices {
-                let dev = node.device_mut(d);
-                dev.bind_constants(kernel, tables.const_data());
-                let text = dev.try_malloc(tables.text.len() as u64)?;
-                let occ = dev.try_malloc(occ_bytes.len() as u64)?;
-                let sa = dev.try_malloc(sa_bytes.len() as u64)?;
-                fm.push(FmPipe {
-                    kernel,
-                    text,
-                    occ,
-                    sa,
-                    read_len: cfg.fm_read_len,
-                });
-            }
-            // Upload the reference once over PCIe, then replicate it to
-            // the peer devices over the inter-GPU fabric.
-            node.device_mut(0)
-                .try_memcpy_h2d(fm[0].text, &tables.text)?;
-            node.device_mut(0).try_memcpy_h2d(fm[0].occ, &occ_bytes)?;
-            node.device_mut(0).try_memcpy_h2d(fm[0].sa, &sa_bytes)?;
-            for d in 1..n_devices {
-                node.try_p2p_copy(0, fm[0].text, d, fm[d].text, tables.text.len())?;
-                node.try_p2p_copy(0, fm[0].occ, d, fm[d].occ, occ_bytes.len())?;
-                node.try_p2p_copy(0, fm[0].sa, d, fm[d].sa, sa_bytes.len())?;
-            }
-            if n_devices > 1 {
-                // Land the broadcast before any kernel can read the tables.
-                for r in node.try_sync_all() {
-                    r?;
-                }
+            if let Some((_, kernel)) = ph {
+                dev.bind_constants(kernel, phred_const_data());
             }
         }
-        let ph = match (ph_cfg, ph_kernel) {
-            (Some(c), Some(kernel)) => {
-                for d in 0..n_devices {
-                    node.device_mut(d)
-                        .bind_constants(kernel, phred_const_data());
-                }
-                Some(PhPipe {
-                    kernel,
-                    tpc: c.threads_per_cta,
-                })
+        let fm = match fm_kernel {
+            Some(kernel) => {
+                let tables = FmTables::build(&cfg.fm_genome);
+                Some((kernel, tables.upload_to_node(&mut node, kernel)?))
             }
-            _ => None,
+            None => None,
         };
 
         // Slab sizing: the maximum any shape needs for a full batch.
@@ -227,15 +152,17 @@ impl Service {
             workers.push(Worker {
                 device,
                 stream: dev.create_stream(),
-                in_a: dev.try_malloc(a_bytes)?,
-                in_b: dev.try_malloc(b_bytes)?,
-                in_c: dev.try_malloc(c_bytes)?,
+                slabs: [
+                    dev.try_malloc(a_bytes)?,
+                    dev.try_malloc(b_bytes)?,
+                    dev.try_malloc(c_bytes)?,
+                ],
                 out: dev.try_malloc(nb * 8)?,
             });
             metrics.streams_created += 1;
         }
 
-        let telemetry = ServeTelemetry::new(cfg.telemetry_events);
+        let telemetry = ServeTelemetry::new(TELEMETRY_EVENTS);
         Ok(Service {
             cfg,
             node,
@@ -605,12 +532,9 @@ impl Service {
     }
 
     /// Capped exponential backoff, in rounds.
-    fn backoff(&self, attempts: u32) -> u64 {
+    fn backoff(attempts: u32) -> u64 {
         let shift = attempts.saturating_sub(1).min(32);
-        self.cfg
-            .backoff_cap
-            .min(self.cfg.backoff_base.saturating_mul(1u64 << shift))
-            .max(1)
+        BACKOFF_CAP.min(BACKOFF_BASE.saturating_mul(1u64 << shift))
     }
 
     /// Failure policy. Deadline overruns skip the retry ladder (the
@@ -625,9 +549,9 @@ impl Service {
         let deadline = matches!(err, SimError::DeadlineExceeded { .. });
         let cycle = self.now();
         batch.attempts += 1;
-        if !deadline && batch.attempts < self.cfg.max_attempts.max(1) {
+        if !deadline && batch.attempts < MAX_ATTEMPTS {
             self.metrics.retries += 1;
-            batch.not_before = self.round + self.backoff(batch.attempts);
+            batch.not_before = self.round + Self::backoff(batch.attempts);
             self.telemetry
                 .on_retry(cycle, batch.id, batch.attempts, batch.not_before);
             self.parked.push(batch);
@@ -665,124 +589,86 @@ impl Service {
     /// the grid was not enqueued.
     fn upload_and_launch(&mut self, w: usize, batch: &Batch) -> Result<u64, SimError> {
         let n = batch.jobs.len() as u64;
-        let worker = &self.workers[w];
-        let (device, stream, in_a, in_b, in_c, out) = (
-            worker.device,
-            worker.stream,
-            worker.in_a,
-            worker.in_b,
-            worker.in_c,
-            worker.out,
-        );
+        let Worker {
+            device,
+            stream,
+            slabs,
+            out,
+        } = self.workers[w];
         let opts = LaunchOptions {
             stream,
-            deadline: batch.cycle_budget(self.cfg.default_deadline),
+            deadline: batch.cycle_budget(),
         };
+        let slab_addrs = slabs.map(|p| p.0);
+        let gpu = self.node.device_mut(device);
         let grid = match batch.shape {
             ShapeKey::Pairwise { bucket } => {
-                let pipe = self
+                let (kcfg, kernel) = self
                     .dp
                     .iter()
-                    .find(|p| p.bucket == bucket)
+                    .find(|(c, _)| c.max_len == bucket)
                     .expect("bucket compiled at build");
-                let (kernel, tpc) = (pipe.kernel, pipe.tpc);
-                let (q, t, lens) = batch::encode_pairwise(&batch.jobs, bucket);
-                let gpu = self.node.device_mut(device);
-                gpu.try_memcpy_h2d(in_a, &q)?;
-                gpu.try_memcpy_h2d(in_b, &t)?;
-                gpu.try_memcpy_h2d(in_c, &lens)?;
-                let dims = Self::dims_for(n, tpc);
-                gpu.try_launch_on(
-                    kernel,
-                    dims,
-                    &[
-                        in_a.0,
-                        in_b.0,
-                        out.0,
-                        n,
-                        0,
-                        dims.total_threads(),
-                        in_c.0,
-                        0,
-                        0,
-                    ],
-                    opts,
-                )?
+                let pairs = batch.jobs.iter().map(|job| match &job.spec.kind {
+                    JobKind::Pairwise { query, target } => (&query[..], &target[..]),
+                    _ => unreachable!("shape-checked at admission"),
+                });
+                for (dst, slab) in slabs.into_iter().zip(served::sw_encode(bucket, pairs)) {
+                    gpu.try_memcpy_h2d(dst, &slab)?;
+                }
+                let (dims, words) = served::sw_launch(kcfg, slab_addrs, out.0, n);
+                gpu.try_launch_on(*kernel, dims, &words, opts)?
             }
             ShapeKey::Fm => {
-                let pipe = self.fm.get(device).expect("FM shape admitted without pipe");
-                let (kernel, occ, sa, text, read_len) =
-                    (pipe.kernel, pipe.occ, pipe.sa, pipe.text, pipe.read_len);
-                let reads = batch::encode_fm(&batch.jobs);
-                let gpu = self.node.device_mut(device);
-                gpu.try_memcpy_h2d(in_a, &reads)?;
+                let (kernel, tables) = self.fm.as_ref().expect("FM shape admitted without pipe");
+                let mut reads = Vec::new();
+                for job in &batch.jobs {
+                    let JobKind::FmMap { read } = &job.spec.kind else {
+                        unreachable!("shape-checked at admission");
+                    };
+                    reads.extend_from_slice(read);
+                }
+                gpu.try_memcpy_h2d(slabs[0], &reads)?;
                 // The kernel writes `out` only for mappable reads; zero
                 // the slab so unmapped lanes read as "no hit" rather than
                 // the previous batch's results.
                 gpu.try_memcpy_h2d(out, &vec![0u8; (n * 8) as usize])?;
-                let dims = Self::dims_for(n, 32);
-                gpu.try_launch_on(
-                    kernel,
-                    dims,
-                    &[
-                        in_a.0,
-                        occ.0,
-                        out.0,
-                        n,
-                        0,
-                        dims.total_threads(),
-                        sa.0,
-                        text.0,
-                        read_len as u64,
-                        0,
-                    ],
-                    opts,
-                )?
+                let (dims, words) = served::fm_launch(
+                    self.cfg.fm_read_len,
+                    slab_addrs[0],
+                    &tables[device],
+                    out.0,
+                    n,
+                );
+                gpu.try_launch_on(*kernel, dims, &words, opts)?
             }
             ShapeKey::PairHmm => {
-                let pipe = self
+                let (kcfg, kernel) = self
                     .ph
                     .as_ref()
                     .expect("PairHMM shape admitted without pipe");
-                let (kernel, tpc) = (pipe.kernel, pipe.tpc);
-                let (reads, quals, haps) = batch::encode_pairhmm(&batch.jobs);
-                let gpu = self.node.device_mut(device);
-                gpu.try_memcpy_h2d(in_a, &reads)?;
-                gpu.try_memcpy_h2d(in_b, &quals)?;
-                gpu.try_memcpy_h2d(in_c, &haps)?;
-                let dims = Self::dims_for(n, tpc);
-                gpu.try_launch_on(
-                    kernel,
-                    dims,
-                    &[
-                        in_a.0,
-                        in_c.0,
-                        out.0,
-                        n,
-                        0,
-                        dims.total_threads(),
-                        in_b.0,
-                        0,
-                        0,
-                    ],
-                    opts,
-                )?
+                let mut encoded = [Vec::new(), Vec::new(), Vec::new()];
+                for job in &batch.jobs {
+                    let JobKind::PairHmm { read, quals, hap } = &job.spec.kind else {
+                        unreachable!("shape-checked at admission");
+                    };
+                    for (slab, part) in encoded.iter_mut().zip([read, quals, hap]) {
+                        slab.extend_from_slice(part);
+                    }
+                }
+                for (dst, slab) in slabs.into_iter().zip(&encoded) {
+                    gpu.try_memcpy_h2d(dst, slab)?;
+                }
+                let (dims, words) = served::pairhmm_launch(kcfg, slab_addrs, out.0, n);
+                gpu.try_launch_on(*kernel, dims, &words, opts)?
             }
         };
         Ok(grid)
     }
 
-    /// Launch shape for an `n`-job batch: enough CTAs to spread work, a
-    /// grid-stride loop covers the rest.
-    fn dims_for(n: u64, tpc: u32) -> LaunchDims {
-        let ctas = n.div_ceil(tpc as u64).clamp(1, 4) as u32;
-        LaunchDims::linear(ctas, tpc)
-    }
-
     /// Copy a finished batch's results home and decode them. A dropped
     /// D2H transfer is retried once (the drop is per-transfer, not
     /// sticky) before counting as a batch failure.
-    fn readback(&mut self, w: usize, batch: &Batch) -> Result<Vec<crate::JobOutput>, SimError> {
+    fn readback(&mut self, w: usize, batch: &Batch) -> Result<Vec<JobOutput>, SimError> {
         let (device, out) = (self.workers[w].device, self.workers[w].out);
         let bytes = batch.jobs.len() * 8;
         let gpu = self.node.device_mut(device);
@@ -791,6 +677,14 @@ impl Service {
             Err(SimError::MemcpyDropped { .. }) => gpu.try_memcpy_d2h(out, bytes)?,
             Err(e) => return Err(e),
         };
-        Ok(batch::decode(batch.shape, &raw))
+        let decode = |word| match batch.shape {
+            ShapeKey::Pairwise { .. } => JobOutput::Score(word as i64),
+            ShapeKey::Fm => {
+                let (score, pos) = unpack_hit(word);
+                JobOutput::Mapping { score, pos }
+            }
+            ShapeKey::PairHmm => JobOutput::LogLik(log_likelihood(word)),
+        };
+        Ok(u64_words(&raw).map(decode).collect())
     }
 }

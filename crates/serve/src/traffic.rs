@@ -1,24 +1,18 @@
-//! Seeded synthetic traffic and throughput-mode driving.
+//! Seeded synthetic traffic: the service geometry and job mix.
 //!
 //! Two consumers share this module: the `ggpu-stat` telemetry CLI
-//! (scenario replay) and `benchmark/` (the sustained-traffic serving
-//! workload). Keeping the job-mix generator
-//! here means both drive the *same* request population, so a latency
-//! histogram in one and a throughput record in the other describe the
-//! same workload.
-//!
-//! [`drive`] is the throughput-mode hook: it offers jobs to a
-//! [`Service`] at a fixed per-round rate and — unlike an interactive
-//! client — **does not retry** admission rejections. Rejected work is
-//! dropped and counted, which is what makes the offered load an
-//! independent variable: the service's completion rate, shed rate, and
-//! latency distribution become functions of it.
+//! (scenario replay) and `benchmark/` (the `serve_mix` workload and the
+//! serve probes). Keeping the geometry and the job-mix generator here
+//! means both drive the *same* request population, so a latency histogram
+//! in one and a host-time metric in the other describe the same workload.
+//! Each consumer owns its submission loop: `ggpu-stat` re-offers refused
+//! jobs next round, `benchmark/` drops them.
 
 use ggpu_sim::GpuConfig;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::{AdmitError, JobKind, Priority, ServeConfig, Service, ServiceDead, Tenant};
+use crate::{JobKind, ServeConfig};
 
 /// Reference-genome length the synthetic mix maps reads against.
 pub const GENOME_LEN: usize = 600;
@@ -79,86 +73,4 @@ pub fn gen_job(genome: &[u8], rng: &mut StdRng) -> JobKind {
             JobKind::PairHmm { read, quals, hap }
         }
     }
-}
-
-/// A fixed offered load: `per_round` jobs submitted before each
-/// scheduling round until `total_jobs` have been offered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OfferedLoad {
-    /// Jobs offered per scheduling round.
-    pub per_round: usize,
-    /// Total jobs offered over the run.
-    pub total_jobs: usize,
-    /// Seed of the job mix (same seed ⇒ byte-identical submissions).
-    pub seed: u64,
-}
-
-/// What [`drive`] observed, summarized from the service's own
-/// conservation ledger after the queue drained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrafficSummary {
-    /// Jobs offered (== `total_jobs`).
-    pub offered: u64,
-    /// Jobs past admission.
-    pub admitted: u64,
-    /// Jobs that completed successfully.
-    pub completed: u64,
-    /// Jobs refused at admission (queue full / quota / shape).
-    pub rejected: u64,
-    /// Admitted jobs shed by priority eviction.
-    pub shed: u64,
-    /// Scheduling rounds taken, including the drain tail.
-    pub rounds: u64,
-}
-
-impl TrafficSummary {
-    /// Fraction of offered work that did not complete because the
-    /// service refused or shed it under load.
-    pub fn shed_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            (self.rejected + self.shed) as f64 / self.offered as f64
-        }
-    }
-}
-
-/// Offer `load` to `svc` and run until the service drains.
-///
-/// Admission rejections are dropped, not re-offered — the point of
-/// throughput mode is to hold the offered load fixed and observe the
-/// service. Returns the summary; errors only if the device itself dies
-/// (a stream-scoped fault is the service's problem, not the driver's).
-pub fn drive(
-    svc: &mut Service,
-    genome: &[u8],
-    load: &OfferedLoad,
-) -> Result<TrafficSummary, ServiceDead> {
-    let mut rng = StdRng::seed_from_u64(load.seed ^ 0x5eed);
-    let mut offered = 0u64;
-    while (offered as usize) < load.total_jobs {
-        let this_round = load.per_round.min(load.total_jobs - offered as usize);
-        for _ in 0..this_round {
-            let kind = gen_job(genome, &mut rng);
-            let tenant = Tenant(offered as u32 % TENANTS);
-            match svc.submit(tenant, Priority(1), None, kind) {
-                Ok(_) | Err(AdmitError::Overloaded { .. }) => {}
-                // Quota/shape refusals are still counted by the service;
-                // the driver treats every rejection the same way: drop.
-                Err(_) => {}
-            }
-            offered += 1;
-        }
-        svc.run_round()?;
-    }
-    svc.run_until_idle(10_000)?;
-    let m = svc.metrics();
-    Ok(TrafficSummary {
-        offered,
-        admitted: m.admitted,
-        completed: m.completed,
-        rejected: m.rejected_overload + m.rejected_quota + m.rejected_shape,
-        shed: m.shed,
-        rounds: m.rounds,
-    })
 }

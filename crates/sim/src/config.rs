@@ -97,19 +97,9 @@ pub struct GpuConfig {
     /// sampling entirely — the only cost on the disabled path is one
     /// branch per device cycle.
     pub sample_interval_cycles: u64,
-    /// Interval-sample ring capacity; once full, the oldest sample is
-    /// evicted (and counted in `samples_dropped`).
-    pub sample_ring_capacity: usize,
-    /// Record a structured event trace into the built-in in-memory buffer.
-    /// Off by default; custom sinks can be installed regardless via
-    /// [`crate::Gpu::set_trace_sink`].
+    /// Record a structured event trace into the in-memory buffer
+    /// ([`crate::Gpu::trace_events`]). Off by default.
     pub trace: bool,
-    /// Built-in trace-buffer capacity in events (terminal fault/deadlock
-    /// events are retained past it).
-    pub trace_capacity: usize,
-    /// Also emit an event per L2 line fill from DRAM. High frequency;
-    /// off by default so traces stay kernel-granular.
-    pub trace_cache_fills: bool,
     /// Inert: one thread ticks one device. Kept until `benchmark/` stops
     /// naming it (with [`GpuConfig::with_sim_threads`]); read by nothing.
     #[doc(hidden)]
@@ -173,10 +163,7 @@ impl GpuConfig {
             cdp_max_depth: 24,
             fault_plan: FaultPlan::default(),
             sample_interval_cycles: 0,
-            sample_ring_capacity: 4096,
             trace: false,
-            trace_capacity: 1 << 20,
-            trace_cache_fills: false,
             sim_threads: 1,
             fast_forward: true,
             stream_isolation: false,
@@ -298,10 +285,7 @@ mod tests {
     fn profiling_is_off_by_default() {
         let c = GpuConfig::rtx3070();
         assert_eq!(c.sample_interval_cycles, 0);
-        assert_eq!(c.sample_ring_capacity, 4096);
         assert!(!c.trace);
-        assert_eq!(c.trace_capacity, 1 << 20);
-        assert!(!c.trace_cache_fills);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::profile::{
     ProfileReport, Sampler, SmUnit, UnitProfile,
 };
 use crate::stats::{HostStats, RunStats};
-use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind, TraceSink};
+use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind};
 
 use self::engine::{DramTarget, Ev};
 use self::lanes::Lanes;
@@ -78,17 +78,13 @@ struct StreamState {
     fault: Option<SimError>,
 }
 
-/// Where trace events go. [`SinkSlot::Off`] keeps the disabled path at a
-/// single branch per emission site.
-#[derive(Debug)]
-enum SinkSlot {
-    /// Tracing disabled (the default).
-    Off,
-    /// The built-in in-memory buffer ([`GpuConfig::trace`]).
-    Buffer(TraceBuffer),
-    /// A user-installed sink ([`Gpu::set_trace_sink`]).
-    Custom(Box<dyn TraceSink>),
-}
+/// Interval-sample ring capacity; once full, the oldest sample is evicted
+/// (and counted in [`Gpu::samples_dropped`]).
+const SAMPLE_RING_CAPACITY: usize = 4096;
+
+/// Trace-buffer capacity in events (terminal fault/deadlock events are
+/// retained past it).
+const TRACE_CAPACITY: usize = 1 << 20;
 
 /// The simulated GPU plus its host-side API.
 ///
@@ -169,8 +165,9 @@ pub struct Gpu {
     /// violation), resolved against the owning stream at the end of
     /// `cycle_post`.
     pending_fault: Option<SimError>,
-    /// Where trace events go ([`SinkSlot::Off`] unless tracing is on).
-    sink: SinkSlot,
+    /// The event trace buffer; `None` unless [`GpuConfig::trace`] is set,
+    /// which keeps the disabled path at one branch per emission site.
+    sink: Option<TraceBuffer>,
     /// Per-kernel records, in retire order (collected while profiling is
     /// enabled).
     records: Vec<KernelRecord>,
@@ -233,15 +230,11 @@ impl Gpu {
             replies_sent: 0,
             memcpys_done: 0,
             pending_fault: None,
-            sink: if config.trace {
-                SinkSlot::Buffer(TraceBuffer::new(config.trace_capacity))
-            } else {
-                SinkSlot::Off
-            },
+            sink: config.trace.then(|| TraceBuffer::new(TRACE_CAPACITY)),
             records: Vec::new(),
             record_base: RunStats::default(),
             sampler: (config.sample_interval_cycles > 0)
-                .then(|| Sampler::new(config.sample_interval_cycles, config.sample_ring_capacity)),
+                .then(|| Sampler::new(config.sample_interval_cycles, SAMPLE_RING_CAPACITY)),
             config,
             program,
         }
@@ -421,15 +414,15 @@ impl Gpu {
             *s = Sampler::new(interval, capacity);
             s.last_boundary = self.cycle;
         }
-        if let SinkSlot::Buffer(b) = &mut self.sink {
+        if let Some(b) = &mut self.sink {
             let _ = b.take();
         }
     }
 
     // ---- profiling --------------------------------------------------------
 
-    /// Whether the profiling layer is collecting anything: a trace sink is
-    /// installed, interval sampling is on, per-PC attribution is on, and/or
+    /// Whether the profiling layer is collecting anything: tracing is on,
+    /// interval sampling is on, per-PC attribution is on, and/or
     /// standalone kernel records are requested
     /// ([`GpuConfig::kernel_records`]). Per-kernel records are collected
     /// exactly while this is true. Profiling never changes simulated timing
@@ -440,12 +433,6 @@ impl Gpu {
             || self.sampler.is_some()
             || self.config.sm.attribution
             || self.config.kernel_records
-    }
-
-    /// Install a custom trace sink (replacing the built-in buffer if
-    /// [`GpuConfig::trace`] was set). The sink sees every event from now on.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = SinkSlot::Custom(sink);
     }
 
     /// Per-kernel counter records collected so far, in retire order.
@@ -463,13 +450,9 @@ impl Gpu {
         self.sampler.as_ref().map_or(0, |s| s.dropped)
     }
 
-    /// Events recorded by the built-in trace buffer (empty when tracing is
-    /// off or a custom sink is installed).
+    /// Events recorded by the trace buffer (empty when tracing is off).
     pub fn trace_events(&self) -> &[TraceEvent] {
-        match &self.sink {
-            SinkSlot::Buffer(b) => b.events(),
-            _ => &[],
-        }
+        self.sink.as_ref().map_or(&[], TraceBuffer::events)
     }
 
     /// The code axis of attribution: per-PC counters merged across SMs in
@@ -555,10 +538,11 @@ impl Gpu {
             ),
             None => (Vec::new(), 0),
         };
-        let (events, events_dropped) = match &mut self.sink {
-            SinkSlot::Buffer(b) => b.take(),
-            _ => (Vec::new(), 0),
-        };
+        let (events, events_dropped) = self
+            .sink
+            .as_mut()
+            .map(TraceBuffer::take)
+            .unwrap_or_default();
         self.record_base = stats.clone();
         ProfileReport {
             stats,
@@ -575,20 +559,17 @@ impl Gpu {
 
     #[inline]
     fn trace_on(&self) -> bool {
-        !matches!(self.sink, SinkSlot::Off)
+        self.sink.is_some()
     }
 
-    /// Hand one event to the installed sink. Callers guard with
-    /// [`Gpu::trace_on`] so the disabled path never constructs an event.
+    /// Record one event. Callers guard with [`Gpu::trace_on`] so the
+    /// disabled path never constructs an event.
     fn emit(&mut self, kind: TraceEventKind) {
-        let ev = TraceEvent {
-            cycle: self.cycle,
-            kind,
-        };
-        match &mut self.sink {
-            SinkSlot::Off => {}
-            SinkSlot::Buffer(b) => b.event(&ev),
-            SinkSlot::Custom(s) => s.event(&ev),
+        if let Some(b) = &mut self.sink {
+            b.event(TraceEvent {
+                cycle: self.cycle,
+                kind,
+            });
         }
     }
 

@@ -519,12 +519,6 @@ impl Gpu {
                 match self.dram_inflight.remove(&key) {
                     Some(DramTarget::Fill { part, line }) => {
                         self.l2[part].fill(line * LINE_BYTES, false);
-                        if self.config.trace_cache_fills && self.trace_on() {
-                            self.emit(TraceEventKind::CacheFill {
-                                partition: part as u64,
-                                addr: line * LINE_BYTES,
-                            });
-                        }
                         if let Some(waiters) = self.l2_waiters.remove(&(part, line)) {
                             for (sm, id) in waiters {
                                 self.send_reply(part, sm, id, 0);

@@ -79,58 +79,93 @@ impl Grid {
 
 impl Gpu {
     /// Validate a launch configuration against the program and the SM
-    /// resource limits; `Err` carries the specific [`LaunchProblem`].
+    /// resource limits. Host and device-side launches both pass through
+    /// here: a CTA no SM can ever hold must be refused at launch, not left
+    /// queued for the watchdog to find.
     fn validate_launch(
         &self,
         kernel: KernelId,
         dims: LaunchDims,
         params: &[u64],
-    ) -> Result<(), SimError> {
-        let k = match self.program.get(kernel) {
-            Some(k) => k,
-            None => {
-                return Err(SimError::InvalidLaunch {
-                    kernel: format!("k{}", kernel.0),
-                    problem: LaunchProblem::UnknownKernel,
-                })
-            }
-        };
-        let invalid = |problem| SimError::InvalidLaunch {
-            kernel: k.name.clone(),
-            problem,
-        };
+    ) -> Result<(), LaunchProblem> {
+        let k = self
+            .program
+            .get(kernel)
+            .ok_or(LaunchProblem::UnknownKernel)?;
         let tpc = dims.threads_per_cta();
         if dims.num_ctas() == 0 || tpc == 0 {
-            return Err(invalid(LaunchProblem::ZeroDimension));
+            return Err(LaunchProblem::ZeroDimension);
         }
         let sm = &self.config.sm;
         if tpc > sm.max_threads {
-            return Err(invalid(LaunchProblem::TooManyThreads {
+            return Err(LaunchProblem::TooManyThreads {
                 requested: tpc,
                 limit: sm.max_threads,
-            }));
+            });
         }
         let regs = k.regs_per_thread.saturating_mul(tpc);
         if regs > sm.registers {
-            return Err(invalid(LaunchProblem::RegistersExceeded {
+            return Err(LaunchProblem::RegistersExceeded {
                 requested: regs,
                 limit: sm.registers,
-            }));
+            });
         }
         if k.smem_per_cta > sm.smem_bytes {
-            return Err(invalid(LaunchProblem::SharedMemExceeded {
+            return Err(LaunchProblem::SharedMemExceeded {
                 requested: k.smem_per_cta,
                 limit: sm.smem_bytes,
-            }));
+            });
         }
         let required = k.param_words_required();
         if params.len() < required {
-            return Err(invalid(LaunchProblem::ParamCountMismatch {
+            return Err(LaunchProblem::ParamCountMismatch {
                 required,
                 provided: params.len(),
-            }));
+            });
         }
         Ok(())
+    }
+
+    /// Validate a launch and build its grid — the one place a [`Grid`] is
+    /// constructed. The result is a host grid on `stream`; `spawn_child`
+    /// overwrites the fields that differ for a device-side launch.
+    fn new_grid(
+        &mut self,
+        mem: &mut DeviceMemory,
+        kernel: KernelId,
+        dims: LaunchDims,
+        params: Vec<u64>,
+        stream: usize,
+    ) -> Result<Grid, LaunchProblem> {
+        self.validate_launch(kernel, dims, &params)?;
+        let program = Arc::clone(&self.program);
+        let k: &Kernel = program.kernel(kernel);
+        let (local_base, local_stride) =
+            Self::alloc_local_arena(mem, &mut self.free_arenas, k, dims);
+        let const_data = self
+            .const_bindings
+            .get(&kernel.0)
+            .cloned()
+            .unwrap_or_else(|| Arc::new(Vec::new()));
+        Ok(Grid {
+            kernel,
+            dims,
+            params: Arc::new(params),
+            const_data,
+            local_base,
+            local_stride,
+            next_cta: 0,
+            done_ctas: 0,
+            parent: None,
+            armed_at: None,
+            from_host: true,
+            stream,
+            deadline_budget: None,
+            deadline_at: None,
+            depth: 0,
+            launch_cycle: self.cycle,
+            start_cycle: None,
+        })
     }
 
     /// Enqueue a grid on the default stream (serialized with prior host
@@ -178,40 +213,19 @@ impl Gpu {
                 }
             }
         }
-        self.validate_launch(kernel, dims, params)?;
-        let program = Arc::clone(&self.program);
-        let k: &Kernel = program.kernel(kernel);
-        let (local_base, local_stride) =
-            Self::alloc_local_arena(&mut self.mem, &mut self.free_arenas, k, dims);
-        let const_data = self
-            .const_bindings
-            .get(&kernel.0)
-            .cloned()
-            .unwrap_or_else(|| Arc::new(Vec::new()));
+        // Memory is checked out of `self` for the call, as it is for the
+        // cycle phases `spawn_child` runs in.
+        let mut mem = std::mem::take(&mut self.mem);
+        let grid = self.new_grid(&mut mem, kernel, dims, params.to_vec(), stream);
+        self.mem = mem;
+        let mut grid = grid.map_err(|problem| SimError::InvalidLaunch {
+            kernel: self.kernel_name(kernel),
+            problem,
+        })?;
+        grid.deadline_budget = opts.deadline;
         let handle = self.next_grid;
         self.next_grid += 1;
-        self.grids.insert(
-            handle,
-            Grid {
-                kernel,
-                dims,
-                params: Arc::new(params.to_vec()),
-                const_data,
-                local_base,
-                local_stride,
-                next_cta: 0,
-                done_ctas: 0,
-                parent: None,
-                armed_at: None,
-                from_host: true,
-                stream,
-                deadline_budget: opts.deadline,
-                deadline_at: None,
-                depth: 0,
-                launch_cycle: self.cycle,
-                start_cycle: None,
-            },
-        );
+        self.grids.insert(handle, grid);
         self.streams[stream].queue.push_back(handle);
         self.host.kernel_launches += 1;
         if self.trace_on() {
@@ -448,85 +462,65 @@ impl Gpu {
         let parent = self.grids.get(&l.parent_grid);
         let stream = parent.map(|g| g.stream).unwrap_or(0);
         let depth = parent.map(|g| g.depth).unwrap_or(0) + 1;
+        let parent_kernel = parent.map(|g| g.kernel);
         let forced_full = self
             .config
             .fault_plan
             .cdp_full_at
             .is_some_and(|c| self.cycle >= c);
-        let queue_full = forced_full || self.device_queue.len() >= self.config.cdp_queue_limit;
-        let too_deep = depth > self.config.cdp_max_depth;
-        if queue_full || too_deep {
-            let kind = if queue_full {
-                FaultKind::CdpQueueOverflow
-            } else {
-                FaultKind::CdpNestingExceeded
-            };
-            let kernel = parent
-                .map(|g| g.kernel)
-                .and_then(|k| self.program.get(k))
-                .map(|k| k.name.clone())
-                .unwrap_or_else(|| "?".to_string());
-            self.pending_fault = Some(SimError::DeviceFault(Box::new(DeviceFault {
-                kind,
-                kernel: kernel.clone(),
-                stream,
-                sm: parent_sm,
-                cta: None,
-                warp: None,
-                warp_in_cta: None,
-                lane_mask: None,
-                pc: None,
-                instr: format!("launch k{} grid {} block {}", l.kernel, l.grid_x, l.block_x),
-                addr: None,
-                cycle: self.cycle,
-            })));
-            if self.trace_on() {
-                self.emit(TraceEventKind::Fault {
-                    kind,
-                    kernel,
-                    stream,
-                });
-            }
-            return;
-        }
         let kernel = KernelId(l.kernel);
-        let program = Arc::clone(&self.program);
-        let k = match program.get(kernel) {
-            Some(k) => k,
-            None => return,
-        };
         let dims = LaunchDims::linear(l.grid_x, l.block_x);
-        let (local_base, local_stride) =
-            Self::alloc_local_arena(mem, &mut self.free_arenas, k, dims);
-        let const_data = self
-            .const_bindings
-            .get(&l.kernel)
-            .cloned()
-            .unwrap_or_else(|| Arc::new(Vec::new()));
+        let admitted = if forced_full || self.device_queue.len() >= self.config.cdp_queue_limit {
+            Err((FaultKind::CdpQueueOverflow, None))
+        } else if depth > self.config.cdp_max_depth {
+            Err((FaultKind::CdpNestingExceeded, None))
+        } else {
+            self.new_grid(mem, kernel, dims, l.params, stream)
+                .map_err(|problem| (FaultKind::CdpInvalidLaunch, Some(problem)))
+        };
+        let mut grid = match admitted {
+            Ok(grid) => grid,
+            Err((kind, problem)) => {
+                let mut instr =
+                    format!("launch k{} grid {} block {}", l.kernel, l.grid_x, l.block_x);
+                if let Some(problem) = problem {
+                    instr.push_str(&format!(": {problem}"));
+                }
+                let kernel = parent_kernel
+                    .and_then(|k| self.program.get(k))
+                    .map(|k| k.name.clone())
+                    .unwrap_or_else(|| "?".to_string());
+                self.pending_fault = Some(SimError::DeviceFault(Box::new(DeviceFault {
+                    kind,
+                    kernel: kernel.clone(),
+                    stream,
+                    sm: parent_sm,
+                    cta: None,
+                    warp: None,
+                    warp_in_cta: None,
+                    lane_mask: None,
+                    pc: None,
+                    instr,
+                    addr: None,
+                    cycle: self.cycle,
+                })));
+                if self.trace_on() {
+                    self.emit(TraceEventKind::Fault {
+                        kind,
+                        kernel,
+                        stream,
+                    });
+                }
+                return;
+            }
+        };
+        grid.parent = Some((parent_sm, l.parent_slot, l.parent_grid));
+        grid.armed_at = Some(self.cycle + self.config.cdp_launch_overhead);
+        grid.from_host = false;
+        grid.depth = depth;
         let handle = self.next_grid;
         self.next_grid += 1;
-        self.grids.insert(
-            handle,
-            Grid {
-                kernel,
-                dims,
-                params: Arc::new(l.params),
-                const_data,
-                local_base,
-                local_stride,
-                next_cta: 0,
-                done_ctas: 0,
-                parent: Some((parent_sm, l.parent_slot, l.parent_grid)),
-                armed_at: Some(self.cycle + self.config.cdp_launch_overhead),
-                from_host: false,
-                stream,
-                deadline_budget: None,
-                deadline_at: None,
-                depth,
-                launch_cycle: self.cycle,
-                start_cycle: None,
-            },
-        );
+        self.grids.insert(handle, grid);
         self.device_queue.push_back(handle);
         if self.trace_on() {
             self.emit(TraceEventKind::CdpEnqueue {

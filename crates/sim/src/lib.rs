@@ -68,7 +68,6 @@ pub use profile::{
 pub use stats::{HostStats, RunStats};
 pub use trace::{
     chrome_trace_json, ChromeTrace, CopyDir, InstantScope, TraceBuffer, TraceEvent, TraceEventKind,
-    TraceSink,
 };
 
 // Re-export the fault vocabulary so harnesses matching on errors don't need

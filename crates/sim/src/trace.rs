@@ -1,11 +1,10 @@
-//! Structured event trace: typed device events, pluggable sinks, and a
-//! Chrome-trace (`chrome://tracing` / Perfetto) JSON writer.
+//! Structured event trace: typed device events, the in-memory buffer they
+//! land in, and a Chrome-trace (`chrome://tracing` / Perfetto) JSON writer.
 //!
-//! Tracing is off by default. Enable the built-in in-memory buffer with
-//! [`crate::GpuConfig::trace`], or install any custom [`TraceSink`] via
-//! [`crate::Gpu::set_trace_sink`]. Every emission site in the device is
-//! guarded by a single "is a sink installed?" branch, so the disabled path
-//! costs one predictable branch and no allocation.
+//! Tracing is off by default; [`crate::GpuConfig::trace`] turns the buffer
+//! on. Every emission site in the device is guarded by a single "is tracing
+//! on?" branch, so the disabled path costs one predictable branch and no
+//! allocation.
 
 use std::fmt;
 
@@ -97,14 +96,6 @@ pub enum TraceEventKind {
         /// Modelled PCIe cycles the transfer took.
         cycles: u64,
     },
-    /// An L2 line was filled from DRAM (emitted only when
-    /// [`crate::GpuConfig::trace_cache_fills`] is set — high frequency).
-    CacheFill {
-        /// Memory partition of the filled slice.
-        partition: u64,
-        /// Byte address of the filled line.
-        addr: u64,
-    },
     /// A guest fault poisoned its owning stream (device-wide on stream 0).
     Fault {
         /// Architectural fault class.
@@ -133,7 +124,6 @@ impl TraceEventKind {
             TraceEventKind::KernelRetire { .. } => "kernel_retire",
             TraceEventKind::CdpDrain { .. } => "cdp_drain",
             TraceEventKind::Memcpy { .. } => "memcpy",
-            TraceEventKind::CacheFill { .. } => "cache_fill",
             TraceEventKind::Fault { .. } => "fault",
             TraceEventKind::Deadlock { .. } => "deadlock",
         }
@@ -208,9 +198,6 @@ impl TraceEvent {
                         .u64("bytes", *bytes)
                         .u64("cycles", *cycles);
                 }
-                TraceEventKind::CacheFill { partition, addr } => {
-                    w.u64("partition", *partition).u64("addr", *addr);
-                }
                 TraceEventKind::Fault {
                     kind,
                     kernel,
@@ -232,19 +219,7 @@ impl TraceEvent {
     }
 }
 
-/// A consumer of trace events.
-///
-/// Implementations must be cheap per event; the device calls
-/// [`TraceSink::event`] from the cycle loop whenever a sink is installed.
-/// Sinks must be `Send` so a whole [`crate::Gpu`] (including its sink) can
-/// move to a worker thread — the node engine simulates devices on parallel
-/// host threads.
-pub trait TraceSink: fmt::Debug + Send {
-    /// Observe one event.
-    fn event(&mut self, ev: &TraceEvent);
-}
-
-/// The built-in in-memory sink: a capacity-bounded event log.
+/// The in-memory trace: a capacity-bounded event log.
 ///
 /// When the buffer is full, further events are dropped (and counted) —
 /// except terminal fault/deadlock events, which are always retained so a
@@ -283,12 +258,11 @@ impl TraceBuffer {
             std::mem::take(&mut self.dropped),
         )
     }
-}
 
-impl TraceSink for TraceBuffer {
-    fn event(&mut self, ev: &TraceEvent) {
+    /// Record one event, or count it as dropped when the buffer is full.
+    pub fn event(&mut self, ev: TraceEvent) {
         if self.events.len() < self.capacity || ev.kind.is_terminal() {
-            self.events.push(ev.clone());
+            self.events.push(ev);
         } else {
             self.dropped += 1;
         }
@@ -541,16 +515,6 @@ impl ChromeTrace {
                     *cycles,
                     &[("bytes", bytes.to_string())],
                 ),
-                TraceEventKind::CacheFill { partition, addr } => self.instant(
-                    pid,
-                    0,
-                    "l2_fill",
-                    ev.cycle,
-                    &[
-                        ("partition", partition.to_string()),
-                        ("addr", addr.to_string()),
-                    ],
-                ),
                 TraceEventKind::Fault {
                     kind,
                     kernel,
@@ -632,9 +596,9 @@ mod tests {
     fn buffer_caps_and_keeps_terminal_events() {
         let mut b = TraceBuffer::new(2);
         for i in 0..5 {
-            b.event(&ev(i, TraceEventKind::KernelStart { grid: i, stream: 0 }));
+            b.event(ev(i, TraceEventKind::KernelStart { grid: i, stream: 0 }));
         }
-        b.event(&ev(
+        b.event(ev(
             9,
             TraceEventKind::Deadlock {
                 stalled_for: 100,

@@ -6,7 +6,8 @@ use ggpu_isa::{
     CmpOp, FaultKind, KernelBuilder, KernelId, LaunchDims, Operand, Program, Space, Width,
 };
 use ggpu_sim::{
-    CopyDir, FaultPlan, Gpu, GpuConfig, LaunchOptions, LaunchProblem, SimError, StreamId, WarpWait,
+    CopyDir, FaultPlan, Gpu, GpuConfig, LaunchOptions, LaunchProblem, SimError, StreamId,
+    TraceEventKind, WarpWait,
 };
 
 /// Kernel: store one u64 at `param[0] + offset` from a single thread.
@@ -275,10 +276,10 @@ fn invalid_launch_configs_are_rejected_before_enqueue() {
         .expect("valid launch still works");
 }
 
-#[test]
-fn cdp_queue_overflow_injection_faults_parent_launch() {
-    // Parent thread 0 launches a child; the plan reports the pending-launch
-    // queue as full from cycle 0, so the device launch must trap.
+/// Program: `parent`, whose thread 0 launches one `block`-thread CTA of
+/// `child` (64 registers per thread, 4 KiB of shared memory) and waits,
+/// `child`, and `write_tids`.
+fn parent_child_program(block: u32) -> Program {
     let mut p = Program::new();
     let mut pb = KernelBuilder::new("parent");
     let tid = pb.global_tid();
@@ -286,21 +287,31 @@ fn cdp_queue_overflow_injection_faults_parent_launch() {
     pb.if_then(z, |b| {
         let out = b.reg();
         b.ld_param(out, 0);
-        b.launch(1, Operand::imm(1), Operand::imm(32), Operand::reg(out), 1);
+        let threads = Operand::imm(block as i64);
+        b.launch(1, Operand::imm(1), threads, Operand::reg(out), 1);
         b.dsync();
     });
     pb.exit();
     p.add(pb.finish());
     let mut cb = KernelBuilder::new("child");
+    cb.set_regs_per_thread(64);
+    cb.alloc_smem(4096);
     let out = cb.reg();
     cb.ld_param(out, 0);
     cb.st(Space::Global, Width::B64, Operand::imm(1), out, 0);
     cb.exit();
     p.add(cb.finish());
+    p.add(write_tids().kernel(KernelId(0)).clone());
+    p
+}
 
+#[test]
+fn cdp_queue_overflow_injection_faults_parent_launch() {
+    // Parent thread 0 launches a child; the plan reports the pending-launch
+    // queue as full from cycle 0, so the device launch must trap.
     let mut config = GpuConfig::test_small();
     config.fault_plan.cdp_full_at = Some(0);
-    let mut gpu = Gpu::new(p, config);
+    let mut gpu = Gpu::new(parent_child_program(32), config);
     let buf = gpu.malloc(64);
     let err = gpu
         .try_run_kernel(KernelId(0), LaunchDims::linear(1, 32), &[buf.0])
@@ -312,6 +323,127 @@ fn cdp_queue_overflow_injection_faults_parent_launch() {
             assert!(f.instr.contains("launch"), "{}", f.instr);
         }
         other => panic!("expected DeviceFault, got {other}"),
+    }
+}
+
+/// Program: `recurse` — thread 0 of every grid launches the kernel again,
+/// one level deeper, and waits for it — and `write_tids`.
+fn recursive_program() -> (Program, KernelId, KernelId) {
+    let mut p = Program::new();
+    let mut b = KernelBuilder::new("recurse");
+    let tid = b.global_tid();
+    let z = b.cmp_s(CmpOp::Eq, Operand::reg(tid), Operand::imm(0));
+    b.if_then(z, |b| {
+        let block = b.reg();
+        b.ld_param(block, 0);
+        // The buffer is its own child parameter block: word 0 points at it.
+        b.st(Space::Global, Width::B64, Operand::reg(block), block, 0);
+        b.launch(0, Operand::imm(1), Operand::imm(32), Operand::reg(block), 1);
+        b.dsync();
+    });
+    b.exit();
+    let recurse = p.add(b.finish());
+    let good = p.add(write_tids().kernel(KernelId(0)).clone());
+    (p, recurse, good)
+}
+
+#[test]
+fn cdp_nesting_limit_faults_one_level_past_it_and_recovers() {
+    let mut config = GpuConfig::test_small()
+        .with_stream_isolation(true)
+        .with_kernel_records(true);
+    config.cdp_max_depth = 3;
+    config.trace = true;
+    // What a clean run looks like: elapsed cycles, its kernel record's SM
+    // counters, and the bytes it wrote.
+    let clean_run = |gpu: &mut Gpu, good: KernelId| {
+        let out = gpu.malloc(64 * 8);
+        let elapsed = gpu
+            .try_run_kernel(good, LaunchDims::linear(2, 32), &[out.0])
+            .expect("clean run");
+        let record = gpu.kernel_records().last().expect("record").clone();
+        assert_eq!(record.kernel, "write_tids");
+        (elapsed, record.stats.sm, gpu.memcpy_d2h(out, 64 * 8))
+    };
+
+    let (p, recurse, good) = recursive_program();
+    let mut gpu = Gpu::new(p, config.clone());
+    let block = gpu.malloc(64);
+    let err = gpu
+        .try_run_kernel(recurse, LaunchDims::linear(1, 32), &[block.0])
+        .expect_err("unbounded recursion must hit the nesting limit");
+    match &err {
+        SimError::DeviceFault(f) => {
+            assert_eq!(f.kind, FaultKind::CdpNestingExceeded);
+            assert_eq!(f.kernel, "recurse");
+            assert_eq!(f.stream, 0);
+        }
+        other => panic!("expected DeviceFault, got {other}"),
+    }
+    // Children ran at depths 1..=3; the launch refused is the one that
+    // would have been depth 4.
+    let depths: Vec<u32> = gpu
+        .trace_events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::CdpEnqueue { depth, .. } => Some(depth),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(depths, [1, 2, 3]);
+    assert_eq!(gpu.fault(), Some(&err), "default-stream faults are sticky");
+    assert_eq!(gpu.reset_fault(), Some(err));
+    assert!(!gpu.busy(), "the killed grids are gone");
+    let recovered = clean_run(&mut gpu, good);
+
+    let (p, _, good) = recursive_program();
+    let mut fresh = Gpu::new(p, config);
+    fresh.malloc(64);
+    assert_eq!(recovered, clean_run(&mut fresh, good));
+}
+
+#[test]
+fn unplaceable_child_launch_faults_at_launch_not_at_the_watchdog() {
+    // A child whose CTA no SM can ever hold used to be queued forever: the
+    // host saw a `Deadlock` one watchdog period later. Each row shrinks one
+    // SM limit under what the child needs (or asks for too many threads).
+    type Tweak = fn(&mut GpuConfig);
+    let cases: [(u32, Tweak, &str); 3] = [
+        (4096, |_| {}, "threads per CTA exceeds SM limit"),
+        (32, |c| c.sm.registers = 1024, "registers, SM has 1024"),
+        (32, |c| c.sm.smem_bytes = 1024, "bytes of shared memory"),
+    ];
+    for (block, tweak, why) in cases {
+        let mut config = GpuConfig::test_small();
+        config.trace = true;
+        tweak(&mut config);
+        let mut gpu = Gpu::new(parent_child_program(block), config);
+        let buf = gpu.malloc(64 * 8);
+        let err = gpu
+            .try_run_kernel(KernelId(0), LaunchDims::linear(1, 32), &[buf.0])
+            .expect_err("the child can never be placed");
+        match &err {
+            SimError::DeviceFault(f) => {
+                assert_eq!(f.kind, FaultKind::CdpInvalidLaunch, "{why}");
+                assert_eq!(f.kernel, "parent");
+                assert!(f.instr.contains(why), "{}", f.instr);
+                assert!(
+                    f.cycle < 1_000,
+                    "raised at cycle {}, not at the launch",
+                    f.cycle
+                );
+            }
+            other => panic!("{why}: expected DeviceFault, got {other}"),
+        }
+        assert!(
+            !gpu.trace_events()
+                .iter()
+                .any(|e| matches!(e.kind, TraceEventKind::CdpEnqueue { .. })),
+            "{why}: the child was enqueued"
+        );
+        gpu.reset_fault().expect("the fault was sticky");
+        gpu.try_run_kernel(KernelId(2), LaunchDims::linear(2, 32), &[buf.0])
+            .expect("device usable after reset");
     }
 }
 

@@ -3,7 +3,8 @@
 //! CPU reference algorithms exactly.
 
 use ggpu_isa::{LaunchDims, Program};
-use ggpu_kernels::dp::{build_dp_kernel, scoring_const_data, DpKernelCfg, DpMode};
+use ggpu_kernels::dp::{build_dp_kernel, scoring_const_data, DpArgs, DpKernelCfg, DpMode};
+use ggpu_kernels::host::{read_i64s, upload, upload_u32s};
 use ggpu_sim::{Gpu, GpuConfig};
 use proptest::prelude::*;
 
@@ -20,16 +21,10 @@ const MAX_LEN: u32 = 16;
 fn gpu_scores(mode: DpMode, rows_in_smem: bool, q: &[u8], t: &[u8], lens: &[u32]) -> Vec<i64> {
     let n = lens.len();
     let cfg = DpKernelCfg {
-        mode,
-        max_len: MAX_LEN,
         rows_in_smem,
-        threads_per_cta: 32,
         matches: SUB.matches,
         mismatch: SUB.mismatch,
-        open: 5,
-        extend: 2,
-        shared_target: false,
-        subst_matrix: None,
+        ..DpKernelCfg::new(mode, MAX_LEN, 32)
     };
     let mut program = Program::new();
     let k = program.add(build_dp_kernel("fuzz", &cfg));
@@ -37,20 +32,22 @@ fn gpu_scores(mode: DpMode, rows_in_smem: bool, q: &[u8], t: &[u8], lens: &[u32]
     config.n_sms = 2;
     let mut gpu = Gpu::new(program, config);
     gpu.bind_constants(k, scoring_const_data(&cfg));
-    let qb = gpu.malloc(q.len() as u64);
-    let tb = gpu.malloc(t.len() as u64);
-    let lb = gpu.malloc(n as u64 * 4);
-    let ob = gpu.malloc(n as u64 * 8);
-    gpu.memcpy_h2d(qb, q);
-    gpu.memcpy_h2d(tb, t);
-    let len_bytes: Vec<u8> = lens.iter().flat_map(|l| l.to_le_bytes()).collect();
-    gpu.memcpy_h2d(lb, &len_bytes);
     let dims = LaunchDims::linear(1, 32);
-    gpu.run_kernel(k, dims, &[qb.0, tb.0, ob.0, n as u64, 0, 32, lb.0, 0, 0]);
-    gpu.memcpy_d2h(ob, n * 8)
-        .chunks_exact(8)
-        .map(|c| i64::from_le_bytes(c.try_into().expect("8B")))
-        .collect()
+    let qb = upload(&mut gpu, q);
+    let tb = upload(&mut gpu, t);
+    let lb = upload_u32s(&mut gpu, lens);
+    let ob = gpu.malloc(n as u64 * 8);
+    let args = DpArgs {
+        q: qb.0,
+        t: tb.0,
+        out: ob.0,
+        n_pairs: n as u64,
+        stride: dims.total_threads(),
+        lens: lb.0,
+        ..Default::default()
+    };
+    gpu.run_kernel(k, dims, &args.words());
+    read_i64s(&mut gpu, ob, n)
 }
 
 fn cpu_score(mode: DpMode, q: &[u8], t: &[u8]) -> i64 {

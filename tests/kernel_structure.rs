@@ -7,18 +7,7 @@ use ggpu_kernels::dp::{build_dp_kernel, build_dp_parent, DpKernelCfg, DpMode};
 use ggpu_kernels::{all_benchmarks, Scale};
 
 fn dp_cfg(mode: DpMode) -> DpKernelCfg {
-    DpKernelCfg {
-        mode,
-        max_len: 24,
-        rows_in_smem: false,
-        threads_per_cta: 64,
-        matches: 2,
-        mismatch: -3,
-        open: 5,
-        extend: 2,
-        shared_target: false,
-        subst_matrix: None,
-    }
+    DpKernelCfg::new(mode, 24, 64)
 }
 
 fn class_counts(k: &Kernel) -> [usize; 5] {
