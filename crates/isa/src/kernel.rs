@@ -96,6 +96,14 @@ pub enum ValidateError {
         /// The invalid space.
         space: Space,
     },
+    /// A store targets a space the device can only read (parameter,
+    /// constant or texture memory).
+    StoreToReadOnly {
+        /// Instruction index.
+        pc: usize,
+        /// The read-only space.
+        space: Space,
+    },
     /// A device-side launch names a kernel id absent from the program.
     ///
     /// Only [`Program::validate`] can detect this; a lone
@@ -126,6 +134,9 @@ impl fmt::Display for ValidateError {
             }
             ValidateError::BadAtomicSpace { pc, space } => {
                 write!(f, "atomic at pc {pc} targets non-atomic space {space}")
+            }
+            ValidateError::StoreToReadOnly { pc, space } => {
+                write!(f, "store at pc {pc} targets read-only space {space}")
             }
             ValidateError::LaunchTargetOutOfRange { pc, kernel } => {
                 write!(f, "launch at pc {pc} targets unknown kernel k{kernel}")
@@ -160,7 +171,7 @@ pub struct Kernel {
 impl Kernel {
     /// Check structural invariants: branch targets in range, registers within
     /// the declared budget, at least one `Exit`, atomics only on global or
-    /// shared memory.
+    /// shared memory, stores only to global, local or shared memory.
     ///
     /// # Errors
     ///
@@ -191,6 +202,11 @@ impl Kernel {
             if let Instr::Atom { space, .. } = instr {
                 if !matches!(space, Space::Global | Space::Shared) {
                     return Err(ValidateError::BadAtomicSpace { pc, space: *space });
+                }
+            }
+            if let Instr::St { space, .. } = instr {
+                if matches!(space, Space::Param | Space::Const | Space::Tex) {
+                    return Err(ValidateError::StoreToReadOnly { pc, space: *space });
                 }
             }
             let check = |r: crate::Reg| -> Result<(), ValidateError> {
@@ -439,6 +455,34 @@ mod tests {
             k.validate(),
             Err(ValidateError::BadAtomicSpace { .. })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_stores_to_read_only_spaces() {
+        let store_to = |space| {
+            let mut k = trivial_kernel();
+            k.instrs = vec![
+                Instr::St {
+                    space,
+                    width: crate::Width::B64,
+                    src: Operand::imm(7),
+                    addr: Operand::reg(Reg(0)),
+                    offset: 0,
+                },
+                Instr::Exit,
+            ];
+            k.validate()
+        };
+        for space in [Space::Param, Space::Const, Space::Tex] {
+            assert_eq!(
+                store_to(space),
+                Err(ValidateError::StoreToReadOnly { pc: 0, space }),
+                "{space}"
+            );
+        }
+        for space in [Space::Global, Space::Local, Space::Shared] {
+            assert_eq!(store_to(space), Ok(()), "{space}");
+        }
     }
 
     #[test]

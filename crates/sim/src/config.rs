@@ -87,8 +87,6 @@ pub struct GpuConfig {
     pub watchdog_cycles: u64,
     /// Device memory capacity in bytes; `try_malloc` beyond it fails.
     pub memory_limit: u64,
-    /// CDP pending-launch queue capacity (as `cudaLimitDevRuntimePendingLaunchCount`).
-    pub cdp_queue_limit: usize,
     /// Maximum CDP nesting depth (as `cudaLimitDevRuntimeSyncDepth`).
     pub cdp_max_depth: u32,
     /// Deterministic fault injection (testing / hardening harnesses).
@@ -159,7 +157,6 @@ impl GpuConfig {
             clock_ghz: 1.5,
             watchdog_cycles: 50_000,
             memory_limit: 8 << 30,
-            cdp_queue_limit: 2048,
             cdp_max_depth: 24,
             fault_plan: FaultPlan::default(),
             sample_interval_cycles: 0,
@@ -265,7 +262,6 @@ mod tests {
         let c = GpuConfig::rtx3070();
         assert_eq!(c.watchdog_cycles, 50_000);
         assert_eq!(c.memory_limit, 8 << 30);
-        assert_eq!(c.cdp_queue_limit, 2048);
         assert_eq!(c.cdp_max_depth, 24);
         assert_eq!(c.fault_plan, FaultPlan::default());
         assert!(c.fault_plan.poison.is_none());

@@ -23,14 +23,17 @@
 //!   resident and nothing in flight, so it has no timed wake-up at all
 //!   (dispatch wakes it, and the dispatcher is bounded below); its share of
 //!   the span reaches it through the idle clock. For an awake lane
-//!   [`ggpu_sm::SmCore::next_wake`] returns `c0` unless every live warp is
-//!   blocked (barrier/CDP-join, scoreboard pending, or an
-//!   issue-interval/operand boundary strictly beyond `c0`). Boundaries
-//!   (`next_issue_at`, `reg_ready`) bound `T`, and scoreboard releases only
-//!   happen via replies, which are network events — bounded below. Hence
-//!   every warp's wait classification, and therefore the per-scheduler
-//!   stall record, is constant over the span and can be credited in one
-//!   [`ggpu_sm::SmCore::skip_cycles`] call.
+//!   [`ggpu_sm::SmCore::next_wake`] is the minimum, over its warps, of the
+//!   wake-up the SM's one readiness rule (`Warp::readiness`, the function
+//!   the schedulers pick by) returns beside the wait kind: `c0` unless
+//!   every live warp is blocked (barrier/CDP-join, scoreboard pending, or
+//!   an issue-interval/operand boundary strictly beyond `c0`). Boundaries
+//!   (`next_issue_at`, the earliest `reg_ready`) bound `T`, and scoreboard
+//!   releases only happen via replies, which are network events — bounded
+//!   below. Hence every warp's wait classification, and therefore the
+//!   per-scheduler stall record, is constant over the span and
+//!   [`ggpu_sm::SmCore::skip_cycles`] charges it once, through the routine
+//!   `tick` charges a single cycle with.
 //! * **Network** — packets are delivered only when due; the earliest due
 //!   time bounds `T`, so no delivery (and no reply-driven SM change)
 //!   happens inside the span.

@@ -14,6 +14,12 @@ use crate::trace::TraceEventKind;
 use super::lanes::Lanes;
 use super::{Gpu, StreamId};
 
+/// CDP pending-launch queue capacity (as
+/// `cudaLimitDevRuntimePendingLaunchCount`); a device-side launch that finds
+/// the queue this deep faults with [`FaultKind::CdpQueueOverflow`]
+/// ([`crate::FaultPlan::cdp_full_at`] forces that path in tests).
+const CDP_QUEUE_LIMIT: usize = 2048;
+
 /// Per-launch options for [`Gpu::try_launch_on`]: the target stream and an
 /// optional execution deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -470,7 +476,7 @@ impl Gpu {
             .is_some_and(|c| self.cycle >= c);
         let kernel = KernelId(l.kernel);
         let dims = LaunchDims::linear(l.grid_x, l.block_x);
-        let admitted = if forced_full || self.device_queue.len() >= self.config.cdp_queue_limit {
+        let admitted = if forced_full || self.device_queue.len() >= CDP_QUEUE_LIMIT {
             Err((FaultKind::CdpQueueOverflow, None))
         } else if depth > self.config.cdp_max_depth {
             Err((FaultKind::CdpNestingExceeded, None))

@@ -6,7 +6,7 @@ use ggpu_mem::LINE_BYTES;
 use crate::warp::lanes;
 
 /// Number of shared-memory banks (4-byte interleave), as on real SMs.
-pub const SMEM_BANKS: usize = 32;
+const SMEM_BANKS: usize = 32;
 
 /// Coalesce the active lanes' byte addresses into the set of distinct
 /// 128-byte line transactions they touch, written into `out` (deduplicated,
@@ -18,7 +18,9 @@ pub fn coalesce_lines(addrs: &[u64; WARP_SIZE], mask: u32, width: u64, out: &mut
     out.clear();
     for lane in lanes(mask) {
         let first = addrs[lane] / LINE_BYTES;
-        let last = (addrs[lane] + width - 1) / LINE_BYTES;
+        // Saturating: a guest address in the last bytes of the address space
+        // (a constant load is not bounds-checked) must not wrap to line 0.
+        let last = addrs[lane].saturating_add(width - 1) / LINE_BYTES;
         for line in first..=last {
             if !out.contains(&line) {
                 out.push(line);
@@ -31,7 +33,7 @@ pub fn coalesce_lines(addrs: &[u64; WARP_SIZE], mask: u32, width: u64, out: &mut
 /// words that map to the same bank across the active lanes. Lanes reading
 /// the same word broadcast (no conflict). The access serializes over
 /// `degree` cycles; a conflict-free access has degree 1.
-pub fn bank_conflict_degree(addrs: &[u64; WARP_SIZE], mask: u32) -> u32 {
+pub(crate) fn bank_conflict_degree(addrs: &[u64; WARP_SIZE], mask: u32) -> u32 {
     let mut per_bank: [Vec<u64>; SMEM_BANKS] = Default::default();
     for lane in lanes(mask) {
         let word = addrs[lane] / 4;

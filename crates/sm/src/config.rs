@@ -95,8 +95,6 @@ pub struct SmConfig {
     pub schedulers: u32,
     /// Scheduling policy.
     pub policy: SchedPolicy,
-    /// Active-set size for the two-level scheduler.
-    pub two_level_active: u32,
     /// L1 data cache geometry.
     pub l1: CacheConfig,
     /// Constant cache geometry.
@@ -135,7 +133,6 @@ impl Default for SmConfig {
             smem_bytes: 100 * 1024,
             schedulers: 4,
             policy: SchedPolicy::Lrr,
-            two_level_active: 8,
             l1: CacheConfig::new(128 * 1024, 256, WritePolicy::WriteThrough),
             const_cache: CacheConfig::new(64 * 1024, 256, WritePolicy::WriteThrough),
             tex_cache: CacheConfig::new(128 * 1024, 64, WritePolicy::WriteThrough),

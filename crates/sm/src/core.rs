@@ -3,6 +3,15 @@
 //! memory coalescing into off-chip requests) lives in the child module
 //! [`exec`](self); all traffic with the rest of the device crosses the
 //! explicit port boundary in [`crate::ports`].
+//!
+//! Every scheduling decision is a fold over one rule,
+//! [`SmCore::readiness`] ("can this warp issue at `now`, and if not why and
+//! until when"): a scheduler's [`pick`](SmCore::pick) and the SM-wide
+//! dominant wait fold it for the top-ranked wait kind
+//! ([`SmCore::survey`]), [`SmCore::next_wake`] folds it for the earliest
+//! timed wake-up, and [`SmCore::charge_stall`] is the one place a scheduler
+//! slot's stall is counted — [`SmCore::tick`] charges it for one cycle,
+//! [`SmCore::skip_cycles`] for a whole fast-forwarded span.
 
 mod exec;
 
@@ -203,6 +212,14 @@ enum RespRoute {
     Atomic { warp: usize, reg: Reg },
 }
 
+/// A scheduler slot's stall: the reason, and the representative blocked warp
+/// whose PC it is attributed to (`None` for idle slots).
+type Stall = (StallReason, Option<usize>);
+
+/// Active-set size of the two-level scheduler: it rotates through at most
+/// this many ready warps.
+const TWO_LEVEL_ACTIVE: usize = 8;
+
 /// Predecoded per-instruction facts for the scheduler and issue hot paths:
 /// operand registers for scoreboard classification plus the resolved result
 /// latency. Built once per program in [`SmCore::new`] so neither the
@@ -294,12 +311,11 @@ pub struct SmCore {
     /// Per-PC attribution table, allocated only when
     /// [`SmConfig::attribution`] is set.
     pc_stats: Option<Box<PcTable>>,
-    /// Scratch buffers reused across cycles.
-    scratch_addrs: [u64; WARP_SIZE],
+    /// Scratch buffers reused across cycles: the coalesced lines of the
+    /// access being issued, and the ready set of the latest
+    /// [`SmCore::survey`].
     scratch_lines: Vec<u64>,
-    scratch_warps: Vec<usize>,
-    scratch_candidates: Vec<usize>,
-    scratch_ready: Vec<usize>,
+    ready: Vec<usize>,
     /// Predecoded instruction metadata, `decoded[kernel][pc]` — indexed
     /// exactly like [`PcTable`]'s rows.
     decoded: Vec<Vec<InstrMeta>>,
@@ -340,11 +356,8 @@ impl SmCore {
             next_req_id: 0,
             age_counter: 0,
             stats: SmStats::default(),
-            scratch_addrs: [0; WARP_SIZE],
             scratch_lines: Vec::new(),
-            scratch_warps: Vec::new(),
-            scratch_candidates: Vec::new(),
-            scratch_ready: Vec::new(),
+            ready: Vec::new(),
         }
     }
 
@@ -413,37 +426,16 @@ impl SmCore {
 
     /// Attempt to place a CTA; returns `false` when resources don't fit.
     pub fn try_launch_cta(&mut self, cfg: CtaConfig) -> bool {
-        let kernel = match self.program.get(cfg.kernel_id) {
-            Some(k) => k,
-            None => return false,
-        };
         let threads = cfg.dims.threads_per_cta();
-        let regs = kernel.regs_per_thread * threads;
-        let smem = kernel.smem_per_cta;
-        if self.used_slots + 1 > self.config.max_ctas
-            || self.used_threads + threads > self.config.max_threads
-            || self.used_regs + regs > self.config.registers
-            || self.used_smem + smem > self.config.smem_bytes
-        {
+        if !self.can_accept(cfg.kernel_id, threads) {
             return false;
         }
+        let kernel = self.program.kernel(cfg.kernel_id);
+        let regs = kernel.regs_per_thread * threads;
+        let smem = kernel.smem_per_cta;
         let regs_per_thread = kernel.regs_per_thread;
         let warps_per_cta = cfg.dims.warps_per_cta();
-        let slot_idx = self.free_slots.pop().unwrap_or_else(|| {
-            self.slots.push(CtaSlot {
-                cfg: cfg.clone(),
-                smem: Vec::new(),
-                warps: Vec::new(),
-                running: 0,
-                barrier_count: 0,
-                children: 0,
-                live: false,
-                threads: 0,
-                regs: 0,
-                smem_bytes: 0,
-            });
-            self.slots.len() - 1
-        });
+        let slot_idx = self.free_slots.pop().unwrap_or(self.slots.len());
 
         let mut warp_ids = Vec::with_capacity(warps_per_cta as usize);
         for w in 0..warps_per_cta {
@@ -465,17 +457,23 @@ impl SmCore {
         }
         self.live_warps += warps_per_cta;
 
-        let slot = &mut self.slots[slot_idx];
-        slot.cfg = cfg;
-        slot.smem = vec![0; smem as usize];
-        slot.warps = warp_ids;
-        slot.running = warps_per_cta;
-        slot.barrier_count = 0;
-        slot.children = 0;
-        slot.live = true;
-        slot.threads = threads;
-        slot.regs = regs;
-        slot.smem_bytes = smem;
+        let slot = CtaSlot {
+            cfg,
+            smem: vec![0; smem as usize],
+            warps: warp_ids,
+            running: warps_per_cta,
+            barrier_count: 0,
+            children: 0,
+            live: true,
+            threads,
+            regs,
+            smem_bytes: smem,
+        };
+        if slot_idx == self.slots.len() {
+            self.slots.push(slot);
+        } else {
+            self.slots[slot_idx] = slot;
+        }
 
         self.used_threads += threads;
         self.used_regs += regs;
@@ -490,25 +488,15 @@ impl SmCore {
             Some(RespRoute::LoadFill { tex, line }) => {
                 let cache = if tex { &mut self.tc } else { &mut self.l1 };
                 cache.fill(line * LINE_BYTES, false);
-                if let Some(list) = self.waiters.remove(&(tex, line)) {
-                    for (widx, reg) in list {
-                        if let Some(w) = self.warps[widx].as_mut() {
-                            let i = reg.0 as usize;
-                            w.reg_pending[i] = w.reg_pending[i].saturating_sub(1);
-                            if w.reg_pending[i] == 0 {
-                                w.reg_ready[i] = now + 1;
-                            }
-                        }
+                for (widx, reg) in self.waiters.remove(&(tex, line)).unwrap_or_default() {
+                    if let Some(w) = self.warps[widx].as_mut() {
+                        w.fill_arrived(reg, now);
                     }
                 }
             }
             Some(RespRoute::Atomic { warp, reg }) => {
                 if let Some(w) = self.warps[warp].as_mut() {
-                    let i = reg.0 as usize;
-                    w.reg_pending[i] = w.reg_pending[i].saturating_sub(1);
-                    if w.reg_pending[i] == 0 {
-                        w.reg_ready[i] = now + 1;
-                    }
+                    w.fill_arrived(reg, now);
                 }
             }
             None => {}
@@ -555,34 +543,16 @@ impl SmCore {
         for id in ports.replies.drain(..) {
             self.mem_response(id, now);
         }
-        let out = &mut ports.out;
         if self.live_warps == 0 {
             self.credit_idle(1, device_busy as u64);
             return;
         }
         self.stats.cycles += 1;
-        let nsched = self.config.schedulers as usize;
-        let mut fallback: Option<(StallReason, Option<usize>)> = None;
-        for sched in 0..nsched {
+        let mut dominant = None;
+        for sched in 0..self.config.schedulers as usize {
             match self.pick(sched, now) {
-                Ok(widx) => self.issue(widx, now, gmem, out),
-                Err((reason, rep)) => {
-                    // A scheduler with no warps of its own inherits the
-                    // SM-wide dominant wait reason so small kernels don't
-                    // drown Figure 5 in artificial idle slots.
-                    let (r, rep) = if reason == StallReason::Idle && self.live_warps > 0 {
-                        if fallback.is_none() {
-                            fallback = Some(self.global_wait_reason(now));
-                        }
-                        fallback.unwrap_or((reason, rep))
-                    } else {
-                        (reason, rep)
-                    };
-                    self.stats.stalls.add(r, 1);
-                    if self.pc_stats.is_some() {
-                        self.record_pc_stall(r, rep);
-                    }
-                }
+                Ok(widx) => self.issue(widx, now, gmem, &mut ports.out),
+                Err(stall) => self.charge_stall(stall, now, 1, &mut dominant),
             }
         }
     }
@@ -606,27 +576,32 @@ impl SmCore {
         }
     }
 
-    /// Charge one stall cycle of `reason` to the representative blocked
+    /// Charge one scheduler slot's `stall` at `now` for `span` identical
+    /// cycles: one from [`SmCore::tick`], a whole proven-dead span from
+    /// [`SmCore::skip_cycles`].
+    ///
+    /// A scheduler with no warps of its own inherits the SM-wide dominant
+    /// wait, so small kernels don't drown Figure 5 in artificial idle slots;
+    /// `dominant` caches that answer across the schedulers of one cycle.
+    /// With attribution on, the cycles also go to the representative blocked
     /// warp's current PC, or to the unattributed bucket when there is none.
-    fn record_pc_stall(&mut self, reason: StallReason, rep: Option<usize>) {
-        self.record_pc_stall_cycles(reason, rep, 1);
-    }
-
-    /// [`SmCore::record_pc_stall`] generalized to a whole span of `cycles`
-    /// identical stall cycles, used when fast-forward credits a skipped
-    /// span in one call.
-    fn record_pc_stall_cycles(&mut self, reason: StallReason, rep: Option<usize>, cycles: u64) {
+    fn charge_stall(&mut self, stall: Stall, now: u64, span: u64, dominant: &mut Option<Stall>) {
+        let (reason, rep) = match stall {
+            (StallReason::Idle, _) => *dominant.get_or_insert_with(|| self.survey(0, 1, now)),
+            stall => stall,
+        };
+        self.stats.stalls.add(reason, span);
+        let Some(t) = self.pc_stats.as_deref_mut() else {
+            return;
+        };
         let located = rep.and_then(|widx| {
             let w = self.warps.get(widx)?.as_ref()?;
             let pc = w.stack.last()?.pc;
             Some((self.slots[w.cta_slot].cfg.kernel_id, pc))
         });
-        let Some(t) = self.pc_stats.as_deref_mut() else {
-            return;
-        };
         match located {
-            Some((kid, pc)) => t.record_stall_cycles(kid, pc, reason, cycles),
-            None => t.record_unattributed(reason, cycles),
+            Some((kid, pc)) => t.record_stall_cycles(kid, pc, reason, span),
+            None => t.record_unattributed(reason, span),
         }
     }
 
@@ -636,73 +611,22 @@ impl SmCore {
     /// before then — the engine bounds those separately. Returns `c0` when
     /// some warp is ready right at `c0`, and `u64::MAX` when nothing on
     /// this SM has a timed wake-up (idle, or blocked only on external
-    /// events).
+    /// events). It is the minimum over the warps of the wake-up the
+    /// readiness rule returns — the same function the schedulers pick by.
     ///
-    /// May pop exhausted divergence-stack entries ([`Warp::reconverge`]),
-    /// exactly as the first scheduling pass at `c0` would; the pops are
-    /// idempotent, so SM state afterwards is identical to what a normal
-    /// tick at `c0` would have observed.
+    /// May pop exhausted divergence-stack entries, exactly as the first
+    /// scheduling pass at `c0` would; the pops are idempotent, so SM state
+    /// afterwards is identical to what a normal tick at `c0` would have
+    /// observed.
     pub fn next_wake(&mut self, c0: u64) -> u64 {
-        if self.live_warps == 0 {
-            return u64::MAX;
-        }
         let mut min = u64::MAX;
         for widx in 0..self.warps.len() {
-            let kid = {
-                let Some(w) = self.warps[widx].as_ref() else {
-                    continue;
-                };
-                if w.done {
-                    continue;
+            if let Some((_, wake)) = self.readiness(widx, c0) {
+                if wake == c0 {
+                    return c0;
                 }
-                self.slots[w.cta_slot].cfg.kernel_id
-            };
-            let pc = {
-                let w = self.warps[widx].as_mut().expect("warp checked above");
-                match w.reconverge() {
-                    Some(e) => e.pc,
-                    None => continue,
-                }
-            };
-            let meta = self.decoded.get(kid.0 as usize).and_then(|k| k.get(pc));
-            let w = self.warps[widx].as_ref().expect("warp checked above");
-            if w.block != WarpBlock::None {
-                // Barrier/Dsync/Trapped: released only by another warp's
-                // issue or an external completion; no timed boundary.
-                continue;
+                min = min.min(wake);
             }
-            let Some(meta) = meta else {
-                // PC off the end of the stream: ready to trap at once.
-                return c0;
-            };
-            if w.next_issue_at > c0 {
-                // Classification is Control/Data until the issue window
-                // reopens; registers are re-examined only from then on.
-                min = min.min(w.next_issue_at);
-                continue;
-            }
-            let mut pending = false;
-            let mut wake = u64::MAX;
-            for r in meta.srcs.iter().flatten().copied().chain(meta.dst) {
-                let i = r.0 as usize;
-                if w.reg_pending[i] > 0 {
-                    // Awaiting memory fills: wakes only via `mem_response`,
-                    // which the engine bounds by its event queue.
-                    pending = true;
-                    break;
-                }
-                if w.reg_ready[i] > c0 {
-                    wake = wake.min(w.reg_ready[i]);
-                }
-            }
-            if pending {
-                continue;
-            }
-            if wake == u64::MAX {
-                // No scoreboard hazard: the warp is ready at c0.
-                return c0;
-            }
-            min = min.min(wake);
         }
         min
     }
@@ -723,27 +647,11 @@ impl SmCore {
             return;
         }
         self.stats.cycles += span;
-        let nsched = self.config.schedulers as usize;
-        let mut fallback: Option<(StallReason, Option<usize>)> = None;
-        for sched in 0..nsched {
-            let (reason, rep) = match self.pick(sched, c0) {
-                Ok(_) => {
-                    debug_assert!(false, "fast-forward skipped an issuing cycle");
-                    continue;
-                }
-                Err(e) => e,
-            };
-            let (r, rep) = if reason == StallReason::Idle && self.live_warps > 0 {
-                if fallback.is_none() {
-                    fallback = Some(self.global_wait_reason(c0));
-                }
-                fallback.unwrap_or((reason, rep))
-            } else {
-                (reason, rep)
-            };
-            self.stats.stalls.add(r, span);
-            if self.pc_stats.is_some() {
-                self.record_pc_stall_cycles(r, rep, span);
+        let mut dominant = None;
+        for sched in 0..self.config.schedulers as usize {
+            match self.pick(sched, c0) {
+                Ok(_) => debug_assert!(false, "fast-forward skipped an issuing cycle"),
+                Err(stall) => self.charge_stall(stall, c0, span, &mut dominant),
             }
         }
     }
@@ -794,174 +702,111 @@ impl SmCore {
         }
     }
 
-    /// Priority of a blocking wait kind for stall classification: the
-    /// dominant reason is the highest-ranked kind over the candidate set,
-    /// attributed to the first warp that reaches that rank.
-    fn wait_rank(k: WaitKind) -> u8 {
-        match k {
-            WaitKind::Memory => 3,
-            WaitKind::Control => 2,
-            WaitKind::Data => 1,
-            WaitKind::Sync | WaitKind::Ready => 0,
+    /// The one table over wait kinds: a kind's rank when a slot's stall is
+    /// classified (the dominant wait is the highest-ranked over the
+    /// candidates) and the [`StallReason`] the slot then records. `Ready`
+    /// never blocks; it shares `Sync`'s row only to keep the match total.
+    fn wait_row(kind: WaitKind) -> (u8, StallReason) {
+        match kind {
+            WaitKind::Memory => (3, StallReason::MemLatency),
+            WaitKind::Control => (2, StallReason::ControlHazard),
+            WaitKind::Data => (1, StallReason::DataHazard),
+            WaitKind::Sync | WaitKind::Ready => (0, StallReason::Barrier),
         }
     }
 
-    /// Dominant wait reason across all live warps (Memory over Control
-    /// over Data over Barrier) plus the representative warp it is
-    /// attributed to, used for schedulers with no warps of their own.
-    fn global_wait_reason(&mut self, now: u64) -> (StallReason, Option<usize>) {
-        let mut best: Option<(WaitKind, usize)> = None;
-        for i in 0..self.warps.len() {
-            match self.classify(i, now) {
-                Some(WaitKind::Ready) | None => {}
-                Some(k) => {
-                    if best.is_none_or(|(k0, _)| Self::wait_rank(k0) < Self::wait_rank(k)) {
-                        best = Some((k, i));
+    /// Readiness of warp `widx` at `now` — wait kind and timed wake-up, see
+    /// [`Warp::readiness`] — or `None` when the slot holds no running warp.
+    ///
+    /// May pop exhausted divergence-stack entries ([`Warp::reconverge`]); the
+    /// pops are idempotent, so asking early (fast-forward's scan) leaves the
+    /// state a normal tick at `now` would have observed.
+    fn readiness(&mut self, widx: usize, now: u64) -> Option<(WaitKind, u64)> {
+        let w = self.warps[widx].as_mut()?;
+        if w.done {
+            return None;
+        }
+        let pc = w.reconverge()?.pc;
+        let kid = self.slots[w.cta_slot].cfg.kernel_id;
+        let meta = self.decoded.get(kid.0 as usize).and_then(|k| k.get(pc));
+        Some(match meta {
+            Some(meta) => w.readiness(&meta.srcs, meta.dst, now),
+            // The PC fell off the instruction stream: the warp reads ready at
+            // once so the scheduler picks it and `issue` raises the
+            // `InvalidPc` trap (unless it is already parked or trapped).
+            None if w.block == WarpBlock::None => (WaitKind::Ready, now),
+            None => (WaitKind::Sync, u64::MAX),
+        })
+    }
+
+    /// Fold [`SmCore::readiness`] at `now` over warps `first`, `first + step`,
+    /// … (a scheduler's share, or every warp with `step` 1): the ready ones
+    /// are left in `self.ready`, and the return is the stall of the dominant
+    /// wait among the rest — Memory over Control over Data over Sync — with
+    /// the first warp to reach that rank as its representative. No blocked
+    /// warp at all (every live warp ready, or none in the share) is a
+    /// structurally idle slot.
+    fn survey(&mut self, first: usize, step: usize, now: u64) -> Stall {
+        self.ready.clear();
+        let mut blocked: Option<((u8, StallReason), usize)> = None;
+        for i in (first..self.warps.len()).step_by(step) {
+            match self.readiness(i, now) {
+                Some((WaitKind::Ready, _)) => self.ready.push(i),
+                Some((kind, _)) => {
+                    let row = Self::wait_row(kind);
+                    if blocked.is_none_or(|(top, _)| top.0 < row.0) {
+                        blocked = Some((row, i));
                     }
                 }
+                None => {}
             }
         }
-        match best {
-            Some((WaitKind::Memory, i)) => (StallReason::MemLatency, Some(i)),
-            Some((WaitKind::Control, i)) => (StallReason::ControlHazard, Some(i)),
-            Some((WaitKind::Data, i)) => (StallReason::DataHazard, Some(i)),
-            Some((WaitKind::Sync, i)) => (StallReason::Barrier, Some(i)),
-            // All live warps ready but owned by other schedulers: the slot
-            // is structurally idle.
-            _ => (StallReason::Idle, None),
+        match blocked {
+            Some(((_, reason), widx)) => (reason, Some(widx)),
+            None => (StallReason::Idle, None),
         }
     }
 
-    /// Classify a warp's readiness at `now`; `None` when not a candidate.
-    fn classify(&mut self, widx: usize, now: u64) -> Option<WaitKind> {
-        let kid = {
-            let w = self.warps[widx].as_ref()?;
-            if w.done {
-                return None;
-            }
-            self.slots[w.cta_slot].cfg.kernel_id
-        };
-        let pc = {
-            let w = self.warps[widx].as_mut()?;
-            w.reconverge()?.pc
-        };
-        match self.decoded.get(kid.0 as usize).and_then(|k| k.get(pc)) {
-            Some(meta) => {
-                let (srcs, dst) = (meta.srcs, meta.dst);
-                let w = self.warps[widx].as_ref()?;
-                Some(w.wait_kind(&srcs, dst, now))
-            }
-            // PC fell off the instruction stream: report the warp as
-            // ready so the scheduler picks it and `issue` can raise the
-            // InvalidPc trap (unless it is already parked/trapped).
-            None => {
-                let w = self.warps[widx].as_ref()?;
-                Some(if w.block == WarpBlock::None {
-                    WaitKind::Ready
-                } else {
-                    WaitKind::Sync
-                })
-            }
-        }
-    }
-
-    /// Scheduler `sched` picks a warp, or reports its stall reason plus the
-    /// representative blocked warp the stall is attributed to.
-    fn pick(&mut self, sched: usize, now: u64) -> Result<usize, (StallReason, Option<usize>)> {
-        let nsched = self.config.schedulers as usize;
-        // Reusable scratch: candidate and ready sets are rebuilt every
-        // cycle but never allocate after warm-up.
-        let mut candidates = std::mem::take(&mut self.scratch_candidates);
-        let mut ready = std::mem::take(&mut self.scratch_ready);
-        candidates.clear();
-        ready.clear();
-        for i in (sched..self.warps.len()).step_by(nsched.max(1)) {
-            if self.warps[i].as_ref().map(|w| !w.done).unwrap_or(false) {
-                candidates.push(i);
-            }
-        }
-        let result = self.pick_from(sched, &candidates, &mut ready, now);
-        self.scratch_candidates = candidates;
-        self.scratch_ready = ready;
-        result
-    }
-
-    fn pick_from(
-        &mut self,
-        sched: usize,
-        candidates: &[usize],
-        ready: &mut Vec<usize>,
-        now: u64,
-    ) -> Result<usize, (StallReason, Option<usize>)> {
-        if candidates.is_empty() {
-            return Err((StallReason::Idle, None));
-        }
-
-        let mut best_wait: Option<(WaitKind, usize)> = None;
-        for &i in candidates {
-            match self.classify(i, now) {
-                Some(WaitKind::Ready) => ready.push(i),
-                Some(k)
-                    if best_wait.is_none_or(|(k0, _)| Self::wait_rank(k0) < Self::wait_rank(k)) =>
-                {
-                    best_wait = Some((k, i));
-                }
-                _ => {}
-            }
-        }
+    /// Scheduler `sched` picks a warp among its share (every
+    /// `schedulers`-th slot), or reports the stall the slot records.
+    fn pick(&mut self, sched: usize, now: u64) -> Result<usize, Stall> {
+        let stall = self.survey(sched, self.config.schedulers as usize, now);
+        let ready = &self.ready;
         if ready.is_empty() {
-            return Err(match best_wait {
-                Some((WaitKind::Memory, i)) => (StallReason::MemLatency, Some(i)),
-                Some((WaitKind::Control, i)) => (StallReason::ControlHazard, Some(i)),
-                Some((WaitKind::Data, i)) => (StallReason::DataHazard, Some(i)),
-                Some((WaitKind::Sync, i)) => (StallReason::Barrier, Some(i)),
-                _ => (StallReason::Idle, None),
-            });
+            return Err(stall);
         }
-
-        let chosen = match self.config.policy {
+        let oldest = || {
+            *ready
+                .iter()
+                .min_by_key(|&&i| self.warps[i].as_ref().map_or(u64::MAX, |w| w.age))
+                .expect("ready set nonempty")
+        };
+        Ok(match self.config.policy {
             SchedPolicy::Lrr | SchedPolicy::TwoLevel => {
                 // Two-level approximates to LRR over the ready set here
                 // because memory-blocked warps are already excluded from
                 // `ready` (demotion) — the active-set cap is modelled by
-                // rotating through at most `two_level_active` of them.
-                let cap = if self.config.policy == SchedPolicy::TwoLevel {
-                    self.config.two_level_active as usize
-                } else {
-                    ready.len()
+                // rotating through at most `TWO_LEVEL_ACTIVE` of them.
+                let window = match self.config.policy {
+                    SchedPolicy::TwoLevel => &ready[..ready.len().min(TWO_LEVEL_ACTIVE)],
+                    _ => &ready[..],
                 };
-                let window = &ready[..ready.len().min(cap.max(1))];
                 let cursor = self.rr_cursor[sched];
-                let pos = window.iter().position(|&w| w > cursor).unwrap_or(0);
-                let w = window[pos];
+                let w = *window.iter().find(|&&w| w > cursor).unwrap_or(&window[0]);
                 self.rr_cursor[sched] = w;
                 w
             }
-            SchedPolicy::Gto => {
-                if let Some(cur) = self.gto_current[sched] {
-                    if ready.contains(&cur) {
-                        cur
-                    } else {
-                        let w = self.oldest(ready);
-                        self.gto_current[sched] = Some(w);
-                        w
-                    }
-                } else {
-                    let w = self.oldest(ready);
+            // Greedy-then-oldest: stay on the current warp while it is ready.
+            SchedPolicy::Gto => match self.gto_current[sched] {
+                Some(cur) if ready.contains(&cur) => cur,
+                _ => {
+                    let w = oldest();
                     self.gto_current[sched] = Some(w);
                     w
                 }
-            }
-            SchedPolicy::Old => self.oldest(ready),
-        };
-        Ok(chosen)
-    }
-
-    fn oldest(&self, ready: &[usize]) -> usize {
-        *ready
-            .iter()
-            .min_by_key(|&&i| self.warps[i].as_ref().map(|w| w.age).unwrap_or(u64::MAX))
-            .expect("ready set nonempty")
+            },
+            SchedPolicy::Old => oldest(),
+        })
     }
 
     #[inline]
@@ -1016,7 +861,9 @@ impl SmCore {
     fn bytes_read(data: &[u8], addr: u64, width: Width) -> u64 {
         let mut v: u64 = 0;
         for i in 0..width.bytes() {
-            let b = data.get((addr + i) as usize).copied().unwrap_or(0);
+            // Checked: a constant load's address is the guest's, unbounded.
+            let b = addr.checked_add(i).and_then(|a| data.get(a as usize));
+            let b = b.copied().unwrap_or(0);
             v |= (b as u64) << (8 * i);
         }
         v
@@ -1063,40 +910,33 @@ impl SmCore {
             + rem
     }
 
-    /// Park warp `widx` as trapped and report the guest fault.
-    #[allow(clippy::too_many_arguments)]
+    /// Park warp `widx` as trapped at `pc` and report the guest fault.
     fn trap(
         &mut self,
         widx: usize,
-        slot_idx: usize,
-        kind: FaultKind,
         pc: usize,
+        kind: FaultKind,
         lane_mask: u32,
         addr: Option<u64>,
         out: &mut TickOutput,
     ) {
-        let kid = self.slots[slot_idx].cfg.kernel_id;
-        let cta_linear = self.slots[slot_idx].cfg.cta_linear;
+        let w = self.warps[widx]
+            .as_mut()
+            .expect("scheduled warp is resident");
+        w.block = WarpBlock::Trapped;
+        let cfg = &self.slots[w.cta_slot].cfg;
         let instr = self
             .program
-            .get(kid)
+            .get(cfg.kernel_id)
             .and_then(|k| k.instrs.get(pc))
-            .map(|i| i.to_string())
-            .unwrap_or_else(|| "<no instruction>".into());
-        let warp_in_cta = self.warps[widx]
-            .as_ref()
-            .map(|w| w.warp_in_cta)
-            .unwrap_or(0);
-        if let Some(w) = self.warps[widx].as_mut() {
-            w.block = WarpBlock::Trapped;
-        }
+            .map_or_else(|| "<no instruction>".into(), |i| i.to_string());
         out.traps.push(Trap {
             kind,
-            kernel: kid,
-            slot: slot_idx,
-            cta_linear,
+            kernel: cfg.kernel_id,
+            slot: w.cta_slot,
+            cta_linear: cfg.cta_linear,
             warp: widx,
-            warp_in_cta,
+            warp_in_cta: w.warp_in_cta,
             lane_mask,
             pc,
             instr,
@@ -1126,22 +966,25 @@ impl SmCore {
         first.map(|(k, a)| (k, a, faulting))
     }
 
-    /// Shared-memory variant of [`SmCore::check_lanes`]: any access ending
-    /// beyond `smem_len` overflows the CTA's allocation.
-    fn check_shared_lanes(
+    /// Extent variant of [`SmCore::check_lanes`] for the two spaces whose
+    /// size the SM knows — a CTA's shared allocation, a thread's local arena:
+    /// any access ending beyond `len` bytes (or past the end of the address
+    /// space) faults. Returns the first faulting address and the lane mask.
+    fn check_extent_lanes(
         addrs: &[u64; WARP_SIZE],
         mask: u32,
         width: Width,
-        smem_len: usize,
+        len: u64,
     ) -> Option<(u64, u32)> {
         let mut first: Option<u64> = None;
         let mut faulting = 0u32;
         for lane in lanes(mask) {
-            if addrs[lane] + width.bytes() > smem_len as u64 {
+            if addrs[lane]
+                .checked_add(width.bytes())
+                .is_none_or(|end| end > len)
+            {
                 faulting |= 1 << lane;
-                if first.is_none() {
-                    first = Some(addrs[lane]);
-                }
+                first.get_or_insert(addrs[lane]);
             }
         }
         first.map(|a| (a, faulting))
@@ -1164,12 +1007,7 @@ impl SmCore {
         self.used_slots = 0;
         self.outstanding.clear();
         self.waiters.clear();
-        for c in &mut self.rr_cursor {
-            *c = 0;
-        }
-        for g in &mut self.gto_current {
-            *g = None;
-        }
+        self.reset_schedulers();
     }
 
     /// Reset the warp-scheduler cursors (round-robin position and GTO
@@ -1178,12 +1016,8 @@ impl SmCore {
     /// never depend on where the previous grid happened to leave the
     /// cursors; resident work is unaffected (the SM must be idle).
     pub fn reset_schedulers(&mut self) {
-        for c in &mut self.rr_cursor {
-            *c = 0;
-        }
-        for g in &mut self.gto_current {
-            *g = None;
-        }
+        self.rr_cursor.fill(0);
+        self.gto_current.fill(None);
     }
 
     /// Requests outstanding to the memory system.

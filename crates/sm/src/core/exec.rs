@@ -1,27 +1,63 @@
-//! Functional execution stage of the SM: instruction issue plus the
-//! load/store/atomic paths with coalescing and guest-fault checks.
+//! Functional execution stage of the SM: [`SmCore::issue`] borrows the
+//! warp, its CTA slot and the instruction once and executes it; loads, stores
+//! and atomics to every space go through the one memory pipeline,
+//! [`SmCore::mem_access`].
 //!
 //! Everything here is a pure function of SM-local state plus the cycle-start
 //! memory snapshot (`&dyn GlobalMem`, reads only): functional stores and
 //! global atomics are **deferred** into [`TickOutput::mem_ops`] and committed
 //! by the device after every SM has ticked, in deterministic merge order —
 //! SM index first, then issue order within the SM — so the order SMs tick
-//! in cannot change a result.
+//! in cannot change a result. The order of that log, and of the request ids
+//! and [`MemRequest`]s a cycle emits, is therefore part of the results.
 
-use std::sync::Arc;
-
-use ggpu_isa::{AtomOp, FaultKind, Instr, Kernel, Operand, Reg, Space, Width, WARP_SIZE};
+use ggpu_isa::{AtomOp, FaultKind, Instr, Operand, Reg, Space, Width, WARP_SIZE};
 use ggpu_mem::{CacheOutcome, LINE_BYTES};
 
 use crate::coalesce::{bank_conflict_degree, coalesce_lines};
 use crate::ports::{CompletedCta, DeviceLaunch, MemOp, MemRequest, ReqKind, TickOutput};
-use crate::warp::{lanes, WarpBlock};
+use crate::warp::{lanes, SimtEntry, WarpBlock};
 
 use super::{GlobalMem, RespRoute, SmCore};
 
+/// What a memory instruction does at its lane addresses.
+#[derive(Clone, Copy)]
+enum Access {
+    Load(Reg),
+    Store(Operand),
+    Atomic {
+        op: AtomOp,
+        dst: Reg,
+        src: Operand,
+        cas: Operand,
+    },
+}
+
+/// A decoded `Ld` / `St` / `Atom`: one row of the memory pipeline's input.
+#[derive(Clone, Copy)]
+struct MemInstr {
+    access: Access,
+    space: Space,
+    width: Width,
+    addr: Operand,
+    offset: i64,
+}
+
+fn fma(f64: bool, a: u64, b: u64, c: u64) -> u64 {
+    if f64 {
+        f64::from_bits(a)
+            .mul_add(f64::from_bits(b), f64::from_bits(c))
+            .to_bits()
+    } else {
+        let (x, y, z) = (a as u32, b as u32, c as u32);
+        f32::from_bits(x)
+            .mul_add(f32::from_bits(y), f32::from_bits(z))
+            .to_bits() as u64
+    }
+}
+
 impl SmCore {
     /// Issue one instruction from warp `widx`.
-    #[allow(clippy::too_many_lines)]
     pub(super) fn issue(
         &mut self,
         widx: usize,
@@ -29,34 +65,24 @@ impl SmCore {
         gmem: &dyn GlobalMem,
         out: &mut TickOutput,
     ) {
-        let program = Arc::clone(&self.program);
-        let (slot_idx, kid, entry) = {
-            let w = self.warps[widx].as_mut().expect("issuing dead warp");
-            let entry = w.reconverge().expect("issuing finished warp");
-            (w.cta_slot, self.slots[w.cta_slot].cfg.kernel_id, entry)
-        };
-        let kernel: &Kernel = program.kernel(kid);
-        let Some(instr) = kernel.instrs.get(entry.pc).cloned() else {
+        let w = self.warps[widx]
+            .as_mut()
+            .expect("scheduled warp is resident");
+        let entry = w.reconverge().expect("issuing finished warp");
+        let SimtEntry { pc, mask, .. } = entry;
+        let slot_idx = w.cta_slot;
+        let slot = &mut self.slots[slot_idx];
+        let kid = slot.cfg.kernel_id;
+        let Some(instr) = self.program.kernel(kid).instrs.get(pc) else {
             // The PC fell off the end of the instruction stream (possible
             // for hand-built kernels whose last path misses `Exit`).
-            self.trap(
-                widx,
-                slot_idx,
-                FaultKind::InvalidPc,
-                entry.pc,
-                entry.mask,
-                None,
-                out,
-            );
-            return;
+            return self.trap(widx, pc, FaultKind::InvalidPc, mask, None, out);
         };
-        let mask = entry.mask;
-        let nlanes = mask.count_ones();
-        let pc = entry.pc;
         let lat = self.config.lat;
         // Predecoded result latency for the directly-executed arms below —
         // no per-issue re-match of the op class.
         let meta = self.decoded[kid.0 as usize][pc];
+        let nlanes = mask.count_ones();
 
         self.stats.record_issue(instr.class(), nlanes);
         out.issued += 1;
@@ -68,67 +94,27 @@ impl SmCore {
         }
 
         // Default post-issue state; overridden below where needed.
-        {
-            let w = self.warps[widx]
-                .as_mut()
-                .expect("scheduled warp is resident");
-            w.next_issue_at = now + 1;
-            w.issue_block_is_control = false;
-        }
+        w.next_issue_at = now + 1;
+        w.issue_block_is_control = false;
 
-        match instr {
+        // The directly executed, register-writing instructions fill their
+        // destination through the one lane loop and share the epilogue below
+        // the match; every other arm returns.
+        let opval = Self::opval;
+        let dst = match *instr {
             Instr::Alu { op, dst, a, b } => {
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                for lane in lanes(mask) {
-                    let av = Self::opval(w, a, lane);
-                    let bv = Self::opval(w, b, lane);
-                    w.write(dst, lane, op.eval(av, bv));
-                }
-                w.reg_ready[dst.0 as usize] = now + meta.lat;
-                if meta.f64_pen {
-                    w.next_issue_at = now + lat.f64_interval;
-                }
-                w.advance_pc();
+                w.write_lanes(dst, mask, |w, l| op.eval(opval(w, a, l), opval(w, b, l)));
+                dst
             }
             Instr::Fma { f64, dst, a, b, c } => {
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                for lane in lanes(mask) {
-                    let av = Self::opval(w, a, lane);
-                    let bv = Self::opval(w, b, lane);
-                    let cv = Self::opval(w, c, lane);
-                    let r = if f64 {
-                        let x = f64::from_bits(av);
-                        let y = f64::from_bits(bv);
-                        let z = f64::from_bits(cv);
-                        x.mul_add(y, z).to_bits()
-                    } else {
-                        let x = f32::from_bits(av as u32);
-                        let y = f32::from_bits(bv as u32);
-                        let z = f32::from_bits(cv as u32);
-                        x.mul_add(y, z).to_bits() as u64
-                    };
-                    w.write(dst, lane, r);
-                }
-                w.reg_ready[dst.0 as usize] = now + meta.lat;
-                if meta.f64_pen {
-                    w.next_issue_at = now + lat.f64_interval;
-                }
-                w.advance_pc();
+                w.write_lanes(dst, mask, |w, l| {
+                    fma(f64, opval(w, a, l), opval(w, b, l), opval(w, c, l))
+                });
+                dst
             }
             Instr::Mov { dst, src } => {
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                for lane in lanes(mask) {
-                    let v = Self::opval(w, src, lane);
-                    w.write(dst, lane, v);
-                }
-                w.reg_ready[dst.0 as usize] = now + meta.lat;
-                w.advance_pc();
+                w.write_lanes(dst, mask, |w, l| opval(w, src, l));
+                dst
             }
             Instr::Sel {
                 dst,
@@ -136,20 +122,15 @@ impl SmCore {
                 if_true,
                 if_false,
             } => {
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                for lane in lanes(mask) {
-                    let c = w.read(cond, lane);
-                    let v = if c != 0 {
-                        Self::opval(w, if_true, lane)
+                w.write_lanes(dst, mask, |w, l| {
+                    let pick = if w.read(cond, l) != 0 {
+                        if_true
                     } else {
-                        Self::opval(w, if_false, lane)
+                        if_false
                     };
-                    w.write(dst, lane, v);
-                }
-                w.reg_ready[dst.0 as usize] = now + meta.lat;
-                w.advance_pc();
+                    opval(w, pick, l)
+                });
+                dst
             }
             Instr::SetP {
                 pred,
@@ -158,39 +139,19 @@ impl SmCore {
                 a,
                 b,
             } => {
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                for lane in lanes(mask) {
-                    let av = Self::opval(w, a, lane);
-                    let bv = Self::opval(w, b, lane);
-                    w.write(pred, lane, cmp.eval(ty, av, bv) as u64);
-                }
-                w.reg_ready[pred.0 as usize] = now + meta.lat;
-                w.advance_pc();
+                w.write_lanes(pred, mask, |w, l| {
+                    cmp.eval(ty, opval(w, a, l), opval(w, b, l)) as u64
+                });
+                pred
             }
             Instr::Cvt { kind, dst, src } => {
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                for lane in lanes(mask) {
-                    let v = Self::opval(w, src, lane);
-                    w.write(dst, lane, kind.eval(v));
-                }
-                w.reg_ready[dst.0 as usize] = now + meta.lat;
-                w.advance_pc();
+                w.write_lanes(dst, mask, |w, l| kind.eval(opval(w, src, l)));
+                dst
             }
             Instr::Sreg { dst, sreg } => {
-                let cfg = &self.slots[slot_idx].cfg;
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
                 let wic = w.warp_in_cta;
-                for lane in lanes(mask) {
-                    w.write(dst, lane, Self::sreg_value(cfg, wic, lane, sreg));
-                }
-                w.reg_ready[dst.0 as usize] = now + meta.lat;
-                w.advance_pc();
+                w.write_lanes(dst, mask, |_, l| Self::sreg_value(&slot.cfg, wic, l, sreg));
+                dst
             }
             Instr::Ld {
                 space,
@@ -199,9 +160,14 @@ impl SmCore {
                 addr,
                 offset,
             } => {
-                self.exec_load(
-                    widx, slot_idx, pc, space, width, dst, addr, offset, now, gmem, out,
-                );
+                let m = MemInstr {
+                    access: Access::Load(dst),
+                    space,
+                    width,
+                    addr,
+                    offset,
+                };
+                return self.mem_access(widx, entry, m, now, gmem, out);
             }
             Instr::St {
                 space,
@@ -210,9 +176,14 @@ impl SmCore {
                 addr,
                 offset,
             } => {
-                self.exec_store(
-                    widx, slot_idx, pc, space, width, src, addr, offset, now, gmem, out,
-                );
+                let m = MemInstr {
+                    access: Access::Store(src),
+                    space,
+                    width,
+                    addr,
+                    offset,
+                };
+                return self.mem_access(widx, entry, m, now, gmem, out);
             }
             Instr::Atom {
                 op,
@@ -220,78 +191,41 @@ impl SmCore {
                 dst,
                 addr,
                 src,
-                cas_cmp,
+                cas_cmp: cas,
             } => {
-                self.exec_atomic(
-                    widx, slot_idx, pc, op, space, dst, addr, src, cas_cmp, now, gmem, out,
-                );
+                let m = MemInstr {
+                    access: Access::Atomic { op, dst, src, cas },
+                    space,
+                    width: Width::B64,
+                    addr,
+                    offset: 0,
+                };
+                return self.mem_access(widx, entry, m, now, gmem, out);
             }
             Instr::Bar => {
-                if self.config.trap_divergent_barrier
-                    && self.warps[widx]
-                        .as_ref()
-                        .map(|w| w.stack.len() > 1)
-                        .unwrap_or(false)
-                {
-                    self.trap(
-                        widx,
-                        slot_idx,
-                        FaultKind::BarrierDivergence,
-                        pc,
-                        mask,
-                        None,
-                        out,
-                    );
-                    return;
+                if self.config.trap_divergent_barrier && w.stack.len() > 1 {
+                    return self.trap(widx, pc, FaultKind::BarrierDivergence, mask, None, out);
                 }
-                {
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    w.advance_pc();
-                    w.block = WarpBlock::Barrier;
-                }
-                let slot = &mut self.slots[slot_idx];
+                w.advance_pc();
+                w.block = WarpBlock::Barrier;
                 slot.barrier_count += 1;
-                if slot.barrier_count >= slot.running {
-                    slot.barrier_count = 0;
-                    let mut warps = std::mem::take(&mut self.scratch_warps);
-                    warps.extend_from_slice(&slot.warps);
-                    for &wi in &warps {
-                        if let Some(w) = self.warps[wi].as_mut() {
-                            if w.block == WarpBlock::Barrier {
-                                w.block = WarpBlock::None;
-                            }
-                        }
-                    }
-                    warps.clear();
-                    self.scratch_warps = warps;
-                }
+                return self.release_barrier(slot_idx);
             }
             Instr::Bra {
                 pred,
                 target,
                 reconv,
             } => {
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
                 let taken = match pred {
                     None => mask,
-                    Some((r, expect)) => {
-                        let mut t = 0u32;
-                        for lane in lanes(mask) {
-                            let v = w.read(r, lane) != 0;
-                            if v == expect {
-                                t |= 1 << lane;
-                            }
-                        }
-                        t
-                    }
+                    Some((r, expect)) => lanes(mask)
+                        .filter(|&l| (w.read(r, l) != 0) == expect)
+                        .fold(0, |taken, l| taken | 1 << l),
                 };
                 w.branch(taken, target, pc + 1, reconv);
                 w.next_issue_at = now + lat.branch;
                 w.issue_block_is_control = true;
+                return;
             }
             Instr::Launch {
                 kernel,
@@ -300,628 +234,352 @@ impl SmCore {
                 params_ptr,
                 param_words,
             } => {
-                let mut launches = Vec::new();
-                {
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    for lane in lanes(mask) {
-                        let gx = Self::opval(w, grid_x, lane).max(1) as u32;
-                        let bx = Self::opval(w, block_x, lane).max(1) as u32;
-                        let ptr = Self::opval(w, params_ptr, lane);
-                        launches.push((gx, bx, ptr));
-                    }
-                    w.advance_pc();
-                    // Device-side launch overhead occupies the warp.
-                    w.next_issue_at = now + lat.cmem_miss.max(100);
-                    w.issue_block_is_control = true;
-                }
-                // Parameter-block reads fault like any other global access.
-                for &(_, _, ptr) in &launches {
-                    for i in 0..param_words as u64 {
-                        if let Some(k) = gmem.check(ptr + i * 8, Width::B64, false) {
-                            self.trap(widx, slot_idx, k, pc, mask, Some(ptr + i * 8), out);
-                            return;
+                w.advance_pc();
+                // Device-side launch overhead occupies the warp.
+                w.next_issue_at = now + lat.cmem_miss.max(100);
+                w.issue_block_is_control = true;
+                // Parameter-block reads fault like any other global access;
+                // every lane's block is checked before any launch is emitted.
+                let block = |lane| {
+                    let ptr = opval(w, params_ptr, lane);
+                    (0..param_words as u64).map(move |i| ptr.wrapping_add(i * 8))
+                };
+                for lane in lanes(mask) {
+                    for a in block(lane) {
+                        if let Some(k) = gmem.check(a, Width::B64, false) {
+                            return self.trap(widx, pc, k, mask, Some(a), out);
                         }
                     }
                 }
-                let parent_grid = self.slots[slot_idx].cfg.grid_handle;
-                for (gx, bx, ptr) in launches {
-                    let mut params = Vec::with_capacity(param_words as usize);
-                    for i in 0..param_words {
-                        params.push(gmem.read(ptr + i as u64 * 8, Width::B64));
-                    }
+                for lane in lanes(mask) {
                     out.launches.push(DeviceLaunch {
                         kernel,
-                        grid_x: gx,
-                        block_x: bx,
-                        params,
+                        grid_x: opval(w, grid_x, lane).max(1) as u32,
+                        block_x: opval(w, block_x, lane).max(1) as u32,
+                        params: block(lane).map(|a| gmem.read(a, Width::B64)).collect(),
                         parent_slot: slot_idx,
-                        parent_grid,
+                        parent_grid: slot.cfg.grid_handle,
                     });
-                    self.slots[slot_idx].children += 1;
+                    slot.children += 1;
                     self.stats.device_launches += 1;
                 }
+                return;
             }
             Instr::Dsync => {
-                let children = self.slots[slot_idx].children;
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
                 w.advance_pc();
-                if children > 0 {
+                if slot.children > 0 {
                     w.block = WarpBlock::Dsync;
                 }
+                return;
             }
             Instr::Exit => {
-                {
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    w.done = true;
-                }
+                w.done = true;
                 self.live_warps -= 1;
-                let slot = &mut self.slots[slot_idx];
                 slot.running -= 1;
-                if slot.running == 0 {
-                    // CTA complete: free resources.
-                    slot.live = false;
-                    self.used_threads -= slot.threads;
-                    self.used_regs -= slot.regs;
-                    self.used_smem -= slot.smem_bytes;
-                    self.used_slots -= 1;
-                    self.stats.ctas_completed += 1;
-                    let grid_handle = slot.cfg.grid_handle;
-                    let warps = std::mem::take(&mut slot.warps);
-                    slot.smem = Vec::new();
-                    for wi in warps {
-                        self.warps[wi] = None;
-                        self.free_warps.push(wi);
-                    }
-                    self.free_slots.push(slot_idx);
-                    out.completed.push(CompletedCta {
-                        grid_handle,
-                        slot: slot_idx,
-                    });
-                } else if slot.barrier_count >= slot.running && slot.barrier_count > 0 {
-                    // Remaining warps were all parked at a barrier: release
-                    // them rather than deadlocking.
-                    slot.barrier_count = 0;
-                    let mut warps = std::mem::take(&mut self.scratch_warps);
-                    warps.extend_from_slice(&slot.warps);
-                    for &wi in &warps {
-                        if let Some(w) = self.warps[wi].as_mut() {
-                            if w.block == WarpBlock::Barrier {
-                                w.block = WarpBlock::None;
-                            }
-                        }
-                    }
-                    warps.clear();
-                    self.scratch_warps = warps;
+                if slot.running > 0 {
+                    // The remaining warps may now all be parked at a
+                    // barrier: release them rather than deadlocking.
+                    return self.release_barrier(slot_idx);
+                }
+                // CTA complete: free resources.
+                slot.live = false;
+                self.used_threads -= slot.threads;
+                self.used_regs -= slot.regs;
+                self.used_smem -= slot.smem_bytes;
+                self.used_slots -= 1;
+                self.stats.ctas_completed += 1;
+                slot.smem = Vec::new();
+                for wi in std::mem::take(&mut slot.warps) {
+                    self.warps[wi] = None;
+                    self.free_warps.push(wi);
+                }
+                self.free_slots.push(slot_idx);
+                out.completed.push(CompletedCta {
+                    grid_handle: slot.cfg.grid_handle,
+                    slot: slot_idx,
+                });
+                return;
+            }
+        };
+        w.reg_ready[dst.0 as usize] = now + meta.lat;
+        if meta.f64_pen {
+            w.next_issue_at = now + lat.f64_interval;
+        }
+        w.advance_pc();
+    }
+
+    /// Release the warps of CTA `slot_idx` parked at its barrier once every
+    /// warp still running has arrived — the arrival that completes it
+    /// (`Bar`), or an `Exit` that leaves only parked warps behind.
+    fn release_barrier(&mut self, slot_idx: usize) {
+        let slot = &mut self.slots[slot_idx];
+        if slot.barrier_count == 0 || slot.barrier_count < slot.running {
+            return;
+        }
+        slot.barrier_count = 0;
+        for &wi in &slot.warps {
+            if let Some(w) = self.warps[wi].as_mut() {
+                if w.block == WarpBlock::Barrier {
+                    w.block = WarpBlock::None;
                 }
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_load(
+    /// The memory pipeline every load, store and atomic goes through:
+    ///
+    /// 1. **lane addresses** — `addr + offset` per active lane;
+    /// 2. **guest-fault check**, one per space class — the extent the SM
+    ///    knows (the CTA's shared allocation; a thread's `local_stride`
+    ///    bytes of local memory, checked on the thread-relative address
+    ///    *before* the remap into the grid's arena so the remap arithmetic
+    ///    can neither overflow nor reach a neighbour's arena), then for
+    ///    everything off-chip the device's own [`GlobalMem::check`] on the
+    ///    raw per-lane addresses; a fault traps the warp before any
+    ///    functional effect;
+    /// 3. **functional effect** — loads read (shared memory, or the
+    ///    cycle-start snapshot), shared stores and atomics apply at once,
+    ///    off-chip ones append to the [`MemOp`] log in lane order;
+    /// 4. **timing** — shared: bank-conflict serialization; off-chip: the
+    ///    coalesced lines walk the L1/texture lookup, misses and
+    ///    write-throughs take request ids and become [`MemRequest`]s in line
+    ///    order, and the access is charged to its PC.
+    ///
+    /// Parameter and constant loads leave after stage 1 as two short arms of
+    /// their own: neither can fault and neither leaves the SM.
+    /// [`ggpu_isa::Kernel::validate`] admits stores only to global, local and
+    /// shared memory and atomics only to global and shared; in a stream that
+    /// skipped it, any other combination is treated as a global access.
+    fn mem_access(
         &mut self,
         widx: usize,
-        slot_idx: usize,
-        pc: usize,
-        space: Space,
-        width: Width,
-        dst: Reg,
-        addr: Operand,
-        offset: i64,
+        entry: SimtEntry,
+        m: MemInstr,
         now: u64,
         gmem: &dyn GlobalMem,
         out: &mut TickOutput,
     ) {
+        let SimtEntry { pc, mask, .. } = entry;
         let lat = self.config.lat;
-        match space {
-            Space::Param => {
-                let params = Arc::clone(&self.slots[slot_idx].cfg.params);
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                for lane in lanes(w.reconverge().expect("divergence stack entry").mask) {
-                    let a = Self::opval(w, addr, lane).wrapping_add(offset as u64);
-                    let v = Self::param_read(&params, a, width);
-                    w.write(dst, lane, v);
-                }
+        let w = self.warps[widx]
+            .as_mut()
+            .expect("scheduled warp is resident");
+        let slot = &mut self.slots[w.cta_slot];
+        let kid = slot.cfg.kernel_id;
+        let shared = m.space == Space::Shared;
+        let atomic = matches!(m.access, Access::Atomic { .. });
+
+        // 1. Lane addresses.
+        let mut addrs = [0u64; WARP_SIZE];
+        for lane in lanes(mask) {
+            addrs[lane] = Self::opval(w, m.addr, lane).wrapping_add(m.offset as u64);
+        }
+
+        match (m.space, m.access) {
+            (Space::Param, Access::Load(dst)) => {
+                w.write_lanes(dst, mask, |_, l| {
+                    Self::param_read(&slot.cfg.params, addrs[l], m.width)
+                });
                 w.reg_ready[dst.0 as usize] = now + lat.param;
-                w.advance_pc();
+                return w.advance_pc();
             }
-            Space::Const => {
-                let cdata = Arc::clone(&self.slots[slot_idx].cfg.const_data);
-                let mask;
-                {
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    mask = w.reconverge().expect("divergence stack entry").mask;
-                    for lane in lanes(mask) {
-                        let a = Self::opval(w, addr, lane).wrapping_add(offset as u64);
-                        self.scratch_addrs[lane] = a;
-                        let v = Self::bytes_read(&cdata, a, width);
-                        w.write(dst, lane, v);
-                    }
-                }
+            (Space::Const, Access::Load(dst)) => {
+                w.write_lanes(dst, mask, |_, l| {
+                    Self::bytes_read(&slot.cfg.const_data, addrs[l], m.width)
+                });
                 // Constant cache timing: a miss pays a fixed refill penalty.
-                let mut lines = std::mem::take(&mut self.scratch_lines);
-                coalesce_lines(&self.scratch_addrs, mask, width.bytes(), &mut lines);
+                coalesce_lines(&addrs, mask, m.width.bytes(), &mut self.scratch_lines);
                 let mut l = lat.cmem_hit;
-                for &line in &lines {
-                    match self.cc.access(line * LINE_BYTES, false) {
-                        CacheOutcome::Hit => {}
-                        _ => {
-                            self.cc.fill(line * LINE_BYTES, false);
-                            l = lat.cmem_miss;
-                        }
+                for &line in &self.scratch_lines {
+                    if self.cc.access(line * LINE_BYTES, false) != CacheOutcome::Hit {
+                        self.cc.fill(line * LINE_BYTES, false);
+                        l = lat.cmem_miss;
                     }
                 }
-                self.scratch_lines = lines;
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
                 w.reg_ready[dst.0 as usize] = now + l;
-                w.advance_pc();
+                return w.advance_pc();
             }
-            Space::Shared => {
-                let mask;
-                {
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    mask = w.reconverge().expect("divergence stack entry").mask;
-                    for lane in lanes(mask) {
-                        self.scratch_addrs[lane] =
-                            Self::opval(w, addr, lane).wrapping_add(offset as u64);
-                    }
-                }
-                if let Some((a, fl)) = Self::check_shared_lanes(
-                    &self.scratch_addrs,
-                    mask,
-                    width,
-                    self.slots[slot_idx].smem.len(),
-                ) {
-                    self.trap(
-                        widx,
-                        slot_idx,
-                        FaultKind::SharedMemOverflow,
-                        pc,
-                        fl,
-                        Some(a),
-                        out,
-                    );
-                    return;
-                }
-                let degree = bank_conflict_degree(&self.scratch_addrs, mask) as u64;
-                self.stats.bank_conflict_cycles += degree - 1;
-                let slot = &self.slots[slot_idx];
-                let mut vals = [0u64; WARP_SIZE];
-                for lane in lanes(mask) {
-                    vals[lane] = Self::bytes_read(&slot.smem, self.scratch_addrs[lane], width);
-                }
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                for lane in lanes(mask) {
-                    w.write(dst, lane, vals[lane]);
-                }
-                w.reg_ready[dst.0 as usize] = now + lat.smem + (degree - 1);
-                w.advance_pc();
-            }
-            Space::Global | Space::Local | Space::Tex => {
-                let mask;
-                {
-                    let cfg = &self.slots[slot_idx].cfg;
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    mask = w.reconverge().expect("divergence stack entry").mask;
-                    let wic = w.warp_in_cta;
-                    for lane in lanes(mask) {
-                        let mut a = Self::opval(w, addr, lane).wrapping_add(offset as u64);
-                        if space == Space::Local {
-                            a = Self::local_addr(self.config.interleave_local, cfg, wic, lane, a);
-                        }
-                        self.scratch_addrs[lane] = a;
-                    }
-                }
-                // Guest-fault check on the raw per-lane addresses, before
-                // coalescing and before any functional access.
-                if let Some((k, a, fl)) =
-                    Self::check_lanes(gmem, &self.scratch_addrs, mask, width, false)
-                {
-                    self.trap(widx, slot_idx, k, pc, fl, Some(a), out);
-                    return;
-                }
-                // Functional read from the cycle-start snapshot.
-                let mut vals = [0u64; WARP_SIZE];
-                for lane in lanes(mask) {
-                    vals[lane] = gmem.read(self.scratch_addrs[lane], width);
-                }
-                {
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    for lane in lanes(mask) {
-                        w.write(dst, lane, vals[lane]);
-                    }
-                }
-                // Timing.
-                let mut lines = std::mem::take(&mut self.scratch_lines);
-                coalesce_lines(&self.scratch_addrs, mask, width.bytes(), &mut lines);
-                if self.config.perfect_memory {
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    w.reg_ready[dst.0 as usize] = now + lat.l1_hit;
-                } else {
-                    let tex = space == Space::Tex;
-                    let mut misses = 0u16;
-                    let mut hits = 0u64;
-                    let mut offchip = 0u64;
-                    for &line in &lines {
-                        let cache = if tex { &mut self.tc } else { &mut self.l1 };
-                        match cache.access(line * LINE_BYTES, false) {
-                            CacheOutcome::Hit => hits += 1,
-                            CacheOutcome::MshrMerged => {
-                                misses += 1;
-                                self.waiters
-                                    .entry((tex, line))
-                                    .or_default()
-                                    .push((widx, dst));
-                            }
-                            _ => {
-                                misses += 1;
-                                offchip += 1;
-                                let id = self.next_req_id;
-                                self.next_req_id += 1;
-                                self.outstanding
-                                    .insert(id, RespRoute::LoadFill { tex, line });
-                                self.waiters
-                                    .entry((tex, line))
-                                    .or_default()
-                                    .push((widx, dst));
-                                out.mem_requests.push(MemRequest {
-                                    id,
-                                    addr: line * LINE_BYTES,
-                                    kind: ReqKind::Load,
-                                    tex,
-                                });
-                                self.stats.offchip_txns += 1;
-                            }
-                        }
-                    }
-                    // The LSU processes one coalesced transaction per
-                    // cycle: an uncoalesced access occupies the warp's
-                    // issue slot for `lines` cycles even when it hits.
-                    let serialize = lines.len().saturating_sub(1) as u64;
-                    if let Some(t) = self.pc_stats.as_deref_mut() {
-                        let kid = self.slots[slot_idx].cfg.kernel_id;
-                        if !tex {
-                            t.record_l1(kid, pc, lines.len() as u64, hits);
-                        }
-                        t.record_txns(kid, pc, lines.len() as u64, serialize);
-                        t.record_offchip(kid, pc, offchip);
-                    }
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    if misses == 0 {
-                        w.reg_ready[dst.0 as usize] = now + lat.l1_hit + serialize;
-                    } else {
-                        w.reg_pending[dst.0 as usize] += misses;
-                    }
-                    w.next_issue_at = w.next_issue_at.max(now + 1 + serialize);
-                }
-                self.scratch_lines = lines;
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                w.advance_pc();
-            }
+            _ => {}
         }
-    }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_store(
-        &mut self,
-        widx: usize,
-        slot_idx: usize,
-        pc: usize,
-        space: Space,
-        width: Width,
-        src: Operand,
-        addr: Operand,
-        offset: i64,
-        now: u64,
-        gmem: &dyn GlobalMem,
-        out: &mut TickOutput,
-    ) {
-        let lat = self.config.lat;
-        let _ = lat;
-        match space {
-            Space::Param | Space::Const | Space::Tex => {
-                debug_assert!(false, "store to read-only space {space}");
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                w.advance_pc();
+        // 2. Guest-fault check: the extent the SM knows, then the device's.
+        let extent = match m.space {
+            Space::Shared => Some((slot.smem.len() as u64, FaultKind::SharedMemOverflow)),
+            Space::Local => Some((slot.cfg.local_stride, FaultKind::IllegalAddress)),
+            _ => None,
+        };
+        let mut fault = extent.and_then(|(len, kind)| {
+            Self::check_extent_lanes(&addrs, mask, m.width, len).map(|(a, fl)| (kind, a, fl))
+        });
+        if fault.is_none() && !shared {
+            if m.space == Space::Local {
+                let (interleave, wic) = (self.config.interleave_local, w.warp_in_cta);
+                for lane in lanes(mask) {
+                    addrs[lane] = Self::local_addr(interleave, &slot.cfg, wic, lane, addrs[lane]);
+                }
             }
-            Space::Shared => {
-                let mask;
-                let mut vals = [0u64; WARP_SIZE];
-                {
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    mask = w.reconverge().expect("divergence stack entry").mask;
-                    for lane in lanes(mask) {
-                        self.scratch_addrs[lane] =
-                            Self::opval(w, addr, lane).wrapping_add(offset as u64);
-                        vals[lane] = Self::opval(w, src, lane);
+            let store = !matches!(m.access, Access::Load(_));
+            fault = Self::check_lanes(gmem, &addrs, mask, m.width, store);
+        }
+        if let Some((kind, a, faulting)) = fault {
+            return self.trap(widx, pc, kind, faulting, Some(a), out);
+        }
+
+        // 3. Functional effect. Off-chip writes are deferred: logged in issue
+        // order and applied by the device after every SM has ticked. A global
+        // atomic's old value is written back to `dst` at that commit; reads
+        // of `dst` are gated by `reg_ready`/`reg_pending` below, which never
+        // allow one before `now + 1`, so the commit-time write-back is
+        // indistinguishable from an issue-time one.
+        let dst = match m.access {
+            Access::Load(dst) => {
+                w.write_lanes(dst, mask, |_, l| {
+                    if shared {
+                        Self::bytes_read(&slot.smem, addrs[l], m.width)
+                    } else {
+                        gmem.read(addrs[l], m.width)
+                    }
+                });
+                Some(dst)
+            }
+            Access::Store(src) => {
+                for lane in lanes(mask) {
+                    let (addr, width, value) = (addrs[lane], m.width, Self::opval(w, src, lane));
+                    if shared {
+                        Self::bytes_write(&mut slot.smem, addr, width, value);
+                    } else {
+                        out.mem_ops.push(MemOp::Store { addr, width, value });
                     }
                 }
-                if let Some((a, fl)) = Self::check_shared_lanes(
-                    &self.scratch_addrs,
-                    mask,
-                    width,
-                    self.slots[slot_idx].smem.len(),
-                ) {
-                    self.trap(
-                        widx,
-                        slot_idx,
-                        FaultKind::SharedMemOverflow,
-                        pc,
-                        fl,
-                        Some(a),
-                        out,
-                    );
-                    return;
-                }
-                let degree = bank_conflict_degree(&self.scratch_addrs, mask) as u64;
-                self.stats.bank_conflict_cycles += degree - 1;
-                let slot = &mut self.slots[slot_idx];
-                for lane in lanes(mask) {
-                    Self::bytes_write(&mut slot.smem, self.scratch_addrs[lane], width, vals[lane]);
-                }
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                w.next_issue_at = now + 1 + (degree - 1);
-                w.advance_pc();
+                None
             }
-            Space::Global | Space::Local => {
-                let mask;
-                let mut vals = [0u64; WARP_SIZE];
-                {
-                    let cfg = &self.slots[slot_idx].cfg;
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    mask = w.reconverge().expect("divergence stack entry").mask;
-                    let wic = w.warp_in_cta;
-                    for lane in lanes(mask) {
-                        let mut a = Self::opval(w, addr, lane).wrapping_add(offset as u64);
-                        if space == Space::Local {
-                            a = Self::local_addr(self.config.interleave_local, cfg, wic, lane, a);
-                        }
-                        self.scratch_addrs[lane] = a;
-                        vals[lane] = Self::opval(w, src, lane);
+            // Lanes apply in lane order (deterministic serialization).
+            Access::Atomic { op, dst, src, cas } => {
+                for lane in lanes(mask) {
+                    let addr = addrs[lane];
+                    let (src, cas) = (Self::opval(w, src, lane), Self::opval(w, cas, lane));
+                    if shared {
+                        let old = Self::bytes_read(&slot.smem, addr, m.width);
+                        let (new, old) = op.apply(old, src, cas);
+                        Self::bytes_write(&mut slot.smem, addr, m.width, new);
+                        w.write(dst, lane, old);
+                    } else {
+                        out.mem_ops.push(MemOp::Atomic {
+                            op,
+                            addr,
+                            src,
+                            cas,
+                            warp: widx,
+                            dst,
+                            lane,
+                        });
                     }
                 }
-                if let Some((k, a, fl)) =
-                    Self::check_lanes(gmem, &self.scratch_addrs, mask, width, true)
-                {
-                    self.trap(widx, slot_idx, k, pc, fl, Some(a), out);
-                    return;
-                }
-                // Functional write is deferred: logged in issue order and
-                // applied by the device after every SM has ticked.
-                for lane in lanes(mask) {
-                    out.mem_ops.push(MemOp::Store {
-                        addr: self.scratch_addrs[lane],
-                        width,
-                        value: vals[lane],
-                    });
-                }
-                if !self.config.perfect_memory {
-                    let mut lines = std::mem::take(&mut self.scratch_lines);
-                    coalesce_lines(&self.scratch_addrs, mask, width.bytes(), &mut lines);
-                    let mut hits = 0u64;
-                    let mut offchip = 0u64;
-                    for &line in &lines {
-                        let outcome = self.l1.access(line * LINE_BYTES, true);
+                Some(dst)
+            }
+        };
+
+        // 4. Timing.
+        if shared {
+            // A load or store serializes over its bank-conflict degree, an
+            // atomic over its lanes.
+            let extra = if atomic {
+                (mask.count_ones() as u64).saturating_sub(1)
+            } else {
+                let conflicts = bank_conflict_degree(&addrs, mask) as u64 - 1;
+                self.stats.bank_conflict_cycles += conflicts;
+                conflicts
+            };
+            match dst {
+                Some(dst) => w.reg_ready[dst.0 as usize] = now + lat.smem + extra,
+                None => w.next_issue_at = now + 1 + extra,
+            }
+        } else if self.config.perfect_memory {
+            if let Some(dst) = dst {
+                w.reg_ready[dst.0 as usize] = now + lat.l1_hit;
+            }
+        } else {
+            coalesce_lines(&addrs, mask, m.width.bytes(), &mut self.scratch_lines);
+            let tex = m.space == Space::Tex;
+            let (mut hits, mut misses, mut offchip) = (0u64, 0u16, 0u64);
+            for &line in &self.scratch_lines {
+                let addr = line * LINE_BYTES;
+                let (kind, route) = match m.access {
+                    Access::Load(dst) => {
+                        let cache = if tex { &mut self.tc } else { &mut self.l1 };
+                        let outcome = cache.access(addr, false);
                         if outcome == CacheOutcome::Hit {
                             hits += 1;
+                            continue;
                         }
+                        misses += 1;
+                        let waiters = self.waiters.entry((tex, line)).or_default();
+                        waiters.push((widx, dst));
+                        if outcome == CacheOutcome::MshrMerged {
+                            continue;
+                        }
+                        (ReqKind::Load, Some(RespRoute::LoadFill { tex, line }))
+                    }
+                    Access::Store(_) => {
+                        let hit = self.l1.access(addr, true) == CacheOutcome::Hit;
+                        hits += hit as u64;
                         // Thread-private local stores are absorbed by the L1
                         // when resident (write-back behaviour on real GPUs);
                         // global stores write through.
-                        if space == Space::Local {
-                            match outcome {
-                                CacheOutcome::Hit => continue,
-                                _ => self.l1.fill(line * LINE_BYTES, false),
+                        if m.space == Space::Local {
+                            if hit {
+                                continue;
                             }
+                            self.l1.fill(addr, false);
                         }
-                        let id = self.next_req_id;
-                        self.next_req_id += 1;
-                        out.mem_requests.push(MemRequest {
-                            id,
-                            addr: line * LINE_BYTES,
-                            kind: ReqKind::Store,
-                            tex: false,
-                        });
-                        self.stats.offchip_txns += 1;
-                        offchip += 1;
+                        (ReqKind::Store, None)
                     }
-                    let serialize = lines.len().saturating_sub(1) as u64;
-                    if let Some(t) = self.pc_stats.as_deref_mut() {
-                        let kid = self.slots[slot_idx].cfg.kernel_id;
-                        t.record_l1(kid, pc, lines.len() as u64, hits);
-                        t.record_txns(kid, pc, lines.len() as u64, serialize);
-                        t.record_offchip(kid, pc, offchip);
+                    // Global atomics execute at the memory partition: one
+                    // round-trip per distinct line, past the L1.
+                    Access::Atomic { dst, .. } => {
+                        misses += 1;
+                        let route = RespRoute::Atomic {
+                            warp: widx,
+                            reg: dst,
+                        };
+                        (ReqKind::Atomic, Some(route))
                     }
-                    self.scratch_lines = lines;
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    w.next_issue_at = w.next_issue_at.max(now + 1 + serialize);
+                };
+                let id = self.next_req_id;
+                self.next_req_id += 1;
+                if let Some(route) = route {
+                    self.outstanding.insert(id, route);
                 }
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                w.advance_pc();
+                out.mem_requests.push(MemRequest {
+                    id,
+                    addr,
+                    kind,
+                    tex,
+                });
+                self.stats.offchip_txns += 1;
+                offchip += 1;
             }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exec_atomic(
-        &mut self,
-        widx: usize,
-        slot_idx: usize,
-        pc: usize,
-        op: AtomOp,
-        space: Space,
-        dst: Reg,
-        addr: Operand,
-        src: Operand,
-        cas_cmp: Operand,
-        now: u64,
-        gmem: &dyn GlobalMem,
-        out: &mut TickOutput,
-    ) {
-        let lat = self.config.lat;
-        let mask;
-        let mut addrs = [0u64; WARP_SIZE];
-        let mut srcs = [0u64; WARP_SIZE];
-        let mut cmps = [0u64; WARP_SIZE];
-        {
-            let w = self.warps[widx]
-                .as_mut()
-                .expect("scheduled warp is resident");
-            mask = w.reconverge().expect("divergence stack entry").mask;
-            for lane in lanes(mask) {
-                addrs[lane] = Self::opval(w, addr, lane);
-                srcs[lane] = Self::opval(w, src, lane);
-                cmps[lane] = Self::opval(w, cas_cmp, lane);
+            // The LSU processes one coalesced transaction per cycle: an
+            // uncoalesced load or store occupies the warp's issue slot for
+            // `lines` cycles even when it hits.
+            let lines = self.scratch_lines.len() as u64;
+            let serialize = if atomic { 0 } else { lines.saturating_sub(1) };
+            if let Some(t) = self.pc_stats.as_deref_mut() {
+                if !tex && !atomic {
+                    t.record_l1(kid, pc, lines, hits);
+                }
+                t.record_txns(kid, pc, lines, serialize);
+                t.record_offchip(kid, pc, offchip);
             }
-        }
-        match space {
-            Space::Shared => {
-                if let Some((a, fl)) = Self::check_shared_lanes(
-                    &addrs,
-                    mask,
-                    Width::B64,
-                    self.slots[slot_idx].smem.len(),
-                ) {
-                    self.trap(
-                        widx,
-                        slot_idx,
-                        FaultKind::SharedMemOverflow,
-                        pc,
-                        fl,
-                        Some(a),
-                        out,
-                    );
-                    return;
-                }
-                let slot = &mut self.slots[slot_idx];
-                let mut olds = [0u64; WARP_SIZE];
-                for lane in lanes(mask) {
-                    let old = Self::bytes_read(&slot.smem, addrs[lane], Width::B64);
-                    let (new, o) = op.apply(old, srcs[lane], cmps[lane]);
-                    Self::bytes_write(&mut slot.smem, addrs[lane], Width::B64, new);
-                    olds[lane] = o;
-                }
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                for lane in lanes(mask) {
-                    w.write(dst, lane, olds[lane]);
-                }
-                w.reg_ready[dst.0 as usize] = now + lat.smem + nlanes_extra(mask);
-                w.advance_pc();
-            }
-            _ => {
-                // Global atomics execute at the memory partition; lanes are
-                // applied in lane order (deterministic serialization).
-                if let Some((k, a, fl)) = Self::check_lanes(gmem, &addrs, mask, Width::B64, true) {
-                    self.trap(widx, slot_idx, k, pc, fl, Some(a), out);
-                    return;
-                }
-                // Deferred: applied at end-of-cycle commit in (SM index,
-                // issue order); the old value is written back to the warp's
-                // destination register there. Reads of `dst` are gated by
-                // reg_ready/reg_pending below, which never allow a read
-                // before now + 1, so the commit-time write-back is
-                // indistinguishable from an issue-time one.
-                for lane in lanes(mask) {
-                    out.mem_ops.push(MemOp::Atomic {
-                        op,
-                        addr: addrs[lane],
-                        src: srcs[lane],
-                        cas: cmps[lane],
-                        warp: widx,
-                        dst,
-                        lane,
-                    });
-                }
-                if self.config.perfect_memory {
-                    let w = self.warps[widx]
-                        .as_mut()
-                        .expect("scheduled warp is resident");
-                    w.reg_ready[dst.0 as usize] = now + lat.l1_hit;
+            if let Some(dst) = dst {
+                if misses == 0 {
+                    w.reg_ready[dst.0 as usize] = now + lat.l1_hit + serialize;
                 } else {
-                    // One round-trip per distinct line.
-                    let mut lines = std::mem::take(&mut self.scratch_lines);
-                    coalesce_lines(&addrs, mask, 8, &mut lines);
-                    {
-                        let w = self.warps[widx]
-                            .as_mut()
-                            .expect("scheduled warp is resident");
-                        w.reg_pending[dst.0 as usize] += lines.len() as u16;
-                    }
-                    for &line in &lines {
-                        let id = self.next_req_id;
-                        self.next_req_id += 1;
-                        self.outstanding.insert(
-                            id,
-                            RespRoute::Atomic {
-                                warp: widx,
-                                reg: dst,
-                            },
-                        );
-                        out.mem_requests.push(MemRequest {
-                            id,
-                            addr: line * LINE_BYTES,
-                            kind: ReqKind::Atomic,
-                            tex: false,
-                        });
-                        self.stats.offchip_txns += 1;
-                    }
-                    if let Some(t) = self.pc_stats.as_deref_mut() {
-                        let kid = self.slots[slot_idx].cfg.kernel_id;
-                        t.record_txns(kid, pc, lines.len() as u64, 0);
-                        t.record_offchip(kid, pc, lines.len() as u64);
-                    }
-                    self.scratch_lines = lines;
+                    w.reg_pending[dst.0 as usize] += misses;
                 }
-                let w = self.warps[widx]
-                    .as_mut()
-                    .expect("scheduled warp is resident");
-                w.advance_pc();
             }
+            w.next_issue_at = w.next_issue_at.max(now + 1 + serialize);
         }
+        w.advance_pc();
     }
-}
-
-/// Serialization overhead for multi-lane shared atomics.
-fn nlanes_extra(mask: u32) -> u64 {
-    (mask.count_ones() as u64).saturating_sub(1)
 }

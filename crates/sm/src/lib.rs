@@ -2,14 +2,20 @@
 //!
 //! This crate models a single GPU core (SM) at cycle granularity:
 //!
-//! * [`Warp`] — SIMT reconvergence stack (immediate post-dominator
-//!   reconvergence), per-lane registers, and scoreboard timing.
+//! * `warp` (crate-private) — SIMT reconvergence stack (immediate
+//!   post-dominator reconvergence), per-lane registers, scoreboard timing,
+//!   and the one readiness rule, `Warp::readiness`: can the warp's next
+//!   instruction issue now, and if not why and until when.
 //! * [`SmCore`] — CTA slots with occupancy-limited placement, four warp
-//!   schedulers ([`SchedPolicy`]: LRR / GTO / OLD / two-level), functional
-//!   execution of the `ggpu-isa` instruction set, memory-access coalescing
-//!   into 128-byte transactions, shared-memory bank-conflict serialization,
-//!   an L1/constant/texture cache front end, and per-cycle stall
-//!   classification ([`StallReason`]) feeding the paper's Figure 5.
+//!   schedulers ([`SchedPolicy`]: LRR / GTO / OLD / two-level) and the
+//!   fast-forward probes [`SmCore::next_wake`] / [`SmCore::skip_cycles`],
+//!   all folds over that rule; functional execution of the `ggpu-isa`
+//!   instruction set, with every load, store and atomic through one memory
+//!   pipeline (lane addresses → guest-fault check → functional effect →
+//!   timing: coalescing into 128-byte transactions, shared-memory
+//!   bank-conflict serialization, the L1/constant/texture cache front end);
+//!   and per-cycle stall classification ([`StallReason`]) feeding the
+//!   paper's Figure 5.
 //! * [`SmStats`] — instruction mix (Fig 8), memory-space mix (Fig 9), warp
 //!   occupancy histogram (Fig 10), stall breakdown (Fig 5).
 //!
@@ -33,11 +39,10 @@ pub use crate::core::{CtaConfig, GlobalMem, SmCore, Trap, WarpReport, WarpWait};
 pub use crate::ports::{
     CompletedCta, DeviceLaunch, MemOp, MemRequest, ReqKind, SmPorts, TickOutput,
 };
-pub use coalesce::{bank_conflict_degree, coalesce_lines, SMEM_BANKS};
+pub use coalesce::coalesce_lines;
 pub use config::{LatencyConfig, SchedPolicy, SmConfig};
 pub use pc::{PcCounters, PcTable};
 pub use stats::{SmField, SmStats, StallBreakdown, StallReason};
-pub use warp::{lane_mask, lanes, SimtEntry, WaitKind, Warp, WarpBlock, FULL_MASK, NO_RECONV};
 
 /// Why [`run_standalone`] could not run the resident work to completion.
 #[derive(Debug, Clone)]
@@ -435,6 +440,44 @@ mod tests {
     }
 
     #[test]
+    fn divergent_global_atomic_is_round_trips_not_lsu_slots() {
+        // Every lane adds to its own 128-byte line: 32 round-trips to the
+        // memory partition, but — unlike an uncoalesced load or store — no
+        // LSU serialization of the warp's issue slot. No suite kernel issues
+        // a multi-line atomic, so the completion cycle (commit cc5c2db's) is
+        // pinned here.
+        let mut b = KernelBuilder::new("scatter_add");
+        let tid = b.global_tid();
+        let a = b.reg();
+        b.imul(a, tid, Operand::imm(128));
+        let base = b.reg();
+        b.ld_param(base, 0);
+        b.iadd(a, a, Operand::reg(base));
+        let old = b.reg();
+        b.atom(
+            AtomOp::Add,
+            Space::Global,
+            old,
+            a,
+            Operand::imm(1),
+            Operand::imm(0),
+        );
+        b.exit();
+        let mut p = Program::new();
+        p.add(b.finish());
+        let program = Arc::new(p);
+        let mut sm = SmCore::new(SmConfig::default(), Arc::clone(&program));
+        sm.try_launch_cta(cta_cfg(&program, LaunchDims::linear(1, 32), vec![0x9000]));
+        let mut mem = TestMem::default();
+        let (done, _) = run_to_completion(&mut sm, &mut mem, 20_000);
+        assert_eq!(done, 20);
+        assert_eq!(sm.stats().offchip_txns, 32);
+        for tid in 0..32u64 {
+            assert_eq!(mem.read(0x9000 + tid * 128, Width::B64), 1, "tid {tid}");
+        }
+    }
+
+    #[test]
     fn cdp_launch_emitted_and_dsync_blocks() {
         // Thread 0 launches a child grid and syncs on it.
         let mut b = KernelBuilder::new("parent");
@@ -568,11 +611,14 @@ mod tests {
 
     #[test]
     fn scheduler_policies_all_complete() {
-        for policy in [
-            SchedPolicy::Lrr,
-            SchedPolicy::Gto,
-            SchedPolicy::Old,
-            SchedPolicy::TwoLevel,
+        // A full SM — 48 warps, 12 to a scheduler, so the two-level policy's
+        // 8-warp active set is narrower than its ready set. The completion
+        // cycles are the ones commit cc5c2db's build gave.
+        for (policy, cycles) in [
+            (SchedPolicy::Lrr, 131),
+            (SchedPolicy::Gto, 138),
+            (SchedPolicy::Old, 138),
+            (SchedPolicy::TwoLevel, 133),
         ] {
             let program = Arc::new(simple_program());
             let cfg = SmConfig {
@@ -580,10 +626,11 @@ mod tests {
                 ..SmConfig::default()
             };
             let mut sm = SmCore::new(cfg, Arc::clone(&program));
-            sm.try_launch_cta(cta_cfg(&program, LaunchDims::linear(1, 128), vec![0x1000]));
+            sm.try_launch_cta(cta_cfg(&program, LaunchDims::linear(1, 1536), vec![0x1000]));
             let mut mem = TestMem::default();
-            run_to_completion(&mut sm, &mut mem, 50_000);
-            for tid in 0..128u64 {
+            let (done, _) = run_to_completion(&mut sm, &mut mem, 50_000);
+            assert_eq!(done, cycles, "{policy}");
+            for tid in 0..1536u64 {
                 assert_eq!(
                     mem.read(0x1000 + tid * 8, Width::B64),
                     tid * 3,
@@ -844,6 +891,33 @@ mod tests {
         assert_eq!(err.traps[0].kind, ggpu_isa::FaultKind::SharedMemOverflow);
         // Lanes 0 and 1 fit in the 16-byte allocation; the rest fault.
         assert_eq!(err.traps[0].lane_mask, !0b11);
+    }
+
+    #[test]
+    fn constant_load_at_the_top_of_the_address_space_reads_zero() {
+        // Constant loads are unbounded (unbound constants read zero), so the
+        // guest can aim one at the last byte of the address space: its
+        // functional read and its cache-line span must not wrap.
+        let mut b = KernelBuilder::new("const_wrap");
+        let zero = b.reg();
+        b.mov(zero, Operand::imm(0));
+        let v = b.reg();
+        b.ld(Space::Const, Width::B64, v, zero, -1);
+        let base = b.reg();
+        b.ld_param(base, 0);
+        b.st(Space::Global, Width::B64, Operand::reg(v), base, 0);
+        b.exit();
+        let mut p = Program::new();
+        p.add(b.finish());
+        let program = Arc::new(p);
+        let mut sm = SmCore::new(SmConfig::default(), Arc::clone(&program));
+        let mut cfg = cta_cfg(&program, LaunchDims::linear(1, 32), vec![0x1000]);
+        cfg.const_data = Arc::new(vec![0xFF; 64]);
+        sm.try_launch_cta(cfg);
+        let mut mem = TestMem::default();
+        mem.write(0x1000, Width::B64, 0xDEAD);
+        run_to_completion(&mut sm, &mut mem, 10_000);
+        assert_eq!(mem.read(0x1000, Width::B64), 0);
     }
 
     #[test]

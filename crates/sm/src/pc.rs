@@ -116,15 +116,10 @@ impl PcTable {
         }
     }
 
-    /// Charge one scheduler stall cycle to the representative warp's PC,
-    /// falling back to the unattributed bucket when the PC is out of range.
-    #[inline]
-    pub fn record_stall(&mut self, kid: KernelId, pc: usize, reason: StallReason) {
-        self.record_stall_cycles(kid, pc, reason, 1);
-    }
-
-    /// Charge `cycles` identical stall cycles to one PC in a single call —
-    /// the fast-forward path credits a whole skipped span at once.
+    /// Charge `cycles` identical scheduler stall cycles to the representative
+    /// warp's PC — one for a ticked cycle, a whole skipped span when
+    /// fast-forward credits it at once — falling back to the unattributed
+    /// bucket when the PC is out of range.
     #[inline]
     pub fn record_stall_cycles(
         &mut self,
@@ -256,7 +251,7 @@ mod tests {
         t.record_l1(KernelId(1), 0, 4, 3);
         t.record_txns(KernelId(1), 0, 4, 3);
         t.record_offchip(KernelId(1), 0, 1);
-        t.record_stall(KernelId(1), 1, StallReason::DataHazard);
+        t.record_stall_cycles(KernelId(1), 1, StallReason::DataHazard, 1);
         let r = &t.kernel(KernelId(1))[0];
         assert_eq!(r.issues, 2);
         assert_eq!(r.lanes, 48);
@@ -276,8 +271,8 @@ mod tests {
     #[test]
     fn out_of_range_stalls_fall_back_to_unattributed() {
         let mut t = PcTable::new(&two_kernel_program());
-        t.record_stall(KernelId(0), 99, StallReason::MemLatency);
-        t.record_stall(KernelId(7), 0, StallReason::Barrier);
+        t.record_stall_cycles(KernelId(0), 99, StallReason::MemLatency, 1);
+        t.record_stall_cycles(KernelId(7), 0, StallReason::Barrier, 1);
         t.record_unattributed(StallReason::Idle, 5);
         assert_eq!(t.unattributed().get(StallReason::MemLatency), 1);
         assert_eq!(t.unattributed().get(StallReason::Barrier), 1);
@@ -292,7 +287,7 @@ mod tests {
         let mut b = PcTable::new(&p);
         a.record_issue(KernelId(1), 1, 8);
         b.record_issue(KernelId(1), 1, 24);
-        b.record_stall(KernelId(1), 0, StallReason::MemLatency);
+        b.record_stall_cycles(KernelId(1), 0, StallReason::MemLatency, 1);
         b.record_unattributed(StallReason::Idle, 2);
         a.merge(&b);
         assert_eq!(a.kernel(KernelId(1))[1].issues, 2);

@@ -4,14 +4,14 @@
 use ggpu_isa::{Reg, WARP_SIZE};
 
 /// Full warp mask (all 32 lanes active).
-pub const FULL_MASK: u32 = u32::MAX;
+pub(crate) const FULL_MASK: u32 = u32::MAX;
 
 /// Sentinel reconvergence PC for the base SIMT entry (never popped).
-pub const NO_RECONV: usize = usize::MAX;
+pub(crate) const NO_RECONV: usize = usize::MAX;
 
 /// One entry of the SIMT reconvergence stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimtEntry {
+pub(crate) struct SimtEntry {
     /// Next PC for this execution path.
     pub pc: usize,
     /// Reconvergence PC (immediate post-dominator); the entry pops when
@@ -23,7 +23,7 @@ pub struct SimtEntry {
 
 /// What a warp is parked on, if anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WarpBlock {
+pub(crate) enum WarpBlock {
     /// Runnable.
     None,
     /// Waiting at a CTA barrier.
@@ -36,7 +36,7 @@ pub enum WarpBlock {
 
 /// Why a warp most recently could not issue (for stall classification).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitKind {
+pub(crate) enum WaitKind {
     /// Ready to issue.
     Ready,
     /// Waiting on an outstanding memory load.
@@ -51,7 +51,7 @@ pub enum WaitKind {
 
 /// A warp's architectural and micro-architectural state.
 #[derive(Debug, Clone)]
-pub struct Warp {
+pub(crate) struct Warp {
     /// SIMT stack; the top entry is the executing path.
     pub stack: Vec<SimtEntry>,
     /// Per-lane registers, laid out `reg * 32 + lane`.
@@ -118,11 +118,6 @@ impl Warp {
         None
     }
 
-    /// Active mask of the current path (0 when done/underflowed).
-    pub fn active_mask(&mut self) -> u32 {
-        self.reconverge().map(|e| e.mask).unwrap_or(0)
-    }
-
     /// Read register `r` in `lane`.
     #[inline]
     pub fn read(&self, r: Reg, lane: usize) -> u64 {
@@ -172,45 +167,79 @@ impl Warp {
         }
     }
 
-    /// Whether register timing permits reading `r` at `now`.
+    /// The one lane loop of every directly executed register-writing
+    /// instruction: `dst[lane] = f(self, lane)` over the lanes of `mask`.
     #[inline]
-    pub fn reg_ok(&self, r: Reg, now: u64) -> bool {
-        let i = r.0 as usize;
-        self.reg_pending[i] == 0 && self.reg_ready[i] <= now
+    pub fn write_lanes(&mut self, dst: Reg, mask: u32, f: impl Fn(&Warp, usize) -> u64) {
+        for lane in lanes(mask) {
+            let v = f(self, lane);
+            self.write(dst, lane, v);
+        }
     }
 
-    /// Classify readiness at `now` given the instruction's registers.
-    pub fn wait_kind(&self, srcs: &[Option<Reg>; 3], dst: Option<Reg>, now: u64) -> WaitKind {
+    /// One of the memory fills `r` waits on has arrived at `now`; the value
+    /// is readable the cycle after the last one.
+    pub fn fill_arrived(&mut self, r: Reg, now: u64) {
+        let i = r.0 as usize;
+        self.reg_pending[i] = self.reg_pending[i].saturating_sub(1);
+        if self.reg_pending[i] == 0 {
+            self.reg_ready[i] = now + 1;
+        }
+    }
+
+    /// The readiness rule: can an instruction reading `srcs` and writing
+    /// `dst` issue at `now`, and if not, why and until when.
+    ///
+    /// The second value is the warp's timed wake-up: `now` when it is ready,
+    /// the next cycle at which its classification can change by the clock
+    /// alone otherwise, and `u64::MAX` when only an external event (barrier
+    /// release, child-grid completion, a memory reply) can release it. For a
+    /// data hazard that is the *earliest* operand boundary, not the latest:
+    /// the engine re-asks at every boundary, and which cycles it proves dead
+    /// (and therefore skips) is part of the pinned results.
+    pub fn readiness(
+        &self,
+        srcs: &[Option<Reg>; 3],
+        dst: Option<Reg>,
+        now: u64,
+    ) -> (WaitKind, u64) {
         if self.block != WarpBlock::None {
-            return WaitKind::Sync;
+            // Barrier/Dsync/Trapped: released only by another warp's issue
+            // or an external completion; no timed boundary.
+            return (WaitKind::Sync, u64::MAX);
         }
         if self.next_issue_at > now {
-            return if self.issue_block_is_control {
+            // Control/Data until the issue window reopens; registers are
+            // re-examined only from then on.
+            let kind = if self.issue_block_is_control {
                 WaitKind::Control
             } else {
                 WaitKind::Data
             };
+            return (kind, self.next_issue_at);
         }
-        let mut data = false;
+        let mut wake = u64::MAX;
         for r in srcs.iter().flatten().copied().chain(dst) {
             let i = r.0 as usize;
             if self.reg_pending[i] > 0 {
-                return WaitKind::Memory;
+                // Awaiting memory fills: wakes only via `fill_arrived`, which
+                // the engine bounds by its event queue.
+                return (WaitKind::Memory, u64::MAX);
             }
             if self.reg_ready[i] > now {
-                data = true;
+                wake = wake.min(self.reg_ready[i]);
             }
         }
-        if data {
-            WaitKind::Data
+        if wake == u64::MAX {
+            (WaitKind::Ready, now)
         } else {
-            WaitKind::Ready
+            (WaitKind::Data, wake)
         }
     }
 }
 
 /// Build a mask with the lowest `n` lanes set.
-pub fn lane_mask(n: u32) -> u32 {
+pub(crate) fn lane_mask(n: u32) -> u32 {
     if n >= WARP_SIZE as u32 {
         FULL_MASK
     } else {
@@ -219,7 +248,7 @@ pub fn lane_mask(n: u32) -> u32 {
 }
 
 /// Iterate over set lanes of a mask.
-pub fn lanes(mask: u32) -> impl Iterator<Item = usize> {
+pub(crate) fn lanes(mask: u32) -> impl Iterator<Item = usize> {
     (0..WARP_SIZE).filter(move |l| mask & (1 << l) != 0)
 }
 
@@ -300,33 +329,51 @@ mod tests {
     #[test]
     fn wait_kinds() {
         let mut w = Warp::new(4, FULL_MASK, 0, 0, 0);
-        let srcs = [Some(Reg(1)), None, None];
-        assert_eq!(w.wait_kind(&srcs, Some(Reg(0)), 10), WaitKind::Ready);
+        let srcs = [Some(Reg(1)), Some(Reg(2)), None];
+        assert_eq!(w.readiness(&srcs, Some(Reg(0)), 10), (WaitKind::Ready, 10));
 
         w.reg_pending[1] = 1;
-        assert_eq!(w.wait_kind(&srcs, Some(Reg(0)), 10), WaitKind::Memory);
+        assert_eq!(
+            w.readiness(&srcs, Some(Reg(0)), 10),
+            (WaitKind::Memory, u64::MAX)
+        );
         w.reg_pending[1] = 0;
 
+        // Two operands in flight: the wake-up is the earlier boundary, and
+        // the warp is ready only past the later one.
         w.reg_ready[1] = 20;
-        assert_eq!(w.wait_kind(&srcs, Some(Reg(0)), 10), WaitKind::Data);
-        assert_eq!(w.wait_kind(&srcs, Some(Reg(0)), 20), WaitKind::Ready);
+        w.reg_ready[2] = 15;
+        assert_eq!(w.readiness(&srcs, Some(Reg(0)), 10), (WaitKind::Data, 15));
+        assert_eq!(w.readiness(&srcs, Some(Reg(0)), 15), (WaitKind::Data, 20));
+        assert_eq!(w.readiness(&srcs, Some(Reg(0)), 20), (WaitKind::Ready, 20));
 
         w.next_issue_at = 30;
+        assert_eq!(w.readiness(&srcs, None, 25), (WaitKind::Data, 30));
         w.issue_block_is_control = true;
-        assert_eq!(w.wait_kind(&srcs, None, 25), WaitKind::Control);
+        assert_eq!(w.readiness(&srcs, None, 25), (WaitKind::Control, 30));
 
         w.block = WarpBlock::Barrier;
-        assert_eq!(w.wait_kind(&srcs, None, 25), WaitKind::Sync);
+        assert_eq!(w.readiness(&srcs, None, 25), (WaitKind::Sync, u64::MAX));
     }
 
     #[test]
     fn pending_dst_blocks_as_memory() {
         let mut w = Warp::new(4, FULL_MASK, 0, 0, 0);
         w.reg_pending[0] = 2;
+        let regs = [None, None, None];
         assert_eq!(
-            w.wait_kind(&[None, None, None], Some(Reg(0)), 0),
-            WaitKind::Memory
+            w.readiness(&regs, Some(Reg(0)), 0),
+            (WaitKind::Memory, u64::MAX)
         );
+        // The value is readable the cycle after the last fill lands.
+        w.fill_arrived(Reg(0), 7);
+        assert_eq!(
+            w.readiness(&regs, Some(Reg(0)), 7),
+            (WaitKind::Memory, u64::MAX)
+        );
+        w.fill_arrived(Reg(0), 9);
+        assert_eq!(w.readiness(&regs, Some(Reg(0)), 9), (WaitKind::Data, 10));
+        assert_eq!(w.readiness(&regs, Some(Reg(0)), 10), (WaitKind::Ready, 10));
     }
 
     #[test]

@@ -772,3 +772,88 @@ fn reset_fault_rescopes_kernel_records() {
         records[0].stats.sm.cycles
     );
 }
+
+/// A kernel whose lane `t` loads 8 bytes from `space` at `8 * t - 8` (lane 0
+/// lands in the last 8 bytes of the address space), plus `write_tids`; and
+/// the PC of the load.
+fn wrapping_load_program(space: Space) -> (Program, usize) {
+    let mut b = KernelBuilder::new("wrapping_load");
+    b.alloc_smem(64);
+    b.set_local_bytes(16);
+    let tid = b.global_tid();
+    let a = b.reg();
+    b.imul(a, tid, Operand::imm(8));
+    let v = b.reg();
+    b.ld(space, Width::B64, v, a, -8);
+    b.exit();
+    let bad = b.finish();
+    let pc = bad.instrs.len() - 2;
+    let mut p = Program::new();
+    p.add(bad);
+    p.add(write_tids().kernel(KernelId(0)).clone());
+    (p, pc)
+}
+
+/// Run `write_tids` on a device whose first allocation is `out`; everything
+/// observable about the grid.
+fn clean_grid(gpu: &mut Gpu, out: ggpu_sim::DevicePtr) -> (u64, ggpu_sim::RunStats) {
+    gpu.reset_stats();
+    let cycles = gpu
+        .try_run_kernel(KernelId(1), LaunchDims::linear(2, 32), &[out.0])
+        .expect("clean grid");
+    for i in 0..64u64 {
+        assert_eq!(gpu.memory().read_u64(out.offset(i * 8)), i);
+    }
+    (cycles, gpu.stats())
+}
+
+/// The wrapping load traps with exactly this context, `reset_fault`
+/// recovers the device, and the next clean grid equals a fresh device's.
+fn wrapping_load_traps_and_recovers(space: Space, kind: FaultKind, lane_mask: u32) {
+    let (program, pc) = wrapping_load_program(space);
+    let config = GpuConfig::test_small().with_stream_isolation(true);
+    let mut gpu = Gpu::new(program.clone(), config.clone());
+    let out = gpu.malloc(64 * 8);
+    let err = gpu
+        .try_run_kernel(KernelId(0), LaunchDims::linear(1, 32), &[])
+        .expect_err("the out-of-range lanes must fault");
+    let SimError::DeviceFault(fault) = &err else {
+        panic!("expected DeviceFault, got {err}");
+    };
+    assert_eq!(fault.kind, kind);
+    assert_eq!(fault.kernel, "wrapping_load");
+    assert_eq!(fault.pc, Some(pc));
+    assert_eq!(fault.lane_mask, Some(lane_mask));
+    // Lane 0's address, as the guest computed it.
+    assert_eq!(fault.addr, Some(u64::MAX - 7));
+    assert!(
+        fault.instr.contains(&format!("ld.{space}")),
+        "{}",
+        fault.instr
+    );
+
+    assert_eq!(gpu.reset_fault(), Some(err));
+    assert!(!gpu.busy());
+    let recovered = clean_grid(&mut gpu, out);
+    let mut fresh = Gpu::new(program, config);
+    let out = fresh.malloc(64 * 8);
+    assert_eq!(recovered, clean_grid(&mut fresh, out));
+}
+
+#[test]
+fn shared_access_wrapping_the_address_space_traps() {
+    // Regression: `addr + width` wrapped to 0, passed the bound check (a
+    // debug build panicked on the overflow instead) and the load read zeros.
+    // Lanes 1..=8 read the 64-byte allocation; lane 0 wraps, the rest
+    // overrun it.
+    wrapping_load_traps_and_recovers(Space::Shared, FaultKind::SharedMemOverflow, !0b1_1111_1110);
+}
+
+#[test]
+fn local_access_outside_the_threads_arena_traps() {
+    // Regression: the remap into the grid's arena had no bound — lane 0's
+    // address overflowed it (debug: panic; release: ran to completion on a
+    // wrapped address) and a small overrun aliased another thread's words.
+    // Lanes 1 and 2 read the thread's 16 bytes; every other lane faults.
+    wrapping_load_traps_and_recovers(Space::Local, FaultKind::IllegalAddress, !0b110);
+}
