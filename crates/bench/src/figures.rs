@@ -121,6 +121,12 @@ pub fn table1() {
     Table::new("table1", ["Configuration", "Settings"], rows).emit();
 }
 
+/// The paper's Table II virtual-channel settings. The flow model resolves a
+/// packet to link horizons at send time and has no per-hop buffers, so these
+/// are reported, not simulated.
+const VIRTUAL_CHANNELS: u32 = 2;
+const VC_BUFFERS: u32 = 4;
+
 /// Table II: interconnect configuration space.
 pub fn table2() {
     let c = GpuConfig::rtx3070();
@@ -135,14 +141,8 @@ pub fn table2() {
             "Dimension Order, Destination Tag, Nearest Common Ancestor".into(),
         ],
         vec!["Routing delay".into(), format!("{}", c.icnt.router_delay)],
-        vec![
-            "Virtual channels".into(),
-            format!("{}", c.icnt.virtual_channels),
-        ],
-        vec![
-            "Virtual channel buffers".into(),
-            format!("{}", c.icnt.vc_buffers),
-        ],
+        vec!["Virtual channels".into(), format!("{VIRTUAL_CHANNELS}")],
+        vec!["Virtual channel buffers".into(), format!("{VC_BUFFERS}")],
         vec![
             "Flit size (Bytes)".into(),
             format!("8, 16, 32, [{}]", c.icnt.flit_bytes),

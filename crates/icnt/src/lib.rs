@@ -141,24 +141,18 @@ pub struct IcntConfig {
     /// Extra per-hop router pipeline delay in cycles (Figure 21 sweeps
     /// 0/4/8/16 on top of the 1-cycle base hop).
     pub router_delay: u64,
-    /// Virtual channels per link.
-    pub virtual_channels: u32,
-    /// Buffer depth per virtual channel, in flits.
-    pub vc_buffers: u32,
     /// Bytes of header added to every packet.
     pub header_bytes: u32,
 }
 
 impl Default for IcntConfig {
-    /// Table II defaults: 40-byte flits, 2 VCs × 4 buffers, zero extra
-    /// routing delay, local crossbar.
+    /// Table II defaults: 40-byte flits, zero extra routing delay, local
+    /// crossbar.
     fn default() -> Self {
         IcntConfig {
             topology: Topology::LocalXbar,
             flit_bytes: 40,
             router_delay: 0,
-            virtual_channels: 2,
-            vc_buffers: 4,
             header_bytes: 8,
         }
     }

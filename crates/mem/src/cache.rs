@@ -219,37 +219,50 @@ impl Cache {
         self.mshrs.clear();
     }
 
+    /// Where the line holding `addr` lives: `(line address, set, index of
+    /// the set's first way, tag)`.
     #[inline]
-    fn line_addr(&self, addr: u64) -> u64 {
-        addr / self.config.line
+    fn locate(&self, addr: u64) -> (u64, u64, usize, u64) {
+        let laddr = addr / self.config.line;
+        let set = laddr % self.sets;
+        let base = (set * self.config.ways as u64) as usize;
+        (laddr, set, base, laddr / self.sets)
+    }
+
+    /// The way to replace in the set starting at `base`: the first invalid
+    /// one, else the least recently used (the lowest way on a tie).
+    fn victim(&self, base: usize) -> usize {
+        let mut victim = base;
+        let mut oldest = u64::MAX;
+        for i in base..base + self.config.ways as usize {
+            let line = &self.lines[i];
+            if !line.valid {
+                return i;
+            }
+            if line.last_use < oldest {
+                oldest = line.last_use;
+                victim = i;
+            }
+        }
+        victim
     }
 
     /// Classify an access to `addr`.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
         self.tick += 1;
-        if self.config.bytes == 0 {
-            // Disabled cache: everything misses through, nothing tracked.
-            if is_write {
-                self.stats.write_access += 1;
-            } else {
-                self.stats.read_access += 1;
-            }
-            return CacheOutcome::Miss { writeback: None };
-        }
-        let laddr = self.line_addr(addr);
-        let set = laddr % self.sets;
-        let ways = self.config.ways as u64;
-        let base = (set * ways) as usize;
-        let tag = laddr / self.sets;
-
         if is_write {
             self.stats.write_access += 1;
         } else {
             self.stats.read_access += 1;
         }
+        if self.config.bytes == 0 {
+            // Disabled cache: everything misses through, nothing tracked.
+            return CacheOutcome::Miss { writeback: None };
+        }
+        let (laddr, set, base, tag) = self.locate(addr);
 
         // Lookup.
-        for i in 0..ways as usize {
+        for i in 0..self.config.ways as usize {
             let line = &mut self.lines[base + i];
             if line.valid && line.tag == tag {
                 line.last_use = self.tick;
@@ -284,19 +297,7 @@ impl Cache {
 
         // Choose a victim now so a dirty writeback can be reported with the
         // miss (the line itself is installed by `fill`).
-        let mut victim = base;
-        let mut oldest = u64::MAX;
-        for i in 0..ways as usize {
-            let line = &self.lines[base + i];
-            if !line.valid {
-                victim = base + i;
-                break;
-            }
-            if line.last_use < oldest {
-                oldest = line.last_use;
-                victim = base + i;
-            }
-        }
+        let victim = self.victim(base);
         let wb = {
             let line = &mut self.lines[victim];
             let wb = if line.valid && line.dirty {
@@ -323,14 +324,10 @@ impl Cache {
             return;
         }
         self.tick += 1;
-        let laddr = self.line_addr(addr);
+        let (laddr, _, base, tag) = self.locate(addr);
         self.mshrs.remove(&laddr);
-        let set = laddr % self.sets;
-        let ways = self.config.ways as u64;
-        let base = (set * ways) as usize;
-        let tag = laddr / self.sets;
         // Prefer the way reserved at miss time.
-        for i in 0..ways as usize {
+        for i in 0..self.config.ways as usize {
             let line = &mut self.lines[base + i];
             if line.tag == tag && !line.valid {
                 line.valid = true;
@@ -341,19 +338,7 @@ impl Cache {
         }
         // Reservation was overwritten by a later miss to the same set; fall
         // back to LRU install.
-        let mut victim = base;
-        let mut oldest = u64::MAX;
-        for i in 0..ways as usize {
-            let line = &self.lines[base + i];
-            if !line.valid {
-                victim = base + i;
-                break;
-            }
-            if line.last_use < oldest {
-                oldest = line.last_use;
-                victim = base + i;
-            }
-        }
+        let victim = self.victim(base);
         let line = &mut self.lines[victim];
         line.tag = tag;
         line.valid = true;

@@ -1,18 +1,22 @@
 //! The whole-GPU device: SM cluster, interconnect, L2 partitions, DRAM
 //! channels, CTA dispatcher, CDP runtime, and the host API.
 //!
-//! This file is the facade: the [`Gpu`] state and its construction,
-//! accessors, statistics, and profiling surface. The behaviour lives in
-//! focused submodules:
+//! A [`Gpu`] is three owners of state, held as plain fields and borrowed
+//! disjointly by the cycle phases (DESIGN.md, "Engine architecture"):
 //!
-//! * [`engine`] — the per-cycle loop (event delivery, DRAM, SM phase,
-//!   commit), `synchronize`, and fault/deadlock handling.
-//! * [`launch`] — grid validation/queueing, CTA dispatch, and the CDP
-//!   runtime.
-//! * [`memcpy`] — host transfers: `malloc`, `memcpy_h2d`/`d2h`, constant
-//!   binding, and the PCIe cost model.
-//! * [`lanes`] — the SM lanes, the awake-lane list and its lazily credited
-//!   idle counters.
+//! * [`lanes`] — the SM side of the ports: every core with its port pair,
+//!   the awake-lane list and its lazily credited idle counters.
+//! * [`memsys`] — the far side: networks, L2 slices, DRAM channels and
+//!   what is in flight between them.
+//! * the grid/stream ledger in this struct, edited by [`launch`] (grid
+//!   validation/queueing, CTA dispatch, the CDP runtime, retirement) and
+//!   [`memcpy`] (`malloc`, host and peer transfers, constant binding, the
+//!   PCIe cost model), beside functional [`DeviceMemory`].
+//!
+//! [`engine`] composes them into the per-cycle loop, `synchronize`, the
+//! watchdog and the kill path; [`fastforward`] jumps the spans in which
+//! none of them can act. This file is the facade: construction, accessors,
+//! statistics, and the profiling surface.
 //!
 //! One thread ticks one device; a [`crate::GpuNode`] may give each of its
 //! devices a host thread of its own.
@@ -22,31 +26,31 @@ mod fastforward;
 mod lanes;
 mod launch;
 mod memcpy;
+mod memsys;
 
 pub use self::launch::LaunchOptions;
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use ggpu_icnt::{DeliveryQueue, Icnt};
+use ggpu_icnt::DeliveryQueue;
 use ggpu_isa::{KernelId, Program};
-use ggpu_mem::{Cache, Dram};
 use ggpu_sm::SmCore;
 
 use crate::config::GpuConfig;
 use crate::error::SimError;
 use crate::memory::DeviceMemory;
 use crate::profile::{
-    IntervalSample, KernelPcProfile, KernelRecord, PartitionUnit, PcProfile, PcProfileRow,
-    ProfileReport, Sampler, SmUnit, UnitProfile,
+    IntervalSample, KernelPcProfile, KernelRecord, PcProfile, PcProfileRow, ProfileReport, Sampler,
+    SmUnit, UnitProfile,
 };
 use crate::stats::{HostStats, RunStats};
 use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind};
 
-use self::engine::{DramTarget, Ev};
 use self::lanes::Lanes;
 use self::launch::Grid;
 use self::memcpy::InboundCopy;
+use self::memsys::MemSystem;
 
 /// Identifier of a host-side stream. Stream 0 is the default stream every
 /// [`Gpu::launch`] targets; additional streams come from
@@ -105,13 +109,9 @@ pub struct Gpu {
     /// counters.
     lanes: Lanes,
     mem: DeviceMemory,
-    l2: Vec<Cache>,
-    dram: Vec<Dram>,
-    icnt_req: Icnt,
-    icnt_rep: Icnt,
+    /// Everything on the far side of the lanes' ports: networks, L2, DRAM.
+    memsys: MemSystem,
     cycle: u64,
-    /// In-flight network packets, popped in (time, insertion) order.
-    events: DeliveryQueue<Ev>,
     /// Peer-to-peer payloads in flight *towards* this device over the node
     /// fabric, applied to memory in the serial post phase at their exact
     /// arrival cycle ([`crate::GpuNode::try_p2p_copy`] stamps them).
@@ -135,11 +135,6 @@ pub struct Gpu {
     /// [`crate::DeviceMemory::alloc_count`]).
     free_arenas: Vec<(u64, u64)>,
     const_bindings: HashMap<u32, Arc<Vec<u8>>>,
-    /// (partition, line) → (sm, req id) entries awaiting an L2 fill.
-    l2_waiters: HashMap<(usize, u64), Vec<(usize, u64)>>,
-    /// DRAM requests in flight, by channel-unique key.
-    dram_inflight: HashMap<u64, DramTarget>,
-    next_dram_key: u64,
     dispatch_cursor: usize,
     /// Reused per-cycle scratch for the device-queue dispatch sweep.
     scratch_handles: Vec<u64>,
@@ -156,8 +151,6 @@ pub struct Gpu {
     /// These cycles are fully accounted in every counter; this tracks how
     /// much simulated time the engine did not have to tick one-by-one.
     fast_forward_skipped_cycles: u64,
-    /// Replies sent so far, for deterministic drop-the-Nth injection.
-    replies_sent: u64,
     /// PCIe transfers so far (H2D + D2H), for deterministic drop/poison
     /// injection on the memcpy path.
     memcpys_done: u64,
@@ -188,25 +181,13 @@ impl Gpu {
         let program = Arc::new(program);
         let lanes =
             Lanes::new((0..config.n_sms).map(|_| SmCore::new(config.sm, Arc::clone(&program))));
-        let l2 = (0..config.n_partitions)
-            .map(|_| Cache::new(config.l2_slice))
-            .collect();
-        let dram = (0..config.n_partitions)
-            .map(|_| Dram::new(config.dram))
-            .collect();
-        let icnt_req = Icnt::new(config.icnt, config.n_sms, config.n_partitions);
-        let icnt_rep = Icnt::new(config.icnt, config.n_sms, config.n_partitions);
         let mut mem = DeviceMemory::new();
         mem.set_poison(config.fault_plan.poison);
         Gpu {
             lanes,
             mem,
-            l2,
-            dram,
-            icnt_req,
-            icnt_rep,
+            memsys: MemSystem::new(&config),
             cycle: 0,
-            events: DeliveryQueue::new(),
             pending_inbound: DeliveryQueue::new(),
             streams: vec![StreamState::default()],
             active_stream: None,
@@ -217,9 +198,6 @@ impl Gpu {
             next_grid: 1,
             free_arenas: Vec::new(),
             const_bindings: HashMap::new(),
-            l2_waiters: HashMap::new(),
-            dram_inflight: HashMap::new(),
-            next_dram_key: 0,
             dispatch_cursor: 0,
             scratch_handles: Vec::new(),
             refused_shapes: Vec::new(),
@@ -227,7 +205,6 @@ impl Gpu {
             fault: None,
             last_progress: 0,
             fast_forward_skipped_cycles: 0,
-            replies_sent: 0,
             memcpys_done: 0,
             pending_fault: None,
             sink: config.trace.then(|| TraceBuffer::new(TRACE_CAPACITY)),
@@ -322,21 +299,11 @@ impl Gpu {
         StreamId(self.streams.len() - 1)
     }
 
-    /// Number of streams (including the default stream 0).
-    pub fn n_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// The sticky fault `stream` is in, if any. A faulted stream rejects
     /// new launches and holds no in-flight work (its grids were killed when
     /// the fault was raised); other streams keep running.
     pub fn stream_fault(&self, stream: StreamId) -> Option<&SimError> {
         self.streams.get(stream.0).and_then(|s| s.fault.as_ref())
-    }
-
-    /// Grids queued (not yet retired) on `stream`.
-    pub fn stream_pending(&self, stream: StreamId) -> usize {
-        self.streams.get(stream.0).map_or(0, |s| s.queue.len())
     }
 
     /// Clear `stream`'s sticky fault and return it, restoring the stream to
@@ -354,38 +321,19 @@ impl Gpu {
 
     // ---- statistics -------------------------------------------------------
 
-    /// Snapshot all counters.
+    /// Snapshot all counters. Mid-run callers settle the lanes first, so
+    /// sleeping lanes are credited up to the current cycle.
     pub fn stats(&self) -> RunStats {
-        self.stats_over(self.lanes.all_cores())
-    }
-
-    /// [`Gpu::stats`] over an explicit SM-core iterator (every core, each
-    /// with current counters).
-    fn stats_over<'a>(&self, cores: impl Iterator<Item = &'a SmCore>) -> RunStats {
         let mut r = RunStats {
             host: self.host,
-            icnt_req: *self.icnt_req.stats(),
-            icnt_rep: *self.icnt_rep.stats(),
             ..RunStats::default()
         };
-        for sm in cores {
+        for sm in self.lanes.all_cores() {
             r.sm.merge(sm.stats());
             r.l1.merge(sm.l1_stats());
         }
-        for l2 in &self.l2 {
-            r.l2.merge(l2.stats());
-        }
-        for d in &self.dram {
-            r.dram.merge(d.stats());
-        }
+        self.memsys.stats_into(&mut r);
         r
-    }
-
-    /// [`Gpu::stats`] mid-run: a settle point — sleeping lanes are credited
-    /// up to the current cycle before their counters are read.
-    fn stats_with(&self, lanes: &mut Lanes) -> RunStats {
-        lanes.settle();
-        self.stats_over(lanes.all_cores())
     }
 
     /// Reset every statistic (not memory contents or cache tags), including
@@ -398,14 +346,7 @@ impl Gpu {
             lane.core.reset_cache_stats();
             lane.core.reset_pc_table();
         }
-        for l2 in &mut self.l2 {
-            l2.reset_stats();
-        }
-        for d in &mut self.dram {
-            d.reset_stats();
-        }
-        self.icnt_req.reset_stats();
-        self.icnt_rep.reset_stats();
+        self.memsys.reset_stats();
         self.records.clear();
         self.record_base = RunStats::default();
         if let Some(s) = &mut self.sampler {
@@ -495,34 +436,25 @@ impl Gpu {
     /// The space axis of attribution: every counter resolved per hardware
     /// unit. Always available — these are the units' own live counters.
     pub fn unit_profile(&self) -> UnitProfile {
-        let req_inj = self.icnt_req.injected_per_node();
-        let req_del = self.icnt_req.delivered_per_node();
-        let rep_inj = self.icnt_rep.injected_per_node();
-        let rep_del = self.icnt_rep.delivered_per_node();
-        let n_sms = self.config.n_sms;
         let sms = self
             .lanes
             .all_cores()
             .enumerate()
-            .map(|(i, core)| SmUnit {
-                sm: i,
-                stats: core.stats().clone(),
-                l1: *core.l1_stats(),
-                req_injected: req_inj.get(i).copied().unwrap_or(0),
-                rep_delivered: rep_del.get(i).copied().unwrap_or(0),
+            .map(|(sm, core)| {
+                let (req_injected, rep_delivered) = self.memsys.sm_traffic(sm);
+                SmUnit {
+                    sm,
+                    stats: core.stats().clone(),
+                    l1: *core.l1_stats(),
+                    req_injected,
+                    rep_delivered,
+                }
             })
             .collect();
-        let partitions = (0..self.config.n_partitions)
-            .map(|p| PartitionUnit {
-                partition: p,
-                l2: *self.l2[p].stats(),
-                dram: *self.dram[p].stats(),
-                banks: self.dram[p].bank_stats().to_vec(),
-                req_delivered: req_del.get(n_sms + p).copied().unwrap_or(0),
-                rep_injected: rep_inj.get(n_sms + p).copied().unwrap_or(0),
-            })
-            .collect();
-        UnitProfile { sms, partitions }
+        UnitProfile {
+            sms,
+            partitions: self.memsys.partition_profile(),
+        }
     }
 
     /// Take everything the profiler has collected as one machine-readable
@@ -581,21 +513,11 @@ impl Gpu {
             .unwrap_or_else(|| format!("k{}", id.0))
     }
 
-    /// Close the sampler's partial trailing window (no-op when sampling is
-    /// off or no cycles elapsed since the last boundary).
+    /// Close the sampler's current window at this cycle (no-op when
+    /// sampling is off or no cycles elapsed since the last boundary).
     fn flush_sample(&mut self) {
         if self.sampler.is_some() {
             let snap = self.stats();
-            if let Some(s) = &mut self.sampler {
-                s.close_window(self.cycle, &snap);
-            }
-        }
-    }
-
-    /// [`Gpu::flush_sample`] while the lanes are checked out of `self`.
-    fn flush_sample_with(&mut self, lanes: &mut Lanes) {
-        if self.sampler.is_some() {
-            let snap = self.stats_with(lanes);
             if let Some(s) = &mut self.sampler {
                 s.close_window(self.cycle, &snap);
             }

@@ -1,37 +1,42 @@
-//! The cycle engine: event delivery, DRAM, the SM phase, end-of-cycle
-//! commit, `synchronize`, and fault/deadlock handling.
+//! The cycle engine: the three phases of a cycle over the device's three
+//! owners (lanes, memory system, grid/stream ledger), `synchronize`, the
+//! watchdog, and fault/deadlock handling. It borrows the owners as fields
+//! of [`Gpu`] and names no cache, DRAM channel or network.
 //!
 //! One device cycle has three strictly ordered phases, composed in exactly
 //! one place ([`Gpu::step`]) for `synchronize` and for single-stepping
 //! alike, all on the calling thread:
 //!
-//! 1. **Pre** ([`Gpu::cycle_pre`]) — due network packets are delivered
-//!    (replies into each SM's inbound port, requests into the L2 slices),
-//!    DRAM channels tick, and CTAs dispatch — waking the lanes they land
-//!    on.
-//! 2. **SM** ([`Lanes::tick_awake`]) — every *awake* lane ticks against a
+//! 1. **Pre** ([`Gpu::cycle_pre`]) — the memory system ticks (replies due
+//!    land in their SM's inbound port; `memsys.rs` has the order inside),
+//!    then CTAs dispatch — waking the lanes they land on.
+//! 2. **SM** (`Lanes::tick_awake`) — every *awake* lane ticks against a
 //!    *read-only* snapshot of device memory, writing only its own core
 //!    state and its own ports; stores and atomics go to a per-SM log.
 //! 3. **Post** ([`Gpu::cycle_post`]) — each awake lane's output, if it
 //!    produced any, is drained in SM-index order: deferred stores/atomics
-//!    commit to memory, requests enter the interconnect, CDP launches
-//!    spawn, completed CTAs retire, and traps resolve. The (SM index, issue
-//!    order) merge is what makes every counter, profile, and trace a
-//!    function of the workload alone. Lanes left with nothing resident, in
-//!    flight or to merge go to sleep.
+//!    commit to memory, requests are sent into the memory system, CDP
+//!    launches spawn, completed CTAs retire, and traps resolve. The (SM
+//!    index, issue order) merge is what makes every counter, profile, and
+//!    trace a function of the workload alone. Lanes left with nothing
+//!    resident, in flight or to merge go to sleep.
 //!
 //! A sleeping lane is visited by none of the three; what ticking it would
-//! have added to its counters is credited when it wakes or when counters
-//! are read (DESIGN.md, "Sleeping SMs").
+//! have added to its counters is credited when it wakes or at a settle
+//! point — anything that reads counters mid-run, and every exit from
+//! `try_synchronize` / `tick` (DESIGN.md, "Sleeping SMs").
+//!
+//! "Is anything still in flight" has one vocabulary —
+//! `MemSystem::is_idle`, `Lanes::{holds_work, outstanding_requests}`,
+//! [`Gpu::arming_after`] — and [`Gpu::busy`], the drain check,
+//! [`Gpu::progress`] and the deadlock report are each one expression over
+//! it.
 
-use ggpu_mem::{CacheOutcome, LINE_BYTES};
-use ggpu_sm::{MemRequest, ReqKind, Trap, WarpReport, WarpWait};
+use ggpu_sm::{Trap, WarpReport, WarpWait};
 
 use crate::error::{DeadlockReport, DeviceFault, SimError};
-use crate::memory::DeviceMemory;
 use crate::trace::TraceEventKind;
 
-use super::lanes::Lanes;
 use super::Gpu;
 
 /// Absolute backstop on simulated cycles per `synchronize`. The configurable
@@ -41,43 +46,25 @@ use super::Gpu;
 /// cycles) forever.
 pub(super) const MAX_SYNC_CYCLES: u64 = 2_000_000_000;
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub(super) enum Ev {
-    /// A request packet arrived at its memory partition.
-    L2Arrive {
-        sm: usize,
-        id: u64,
-        addr: u64,
-        kind: u8,
-        tex: bool,
-    },
-    /// A reply packet arrived back at its SM.
-    Reply { sm: usize, id: u64 },
-}
-
-#[derive(Debug)]
-pub(super) enum DramTarget {
-    /// Fill an L2 line and answer the waiters registered under it.
-    Fill { part: usize, line: u64 },
-    /// Pure write traffic; nothing to do on completion.
-    Write,
-}
-
 impl Gpu {
     /// Whether any work remains on the device.
     pub fn busy(&self) -> bool {
-        self.busy_with(&self.lanes)
+        !self.grids.is_empty()
+            || !self.memsys.is_idle()
+            || !self.pending_inbound.is_empty()
+            || self.lanes.holds_work()
     }
 
-    /// Only the awake lanes are asked — a sleeping lane holds no work.
-    pub(super) fn busy_with(&self, lanes: &Lanes) -> bool {
-        !self.grids.is_empty()
-            || !self.events.is_empty()
+    /// Whether the forward-progress watchdog counts the cycle `now` as
+    /// progress: `issued` instructions issued in it, the memory system is
+    /// working, a P2P payload is inbound over the node fabric, or a grid is
+    /// waiting out its launch overhead. Every term but `issued` is constant
+    /// over a dead span, so fast-forward asks once for the whole span.
+    pub(super) fn progress(&self, now: u64, issued: u64) -> bool {
+        issued > 0
+            || !self.memsys.is_idle()
             || !self.pending_inbound.is_empty()
-            || lanes
-                .awake_cores()
-                .any(|s| !s.is_idle() || s.has_outstanding())
-            || self.dram.iter().any(|d| !d.is_idle())
+            || self.arming_after(now)
     }
 
     /// Run the device until all launched grids complete; returns elapsed
@@ -96,28 +83,13 @@ impl Gpu {
         }
         let start = self.cycle;
         self.last_progress = self.cycle;
-        let result = self.with_lanes_out(|gpu, lanes, mem| gpu.run(start, lanes, mem));
+        let result = self.run(start);
+        // Counters read between runs are current.
+        self.lanes.settle();
         let elapsed = self.cycle - start;
         self.host.kernel_cycles += elapsed;
         self.flush_sample();
         result.map(|()| elapsed)
-    }
-
-    /// Check the lanes and memory out of `self` for the duration of `f`:
-    /// the cycle phases borrow them independently of the rest of the device
-    /// state. On the way back in every sleeping lane is settled, so
-    /// counters read between runs are current.
-    fn with_lanes_out<R>(
-        &mut self,
-        f: impl FnOnce(&mut Gpu, &mut Lanes, &mut DeviceMemory) -> R,
-    ) -> R {
-        let mut lanes = std::mem::take(&mut self.lanes);
-        let mut mem = std::mem::take(&mut self.mem);
-        let result = f(self, &mut lanes, &mut mem);
-        lanes.settle();
-        self.lanes = lanes;
-        self.mem = mem;
-        result
     }
 
     /// Run the device until all launched grids complete; returns elapsed
@@ -135,29 +107,24 @@ impl Gpu {
     /// The `synchronize` loop: step while anything is busy, check for
     /// faults and hangs after every ticked cycle, and fast-forward the dead
     /// span behind it.
-    fn run(
-        &mut self,
-        start: u64,
-        lanes: &mut Lanes,
-        mem: &mut DeviceMemory,
-    ) -> Result<(), SimError> {
-        while self.busy_with(lanes) {
-            self.step(lanes, mem);
-            if let Some(outcome) = self.sync_check(start, lanes) {
+    fn run(&mut self, start: u64) -> Result<(), SimError> {
+        while self.busy() {
+            self.step();
+            if let Some(outcome) = self.sync_check(start) {
                 return outcome;
             }
             if self.config.fast_forward {
-                self.try_fast_forward(lanes, start);
+                self.try_fast_forward(start);
             }
         }
         Ok(())
     }
 
     /// One device cycle — the only place the three phases are composed.
-    fn step(&mut self, lanes: &mut Lanes, mem: &mut DeviceMemory) {
-        let (now, device_busy) = self.cycle_pre(lanes);
-        lanes.tick_awake(now, mem, device_busy);
-        self.cycle_post(lanes, mem, now);
+    fn step(&mut self) {
+        let (now, device_busy) = self.cycle_pre();
+        self.lanes.tick_awake(now, &self.mem, device_busy);
+        self.cycle_post(now);
     }
 
     /// Post-cycle fault/watchdog check. `Some(Err(..))` ends the run; `None`
@@ -165,7 +132,7 @@ impl Gpu {
     /// a deadline overrun or a watchdog hang, in which case the remaining
     /// streams keep running and the fault is reported through
     /// [`Gpu::stream_fault`].
-    fn sync_check(&mut self, start: u64, lanes: &mut Lanes) -> Option<Result<(), SimError>> {
+    fn sync_check(&mut self, start: u64) -> Option<Result<(), SimError>> {
         if let Some(f) = self.fault.clone() {
             return Some(Err(f));
         }
@@ -186,7 +153,7 @@ impl Gpu {
                     budget: g.deadline_budget.unwrap_or(0),
                     cycle: self.cycle,
                 };
-                self.kill_active_stream(err, lanes);
+                self.kill_active_stream(err);
                 if let Some(f) = self.fault.clone() {
                     return Some(Err(f));
                 }
@@ -195,14 +162,14 @@ impl Gpu {
         }
         let stalled = self.cycle - self.last_progress;
         if stalled >= self.config.watchdog_cycles || self.cycle - start >= MAX_SYNC_CYCLES {
-            let err = SimError::Deadlock(Box::new(self.deadlock_report_with(stalled, lanes)));
+            let err = SimError::Deadlock(Box::new(self.deadlock_report(stalled)));
             if self.trace_on() {
                 self.emit(TraceEventKind::Deadlock {
                     stalled_for: stalled,
                     stream: self.active_stream.unwrap_or(0),
                 });
             }
-            self.kill_active_stream(err.clone(), lanes);
+            self.kill_active_stream(err.clone());
             if self.fault.is_some() {
                 return Some(Err(err));
             }
@@ -217,47 +184,30 @@ impl Gpu {
         if self.fault.is_some() {
             return;
         }
-        self.with_lanes_out(|gpu, lanes, mem| gpu.step(lanes, mem));
+        self.step();
+        self.lanes.settle();
     }
 
-    /// Pre-SM phase: deliver due packets, tick DRAM, dispatch CTAs.
-    /// Returns `(now, device_busy)` for the SM phase.
-    fn cycle_pre(&mut self, lanes: &mut Lanes) -> (u64, bool) {
+    /// Pre-SM phase: the memory system delivers what is due, then CTAs
+    /// dispatch. Returns `(now, device_busy)` for the SM phase.
+    fn cycle_pre(&mut self) -> (u64, bool) {
         self.cycle += 1;
         let now = self.cycle;
 
-        // 1. Deliver due network events. Replies land in the owning SM's
-        // inbound port and are consumed at the start of its tick this same
-        // cycle, preserving the pre-port `mem_response(id, now)` timing.
-        while let Some(ev) = self.events.pop_due(now) {
-            match ev {
-                Ev::L2Arrive {
-                    sm,
-                    id,
-                    addr,
-                    kind,
-                    tex,
-                } => self.handle_l2_arrive(sm, id, addr, kind, tex),
-                Ev::Reply { sm, id } => {
-                    // A reply answers an outstanding request, and a lane
-                    // with one never sleeps.
-                    debug_assert!(lanes.awake().contains(&sm), "reply to sleeping SM {sm}");
-                    lanes.lane_mut(sm).ports.replies.push(id);
-                }
-            }
-        }
-
-        // 2. DRAM channels.
-        self.dram_tick();
+        // 1–2. Due packets and the DRAM channels. Replies land in the
+        // owning SM's inbound port and are consumed at the start of its
+        // tick this same cycle.
+        let lanes = &mut self.lanes;
+        self.memsys.tick(now, |sm, id| lanes.deliver_reply(sm, id));
 
         // 3. CTA dispatch (children first, then the active host grid).
-        self.arm_and_dispatch(lanes);
+        self.arm_and_dispatch();
 
         // Sleeping lanes see this cycle through the clock; a lane dispatch
         // just woke was credited up to the previous cycle and ticks this one
         // itself.
         let device_busy = self.device_busy_at(now);
-        lanes.advance_clock(1, device_busy);
+        self.lanes.advance_clock(1, device_busy);
         (now, device_busy)
     }
 
@@ -287,13 +237,14 @@ impl Gpu {
     /// Post-SM phase: drain every awake lane's output in SM-index
     /// order (the deterministic merge), then resolve faults, feed the
     /// watchdog, sample, and put the lanes that ran dry to sleep.
-    fn cycle_post(&mut self, lanes: &mut Lanes, mem: &mut DeviceMemory, now: u64) {
+    fn cycle_post(&mut self, now: u64) {
         // 3b. Land due peer-to-peer payloads before the SM merge: the DMA
         // write commits at its exact arrival cycle, ahead of any same-cycle
         // SM store, so node-level memory state does not depend on how the
         // node schedules its devices.
         while let Some(copy) = self.pending_inbound.pop_due(now) {
-            mem.write_slice(crate::memory::DevicePtr(copy.dst), &copy.bytes);
+            self.mem
+                .write_slice(crate::memory::DevicePtr(copy.dst), &copy.bytes);
             self.host.p2p_recvs += 1;
             self.host.p2p_bytes_in += copy.bytes.len() as u64;
             if self.trace_on() {
@@ -312,19 +263,19 @@ impl Gpu {
         // list is walked by position.
         let mut first_trap: Option<(usize, Trap)> = None;
         let mut issued = 0u64;
-        for k in 0..lanes.awake().len() {
-            let sm = lanes.awake()[k];
-            let lane = lanes.lane_mut(sm);
+        for k in 0..self.lanes.awake().len() {
+            let sm = self.lanes.awake()[k];
+            let lane = self.lanes.lane_mut(sm);
             if lane.ports.out.is_empty() {
                 continue;
             }
             let mut out = std::mem::take(&mut lane.ports.out);
-            lane.core.commit_mem_ops(mem, &mut out.mem_ops);
+            lane.core.commit_mem_ops(&mut self.mem, &mut out.mem_ops);
             for req in out.mem_requests.drain(..) {
-                self.route_request(sm, req);
+                self.memsys.send(sm, req, now);
             }
             for l in out.launches.drain(..) {
-                self.spawn_child(sm, l, mem);
+                self.spawn_child(sm, l);
             }
             for c in out.completed.drain(..) {
                 if let Some(g) = self.grids.get_mut(&c.grid_handle) {
@@ -335,7 +286,7 @@ impl Gpu {
                             // in-flight effects drain (finalized below).
                             self.draining = Some(c.grid_handle);
                         } else {
-                            self.grid_done(c.grid_handle, lanes);
+                            self.grid_done(c.grid_handle);
                         }
                     }
                 }
@@ -347,7 +298,7 @@ impl Gpu {
             }
             issued += out.issued;
             out.issued = 0;
-            lanes.lane_mut(sm).ports.out = out;
+            self.lanes.lane_mut(sm).ports.out = out;
         }
 
         // 5. Fault resolution: a CDP-limit fault raised in `spawn_child`
@@ -369,7 +320,7 @@ impl Gpu {
             }
         }
         if let Some(err) = raised {
-            self.kill_active_stream(err, lanes);
+            self.kill_active_stream(err);
             return;
         }
 
@@ -377,31 +328,15 @@ impl Gpu {
         // the held grid only once every in-flight effect has drained, so
         // the next grid starts from a translation-invariant device state.
         if let Some(h) = self.draining {
-            let drained = self.events.is_empty()
-                && self.dram.iter().all(|d| d.is_idle())
-                && lanes.awake_cores().all(|c| !c.has_outstanding());
-            if drained {
+            if self.memsys.is_idle() && self.lanes.outstanding_requests() == 0 {
                 self.draining = None;
-                for d in &mut self.dram {
-                    d.close_rows();
-                }
-                self.grid_done(h, lanes);
+                self.memsys.close_rows();
+                self.grid_done(h);
             }
         }
 
-        // 6. Forward-progress watchdog bookkeeping. Progress means: an
-        // instruction issued, a network packet is still in flight, a P2P
-        // payload is inbound over the node fabric, a DRAM channel is
-        // working, or a grid is waiting out its launch overhead.
-        let progress = issued > 0
-            || !self.events.is_empty()
-            || !self.pending_inbound.is_empty()
-            || self.dram.iter().any(|d| !d.is_idle())
-            || self
-                .grids
-                .values()
-                .any(|g| g.armed_at.is_some_and(|t| t > now));
-        if progress {
+        // 6. Forward-progress watchdog bookkeeping.
+        if self.progress(now, issued) {
             self.last_progress = now;
         }
 
@@ -410,139 +345,23 @@ impl Gpu {
         if self.config.sample_interval_cycles != 0
             && now.is_multiple_of(self.config.sample_interval_cycles)
         {
-            self.flush_sample_with(lanes);
+            self.lanes.settle();
+            self.flush_sample();
         }
 
         // 8. Lanes with nothing resident, in flight or left to merge sleep
         // until dispatch wakes them. (The fault path above returns with its
         // aborted lanes still awake; they sleep after their next cycle.)
-        lanes.sleep_idle();
-    }
-
-    // ---- network / memory-partition internals -----------------------------
-
-    #[inline]
-    fn partition_of(&self, addr: u64) -> usize {
-        ((addr / 256) % self.config.n_partitions as u64) as usize
-    }
-
-    fn route_request(&mut self, sm: usize, req: MemRequest) {
-        let part = self.partition_of(req.addr);
-        let bytes = match req.kind {
-            ReqKind::Load => 32,
-            ReqKind::Store => 8 + LINE_BYTES as u32,
-            ReqKind::Atomic => 40,
-        };
-        let t = self.icnt_req.send(
-            self.icnt_req.src_node(sm),
-            self.icnt_req.dst_node(part),
-            bytes,
-            self.cycle,
-        );
-        let kind = match req.kind {
-            ReqKind::Load => 0,
-            ReqKind::Store => 1,
-            ReqKind::Atomic => 2,
-        };
-        self.events.push(
-            t.max(self.cycle + 1),
-            Ev::L2Arrive {
-                sm,
-                id: req.id,
-                addr: req.addr,
-                kind,
-                tex: req.tex,
-            },
-        );
-    }
-
-    fn enqueue_dram(&mut self, part: usize, addr: u64, target: DramTarget) {
-        let key = self.next_dram_key;
-        self.next_dram_key += 1;
-        self.dram_inflight.insert(key, target);
-        self.dram[part].enqueue(key, addr, self.cycle);
-    }
-
-    fn send_reply(&mut self, part: usize, sm: usize, id: u64, extra_delay: u64) {
-        let n = self.replies_sent;
-        self.replies_sent += 1;
-        if self.config.fault_plan.drop_reply == Some(n) {
-            // Injected loss: the waiting warp never unblocks and the
-            // watchdog reports the hang.
-            return;
-        }
-        let t = self.icnt_rep.send(
-            self.icnt_rep.dst_node(part),
-            self.icnt_rep.src_node(sm),
-            8 + LINE_BYTES as u32,
-            self.cycle + extra_delay,
-        );
-        self.events
-            .push(t.max(self.cycle + 1), Ev::Reply { sm, id });
-    }
-
-    fn handle_l2_arrive(&mut self, sm: usize, id: u64, addr: u64, kind: u8, tex: bool) {
-        let part = self.partition_of(addr);
-        let line = addr / LINE_BYTES;
-        match kind {
-            // Load or atomic: read path through L2.
-            0 | 2 => match self.l2[part].access(addr, false) {
-                CacheOutcome::Hit => {
-                    self.send_reply(part, sm, id, self.config.l2_latency);
-                }
-                CacheOutcome::MshrMerged => {
-                    self.l2_waiters
-                        .entry((part, line))
-                        .or_default()
-                        .push((sm, id));
-                }
-                _ => {
-                    self.l2_waiters
-                        .entry((part, line))
-                        .or_default()
-                        .push((sm, id));
-                    self.enqueue_dram(part, addr, DramTarget::Fill { part, line });
-                }
-            },
-            // Store: write-through L2 (update on hit, stream to DRAM).
-            _ => {
-                let _ = self.l2[part].access(addr, true);
-                let _ = tex;
-                self.enqueue_dram(part, addr, DramTarget::Write);
-            }
-        }
-    }
-
-    fn dram_tick(&mut self) {
-        for part in 0..self.dram.len() {
-            for key in self.dram[part].tick(self.cycle) {
-                match self.dram_inflight.remove(&key) {
-                    Some(DramTarget::Fill { part, line }) => {
-                        self.l2[part].fill(line * LINE_BYTES, false);
-                        if let Some(waiters) = self.l2_waiters.remove(&(part, line)) {
-                            for (sm, id) in waiters {
-                                self.send_reply(part, sm, id, 0);
-                            }
-                        }
-                    }
-                    Some(DramTarget::Write) | None => {}
-                }
-            }
-        }
+        self.lanes.sleep_idle();
     }
 
     // ---- fault handling ---------------------------------------------------
 
     /// Compose the host-facing error for a warp trap raised on SM `sm`.
     fn fault_from_trap(&self, sm: usize, t: &Trap) -> SimError {
-        let kernel = self
-            .program
-            .get(t.kernel)
-            .map(|k| k.name.clone())
-            .unwrap_or_else(|| format!("k{}", t.kernel.0));
         SimError::DeviceFault(Box::new(DeviceFault {
             kind: t.kind,
-            kernel,
+            kernel: self.kernel_name(t.kernel),
             stream: self.active_stream.unwrap_or(0),
             sm,
             cta: Some(t.cta_linear),
@@ -564,7 +383,7 @@ impl Gpu {
     /// to a clean idle state. Other streams' *queued* grids have not
     /// started and survive untouched; memory contents, cache tags, and
     /// statistics survive too.
-    pub(super) fn kill_active_stream(&mut self, err: SimError, lanes: &mut Lanes) {
+    pub(super) fn kill_active_stream(&mut self, err: SimError) {
         let s = self.active_stream.unwrap_or(0);
         self.streams[s].fault = Some(err.clone());
         if s == 0 {
@@ -573,35 +392,17 @@ impl Gpu {
         }
         // Sleeping lanes too: the abort also resets slot and warp free
         // lists, which decide where the next CTA lands.
-        for lane in lanes.all_mut() {
+        for lane in self.lanes.all_mut() {
             lane.core.abort_workload();
         }
-        self.events.clear();
         self.device_queue.clear();
         self.grids.retain(|_, g| g.stream != s);
         self.streams[s].queue.clear();
-        self.l2_waiters.clear();
-        self.dram_inflight.clear();
-        for d in &mut self.dram {
-            d.clear_overflow();
-        }
-        // Drain DRAM off the device clock; completions are discarded since
-        // their waiters were just aborted. Bounded: one issue per cycle and
-        // bounded per-request latency, the cap is never the limiter.
-        let mut t = self.cycle;
-        let deadline = self.cycle + 1_000_000;
-        while self.dram.iter().any(|d| !d.is_idle()) && t < deadline {
-            t += 1;
-            for d in &mut self.dram {
-                let _ = d.tick(t);
-            }
-        }
+        self.memsys.abort(self.cycle);
         if self.config.stream_isolation {
             // The kill is a canonical boundary like any other: survivors
             // resume from the same device state a fault-free run reaches.
-            for d in &mut self.dram {
-                d.close_rows();
-            }
+            self.memsys.close_rows();
         }
         self.active_stream = None;
         self.draining = None;
@@ -615,13 +416,15 @@ impl Gpu {
         // boundary; otherwise the first record after recovery absorbs the
         // dead stream's counters.
         if self.profiling_enabled() {
-            self.record_base = self.stats_with(lanes);
+            self.lanes.settle();
+            self.record_base = self.stats();
         }
     }
 
     /// Snapshot everything a deadlock post-mortem needs. Must run *before*
     /// [`Gpu::kill_active_stream`] wipes the state it describes.
-    fn deadlock_report_with(&self, stalled_for: u64, lanes: &Lanes) -> DeadlockReport {
+    fn deadlock_report(&self, stalled_for: u64) -> DeadlockReport {
+        let lanes = &self.lanes;
         let mut warps: Vec<WarpReport> = Vec::new();
         for (&i, sm) in lanes.awake().iter().zip(lanes.awake_cores()) {
             warps.extend(
@@ -637,9 +440,9 @@ impl Gpu {
             warps,
             host_queue: self.streams.iter().map(|s| s.queue.len()).sum(),
             device_queue: self.device_queue.len(),
-            events_in_flight: self.events.len(),
-            outstanding_requests: lanes.awake_cores().map(|s| s.outstanding_requests()).sum(),
-            dram_queued: self.dram.iter().map(|d| d.queue_depth()).sum::<usize>(),
+            events_in_flight: self.memsys.packets_in_flight(),
+            outstanding_requests: lanes.outstanding_requests(),
+            dram_queued: self.memsys.dram_occupancy(),
         }
     }
 }

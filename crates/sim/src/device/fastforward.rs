@@ -34,13 +34,15 @@
 //!   per-scheduler stall record, is constant over the span and
 //!   [`ggpu_sm::SmCore::skip_cycles`] charges it once, through the routine
 //!   `tick` charges a single cycle with.
-//! * **Network** — packets are delivered only when due; the earliest due
-//!   time bounds `T`, so no delivery (and no reply-driven SM change)
-//!   happens inside the span.
-//! * **DRAM** — [`ggpu_mem::Dram::next_event_cycle`] bounds `T` by the
-//!   earliest possible issue (`bus_free_at` with a non-empty queue) or
-//!   completion; a non-empty overflow queue replays every cycle and
-//!   returns `c0`, vetoing the skip.
+//! * **Memory system** — `MemSystem::next_event` bounds `T` by the earliest
+//!   packet due (so no delivery, and no reply-driven SM change, happens
+//!   inside the span) and by each DRAM channel's earliest possible issue
+//!   (`bus_free_at` with a non-empty queue) or completion; a non-empty
+//!   overflow backlog replays every cycle and returns `c0`, vetoing the
+//!   skip. What a skipped tick would still have done — count a
+//!   DRAM-active cycle — `MemSystem::skip` credits for the span. The L2 and
+//!   the network links are event-driven on absolute cycle numbers and have
+//!   no per-cycle state.
 //! * **Dispatcher** — pending stream arbitration (a healthy stream with
 //!   queued work and no active host grid) or an unarmed selected head arms
 //!   next cycle (state change), so both veto, as does an open drain window
@@ -62,12 +64,13 @@
 //!   watchdog_cycles`) and the absolute backstop bound `T`, so the ticked
 //!   cycle at which `sync_check` fires — and the cycle stamped into the
 //!   report — are unchanged. The progress predicate itself is constant
-//!   over a dead span (its inputs — in-flight packets, DRAM activity,
-//!   pending arm windows — are exactly what the candidates freeze), so it
-//!   is evaluated once at `c0` and applied to the whole span.
+//!   over a dead span (its inputs — `MemSystem::is_idle`, an inbound P2P
+//!   payload, pending arm windows — are exactly what the candidates
+//!   freeze), so [`Gpu::progress`] is evaluated once at `c0` and applied to
+//!   the whole span.
 //!
-//! Anything not listed (L2, interconnect links, memcpy engine) is purely
-//! event-driven on absolute cycle numbers and has no per-cycle state.
+//! Anything not listed (the memcpy engine) is purely event-driven on
+//! absolute cycle numbers and has no per-cycle state.
 //!
 //! The span is credited in O(awake lanes): each awake lane in one
 //! `skip_cycles` call, every sleeping lane by advancing the idle clock
@@ -75,7 +78,6 @@
 //! advances by one, which is why a lane cannot tell how the cycles it slept
 //! through were retired.
 
-use super::lanes::Lanes;
 use super::Gpu;
 
 impl Gpu {
@@ -87,8 +89,8 @@ impl Gpu {
     /// Must run between `cycle_post`/`sync_check` of one cycle and
     /// `cycle_pre` of the next, with every lane and the device state at
     /// rest.
-    pub(super) fn try_fast_forward(&mut self, lanes: &mut Lanes, start: u64) {
-        if !self.busy_with(lanes) {
+    pub(super) fn try_fast_forward(&mut self, start: u64) {
+        if !self.busy() {
             // The loop is about to exit; a skip here would credit cycles
             // the per-cycle engine never runs.
             return;
@@ -103,8 +105,8 @@ impl Gpu {
         // wake-up); pending replies in a port mean the SM consumes them on
         // the very next tick (cannot happen after a fully merged cycle, but
         // cheap to keep the invariant local).
-        for k in 0..lanes.awake().len() {
-            let lane = lanes.lane_mut(lanes.awake()[k]);
+        for k in 0..self.lanes.awake().len() {
+            let lane = self.lanes.lane_mut(self.lanes.awake()[k]);
             if !lane.ports.replies.is_empty() {
                 return;
             }
@@ -115,15 +117,15 @@ impl Gpu {
             t = t.min(wake);
         }
 
-        // Earliest network delivery (always strictly due in the future
-        // here: `cycle_pre` already popped everything due at the current
-        // cycle, and packets are pushed at least one cycle out).
-        if let Some(due) = self.events.next_due() {
-            if due <= c0 {
-                return;
-            }
-            t = t.min(due);
+        // Memory system: the earliest packet delivery (always strictly in
+        // the future here: `cycle_pre` popped everything due at the current
+        // cycle, and packets are pushed at least one cycle out) or DRAM
+        // issue, completion or backlog replay.
+        let next = self.memsys.next_event(c0);
+        if next <= c0 {
+            return;
         }
+        t = t.min(next);
 
         // Earliest inbound peer-to-peer arrival over the node fabric: the
         // payload must land in `cycle_post` of its exact arrival cycle, so
@@ -133,15 +135,6 @@ impl Gpu {
                 return;
             }
             t = t.min(due);
-        }
-
-        // DRAM channels: earliest issue or completion.
-        for d in &self.dram {
-            let next = d.next_event_cycle(c0);
-            if next <= c0 {
-                return;
-            }
-            t = t.min(next);
         }
 
         // Dispatcher. A retiring grid in its drain window finalises the
@@ -182,7 +175,7 @@ impl Gpu {
                 Some(_) if !g.fully_dispatched() => {
                     let shape = (g.kernel, g.dims.threads_per_cta());
                     if !refused.contains(&shape) {
-                        if lanes.any_can_accept(shape.0, shape.1) {
+                        if self.lanes.any_can_accept(shape.0, shape.1) {
                             return;
                         }
                         refused.push(shape);
@@ -210,23 +203,18 @@ impl Gpu {
 
         // The progress predicate and `device_busy` are constant over the
         // span (see module docs); evaluate both once at `c0`.
-        let progress = !self.events.is_empty()
-            || !self.pending_inbound.is_empty()
-            || self.dram.iter().any(|d| !d.is_idle())
-            || self
-                .grids
-                .values()
-                .any(|g| g.armed_at.is_some_and(|a| a > c0));
+        let progress = self.progress(c0, 0);
         let device_busy = self.device_busy_at(c0);
 
-        for k in 0..lanes.awake().len() {
-            let sm = lanes.awake()[k];
-            lanes.lane_mut(sm).core.skip_cycles(c0, device_busy, span);
+        for k in 0..self.lanes.awake().len() {
+            let sm = self.lanes.awake()[k];
+            self.lanes
+                .lane_mut(sm)
+                .core
+                .skip_cycles(c0, device_busy, span);
         }
-        lanes.advance_clock(span, device_busy);
-        for d in &mut self.dram {
-            d.skip_cycles(c0, span);
-        }
+        self.lanes.advance_clock(span, device_busy);
+        self.memsys.skip(c0, span);
         self.cycle = t - 1;
         if progress {
             self.last_progress = t - 1;

@@ -1,5 +1,8 @@
 //! The SM lanes: every core with its port pair, the awake-lane list, and
-//! the clock sleeping lanes are credited from — one owned [`Lanes`].
+//! the clock sleeping lanes are credited from — one owned [`Lanes`], a plain
+//! field of [`super::Gpu`]. It is the SM side of the ports: the memory
+//! system on the other side hands it reply ids ([`Lanes::deliver_reply`])
+//! and knows an SM only as an index.
 //!
 //! # One thread, one merge order
 //!
@@ -18,7 +21,8 @@
 //! by an amount that is a pure function of how many cycles went by and how
 //! many of them saw the device busy. Such a lane leaves the awake list at
 //! the end of the post phase and is then visited by nothing — not the SM
-//! phase, the merge, the fast-forward scan or `busy` — until CTA dispatch
+//! phase, the merge, the fast-forward scan or the pending-work questions
+//! ([`Lanes::holds_work`], [`Lanes::outstanding_requests`]) — until CTA dispatch
 //! wakes it. The device keeps the two running totals in an [`IdleClock`];
 //! a sleeping lane remembers the reading it is credited up to and receives
 //! the difference when it wakes or at a settle point (anything that reads
@@ -71,11 +75,10 @@ impl SmLane {
 }
 
 /// Every lane in SM-index order, the awake ones' indices (ascending — the
-/// merge order) and the clock the sleeping ones are credited from. Lives in
-/// the [`super::Gpu`] between runs and is checked out of it for the
-/// duration of one. Everything on the per-cycle path goes through the awake
-/// list; only settle points and stream-wide resets visit every lane.
-#[derive(Debug, Default)]
+/// merge order) and the clock the sleeping ones are credited from.
+/// Everything on the per-cycle path goes through the awake list; only settle
+/// points and stream-wide resets visit every lane.
+#[derive(Debug)]
 pub(super) struct Lanes {
     lanes: Vec<SmLane>,
     awake: Vec<usize>,
@@ -135,6 +138,28 @@ impl Lanes {
     /// The awake lanes' cores, in [`Lanes::awake`] order.
     pub(super) fn awake_cores(&self) -> impl Iterator<Item = &SmCore> {
         self.awake.iter().map(|&i| &self.lanes[i].core)
+    }
+
+    /// Whether any lane holds work: resident warps or a request still out
+    /// in the memory system. Only the awake lanes are asked — a sleeping
+    /// lane holds neither.
+    pub(super) fn holds_work(&self) -> bool {
+        self.awake_cores()
+            .any(|c| !c.is_idle() || c.has_outstanding())
+    }
+
+    /// Requests the lanes still have outstanding to the memory system.
+    pub(super) fn outstanding_requests(&self) -> usize {
+        self.awake_cores().map(SmCore::outstanding_requests).sum()
+    }
+
+    /// Put reply `id` in lane `sm`'s inbound port, to be consumed at the
+    /// start of its tick this same cycle. A reply answers an outstanding
+    /// request, and a lane with one never sleeps.
+    pub(super) fn deliver_reply(&mut self, sm: usize, id: u64) {
+        let lane = &mut self.lanes[sm];
+        debug_assert!(lane.credited_to.is_none(), "reply to sleeping SM {sm}");
+        lane.ports.replies.push(id);
     }
 
     /// The SM phase: tick every awake lane at cycle `now` against memory as

@@ -11,7 +11,6 @@ use crate::memory::DeviceMemory;
 use crate::profile::KernelRecord;
 use crate::trace::TraceEventKind;
 
-use super::lanes::Lanes;
 use super::{Gpu, StreamId};
 
 /// CDP pending-launch queue capacity (as
@@ -74,6 +73,16 @@ pub(super) struct Grid {
     pub(super) start_cycle: Option<u64>,
 }
 
+/// Bytes of the local-memory arena a grid of (validated) `dims` needs at
+/// `stride` bytes per thread — whole warps, so a partial final warp still
+/// has its lanes' slots — or `None` when the size does not fit in 64 bits.
+fn arena_bytes(stride: u64, dims: LaunchDims) -> Option<u64> {
+    stride
+        .checked_mul(dims.num_ctas())?
+        .checked_mul(dims.warps_per_cta() as u64)?
+        .checked_mul(ggpu_isa::WARP_SIZE as u64)
+}
+
 impl Grid {
     pub(super) fn fully_dispatched(&self) -> bool {
         self.next_cta >= self.dims.num_ctas()
@@ -98,17 +107,27 @@ impl Gpu {
             .program
             .get(kernel)
             .ok_or(LaunchProblem::UnknownKernel)?;
-        let tpc = dims.threads_per_cta();
-        if dims.num_ctas() == 0 || tpc == 0 {
+        let ((gx, gy, gz), (cx, cy, cz)) = (dims.grid, dims.cta);
+        if [gx, gy, gz, cx, cy, cz].contains(&0) {
             return Err(LaunchProblem::ZeroDimension);
         }
+        // Checked products: past here `LaunchDims::{num_ctas,
+        // threads_per_cta, total_threads}` cannot overflow.
         let sm = &self.config.sm;
-        if tpc > sm.max_threads {
-            return Err(LaunchProblem::TooManyThreads {
-                requested: tpc,
-                limit: sm.max_threads,
-            });
-        }
+        let tpc = cx.checked_mul(cy).and_then(|t| t.checked_mul(cz));
+        let tpc = match tpc {
+            Some(tpc) if tpc <= sm.max_threads => tpc,
+            _ => {
+                return Err(LaunchProblem::TooManyThreads {
+                    requested: tpc.unwrap_or(u32::MAX),
+                    limit: sm.max_threads,
+                })
+            }
+        };
+        (gx as u64 * gy as u64)
+            .checked_mul(gz as u64)
+            .and_then(|ctas| ctas.checked_mul(tpc as u64))
+            .ok_or(LaunchProblem::GridTooLarge)?;
         let regs = k.regs_per_thread.saturating_mul(tpc);
         if regs > sm.registers {
             return Err(LaunchProblem::RegistersExceeded {
@@ -137,7 +156,6 @@ impl Gpu {
     /// overwrites the fields that differ for a device-side launch.
     fn new_grid(
         &mut self,
-        mem: &mut DeviceMemory,
         kernel: KernelId,
         dims: LaunchDims,
         params: Vec<u64>,
@@ -146,8 +164,9 @@ impl Gpu {
         self.validate_launch(kernel, dims, &params)?;
         let program = Arc::clone(&self.program);
         let k: &Kernel = program.kernel(kernel);
+        let limit = self.config.memory_limit;
         let (local_base, local_stride) =
-            Self::alloc_local_arena(mem, &mut self.free_arenas, k, dims);
+            Self::alloc_local_arena(&mut self.mem, &mut self.free_arenas, k, dims, limit)?;
         let const_data = self
             .const_bindings
             .get(&kernel.0)
@@ -219,15 +238,12 @@ impl Gpu {
                 }
             }
         }
-        // Memory is checked out of `self` for the call, as it is for the
-        // cycle phases `spawn_child` runs in.
-        let mut mem = std::mem::take(&mut self.mem);
-        let grid = self.new_grid(&mut mem, kernel, dims, params.to_vec(), stream);
-        self.mem = mem;
-        let mut grid = grid.map_err(|problem| SimError::InvalidLaunch {
-            kernel: self.kernel_name(kernel),
-            problem,
-        })?;
+        let mut grid = self
+            .new_grid(kernel, dims, params.to_vec(), stream)
+            .map_err(|problem| SimError::InvalidLaunch {
+                kernel: self.kernel_name(kernel),
+                problem,
+            })?;
         grid.deadline_budget = opts.deadline;
         let handle = self.next_grid;
         self.next_grid += 1;
@@ -280,7 +296,7 @@ impl Gpu {
 
     // ---- dispatch ---------------------------------------------------------
 
-    pub(super) fn arm_and_dispatch(&mut self, lanes: &mut Lanes) {
+    pub(super) fn arm_and_dispatch(&mut self) {
         // Within one call SM resources only shrink, so a launch shape every
         // SM has refused stays refused until the next cycle.
         self.refused_shapes.clear();
@@ -291,7 +307,7 @@ impl Gpu {
         handles.clear();
         handles.extend(self.device_queue.iter().copied());
         for &h in &handles {
-            self.dispatch_grid(h, lanes);
+            self.dispatch_grid(h);
         }
         self.scratch_handles = handles;
         self.device_queue.retain(|h| {
@@ -333,24 +349,22 @@ impl Gpu {
             };
             if arm {
                 if self.config.flush_between_kernels {
-                    for lane in lanes.all_mut() {
+                    for lane in self.lanes.all_mut() {
                         lane.core.flush_caches();
                     }
-                    for l2 in &mut self.l2 {
-                        l2.flush();
-                    }
+                    self.memsys.flush_l2();
                 }
                 if self.config.stream_isolation {
                     // Canonical boundary: scheduler and dispatch cursors
                     // restart so intra-grid decisions never depend on where
                     // the previous grid left them.
                     self.dispatch_cursor = 0;
-                    for lane in lanes.all_mut() {
+                    for lane in self.lanes.all_mut() {
                         lane.core.reset_schedulers();
                     }
                 }
             }
-            self.dispatch_grid(head, lanes);
+            self.dispatch_grid(head);
         }
     }
 
@@ -361,7 +375,15 @@ impl Gpu {
             .and_then(|s| self.streams[s].queue.front().copied())
     }
 
-    fn dispatch_grid(&mut self, handle: u64, lanes: &mut Lanes) {
+    /// Whether any grid is still waiting out its launch overhead after
+    /// cycle `now`.
+    pub(super) fn arming_after(&self, now: u64) -> bool {
+        self.grids
+            .values()
+            .any(|g| g.armed_at.is_some_and(|t| t > now))
+    }
+
+    fn dispatch_grid(&mut self, handle: u64) {
         let Some(g) = self.grids.get_mut(&handle) else {
             return;
         };
@@ -377,18 +399,18 @@ impl Gpu {
             return;
         }
         let total = g.dims.num_ctas();
-        let n_sms = lanes.len();
+        let n_sms = self.lanes.len();
         let mut failures = 0;
         while g.next_cta < total && failures < n_sms {
             let sm = self.dispatch_cursor % n_sms;
             self.dispatch_cursor += 1;
-            if !lanes.lane(sm).core.can_accept(shape.0, shape.1) {
+            if !self.lanes.lane(sm).core.can_accept(shape.0, shape.1) {
                 failures += 1;
                 continue;
             }
             // The one place a sleeping lane's state changes.
-            lanes.wake(sm);
-            let placed = lanes.lane_mut(sm).core.try_launch_cta(CtaConfig {
+            self.lanes.wake(sm);
+            let placed = self.lanes.lane_mut(sm).core.try_launch_cta(CtaConfig {
                 kernel_id: g.kernel,
                 grid_handle: handle,
                 cta_linear: g.next_cta,
@@ -430,25 +452,35 @@ impl Gpu {
     /// forever (the allocation count stays flat across shape changes). A
     /// recycled arena is zero-filled so a reused span is bit-identical to a
     /// fresh allocation — local memory is functionally uninitialized, and
-    /// fresh allocations read as zero.
+    /// fresh allocations read as zero. A fresh arena counts against
+    /// `memory_limit` like any other allocation (the size may come from a
+    /// guest register: a CDP child's grid).
     fn alloc_local_arena(
         mem: &mut DeviceMemory,
         free_arenas: &mut Vec<(u64, u64)>,
         k: &Kernel,
         dims: LaunchDims,
-    ) -> (u64, u64) {
+        memory_limit: u64,
+    ) -> Result<(u64, u64), LaunchProblem> {
         let local_stride = (k.local_bytes_per_thread as u64).next_multiple_of(8);
         if local_stride == 0 {
-            return (0, 0);
+            return Ok((0, 0));
         }
-        let warp_slots = dims.num_ctas() * dims.warps_per_cta() as u64;
-        let size = local_stride * warp_slots * ggpu_isa::WARP_SIZE as u64;
+        let size = arena_bytes(local_stride, dims).unwrap_or(u64::MAX);
         if let Some(i) = free_arenas.iter().position(|&(s, _)| s == size) {
             let (_, base) = free_arenas.swap_remove(i);
             mem.write_slice(crate::memory::DevicePtr(base), &vec![0u8; size as usize]);
-            return (base, local_stride);
+            return Ok((base, local_stride));
         }
-        (mem.alloc(size).0, local_stride)
+        let in_use = mem.allocated();
+        if size.saturating_add(in_use) > memory_limit {
+            return Err(LaunchProblem::LocalMemoryExceeded {
+                requested: size,
+                in_use,
+                limit: memory_limit,
+            });
+        }
+        Ok((mem.alloc(size).0, local_stride))
     }
 
     // ---- CDP runtime ------------------------------------------------------
@@ -456,12 +488,7 @@ impl Gpu {
     /// Process a device-side launch emitted by SM `parent_sm` during the
     /// current cycle's SM phase (runs in the post-phase merge, so children
     /// enqueue in deterministic SM-index order).
-    pub(super) fn spawn_child(
-        &mut self,
-        parent_sm: usize,
-        l: ggpu_sm::DeviceLaunch,
-        mem: &mut DeviceMemory,
-    ) {
+    pub(super) fn spawn_child(&mut self, parent_sm: usize, l: ggpu_sm::DeviceLaunch) {
         if self.fault.is_some() || self.pending_fault.is_some() {
             return;
         }
@@ -481,7 +508,7 @@ impl Gpu {
         } else if depth > self.config.cdp_max_depth {
             Err((FaultKind::CdpNestingExceeded, None))
         } else {
-            self.new_grid(mem, kernel, dims, l.params, stream)
+            self.new_grid(kernel, dims, l.params, stream)
                 .map_err(|problem| (FaultKind::CdpInvalidLaunch, Some(problem)))
         };
         let mut grid = match admitted {
@@ -543,7 +570,7 @@ impl Gpu {
 
     // ---- retirement -------------------------------------------------------
 
-    pub(super) fn grid_done(&mut self, handle: u64, lanes: &mut Lanes) {
+    pub(super) fn grid_done(&mut self, handle: u64) {
         let grid = match self.grids.remove(&handle) {
             Some(g) => g,
             None => return,
@@ -551,15 +578,15 @@ impl Gpu {
         if grid.local_stride != 0 {
             // Return the retired grid's local arena to the exact-size free
             // list so the next launch with the same geometry reuses it.
-            let warp_slots = grid.dims.num_ctas() * grid.dims.warps_per_cta() as u64;
-            let size = grid.local_stride * warp_slots * ggpu_isa::WARP_SIZE as u64;
+            let size = arena_bytes(grid.local_stride, grid.dims).expect("sized at launch");
             self.free_arenas.push((size, grid.local_base));
         }
         if self.profiling_enabled() {
             // Per-kernel counter scoping by retire interval: this record's
             // delta covers everything since the previous retire boundary, so
             // record deltas telescope to the run totals.
-            let snap = self.stats_with(lanes);
+            self.lanes.settle();
+            let snap = self.stats();
             let delta = snap.delta_since(&self.record_base);
             self.record_base = snap;
             self.records.push(KernelRecord {
@@ -586,7 +613,7 @@ impl Gpu {
         if let Some((sm, slot, parent_handle)) = grid.parent {
             // No wake: the notification only reaches a CTA that is still
             // resident, and a lane with one is awake.
-            lanes
+            self.lanes
                 .lane_mut(sm)
                 .core
                 .child_grid_done(slot, Some(parent_handle));
@@ -604,5 +631,30 @@ impl Gpu {
             debug_assert_eq!(self.active_stream, Some(s));
             self.active_stream = None;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn arena_size_is_whole_warps_and_never_wraps() {
+        // 33 threads round up to two warps of 32 slots each.
+        assert_eq!(arena_bytes(8, LaunchDims::linear(3, 33)), Some(8 * 3 * 64));
+        // A guest-chosen `grid_x` at the top of its range still has a size
+        // (for `memory_limit` to refuse) ...
+        let huge = LaunchDims::linear(u32::MAX, 128);
+        assert_eq!(
+            arena_bytes(1024, huge),
+            Some(1024 * (u32::MAX as u64) * 128)
+        );
+        // ... and a size past 64 bits is `None`, not a small wrapped number.
+        let dims = LaunchDims {
+            grid: (u32::MAX, u32::MAX, 1),
+            cta: (1024, 1, 1),
+        };
+        assert_eq!(arena_bytes(1024, dims), None);
+        assert_eq!(arena_bytes(u64::MAX / 2, LaunchDims::linear(1, 32)), None);
     }
 }

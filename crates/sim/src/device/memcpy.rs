@@ -61,6 +61,27 @@ impl Gpu {
             .unwrap_or_else(|e| panic!("malloc failed: {e}"))
     }
 
+    /// The range rule every host and peer copy answers to before anything
+    /// is counted, charged or moved: `[ptr, ptr + len)` must be allocated
+    /// device memory ([`crate::DeviceMemory`]'s `in_bounds`, the rule guest
+    /// accesses trap on). Not sticky.
+    pub(crate) fn check_copy(
+        &self,
+        dir: CopyDir,
+        ptr: DevicePtr,
+        len: usize,
+    ) -> Result<(), SimError> {
+        if self.mem.in_bounds(ptr.0, len as u64) {
+            return Ok(());
+        }
+        Err(SimError::InvalidCopy {
+            dir,
+            addr: ptr.0,
+            len: len as u64,
+            frontier: self.mem.frontier(),
+        })
+    }
+
     /// Fault-plan hook shared by both copy directions: counts the
     /// transfer, and either drops it (a non-sticky, per-call error — the
     /// device stays usable) or flags its payload for corruption.
@@ -81,6 +102,7 @@ impl Gpu {
         if let Some(f) = self.fault.clone() {
             return Err(f);
         }
+        self.check_copy(CopyDir::H2D, dst, data.len())?;
         if self.memcpy_inject(CopyDir::H2D)? {
             // Corrupt the bytes as they cross the bus: the device-side
             // image differs from the host buffer.
@@ -119,6 +141,7 @@ impl Gpu {
         if let Some(f) = self.fault.clone() {
             return Err(f);
         }
+        self.check_copy(CopyDir::D2H, src, len)?;
         let poison = self.memcpy_inject(CopyDir::D2H)?;
         let cost =
             self.config.pcie.latency + (len as f64 / self.config.pcie.bytes_per_cycle) as u64;
@@ -161,16 +184,14 @@ impl Gpu {
 
     // ---- node peer-to-peer hooks (driven by `crate::GpuNode`) -------------
 
-    /// Source half of a node P2P copy: run the shared memcpy fault-injection
-    /// hooks (P2P transfers share the drop/poison counter with PCIe
-    /// transfers, in call order) and read the payload out of this device's
-    /// memory. A poisoned transfer corrupts the payload as it enters the
-    /// fabric — the destination receives the twisted bytes while the source
-    /// image stays intact.
+    /// Source half of a node P2P copy, after the node has checked this
+    /// device's sticky fault and both ranges: run the shared memcpy
+    /// fault-injection hooks (P2P transfers share the drop/poison counter
+    /// with PCIe transfers, in call order) and read the payload out of this
+    /// device's memory. A poisoned transfer corrupts the payload as it
+    /// enters the fabric — the destination receives the twisted bytes while
+    /// the source image stays intact.
     pub(crate) fn p2p_read(&mut self, src: DevicePtr, len: usize) -> Result<Vec<u8>, SimError> {
-        if let Some(f) = self.fault.clone() {
-            return Err(f);
-        }
         let poison = self.memcpy_inject(CopyDir::P2P)?;
         let mut bytes = self.mem.read_slice(src, len);
         if poison {

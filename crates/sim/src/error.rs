@@ -178,6 +178,19 @@ pub enum LaunchProblem {
         /// Streams that exist (ids `0..streams`).
         streams: usize,
     },
+    /// The grid's CTA or thread count does not fit in 64 bits.
+    GridTooLarge,
+    /// The grid's local-memory arena would take the device past
+    /// [`crate::GpuConfig::memory_limit`].
+    LocalMemoryExceeded {
+        /// Bytes the arena needs (`u64::MAX` when the size itself
+        /// overflows).
+        requested: u64,
+        /// Bytes already allocated.
+        in_use: u64,
+        /// Configured capacity.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for LaunchProblem {
@@ -209,6 +222,15 @@ impl fmt::Display for LaunchProblem {
                     "stream {requested} does not exist ({streams} stream(s) created)"
                 )
             }
+            LaunchProblem::GridTooLarge => f.write_str("grid dimensions overflow 64 bits"),
+            LaunchProblem::LocalMemoryExceeded {
+                requested,
+                in_use,
+                limit,
+            } => write!(
+                f,
+                "{requested} bytes of local memory needed, {in_use} of {limit} in use"
+            ),
         }
     }
 }
@@ -261,6 +283,19 @@ pub enum SimError {
         /// Transfer direction.
         dir: CopyDir,
     },
+    /// A host or peer copy named a range outside allocated device memory
+    /// (the null page, past the allocation frontier, or wrapping the address
+    /// space). Nothing moved and nothing was charged; not sticky.
+    InvalidCopy {
+        /// Transfer direction.
+        dir: CopyDir,
+        /// Device address the copy started at.
+        addr: u64,
+        /// Bytes requested.
+        len: u64,
+        /// The allocation frontier at the time of the call.
+        frontier: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -295,6 +330,16 @@ impl fmt::Display for SimError {
                     "memcpy dropped by fault injection: {dir} transfer #{index}"
                 )
             }
+            SimError::InvalidCopy {
+                dir,
+                addr,
+                len,
+                frontier,
+            } => write!(
+                f,
+                "invalid {dir} copy: {len} bytes at 0x{addr:x} is outside \
+                 allocated device memory (frontier 0x{frontier:x})"
+            ),
         }
     }
 }

@@ -60,7 +60,7 @@ pub use config::{FaultPlan, GpuConfig, PcieConfig};
 pub use device::{Gpu, LaunchOptions, StreamId};
 pub use error::{DeadlockReport, DeviceFault, LaunchProblem, SimError};
 pub use memory::{DeviceMemory, DevicePtr};
-pub use node::{grid_device, shard_ranges, FabricConfig, GpuNode, NodeConfig, NodeStats};
+pub use node::{grid_device, shard_ranges, GpuNode, NodeConfig, NodeStats};
 pub use profile::{
     run_stats_json, IntervalSample, KernelPcProfile, KernelRecord, PartitionUnit, PcProfile,
     PcProfileRow, ProfileReport, SmUnit, UnitProfile,
@@ -79,9 +79,8 @@ pub use ggpu_sm::{WarpReport, WarpWait};
 // harnesses can read [`ProfileReport`] without substrate dependencies.
 pub use ggpu_mem::{CacheStats, DramStats};
 
-// Re-export the interconnect vocabulary so node-level fabrics
-// ([`FabricConfig`]) can be configured without a direct `ggpu-icnt`
-// dependency.
+// Re-export the interconnect vocabulary so [`GpuConfig::icnt`] can be swept
+// and [`NodeStats::fabric`] read without a direct `ggpu-icnt` dependency.
 pub use ggpu_icnt::{IcntConfig, IcntStats, Topology};
 pub use ggpu_sm::{PcCounters, PcTable, SmStats, StallBreakdown, StallReason};
 

@@ -89,6 +89,14 @@ impl DeviceMemory {
         self.alloc_count
     }
 
+    /// Whether `[addr, addr + len)` lies inside allocated memory: above the
+    /// null page, below the allocation frontier, not wrapping the address
+    /// space. The one range rule — guest accesses ([`GlobalMem::check`]) and
+    /// host or peer copies both answer to it.
+    pub(crate) fn in_bounds(&self, addr: u64, len: u64) -> bool {
+        addr >= BASE && addr.checked_add(len).is_some_and(|end| end <= self.cursor)
+    }
+
     /// Copy a host slice into device memory.
     pub fn write_slice(&mut self, ptr: DevicePtr, bytes: &[u8]) {
         let start = ptr.0 as usize;
@@ -127,15 +135,11 @@ impl GlobalMem for DeviceMemory {
         if !addr.is_multiple_of(w) {
             return Some(FaultKind::MisalignedAccess);
         }
-        let end = match addr.checked_add(w) {
-            Some(e) => e,
-            None => return Some(FaultKind::IllegalAddress),
-        };
-        if addr < BASE || end > self.cursor {
+        if !self.in_bounds(addr, w) {
             return Some(FaultKind::IllegalAddress);
         }
         if let Some((lo, hi)) = self.poison {
-            if addr < hi && end > lo {
+            if addr < hi && addr + w > lo {
                 return Some(FaultKind::IllegalAddress);
             }
         }
@@ -251,6 +255,19 @@ mod tests {
             m.check(u64::MAX - 3, Width::B64, false),
             Some(FaultKind::MisalignedAccess)
         );
+    }
+
+    #[test]
+    fn in_bounds_is_the_allocated_range_and_never_wraps() {
+        let mut m = DeviceMemory::new();
+        let p = m.alloc(64);
+        assert!(m.in_bounds(p.0, 64));
+        assert!(m.in_bounds(m.frontier(), 0), "an empty range at the end");
+        assert!(!m.in_bounds(p.0, m.frontier() - p.0 + 1), "one byte past");
+        assert!(!m.in_bounds(BASE - 1, 1), "the null page");
+        assert!(!m.in_bounds(0, 0));
+        assert!(!m.in_bounds(u64::MAX - 2, 8), "wraps the address space");
+        assert!(!m.in_bounds(p.0, u64::MAX));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A [`GpuNode`] owns N [`Gpu`] instances (each the full sharded,
 //! port-decoupled engine) and a node-level `ggpu-icnt` network — the same
 //! flit/flow model the on-chip interconnects use, instantiated a second
-//! time with one endpoint pair per device — carrying explicit peer-to-peer
-//! copies between device memories.
+//! time with one endpoint pair per device, 16-byte flits and a fixed link
+//! latency — carrying explicit peer-to-peer copies between device memories.
 //!
 //! ## Determinism protocol
 //!
@@ -29,9 +29,11 @@
 //!    the parallel and serial paths are bit-identical by construction.
 //!
 //! Faults stay device-scoped: a P2P copy whose source device is faulted
-//! returns that device's sticky error without touching the fabric, and a
-//! stream fault inside one device's sync leaves every other device's
-//! result untouched.
+//! returns that device's sticky error, and one whose source or destination
+//! range is not allocated memory returns [`SimError::InvalidCopy`] — either
+//! way before the fabric, a transfer counter or a byte of memory is
+//! touched. A stream fault inside one device's sync leaves every other
+//! device's result untouched.
 //!
 //! ## Example
 //!
@@ -59,39 +61,22 @@ use crate::device::Gpu;
 use crate::error::SimError;
 use crate::memory::DevicePtr;
 use crate::stats::RunStats;
-use crate::trace::{chrome_trace_json, TraceEvent};
+use crate::trace::{chrome_trace_json, CopyDir, TraceEvent};
 
 /// Shift giving each device a disjoint grid-handle namespace
 /// (`device << 40 | per-device counter`), so kernel records from different
 /// devices never collide when merged into one report.
 const GRID_BASE_SHIFT: u32 = 40;
 
-/// The inter-GPU fabric: an `ggpu-icnt` instance at node level plus a
-/// fixed per-transfer link latency (the NVLink-style serdes/protocol cost
-/// that the flit model's 1-cycle hops don't capture).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FabricConfig {
-    /// Flit-level network between the devices; topology/flit-width/router
-    /// delay are swept exactly as for the on-chip networks.
-    pub icnt: IcntConfig,
-    /// Fixed cycles added to every transfer on top of the network model.
-    pub link_latency: u64,
-}
+/// Flit width of the inter-GPU fabric — an NVLink-ish point-to-point
+/// network with crossbar reachability: narrower than the on-chip 40 B,
+/// inter-package links serialize more.
+const FABRIC_FLIT_BYTES: u32 = 16;
 
-impl Default for FabricConfig {
-    /// An NVLink-ish point-to-point fabric: crossbar reachability, 16-byte
-    /// flits (narrower than the on-chip 40B — inter-package links
-    /// serialize more), and a 700-cycle base link latency.
-    fn default() -> Self {
-        FabricConfig {
-            icnt: IcntConfig {
-                flit_bytes: 16,
-                ..IcntConfig::default()
-            },
-            link_latency: 700,
-        }
-    }
-}
+/// Fixed cycles added to every fabric transfer on top of the network model
+/// (the NVLink-style serdes/protocol cost that the flit model's 1-cycle hops
+/// don't capture).
+const FABRIC_LINK_LATENCY: u64 = 700;
 
 /// Configuration for a [`GpuNode`].
 #[derive(Debug, Clone)]
@@ -100,8 +85,6 @@ pub struct NodeConfig {
     pub n_devices: usize,
     /// Per-device configuration (every device is identical).
     pub gpu: GpuConfig,
-    /// The inter-GPU fabric.
-    pub fabric: FabricConfig,
     /// Simulate devices on parallel host threads in
     /// [`GpuNode::try_sync_all`]. Purely a wall-clock decision: results
     /// are bit-identical either way (see the module docs).
@@ -109,13 +92,12 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// A node of `n` devices with the given per-device configuration,
-    /// default fabric, and parallel host simulation.
+    /// A node of `n` devices with the given per-device configuration and
+    /// parallel host simulation.
     pub fn new(n_devices: usize, gpu: GpuConfig) -> Self {
         NodeConfig {
             n_devices,
             gpu,
-            fabric: FabricConfig::default(),
             parallel_hosts: true,
         }
     }
@@ -128,12 +110,6 @@ impl NodeConfig {
     /// Toggle parallel host simulation (builder style).
     pub fn with_parallel_hosts(mut self, on: bool) -> Self {
         self.parallel_hosts = on;
-        self
-    }
-
-    /// Replace the fabric configuration (builder style).
-    pub fn with_fabric(mut self, fabric: FabricConfig) -> Self {
-        self.fabric = fabric;
         self
     }
 }
@@ -175,7 +151,6 @@ pub struct GpuNode {
     devices: Vec<Gpu>,
     fabric: Icnt,
     fabric_clock: u64,
-    link_latency: u64,
     parallel_hosts: bool,
 }
 
@@ -197,9 +172,15 @@ impl GpuNode {
             .collect();
         GpuNode {
             devices,
-            fabric: Icnt::new(config.fabric.icnt, config.n_devices, config.n_devices),
+            fabric: Icnt::new(
+                IcntConfig {
+                    flit_bytes: FABRIC_FLIT_BYTES,
+                    ..IcntConfig::default()
+                },
+                config.n_devices,
+                config.n_devices,
+            ),
             fabric_clock: 0,
-            link_latency: config.fabric.link_latency,
             parallel_hosts: config.parallel_hosts,
         }
     }
@@ -223,11 +204,6 @@ impl GpuNode {
     /// Iterate over the devices in index order.
     pub fn devices(&self) -> impl Iterator<Item = &Gpu> + '_ {
         self.devices.iter()
-    }
-
-    /// Inter-GPU fabric counters.
-    pub fn fabric_stats(&self) -> &IcntStats {
-        self.fabric.stats()
     }
 
     /// Copy `len` bytes from device `src`'s memory at `sptr` into device
@@ -260,12 +236,19 @@ impl GpuNode {
             .fabric_clock
             .max(self.devices[src].cycle())
             .max(self.devices[dst].cycle());
+        // Nothing touches the fabric, the transfer counter or either memory
+        // until the source is healthy and both ends name allocated memory.
+        if let Some(f) = self.devices[src].fault() {
+            return Err(f.clone());
+        }
+        self.devices[src].check_copy(CopyDir::P2P, sptr, len)?;
+        self.devices[dst].check_copy(CopyDir::P2P, dptr, len)?;
         let bytes = self.devices[src].p2p_read(sptr, len)?;
         let packet = u32::try_from(len).unwrap_or(u32::MAX);
         let from = self.fabric.src_node(src);
         let to = self.fabric.dst_node(dst);
         let arrival = self.fabric.send(from, to, packet, now);
-        let latency = (arrival - now) + self.link_latency;
+        let latency = (arrival - now) + FABRIC_LINK_LATENCY;
         self.fabric_clock = now;
         self.devices[src].p2p_charge_out(len as u64, latency);
         let dst_arrival = self.devices[dst].cycle() + latency;
@@ -400,7 +383,6 @@ pub fn shard_ranges(n_items: usize, n_shards: usize) -> Vec<Range<usize>> {
 mod tests {
     use super::*;
     use crate::config::FaultPlan;
-    use crate::trace::CopyDir;
     use ggpu_isa::{KernelBuilder, LaunchDims, Operand, Space, Width};
 
     fn double_program() -> (Program, ggpu_isa::KernelId) {

@@ -64,12 +64,6 @@ impl KernelRecord {
         self.parent.is_some()
     }
 
-    /// Launch-to-retire latency in cycles (includes launch overhead and,
-    /// for host grids, queueing behind earlier grids on the stream).
-    pub fn latency_cycles(&self) -> u64 {
-        self.retire_cycle.saturating_sub(self.launch_cycle)
-    }
-
     /// Warp-instructions per cycle over the record's execution window
     /// (start to retire); zero for a degenerate window.
     pub fn ipc(&self) -> f64 {

@@ -23,7 +23,7 @@
 use ggpu_isa::{AtomOp, Reg, Width};
 
 /// Kind of off-chip memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ReqKind {
     /// Read that must be answered with [`SmCore::mem_response`](crate::SmCore::mem_response).
     Load,

@@ -6,8 +6,8 @@ use ggpu_isa::{
     CmpOp, FaultKind, KernelBuilder, KernelId, LaunchDims, Operand, Program, Space, Width,
 };
 use ggpu_sim::{
-    CopyDir, FaultPlan, Gpu, GpuConfig, LaunchOptions, LaunchProblem, SimError, StreamId,
-    TraceEventKind, WarpWait,
+    CopyDir, DevicePtr, FaultPlan, Gpu, GpuConfig, GpuNode, LaunchOptions, LaunchProblem,
+    NodeConfig, SimError, StreamId, TraceEventKind, WarpWait,
 };
 
 /// Kernel: store one u64 at `param[0] + offset` from a single thread.
@@ -796,7 +796,7 @@ fn wrapping_load_program(space: Space) -> (Program, usize) {
 
 /// Run `write_tids` on a device whose first allocation is `out`; everything
 /// observable about the grid.
-fn clean_grid(gpu: &mut Gpu, out: ggpu_sim::DevicePtr) -> (u64, ggpu_sim::RunStats) {
+fn clean_grid(gpu: &mut Gpu, out: DevicePtr) -> (u64, ggpu_sim::RunStats) {
     gpu.reset_stats();
     let cycles = gpu
         .try_run_kernel(KernelId(1), LaunchDims::linear(2, 32), &[out.0])
@@ -856,4 +856,267 @@ fn local_access_outside_the_threads_arena_traps() {
     // wrapped address) and a small overrun aliased another thread's words.
     // Lanes 1 and 2 read the thread's 16 bytes; every other lane faults.
     wrapping_load_traps_and_recovers(Space::Local, FaultKind::IllegalAddress, !0b110);
+}
+
+/// Kernel 0 `local_hog` (1 KiB of local memory per thread: a 64 × 128-thread
+/// grid needs an 8 MiB arena), kernel 1 `write_tids`, kernel 2 `parent`
+/// (thread 0 launches that 64 × 128 grid of `local_hog` and waits).
+fn local_hog_program() -> Program {
+    let mut p = Program::new();
+    let mut b = KernelBuilder::new("local_hog");
+    b.set_local_bytes(1024);
+    let out = b.reg();
+    b.ld_param(out, 0);
+    b.st(Space::Global, Width::B64, Operand::imm(1), out, 0);
+    b.exit();
+    p.add(b.finish());
+    p.add(write_tids().kernel(KernelId(0)).clone());
+    let mut b = KernelBuilder::new("parent");
+    let tid = b.global_tid();
+    let z = b.cmp_s(CmpOp::Eq, Operand::reg(tid), Operand::imm(0));
+    b.if_then(z, |b| {
+        let out = b.reg();
+        b.ld_param(out, 0);
+        b.launch(0, Operand::imm(64), Operand::imm(128), Operand::reg(out), 1);
+        b.dsync();
+    });
+    b.exit();
+    p.add(b.finish());
+    p
+}
+
+/// The ways a copy can miss allocated memory on a device whose only
+/// allocation is `buf` (`len` bytes): wrapping the address space, far past
+/// the allocation frontier, straddling it, and the null page.
+fn bad_ranges(gpu: &Gpu, buf: DevicePtr, len: u64) -> [(DevicePtr, usize); 4] {
+    [
+        (DevicePtr(u64::MAX - 2), 8),
+        (DevicePtr(gpu.memory().frontier() + (1 << 20)), 8),
+        (buf.offset(len - 4), 8),
+        (DevicePtr(0), 16),
+    ]
+}
+
+#[test]
+fn host_copies_outside_allocated_memory_are_typed_and_move_nothing() {
+    // Regression: the wrapping copy panicked both profiles, the one past the
+    // frontier silently grew device memory (a guest load of the same address
+    // traps), the null-page read returned zeros — and each counted as a
+    // transfer, shifting the fault plan's indices.
+    let mut config = GpuConfig::test_small().with_stream_isolation(true);
+    config.fault_plan.drop_memcpy = Some(1);
+    let setup = |config: &GpuConfig| {
+        let mut gpu = Gpu::new(local_hog_program(), config.clone());
+        let buf = gpu.malloc(64 * 8);
+        gpu.try_memcpy_h2d(buf, &[1u8; 16]).expect("transfer #0");
+        (gpu, buf)
+    };
+    let (mut gpu, buf) = setup(&config);
+    let before = (gpu.memory().allocated(), gpu.stats().host);
+    let frontier = gpu.memory().frontier();
+    for (ptr, len) in bad_ranges(&gpu, buf, 64 * 8) {
+        for dir in [CopyDir::H2D, CopyDir::D2H] {
+            let err = match dir {
+                CopyDir::H2D => gpu.try_memcpy_h2d(ptr, &vec![9u8; len]).unwrap_err(),
+                _ => gpu.try_memcpy_d2h(ptr, len).unwrap_err(),
+            };
+            let want = SimError::InvalidCopy {
+                dir,
+                addr: ptr.0,
+                len: len as u64,
+                frontier,
+            };
+            assert_eq!(err, want, "{dir} {len} bytes at {ptr}");
+        }
+    }
+    assert!(gpu.fault().is_none(), "a refused copy is not sticky");
+    assert_eq!((gpu.memory().allocated(), gpu.stats().host), before);
+    // The refused copies were not transfers: the next valid one is still #1,
+    // the one the plan drops.
+    let finish = |gpu: &mut Gpu| {
+        assert!(matches!(
+            gpu.try_memcpy_h2d(buf, &[2u8; 16]).unwrap_err(),
+            SimError::MemcpyDropped { index: 1, .. }
+        ));
+        gpu.try_memcpy_h2d(buf, &[3u8; 16]).expect("transfer #2");
+        let host = gpu.stats().host;
+        (gpu.memcpy_d2h(buf, 64 * 8), host, clean_grid(gpu, buf))
+    };
+    let recovered = finish(&mut gpu);
+    assert_eq!(recovered, finish(&mut setup(&config).0));
+}
+
+#[test]
+fn p2p_copies_validate_both_ends_before_touching_the_fabric() {
+    let mut config = NodeConfig::test_small(2);
+    config.gpu.fault_plan.drop_memcpy = Some(1);
+    let setup = |config: &NodeConfig| {
+        let mut node = GpuNode::new(local_hog_program(), config.clone());
+        let a = node.device_mut(0).malloc(256);
+        let b = node.device_mut(1).malloc(256);
+        node.device_mut(0).memcpy_h2d(a, &[7u8; 256]);
+        (node, a, b)
+    };
+    let (mut node, a, b) = setup(&config);
+    let before = node.stats();
+    for (ptr, len) in bad_ranges(node.device(0), a, 256) {
+        let frontier = node.device(0).memory().frontier();
+        for (sptr, dptr, end) in [(ptr, b, "source"), (a, ptr, "destination")] {
+            let err = node.try_p2p_copy(0, sptr, 1, dptr, len).unwrap_err();
+            let want = SimError::InvalidCopy {
+                dir: CopyDir::P2P,
+                addr: ptr.0,
+                len: len as u64,
+                frontier,
+            };
+            assert_eq!(err, want, "bad {end}: {len} bytes at {ptr}");
+        }
+    }
+    assert_eq!(node.stats(), before, "nothing charged, no fabric packet");
+    assert!(!node.busy(), "nothing queued towards the destination");
+    // Still transfer #1 on the source device: dropped by the plan, then the
+    // retry lands exactly as it does on a node that saw no bad copy.
+    let finish = |node: &mut GpuNode| {
+        assert!(matches!(
+            node.try_p2p_copy(0, a, 1, b, 256).unwrap_err(),
+            SimError::MemcpyDropped { index: 1, .. }
+        ));
+        let latency = node.try_p2p_copy(0, a, 1, b, 256).expect("transfer #2");
+        node.sync_all();
+        (latency, node.stats(), node.device_mut(1).memcpy_d2h(b, 256))
+    };
+    let recovered = finish(&mut node);
+    assert_eq!(recovered.2, vec![7u8; 256]);
+    assert_eq!(recovered, finish(&mut setup(&config).0));
+}
+
+/// A device that can hold `write_tids`' buffer and little else.
+fn one_mib_device() -> (Gpu, DevicePtr, GpuConfig) {
+    let mut config = GpuConfig::test_small().with_stream_isolation(true);
+    config.memory_limit = 1 << 20;
+    let mut gpu = Gpu::new(local_hog_program(), config.clone());
+    let out = gpu.malloc(64 * 8);
+    (gpu, out, config)
+}
+
+#[test]
+fn launch_arithmetic_is_checked_and_the_local_arena_counts_against_memory_limit() {
+    // Regression: the first two panicked a debug build on the product (in
+    // release one read `ZeroDimension`, the other was accepted with a wrapped
+    // CTA count); the third returned `Ok` and left 8 MiB allocated on a
+    // 1 MiB device.
+    let (mut gpu, out, _) = one_mib_device();
+    let in_use = gpu.memory().allocated();
+    let cases = [
+        (
+            1,
+            LaunchDims {
+                grid: (1, 1, 1),
+                cta: (65536, 65536, 1),
+            },
+            LaunchProblem::TooManyThreads {
+                requested: u32::MAX,
+                limit: 1536,
+            },
+        ),
+        (
+            1,
+            LaunchDims {
+                grid: (u32::MAX, u32::MAX, 5),
+                cta: (32, 1, 1),
+            },
+            LaunchProblem::GridTooLarge,
+        ),
+        (
+            0,
+            LaunchDims::linear(64, 128),
+            LaunchProblem::LocalMemoryExceeded {
+                requested: 8 << 20,
+                in_use,
+                limit: 1 << 20,
+            },
+        ),
+    ];
+    for (kernel, dims, problem) in cases {
+        let err = gpu
+            .try_launch(KernelId(kernel), dims, &[out.0])
+            .unwrap_err();
+        let SimError::InvalidLaunch { problem: got, .. } = &err else {
+            panic!("{dims}: expected InvalidLaunch, got {err}");
+        };
+        assert_eq!(got, &problem, "{dims}");
+    }
+    // Nothing queued, nothing allocated, nothing sticky.
+    assert!(gpu.fault().is_none());
+    assert!(!gpu.busy());
+    assert_eq!(gpu.memory().allocated(), in_use);
+    assert_eq!(gpu.stats().host.kernel_launches, 0);
+    gpu.try_malloc(16).expect("the refused arena took nothing");
+
+    let recovered = clean_grid(&mut gpu, out);
+    let (mut fresh, out, _) = one_mib_device();
+    fresh.malloc(16);
+    assert_eq!(recovered, clean_grid(&mut fresh, out));
+}
+
+#[test]
+fn a_recycled_local_arena_passes_where_a_fresh_one_would_not() {
+    let (mut gpu, out, config) = one_mib_device();
+    // One warp of `local_hog`: a 32 KiB arena, returned to the free list
+    // when the grid retires.
+    gpu.try_run_kernel(KernelId(0), LaunchDims::linear(1, 32), &[out.0])
+        .expect("32 KiB fits");
+    let room = config.memory_limit - gpu.memory().allocated();
+    gpu.try_malloc(room - 1024).expect("fill the device");
+    let full = gpu.memory().allocated();
+    gpu.try_run_kernel(KernelId(0), LaunchDims::linear(1, 32), &[out.0])
+        .expect("the exact-size arena is reused, nothing is allocated");
+    assert_eq!(gpu.memory().allocated(), full);
+    let err = gpu
+        .try_launch(KernelId(0), LaunchDims::linear(2, 32), &[out.0])
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SimError::InvalidLaunch {
+                problem: LaunchProblem::LocalMemoryExceeded {
+                    requested: 65536,
+                    ..
+                },
+                ..
+            }
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_child_grid_whose_arena_exceeds_memory_limit_faults_at_its_launch() {
+    // Regression: a child's `grid_x` is a guest register, and its arena was
+    // allocated unchecked — 8 MiB here on a 1 MiB device, terabytes (a host
+    // abort) from one instruction with a larger operand.
+    let (mut gpu, out, _) = one_mib_device();
+    let in_use = gpu.memory().allocated();
+    let err = gpu
+        .try_run_kernel(KernelId(2), LaunchDims::linear(1, 32), &[out.0])
+        .expect_err("the child's arena does not fit");
+    let SimError::DeviceFault(fault) = &err else {
+        panic!("expected DeviceFault, got {err}");
+    };
+    assert_eq!(fault.kind, FaultKind::CdpInvalidLaunch);
+    assert_eq!((fault.kernel.as_str(), fault.stream), ("parent", 0));
+    assert!(
+        fault.instr.contains("launch k0 grid 64 block 128")
+            && fault.instr.contains("8388608 bytes of local memory"),
+        "{}",
+        fault.instr
+    );
+    assert!(fault.cycle < 1_000, "raised at cycle {}", fault.cycle);
+    assert_eq!(gpu.memory().allocated(), in_use);
+
+    assert_eq!(gpu.reset_fault(), Some(err));
+    assert!(!gpu.busy());
+    let recovered = clean_grid(&mut gpu, out);
+    let (mut fresh, out, _) = one_mib_device();
+    assert_eq!(recovered, clean_grid(&mut fresh, out));
 }
