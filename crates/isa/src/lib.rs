@@ -58,7 +58,7 @@ pub use builder::KernelBuilder;
 pub use fault::FaultKind;
 pub use instr::{Instr, Space, Width};
 pub use kernel::{Kernel, KernelId, LaunchDims, Program, ValidateError};
-pub use op::{AluOp, AtomOp, CmpOp, CvtKind, InstrClass, ScalarType};
+pub use op::{AluOp, AtomOp, CmpOp, CvtKind, InstrClass, Row, ScalarType};
 pub use reg::{Operand, Reg, SpecialReg};
 
 /// Number of threads in a warp. Fixed at 32, matching Table I of the paper.

@@ -4,6 +4,36 @@
 
 use std::fmt;
 
+use crate::WARP_SIZE;
+
+/// One register across a warp: a value per lane.
+pub type Row = [u64; WARP_SIZE];
+
+/// `out[lane] = f(lane)` for the lanes of `mask`; what the other lanes hold
+/// is unspecified, so a caller writes back under the same mask.
+///
+/// Dense (`sparse` unset, or a full mask) it is one straight loop over all 32
+/// lanes, which costs less than testing the mask when `f` is a few machine
+/// instructions and lets the loop vectorise. Sparse it visits the set bits
+/// only, for the operations where an idle lane would cost real work.
+#[inline(always)]
+fn fill_row(mask: u32, sparse: bool, f: impl Fn(usize) -> u64) -> Row {
+    let mut out = [0; WARP_SIZE];
+    if sparse && mask != u32::MAX {
+        let mut rest = mask;
+        while rest != 0 {
+            let lane = rest.trailing_zeros() as usize;
+            out[lane] = f(lane);
+            rest &= rest - 1;
+        }
+    } else {
+        for (lane, o) in out.iter_mut().enumerate() {
+            *o = f(lane);
+        }
+    }
+    out
+}
+
 /// Coarse instruction classes, matching the categories of Figure 8 in the
 /// paper (integer, floating point, load/store, special function, control).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,6 +150,17 @@ pub enum AluOp {
     DLog,
 }
 
+/// Hand every [`AluOp`] variant to `$m`, after any tokens that follow its
+/// name — the one list the row form's dispatch and the tests' "every
+/// operation" are both expanded from.
+macro_rules! alu_ops {
+    ($m:ident $($pre:tt)*) => {
+        $m!($($pre)* IAdd ISub IMul IDiv IRem IMin IMax IAnd IOr IXor IShl IShr ISar
+            FAdd FSub FMul FDiv FMin FMax DAdd DSub DMul DDiv DMin DMax
+            FExp FLog FSqrt FRcp DExp DLog)
+    };
+}
+
 impl AluOp {
     /// The instruction class this operation is accounted under.
     pub fn class(self) -> InstrClass {
@@ -141,7 +182,40 @@ impl AluOp {
         matches!(self, DAdd | DSub | DMul | DDiv | DMin | DMax | DExp | DLog)
     }
 
+    /// Division and the SFU functions: an idle lane would cost a divide or
+    /// a libm call, so under a partial mask their row form visits the active
+    /// lanes only. Every other operation is cheaper computed for all 32.
+    #[inline]
+    fn lane_is_costly(self) -> bool {
+        use AluOp::*;
+        matches!(
+            self,
+            IDiv | IRem | FDiv | DDiv | FExp | FLog | FSqrt | FRcp | DExp | DLog
+        )
+    }
+
+    /// [`AluOp::eval`] for a whole warp: the operation is resolved once and
+    /// the row computed in one loop. Lanes outside `mask` are unspecified —
+    /// write the row back under the same mask: all 32 lanes are computed
+    /// whatever the mask, except for division and the SFU functions, which
+    /// visit only the set lanes of a partial mask. Every arm *is* the scalar
+    /// `eval` with the operation a constant, so the scalar form stays the
+    /// single definition of the semantics.
+    pub fn eval_row(self, mask: u32, a: &Row, b: &Row) -> Row {
+        macro_rules! arms {
+            ($($op:ident)*) => {
+                match self {
+                    $(AluOp::$op => fill_row(mask, AluOp::$op.lane_is_costly(), |l| {
+                        AluOp::$op.eval(a[l], b[l])
+                    }),)*
+                }
+            };
+        }
+        alu_ops!(arms)
+    }
+
     /// Evaluate the operation on raw 64-bit register values.
+    #[inline(always)]
     pub fn eval(self, a: u64, b: u64) -> u64 {
         use AluOp::*;
         #[inline]
@@ -258,8 +332,46 @@ pub enum CmpOp {
     Ge,
 }
 
+/// Every [`CmpOp`] variant, as [`alu_ops`].
+macro_rules! cmp_ops {
+    ($m:ident $($pre:tt)*) => {
+        $m!($($pre)* Eq Ne Lt Le Gt Ge)
+    };
+}
+
+/// Every [`ScalarType`] variant, as [`alu_ops`].
+macro_rules! scalar_types {
+    ($m:ident $($pre:tt)*) => {
+        $m!($($pre)* S64 U64 F32 F64)
+    };
+}
+
 impl CmpOp {
+    /// [`CmpOp::eval`] for a whole warp, as 0 / 1 per lane: comparison and
+    /// type are resolved once, every lane is computed (see
+    /// [`AluOp::eval_row`]).
+    pub fn eval_row(self, ty: ScalarType, a: &Row, b: &Row) -> Row {
+        macro_rules! by_type {
+            ($cmp:ident: $($t:ident)*) => {
+                match ty {
+                    $(ScalarType::$t => fill_row(u32::MAX, false, |l| {
+                        CmpOp::$cmp.eval(ScalarType::$t, a[l], b[l]) as u64
+                    }),)*
+                }
+            };
+        }
+        macro_rules! arms {
+            ($($cmp:ident)*) => {
+                match self {
+                    $(CmpOp::$cmp => scalar_types!(by_type $cmp:),)*
+                }
+            };
+        }
+        cmp_ops!(arms)
+    }
+
     /// Evaluate the comparison on raw values interpreted as `ty`.
+    #[inline(always)]
     pub fn eval(self, ty: ScalarType, a: u64, b: u64) -> bool {
         use std::cmp::Ordering;
         let ord = match ty {
@@ -321,8 +433,29 @@ pub enum CvtKind {
     D2F,
 }
 
+/// Every [`CvtKind`] variant, as [`alu_ops`].
+macro_rules! cvt_kinds {
+    ($m:ident $($pre:tt)*) => {
+        $m!($($pre)* I2F I2D F2I D2I F2D D2F)
+    };
+}
+
 impl CvtKind {
+    /// [`CvtKind::eval`] for a whole warp: the conversion is resolved once,
+    /// every lane is computed (see [`AluOp::eval_row`]).
+    pub fn eval_row(self, a: &Row) -> Row {
+        macro_rules! arms {
+            ($($kind:ident)*) => {
+                match self {
+                    $(CvtKind::$kind => fill_row(u32::MAX, false, |l| CvtKind::$kind.eval(a[l])),)*
+                }
+            };
+        }
+        cvt_kinds!(arms)
+    }
+
     /// Evaluate the conversion on a raw 64-bit value.
+    #[inline(always)]
     pub fn eval(self, a: u64) -> u64 {
         match self {
             CvtKind::I2F => ((a as i64) as f32).to_bits() as u64,
@@ -501,5 +634,129 @@ mod tests {
         assert_eq!(AtomOp::Exch.apply(1, 9, 0), (9, 1));
         assert_eq!(AtomOp::Cas.apply(7, 9, 7), (9, 7)); // matched: swapped
         assert_eq!(AtomOp::Cas.apply(7, 9, 8), (7, 7)); // unmatched: unchanged
+    }
+
+    // ---- rows equal lanes: every row form against the scalar `eval` ----
+
+    use proptest::prelude::*;
+
+    macro_rules! all {
+        ($ty:ident: $($v:ident)*) => { [$($ty::$v),*] };
+    }
+
+    /// Operands where integer, shift, division and float semantics have
+    /// their corners: 0, ±1, the i64 extremes (`MIN / -1`, divisor 0), shift
+    /// counts of 64 and beyond, ±0.0, ±inf, NaNs with payloads and denormals
+    /// in both float widths.
+    fn edges() -> Vec<u64> {
+        let mut v = vec![
+            0,
+            1,
+            u64::MAX, // -1
+            i64::MIN as u64,
+            i64::MAX as u64,
+            63,
+            64,
+            65,
+            200,
+        ];
+        let f32s = [
+            0.0f32,
+            -0.0,
+            1.0,
+            -2.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 4.0, // denormal
+            f32::MAX,
+        ];
+        v.extend(f32s.iter().map(|f| f.to_bits() as u64));
+        v.extend([0x7FC0_0001u64, 0xFFC1_2345, 0x7F80_0001]); // f32 NaN payloads
+        let f64s = [
+            0.0f64,
+            -0.0,
+            1.0,
+            -2.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0,
+            9.3e18, // beyond i64
+        ];
+        v.extend(f64s.iter().map(|f| f.to_bits()));
+        v.extend([0x7FF8_0000_0000_0001u64, 0xFFF0_0000_0BAD_F00D]); // f64 NaN payloads
+        v
+    }
+
+    /// Every check of one `(mask, a, b)` draw: each row form, in the lanes
+    /// of `mask`, is the scalar form of that lane.
+    fn rows_equal_lanes(mask: u32, a: &Row, b: &Row) {
+        let active = (0..WARP_SIZE).filter(|l| mask & (1 << l) != 0);
+        for op in alu_ops!(all AluOp:) {
+            let row = op.eval_row(mask, a, b);
+            for l in active.clone() {
+                assert_eq!(row[l], op.eval(a[l], b[l]), "{op:?} lane {l}");
+            }
+        }
+        for cmp in cmp_ops!(all CmpOp:) {
+            for ty in scalar_types!(all ScalarType:) {
+                let row = cmp.eval_row(ty, a, b);
+                for l in active.clone() {
+                    assert_eq!(
+                        row[l],
+                        cmp.eval(ty, a[l], b[l]) as u64,
+                        "{cmp:?} {ty:?} {l}"
+                    );
+                }
+            }
+        }
+        for kind in cvt_kinds!(all CvtKind:) {
+            let row = kind.eval_row(a);
+            for l in active.clone() {
+                assert_eq!(row[l], kind.eval(a[l]), "{kind:?} lane {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_equal_lanes_on_every_pair_of_edge_operands() {
+        let edges = edges();
+        let pairs: Vec<(u64, u64)> = edges
+            .iter()
+            .flat_map(|&a| edges.iter().map(move |&b| (a, b)))
+            .collect();
+        for (i, chunk) in pairs.chunks(WARP_SIZE).enumerate() {
+            let (mut a, mut b) = ([0; WARP_SIZE], [0; WARP_SIZE]);
+            for (l, &(x, y)) in chunk.iter().enumerate() {
+                (a[l], b[l]) = (x, y);
+            }
+            // Full, partial (alternating halves) and empty masks in turn.
+            for mask in [u32::MAX, 0x5555_5555 << (i % 2), 0] {
+                rows_equal_lanes(mask, &a, &b);
+            }
+        }
+    }
+
+    /// A lane operand: an edge value half the time, any bit pattern otherwise.
+    fn operand() -> BoxedStrategy<u64> {
+        let edges = edges();
+        (0..2 * edges.len(), 0..=u64::MAX)
+            .prop_map(move |(pick, any)| edges.get(pick).copied().unwrap_or(any))
+    }
+
+    fn row() -> BoxedStrategy<Row> {
+        prop::collection::vec(operand(), WARP_SIZE).prop_map(|v| v.try_into().expect("32 lanes"))
+    }
+
+    proptest! {
+        #[test]
+        fn rows_equal_lanes_on_random_operands_and_masks(
+            a in row(),
+            b in row(),
+            partial in 0..=u32::MAX,
+            shape in 0..3u8,
+        ) {
+            let mask = [u32::MAX, 0, partial][shape as usize];
+            rows_equal_lanes(mask, &a, &b);
+        }
     }
 }

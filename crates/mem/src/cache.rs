@@ -219,6 +219,14 @@ impl Cache {
         self.mshrs.clear();
     }
 
+    /// Forget every outstanding miss, and nothing else: tags, LRU stamps and
+    /// statistics stay. For an owner that has just discarded the fills those
+    /// misses were waiting for (a killed workload) — left allocated, a later
+    /// access to such a line would merge into a miss nobody will answer.
+    pub fn release_mshrs(&mut self) {
+        self.mshrs.clear();
+    }
+
     /// Where the line holding `addr` lives: `(line address, set, index of
     /// the set's first way, tag)`.
     #[inline]

@@ -235,13 +235,18 @@ impl MemSystem {
     }
 
     /// Drop everything in flight after a stream was killed at cycle `now`:
-    /// packets, parked loads and DRAM backlogs go, and the channels drain
-    /// off the device clock with their completions discarded (the loads
-    /// they would answer were just aborted). Bounded: one issue per cycle
-    /// and bounded per-request latency, the cap is never the limiter.
+    /// packets, parked loads and DRAM backlogs go, the L2 slices forget the
+    /// misses those fills would have completed (tags and statistics stay),
+    /// and the channels drain off the device clock with their completions
+    /// discarded (the loads they would answer were just aborted). Bounded:
+    /// one issue per cycle and bounded per-request latency, the cap is never
+    /// the limiter.
     pub(super) fn abort(&mut self, now: u64) {
         self.packets.clear();
         self.waiters.clear();
+        for l2 in &mut self.l2 {
+            l2.release_mshrs();
+        }
         for d in &mut self.dram {
             d.clear_overflow();
         }
@@ -489,19 +494,33 @@ mod tests {
     fn after_abort_the_system_is_idle_and_times_a_request_as_a_fresh_one() {
         let c = GpuConfig::test_small();
         let mut ms = MemSystem::new(&c);
-        ms.send(0, req(1, LINE_A, ReqKind::Load), 10);
-        ms.send(1, req(2, LINE_A + 64 * LINE_BYTES, ReqKind::Store), 10);
-        assert_eq!(run(&mut ms, 1, 20), [], "both are at DRAM, in flight");
-        ms.abort(20);
+        // A line made resident beforehand, in another bank.
+        let resident = LINE_A + 2 * c.dram.row_bytes;
+        ms.send(2, req(0, resident, ReqKind::Load), 1);
+        assert_eq!(run(&mut ms, 1, 99).len(), 1);
+        ms.send(0, req(1, LINE_A, ReqKind::Load), 100);
+        ms.send(1, req(2, LINE_A + 64 * LINE_BYTES, ReqKind::Store), 100);
+        assert_eq!(run(&mut ms, 100, 110), [], "both are at DRAM, in flight");
+        assert_eq!(ms.l2[0].outstanding(), 1);
+        let before = stats(&ms).l2;
+        ms.abort(110);
         assert!(ms.is_idle());
         assert_eq!((ms.packets_in_flight(), ms.dram_occupancy()), (0, 0));
+        // The aborted load's miss is released with it (its fill was
+        // discarded: left outstanding, the next load of the line would merge
+        // into it and never be answered); counters and tags are untouched.
+        assert!(ms.l2.iter().all(|l2| l2.outstanding() == 0));
+        assert_eq!(stats(&ms).l2, before);
         ms.close_rows();
-        // The aborted load is never answered. Its line keeps the miss marked
-        // outstanding until the next L2 flush, so the probe uses its
-        // neighbour: same partition, bank and row, closed again.
-        assert_eq!(run(&mut ms, 21, 199), []);
-        ms.send(0, req(3, LINE_A + LINE_BYTES, ReqKind::Load), 200);
+        // The aborted load is never answered, and its line is a fresh miss:
+        // same partition, bank and row, closed again.
+        assert_eq!(run(&mut ms, 111, 199), []);
+        ms.send(0, req(3, LINE_A, ReqKind::Load), 200);
         let fresh = 200 + wire(&c, LOAD_REQ_BYTES) + dram_cold(&c) + wire(&c, REPLY_BYTES);
-        assert_eq!(run(&mut ms, 200, 400), [(fresh, 0, 3)]);
+        assert_eq!(run(&mut ms, 200, 399), [(fresh, 0, 3)]);
+        // The line resident before the abort still hits.
+        ms.send(2, req(4, resident, ReqKind::Load), 400);
+        let hit = 400 + wire(&c, LOAD_REQ_BYTES) + c.l2_latency + wire(&c, REPLY_BYTES);
+        assert_eq!(run(&mut ms, 400, 599), [(hit, 2, 4)]);
     }
 }

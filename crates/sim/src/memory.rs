@@ -25,8 +25,15 @@ impl std::fmt::Display for DevicePtr {
 ///
 /// The functional `read`/`write` paths stay permissive (timing models probe
 /// them freely); architectural bounds checking happens separately through
-/// [`GlobalMem::check`], which the SM consults per lane before any access
-/// and turns violations into guest faults.
+/// [`GlobalMem::check`], which the SM consults for every active lane before
+/// any access and turns violations into guest faults.
+///
+/// The SM reaches this type through `&dyn GlobalMem`, once per
+/// warp-instruction: the trait's `check_lanes` / `read_lanes` /
+/// `write_lanes` are not overridden, because their default bodies are
+/// compiled per implementation — inside them `check`, `read` and `write`
+/// below are direct, inlined calls, and an access inside the image is a
+/// bounds-checked sub-slice copy rather than a byte loop.
 #[derive(Debug, Default)]
 pub struct DeviceMemory {
     data: Vec<u8>,
@@ -97,6 +104,14 @@ impl DeviceMemory {
         addr >= BASE && addr.checked_add(len).is_some_and(|end| end <= self.cursor)
     }
 
+    /// `[addr, addr + len)` as an index range into the image, unless it
+    /// wraps the address space.
+    #[inline]
+    fn image_range(&self, addr: u64, len: usize) -> Option<std::ops::Range<usize>> {
+        let start = usize::try_from(addr).ok()?;
+        Some(start..start.checked_add(len)?)
+    }
+
     /// Copy a host slice into device memory.
     pub fn write_slice(&mut self, ptr: DevicePtr, bytes: &[u8]) {
         let start = ptr.0 as usize;
@@ -130,6 +145,7 @@ impl DeviceMemory {
 }
 
 impl GlobalMem for DeviceMemory {
+    #[inline]
     fn check(&self, addr: u64, width: Width, _store: bool) -> Option<FaultKind> {
         let w = width.bytes();
         if !addr.is_multiple_of(w) {
@@ -146,23 +162,35 @@ impl GlobalMem for DeviceMemory {
         None
     }
 
+    #[inline]
     fn read(&self, addr: u64, width: Width) -> u64 {
-        let mut v = 0u64;
-        for i in 0..width.bytes() {
-            let b = self.data.get((addr + i) as usize).copied().unwrap_or(0);
-            v |= (b as u64) << (8 * i);
+        let n = width.bytes() as usize;
+        let mut bytes = [0u8; 8];
+        match self.image_range(addr, n).and_then(|r| self.data.get(r)) {
+            Some(src) => bytes[..n].copy_from_slice(src),
+            // Partly or wholly outside the image: those bytes read zero.
+            None => {
+                for (i, b) in bytes[..n].iter_mut().enumerate() {
+                    let at = addr
+                        .checked_add(i as u64)
+                        .and_then(|a| usize::try_from(a).ok());
+                    *b = at.and_then(|a| self.data.get(a)).copied().unwrap_or(0);
+                }
+            }
         }
-        v
+        u64::from_le_bytes(bytes)
     }
 
+    #[inline]
     fn write(&mut self, addr: u64, width: Width, value: u64) {
-        let end = (addr + width.bytes()) as usize;
-        if self.data.len() < end {
-            self.data.resize(end, 0);
+        let n = width.bytes() as usize;
+        let range = self
+            .image_range(addr, n)
+            .expect("a write the guest-fault check admitted fits the address space");
+        if self.data.len() < range.end {
+            self.data.resize(range.end, 0);
         }
-        for i in 0..width.bytes() {
-            self.data[(addr + i) as usize] = (value >> (8 * i)) as u8;
-        }
+        self.data[range].copy_from_slice(&value.to_le_bytes()[..n]);
     }
 
     fn atom(&mut self, op: AtomOp, addr: u64, src: u64, cas: u64) -> u64 {
@@ -293,5 +321,115 @@ mod tests {
         assert_eq!(m.check(p.0 + 160, Width::B64, false), None);
         m.set_poison(None);
         assert_eq!(m.check(p.0 + 128, Width::B64, false), None);
+    }
+
+    // ---- rows equal lanes, fast path equals the byte loop ------------------
+
+    use ggpu_isa::{Row, WARP_SIZE};
+    use proptest::prelude::*;
+
+    /// The device memory's rules a byte and a lane at a time — `read` and
+    /// `write` as they were before the sub-slice fast path — under the
+    /// trait's default (per-lane) `*_lanes` bodies.
+    struct Reference {
+        data: Vec<u8>,
+        frontier: u64,
+        poison: Option<(u64, u64)>,
+    }
+
+    impl GlobalMem for Reference {
+        fn check(&self, addr: u64, width: Width, _store: bool) -> Option<FaultKind> {
+            let w = width.bytes();
+            if !addr.is_multiple_of(w) {
+                return Some(FaultKind::MisalignedAccess);
+            }
+            if addr < BASE || addr.checked_add(w).is_none_or(|end| end > self.frontier) {
+                return Some(FaultKind::IllegalAddress);
+            }
+            match self.poison {
+                Some((lo, hi)) if addr < hi && addr + w > lo => Some(FaultKind::IllegalAddress),
+                _ => None,
+            }
+        }
+        fn read(&self, addr: u64, width: Width) -> u64 {
+            (0..width.bytes()).fold(0, |v, i| {
+                let byte = addr.checked_add(i).and_then(|a| self.data.get(a as usize));
+                v | (byte.copied().unwrap_or(0) as u64) << (8 * i)
+            })
+        }
+        fn write(&mut self, addr: u64, width: Width, value: u64) {
+            let end = (addr + width.bytes()) as usize;
+            if self.data.len() < end {
+                self.data.resize(end, 0);
+            }
+            for i in 0..width.bytes() {
+                self.data[(addr + i) as usize] = (value >> (8 * i)) as u8;
+            }
+        }
+        fn atom(&mut self, _: AtomOp, _: u64, _: u64, _: u64) -> u64 {
+            unreachable!("not under test")
+        }
+    }
+
+    /// Two allocations (the second's image ends 56 bytes short of the
+    /// frontier), filled with `fill`, a poisoned window in the first.
+    fn populated(fill: &[u8]) -> DeviceMemory {
+        let mut m = DeviceMemory::new();
+        let a = m.alloc(1000);
+        m.alloc(200);
+        let len = m.data.len() - a.0 as usize;
+        let bytes: Vec<u8> = fill.iter().copied().cycle().take(len).collect();
+        m.write_slice(a, &bytes);
+        m.set_poison(Some((a.0 + 256, a.0 + 300)));
+        m
+    }
+
+    /// A lane address of one of the classes the guest-fault check and the
+    /// image distinguish, from `(class, offset)`.
+    fn lane_addr(m: &DeviceMemory, width: Width, (class, off): (u8, u64)) -> u64 {
+        let w = width.bytes();
+        let image_end = m.data.len() as u64;
+        match class {
+            0 => BASE + off % (m.cursor - BASE) / w * w, // aligned, mostly in bounds
+            1 => BASE + off % (m.cursor - BASE),         // any alignment
+            2 => off % BASE,                             // the null page
+            3 => m.cursor - 16 + off % 64,               // around the frontier
+            4 => BASE + 240 + off % 80,                  // around the poisoned window
+            5 => image_end - 16 + off % 32,              // straddling the image's end
+            _ => u64::MAX - off % 16,                    // the top of the address space
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lane_rows_equal_per_lane_accesses_of_the_byte_wise_reference(
+            fill in prop::collection::vec(0..=255u8, 1..64),
+            lanes in prop::collection::vec((0..7u8, 0..=u64::MAX), WARP_SIZE),
+            values in prop::collection::vec(0..=u64::MAX, WARP_SIZE),
+            mask in prop_oneof![Just(u32::MAX), Just(0u32), 0..=u32::MAX],
+            width in prop_oneof![Just(Width::B8), Just(Width::B16), Just(Width::B32), Just(Width::B64)],
+            store in 0..2u8,
+        ) {
+            let mut m = populated(&fill);
+            let mut r = Reference { data: m.data.clone(), frontier: m.cursor, poison: m.poison };
+            let addrs: Row = std::array::from_fn(|l| lane_addr(&m, width, lanes[l]));
+            let values: Row = values.try_into().expect("32 lanes");
+
+            // Through the trait object, as the SM calls them.
+            let dev: &mut dyn GlobalMem = &mut m;
+            let fault = dev.check_lanes(&addrs, mask, width, store == 1);
+            prop_assert_eq!(fault, r.check_lanes(&addrs, mask, width, store == 1));
+            prop_assert_eq!(dev.read_lanes(&addrs, mask, width), r.read_lanes(&addrs, mask, width));
+            for &a in &addrs {
+                prop_assert_eq!(dev.read(a, width), r.read(a, width), "address {:#x}", a);
+            }
+            // Only lanes the check admits ever reach a write.
+            let admitted = mask & !fault.map_or(0, |(_, _, faulting)| faulting);
+            dev.write_lanes(&addrs, &values, admitted, width);
+            r.write_lanes(&addrs, &values, admitted, width);
+            prop_assert_eq!(&m.data, &r.data);
+        }
     }
 }

@@ -16,13 +16,26 @@ const SMEM_BANKS: usize = 32;
 /// transaction; a strided access can produce up to 32.
 pub fn coalesce_lines(addrs: &[u64; WARP_SIZE], mask: u32, width: u64, out: &mut Vec<u64>) {
     out.clear();
+    let mut previous = None;
+    let mut highest = None;
     for lane in lanes(mask) {
         let first = addrs[lane] / LINE_BYTES;
         // Saturating: a guest address in the last bytes of the address space
         // (a constant load is not bounds-checked) must not wrap to line 0.
         let last = addrs[lane].saturating_add(width - 1) / LINE_BYTES;
+        // Neighbouring lanes mostly share a line: the previous lane already
+        // recorded these.
+        if previous == Some((first, last)) {
+            continue;
+        }
+        previous = Some((first, last));
         for line in first..=last {
-            if !out.contains(&line) {
+            // Addresses mostly ascend with the lane: a line above every
+            // recorded one is new without a scan.
+            if highest.is_none_or(|h| line > h) {
+                highest = Some(line);
+                out.push(line);
+            } else if !out.contains(&line) {
                 out.push(line);
             }
         }
@@ -34,20 +47,25 @@ pub fn coalesce_lines(addrs: &[u64; WARP_SIZE], mask: u32, width: u64, out: &mut
 /// the same word broadcast (no conflict). The access serializes over
 /// `degree` cycles; a conflict-free access has degree 1.
 pub(crate) fn bank_conflict_degree(addrs: &[u64; WARP_SIZE], mask: u32) -> u32 {
-    let mut per_bank: [Vec<u64>; SMEM_BANKS] = Default::default();
+    // Sorted, equal words are neighbours: one pass counts each bank's
+    // distinct words. At most 32 words, on the stack.
+    let mut words = [0u64; WARP_SIZE];
+    let mut n = 0;
     for lane in lanes(mask) {
-        let word = addrs[lane] / 4;
-        let bank = (word % SMEM_BANKS as u64) as usize;
-        if !per_bank[bank].contains(&word) {
-            per_bank[bank].push(word);
+        words[n] = addrs[lane] / 4;
+        n += 1;
+    }
+    let words = &mut words[..n];
+    words.sort_unstable();
+    let mut per_bank = [0u32; SMEM_BANKS];
+    let mut previous = None;
+    for &word in words.iter() {
+        if previous != Some(word) {
+            per_bank[(word % SMEM_BANKS as u64) as usize] += 1;
+            previous = Some(word);
         }
     }
-    per_bank
-        .iter()
-        .map(|v| v.len() as u32)
-        .max()
-        .unwrap_or(0)
-        .max(1)
+    per_bank.into_iter().max().unwrap_or(0).max(1)
 }
 
 #[cfg(test)]
@@ -94,6 +112,12 @@ mod tests {
         let mut out = Vec::new();
         coalesce_lines(&addrs, 0b1, 8, &mut out);
         assert_eq!(out, vec![0, 1]);
+        // Lane 1 starts in lane 0's line and ends in the next: sharing the
+        // first line is not sharing the access.
+        addrs[1] = 124;
+        addrs[0] = 64;
+        coalesce_lines(&addrs, 0b11, 8, &mut out);
+        assert_eq!(out, vec![0, 1]);
     }
 
     #[test]
@@ -124,5 +148,116 @@ mod tests {
     fn empty_mask_degree_one() {
         let addrs = seq_addrs(0, 4);
         assert_eq!(bank_conflict_degree(&addrs, 0), 1);
+    }
+
+    // ---- against the algorithms they replaced, kept here as references ----
+
+    use proptest::prelude::*;
+
+    /// `coalesce_lines` as it was: every lane scans the whole output.
+    fn coalesce_reference(addrs: &[u64; WARP_SIZE], mask: u32, width: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        for lane in (0..WARP_SIZE).filter(|l| mask & (1 << l) != 0) {
+            let first = addrs[lane] / LINE_BYTES;
+            let last = addrs[lane].saturating_add(width - 1) / LINE_BYTES;
+            for line in first..=last {
+                if !out.contains(&line) {
+                    out.push(line);
+                }
+            }
+        }
+        out
+    }
+
+    /// `bank_conflict_degree` as it was: a `Vec` of distinct words per bank.
+    fn degree_reference(addrs: &[u64; WARP_SIZE], mask: u32) -> u32 {
+        let mut per_bank: [Vec<u64>; SMEM_BANKS] = Default::default();
+        for lane in (0..WARP_SIZE).filter(|l| mask & (1 << l) != 0) {
+            let word = addrs[lane] / 4;
+            let bank = (word % SMEM_BANKS as u64) as usize;
+            if !per_bank[bank].contains(&word) {
+                per_bank[bank].push(word);
+            }
+        }
+        per_bank
+            .iter()
+            .map(|v| v.len() as u32)
+            .max()
+            .unwrap_or(0)
+            .max(1)
+    }
+
+    /// Address rows of the shapes warps make: a base plus a per-lane stride
+    /// (0 broadcasts, 4 and 8 coalesce, 136 is the probe's line-per-lane
+    /// worst case), ascending or descending, with some lanes scattered near
+    /// the base — repeats, accesses straddling a line, lines out of order —
+    /// and sometimes the top of the address space.
+    fn addr_row() -> BoxedStrategy<[u64; WARP_SIZE]> {
+        let stride = prop_oneof![
+            Just(0u64),
+            Just(4u64),
+            Just(8u64),
+            Just(136u64),
+            Just(128u64),
+            0..600u64
+        ];
+        let scatter = prop::collection::vec((0..4u8, 0..2048u64), WARP_SIZE);
+        (0..3u8, 0..1u64 << 20, stride, 0..2u8, scatter).prop_map(
+            |(top, base, stride, descending, scatter)| {
+                let base = if top == 0 {
+                    u64::MAX - 4096 + base % 4096
+                } else {
+                    base
+                };
+                std::array::from_fn(|l| {
+                    let step = if descending == 1 {
+                        WARP_SIZE - 1 - l
+                    } else {
+                        l
+                    } as u64;
+                    match scatter[l] {
+                        (0, off) => base.saturating_add(off),
+                        _ => base.saturating_add(step * stride),
+                    }
+                })
+            },
+        )
+    }
+
+    fn mask() -> BoxedStrategy<u32> {
+        prop_oneof![Just(FULL_MASK), Just(0u32), 0..=u32::MAX].boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn coalesce_lines_is_the_dedup_scan_it_replaced(
+            addrs in addr_row(),
+            mask in mask(),
+            width in prop_oneof![Just(1u64), Just(2u64), Just(4u64), Just(8u64)],
+        ) {
+            let mut out = vec![99];
+            coalesce_lines(&addrs, mask, width, &mut out);
+            prop_assert_eq!(out, coalesce_reference(&addrs, mask, width));
+        }
+
+        #[test]
+        fn bank_conflict_degree_is_the_per_bank_lists_it_replaced(
+            addrs in addr_row(),
+            mask in mask(),
+        ) {
+            prop_assert_eq!(bank_conflict_degree(&addrs, mask), degree_reference(&addrs, mask));
+        }
+    }
+
+    #[test]
+    fn the_probe_row_coalesces_to_a_line_per_lane() {
+        // benchmark/'s `sm.coalesce_ns` input: a 136-byte stride.
+        let addrs = seq_addrs(0x1000, 136);
+        let mut out = Vec::new();
+        coalesce_lines(&addrs, FULL_MASK, 8, &mut out);
+        assert_eq!(out, coalesce_reference(&addrs, FULL_MASK, 8));
+        assert!(out.len() >= 32);
     }
 }

@@ -11,16 +11,23 @@
 //! ([`SmCore::survey`]), [`SmCore::next_wake`] folds it for the earliest
 //! timed wake-up, and [`SmCore::charge_stall`] is the one place a scheduler
 //! slot's stall is counted — [`SmCore::tick`] charges it for one cycle,
-//! [`SmCore::skip_cycles`] for a whole fast-forwarded span.
+//! [`SmCore::skip_cycles`] for a whole fast-forwarded span. The rule's
+//! answer is derived once per warp-state-change and remembered on the warp
+//! until an event that can change it (the warp's own issue, an arriving
+//! fill, a barrier or device-sync release) or the wake-up it named, so the
+//! sixteen scheduler slots and the fast-forward scan of a cycle mostly read
+//! it back; a debug build re-derives it every time and asserts the two agree.
 
 mod exec;
+#[cfg(test)]
+mod tests;
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use ggpu_isa::{
-    AtomOp, CvtKind, FaultKind, Instr, InstrClass, KernelId, LaunchDims, Operand, Program, Reg,
+    AtomOp, CvtKind, FaultKind, Instr, InstrClass, KernelId, LaunchDims, Program, Reg, Row, Space,
     SpecialReg, Width, WARP_SIZE,
 };
 use ggpu_mem::{Cache, CacheStats, LINE_BYTES};
@@ -29,7 +36,7 @@ use crate::config::{LatencyConfig, SchedPolicy, SmConfig};
 use crate::pc::PcTable;
 use crate::ports::{MemOp, SmPorts, TickOutput};
 use crate::stats::{SmStats, StallReason};
-use crate::warp::{lane_mask, lanes, WaitKind, Warp, WarpBlock};
+use crate::warp::{active_row, lane_mask, lanes, WaitKind, Warp, WarpBlock};
 
 /// Functional backing store for global/local/texture memory, provided by the
 /// device (the SM only models timing for these spaces).
@@ -48,13 +55,49 @@ pub trait GlobalMem {
     fn atom(&mut self, op: AtomOp, addr: u64, src: u64, cas: u64) -> u64;
     /// Would an access of `width` bytes at `addr` fault?
     ///
-    /// Called per lane on the raw (pre-coalescing) addresses before any
+    /// Asked of the raw (pre-coalescing) lane addresses before any
     /// functional access is performed; a `Some` answer traps the warp
     /// instead of executing it. The default accepts everything, so simple
     /// test memories need not implement bounds.
     fn check(&self, addr: u64, width: Width, store: bool) -> Option<FaultKind> {
         let _ = (addr, width, store);
         None
+    }
+
+    /// [`GlobalMem::check`] for the lanes of `mask` at once: the first
+    /// faulting lane's fault and address, with the mask of every faulting
+    /// lane. The SM makes one call per warp-instruction; inside it `Self` is
+    /// known, so the per-lane `check` is a direct — inlinable — call.
+    fn check_lanes(
+        &self,
+        addrs: &Row,
+        mask: u32,
+        width: Width,
+        store: bool,
+    ) -> Option<(FaultKind, u64, u32)> {
+        let mut first = None;
+        let mut faulting = 0u32;
+        for lane in lanes(mask) {
+            if let Some(kind) = self.check(addrs[lane], width, store) {
+                faulting |= 1 << lane;
+                first.get_or_insert((kind, addrs[lane]));
+            }
+        }
+        first.map(|(kind, addr)| (kind, addr, faulting))
+    }
+
+    /// [`GlobalMem::read`] for the lanes of `mask` at once; the other lanes
+    /// of the returned row are zero.
+    fn read_lanes(&self, addrs: &Row, mask: u32, width: Width) -> Row {
+        active_row(mask, |lane| self.read(addrs[lane], width))
+    }
+
+    /// [`GlobalMem::write`] for the lanes of `mask`, in ascending lane order
+    /// (the last lane wins where two write one address).
+    fn write_lanes(&mut self, addrs: &Row, values: &Row, mask: u32, width: Width) {
+        for lane in lanes(mask) {
+            self.write(addrs[lane], width, values[lane]);
+        }
     }
 }
 
@@ -221,12 +264,17 @@ type Stall = (StallReason, Option<usize>);
 const TWO_LEVEL_ACTIVE: usize = 8;
 
 /// Predecoded per-instruction facts for the scheduler and issue hot paths:
-/// operand registers for scoreboard classification plus the resolved result
-/// latency. Built once per program in [`SmCore::new`] so neither the
-/// per-cycle classification in [`SmCore::tick`] nor the issue stage has to
-/// re-match the `Instr` enum for timing.
+/// operand registers for scoreboard classification, the accounting class and
+/// memory space, and the resolved result latency. Built once per program in
+/// [`SmCore::new`] so neither the per-cycle classification in
+/// [`SmCore::tick`] nor the issue stage has to re-match the `Instr` enum for
+/// timing or accounting.
 #[derive(Debug, Clone, Copy)]
 struct InstrMeta {
+    /// Accounting class (Figure 8).
+    class: InstrClass,
+    /// Memory space accessed, for memory instructions (Figure 9).
+    space: Option<Space>,
     /// Source registers read by the instruction.
     srcs: [Option<Reg>; 3],
     /// Destination register, if any.
@@ -269,6 +317,8 @@ impl InstrMeta {
             _ => (0, false),
         };
         InstrMeta {
+            class: instr.class(),
+            space: instr.mem_space(),
             srcs: instr.src_array(),
             dst: instr.dst(),
             lat: l,
@@ -523,6 +573,7 @@ impl SmCore {
                 if let Some(w) = self.warps[widx].as_mut() {
                     if w.block == WarpBlock::Dsync {
                         w.block = WarpBlock::None;
+                        w.forget_readiness();
                     }
                 }
             }
@@ -681,9 +732,14 @@ impl SmCore {
     /// lane here; register scoreboarding (set at issue) guarantees no
     /// consumer can read it before the next cycle.
     pub fn commit_mem_ops(&mut self, gmem: &mut dyn GlobalMem, ops: &mut Vec<MemOp>) {
-        for op in ops.drain(..) {
-            match op {
-                MemOp::Store { addr, width, value } => gmem.write(addr, width, value),
+        for op in ops.iter() {
+            match *op {
+                MemOp::Store {
+                    ref addrs,
+                    ref values,
+                    mask,
+                    width,
+                } => gmem.write_lanes(addrs, values, mask, width),
                 MemOp::Atomic {
                     op,
                     addr,
@@ -700,6 +756,7 @@ impl SmCore {
                 }
             }
         }
+        ops.clear();
     }
 
     /// The one table over wait kinds: a kind's rank when a slot's stall is
@@ -718,17 +775,43 @@ impl SmCore {
     /// Readiness of warp `widx` at `now` — wait kind and timed wake-up, see
     /// [`Warp::readiness`] — or `None` when the slot holds no running warp.
     ///
+    /// The answer is derived once per warp-state-change and remembered on the
+    /// warp ([`Warp::remembered`] says for how long, [`Warp::forget_readiness`]
+    /// when it is dropped); every caller — `survey`, `pick`, the dominant-wait
+    /// fold, `next_wake`, `skip_cycles` — shares it. A debug build derives it
+    /// anyway and checks the remembered answer against it, so every test that
+    /// ticks an SM audits the memo.
+    fn readiness(&mut self, widx: usize, now: u64) -> Option<(WaitKind, u64)> {
+        let w = self.warps[widx].as_mut()?;
+        if let Some(remembered) = w.remembered(now) {
+            debug_assert_eq!(
+                Some(remembered),
+                Self::derive_readiness(&self.slots, &self.decoded, w, now),
+                "stale readiness memo: warp {widx} at cycle {now}"
+            );
+            return Some(remembered);
+        }
+        w.memo = Self::derive_readiness(&self.slots, &self.decoded, w, now);
+        w.memo
+    }
+
+    /// [`SmCore::readiness`] from the warp's state alone, no memo involved.
+    ///
     /// May pop exhausted divergence-stack entries ([`Warp::reconverge`]); the
     /// pops are idempotent, so asking early (fast-forward's scan) leaves the
     /// state a normal tick at `now` would have observed.
-    fn readiness(&mut self, widx: usize, now: u64) -> Option<(WaitKind, u64)> {
-        let w = self.warps[widx].as_mut()?;
+    fn derive_readiness(
+        slots: &[CtaSlot],
+        decoded: &[Vec<InstrMeta>],
+        w: &mut Warp,
+        now: u64,
+    ) -> Option<(WaitKind, u64)> {
         if w.done {
             return None;
         }
         let pc = w.reconverge()?.pc;
-        let kid = self.slots[w.cta_slot].cfg.kernel_id;
-        let meta = self.decoded.get(kid.0 as usize).and_then(|k| k.get(pc));
+        let kid = slots[w.cta_slot].cfg.kernel_id;
+        let meta = decoded.get(kid.0 as usize).and_then(|k| k.get(pc));
         Some(match meta {
             Some(meta) => w.readiness(&meta.srcs, meta.dst, now),
             // The PC fell off the instruction stream: the warp reads ready at
@@ -809,40 +892,29 @@ impl SmCore {
         })
     }
 
-    #[inline]
-    fn opval(w: &Warp, op: Operand, lane: usize) -> u64 {
-        match op {
-            Operand::Reg(r) => w.read(r, lane),
-            Operand::Imm(v) => v,
-        }
-    }
-
-    fn sreg_value(cfg: &CtaConfig, warp_in_cta: u32, lane: usize, sreg: SpecialReg) -> u64 {
+    /// A special register across warp `warp_in_cta` of the CTA: the thread
+    /// coordinates differ per lane, everything else is one value for the warp.
+    fn sreg_row(cfg: &CtaConfig, warp_in_cta: u32, sreg: SpecialReg) -> Row {
         let dims = cfg.dims;
-        let lin = warp_in_cta as u64 * WARP_SIZE as u64 + lane as u64;
-        let (cx, cy, _cz) = dims.cta;
-        let tid_x = lin % cx as u64;
-        let tid_y = (lin / cx as u64) % cy as u64;
-        let tid_z = lin / (cx as u64 * cy as u64);
-        let (gx, gy, _gz) = dims.grid;
-        let cta_x = cfg.cta_linear % gx as u64;
-        let cta_y = (cfg.cta_linear / gx as u64) % gy as u64;
-        let cta_z = cfg.cta_linear / (gx as u64 * gy as u64);
+        let (cx, cy) = (dims.cta.0 as u64, dims.cta.1 as u64);
+        let (gx, gy) = (dims.grid.0 as u64, dims.grid.1 as u64);
+        let lin = |lane: usize| warp_in_cta as u64 * WARP_SIZE as u64 + lane as u64;
+        let all = |v: u64| [v; WARP_SIZE];
         match sreg {
-            SpecialReg::TidX => tid_x,
-            SpecialReg::TidY => tid_y,
-            SpecialReg::TidZ => tid_z,
-            SpecialReg::CtaIdX => cta_x,
-            SpecialReg::CtaIdY => cta_y,
-            SpecialReg::CtaIdZ => cta_z,
-            SpecialReg::NTidX => dims.cta.0 as u64,
-            SpecialReg::NTidY => dims.cta.1 as u64,
-            SpecialReg::NTidZ => dims.cta.2 as u64,
-            SpecialReg::NCtaIdX => dims.grid.0 as u64,
-            SpecialReg::NCtaIdY => dims.grid.1 as u64,
-            SpecialReg::NCtaIdZ => dims.grid.2 as u64,
-            SpecialReg::LaneId => lane as u64,
-            SpecialReg::WarpId => warp_in_cta as u64,
+            SpecialReg::TidX => std::array::from_fn(|l| lin(l) % cx),
+            SpecialReg::TidY => std::array::from_fn(|l| (lin(l) / cx) % cy),
+            SpecialReg::TidZ => std::array::from_fn(|l| lin(l) / (cx * cy)),
+            SpecialReg::LaneId => std::array::from_fn(|l| l as u64),
+            SpecialReg::CtaIdX => all(cfg.cta_linear % gx),
+            SpecialReg::CtaIdY => all((cfg.cta_linear / gx) % gy),
+            SpecialReg::CtaIdZ => all(cfg.cta_linear / (gx * gy)),
+            SpecialReg::NTidX => all(dims.cta.0 as u64),
+            SpecialReg::NTidY => all(dims.cta.1 as u64),
+            SpecialReg::NTidZ => all(dims.cta.2 as u64),
+            SpecialReg::NCtaIdX => all(dims.grid.0 as u64),
+            SpecialReg::NCtaIdY => all(dims.grid.1 as u64),
+            SpecialReg::NCtaIdZ => all(dims.grid.2 as u64),
+            SpecialReg::WarpId => all(warp_in_cta as u64),
         }
     }
 
@@ -858,23 +930,25 @@ impl SmCore {
         }
     }
 
+    /// Little-endian read of `width` bytes at `addr`; bytes beyond `data`
+    /// read zero (a constant load's address is the guest's, unbounded).
     fn bytes_read(data: &[u8], addr: u64, width: Width) -> u64 {
-        let mut v: u64 = 0;
-        for i in 0..width.bytes() {
-            // Checked: a constant load's address is the guest's, unbounded.
-            let b = addr.checked_add(i).and_then(|a| data.get(a as usize));
-            let b = b.copied().unwrap_or(0);
-            v |= (b as u64) << (8 * i);
-        }
-        v
+        let n = width.bytes() as usize;
+        let mut bytes = [0u8; 8];
+        let start = usize::try_from(addr).unwrap_or(usize::MAX).min(data.len());
+        let src = &data[start..data.len().min(start.saturating_add(n))];
+        bytes[..src.len()].copy_from_slice(src);
+        u64::from_le_bytes(bytes)
     }
 
+    /// Little-endian write of the low `width` bytes of `value` at `addr`;
+    /// bytes beyond `data` are dropped.
     fn bytes_write(data: &mut [u8], addr: u64, width: Width, value: u64) {
-        for i in 0..width.bytes() {
-            if let Some(slot) = data.get_mut((addr + i) as usize) {
-                *slot = (value >> (8 * i)) as u8;
-            }
-        }
+        let n = width.bytes() as usize;
+        let start = usize::try_from(addr).unwrap_or(usize::MAX).min(data.len());
+        let end = data.len().min(start.saturating_add(n));
+        let dst = &mut data[start..end];
+        dst.copy_from_slice(&value.to_le_bytes()[..dst.len()]);
     }
 
     /// Per-lane local-memory remap into the grid's local arena.
@@ -944,38 +1018,11 @@ impl SmCore {
         });
     }
 
-    /// First faulting lane's (kind, address) plus the mask of all faulting
-    /// lanes, checking the raw per-lane addresses against `gmem`.
-    fn check_lanes(
-        gmem: &dyn GlobalMem,
-        addrs: &[u64; WARP_SIZE],
-        mask: u32,
-        width: Width,
-        store: bool,
-    ) -> Option<(FaultKind, u64, u32)> {
-        let mut first: Option<(FaultKind, u64)> = None;
-        let mut faulting = 0u32;
-        for lane in lanes(mask) {
-            if let Some(k) = gmem.check(addrs[lane], width, store) {
-                faulting |= 1 << lane;
-                if first.is_none() {
-                    first = Some((k, addrs[lane]));
-                }
-            }
-        }
-        first.map(|(k, a)| (k, a, faulting))
-    }
-
-    /// Extent variant of [`SmCore::check_lanes`] for the two spaces whose
-    /// size the SM knows — a CTA's shared allocation, a thread's local arena:
-    /// any access ending beyond `len` bytes (or past the end of the address
-    /// space) faults. Returns the first faulting address and the lane mask.
-    fn check_extent_lanes(
-        addrs: &[u64; WARP_SIZE],
-        mask: u32,
-        width: Width,
-        len: u64,
-    ) -> Option<(u64, u32)> {
+    /// The guest-fault check for the two spaces whose size the SM knows — a
+    /// CTA's shared allocation, a thread's local arena: any access ending
+    /// beyond `len` bytes (or past the end of the address space) faults.
+    /// Returns the first faulting address and the lane mask.
+    fn check_extent_lanes(addrs: &Row, mask: u32, width: Width, len: u64) -> Option<(u64, u32)> {
         let mut first: Option<u64> = None;
         let mut faulting = 0u32;
         for lane in lanes(mask) {
@@ -990,11 +1037,12 @@ impl SmCore {
         first.map(|a| (a, faulting))
     }
 
-    /// Discard all resident work: CTAs, warps, outstanding requests and
-    /// MSHR waiters. The device calls this after a guest fault to return
-    /// the SM to a clean idle state; caches and statistics survive so they
-    /// stay inspectable post-mortem, and late memory responses for cleared
-    /// requests are dropped harmlessly.
+    /// Discard all resident work: CTAs, warps, outstanding requests, MSHR
+    /// waiters and the L1 / texture misses they were parked on. The device
+    /// calls this after a guest fault to return the SM to a clean idle
+    /// state; cache contents and statistics survive so they stay inspectable
+    /// post-mortem, and late memory responses for cleared requests are
+    /// dropped harmlessly.
     pub fn abort_workload(&mut self) {
         self.slots.clear();
         self.free_slots.clear();
@@ -1007,6 +1055,8 @@ impl SmCore {
         self.used_slots = 0;
         self.outstanding.clear();
         self.waiters.clear();
+        self.l1.release_mshrs();
+        self.tc.release_mshrs();
         self.reset_schedulers();
     }
 

@@ -3,6 +3,13 @@
 //! and atomics to every space go through the one memory pipeline,
 //! [`SmCore::mem_access`].
 //!
+//! The cost is per warp-instruction, as the model is: a register-writing
+//! instruction resolves its operation once and computes one 32-lane row
+//! (`ggpu_isa`'s `eval_row` forms, generated from the scalar `eval`s that
+//! define the semantics), written back under the active mask by
+//! [`Warp::write_row`](crate::warp::Warp::write_row); a memory instruction
+//! makes one call into [`GlobalMem`] per stage, not one per lane.
+//!
 //! Everything here is a pure function of SM-local state plus the cycle-start
 //! memory snapshot (`&dyn GlobalMem`, reads only): functional stores and
 //! global atomics are **deferred** into [`TickOutput::mem_ops`] and committed
@@ -16,7 +23,7 @@ use ggpu_mem::{CacheOutcome, LINE_BYTES};
 
 use crate::coalesce::{bank_conflict_degree, coalesce_lines};
 use crate::ports::{CompletedCta, DeviceLaunch, MemOp, MemRequest, ReqKind, TickOutput};
-use crate::warp::{lanes, SimtEntry, WarpBlock};
+use crate::warp::{active_row, lanes, SimtEntry, WarpBlock};
 
 use super::{GlobalMem, RespRoute, SmCore};
 
@@ -43,7 +50,7 @@ struct MemInstr {
     offset: i64,
 }
 
-fn fma(f64: bool, a: u64, b: u64, c: u64) -> u64 {
+pub(super) fn fma(f64: bool, a: u64, b: u64, c: u64) -> u64 {
     if f64 {
         f64::from_bits(a)
             .mul_add(f64::from_bits(b), f64::from_bits(c))
@@ -68,6 +75,7 @@ impl SmCore {
         let w = self.warps[widx]
             .as_mut()
             .expect("scheduled warp is resident");
+        w.forget_readiness();
         let entry = w.reconverge().expect("issuing finished warp");
         let SimtEntry { pc, mask, .. } = entry;
         let slot_idx = w.cta_slot;
@@ -84,9 +92,9 @@ impl SmCore {
         let meta = self.decoded[kid.0 as usize][pc];
         let nlanes = mask.count_ones();
 
-        self.stats.record_issue(instr.class(), nlanes);
+        self.stats.record_issue(meta.class, nlanes);
         out.issued += 1;
-        if let Some(space) = instr.mem_space() {
+        if let Some(space) = meta.space {
             self.stats.record_mem(space);
         }
         if let Some(t) = self.pc_stats.as_deref_mut() {
@@ -97,40 +105,29 @@ impl SmCore {
         w.next_issue_at = now + 1;
         w.issue_block_is_control = false;
 
-        // The directly executed, register-writing instructions fill their
-        // destination through the one lane loop and share the epilogue below
-        // the match; every other arm returns.
-        let opval = Self::opval;
-        let dst = match *instr {
-            Instr::Alu { op, dst, a, b } => {
-                w.write_lanes(dst, mask, |w, l| op.eval(opval(w, a, l), opval(w, b, l)));
-                dst
-            }
+        // The directly executed, register-writing instructions each compute
+        // one row — operation resolved once per warp-instruction, operands
+        // read as rows — and share the masked write-back and the epilogue
+        // below the match; every other arm returns.
+        let (dst, row) = match *instr {
+            Instr::Alu { op, dst, a, b } => (dst, op.eval_row(mask, &w.row(a), &w.row(b))),
             Instr::Fma { f64, dst, a, b, c } => {
-                w.write_lanes(dst, mask, |w, l| {
-                    fma(f64, opval(w, a, l), opval(w, b, l), opval(w, c, l))
-                });
-                dst
+                let (a, b, c) = (w.row(a), w.row(b), w.row(c));
+                // Without hardware FMA a lane is a libm call: active lanes only.
+                (dst, active_row(mask, |l| fma(f64, a[l], b[l], c[l])))
             }
-            Instr::Mov { dst, src } => {
-                w.write_lanes(dst, mask, |w, l| opval(w, src, l));
-                dst
-            }
+            Instr::Mov { dst, src } => (dst, w.row(src)),
             Instr::Sel {
                 dst,
                 cond,
                 if_true,
                 if_false,
             } => {
-                w.write_lanes(dst, mask, |w, l| {
-                    let pick = if w.read(cond, l) != 0 {
-                        if_true
-                    } else {
-                        if_false
-                    };
-                    opval(w, pick, l)
-                });
-                dst
+                let (cond, t, f) = (w.row(Operand::Reg(cond)), w.row(if_true), w.row(if_false));
+                (
+                    dst,
+                    std::array::from_fn(|l| if cond[l] != 0 { t[l] } else { f[l] }),
+                )
             }
             Instr::SetP {
                 pred,
@@ -138,21 +135,9 @@ impl SmCore {
                 ty,
                 a,
                 b,
-            } => {
-                w.write_lanes(pred, mask, |w, l| {
-                    cmp.eval(ty, opval(w, a, l), opval(w, b, l)) as u64
-                });
-                pred
-            }
-            Instr::Cvt { kind, dst, src } => {
-                w.write_lanes(dst, mask, |w, l| kind.eval(opval(w, src, l)));
-                dst
-            }
-            Instr::Sreg { dst, sreg } => {
-                let wic = w.warp_in_cta;
-                w.write_lanes(dst, mask, |_, l| Self::sreg_value(&slot.cfg, wic, l, sreg));
-                dst
-            }
+            } => (pred, cmp.eval_row(ty, &w.row(a), &w.row(b))),
+            Instr::Cvt { kind, dst, src } => (dst, kind.eval_row(&w.row(src))),
+            Instr::Sreg { dst, sreg } => (dst, Self::sreg_row(&slot.cfg, w.warp_in_cta, sreg)),
             Instr::Ld {
                 space,
                 width,
@@ -216,11 +201,13 @@ impl SmCore {
                 target,
                 reconv,
             } => {
+                // `Warp::branch` keeps the active lanes of `taken` only.
                 let taken = match pred {
                     None => mask,
-                    Some((r, expect)) => lanes(mask)
-                        .filter(|&l| (w.read(r, l) != 0) == expect)
-                        .fold(0, |taken, l| taken | 1 << l),
+                    Some((r, expect)) => {
+                        let p = &w.regs[r.0 as usize];
+                        (0..WARP_SIZE).fold(0, |t, l| t | u32::from((p[l] != 0) == expect) << l)
+                    }
                 };
                 w.branch(taken, target, pc + 1, reconv);
                 w.next_issue_at = now + lat.branch;
@@ -240,9 +227,9 @@ impl SmCore {
                 w.issue_block_is_control = true;
                 // Parameter-block reads fault like any other global access;
                 // every lane's block is checked before any launch is emitted.
-                let block = |lane| {
-                    let ptr = opval(w, params_ptr, lane);
-                    (0..param_words as u64).map(move |i| ptr.wrapping_add(i * 8))
+                let (grid_x, block_x, ptrs) = (w.row(grid_x), w.row(block_x), w.row(params_ptr));
+                let block = |lane: usize| {
+                    (0..param_words as u64).map(move |i| ptrs[lane].wrapping_add(i * 8))
                 };
                 for lane in lanes(mask) {
                     for a in block(lane) {
@@ -254,8 +241,8 @@ impl SmCore {
                 for lane in lanes(mask) {
                     out.launches.push(DeviceLaunch {
                         kernel,
-                        grid_x: opval(w, grid_x, lane).max(1) as u32,
-                        block_x: opval(w, block_x, lane).max(1) as u32,
+                        grid_x: grid_x[lane].max(1) as u32,
+                        block_x: block_x[lane].max(1) as u32,
                         params: block(lane).map(|a| gmem.read(a, Width::B64)).collect(),
                         parent_slot: slot_idx,
                         parent_grid: slot.cfg.grid_handle,
@@ -301,6 +288,7 @@ impl SmCore {
                 return;
             }
         };
+        w.write_row(dst, mask, &row);
         w.reg_ready[dst.0 as usize] = now + meta.lat;
         if meta.f64_pen {
             w.next_issue_at = now + lat.f64_interval;
@@ -321,6 +309,7 @@ impl SmCore {
             if let Some(w) = self.warps[wi].as_mut() {
                 if w.block == WarpBlock::Barrier {
                     w.block = WarpBlock::None;
+                    w.forget_readiness();
                 }
             }
         }
@@ -328,18 +317,21 @@ impl SmCore {
 
     /// The memory pipeline every load, store and atomic goes through:
     ///
-    /// 1. **lane addresses** — `addr + offset` per active lane;
+    /// 1. **lane addresses** — the address operand's row plus `offset`, one
+    ///    row add (lanes outside the mask carry garbage nobody reads);
     /// 2. **guest-fault check**, one per space class — the extent the SM
     ///    knows (the CTA's shared allocation; a thread's `local_stride`
     ///    bytes of local memory, checked on the thread-relative address
     ///    *before* the remap into the grid's arena so the remap arithmetic
     ///    can neither overflow nor reach a neighbour's arena), then for
-    ///    everything off-chip the device's own [`GlobalMem::check`] on the
-    ///    raw per-lane addresses; a fault traps the warp before any
-    ///    functional effect;
-    /// 3. **functional effect** — loads read (shared memory, or the
-    ///    cycle-start snapshot), shared stores and atomics apply at once,
-    ///    off-chip ones append to the [`MemOp`] log in lane order;
+    ///    everything off-chip the device's own rule in one call,
+    ///    [`GlobalMem::check_lanes`] on the raw lane addresses; a fault
+    ///    traps the warp before any functional effect;
+    /// 3. **functional effect** — loads read a row (shared memory, or the
+    ///    cycle-start snapshot through one [`GlobalMem::read_lanes`]),
+    ///    shared stores and atomics apply at once, an off-chip store appends
+    ///    one [`MemOp::Store`] row to the log and an off-chip atomic one
+    ///    [`MemOp::Atomic`] per lane in lane order;
     /// 4. **timing** — shared: bank-conflict serialization; off-chip: the
     ///    coalesced lines walk the L1/texture lookup, misses and
     ///    write-throughs take request ids and become [`MemRequest`]s in line
@@ -369,24 +361,27 @@ impl SmCore {
         let shared = m.space == Space::Shared;
         let atomic = matches!(m.access, Access::Atomic { .. });
 
-        // 1. Lane addresses.
-        let mut addrs = [0u64; WARP_SIZE];
-        for lane in lanes(mask) {
-            addrs[lane] = Self::opval(w, m.addr, lane).wrapping_add(m.offset as u64);
+        // 1. Lane addresses: one row add. Lanes outside `mask` hold whatever
+        // their registers give; every consumer below goes by `mask`.
+        let mut addrs = w.row(m.addr);
+        for a in &mut addrs {
+            *a = a.wrapping_add(m.offset as u64);
         }
 
         match (m.space, m.access) {
             (Space::Param, Access::Load(dst)) => {
-                w.write_lanes(dst, mask, |_, l| {
+                let row = active_row(mask, |l| {
                     Self::param_read(&slot.cfg.params, addrs[l], m.width)
                 });
+                w.write_row(dst, mask, &row);
                 w.reg_ready[dst.0 as usize] = now + lat.param;
                 return w.advance_pc();
             }
             (Space::Const, Access::Load(dst)) => {
-                w.write_lanes(dst, mask, |_, l| {
+                let row = active_row(mask, |l| {
                     Self::bytes_read(&slot.cfg.const_data, addrs[l], m.width)
                 });
+                w.write_row(dst, mask, &row);
                 // Constant cache timing: a miss pays a fixed refill penalty.
                 coalesce_lines(&addrs, mask, m.width.bytes(), &mut self.scratch_lines);
                 let mut l = lat.cmem_hit;
@@ -419,7 +414,7 @@ impl SmCore {
                 }
             }
             let store = !matches!(m.access, Access::Load(_));
-            fault = Self::check_lanes(gmem, &addrs, mask, m.width, store);
+            fault = gmem.check_lanes(&addrs, mask, m.width, store);
         }
         if let Some((kind, a, faulting)) = fault {
             return self.trap(widx, pc, kind, faulting, Some(a), out);
@@ -433,31 +428,35 @@ impl SmCore {
         // indistinguishable from an issue-time one.
         let dst = match m.access {
             Access::Load(dst) => {
-                w.write_lanes(dst, mask, |_, l| {
-                    if shared {
-                        Self::bytes_read(&slot.smem, addrs[l], m.width)
-                    } else {
-                        gmem.read(addrs[l], m.width)
-                    }
-                });
+                let row = if shared {
+                    active_row(mask, |l| Self::bytes_read(&slot.smem, addrs[l], m.width))
+                } else {
+                    gmem.read_lanes(&addrs, mask, m.width)
+                };
+                w.write_row(dst, mask, &row);
                 Some(dst)
             }
             Access::Store(src) => {
-                for lane in lanes(mask) {
-                    let (addr, width, value) = (addrs[lane], m.width, Self::opval(w, src, lane));
-                    if shared {
-                        Self::bytes_write(&mut slot.smem, addr, width, value);
-                    } else {
-                        out.mem_ops.push(MemOp::Store { addr, width, value });
+                let values = w.row(src);
+                if shared {
+                    for lane in lanes(mask) {
+                        Self::bytes_write(&mut slot.smem, addrs[lane], m.width, values[lane]);
                     }
+                } else {
+                    out.mem_ops.push(MemOp::Store {
+                        addrs,
+                        values,
+                        mask,
+                        width: m.width,
+                    });
                 }
                 None
             }
             // Lanes apply in lane order (deterministic serialization).
             Access::Atomic { op, dst, src, cas } => {
+                let (srcs, cass) = (w.row(src), w.row(cas));
                 for lane in lanes(mask) {
-                    let addr = addrs[lane];
-                    let (src, cas) = (Self::opval(w, src, lane), Self::opval(w, cas, lane));
+                    let (addr, src, cas) = (addrs[lane], srcs[lane], cass[lane]);
                     if shared {
                         let old = Self::bytes_read(&slot.smem, addr, m.width);
                         let (new, old) = op.apply(old, src, cas);

@@ -3,15 +3,17 @@
 //! This crate models a single GPU core (SM) at cycle granularity:
 //!
 //! * `warp` (crate-private) — SIMT reconvergence stack (immediate
-//!   post-dominator reconvergence), per-lane registers, scoreboard timing,
-//!   and the one readiness rule, `Warp::readiness`: can the warp's next
-//!   instruction issue now, and if not why and until when.
+//!   post-dominator reconvergence), registers as 32-lane rows, scoreboard
+//!   timing, and the one readiness rule, `Warp::readiness`: can the warp's
+//!   next instruction issue now, and if not why and until when — derived
+//!   once per warp-state-change and remembered on the warp.
 //! * [`SmCore`] — CTA slots with occupancy-limited placement, four warp
 //!   schedulers ([`SchedPolicy`]: LRR / GTO / OLD / two-level) and the
 //!   fast-forward probes [`SmCore::next_wake`] / [`SmCore::skip_cycles`],
 //!   all folds over that rule; functional execution of the `ggpu-isa`
-//!   instruction set, with every load, store and atomic through one memory
-//!   pipeline (lane addresses → guest-fault check → functional effect →
+//!   instruction set a 32-lane row at a time (the operation resolved once
+//!   per warp-instruction), with every load, store and atomic through one
+//!   memory pipeline (lane addresses → guest-fault check → functional effect →
 //!   timing: coalescing into 128-byte transactions, shared-memory
 //!   bank-conflict serialization, the L1/constant/texture cache front end);
 //!   and per-cycle stall classification ([`StallReason`]) feeding the
@@ -154,7 +156,7 @@ mod tests {
 
     /// Simple functional memory for tests.
     #[derive(Default)]
-    struct TestMem {
+    pub(crate) struct TestMem {
         data: HashMap<u64, u8>,
     }
 
@@ -765,9 +767,9 @@ mod tests {
     /// TestMem wrapper that rejects out-of-bounds / misaligned accesses the
     /// way the device memory in `ggpu-sim` does.
     #[derive(Default)]
-    struct BoundedMem {
-        inner: TestMem,
-        limit: u64,
+    pub(crate) struct BoundedMem {
+        pub(crate) inner: TestMem,
+        pub(crate) limit: u64,
     }
 
     impl GlobalMem for BoundedMem {

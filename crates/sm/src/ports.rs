@@ -20,7 +20,7 @@
 //! makes the per-SM phase a pure function of SM-local state plus its ports:
 //! the order SMs tick in cannot change a result.
 
-use ggpu_isa::{AtomOp, Reg, Width};
+use ggpu_isa::{AtomOp, Reg, Row, Width};
 
 /// Kind of off-chip memory request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -48,16 +48,27 @@ pub struct MemRequest {
 
 /// A deferred functional memory update, logged during the SM's tick and
 /// committed by the device at end of cycle in (SM index, issue order).
+///
+/// A warp's store is one entry, held inline (the log is a reused `Vec`, so
+/// logging allocates nothing). Entries apply in issue order and a store's
+/// lanes in ascending order, which leaves memory exactly as one entry per
+/// lane in that order would.
+// The store variant is half a kilobyte on purpose: boxing it would put an
+// allocation on every warp store, and stores are most of the log.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemOp {
-    /// Plain store of the low `width` bytes of `value` at `addr`.
+    /// One warp-wide store: the low `width` bytes of `values[lane]` at
+    /// `addrs[lane]`, for the lanes of `mask` in ascending order.
     Store {
-        /// Byte address.
-        addr: u64,
+        /// Byte address per lane.
+        addrs: Row,
+        /// Value per lane (low `width` bytes).
+        values: Row,
+        /// Lanes that store.
+        mask: u32,
         /// Access width.
         width: Width,
-        /// Value to store (low `width` bytes).
-        value: u64,
     },
     /// Global atomic: applied at commit; the old value is written back to
     /// the issuing warp's destination register lane.

@@ -1,7 +1,9 @@
-//! Warp execution context: SIMT reconvergence stack, per-lane registers,
-//! and scoreboard timing state.
+//! Warp execution context: SIMT reconvergence stack, registers as 32-lane
+//! rows ([`Warp::row`] / [`Warp::write_row`] are how instructions read and
+//! write them), scoreboard timing state, and the remembered answer of the
+//! readiness rule ([`Warp::remembered`] / [`Warp::forget_readiness`]).
 
-use ggpu_isa::{Reg, WARP_SIZE};
+use ggpu_isa::{Operand, Reg, Row, WARP_SIZE};
 
 /// Full warp mask (all 32 lanes active).
 pub(crate) const FULL_MASK: u32 = u32::MAX;
@@ -54,8 +56,8 @@ pub(crate) enum WaitKind {
 pub(crate) struct Warp {
     /// SIMT stack; the top entry is the executing path.
     pub stack: Vec<SimtEntry>,
-    /// Per-lane registers, laid out `reg * 32 + lane`.
-    pub regs: Vec<u64>,
+    /// Registers, one 32-lane row each.
+    pub regs: Vec<Row>,
     /// Cycle at which each register's value is available (RAW timing).
     pub reg_ready: Vec<u64>,
     /// Outstanding memory fills targeting each register.
@@ -74,6 +76,10 @@ pub(crate) struct Warp {
     pub warp_in_cta: u32,
     /// Monotonic age for GTO/OLD scheduling (smaller = older).
     pub age: u64,
+    /// The readiness answer last derived for this warp (see
+    /// [`Warp::remembered`]). Written by `SmCore::readiness` alone, dropped
+    /// by [`Warp::forget_readiness`] alone.
+    pub memo: Option<(WaitKind, u64)>,
 }
 
 impl Warp {
@@ -92,7 +98,7 @@ impl Warp {
                 rpc: NO_RECONV,
                 mask: active,
             }],
-            regs: vec![0; n * WARP_SIZE],
+            regs: vec![[0; WARP_SIZE]; n],
             reg_ready: vec![0; n],
             reg_pending: vec![0; n],
             next_issue_at: 0,
@@ -102,7 +108,34 @@ impl Warp {
             cta_slot,
             warp_in_cta,
             age,
+            memo: None,
         }
+    }
+
+    /// The remembered readiness answer, if it still holds at `now`.
+    ///
+    /// Nothing but an event can undo `Ready`, `Memory` or `Sync`, so those
+    /// hold until [`Warp::forget_readiness`] (a ready warp's wake-up is the
+    /// asking cycle); a timed wait holds until the wake-up it named — the
+    /// cycle the rule itself says to ask again. `now` never decreases for a
+    /// warp, which is what lets an answer given at one cycle stand at later
+    /// ones.
+    #[inline]
+    pub fn remembered(&self, now: u64) -> Option<(WaitKind, u64)> {
+        match self.memo? {
+            (WaitKind::Ready, _) => Some((WaitKind::Ready, now)),
+            (kind, wake) if now < wake => Some((kind, wake)),
+            _ => None,
+        }
+    }
+
+    /// Drop the remembered readiness answer. Called at exactly the events
+    /// that write a field the readiness rule reads: the warp's own issue
+    /// (PC, issue window, scoreboard, parking, exit, trap), an arriving fill,
+    /// and a release from a barrier or a device sync.
+    #[inline]
+    pub fn forget_readiness(&mut self) {
+        self.memo = None;
     }
 
     /// Pop reconverged SIMT entries, returning the current entry. `None`
@@ -118,16 +151,35 @@ impl Warp {
         None
     }
 
-    /// Read register `r` in `lane`.
-    #[inline]
-    pub fn read(&self, r: Reg, lane: usize) -> u64 {
-        self.regs[r.0 as usize * WARP_SIZE + lane]
-    }
-
     /// Write register `r` in `lane`.
     #[inline]
     pub fn write(&mut self, r: Reg, lane: usize, v: u64) {
-        self.regs[r.0 as usize * WARP_SIZE + lane] = v;
+        self.regs[r.0 as usize][lane] = v;
+    }
+
+    /// An operand across the warp: the register's row, or the immediate in
+    /// every lane.
+    #[inline]
+    pub fn row(&self, op: Operand) -> Row {
+        match op {
+            Operand::Reg(r) => self.regs[r.0 as usize],
+            Operand::Imm(v) => [v; WARP_SIZE],
+        }
+    }
+
+    /// `dst[lane] = row[lane]` for the lanes of `mask`; the other lanes keep
+    /// their contents. The one register write-back of every warp-wide
+    /// instruction.
+    #[inline]
+    pub fn write_row(&mut self, dst: Reg, mask: u32, row: &Row) {
+        let dst = &mut self.regs[dst.0 as usize];
+        if mask == FULL_MASK {
+            *dst = *row;
+        } else {
+            for lane in lanes(mask) {
+                dst[lane] = row[lane];
+            }
+        }
     }
 
     /// Advance the current path's PC by one instruction.
@@ -167,19 +219,10 @@ impl Warp {
         }
     }
 
-    /// The one lane loop of every directly executed register-writing
-    /// instruction: `dst[lane] = f(self, lane)` over the lanes of `mask`.
-    #[inline]
-    pub fn write_lanes(&mut self, dst: Reg, mask: u32, f: impl Fn(&Warp, usize) -> u64) {
-        for lane in lanes(mask) {
-            let v = f(self, lane);
-            self.write(dst, lane, v);
-        }
-    }
-
     /// One of the memory fills `r` waits on has arrived at `now`; the value
     /// is readable the cycle after the last one.
     pub fn fill_arrived(&mut self, r: Reg, now: u64) {
+        self.forget_readiness();
         let i = r.0 as usize;
         self.reg_pending[i] = self.reg_pending[i].saturating_sub(1);
         if self.reg_pending[i] == 0 {
@@ -247,9 +290,26 @@ pub(crate) fn lane_mask(n: u32) -> u32 {
     }
 }
 
-/// Iterate over set lanes of a mask.
+/// Iterate over the set lanes of a mask in ascending order, one step per
+/// set bit.
 pub(crate) fn lanes(mask: u32) -> impl Iterator<Item = usize> {
-    (0..WARP_SIZE).filter(move |l| mask & (1 << l) != 0)
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        let lane = (rest != 0).then_some(rest.trailing_zeros() as usize);
+        rest &= rest.wrapping_sub(1);
+        lane
+    })
+}
+
+/// A row holding `f(lane)` in the lanes of `mask`, for values that are real
+/// work per lane (a byte gather, a libm call); the other lanes are zero.
+#[inline]
+pub(crate) fn active_row(mask: u32, f: impl Fn(usize) -> u64) -> Row {
+    let mut row = [0; WARP_SIZE];
+    for lane in lanes(mask) {
+        row[lane] = f(lane);
+    }
+    row
 }
 
 #[cfg(test)]
@@ -268,8 +328,9 @@ mod tests {
     fn register_read_write_per_lane() {
         let mut w = Warp::new(4, FULL_MASK, 0, 0, 0);
         w.write(Reg(2), 7, 42);
-        assert_eq!(w.read(Reg(2), 7), 42);
-        assert_eq!(w.read(Reg(2), 6), 0);
+        let row = w.row(Operand::Reg(Reg(2)));
+        assert_eq!((row[7], row[6]), (42, 0));
+        assert_eq!(w.row(Operand::Imm(9)), [9; WARP_SIZE]);
     }
 
     #[test]

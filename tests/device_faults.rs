@@ -1120,3 +1120,105 @@ fn a_child_grid_whose_arena_exceeds_memory_limit_faults_at_its_launch() {
     let (mut fresh, out, _) = one_mib_device();
     assert_eq!(recovered, clean_grid(&mut fresh, out));
 }
+
+/// Two kernels over one buffer `b` (parameter 0). `copy_word`: `b[8] =
+/// b[0]`. `load_then_trap`: load `b[0]`, run `pad` dependent adds with the
+/// load in flight, then store to `b + 512` (which the caller poisons).
+fn load_reuse_program(pad: usize) -> (Program, KernelId, KernelId) {
+    let mut p = Program::new();
+    let mut b = KernelBuilder::new("copy_word");
+    let src = b.reg();
+    b.ld_param(src, 0);
+    let v = b.reg();
+    b.ld(Space::Global, Width::B64, v, src, 0);
+    b.st(Space::Global, Width::B64, Operand::reg(v), src, 8);
+    b.exit();
+    let copy = p.add(b.finish());
+
+    let mut b = KernelBuilder::new("load_then_trap");
+    let src = b.reg();
+    b.ld_param(src, 0);
+    let v = b.reg();
+    b.ld(Space::Global, Width::B64, v, src, 0);
+    let acc = b.reg();
+    b.mov(acc, Operand::imm(0));
+    for _ in 0..pad {
+        b.iadd(acc, acc, Operand::imm(1));
+    }
+    b.st(Space::Global, Width::B64, Operand::reg(acc), src, 512);
+    b.exit();
+    let trap = p.add(b.finish());
+    (p, copy, trap)
+}
+
+/// After the kill and `reset_fault`, `copy_word` over the line the killed
+/// kernel was loading must complete and copy the word — on every SM (one
+/// CTA each), so the killed kernel's own SM is among them wherever the
+/// dispatch cursor stands.
+fn the_killed_load_line_is_loadable_again(gpu: &mut Gpu, copy: KernelId, buf: DevicePtr) {
+    assert!(gpu.reset_fault().is_some());
+    assert!(!gpu.busy());
+    let sms = GpuConfig::test_small().n_sms as u32;
+    gpu.try_run_kernel(copy, LaunchDims::linear(sms, 1), &[buf.0])
+        .expect("a load of the line the killed kernel was waiting for completes");
+    assert_eq!(gpu.memory().read_u64(buf.offset(8)), 0xD15EA5E);
+}
+
+#[test]
+fn a_watchdog_kill_releases_the_l1_miss_of_the_load_it_aborted() {
+    // Regression: the kill cleared the SM's waiters but left the line's L1
+    // MSHR entry allocated until the next flush. Without a flush between
+    // kernels the next load of that line merged into a miss nothing would
+    // ever fill, and the recovered device hung to the watchdog.
+    let (program, copy, _) = load_reuse_program(0);
+    let mut config = GpuConfig::test_small();
+    config.flush_between_kernels = false;
+    config.watchdog_cycles = 2_000;
+    config.fault_plan.drop_reply = Some(0);
+    let mut gpu = Gpu::new(program, config);
+    let buf = gpu.malloc(1024);
+    gpu.memcpy_h2d(buf, &0xD15EA5Eu64.to_le_bytes());
+    let err = gpu
+        .try_run_kernel(copy, LaunchDims::linear(1, 1), &[buf.0])
+        .expect_err("the only reply is dropped");
+    assert!(matches!(err, SimError::Deadlock(_)), "{err}");
+    // The fill reached the L2 (its miss is complete); the SM never saw it.
+    let s = gpu.stats();
+    assert_eq!((s.l2.read_access, s.icnt_rep.packets), (1, 0));
+    the_killed_load_line_is_loadable_again(&mut gpu, copy, buf);
+}
+
+#[test]
+fn a_trap_kill_releases_the_l2_miss_of_the_load_it_aborted() {
+    // The memory-side half of the same regression: the kill discards the
+    // DRAM completion of a load in flight, so its L2 MSHR entry had no fill
+    // left to release it. The L1 is off, so only the L2 entry is in play.
+    // The load is at DRAM from the trap's cycle with no padding to the one
+    // with ten adds (four cycles each); five sits in the middle.
+    let (program, copy, trap) = load_reuse_program(5);
+    let mut config = GpuConfig::test_small();
+    config.flush_between_kernels = false;
+    config.watchdog_cycles = 2_000;
+    config.sm.l1.bytes = 0;
+    config.fault_plan.poison = Some((4096 + 512, 4096 + 576));
+    let mut gpu = Gpu::new(program, config);
+    let buf = gpu.malloc(1024);
+    assert_eq!(buf.0, 4096, "the poisoned window lies inside the buffer");
+    gpu.memcpy_h2d(buf, &0xD15EA5Eu64.to_le_bytes());
+    let err = gpu
+        .try_run_kernel(trap, LaunchDims::linear(1, 1), &[buf.0])
+        .expect_err("the store into the poisoned window traps");
+    let SimError::DeviceFault(fault) = &err else {
+        panic!("expected DeviceFault, got {err}");
+    };
+    assert_eq!(fault.addr, Some(buf.0 + 512));
+    // The load had missed in its L2 slice and was at DRAM when the trap
+    // killed it: looked up, sent on, not yet answered.
+    let s = gpu.stats();
+    assert_eq!(
+        (s.l2.read_access, s.l2.read_hit, s.icnt_rep.packets),
+        (1, 0, 0),
+        "retune the padding: the load must be at DRAM when the store traps"
+    );
+    the_killed_load_line_is_loadable_again(&mut gpu, copy, buf);
+}
