@@ -6,13 +6,17 @@
 //! simulate a scaled workload); the *shape* — who wins, by what rough
 //! factor, where the crossovers are — is what EXPERIMENTS.md tracks.
 
+use std::time::Instant;
+
 use ggpu_core::json::JsonWriter;
 use ggpu_core::{
-    all_benchmarks, chrome_trace_json, cpu_baseline, sram_usage, BenchResult, Benchmark, GpuConfig,
+    all_benchmarks, chrome_trace_json, sram_usage, BenchResult, Benchmark, GpuConfig,
     ProfileReport, Scale, TraceEvent,
 };
 use ggpu_icnt::Topology;
 use ggpu_isa::{InstrClass, Space};
+use ggpu_kernels::pairwise::PairwiseBench;
+use ggpu_kernels::star::StarBench;
 use ggpu_mem::DramScheduler;
 use ggpu_sm::{SchedPolicy, StallReason};
 
@@ -187,25 +191,48 @@ pub fn table3(scale: Scale) {
     .emit();
 }
 
+/// Repetitions of a CPU oracle in Figure 2; the best one is reported, so
+/// the sub-millisecond Tiny row is not timer and cache-warm-up noise.
+const CPU_REPS: usize = 5;
+
+/// Wall-clock seconds of the fastest of [`CPU_REPS`] calls of `oracle`.
+fn best_seconds<T>(oracle: impl Fn() -> T) -> f64 {
+    (0..CPU_REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(oracle());
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Figure 2: CPU vs GPU vs GPU+CDP for SW, NW, STAR (normalized to CPU).
+/// One benchmark instance per row fills all three columns: the CPU time is
+/// that instance's own oracle, the function its `run` verifies against.
 pub fn fig2(scale: Scale) {
     println!("FIGURE 2: CPU vs GPU vs GPU+CDP execution time (normalized to CPU = 1.0)\n");
-    let cpu = cpu_baseline(scale);
     let config = GpuConfig::rtx3070();
+    let sw = PairwiseBench::sw(scale);
+    let nw = PairwiseBench::nw(scale, true);
+    let star = StarBench::new(scale);
+    let cases: [(&dyn Benchmark, f64); 3] = [
+        (&sw, best_seconds(|| sw.cpu_oracle())),
+        (&nw, best_seconds(|| nw.cpu_oracle())),
+        (&star, best_seconds(|| star.cpu_oracle())),
+    ];
     let mut rows = Vec::new();
-    for (abbrev, cpu_s) in [
-        ("SW", cpu.sw_seconds),
-        ("NW", cpu.nw_seconds),
-        ("STAR", cpu.star_seconds),
-    ] {
-        let b = ggpu_core::benchmark(scale, abbrev).expect("known benchmark");
+    for (b, cpu_s) in cases {
         let gpu = b.run(&config, false);
         let gpu_cdp = b.run(&config, true);
-        assert!(gpu.verified && gpu_cdp.verified, "{abbrev} validation");
+        assert!(
+            gpu.verified && gpu_cdp.verified,
+            "{} validation",
+            b.abbrev()
+        );
         let gpu_s = gpu.stats.seconds(config.clock_ghz);
         let cdp_s = gpu_cdp.stats.seconds(config.clock_ghz);
         rows.push(vec![
-            abbrev.to_string(),
+            b.abbrev().to_string(),
             "1.000".into(),
             format!("{:.3}", gpu_s / cpu_s),
             format!("{:.3}", cdp_s / cpu_s),
@@ -334,7 +361,7 @@ pub fn fig7(scale: Scale) {
         assert!(r.verified);
         r.kernel_cycles as f64
     };
-    let nw = |smem| ggpu_kernels::pairwise::PairwiseBench::nw(scale, smem);
+    let nw = |smem| PairwiseBench::nw(scale, smem);
     let phmm = |smem| ggpu_kernels::pairhmm::PairHmmBench::new(scale, smem);
     let rows = vec![
         vec![
@@ -402,28 +429,35 @@ pub fn fig10(scale: Scale) {
 }
 
 /// Generic sweep: per-benchmark speedup (baseline kernel cycles / config
-/// kernel cycles) for a list of named configurations.
+/// kernel cycles) for a list of named configurations. A cell whose kernel
+/// cannot be resident under its configuration (no SM can hold one CTA, so
+/// the launch would be refused) reads `n/a`, as does its row's speedup
+/// when the baseline is such a cell.
 fn sweep(scale: Scale, configs: &[(String, GpuConfig)], baseline_idx: usize) -> Vec<Vec<String>> {
-    let labels = variant_labels();
-    // speedups[bench][config]
-    let mut cycles: Vec<Vec<u64>> = vec![Vec::new(); labels.len()];
-    for (_, config) in configs {
-        let results = run_all_variants(scale, config);
-        check(&results);
-        for (i, (_, r)) in results.iter().enumerate() {
-            cycles[i].push(r.kernel_cycles.max(1));
-        }
-    }
-    let mut rows = Vec::new();
-    for (i, label) in labels.iter().enumerate() {
-        let base = cycles[i][baseline_idx] as f64;
-        let mut row = vec![label.clone()];
-        for c in &cycles[i] {
-            row.push(format!("{:.3}", base / *c as f64));
-        }
-        rows.push(row);
-    }
-    rows
+    let benches = all_benchmarks(scale);
+    let variants = benches.iter().flat_map(|b| [(b, false), (b, true)]);
+    variant_labels()
+        .into_iter()
+        .zip(variants)
+        .map(|(label, (b, cdp))| {
+            let cycles: Vec<Option<u64>> = configs
+                .iter()
+                .map(|(_, config)| {
+                    let resident = sram_usage(b.as_ref(), &config.sm).resident_ctas > 0;
+                    resident.then(|| {
+                        let r = b.run(config, cdp);
+                        assert!(r.verified, "{label} failed functional validation");
+                        r.kernel_cycles.max(1)
+                    })
+                })
+                .collect();
+            let cells = cycles.iter().map(|&c| match (cycles[baseline_idx], c) {
+                (Some(base), Some(c)) => format!("{:.3}", base as f64 / c as f64),
+                _ => "n/a".to_string(),
+            });
+            std::iter::once(label).chain(cells).collect()
+        })
+        .collect()
 }
 
 /// Header row of a configuration sweep: `Bench` then one column per config.
@@ -837,4 +871,26 @@ pub fn run(name: &str, scale: Scale) -> Result<(), String> {
         .ok_or_else(|| format!("unknown experiment: {name}"))?;
     f(scale);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_sweep_cell_whose_kernel_cannot_be_resident_reads_na() {
+        let need = PairwiseBench::nw(Scale::Tiny, true)
+            .resources()
+            .smem_per_cta;
+        let mut config = GpuConfig::test_small();
+        config.sm.smem_bytes = need - 1;
+        let rows = sweep(Scale::Tiny, &[("smem".to_string(), config)], 0);
+        let cell = |label: &str| {
+            let row = rows.iter().find(|r| r[0] == label).expect(label);
+            row[1].clone()
+        };
+        assert_eq!(cell("NW"), "n/a");
+        assert_eq!(cell("NW-CDP"), "n/a");
+        assert_eq!(cell("SW"), "1.000");
+    }
 }

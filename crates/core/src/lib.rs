@@ -6,8 +6,6 @@
 //!   non-CDP) on a configurable simulated GPU and collect [`RunStats`].
 //! * [`sram_usage`] — the Figure 6 SRAM-utilization computation from
 //!   static kernel resources and the occupancy rules.
-//! * [`cpu_baseline`] — wall-clock CPU timings for SW/NW/STAR on matched
-//!   workloads (the CPU side of Figure 2).
 //! * Re-exports of the benchmark registry, the simulator configuration
 //!   space (Tables I and II) and the underlying crates.
 //!
@@ -24,8 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::time::Instant;
-
 pub use ggpu_kernels::{all_benchmarks, BenchResult, Benchmark, KernelResources, Scale, Table3Row};
 pub use ggpu_sim::{
     chrome_trace_json, json, run_stats_json, CacheStats, DeadlockReport, DeviceFault, DramStats,
@@ -35,7 +31,6 @@ pub use ggpu_sim::{
     TraceEventKind, UnitProfile,
 };
 
-use ggpu_genomics::{nw_score, sequence_family, sw_score, GapModel, Simple};
 use ggpu_sm::SmConfig;
 
 /// Abbreviations of the ten benchmarks in Table III order.
@@ -156,61 +151,6 @@ pub fn sram_usage(bench: &dyn Benchmark, sm: &SmConfig) -> SramUsage {
     }
 }
 
-/// CPU wall-clock baselines for Figure 2 (SW / NW / STAR on workloads
-/// matched to the `Small` GPU benchmarks).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuBaseline {
-    /// Seconds for the Smith-Waterman workload.
-    pub sw_seconds: f64,
-    /// Seconds for the Needleman-Wunsch workload.
-    pub nw_seconds: f64,
-    /// Seconds for the center-star workload.
-    pub star_seconds: f64,
-}
-
-/// Time the single-threaded CPU implementations on workloads shaped like
-/// the GPU benchmarks at `scale`.
-pub fn cpu_baseline(scale: Scale) -> CpuBaseline {
-    let (pairs, len, star_n, star_len) = match scale {
-        Scale::Tiny => (48usize, 20usize, 10usize, 16usize),
-        Scale::Small => (2_560, 28, 20, 24),
-        Scale::Paper => (5_120, 64, 48, 48),
-    };
-    let subst = Simple::new(2, -3);
-    let gaps = GapModel::Affine { open: 5, extend: 2 };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3131);
-    use rand::SeedableRng;
-    let seqs = sequence_family(pairs * 2, len, 0.08, 0.0, &mut rng);
-
-    let t0 = Instant::now();
-    let mut acc = 0i64;
-    for p in 0..pairs {
-        acc += sw_score(seqs[2 * p].codes(), seqs[2 * p + 1].codes(), &subst, gaps) as i64;
-    }
-    let sw_seconds = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    for p in 0..pairs {
-        acc += nw_score(seqs[2 * p].codes(), seqs[2 * p + 1].codes(), &subst, gaps) as i64;
-    }
-    let nw_seconds = t0.elapsed().as_secs_f64();
-
-    let star: Vec<Vec<u8>> = sequence_family(star_n, star_len, 0.06, 0.0, &mut rng)
-        .into_iter()
-        .map(|s| s.codes().to_vec())
-        .collect();
-    let t0 = Instant::now();
-    let msa = ggpu_genomics::center_star(&star, &subst, gaps);
-    let star_seconds = t0.elapsed().as_secs_f64();
-    std::hint::black_box((acc, msa.columns()));
-
-    CpuBaseline {
-        sw_seconds,
-        nw_seconds,
-        star_seconds,
-    }
-}
-
 /// Render a simple aligned text table (used by the `figures` harness).
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -287,14 +227,6 @@ mod tests {
         let nvb = benchmark(Scale::Tiny, "NvB").unwrap().table3();
         assert_eq!(nvb.grid, (2048, 1, 1));
         assert_eq!(nvb.cta, (256, 1, 1));
-    }
-
-    #[test]
-    fn cpu_baseline_produces_positive_times() {
-        let b = cpu_baseline(Scale::Tiny);
-        assert!(b.sw_seconds > 0.0);
-        assert!(b.nw_seconds > 0.0);
-        assert!(b.star_seconds > 0.0);
     }
 
     #[test]

@@ -115,12 +115,6 @@ impl PairHmm {
             total.log10() + log_scale
         }
     }
-
-    /// Likelihood of a read against each haplotype in `haps`, as
-    /// `log10` values (the GATK genotyping inner loop).
-    pub fn forward_all(&self, read: &[u8], quals: &[u8], haps: &[Vec<u8>]) -> Vec<f64> {
-        haps.iter().map(|h| self.forward(read, quals, h)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -178,17 +172,6 @@ mod tests {
         // But an indel is far better than a random haplotype.
         let random = hmm.forward(&read, &quals, &dna("GGGGGGGGGGGGGGGG"));
         assert!(del > random);
-    }
-
-    #[test]
-    fn forward_all_ranks_haplotypes() {
-        let hmm = PairHmm::default();
-        let read = dna("ACGTACGT");
-        let quals = vec![30u8; 8];
-        let haps = vec![dna("ACGTACGT"), dna("ACGTTCGT"), dna("TTTTTTTT")];
-        let lks = hmm.forward_all(&read, &quals, &haps);
-        assert!(lks[0] > lks[1]);
-        assert!(lks[1] > lks[2]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Substitution scoring and gap penalty models.
 
-/// Substitution scorer over sequence symbols (2-bit DNA codes or ASCII
-/// amino acids, depending on the implementation).
+/// Substitution scorer over sequence symbols (2-bit DNA codes or residue
+/// indices, depending on the implementation).
 pub trait SubstScore {
     /// Score of aligning symbol `a` against symbol `b`.
     fn score(&self, a: u8, b: u8) -> i32;
@@ -62,22 +62,6 @@ pub enum GapModel {
     },
 }
 
-impl GapModel {
-    /// Total penalty (positive) for a gap of `len` bases.
-    pub fn cost(&self, len: u32) -> i32 {
-        match *self {
-            GapModel::Linear { penalty } => penalty * len as i32,
-            GapModel::Affine { open, extend } => {
-                if len == 0 {
-                    0
-                } else {
-                    open + extend * len as i32
-                }
-            }
-        }
-    }
-}
-
 impl Default for GapModel {
     /// Affine open=5, extend=2 (common NGS defaults).
     fn default() -> Self {
@@ -85,14 +69,7 @@ impl Default for GapModel {
     }
 }
 
-/// BLOSUM62 amino-acid substitution matrix (indexed by ASCII residues).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Blosum62;
-
-/// Residue order of the packed BLOSUM62 table.
-const B62_ORDER: &[u8; 20] = b"ARNDCQEGHILKMFPSTWYV";
-
-/// Packed 20×20 BLOSUM62 scores in `B62_ORDER` order.
+/// Packed 20×20 BLOSUM62 scores, residues in `ARNDCQEGHILKMFPSTWYV` order.
 #[rustfmt::skip]
 const B62: [[i8; 20]; 20] = [
     // A   R   N   D   C   Q   E   G   H   I   L   K   M   F   P   S   T   W   Y   V
@@ -118,13 +95,9 @@ const B62: [[i8; 20]; 20] = [
     [  0, -3, -3, -3, -1, -2, -2, -3, -3,  3,  1, -2,  1, -1, -2, -2,  0, -3, -1,  4], // V
 ];
 
-fn b62_index(c: u8) -> Option<usize> {
-    B62_ORDER.iter().position(|&x| x == c.to_ascii_uppercase())
-}
-
 /// The BLOSUM62 table indexed by residue *indices* (0..20 in
-/// [`crate::seq::PROTEIN_ALPHABET`] order) rather than ASCII — the encoding
-/// shared with the GPU kernels, whose constant memory holds this matrix.
+/// `ARNDCQEGHILKMFPSTWYV` order) rather than ASCII — the encoding shared
+/// with the GPU kernels, whose constant memory holds this matrix.
 pub fn blosum62_index_matrix() -> [[i8; 20]; 20] {
     B62
 }
@@ -158,25 +131,6 @@ impl SubstScore for IndexedMatrix {
     }
 }
 
-/// Encode an ASCII protein sequence to residue indices; unknown residues
-/// map to index 0.
-pub fn encode_protein(ascii: &[u8]) -> Vec<u8> {
-    ascii
-        .iter()
-        .map(|&c| b62_index(c).unwrap_or(0) as u8)
-        .collect()
-}
-
-impl SubstScore for Blosum62 {
-    fn score(&self, a: u8, b: u8) -> i32 {
-        match (b62_index(a), b62_index(b)) {
-            (Some(i), Some(j)) => B62[i][j] as i32,
-            // Unknown residues (X, B, Z, ...) get a flat mild penalty.
-            _ => -1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,62 +143,24 @@ mod tests {
     }
 
     #[test]
-    fn gap_costs() {
-        assert_eq!(GapModel::Linear { penalty: 2 }.cost(3), 6);
-        let affine = GapModel::Affine { open: 5, extend: 2 };
-        assert_eq!(affine.cost(0), 0);
-        assert_eq!(affine.cost(1), 7);
-        assert_eq!(affine.cost(4), 13);
-    }
-
-    #[test]
     fn blosum62_is_symmetric() {
-        let m = Blosum62;
-        for &a in B62_ORDER {
-            for &b in B62_ORDER {
-                assert_eq!(
-                    m.score(a, b),
-                    m.score(b, a),
-                    "{} vs {}",
-                    a as char,
-                    b as char
-                );
+        let m = IndexedMatrix::blosum62();
+        for a in 0..20u8 {
+            for b in 0..20u8 {
+                assert_eq!(m.score(a, b), m.score(b, a), "{a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn indexed_matrix_matches_ascii_blosum() {
-        let by_ascii = Blosum62;
-        let by_index = IndexedMatrix::blosum62();
-        for (i, &a) in B62_ORDER.iter().enumerate() {
-            for (j, &b) in B62_ORDER.iter().enumerate() {
-                assert_eq!(
-                    by_ascii.score(a, b),
-                    by_index.score(i as u8, j as u8),
-                    "{} vs {}",
-                    a as char,
-                    b as char
-                );
-            }
-        }
-        assert_eq!(by_index.score(25, 0), -1, "out of range uses default");
-    }
-
-    #[test]
-    fn encode_protein_roundtrip() {
-        let idx = encode_protein(b"ARNDV");
-        assert_eq!(idx, vec![0, 1, 2, 3, 19]);
-        assert_eq!(encode_protein(b"?"), vec![0]);
     }
 
     #[test]
     fn blosum62_spot_checks() {
-        let m = Blosum62;
-        assert_eq!(m.score(b'W', b'W'), 11);
-        assert_eq!(m.score(b'A', b'A'), 4);
-        assert_eq!(m.score(b'A', b'R'), -1);
-        assert_eq!(m.score(b'w', b'w'), 11, "case-insensitive");
-        assert_eq!(m.score(b'X', b'A'), -1, "unknown residue");
+        // Indices in `ARNDCQEGHILKMFPSTWYV` order: A=0, R=1, W=17.
+        let m = IndexedMatrix::blosum62();
+        assert_eq!(m.score(17, 17), 11);
+        assert_eq!(m.score(0, 0), 4);
+        assert_eq!(m.score(0, 1), -1);
+        assert_eq!(m.score(25, 0), -1, "out of range uses default");
+        assert_eq!(m.score(0, 25), -1, "out of range uses default");
+        assert_eq!(m.table, blosum62_index_matrix());
     }
 }

@@ -1,12 +1,9 @@
-//! Nucleotide/protein sequences and encodings.
+//! Nucleotide sequences and their 2-bit encoding.
 
 use std::fmt;
 
 /// 2-bit DNA codes: A=0, C=1, G=2, T=3.
 pub const DNA_ALPHABET: [u8; 4] = [b'A', b'C', b'G', b'T'];
-
-/// The 20 standard amino acids (plus `X` handled as unknown).
-pub const PROTEIN_ALPHABET: &[u8; 20] = b"ARNDCQEGHILKMFPSTWYV";
 
 /// Encode an ASCII nucleotide to its 2-bit code; `None` for non-ACGT
 /// (including N).
@@ -72,11 +69,6 @@ impl fmt::Display for ParseSeqError {
 impl std::error::Error for ParseSeqError {}
 
 impl DnaSeq {
-    /// Empty sequence.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// From raw 2-bit codes.
     ///
     /// # Panics
@@ -119,35 +111,6 @@ impl DnaSeq {
             codes: self.codes.iter().rev().map(|&c| complement(c)).collect(),
         }
     }
-
-    /// Append one code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code > 3`.
-    pub fn push(&mut self, code: u8) {
-        assert!(code < 4);
-        self.codes.push(code);
-    }
-
-    /// ASCII bytes (`A`/`C`/`G`/`T`).
-    pub fn to_ascii(&self) -> Vec<u8> {
-        self.codes.iter().map(|&c| decode_base(c)).collect()
-    }
-
-    /// Iterate over k-mers as packed 2-bit integers (`k <= 31`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or `k > 31`.
-    pub fn kmers(&self, k: usize) -> Kmers<'_> {
-        assert!(k > 0 && k <= 31, "k must be in 1..=31");
-        Kmers {
-            seq: &self.codes,
-            k,
-            pos: 0,
-        }
-    }
 }
 
 impl std::str::FromStr for DnaSeq {
@@ -176,30 +139,6 @@ impl fmt::Display for DnaSeq {
             write!(f, "{}", decode_base(c) as char)?;
         }
         Ok(())
-    }
-}
-
-/// Iterator over packed k-mers of a [`DnaSeq`]; see [`DnaSeq::kmers`].
-#[derive(Debug)]
-pub struct Kmers<'a> {
-    seq: &'a [u8],
-    k: usize,
-    pos: usize,
-}
-
-impl Iterator for Kmers<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.pos + self.k > self.seq.len() {
-            return None;
-        }
-        let mut v = 0u64;
-        for &c in &self.seq[self.pos..self.pos + self.k] {
-            v = (v << 2) | c as u64;
-        }
-        self.pos += 1;
-        Some(v)
     }
 }
 
@@ -242,16 +181,6 @@ mod tests {
     fn slicing() {
         let s: DnaSeq = "ACGTACGT".parse().unwrap();
         assert_eq!(s.slice(2, 4).to_string(), "GTAC");
-    }
-
-    #[test]
-    fn kmers_packed() {
-        let s: DnaSeq = "ACGT".parse().unwrap();
-        let kmers: Vec<u64> = s.kmers(2).collect();
-        // AC=0b0001, CG=0b0110, GT=0b1011
-        assert_eq!(kmers, vec![0b0001, 0b0110, 0b1011]);
-        assert_eq!(s.kmers(4).count(), 1);
-        assert_eq!(s.kmers(5).count(), 0);
     }
 
     #[test]

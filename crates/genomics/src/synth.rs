@@ -1,25 +1,18 @@
-//! Synthetic data generation: random genomes, mutated variants, sequencing
-//! reads with configurable error profiles, and protein sequences.
+//! Synthetic data generation: random genomes, mutated variants and
+//! sequence families.
 //!
 //! These generators stand in for the paper's datasets (hg19 + SRR493095
-//! reads, `protein.txt`, `query_batch.fasta`, `testData.fasta`): the
-//! microarchitectural behaviour of the kernels depends on workload *shape*
-//! (sequence counts, lengths, divergence), which these reproduce.
+//! reads, `query_batch.fasta`, `testData.fasta`): the microarchitectural
+//! behaviour of the kernels depends on workload *shape* (sequence counts,
+//! lengths, divergence), which these reproduce.
 
 use rand::Rng;
 
-use crate::seq::{DnaSeq, PROTEIN_ALPHABET};
+use crate::seq::DnaSeq;
 
 /// Uniform random genome of `len` bases.
 pub fn random_genome(len: usize, rng: &mut impl Rng) -> DnaSeq {
     DnaSeq::from_codes((0..len).map(|_| rng.gen_range(0..4u8)).collect())
-}
-
-/// Random protein sequence of `len` residues (ASCII).
-pub fn random_protein(len: usize, rng: &mut impl Rng) -> Vec<u8> {
-    (0..len)
-        .map(|_| PROTEIN_ALPHABET[rng.gen_range(0..PROTEIN_ALPHABET.len())])
-        .collect()
 }
 
 /// Copy `seq` with random substitutions and indels at the given rates —
@@ -63,101 +56,6 @@ pub fn sequence_family(
                 ancestor.clone()
             } else {
                 mutate(&ancestor, sub_rate, indel_rate, rng)
-            }
-        })
-        .collect()
-}
-
-/// Sequencing-read error profile.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReadProfile {
-    /// Read length in bases.
-    pub length: usize,
-    /// Per-base substitution error rate.
-    pub sub_rate: f64,
-    /// Per-base indel error rate.
-    pub indel_rate: f64,
-    /// Baseline Phred quality assigned to correct bases.
-    pub base_qual: u8,
-    /// Fraction of reads drawn from the reverse strand.
-    pub reverse_fraction: f64,
-}
-
-impl Default for ReadProfile {
-    /// Illumina-like: 100bp, 0.5% substitutions, few indels, Q30.
-    fn default() -> Self {
-        ReadProfile {
-            length: 100,
-            sub_rate: 0.005,
-            indel_rate: 0.0005,
-            base_qual: 30,
-            reverse_fraction: 0.5,
-        }
-    }
-}
-
-/// A simulated read with its ground truth.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimulatedRead {
-    /// The (possibly errored, possibly reverse-complemented) read sequence.
-    pub seq: DnaSeq,
-    /// Phred qualities, one per base.
-    pub quals: Vec<u8>,
-    /// True 0-based position on the forward reference.
-    pub origin: usize,
-    /// True strand.
-    pub reverse: bool,
-}
-
-/// Simulate `n` reads from `genome` under `profile`.
-///
-/// # Panics
-///
-/// Panics if the genome is shorter than the read length.
-pub fn simulate_reads(
-    genome: &DnaSeq,
-    n: usize,
-    profile: ReadProfile,
-    rng: &mut impl Rng,
-) -> Vec<SimulatedRead> {
-    assert!(
-        genome.len() >= profile.length,
-        "genome shorter than read length"
-    );
-    (0..n)
-        .map(|_| {
-            let origin = rng.gen_range(0..=genome.len() - profile.length);
-            let fragment = genome.slice(origin, profile.length);
-            let reverse = rng.gen_bool(profile.reverse_fraction);
-            let template = if reverse {
-                fragment.revcomp()
-            } else {
-                fragment
-            };
-            let mut codes = Vec::with_capacity(profile.length);
-            let mut quals = Vec::with_capacity(profile.length);
-            for &c in template.codes() {
-                let r: f64 = rng.gen();
-                if r < profile.sub_rate {
-                    codes.push((c + rng.gen_range(1..4u8)) % 4);
-                    quals.push(profile.base_qual.saturating_sub(15));
-                } else if r < profile.sub_rate + profile.indel_rate {
-                    // Small indel error: drop the base.
-                    continue;
-                } else {
-                    codes.push(c);
-                    quals.push(profile.base_qual);
-                }
-            }
-            if codes.is_empty() {
-                codes.push(0);
-                quals.push(profile.base_qual);
-            }
-            SimulatedRead {
-                seq: DnaSeq::from_codes(codes),
-                quals,
-                origin,
-                reverse,
             }
         })
         .collect()
@@ -221,55 +119,6 @@ mod tests {
         assert_eq!(fam.len(), 5);
         for s in &fam[1..] {
             assert!((450..550).contains(&s.len()));
-        }
-    }
-
-    #[test]
-    fn protein_alphabet_respected() {
-        let p = random_protein(500, &mut rng(7));
-        assert_eq!(p.len(), 500);
-        assert!(p.iter().all(|c| PROTEIN_ALPHABET.contains(c)));
-    }
-
-    #[test]
-    fn simulated_reads_carry_truth() {
-        let g = random_genome(5000, &mut rng(8));
-        // Substitutions only: a single indel shifts every later base, so the
-        // position-wise identity check below is only meaningful without them.
-        let profile = ReadProfile {
-            indel_rate: 0.0,
-            ..ReadProfile::default()
-        };
-        let reads = simulate_reads(&g, 20, profile, &mut rng(9));
-        assert_eq!(reads.len(), 20);
-        for r in &reads {
-            assert!(r.origin + 100 <= 5000);
-            assert_eq!(r.seq.len(), r.quals.len());
-            // Error-free portion should match the reference fragment.
-            let frag = g.slice(r.origin, 100);
-            let template = if r.reverse { frag.revcomp() } else { frag };
-            let matches = r
-                .seq
-                .codes()
-                .iter()
-                .zip(template.codes())
-                .filter(|(a, b)| a == b)
-                .count();
-            assert!(matches * 10 >= r.seq.len() * 9, "read too corrupted");
-        }
-    }
-
-    #[test]
-    fn perfect_profile_reads_are_exact() {
-        let g = random_genome(1000, &mut rng(10));
-        let profile = ReadProfile {
-            sub_rate: 0.0,
-            indel_rate: 0.0,
-            reverse_fraction: 0.0,
-            ..ReadProfile::default()
-        };
-        for r in simulate_reads(&g, 5, profile, &mut rng(11)) {
-            assert_eq!(r.seq, g.slice(r.origin, 100));
         }
     }
 }

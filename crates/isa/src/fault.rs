@@ -5,7 +5,6 @@
 //! and the device model (which reports them to the host) agree on the
 //! vocabulary without depending on each other.
 
-use crate::instr::Instr;
 use std::fmt;
 
 /// The architectural class of a guest fault.
@@ -51,46 +50,9 @@ impl fmt::Display for FaultKind {
     }
 }
 
-impl Instr {
-    /// The fault classes this instruction can architecturally raise.
-    ///
-    /// This is static metadata (it ignores operand values): a global load can
-    /// raise [`FaultKind::IllegalAddress`] or [`FaultKind::MisalignedAccess`],
-    /// a barrier can raise [`FaultKind::BarrierDivergence`], and so on. Used
-    /// by diagnostics and by tests that want to enumerate trap sites.
-    pub fn fault_kinds(&self) -> &'static [FaultKind] {
-        use crate::instr::Space;
-        match self {
-            Instr::Ld { space, .. } | Instr::St { space, .. } => match space {
-                Space::Global | Space::Local | Space::Tex => {
-                    &[FaultKind::IllegalAddress, FaultKind::MisalignedAccess]
-                }
-                Space::Shared => &[FaultKind::SharedMemOverflow],
-                _ => &[],
-            },
-            Instr::Atom { space, .. } => match space {
-                Space::Global => &[FaultKind::IllegalAddress, FaultKind::MisalignedAccess],
-                Space::Shared => &[FaultKind::SharedMemOverflow],
-                _ => &[],
-            },
-            Instr::Bar => &[FaultKind::BarrierDivergence],
-            Instr::Launch { .. } => &[
-                FaultKind::CdpQueueOverflow,
-                FaultKind::CdpNestingExceeded,
-                FaultKind::CdpInvalidLaunch,
-                FaultKind::IllegalAddress,
-            ],
-            Instr::Bra { .. } => &[FaultKind::InvalidPc],
-            _ => &[],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::{Space, Width};
-    use crate::reg::{Operand, Reg};
 
     #[test]
     fn display_is_human_readable() {
@@ -99,30 +61,5 @@ mod tests {
             FaultKind::CdpNestingExceeded.to_string(),
             "device-side launch nesting depth exceeded"
         );
-    }
-
-    #[test]
-    fn metadata_covers_memory_ops() {
-        let ld = Instr::Ld {
-            dst: Reg(0),
-            space: Space::Global,
-            width: Width::B32,
-            addr: Operand::reg(Reg(1)),
-            offset: 0,
-        };
-        assert!(ld.fault_kinds().contains(&FaultKind::IllegalAddress));
-        assert!(ld.fault_kinds().contains(&FaultKind::MisalignedAccess));
-
-        let sh = Instr::Ld {
-            dst: Reg(0),
-            space: Space::Shared,
-            width: Width::B32,
-            addr: Operand::reg(Reg(1)),
-            offset: 0,
-        };
-        assert_eq!(sh.fault_kinds(), &[FaultKind::SharedMemOverflow]);
-
-        assert_eq!(Instr::Bar.fault_kinds(), &[FaultKind::BarrierDivergence]);
-        assert!(Instr::Exit.fault_kinds().is_empty());
     }
 }

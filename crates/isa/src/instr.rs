@@ -47,12 +47,6 @@ impl Space {
             Space::Tex => "tex",
         }
     }
-
-    /// Whether accesses to this space leave the SM (and therefore traverse
-    /// the interconnect / cache hierarchy).
-    pub fn is_offchip(self) -> bool {
-        matches!(self, Space::Global | Space::Local | Space::Tex)
-    }
 }
 
 impl fmt::Display for Space {
@@ -319,15 +313,6 @@ impl Instr {
         }
     }
 
-    /// True for instructions that access memory (and therefore produce
-    /// Figure 9 memory-space counts).
-    pub fn is_mem(&self) -> bool {
-        matches!(
-            self,
-            Instr::Ld { .. } | Instr::St { .. } | Instr::Atom { .. }
-        )
-    }
-
     /// The memory space accessed, if this is a memory instruction.
     pub fn mem_space(&self) -> Option<Space> {
         match self {
@@ -430,14 +415,13 @@ mod tests {
             offset: 4,
         };
         assert_eq!(ld.class(), InstrClass::LdSt);
-        assert!(ld.is_mem());
         assert_eq!(ld.mem_space(), Some(Space::Global));
         assert_eq!(ld.dst(), Some(Reg(1)));
         assert_eq!(ld.srcs(), vec![Reg(2)]);
 
         let bar = Instr::Bar;
         assert_eq!(bar.class(), InstrClass::Ctrl);
-        assert!(!bar.is_mem());
+        assert_eq!(bar.mem_space(), None);
         assert_eq!(bar.dst(), None);
     }
 
@@ -466,16 +450,6 @@ mod tests {
     fn width_bytes() {
         assert_eq!(Width::B8.bytes(), 1);
         assert_eq!(Width::B64.bytes(), 8);
-    }
-
-    #[test]
-    fn space_properties() {
-        assert!(Space::Global.is_offchip());
-        assert!(Space::Local.is_offchip());
-        assert!(Space::Tex.is_offchip());
-        assert!(!Space::Shared.is_offchip());
-        assert!(!Space::Const.is_offchip());
-        assert_eq!(Space::ALL.len(), 6);
     }
 
     #[test]

@@ -19,7 +19,7 @@ impl fmt::Display for Reg {
 ///
 /// Immediates are stored as `i64` and sign-extended into the 64-bit value
 /// domain; floating-point immediates are passed as raw bit patterns via
-/// [`Operand::f32imm`] / [`Operand::f64imm`].
+/// [`Operand::f64imm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// Read the value of a register.
@@ -39,12 +39,6 @@ impl Operand {
     #[inline]
     pub fn imm(v: i64) -> Self {
         Operand::Imm(v as u64)
-    }
-
-    /// `f32` immediate, stored as its bit pattern in the low 32 bits.
-    #[inline]
-    pub fn f32imm(v: f32) -> Self {
-        Operand::Imm(v.to_bits() as u64)
     }
 
     /// `f64` immediate, stored as its bit pattern.
@@ -141,7 +135,6 @@ mod tests {
     #[test]
     fn operand_immediate_encodings() {
         assert_eq!(Operand::imm(-1), Operand::Imm(u64::MAX));
-        assert_eq!(Operand::f32imm(1.5), Operand::Imm(1.5f32.to_bits() as u64));
         assert_eq!(Operand::f64imm(2.5), Operand::Imm(2.5f64.to_bits()));
     }
 

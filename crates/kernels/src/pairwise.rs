@@ -92,19 +92,23 @@ impl PairwiseBench {
         (q, t, lens)
     }
 
-    fn cpu_expected(mode: DpMode, q: &[u8], t: &[u8], lens: &[u32], max_len: u32) -> Vec<i64> {
+    /// Score every pair on the CPU with the `ggpu-genomics` aligner of this
+    /// benchmark's mode. The constructor stores the result and `run`
+    /// verifies device output against it; Figure 2 times this call.
+    pub fn cpu_oracle(&self) -> Vec<i64> {
         let subst = Simple::new(MATCH, MISMATCH);
         let gaps = GapModel::Affine {
             open: GAP_OPEN,
             extend: GAP_EXTEND,
         };
-        lens.iter()
+        self.lens
+            .iter()
             .enumerate()
             .map(|(p, &len)| {
-                let base = p * max_len as usize;
-                let qs = &q[base..base + len as usize];
-                let ts = &t[base..base + len as usize];
-                let s = match mode {
+                let base = p * self.max_len as usize;
+                let qs = &self.queries[base..base + len as usize];
+                let ts = &self.targets[base..base + len as usize];
+                let s = match self.mode {
                     DpMode::Global => nw_score(qs, ts, &subst, gaps),
                     DpMode::Local => sw_score(qs, ts, &subst, gaps),
                     DpMode::SemiGlobal => semiglobal_score(qs, ts, &subst, gaps),
@@ -154,8 +158,7 @@ impl PairwiseBench {
         };
         let min_len = if uniform_len { max_len } else { min_len };
         let (queries, targets, lens) = Self::make_pairs(n_pairs, max_len, min_len, seed);
-        let expected = Self::cpu_expected(mode, &queries, &targets, &lens, max_len);
-        PairwiseBench {
+        let mut bench = PairwiseBench {
             name,
             abbrev,
             mode,
@@ -170,8 +173,10 @@ impl PairwiseBench {
             queries,
             targets,
             lens,
-            expected,
-        }
+            expected: Vec::new(),
+        };
+        bench.expected = bench.cpu_oracle();
+        bench
     }
 
     /// Smith-Waterman (local alignment, rows in local memory).
@@ -409,6 +414,20 @@ mod tests {
         GpuConfig {
             n_sms: 8,
             ..GpuConfig::test_small()
+        }
+    }
+
+    #[test]
+    fn the_public_oracle_is_what_run_verifies_against() {
+        for b in [
+            PairwiseBench::sw(Scale::Tiny),
+            PairwiseBench::nw(Scale::Tiny, true),
+        ] {
+            assert_eq!(b.cpu_oracle(), b.expected, "{}", b.abbrev);
+            for cdp in [false, true] {
+                let r = b.run(&cfg(), cdp);
+                assert!(r.verified, "{}", r.detail);
+            }
         }
     }
 

@@ -53,6 +53,18 @@ arg_block! {
     }
 }
 
+/// What both STAR phases compute: the device's answer in `run`, the CPU's
+/// in [`StarBench::cpu_oracle`].
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct StarOracle {
+    /// Global-alignment score of every sequence pair, in pair-table order.
+    pub pair_scores: Vec<i64>,
+    /// The sequence with the first maximal sum of pair scores.
+    pub center: usize,
+    /// Score of every sequence against the centre.
+    pub final_scores: Vec<i64>,
+}
+
 /// The STAR benchmark instance.
 #[derive(Debug, Clone)]
 pub struct StarBench {
@@ -66,12 +78,27 @@ pub struct StarBench {
     /// Phase-1 expanded buffers (query/target per pair).
     pair_q: Vec<u8>,
     pair_t: Vec<u8>,
-    expected_center: usize,
-    expected_pair_scores: Vec<i64>,
-    expected_final_scores: Vec<i64>,
+    expected: StarOracle,
     dims: LaunchDims,
     /// Phase-1 host launches (the original CMSA issues many small grids).
     batches: usize,
+}
+
+/// The sequence whose pair scores sum highest; the first one on a tie
+/// (strictly-greater argmax), matching the device reduction.
+fn first_max_center(n_seqs: usize, pair_a: &[u32], pair_b: &[u32], pair_scores: &[i64]) -> usize {
+    let mut sums = vec![0i64; n_seqs];
+    for (p, &score) in pair_scores.iter().enumerate() {
+        sums[pair_a[p] as usize] += score;
+        sums[pair_b[p] as usize] += score;
+    }
+    let mut center = 0usize;
+    for (i, &s) in sums.iter().enumerate() {
+        if s > sums[center] {
+            center = i;
+        }
+    }
+    center
 }
 
 impl StarBench {
@@ -119,41 +146,7 @@ impl StarBench {
                 .copy_from_slice(&seqs[b * seq_len as usize..(b + 1) * seq_len as usize]);
         }
 
-        // CPU oracle (BLOSUM62 over residue indices, like the kernel).
-        let subst = IndexedMatrix::blosum62();
-        let gaps = GapModel::Affine {
-            open: GAP_OPEN,
-            extend: GAP_EXTEND,
-        };
-        let seq_of = |i: usize| &seqs[i * seq_len as usize..(i + 1) * seq_len as usize];
-        let expected_pair_scores: Vec<i64> = (0..n_pairs)
-            .map(|p| {
-                nw_score(
-                    seq_of(pair_a[p] as usize),
-                    seq_of(pair_b[p] as usize),
-                    &subst,
-                    gaps,
-                ) as i64
-            })
-            .collect();
-        let mut sums = vec![0i64; n_seqs];
-        for p in 0..n_pairs {
-            sums[pair_a[p] as usize] += expected_pair_scores[p];
-            sums[pair_b[p] as usize] += expected_pair_scores[p];
-        }
-        // First maximum (strictly-greater argmax), matching the device
-        // reduction.
-        let mut expected_center = 0usize;
-        for (i, &s) in sums.iter().enumerate() {
-            if s > sums[expected_center] {
-                expected_center = i;
-            }
-        }
-        let expected_final_scores: Vec<i64> = (0..n_seqs)
-            .map(|i| nw_score(seq_of(i), seq_of(expected_center), &subst, gaps) as i64)
-            .collect();
-
-        StarBench {
+        let mut bench = StarBench {
             n_seqs,
             seq_len,
             seqs,
@@ -161,11 +154,39 @@ impl StarBench {
             pair_b,
             pair_q,
             pair_t,
-            expected_center,
-            expected_pair_scores,
-            expected_final_scores,
+            expected: StarOracle::default(),
             dims,
             batches,
+        };
+        bench.expected = bench.cpu_oracle();
+        bench
+    }
+
+    /// Both phases on the CPU (`nw_score` under BLOSUM62 over residue
+    /// indices, like the kernel). The constructor stores the result and
+    /// `run` verifies device output against it; Figure 2 times this call.
+    pub fn cpu_oracle(&self) -> StarOracle {
+        let subst = IndexedMatrix::blosum62();
+        let gaps = GapModel::Affine {
+            open: GAP_OPEN,
+            extend: GAP_EXTEND,
+        };
+        let sl = self.seq_len as usize;
+        let seq_of = |i: usize| &self.seqs[i * sl..(i + 1) * sl];
+        let pair_scores: Vec<i64> = self
+            .pair_a
+            .iter()
+            .zip(&self.pair_b)
+            .map(|(&a, &b)| nw_score(seq_of(a as usize), seq_of(b as usize), &subst, gaps) as i64)
+            .collect();
+        let center = first_max_center(self.n_seqs, &self.pair_a, &self.pair_b, &pair_scores);
+        let final_scores = (0..self.n_seqs)
+            .map(|i| nw_score(seq_of(i), seq_of(center), &subst, gaps) as i64)
+            .collect();
+        StarOracle {
+            pair_scores,
+            center,
+            final_scores,
         }
     }
 
@@ -395,7 +416,7 @@ impl Benchmark for StarBench {
         let center_out = gpu.malloc(8);
         let scratch = gpu.malloc((self.batches as u64 + 2) * DP_PARAM_WORDS as u64 * 8);
 
-        let (center, final_scores, pair_scores) = if let Some(orch) = orch {
+        let got = if let Some(orch) = orch {
             // CDP: one host launch does everything.
             let args = StarArgs {
                 seqs: seqs.0,
@@ -421,8 +442,11 @@ impl Benchmark for StarBench {
                     .map(|w| w as i64)
                     .collect()
             };
-            let center = gpu.memory().read_u64(center_out) as usize;
-            (center, peek(fscores, self.n_seqs), peek(pscores, n_pairs))
+            StarOracle {
+                pair_scores: peek(pscores, n_pairs),
+                center: gpu.memory().read_u64(center_out) as usize,
+                final_scores: peek(fscores, self.n_seqs),
+            }
         } else {
             // Non-CDP: CMSA-style batched phase-1 launches, then a host
             // round-trip before phase 2.
@@ -441,17 +465,7 @@ impl Benchmark for StarBench {
                 gpu.synchronize();
             }
             let pair_scores = read_i64s(&mut gpu, pscores, n_pairs);
-            let mut sums_host = vec![0i64; self.n_seqs];
-            for p in 0..n_pairs {
-                sums_host[self.pair_a[p] as usize] += pair_scores[p];
-                sums_host[self.pair_b[p] as usize] += pair_scores[p];
-            }
-            let mut center = 0usize;
-            for (i, &s) in sums_host.iter().enumerate() {
-                if s > sums_host[center] {
-                    center = i;
-                }
-            }
+            let center = first_max_center(self.n_seqs, &self.pair_a, &self.pair_b, &pair_scores);
             let args = DpArgs {
                 q: seqs.0,
                 t: seqs.0 + center as u64 * sl,
@@ -463,22 +477,19 @@ impl Benchmark for StarBench {
             };
             gpu.launch(phase2, self.dims, &args.words());
             gpu.synchronize();
-            (
-                center,
-                read_i64s(&mut gpu, fscores, self.n_seqs),
+            StarOracle {
                 pair_scores,
-            )
+                center,
+                final_scores: read_i64s(&mut gpu, fscores, self.n_seqs),
+            }
         };
 
-        let verified = center == self.expected_center
-            && final_scores == self.expected_final_scores
-            && pair_scores == self.expected_pair_scores;
         BenchResult::collect(
             &mut gpu,
-            verified,
+            got == self.expected,
             format!(
                 "STAR: {} seqs x {} bases, {} pairs, center {}, cdp={}",
-                self.n_seqs, self.seq_len, n_pairs, center, cdp
+                self.n_seqs, self.seq_len, n_pairs, got.center, cdp
             ),
         )
     }
@@ -492,6 +503,16 @@ mod tests {
         GpuConfig {
             n_sms: 8,
             ..GpuConfig::test_small()
+        }
+    }
+
+    #[test]
+    fn the_public_oracle_is_what_run_verifies_against() {
+        let b = StarBench::new(Scale::Tiny);
+        assert_eq!(b.cpu_oracle(), b.expected);
+        for cdp in [false, true] {
+            let r = b.run(&cfg(), cdp);
+            assert!(r.verified, "{}", r.detail);
         }
     }
 

@@ -77,10 +77,6 @@ pub use dram::{Dram, DramConfig, DramScheduler, DramStats};
 /// Line size shared by every cache level, per Table I (128-byte lines).
 pub const LINE_BYTES: u64 = 128;
 
-/// Memory-transaction granularity of coalesced accesses (one 32-byte
-/// sector), matching NVIDIA's 32B sectors.
-pub const SECTOR_BYTES: u64 = 32;
-
 #[cfg(test)]
 mod tests {
     use super::DramStats;

@@ -10,7 +10,6 @@
 //!   checks to verify that every emitted document round-trips through a
 //!   real parse (not just an eyeball check).
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// Escape `s` as the *contents* of a JSON string (no surrounding quotes).
@@ -53,7 +52,7 @@ pub fn num(v: f64) -> String {
 /// An append-only JSON document builder.
 ///
 /// The caller drives structure through [`JsonWriter::begin_obj`] /
-/// [`JsonWriter::begin_arr`] (and the matching `end_*`), and the writer
+/// [`JsonWriter::begin_arr_key`] (and the matching `end_*`), and the writer
 /// tracks comma placement. Keys are only legal inside objects, bare values
 /// only inside arrays (or as the document root).
 #[derive(Debug, Default)]
@@ -119,14 +118,6 @@ impl JsonWriter {
         self
     }
 
-    /// Open the root array or an anonymous array inside an array.
-    pub fn begin_arr(&mut self) -> &mut Self {
-        self.comma();
-        self.buf.push('[');
-        self.stack.push((false, false));
-        self
-    }
-
     /// Open an array under `key` in the current object.
     pub fn begin_arr_key(&mut self, key: &str) -> &mut Self {
         self.key(key);
@@ -189,13 +180,6 @@ impl JsonWriter {
     pub fn elem_u64(&mut self, v: u64) -> &mut Self {
         self.comma();
         let _ = write!(self.buf, "{v}");
-        self
-    }
-
-    /// Bare `f64` element in the current array.
-    pub fn elem_f64(&mut self, v: f64) -> &mut Self {
-        self.comma();
-        self.buf.push_str(&num(v));
         self
     }
 
@@ -478,22 +462,6 @@ impl Parser {
     }
 }
 
-/// Breadth-first iterator over all values in a document, used by smoke
-/// checks that want to assert "some object somewhere has key K".
-pub fn walk(root: &Json) -> impl Iterator<Item = &Json> {
-    let mut queue: VecDeque<&Json> = VecDeque::new();
-    queue.push_back(root);
-    std::iter::from_fn(move || {
-        let v = queue.pop_front()?;
-        match v {
-            Json::Arr(items) => queue.extend(items.iter()),
-            Json::Obj(fields) => queue.extend(fields.iter().map(|(_, v)| v)),
-            _ => {}
-        }
-        Some(v)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,7 +476,7 @@ mod tests {
         w.bool("ok", true);
         w.opt_u64("parent", None);
         w.begin_arr_key("xs");
-        w.elem_u64(1).elem_f64(2.5);
+        w.elem_u64(1).elem_u64(2);
         w.begin_obj();
         w.u64("inner", 7);
         w.end_obj();
@@ -554,12 +522,5 @@ mod tests {
         assert_eq!(num(f64::NAN), "0");
         assert_eq!(num(f64::INFINITY), "0");
         assert_eq!(num(0.25), "0.25");
-    }
-
-    #[test]
-    fn walk_visits_nested_values() {
-        let v = Json::parse("{\"a\":[{\"b\":1}],\"c\":2}").expect("ok");
-        let count = walk(&v).count();
-        assert_eq!(count, 5); // root, arr, obj, 1, 2
     }
 }

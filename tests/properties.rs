@@ -1,8 +1,8 @@
 //! Property-based tests over the genomics substrate's core invariants.
 
 use ggpu_genomics::{
-    center_star, greedy_cluster, ksw_extend, nw_align, nw_score, semiglobal_align, sw_align,
-    sw_score, ClusterParams, DnaSeq, FmIndex, GapModel, PairHmm, Simple,
+    ksw_extend, nw_align, nw_score, semiglobal_align, sw_align, sw_score, DnaSeq, FmIndex,
+    GapModel, PairHmm, Simple,
 };
 use proptest::prelude::*;
 
@@ -104,40 +104,6 @@ proptest! {
         prop_assert!(hits.contains(&start), "own position must be found");
         for h in hits {
             prop_assert_eq!(&genome[h..h + len], pat.codes());
-        }
-    }
-
-    #[test]
-    fn msa_rows_degap_to_inputs(n in 2usize..5, len in 4usize..20, seed in 0u64..1000) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let seqs: Vec<Vec<u8>> = ggpu_genomics::sequence_family(n, len, 0.1, 0.05, &mut rng)
-            .into_iter()
-            .map(|s| s.codes().to_vec())
-            .collect();
-        let msa = center_star(&seqs, &SUB, GAPS);
-        prop_assert_eq!(msa.rows.len(), seqs.len());
-        let cols = msa.columns();
-        for (i, row) in msa.rows.iter().enumerate() {
-            prop_assert_eq!(row.len(), cols, "rows must be rectangular");
-            let degapped: Vec<u8> = row.iter().copied().filter(|&c| c != ggpu_genomics::GAP).collect();
-            prop_assert_eq!(&degapped, &seqs[i], "row {} must de-gap to its input", i);
-        }
-    }
-
-    #[test]
-    fn cluster_partition_is_total_and_consistent(n in 1usize..12, seed in 0u64..500) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let seqs: Vec<Vec<u8>> = (0..n)
-            .map(|_| ggpu_genomics::random_genome(40, &mut rng).codes().to_vec())
-            .collect();
-        let clusters = greedy_cluster(&seqs, ClusterParams::default());
-        let mut seen: Vec<usize> = clusters.iter().flat_map(|c| c.members.clone()).collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..n).collect::<Vec<_>>(), "every sequence in exactly one cluster");
-        for c in &clusters {
-            prop_assert!(c.members.contains(&c.representative));
         }
     }
 
