@@ -10,7 +10,9 @@
 //! (override the directory with `GGPU_RESULTS_DIR`). `--json` and
 //! `--trace` run the profiling mode — all benchmarks with interval
 //! sampling and event tracing on — exporting `results/profile_<scale>.json`
-//! and/or `results/trace_<scale>.json` (Perfetto-loadable).
+//! and/or `results/trace_<scale>.json` (Perfetto-loadable). Every name is
+//! checked before anything runs, and all of them read one run ledger, so a
+//! point two figures share is simulated once.
 
 use ggpu_bench::cli::Args;
 use ggpu_bench::figures;
@@ -36,19 +38,11 @@ fn main() {
             _ => names.push(a),
         }
     }
-    if json || trace {
-        figures::profile(scale, json, trace);
-    }
-    if names.is_empty() {
-        if json || trace {
-            return;
-        }
+    if names.is_empty() && !(json || trace) {
         args.usage();
     }
-    for name in names {
-        if let Err(e) = figures::run(&name, scale) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+    if let Err(e) = figures::run(&names, scale, json, trace) {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
 }

@@ -1,11 +1,13 @@
 //! Regeneration of every table and figure in the paper's evaluation.
 //!
-//! Each `figN` function runs the required benchmark set on the simulator
-//! under the paper's configuration sweep and prints the same rows/series
-//! the paper plots. Absolute numbers differ from the paper's testbed (we
-//! simulate a scaled workload); the *shape* — who wins, by what rough
-//! factor, where the crossovers are — is what EXPERIMENTS.md tracks.
+//! The figures read one matrix — ten benchmarks × {plain, CDP} × the
+//! paper's configurations — so every experiment is a formatter over one
+//! [`Runs`] ledger, which simulates and verifies each point once. Absolute
+//! numbers differ from the paper's testbed (we simulate a scaled workload);
+//! the *shape* — who wins, by what rough factor, where the crossovers are —
+//! is what EXPERIMENTS.md tracks.
 
+use std::rc::Rc;
 use std::time::Instant;
 
 use ggpu_core::json::JsonWriter;
@@ -22,45 +24,114 @@ use ggpu_sm::{SchedPolicy, StallReason};
 
 use crate::export::{write_json_doc, Table};
 
-/// All benchmark labels including CDP variants, in display order.
-fn variant_labels() -> Vec<String> {
-    let mut v = Vec::new();
-    for b in all_benchmarks(Scale::Tiny) {
-        v.push(b.abbrev().to_string());
-        v.push(format!("{}-CDP", b.abbrev()));
-    }
-    v
+/// The run ledger the experiments share: each (benchmark, CDP,
+/// configuration) is simulated and verified once, on first use, and kept.
+/// A run is a pure function of that key (DESIGN.md "`figures`: one run
+/// ledger"), so a figure asking for a key another figure already ran reads
+/// the kept result.
+pub struct Runs {
+    scale: Scale,
+    /// The ten benchmarks at `scale`, built on first use.
+    benches: Option<Vec<Box<dyn Benchmark>>>,
+    /// (index into `benches`, CDP, configuration, result), found by a
+    /// linear probe.
+    results: Vec<(usize, bool, GpuConfig, Rc<BenchResult>)>,
 }
 
-/// Run all benchmarks (non-CDP and CDP) under `config`.
-fn run_all_variants(scale: Scale, config: &GpuConfig) -> Vec<(String, BenchResult)> {
-    let mut out = Vec::new();
-    for b in all_benchmarks(scale) {
-        out.push((b.abbrev().to_string(), b.run(config, false)));
-        out.push((format!("{}-CDP", b.abbrev()), b.run(config, true)));
+impl Runs {
+    /// An empty ledger at `scale`: nothing is built or simulated until an
+    /// experiment asks for it.
+    pub fn new(scale: Scale) -> Runs {
+        Runs {
+            scale,
+            benches: None,
+            results: Vec::new(),
+        }
     }
-    out
+
+    fn benches(&mut self) -> &[Box<dyn Benchmark>] {
+        let scale = self.scale;
+        self.benches.get_or_insert_with(|| all_benchmarks(scale))
+    }
+
+    /// Every benchmark variant in display order: its index, CDP, and label
+    /// (`SW`, `SW-CDP`, ...).
+    fn variants(&mut self) -> Vec<(usize, bool, String)> {
+        let mut v = Vec::new();
+        for (i, b) in self.benches().iter().enumerate() {
+            v.push((i, false, b.abbrev().to_string()));
+            v.push((i, true, format!("{}-CDP", b.abbrev())));
+        }
+        v
+    }
+
+    /// The verified result of benchmark `bench` (with CDP if `cdp`) under
+    /// `config`, simulated now unless an experiment asked for it before.
+    fn get(&mut self, bench: usize, cdp: bool, config: &GpuConfig) -> Rc<BenchResult> {
+        if let Some((.., r)) = self
+            .results
+            .iter()
+            .find(|(b, c, cfg, _)| (*b, *c) == (bench, cdp) && cfg == config)
+        {
+            return Rc::clone(r);
+        }
+        let b = &self.benches()[bench];
+        let r = Rc::new(b.run(config, cdp));
+        assert!(r.verified, "{} (cdp {cdp}) failed validation", b.abbrev());
+        self.results
+            .push((bench, cdp, config.clone(), Rc::clone(&r)));
+        r
+    }
 }
 
-fn check(results: &[(String, BenchResult)]) {
-    for (name, r) in results {
-        assert!(r.verified, "{name} failed functional validation");
+/// One row per benchmark variant: its label, then `width` cells per entry
+/// of `configs` from `cells(result, baseline)`, where `baseline` is the
+/// variant's run under `configs[base]`. A variant whose kernel cannot be
+/// resident under a configuration (no SM can hold one CTA, so the launch
+/// would be refused) reads `n/a` in that configuration's cells — and in
+/// all of them when the baseline is such a configuration. An `n/a` cell is
+/// never simulated.
+fn sweep(
+    runs: &mut Runs,
+    configs: &[GpuConfig],
+    base: usize,
+    width: usize,
+    cells: impl Fn(&BenchResult, &BenchResult) -> Vec<String>,
+) -> Vec<Vec<String>> {
+    let mut rows = Vec::new();
+    for (bench, cdp, label) in runs.variants() {
+        let b = runs.benches()[bench].as_ref();
+        let resident: Vec<bool> = configs
+            .iter()
+            .map(|c| sram_usage(b, &c.sm).resident_ctas > 0)
+            .collect();
+        let mut row = vec![label];
+        for (config, ok) in configs.iter().zip(&resident) {
+            if *ok && resident[base] {
+                let baseline = runs.get(bench, cdp, &configs[base]);
+                row.extend(cells(&runs.get(bench, cdp, config), &baseline));
+            } else {
+                row.extend(vec!["n/a".to_string(); width]);
+            }
+        }
+        rows.push(row);
     }
+    rows
 }
 
-/// One row per benchmark variant at the baseline configuration: the
-/// variant label followed by `cells(result)`. Fails on a validation miss.
-fn baseline_rows(scale: Scale, cells: impl Fn(&BenchResult) -> Vec<String>) -> Vec<Vec<String>> {
-    let results = run_all_variants(scale, &GpuConfig::rtx3070());
-    check(&results);
-    results
-        .iter()
-        .map(|(name, r)| {
-            let mut row = vec![name.clone()];
-            row.extend(cells(r));
-            row
-        })
-        .collect()
+/// Baseline kernel cycles over `r`'s: the speedup every sweep figure plots.
+fn speedup(r: &BenchResult, baseline: &BenchResult) -> Vec<String> {
+    let cycles = |r: &BenchResult| r.kernel_cycles.max(1) as f64;
+    vec![format!("{:.3}", cycles(baseline) / cycles(r))]
+}
+
+/// [`sweep`] over the baseline configuration alone (Figures 3-10).
+fn baseline_rows(
+    runs: &mut Runs,
+    width: usize,
+    cells: impl Fn(&BenchResult) -> Vec<String>,
+) -> Vec<Vec<String>> {
+    sweep(runs, &[GpuConfig::rtx3070()], 0, width, |r, _| cells(r))
 }
 
 /// A fraction rendered as a percentage with one decimal.
@@ -156,11 +227,11 @@ pub fn table2() {
 }
 
 /// Table III: benchmark properties.
-pub fn table3(scale: Scale) {
+pub fn table3(runs: &mut Runs) {
     println!("TABLE III: Benchmark properties (paper launch shapes; simulated workloads are scaled per DESIGN.md)\n");
     let sm = GpuConfig::rtx3070().sm;
     let mut rows = Vec::new();
-    for b in all_benchmarks(scale) {
+    for b in runs.benches() {
         let t = b.table3();
         let u = sram_usage(b.as_ref(), &sm);
         rows.push(vec![
@@ -209,12 +280,12 @@ fn best_seconds<T>(oracle: impl Fn() -> T) -> f64 {
 /// Figure 2: CPU vs GPU vs GPU+CDP for SW, NW, STAR (normalized to CPU).
 /// One benchmark instance per row fills all three columns: the CPU time is
 /// that instance's own oracle, the function its `run` verifies against.
-pub fn fig2(scale: Scale) {
+pub fn fig2(runs: &mut Runs) {
     println!("FIGURE 2: CPU vs GPU vs GPU+CDP execution time (normalized to CPU = 1.0)\n");
     let config = GpuConfig::rtx3070();
-    let sw = PairwiseBench::sw(scale);
-    let nw = PairwiseBench::nw(scale, true);
-    let star = StarBench::new(scale);
+    let sw = PairwiseBench::sw(runs.scale);
+    let nw = PairwiseBench::nw(runs.scale, true);
+    let star = StarBench::new(runs.scale);
     let cases: [(&dyn Benchmark, f64); 3] = [
         (&sw, best_seconds(|| sw.cpu_oracle())),
         (&nw, best_seconds(|| nw.cpu_oracle())),
@@ -248,21 +319,19 @@ pub fn fig2(scale: Scale) {
 }
 
 /// Figure 3: kernel execution time, CDP vs non-CDP.
-pub fn fig3(scale: Scale) {
+pub fn fig3(runs: &mut Runs) {
     println!("FIGURE 3: CDP vs non-CDP kernel execution time\n");
-    let config = GpuConfig::rtx3070();
+    let cycles = baseline_rows(runs, 1, |r| vec![r.kernel_cycles.to_string()]);
     let mut rows = Vec::new();
     let mut improvements = Vec::new();
-    for b in all_benchmarks(scale) {
-        let plain = b.run(&config, false);
-        let cdp = b.run(&config, true);
-        assert!(plain.verified && cdp.verified, "{}", b.abbrev());
-        let imp = 1.0 - cdp.kernel_cycles as f64 / plain.kernel_cycles as f64;
+    for pair in cycles.chunks(2) {
+        let [plain, cdp] = [&pair[0][1], &pair[1][1]].map(|c| c.parse::<f64>().expect(c));
+        let imp = 1.0 - cdp / plain;
         improvements.push(imp);
         rows.push(vec![
-            b.abbrev().to_string(),
-            format!("{}", plain.kernel_cycles),
-            format!("{}", cdp.kernel_cycles),
+            pair[0][0].clone(),
+            pair[0][1].clone(),
+            pair[1][1].clone(),
             format!("{:+.1}%", imp * 100.0),
         ]);
     }
@@ -284,10 +353,10 @@ pub fn fig3(scale: Scale) {
 }
 
 /// Figure 4: kernel/PCI invocation counts and times.
-pub fn fig4(scale: Scale) {
+pub fn fig4(runs: &mut Runs) {
     println!("FIGURE 4(a): kernel and PCI (cudaMemcpy) invocation counts");
     println!("FIGURE 4(b): total and average kernel / PCI time (cycles)\n");
-    let rows = baseline_rows(scale, |r| {
+    let rows = baseline_rows(runs, 6, |r| {
         let h = r.stats.host;
         vec![
             format!("{}", h.kernel_launches),
@@ -315,9 +384,9 @@ pub fn fig4(scale: Scale) {
 }
 
 /// Figure 5: pipeline-stall breakdown.
-pub fn fig5(scale: Scale) {
+pub fn fig5(runs: &mut Runs) {
     println!("FIGURE 5: pipeline stall breakdown (% of stall cycles)\n");
-    let rows = baseline_rows(scale, |r| {
+    let rows = baseline_rows(runs, StallReason::ALL.len(), |r| {
         let stalls = &r.stats.sm.stalls;
         StallReason::ALL
             .map(|reason| pct(stalls.fraction(reason)))
@@ -330,11 +399,11 @@ pub fn fig5(scale: Scale) {
 }
 
 /// Figure 6: SRAM utilization.
-pub fn fig6(scale: Scale) {
+pub fn fig6(runs: &mut Runs) {
     println!("FIGURE 6: utilization of SRAM structures (% of capacity)\n");
     let sm = GpuConfig::rtx3070().sm;
     let mut rows = Vec::new();
-    for b in all_benchmarks(scale) {
+    for b in runs.benches() {
         let u = sram_usage(b.as_ref(), &sm);
         rows.push(vec![
             b.abbrev().to_string(),
@@ -353,7 +422,7 @@ pub fn fig6(scale: Scale) {
 }
 
 /// Figure 7: NW and PairHMM with vs without shared memory.
-pub fn fig7(scale: Scale) {
+pub fn fig7(runs: &mut Runs) {
     println!("FIGURE 7: execution time without shared memory, normalized to with shared memory\n");
     let config = GpuConfig::rtx3070();
     let run = |b: &dyn Benchmark| {
@@ -361,6 +430,7 @@ pub fn fig7(scale: Scale) {
         assert!(r.verified);
         r.kernel_cycles as f64
     };
+    let scale = runs.scale;
     let nw = |smem| PairwiseBench::nw(scale, smem);
     let phmm = |smem| ggpu_kernels::pairhmm::PairHmmBench::new(scale, smem);
     let rows = vec![
@@ -377,9 +447,9 @@ pub fn fig7(scale: Scale) {
 }
 
 /// Figure 8: instruction-type distribution.
-pub fn fig8(scale: Scale) {
+pub fn fig8(runs: &mut Runs) {
     println!("FIGURE 8: distribution of instruction types (% of issued instructions)\n");
-    let rows = baseline_rows(scale, |r| {
+    let rows = baseline_rows(runs, InstrClass::ALL.len(), |r| {
         InstrClass::ALL
             .map(|c| pct(r.stats.sm.class_fraction(c)))
             .to_vec()
@@ -388,9 +458,9 @@ pub fn fig8(scale: Scale) {
 }
 
 /// Figure 9: memory-instruction space distribution.
-pub fn fig9(scale: Scale) {
+pub fn fig9(runs: &mut Runs) {
     println!("FIGURE 9: distribution of memory instruction types (% of memory instructions)\n");
-    let rows = baseline_rows(scale, |r| {
+    let rows = baseline_rows(runs, Space::ALL.len(), |r| {
         Space::ALL
             .map(|s| pct(r.stats.sm.space_fraction(s)))
             .to_vec()
@@ -406,9 +476,9 @@ pub fn fig9(scale: Scale) {
 }
 
 /// Figure 10: warp-occupancy histogram (8 buckets of 4 lanes).
-pub fn fig10(scale: Scale) {
+pub fn fig10(runs: &mut Runs) {
     println!("FIGURE 10: warp occupancy (% of issues per active-lane bucket)\n");
-    let rows = baseline_rows(scale, |r| {
+    let rows = baseline_rows(runs, 8, |r| {
         (0..8u32)
             .map(|bucket| {
                 pct(r
@@ -428,63 +498,38 @@ pub fn fig10(scale: Scale) {
     .emit();
 }
 
-/// Generic sweep: per-benchmark speedup (baseline kernel cycles / config
-/// kernel cycles) for a list of named configurations. A cell whose kernel
-/// cannot be resident under its configuration (no SM can hold one CTA, so
-/// the launch would be refused) reads `n/a`, as does its row's speedup
-/// when the baseline is such a cell.
-fn sweep(scale: Scale, configs: &[(String, GpuConfig)], baseline_idx: usize) -> Vec<Vec<String>> {
-    let benches = all_benchmarks(scale);
-    let variants = benches.iter().flat_map(|b| [(b, false), (b, true)]);
-    variant_labels()
-        .into_iter()
-        .zip(variants)
-        .map(|(label, (b, cdp))| {
-            let cycles: Vec<Option<u64>> = configs
-                .iter()
-                .map(|(_, config)| {
-                    let resident = sram_usage(b.as_ref(), &config.sm).resident_ctas > 0;
-                    resident.then(|| {
-                        let r = b.run(config, cdp);
-                        assert!(r.verified, "{label} failed functional validation");
-                        r.kernel_cycles.max(1)
-                    })
-                })
-                .collect();
-            let cells = cycles.iter().map(|&c| match (cycles[baseline_idx], c) {
-                (Some(base), Some(c)) => format!("{:.3}", base as f64 / c as f64),
-                _ => "n/a".to_string(),
-            });
-            std::iter::once(label).chain(cells).collect()
-        })
-        .collect()
+/// A configuration list with its column names.
+type Named = Vec<(String, GpuConfig)>;
+
+/// The header row (`Bench`, then each configuration's name) and the
+/// configurations of `named`.
+fn split(named: Named) -> (Vec<String>, Vec<GpuConfig>) {
+    let (names, configs): (Vec<String>, _) = named.into_iter().unzip();
+    (
+        std::iter::once("Bench".into()).chain(names).collect(),
+        configs,
+    )
 }
 
-/// Header row of a configuration sweep: `Bench` then one column per config.
-fn sweep_headers(configs: &[(String, GpuConfig)]) -> Vec<String> {
-    let mut headers = vec!["Bench".to_string()];
-    headers.extend(configs.iter().map(|(n, _)| n.clone()));
-    headers
-}
-
-/// Run [`sweep`] and emit it as table `name`.
-fn emit_sweep(name: &str, scale: Scale, configs: &[(String, GpuConfig)], baseline_idx: usize) {
-    let rows = sweep(scale, configs, baseline_idx);
-    Table::new(name, sweep_headers(configs), rows).emit();
+/// Emit the [`speedup`] sweep over `named` as table `name`.
+fn emit_sweep(runs: &mut Runs, name: &str, named: Named, base: usize) {
+    let (headers, configs) = split(named);
+    let rows = sweep(runs, &configs, base, 1, speedup);
+    Table::new(name, headers, rows).emit();
 }
 
 /// Figure 11: CTA-per-core scaling (25/50/100/150/200% of resources).
-pub fn fig11(scale: Scale) {
+pub fn fig11(runs: &mut Runs) {
     println!("FIGURE 11: speedup when scaling SM resources (CTAs/threads/regs/smem)\n");
-    let configs: Vec<(String, GpuConfig)> = [25u32, 50, 100, 150, 200]
+    let configs = [25u32, 50, 100, 150, 200]
         .iter()
         .map(|&p| (format!("{p}%"), GpuConfig::rtx3070().with_cta_scale(p)))
         .collect();
-    emit_sweep("fig11", scale, &configs, 2);
+    emit_sweep(runs, "fig11", configs, 2);
 }
 
 /// The cache-size sweep shared by Figures 12-14.
-fn cache_configs() -> Vec<(String, GpuConfig)> {
+fn cache_configs() -> Named {
     [
         ("0K+128K", 0u64, 128 * 1024u64),
         ("32K+512K", 32 * 1024, 512 * 1024),
@@ -504,55 +549,39 @@ fn cache_configs() -> Vec<(String, GpuConfig)> {
 }
 
 /// Figure 12: speedup across cache configurations (baseline 128K+4M).
-pub fn fig12(scale: Scale) {
+pub fn fig12(runs: &mut Runs) {
     println!("FIGURE 12: speedup vs cache sizes (normalized to 128KB L1 + 4MB L2)\n");
-    let configs = cache_configs();
-    emit_sweep("fig12", scale, &configs, 2);
+    emit_sweep(runs, "fig12", cache_configs(), 2);
 }
 
 /// Figures 13 and 14: L1 and L2 miss rates across the cache sweep.
-pub fn fig13_14(scale: Scale) {
+pub fn fig13_14(runs: &mut Runs) {
     println!("FIGURE 13/14: L1 and L2 miss rates (%) across cache configurations\n");
-    let configs = cache_configs();
-    let labels = variant_labels();
-    let mut l1_rows: Vec<Vec<String>> = labels.iter().map(|l| vec![l.clone()]).collect();
-    let mut l2_rows = l1_rows.clone();
-    for (_, config) in &configs {
-        let results = run_all_variants(scale, config);
-        check(&results);
-        for (i, (_, r)) in results.iter().enumerate() {
-            l1_rows[i].push(pct(r.stats.l1.miss_rate()));
-            l2_rows[i].push(pct(r.stats.l2.miss_rate()));
-        }
-    }
-    let headers = sweep_headers(&configs);
+    let (headers, configs) = split(cache_configs());
+    let l1 = sweep(runs, &configs, 2, 1, |r, _| {
+        vec![pct(r.stats.l1.miss_rate())]
+    });
+    let l2 = sweep(runs, &configs, 2, 1, |r, _| {
+        vec![pct(r.stats.l2.miss_rate())]
+    });
     println!("L1 miss rate (Figure 13):");
-    Table::new("fig13", headers.clone(), l1_rows).emit();
+    Table::new("fig13", headers.clone(), l1).emit();
     println!("L2 miss rate (Figure 14):");
-    Table::new("fig14", headers, l2_rows).emit();
+    Table::new("fig14", headers, l2).emit();
 }
 
 /// Figure 15: perfect-memory speedup.
-pub fn fig15(scale: Scale) {
+pub fn fig15(runs: &mut Runs) {
     println!("FIGURE 15: speedup with a perfect (zero-latency) memory system\n");
-    let base = GpuConfig::rtx3070();
     let mut perfect = GpuConfig::rtx3070();
     perfect.sm.perfect_memory = true;
-    let configs = vec![
-        ("baseline".to_string(), base),
-        ("perfect".to_string(), perfect),
-    ];
-    let rows = sweep(scale, &configs, 0);
-    let mut avg = 0.0;
-    for row in &rows {
-        avg += row[2].parse::<f64>().unwrap_or(1.0);
-    }
-    let mut rows = rows;
-    rows.push(vec![
-        "AVG".into(),
-        String::new(),
-        format!("{:.3}", avg / variant_labels().len() as f64),
-    ]);
+    let mut rows = sweep(runs, &[GpuConfig::rtx3070(), perfect], 0, 1, speedup);
+    let avg = rows
+        .iter()
+        .map(|row| row[2].parse::<f64>().unwrap_or(1.0))
+        .sum::<f64>()
+        / rows.len() as f64;
+    rows.push(vec!["AVG".into(), String::new(), format!("{avg:.3}")]);
     Table::new(
         "fig15",
         ["Bench", "baseline", "perfect-memory speedup"],
@@ -562,7 +591,7 @@ pub fn fig15(scale: Scale) {
 }
 
 /// Figures 16-18: memory-controller sweep + DRAM efficiency/utilization.
-pub fn fig16_17_18(scale: Scale) {
+pub fn fig16_17_18(runs: &mut Runs) {
     println!("FIGURE 16: speedup per memory controller (vs FR-FCFS baseline)");
     println!("FIGURE 17: DRAM efficiency (%)   FIGURE 18: DRAM utilization (%)\n");
     let mk = |sched: DramScheduler| {
@@ -570,35 +599,17 @@ pub fn fig16_17_18(scale: Scale) {
         c.dram.scheduler = sched;
         c
     };
-    let configs = vec![
-        ("FR-FCFS".to_string(), mk(DramScheduler::FrFcfs)),
-        ("FIFO".to_string(), mk(DramScheduler::Fifo)),
-        ("OoO-128".to_string(), {
-            let mut c = mk(DramScheduler::OoO(128));
-            c.dram.queue_size = 128;
-            c
-        }),
-    ];
-    let labels = variant_labels();
-    let mut rows: Vec<Vec<String>> = labels.iter().map(|l| vec![l.clone()]).collect();
-    let mut base_cycles = vec![0u64; labels.len()];
-    for (ci, (_, config)) in configs.iter().enumerate() {
-        let results = run_all_variants(scale, config);
-        check(&results);
-        for (i, (_, r)) in results.iter().enumerate() {
-            if ci == 0 {
-                base_cycles[i] = r.kernel_cycles.max(1);
-            }
-            rows[i].push(format!(
-                "{:.3}",
-                base_cycles[i] as f64 / r.kernel_cycles.max(1) as f64
-            ));
-            rows[i].push(pct(r.stats.dram.efficiency()));
-            rows[i].push(pct(r.stats.dram_utilization()));
-        }
-    }
+    let mut ooo = mk(DramScheduler::OoO(128));
+    ooo.dram.queue_size = 128;
+    let configs = [mk(DramScheduler::FrFcfs), mk(DramScheduler::Fifo), ooo];
+    let rows = sweep(runs, &configs, 0, 3, |r, baseline| {
+        let mut cells = speedup(r, baseline);
+        cells.push(pct(r.stats.dram.efficiency()));
+        cells.push(pct(r.stats.dram_utilization()));
+        cells
+    });
     let mut headers = vec!["Bench".to_string()];
-    for (n, _) in &configs {
+    for n in ["FR-FCFS", "FIFO", "OoO-128"] {
         headers.push(format!("{n} spd"));
         headers.push(format!("{n} eff%"));
         headers.push(format!("{n} util%"));
@@ -607,7 +618,7 @@ pub fn fig16_17_18(scale: Scale) {
 }
 
 /// Figure 19: warp-scheduler sweep.
-pub fn fig19(scale: Scale) {
+pub fn fig19(runs: &mut Runs) {
     println!("FIGURE 19: scheduler performance (speedup vs LRR)\n");
     let mk = |policy: SchedPolicy| {
         let mut c = GpuConfig::rtx3070();
@@ -620,11 +631,11 @@ pub fn fig19(scale: Scale) {
         ("OLD".to_string(), mk(SchedPolicy::Old)),
         ("2LV".to_string(), mk(SchedPolicy::TwoLevel)),
     ];
-    emit_sweep("fig19", scale, &configs, 0);
+    emit_sweep(runs, "fig19", configs, 0);
 }
 
 /// Figure 20: interconnect-topology sweep.
-pub fn fig20(scale: Scale) {
+pub fn fig20(runs: &mut Runs) {
     println!("FIGURE 20: interconnect topology (speedup vs local crossbar)\n");
     let mk = |t: Topology| {
         let mut c = GpuConfig::rtx3070();
@@ -637,11 +648,11 @@ pub fn fig20(scale: Scale) {
         ("fattree".to_string(), mk(Topology::FatTree)),
         ("butterfly".to_string(), mk(Topology::Butterfly)),
     ];
-    emit_sweep("fig20", scale, &configs, 0);
+    emit_sweep(runs, "fig20", configs, 0);
 }
 
 /// Figure 21: mesh router-latency sweep.
-pub fn fig21(scale: Scale) {
+pub fn fig21(runs: &mut Runs) {
     println!("FIGURE 21: mesh network latency (+0/4/8/16 cycle router delay, speedup vs +0)\n");
     let mk = |delay: u64| {
         let mut c = GpuConfig::rtx3070();
@@ -649,15 +660,15 @@ pub fn fig21(scale: Scale) {
         c.icnt.router_delay = delay;
         c
     };
-    let configs: Vec<(String, GpuConfig)> = [0u64, 4, 8, 16]
+    let configs = [0u64, 4, 8, 16]
         .iter()
         .map(|&d| (format!("+{d}"), mk(d)))
         .collect();
-    emit_sweep("fig21", scale, &configs, 0);
+    emit_sweep(runs, "fig21", configs, 0);
 }
 
 /// Figure 22: mesh channel-bandwidth sweep.
-pub fn fig22(scale: Scale) {
+pub fn fig22(runs: &mut Runs) {
     println!("FIGURE 22: mesh channel bandwidth (flit bytes, speedup vs 40B)\n");
     let mk = |flit: u32| {
         let mut c = GpuConfig::rtx3070();
@@ -665,11 +676,11 @@ pub fn fig22(scale: Scale) {
         c.icnt.flit_bytes = flit;
         c
     };
-    let configs: Vec<(String, GpuConfig)> = [40u32, 32, 16, 8]
+    let configs = [40u32, 32, 16, 8]
         .iter()
         .map(|&f| (format!("{f}B"), mk(f)))
         .collect();
-    emit_sweep("fig22", scale, &configs, 0);
+    emit_sweep(runs, "fig22", configs, 0);
 }
 
 /// Ablation: design choices called out in DESIGN.md.
@@ -677,23 +688,22 @@ pub fn fig22(scale: Scale) {
 /// * Local-memory interleaving (warp-interleaved vs contiguous per-thread
 ///   arenas) on the local-memory-heavy GASAL2-LOCAL benchmark.
 /// * L1 caching of local stores (disable by shrinking L1 to zero).
-pub fn ablation(scale: Scale) {
+pub fn ablation(runs: &mut Runs) {
     println!("ABLATION: simulator design choices (GASAL2-LOCAL kernel cycles)\n");
-    let b = ggpu_core::benchmark(scale, "GL").expect("GL exists");
+    let gl = runs.benches().iter().position(|b| b.abbrev() == "GL");
+    let gl = gl.expect("GL exists");
     let base = GpuConfig::rtx3070();
     let mut no_interleave = GpuConfig::rtx3070();
     no_interleave.sm.interleave_local = false;
     let no_l1 = GpuConfig::rtx3070().with_cache_sizes(0, 4 * 1024 * 1024);
+    let r0 = runs.get(gl, false, &base);
     let mut rows = Vec::new();
-    let r0 = b.run(&base, false);
-    assert!(r0.verified);
     for (name, cfg) in [
         ("baseline (interleaved local, 128KB L1)", &base),
         ("contiguous per-thread local arenas", &no_interleave),
         ("no L1 (local stores uncached)", &no_l1),
     ] {
-        let r = b.run(cfg, false);
-        assert!(r.verified, "{name}");
+        let r = runs.get(gl, false, cfg);
         rows.push(vec![
             name.to_string(),
             format!("{}", r.kernel_cycles),
@@ -712,10 +722,10 @@ pub fn ablation(scale: Scale) {
 /// Extension: GASAL2 "with traceback" — the optional mode the paper lists
 /// but does not characterize. Compares kernel cycles of the score-only
 /// global aligner against the full-CIGAR traceback kernel.
-pub fn extension_traceback(scale: Scale) {
+pub fn extension_traceback(runs: &mut Runs) {
     println!("EXTENSION: GASAL2 global alignment with full-CIGAR traceback\n");
     let config = GpuConfig::rtx3070();
-    let bench = ggpu_kernels::traceback::TracebackBench::new(scale);
+    let bench = ggpu_kernels::traceback::TracebackBench::new(runs.scale);
     let score_only = bench.run_score_only(&config);
     let tb = bench.run(&config);
     assert!(score_only.verified && tb.verified);
@@ -737,6 +747,11 @@ pub fn extension_traceback(scale: Scale) {
     Table::new("extension", ["Kernel", "cycles", "relative"], rows).emit();
 }
 
+/// The profile a profiled run carries.
+fn profile_of(r: &BenchResult) -> &ProfileReport {
+    r.profile.as_deref().expect("profiling enabled by config")
+}
+
 /// Observability mode (`--json` / `--trace`): run every benchmark in both
 /// non-CDP and CDP variants with interval sampling and event tracing
 /// enabled, print a per-variant profile summary, and export the raw
@@ -749,36 +764,23 @@ pub fn extension_traceback(scale: Scale) {
 ///
 /// Both documents are re-parsed with [`Json::parse`] before being written,
 /// so an export that reaches disk is well-formed by construction.
-pub fn profile(scale: Scale, write_json: bool, write_trace: bool) {
+pub fn profile(runs: &mut Runs, write_json: bool, write_trace: bool) {
     println!("PROFILE: time-resolved per-kernel records, interval samples, event trace\n");
     let mut config = GpuConfig::rtx3070();
     config.sample_interval_cycles = 20_000;
     config.trace = true;
-    let mut profiles: Vec<(String, ProfileReport)> = Vec::new();
-    let mut rows = Vec::new();
-    for b in all_benchmarks(scale) {
-        for cdp in [false, true] {
-            let label = if cdp {
-                format!("{}-CDP", b.abbrev())
-            } else {
-                b.abbrev().to_string()
-            };
-            let r = b.run(&config, cdp);
-            assert!(r.verified, "{label} failed functional validation");
-            let p = *r.profile.expect("profiling enabled by config");
-            let children = p.kernels.iter().filter(|k| k.is_cdp_child()).count();
-            rows.push(vec![
-                label.clone(),
-                format!("{}", p.kernels.len()),
-                format!("{children}"),
-                format!("{}", p.samples.len()),
-                format!("{}", p.events.len()),
-                format!("{}", p.dropped_total()),
-                format!("{:.3}", p.stats.ipc()),
-            ]);
-            profiles.push((label, p));
-        }
-    }
+    let rows = sweep(runs, std::slice::from_ref(&config), 0, 6, |r, _| {
+        let p = profile_of(r);
+        let children = p.kernels.iter().filter(|k| k.is_cdp_child()).count();
+        vec![
+            format!("{}", p.kernels.len()),
+            format!("{children}"),
+            format!("{}", p.samples.len()),
+            format!("{}", p.events.len()),
+            format!("{}", p.dropped_total()),
+            format!("{:.3}", p.stats.ipc()),
+        ]
+    });
     Table::new(
         "profile",
         [
@@ -793,11 +795,16 @@ pub fn profile(scale: Scale, write_json: bool, write_trace: bool) {
         rows,
     )
     .emit();
-    let tag = scale.tag();
+    let profiles: Vec<(String, Rc<BenchResult>)> = runs
+        .variants()
+        .into_iter()
+        .map(|(bench, cdp, label)| (label, runs.get(bench, cdp, &config)))
+        .collect();
+    let tag = runs.scale.tag();
     if write_json {
         let doc = JsonWriter::object(|w| {
-            for (label, p) in &profiles {
-                w.raw(label, &p.to_json());
+            for (label, r) in &profiles {
+                w.raw(label, &profile_of(r).to_json());
             }
         });
         write_json_doc(&format!("profile_{tag}"), &doc);
@@ -805,7 +812,7 @@ pub fn profile(scale: Scale, write_json: bool, write_trace: bool) {
     if write_trace {
         let logs: Vec<(String, &[TraceEvent])> = profiles
             .iter()
-            .map(|(label, p)| (label.clone(), p.events.as_slice()))
+            .map(|(label, r)| (label.clone(), profile_of(r).events.as_slice()))
             .collect();
         let doc = chrome_trace_json(&logs, config.clock_ghz);
         if let Some(path) = write_json_doc(&format!("trace_{tag}"), &doc) {
@@ -817,8 +824,8 @@ pub fn profile(scale: Scale, write_json: bool, write_trace: bool) {
     }
 }
 
-/// One experiment: its name and the function regenerating it.
-pub type Experiment = (&'static str, fn(Scale));
+/// One experiment: its name and the function formatting it from the ledger.
+pub type Experiment = (&'static str, fn(&mut Runs));
 
 /// Every experiment in paper order — the one table both `all` and name
 /// lookup go through.
@@ -846,30 +853,42 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("fig22", fig22),
     ("ablation", ablation),
     ("extension", extension_traceback),
-    ("profile", |scale| profile(scale, true, true)),
+    ("profile", |runs| profile(runs, true, true)),
 ];
 
-/// Run a named experiment (an [`EXPERIMENTS`] name, a single figure number
-/// of a combined experiment such as `fig13`, or `all`). An unknown name
-/// runs nothing and is returned as the error message.
-pub fn run(name: &str, scale: Scale) -> Result<(), String> {
-    if name == "all" {
-        for (n, f) in EXPERIMENTS {
-            println!("\n=== {n} ===\n");
-            f(scale);
+/// Run the experiments `names` select — [`EXPERIMENTS`] names, a single
+/// figure of a combined experiment such as `fig13`, or `all` — over one
+/// ledger at `scale`, after the [`profile`] export when `json` or `trace`
+/// asks for it. Every name is resolved first: an unknown one runs nothing
+/// and is returned as the error message.
+pub fn run(names: &[String], scale: Scale, json: bool, trace: bool) -> Result<(), String> {
+    let mut todo = Vec::new();
+    for name in names {
+        if name == "all" {
+            todo.extend(EXPERIMENTS.iter().map(|e| (true, e)));
+            continue;
         }
-        return Ok(());
+        let canonical = match name.as_str() {
+            "fig13" | "fig14" => "fig13_14",
+            "fig16" | "fig17" | "fig18" => "fig16_17_18",
+            n => n,
+        };
+        let e = EXPERIMENTS
+            .iter()
+            .find(|(n, _)| *n == canonical)
+            .ok_or_else(|| format!("unknown experiment: {name}"))?;
+        todo.push((false, e));
     }
-    let canonical = match name {
-        "fig13" | "fig14" => "fig13_14",
-        "fig16" | "fig17" | "fig18" => "fig16_17_18",
-        n => n,
-    };
-    let (_, f) = EXPERIMENTS
-        .iter()
-        .find(|(n, _)| *n == canonical)
-        .ok_or_else(|| format!("unknown experiment: {name}"))?;
-    f(scale);
+    let mut runs = Runs::new(scale);
+    if json || trace {
+        profile(&mut runs, json, trace);
+    }
+    for (banner, (name, f)) in todo {
+        if banner {
+            println!("\n=== {name} ===\n");
+        }
+        f(&mut runs);
+    }
     Ok(())
 }
 
@@ -884,7 +903,8 @@ mod tests {
             .smem_per_cta;
         let mut config = GpuConfig::test_small();
         config.sm.smem_bytes = need - 1;
-        let rows = sweep(Scale::Tiny, &[("smem".to_string(), config)], 0);
+        let mut runs = Runs::new(Scale::Tiny);
+        let rows = sweep(&mut runs, &[config], 0, 1, speedup);
         let cell = |label: &str| {
             let row = rows.iter().find(|r| r[0] == label).expect(label);
             row[1].clone()
@@ -892,5 +912,39 @@ mod tests {
         assert_eq!(cell("NW"), "n/a");
         assert_eq!(cell("NW-CDP"), "n/a");
         assert_eq!(cell("SW"), "1.000");
+        let simulated = rows.iter().filter(|r| r[1] != "n/a").count();
+        assert_eq!(runs.results.len(), simulated, "an n/a cell was simulated");
+    }
+
+    #[test]
+    fn sweeps_that_share_a_config_simulate_it_once() {
+        let small = GpuConfig::test_small();
+        let mut fifo = small.clone();
+        fifo.dram.scheduler = DramScheduler::Fifo;
+        let mut gto = small.clone();
+        gto.sm.policy = SchedPolicy::Gto;
+        // Two cheap benchmarks keep this a unit test; the ledger does not
+        // care how many it holds.
+        let mut runs = Runs::new(Scale::Tiny);
+        runs.benches = Some(vec![
+            Box::new(PairwiseBench::sw(Scale::Tiny)),
+            Box::new(PairwiseBench::gasal_global(Scale::Tiny)),
+        ]);
+        let cycles = |r: &BenchResult, _: &BenchResult| vec![r.kernel_cycles.to_string()];
+        let a = sweep(&mut runs, &[small.clone(), fifo], 0, 1, cycles);
+        let b = sweep(&mut runs, &[gto, small], 1, 1, cycles);
+        assert_eq!(runs.results.len(), 4 * 3, "one entry per (variant, config)");
+        for (i, (b1, c1, cfg1, _)) in runs.results.iter().enumerate() {
+            for (b2, c2, cfg2, _) in &runs.results[..i] {
+                assert!(
+                    (b1, c1, cfg1) != (b2, c2, cfg2),
+                    "a key was simulated twice"
+                );
+            }
+        }
+        for (a, b) in a.iter().zip(&b) {
+            assert_eq!(a[0], b[0]);
+            assert_eq!(a[1], b[2], "{}: the shared column differs", a[0]);
+        }
     }
 }

@@ -140,16 +140,28 @@ fn scaling_smoke_artifacts_have_the_expected_shape() {
 }
 
 /// An unknown experiment name is an error (exit status 2), not a printed
-/// warning followed by success.
+/// warning followed by success — and it is refused before anything runs,
+/// wherever it stands among the names and flags.
 #[test]
 fn figures_exits_2_on_an_unknown_experiment() {
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["fig99", "--scale", "tiny"])
-        .output()
-        .expect("spawn figures");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown experiment: fig99"), "{stderr}");
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("unknown-experiment");
+    let _ = std::fs::remove_dir_all(&dir);
+    for args in [
+        "fig99 --scale tiny",
+        "fig3 fig99 --scale tiny",
+        "--json fig99 --scale small",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args.split(' '))
+            .env("GGPU_RESULTS_DIR", &dir)
+            .output()
+            .expect("spawn figures");
+        assert_eq!(out.status.code(), Some(2), "{args}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown experiment: fig99"), "{stderr}");
+        assert!(out.stdout.is_empty(), "figures {args} ran before refusing");
+    }
+    assert!(!dir.exists(), "a refused invocation wrote results");
 }
 
 /// Every harness binary answers an argument it does not understand — an

@@ -10,7 +10,7 @@
 //! fault-injection deadlock, where the watchdog must fire at the exact same
 //! cycle whether or not the dead span leading up to it was fast-forwarded.
 
-use ggpu_core::{GpuConfig, RunStats, Scale, SuiteRunner};
+use ggpu_core::{benchmark, GpuConfig, RunStats, Scale};
 use ggpu_isa::{KernelBuilder, LaunchDims, Operand, Program, Space, Width};
 use ggpu_sim::{FaultPlan, Gpu, IntervalSample, KernelRecord, PcProfile, SimError, TraceEvent};
 
@@ -38,8 +38,9 @@ struct Observed {
 }
 
 fn run_bench(abbrev: &str, cdp: bool, fast_forward: bool) -> Observed {
-    let runner = SuiteRunner::new(Scale::Tiny).with_config(profiled_cfg(fast_forward));
-    let r = runner.run_one(abbrev, cdp);
+    let r = benchmark(Scale::Tiny, abbrev)
+        .expect(abbrev)
+        .run(&profiled_cfg(fast_forward), cdp);
     assert!(
         r.verified,
         "{abbrev} must verify at fast_forward={fast_forward}"

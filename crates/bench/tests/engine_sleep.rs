@@ -10,7 +10,7 @@
 //! equals the device's); and cycle counts, hang cycles and trace order are
 //! pinned to values taken from the commit before lanes could sleep.
 
-use ggpu_core::{GpuConfig, RunStats, Scale, SuiteRunner};
+use ggpu_core::{benchmark, GpuConfig, RunStats, Scale};
 use ggpu_isa::{KernelBuilder, KernelId, LaunchDims, Operand, Program, Space, Width};
 use ggpu_sim::{
     FaultPlan, Gpu, IntervalSample, KernelRecord, LaunchOptions, PcProfile, SimError, SmStats,
@@ -45,9 +45,7 @@ fn run_profiled(abbrev: &str, cdp: bool, fast_forward: bool) -> Observed {
     let mut cfg = baseline(fast_forward).with_attribution(true);
     cfg.trace = true;
     cfg.sample_interval_cycles = SAMPLE_INTERVAL;
-    let r = SuiteRunner::new(Scale::Tiny)
-        .with_config(cfg)
-        .run_one(abbrev, cdp);
+    let r = benchmark(Scale::Tiny, abbrev).expect(abbrev).run(&cfg, cdp);
     assert!(r.verified, "{abbrev} must verify: {}", r.detail);
     let p = *r.profile.expect("profiling was enabled");
     Observed {

@@ -23,7 +23,7 @@
 //!   change the model regenerates the table from the failure message and
 //!   says so.
 
-use ggpu_core::{GpuConfig, RunStats, Scale, SuiteRunner};
+use ggpu_core::{benchmark, GpuConfig, RunStats, Scale};
 use ggpu_icnt::Topology;
 use ggpu_mem::DramScheduler;
 
@@ -66,9 +66,9 @@ fn mode_cfg(mode: &str, fast_forward: bool) -> GpuConfig {
 }
 
 fn run(abbrev: &str, cdp: bool, mode: &str, fast_forward: bool) -> (RunStats, u64) {
-    let r = SuiteRunner::new(Scale::Tiny)
-        .with_config(mode_cfg(mode, fast_forward))
-        .run_one(abbrev, cdp);
+    let r = benchmark(Scale::Tiny, abbrev)
+        .expect(abbrev)
+        .run(&mode_cfg(mode, fast_forward), cdp);
     assert!(r.verified, "{abbrev} cdp={cdp} {mode} ff={fast_forward}");
     (r.stats, r.kernel_cycles)
 }

@@ -19,7 +19,7 @@
 //!   to keep results reads the same numbers; one that is meant to change the
 //!   model regenerates the table from the failure message and says so.
 
-use ggpu_core::{GpuConfig, RunStats, Scale, SuiteRunner};
+use ggpu_core::{benchmark, GpuConfig, RunStats, Scale};
 use ggpu_sim::PcProfile;
 use ggpu_sm::{SchedPolicy, StallReason};
 
@@ -44,9 +44,9 @@ fn mode_cfg(mode: &str, fast_forward: bool) -> GpuConfig {
 }
 
 fn run(abbrev: &str, cdp: bool, mode: &str, fast_forward: bool) -> (RunStats, u64, PcProfile) {
-    let r = SuiteRunner::new(Scale::Tiny)
-        .with_config(mode_cfg(mode, fast_forward))
-        .run_one(abbrev, cdp);
+    let r = benchmark(Scale::Tiny, abbrev)
+        .expect(abbrev)
+        .run(&mode_cfg(mode, fast_forward), cdp);
     assert!(r.verified, "{abbrev} cdp={cdp} {mode} ff={fast_forward}");
     let pc = r.profile.expect("attribution was on").pc;
     (r.stats, r.kernel_cycles, pc.expect("attribution was on"))

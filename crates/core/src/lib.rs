@@ -2,19 +2,21 @@
 //!
 //! The public API a downstream user drives the suite through:
 //!
-//! * [`SuiteRunner`] — run any subset of the ten benchmarks (CDP and
-//!   non-CDP) on a configurable simulated GPU and collect [`RunStats`].
+//! * [`all_benchmarks`] / [`benchmark`] — the ten benchmarks; each
+//!   [`Benchmark::run`] simulates one (CDP or non-CDP) on a configurable
+//!   simulated GPU and verifies it against its CPU oracle.
 //! * [`sram_usage`] — the Figure 6 SRAM-utilization computation from
 //!   static kernel resources and the occupancy rules.
-//! * Re-exports of the benchmark registry, the simulator configuration
-//!   space (Tables I and II) and the underlying crates.
+//! * Re-exports of the simulator configuration space (Tables I and II) and
+//!   the underlying crates.
 //!
 //! ```no_run
-//! use ggpu_core::{Scale, SuiteRunner};
+//! use ggpu_core::{all_benchmarks, GpuConfig, Scale};
 //!
-//! let runner = SuiteRunner::new(Scale::Tiny);
-//! for (name, result) in runner.run_all(false) {
-//!     println!("{name}: IPC {:.2}", result.stats.ipc());
+//! let config = GpuConfig::rtx3070();
+//! for b in all_benchmarks(Scale::Tiny) {
+//!     let result = b.run(&config, false);
+//!     println!("{}: IPC {:.2}", b.abbrev(), result.stats.ipc());
 //!     assert!(result.verified);
 //! }
 //! ```
@@ -44,83 +46,6 @@ pub fn benchmark(scale: Scale, abbrev: &str) -> Option<Box<dyn Benchmark>> {
         .into_iter()
         .find(|b| b.abbrev() == abbrev)
 }
-
-/// Convenience driver for running benchmark sets under one configuration.
-#[derive(Debug, Clone)]
-pub struct SuiteRunner {
-    scale: Scale,
-    config: GpuConfig,
-}
-
-impl SuiteRunner {
-    /// Runner at `scale` with the RTX 3070 baseline configuration.
-    pub fn new(scale: Scale) -> Self {
-        SuiteRunner {
-            scale,
-            config: GpuConfig::rtx3070(),
-        }
-    }
-
-    /// Replace the GPU configuration (for the paper's sweeps).
-    pub fn with_config(mut self, config: GpuConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GpuConfig {
-        &self.config
-    }
-
-    /// The active scale.
-    pub fn scale(&self) -> Scale {
-        self.scale
-    }
-
-    /// Run every benchmark; returns `(abbrev, result)` pairs in Table III
-    /// order.
-    pub fn run_all(&self, cdp: bool) -> Vec<(&'static str, BenchResult)> {
-        all_benchmarks(self.scale)
-            .iter()
-            .map(|b| (b.abbrev(), b.run(&self.config, cdp)))
-            .collect()
-    }
-
-    /// Run one benchmark by abbreviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `abbrev` is not one of [`BENCHMARKS`].
-    pub fn run_one(&self, abbrev: &str, cdp: bool) -> BenchResult {
-        self.try_run_one(abbrev, cdp)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Run one benchmark by abbreviation, reporting an unknown abbreviation
-    /// as an error instead of panicking.
-    pub fn try_run_one(&self, abbrev: &str, cdp: bool) -> Result<BenchResult, UnknownBenchmark> {
-        benchmark(self.scale, abbrev)
-            .ok_or_else(|| UnknownBenchmark(abbrev.to_string()))
-            .map(|b| b.run(&self.config, cdp))
-    }
-}
-
-/// A benchmark abbreviation that is not in [`BENCHMARKS`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownBenchmark(pub String);
-
-impl std::fmt::Display for UnknownBenchmark {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown benchmark `{}` (expected one of {})",
-            self.0,
-            BENCHMARKS.join(", ")
-        )
-    }
-}
-
-impl std::error::Error for UnknownBenchmark {}
 
 /// SRAM utilization of one benchmark (Figure 6): the fraction of each
 /// on-chip SRAM structure occupied by the concurrently resident CTAs.
@@ -227,22 +152,6 @@ mod tests {
         let nvb = benchmark(Scale::Tiny, "NvB").unwrap().table3();
         assert_eq!(nvb.grid, (2048, 1, 1));
         assert_eq!(nvb.cta, (256, 1, 1));
-    }
-
-    #[test]
-    fn runner_runs_one() {
-        let runner = SuiteRunner::new(Scale::Tiny).with_config(GpuConfig::test_small());
-        let r = runner.run_one("SW", false);
-        assert!(r.verified);
-    }
-
-    #[test]
-    fn try_run_one_reports_unknown_benchmark() {
-        let runner = SuiteRunner::new(Scale::Tiny).with_config(GpuConfig::test_small());
-        let e = runner.try_run_one("XXX", false).unwrap_err();
-        assert_eq!(e, UnknownBenchmark("XXX".to_string()));
-        assert!(e.to_string().contains("unknown benchmark `XXX`"));
-        assert!(runner.try_run_one("NW", false).is_ok());
     }
 
     #[test]
