@@ -13,8 +13,8 @@
 use ggpu_core::{benchmark, GpuConfig, RunStats, Scale};
 use ggpu_isa::{KernelBuilder, KernelId, LaunchDims, Operand, Program, Space, Width};
 use ggpu_sim::{
-    FaultPlan, Gpu, IntervalSample, KernelRecord, LaunchOptions, PcProfile, SimError, SmStats,
-    StreamId, TraceEvent, TraceEventKind, UnitProfile,
+    DevicePtr, FaultPlan, Gpu, IntervalSample, KernelRecord, LaunchOptions, PcProfile, SimError,
+    SmStats, StreamId, TraceEvent, TraceEventKind, UnitProfile,
 };
 
 /// `fast_forward` settings; the first entry is the reference.
@@ -541,4 +541,323 @@ fn a_deep_same_shape_child_queue_dispatches_in_the_unmemoised_order() {
             }
         }
     }
+}
+
+// ---- parked lanes ----------------------------------------------------------------------
+//
+// With the L1 off every load crosses the NoC, so the memory system has an
+// event on almost every cycle and vetoes the device-wide jump. A lane whose
+// warps all wait — on a fill, an ALU operand, a branch window or a child
+// grid — is then parked while the clock ticks past it, and credited when
+// it resumes or a counter is read. Each row below lands one of the events
+// that must reach a parked lane (a sample boundary, a deadline kill, a
+// watchdog kill, a child grid's retire, a CTA dispatch) and holds every
+// observable `==` with `fast_forward` off, where nothing parks.
+
+/// Interval-sample period of the parking rows: short enough that most
+/// boundaries land on parked lanes.
+const PARKED_SAMPLE_INTERVAL: u64 = 50;
+
+fn no_l1(fast_forward: bool) -> GpuConfig {
+    let mut cfg = GpuConfig::test_small()
+        .with_cache_sizes(0, 4 << 20)
+        .with_fast_forward(fast_forward)
+        .with_attribution(true)
+        .with_kernel_records(true);
+    cfg.trace = true;
+    cfg.sample_interval_cycles = PARKED_SAMPLE_INTERVAL;
+    cfg
+}
+
+/// Everything a parking row compares.
+#[derive(Debug, PartialEq)]
+struct Parking {
+    cycle: u64,
+    stats: RunStats,
+    kernels: Vec<KernelRecord>,
+    samples: Vec<IntervalSample>,
+    events: Vec<TraceEvent>,
+    pc: Option<PcProfile>,
+    units: UnitProfile,
+}
+
+fn observe(gpu: &mut Gpu) -> Parking {
+    let p = gpu.take_profile();
+    Parking {
+        cycle: gpu.cycle(),
+        stats: p.stats,
+        kernels: p.kernels,
+        samples: p.samples,
+        events: p.events,
+        pc: p.pc,
+        units: p.units,
+    }
+}
+
+/// Words each `chase` thread owns in the input buffer (one 128 B line).
+const CHASE_STRIDE: u64 = 16;
+/// Threads per `chase` CTA: two warps.
+const CHASE_THREADS: u32 = 64;
+
+struct ParkingKernels {
+    /// `out[tid] = Σ_{i < iters} in[tid·16 + i]`: a warp-wide load per
+    /// iteration, one line per lane, each sum waiting on its fill.
+    chase: KernelId,
+    /// One thread launches `chase` as a child grid of `param 2` CTAs over the
+    /// param block at `param 0`, waits for it, then stores 1 at `param 1`.
+    waiter: KernelId,
+}
+
+fn parking_program() -> (Program, ParkingKernels) {
+    let mut p = Program::new();
+
+    let mut b = KernelBuilder::new("chase");
+    let (inp, out, iters) = (b.reg(), b.reg(), b.reg());
+    b.ld_param(inp, 0);
+    b.ld_param(out, 1);
+    b.ld_param(iters, 2);
+    let tid = b.global_tid();
+    let acc = b.reg();
+    b.mov(acc, Operand::imm(0));
+    b.for_range(Operand::imm(0), Operand::reg(iters), 1, |b, i| {
+        let a = b.reg();
+        b.imul(a, tid, Operand::imm(CHASE_STRIDE as i64));
+        b.iadd(a, a, Operand::reg(i));
+        b.imul(a, a, Operand::imm(8));
+        b.iadd(a, a, Operand::reg(inp));
+        let v = b.reg();
+        b.ld(Space::Global, Width::B64, v, a, 0);
+        b.iadd(acc, acc, Operand::reg(v));
+    });
+    let oa = b.reg();
+    b.imul(oa, tid, Operand::imm(8));
+    b.iadd(oa, oa, Operand::reg(out));
+    b.st(Space::Global, Width::B64, Operand::reg(acc), oa, 0);
+    b.exit();
+    let chase = p.add(b.finish());
+
+    let mut b = KernelBuilder::new("waiter");
+    let (block, flag, ctas) = (b.reg(), b.reg(), b.reg());
+    b.ld_param(block, 0);
+    b.ld_param(flag, 1);
+    b.ld_param(ctas, 2);
+    b.launch(
+        chase.0,
+        Operand::reg(ctas),
+        Operand::imm(CHASE_THREADS as i64),
+        block,
+        3,
+    );
+    b.dsync();
+    b.st(Space::Global, Width::B64, Operand::imm(1), flag, 0);
+    b.exit();
+    let waiter = p.add(b.finish());
+
+    (p, ParkingKernels { chase, waiter })
+}
+
+/// A `chase` launch's buffers: `inp[k] = k`, `out` zeroed.
+struct Chase {
+    inp: DevicePtr,
+    out: DevicePtr,
+    threads: u64,
+    iters: u64,
+}
+
+impl Chase {
+    fn new(gpu: &mut Gpu, ctas: u32, iters: u64) -> Self {
+        let threads = (ctas * CHASE_THREADS) as u64;
+        let words = threads * CHASE_STRIDE;
+        let inp = gpu.malloc(words * 8);
+        let bytes: Vec<u8> = (0..words).flat_map(u64::to_le_bytes).collect();
+        gpu.memcpy_h2d(inp, &bytes);
+        let out = gpu.malloc(threads * 8);
+        Chase {
+            inp,
+            out,
+            threads,
+            iters,
+        }
+    }
+
+    fn params(&self) -> [u64; 3] {
+        [self.inp.0, self.out.0, self.iters]
+    }
+
+    fn dims(&self) -> LaunchDims {
+        LaunchDims::linear((self.threads / CHASE_THREADS as u64) as u32, CHASE_THREADS)
+    }
+
+    fn assert_done(&self, gpu: &Gpu) {
+        for t in 0..self.threads {
+            let first = t * CHASE_STRIDE;
+            let want: u64 = (first..first + self.iters).sum();
+            assert_eq!(
+                gpu.memory().read_u64(self.out.offset(t * 8)),
+                want,
+                "thread {t}"
+            );
+        }
+    }
+}
+
+/// Run `row` with fast-forward off and on and demand `==` on what it
+/// observes; returns the fast-forward run's skipped cycles.
+fn parked_row(row: impl Fn(&mut Gpu, &ParkingKernels)) -> u64 {
+    let mut seen: Vec<(Parking, u64)> = Vec::new();
+    for &fast_forward in &ENGINES {
+        let (program, k) = parking_program();
+        let mut gpu = Gpu::new(program, no_l1(fast_forward));
+        row(&mut gpu, &k);
+        assert!(!gpu.busy());
+        seen.push((observe(&mut gpu), gpu.fast_forward_skipped_cycles()));
+    }
+    let (on, skipped) = seen.pop().expect("fast-forward run");
+    let (off, _) = seen.pop().expect("per-cycle run");
+    assert!(!off.samples.is_empty() && !off.kernels.is_empty());
+    // The per-cycle engine ticks every SM every cycle.
+    for unit in &off.units.sms {
+        assert_eq!(unit.stats.cycles, off.cycle, "SM {}", unit.sm);
+    }
+    assert_eq!(off, on, "fast_forward=true diverges");
+    skipped
+}
+
+#[test]
+fn sample_boundaries_on_parked_lanes_read_per_cycle_counters() {
+    // Cycles the engine that ticked every awake lane on every ticked cycle
+    // skipped here: parking moves no device-wide jump.
+    const SKIPPED: u64 = 1_928;
+    let skipped = parked_row(|gpu, k| {
+        let run = Chase::new(gpu, 4, 12);
+        gpu.run_kernel(k.chase, run.dims(), &run.params());
+        run.assert_done(gpu);
+    });
+    assert_eq!(skipped, SKIPPED);
+}
+
+#[test]
+fn a_deadline_kill_credits_parked_lanes_before_the_abort() {
+    parked_row(|gpu, k| {
+        let killed = Chase::new(gpu, 4, 12);
+        let survivor = Chase::new(gpu, 4, 4);
+        let s = gpu.create_stream();
+        let opts = LaunchOptions {
+            stream: s,
+            deadline: Some(1_500),
+        };
+        gpu.try_launch_on(k.chase, killed.dims(), &killed.params(), opts)
+            .expect("launch");
+        let opts = LaunchOptions {
+            stream: gpu.create_stream(),
+            deadline: None,
+        };
+        gpu.try_launch_on(k.chase, survivor.dims(), &survivor.params(), opts)
+            .expect("launch");
+        gpu.try_synchronize()
+            .expect("a non-default stream's overrun does not fail the sync");
+        let err = gpu.reset_stream(s).expect("the stream was faulted");
+        assert!(matches!(err, SimError::DeadlineExceeded { .. }), "{err}");
+        survivor.assert_done(gpu);
+    });
+}
+
+/// A `chase` grid whose reply number 40 (counting from 0) is dropped hangs
+/// until the watchdog kills it; the device is reset and runs `chase` again.
+/// Returns the hang and what the clean run observed.
+fn hang_then_clean(gpu: &mut Gpu, k: &ParkingKernels) -> (SimError, Parking) {
+    let hung = Chase::new(gpu, 4, 12);
+    let clean = Chase::new(gpu, 4, 12);
+    let err = gpu
+        .try_run_kernel(k.chase, hung.dims(), &hung.params())
+        .expect_err("the dropped reply hangs the grid");
+    gpu.reset_fault().expect("the hang was sticky");
+    gpu.reset_stats();
+    gpu.run_kernel(k.chase, clean.dims(), &clean.params());
+    clean.assert_done(gpu);
+    (err, observe(gpu))
+}
+
+fn hang_cfg(fast_forward: bool, drop_reply: Option<u64>) -> GpuConfig {
+    let mut cfg = no_l1(fast_forward).with_stream_isolation(true);
+    cfg.watchdog_cycles = 2_000;
+    cfg.fault_plan.drop_reply = drop_reply;
+    cfg
+}
+
+#[test]
+fn a_watchdog_kill_on_parked_lanes_leaves_a_device_as_good_as_new() {
+    // The same two grids on a device that drops nothing: the second grid's
+    // run is what recovery must reproduce.
+    let (program, k) = parking_program();
+    let mut fresh = Gpu::new(program, hang_cfg(false, None));
+    let first = Chase::new(&mut fresh, 4, 12);
+    let clean = Chase::new(&mut fresh, 4, 12);
+    fresh.run_kernel(k.chase, first.dims(), &first.params());
+    fresh.take_profile();
+    fresh.reset_stats();
+    fresh.run_kernel(k.chase, clean.dims(), &clean.params());
+    let fresh = observe(&mut fresh);
+
+    let mut seen = Vec::new();
+    for &fast_forward in &ENGINES {
+        let (program, k) = parking_program();
+        let mut gpu = Gpu::new(program, hang_cfg(fast_forward, Some(40)));
+        let (err, recovered) = hang_then_clean(&mut gpu, &k);
+        let SimError::Deadlock(report) = &err else {
+            panic!("expected a deadlock, got {err}");
+        };
+        assert_eq!(report.outstanding_requests, 1);
+        // The clean grid's own counters and records, the one window the
+        // reset opened, match a device that never hung.
+        assert_eq!(recovered.stats, fresh.stats, "fast_forward={fast_forward}");
+        assert_eq!(recovered.kernels.len(), 1);
+        assert_eq!(
+            recovered.kernels[0].stats, fresh.kernels[0].stats,
+            "fast_forward={fast_forward}"
+        );
+        assert_eq!(
+            recovered.units.sms, fresh.units.sms,
+            "fast_forward={fast_forward}"
+        );
+        seen.push((err, recovered));
+    }
+    assert_eq!(seen[0], seen[1], "fast_forward=true diverges");
+}
+
+/// `waiter` launches a `chase` child of `children` CTAs and waits for it.
+/// The waiter is CTA 0 on SM 0 and the child's CTAs dispatch from SM 1 on,
+/// so SM 0 is parked on `Dsync` unless a child CTA lands on it.
+fn cdp_row(children: u32) {
+    parked_row(|gpu, k| {
+        let child = Chase::new(gpu, children, 8);
+        let block = gpu.malloc(3 * 8);
+        let words: Vec<u8> = child
+            .params()
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        gpu.memcpy_h2d(block, &words);
+        let flag = gpu.malloc(8);
+        gpu.run_kernel(
+            k.waiter,
+            LaunchDims::linear(1, 1),
+            &[block.0, flag.0, children as u64],
+        );
+        child.assert_done(gpu);
+        assert_eq!(gpu.memory().read_u64(flag), 1);
+        assert_eq!(gpu.stats().sm.device_launches, 1);
+    });
+}
+
+#[test]
+fn a_parent_parked_on_dsync_is_released_by_its_childs_retire() {
+    // Three child CTAs fill SMs 1-3; SM 0 holds only the waiting parent.
+    cdp_row(3);
+}
+
+#[test]
+fn a_cta_dispatched_onto_a_parked_lane_runs_at_once() {
+    // The fourth child CTA is placed on SM 0, where the parent is parked.
+    cdp_row(4);
 }

@@ -234,11 +234,7 @@ pub struct Icnt {
     injected: Vec<u64>,
     /// Packets delivered per endpoint node (spatial attribution axis).
     delivered: Vec<u64>,
-    /// Mesh side length (router grid is side × side).
-    side: usize,
-    /// Butterfly: number of stages over `fly_n = 2^stages` endpoints.
-    stages: u32,
-    fly_n: usize,
+    router: Router,
 }
 
 impl Icnt {
@@ -294,9 +290,12 @@ impl Icnt {
             stats: IcntStats::default(),
             injected: vec![0; n_total],
             delivered: vec![0; n_total],
-            side,
-            stages,
-            fly_n,
+            router: Router {
+                topology: config.topology,
+                side,
+                stages,
+                fly_n,
+            },
         }
     }
 
@@ -368,21 +367,26 @@ impl Icnt {
     /// the delivery (tail arrival) time.
     pub fn send(&mut self, from: NodeId, to: NodeId, bytes: u32, now: u64) -> u64 {
         let flits = self.flits_for(bytes);
-        let path = self.route(from.0, to.0);
         let hop_latency = 1 + self.config.router_delay;
         let mut head = now;
         let mut queueing = 0;
         let mut last_serialize = 1;
-        for &link in &path {
-            let cap = self.link_capacity[link].max(1) as u64;
+        let Icnt {
+            links,
+            link_capacity,
+            stats,
+            ..
+        } = self;
+        self.router.walk(from.0, to.0, |link| {
+            let cap = link_capacity[link].max(1) as u64;
             let serialize = flits.div_ceil(cap);
-            let start = head.max(self.links[link]);
+            let start = head.max(links[link]);
             queueing += start - head;
-            self.links[link] = start + serialize;
+            links[link] = start + serialize;
             head = start + hop_latency;
             last_serialize = serialize;
-            self.stats.flits += flits;
-        }
+            stats.flits += flits;
+        });
         let arrival = head + last_serialize.saturating_sub(1);
         self.stats.packets += 1;
         self.injected[from.0] += 1;
@@ -394,65 +398,79 @@ impl Icnt {
 
     /// Hop count between two endpoints (path length in links).
     pub fn hops(&self, from: NodeId, to: NodeId) -> usize {
-        self.route(from.0, to.0).len()
+        let mut hops = 0;
+        self.router.walk(from.0, to.0, |_| hops += 1);
+        hops
     }
+}
 
-    fn route(&self, from: usize, to: usize) -> Vec<usize> {
-        match self.config.topology {
-            Topology::LocalXbar => vec![from * 2, to * 2 + 1],
+/// The topology's routing function: which links a packet crosses, in order.
+/// It holds only the geometry, so [`Icnt::send`] can walk a route while it
+/// updates the link horizons, and no route is ever stored.
+#[derive(Debug, Clone, Copy)]
+struct Router {
+    topology: Topology,
+    /// Mesh side length (router grid is side × side).
+    side: usize,
+    /// Butterfly: number of stages over `fly_n = 2^stages` endpoints.
+    stages: u32,
+    fly_n: usize,
+}
+
+impl Router {
+    /// Call `visit` with every link from endpoint `from` to endpoint `to`,
+    /// in the order the packet crosses them.
+    fn walk(&self, from: usize, to: usize, mut visit: impl FnMut(usize)) {
+        match self.topology {
+            Topology::LocalXbar => {
+                visit(from * 2);
+                visit(to * 2 + 1);
+            }
             Topology::Mesh => {
-                let mut path = Vec::with_capacity(8);
                 let inject_base = self.side * self.side * 4;
-                path.push(inject_base + from * 2);
+                visit(inject_base + from * 2);
                 let (mut x, mut y) = (from % self.side, from / self.side);
                 let (tx, ty) = (to % self.side, to / self.side);
                 // Dimension-order: x first, then y. Directions: 0=E,1=W,2=N,3=S.
                 while x != tx {
                     let cell = y * self.side + x;
                     if x < tx {
-                        path.push(cell * 4);
+                        visit(cell * 4);
                         x += 1;
                     } else {
-                        path.push(cell * 4 + 1);
+                        visit(cell * 4 + 1);
                         x -= 1;
                     }
                 }
                 while y != ty {
                     let cell = y * self.side + x;
                     if y < ty {
-                        path.push(cell * 4 + 2);
+                        visit(cell * 4 + 2);
                         y += 1;
                     } else {
-                        path.push(cell * 4 + 3);
+                        visit(cell * 4 + 3);
                         y -= 1;
                     }
                 }
-                path.push(inject_base + to * 2 + 1);
-                path
+                visit(inject_base + to * 2 + 1);
             }
             Topology::FatTree => {
-                // Heap leaves are fly_n + index.
-                let mut a = self.fly_n + from;
-                let mut b = self.fly_n + to;
-                let mut up = Vec::new();
-                let mut down = Vec::new();
-                while a != b {
-                    if a > b {
-                        up.push(a * 2); // up link from a
-                        a /= 2;
-                    } else {
-                        down.push(b * 2 + 1); // down link into b
-                        b /= 2;
-                    }
+                // Heap leaves are fly_n + index, all at one depth, so the
+                // nearest common ancestor is `levels` halvings above both.
+                let (a, b) = (self.fly_n + from, self.fly_n + to);
+                let levels = usize::BITS - (a ^ b).leading_zeros();
+                // Up links out of a and its ancestors below the meeting
+                // point, then down links into b's ancestors, top first.
+                for l in 0..levels {
+                    visit((a >> l) * 2);
                 }
-                down.reverse();
-                up.extend(down);
-                up
+                for l in (0..levels).rev() {
+                    visit((b >> l) * 2 + 1);
+                }
             }
             Topology::Butterfly => {
                 let inject_base = self.stages as usize * self.fly_n;
-                let mut path = Vec::with_capacity(self.stages as usize + 2);
-                path.push(inject_base + from * 2);
+                visit(inject_base + from * 2);
                 // Destination-tag routing: at stage s the switch corrects
                 // bit (stages-1-s) of the current position toward `to`.
                 let mut pos = from;
@@ -460,10 +478,9 @@ impl Icnt {
                     let bit = self.stages - 1 - s;
                     let want = (to >> bit) & 1;
                     pos = (pos & !(1 << bit)) | (want << bit);
-                    path.push(s as usize * self.fly_n + pos);
+                    visit(s as usize * self.fly_n + pos);
                 }
-                path.push(inject_base + to * 2 + 1);
-                path
+                visit(inject_base + to * 2 + 1);
             }
         }
     }
@@ -669,6 +686,35 @@ mod tests {
         assert_eq!(n.hops(n.src_node(0), n.src_node(1)), 2);
         let far = n.hops(n.src_node(0), n.dst_node(3));
         assert!(far >= 4);
+    }
+
+    #[test]
+    fn fat_tree_route_climbs_to_the_nearest_common_ancestor_and_back() {
+        // The route as a walk that halves the larger heap index until the
+        // two meet: up links on the way out, down links read top first.
+        let n = net(Topology::FatTree);
+        let reference = |from: usize, to: usize| {
+            let (mut a, mut b) = (n.router.fly_n + from, n.router.fly_n + to);
+            let (mut up, mut down) = (Vec::new(), Vec::new());
+            while a != b {
+                if a > b {
+                    up.push(a * 2);
+                    a /= 2;
+                } else {
+                    down.push(b * 2 + 1);
+                    b /= 2;
+                }
+            }
+            up.extend(down.into_iter().rev());
+            up
+        };
+        for from in 0..12 {
+            for to in 0..12 {
+                let mut walked = Vec::new();
+                n.router.walk(from, to, |l| walked.push(l));
+                assert_eq!(walked, reference(from, to), "{from} -> {to}");
+            }
+        }
     }
 
     #[test]

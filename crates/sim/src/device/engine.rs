@@ -10,9 +10,10 @@
 //! 1. **Pre** ([`Gpu::cycle_pre`]) — the memory system ticks (replies due
 //!    land in their SM's inbound port; `memsys.rs` has the order inside),
 //!    then CTAs dispatch — waking the lanes they land on.
-//! 2. **SM** (`Lanes::tick_awake`) — every *awake* lane ticks against a
-//!    *read-only* snapshot of device memory, writing only its own core
-//!    state and its own ports; stores and atomics go to a per-SM log.
+//! 2. **SM** (`Lanes::tick_awake`) — every *awake* lane that is not parked
+//!    ticks against a *read-only* snapshot of device memory, writing only
+//!    its own core state and its own ports; stores and atomics go to a
+//!    per-SM log.
 //! 3. **Post** ([`Gpu::cycle_post`]) — each awake lane's output, if it
 //!    produced any, is drained in SM-index order: deferred stores/atomics
 //!    commit to memory, requests are sent into the memory system, CDP
@@ -24,7 +25,12 @@
 //! A sleeping lane is visited by none of the three; what ticking it would
 //! have added to its counters is credited when it wakes or at a settle
 //! point — anything that reads counters mid-run, and every exit from
-//! `try_synchronize` / `tick` (DESIGN.md, "Sleeping SMs").
+//! `try_synchronize` / `tick` (DESIGN.md, "Sleeping SMs"). A *parked* lane
+//! (fast-forward only: resident warps, none of which can issue before a
+//! stored wake-up) is skipped by the SM phase until that wake-up or a
+//! reply; it is credited when it resumes, before dispatch, a child grid's
+//! retire or a kill touches its core, and at the same settle points, which
+//! pass the end of the current cycle (`cycle + 1`) to say how far.
 //!
 //! "Is anything still in flight" has one vocabulary —
 //! `MemSystem::is_idle`, `Lanes::{holds_work, outstanding_requests}`,
@@ -85,7 +91,7 @@ impl Gpu {
         self.last_progress = self.cycle;
         let result = self.run(start);
         // Counters read between runs are current.
-        self.lanes.settle();
+        self.lanes.settle(self.cycle + 1);
         let elapsed = self.cycle - start;
         self.host.kernel_cycles += elapsed;
         self.flush_sample();
@@ -185,7 +191,7 @@ impl Gpu {
             return;
         }
         self.step();
-        self.lanes.settle();
+        self.lanes.settle(self.cycle + 1);
     }
 
     /// Pre-SM phase: the memory system delivers what is due, then CTAs
@@ -345,7 +351,7 @@ impl Gpu {
         if self.config.sample_interval_cycles != 0
             && now.is_multiple_of(self.config.sample_interval_cycles)
         {
-            self.lanes.settle();
+            self.lanes.settle(now + 1);
             self.flush_sample();
         }
 
@@ -390,8 +396,10 @@ impl Gpu {
             // The default stream keeps CUDA's device-wide sticky semantics.
             self.fault = Some(err);
         }
-        // Sleeping lanes too: the abort also resets slot and warp free
-        // lists, which decide where the next CTA lands.
+        // Parked lanes are credited through this cycle before their warps
+        // go. Sleeping lanes are aborted too: the abort also resets slot and
+        // warp free lists, which decide where the next CTA lands.
+        self.lanes.unpark_all(self.cycle + 1);
         for lane in self.lanes.all_mut() {
             lane.core.abort_workload();
         }
@@ -416,7 +424,7 @@ impl Gpu {
         // boundary; otherwise the first record after recovery absorbs the
         // dead stream's counters.
         if self.profiling_enabled() {
-            self.lanes.settle();
+            self.lanes.settle(self.cycle + 1);
             self.record_base = self.stats();
         }
     }

@@ -33,7 +33,14 @@
 //!   below. Hence every warp's wait classification, and therefore the
 //!   per-scheduler stall record, is constant over the span and
 //!   [`ggpu_sm::SmCore::skip_cycles`] charges it once, through the routine
-//!   `tick` charges a single cycle with.
+//!   `tick` charges a single cycle with. The same argument holds for one
+//!   lane on its own, so the scan also **parks** each awake lane it asks
+//!   whose wake-up lies beyond `c0` ([`super::lanes`], "Parked lanes"),
+//!   whether or not another unit vetoes the jump: the SM phase then passes
+//!   it by until that wake-up or a reply. A parked lane answers the scan
+//!   with the wake-up it stored, which is what `next_wake` would return
+//!   again, and the scan stops at the first lane that must tick at `c0`,
+//!   as it did before lanes parked, so parking never moves a jump.
 //! * **Memory system** — `MemSystem::next_event` bounds `T` by the earliest
 //!   packet due (so no delivery, and no reply-driven SM change, happens
 //!   inside the span) and by each DRAM channel's earliest possible issue
@@ -72,19 +79,22 @@
 //! Anything not listed (the memcpy engine) is purely event-driven on
 //! absolute cycle numbers and has no per-cycle state.
 //!
-//! The span is credited in O(awake lanes): each awake lane in one
-//! `skip_cycles` call, every sleeping lane by advancing the idle clock
-//! ([`super::lanes`]) by the span — the same two totals a ticked cycle
-//! advances by one, which is why a lane cannot tell how the cycles it slept
-//! through were retired.
+//! The span is credited in O(awake lanes): each awake lane that is not
+//! parked in one `skip_cycles` call, every sleeping lane by advancing the
+//! idle clock ([`super::lanes`]) by the span — the same two totals a ticked
+//! cycle advances by one, which is why a lane cannot tell how the cycles it
+//! slept through were retired. A parked lane is left alone: the span joins
+//! the cycles it is credited when it resumes or a counter is read.
 
 use super::Gpu;
 
 impl Gpu {
-    /// If the next cycle begins a dead span, credit the span to every unit
-    /// (awake lanes directly, sleeping lanes through the idle clock) and
-    /// advance the clock to its last cycle. No-op (the engine keeps
-    /// ticking per-cycle) whenever any unit might act on the next cycle.
+    /// Park the awake lanes the scan reaches that cannot issue on the next
+    /// cycle. Then, if that cycle begins a dead span, credit the span to
+    /// every unit (unparked awake lanes directly, sleeping lanes through the
+    /// idle clock, parked lanes at their next credit) and advance the clock
+    /// to its last cycle. The jump is a no-op (the engine keeps ticking
+    /// per-cycle) whenever any unit might act on the next cycle.
     ///
     /// Must run between `cycle_post`/`sync_check` of one cycle and
     /// `cycle_pre` of the next, with every lane and the device state at
@@ -102,20 +112,14 @@ impl Gpu {
             .min(start.saturating_add(super::engine::MAX_SYNC_CYCLES));
 
         // SM wakes, over the awake lanes (a sleeping lane has no timed
-        // wake-up); pending replies in a port mean the SM consumes them on
-        // the very next tick (cannot happen after a fully merged cycle, but
-        // cheap to keep the invariant local).
-        for k in 0..self.lanes.awake().len() {
-            let lane = self.lanes.lane_mut(self.lanes.awake()[k]);
-            if !lane.ports.replies.is_empty() {
-                return;
-            }
-            let wake = lane.core.next_wake(c0);
-            if wake <= c0 {
-                return;
-            }
-            t = t.min(wake);
+        // wake-up; a parked one answers with the wake-up it stored). The
+        // first lane that must tick at `c0` ends the scan; the lanes after
+        // it stay as they are until a later scan reaches them.
+        let wake = self.lanes.park_idle(c0);
+        if wake <= c0 {
+            return;
         }
+        t = t.min(wake);
 
         // Memory system: the earliest packet delivery (always strictly in
         // the future here: `cycle_pre` popped everything due at the current
@@ -206,14 +210,7 @@ impl Gpu {
         let progress = self.progress(c0, 0);
         let device_busy = self.device_busy_at(c0);
 
-        for k in 0..self.lanes.awake().len() {
-            let sm = self.lanes.awake()[k];
-            self.lanes
-                .lane_mut(sm)
-                .core
-                .skip_cycles(c0, device_busy, span);
-        }
-        self.lanes.advance_clock(span, device_busy);
+        self.lanes.skip_span(c0, device_busy, span);
         self.memsys.skip(c0, span);
         self.cycle = t - 1;
         if progress {

@@ -408,8 +408,9 @@ impl Gpu {
                 failures += 1;
                 continue;
             }
-            // The one place a sleeping lane's state changes.
-            self.lanes.wake(sm);
+            // The one place a sleeping lane's state changes; a parked one
+            // is credited up to this cycle first.
+            self.lanes.wake(sm, self.cycle);
             let placed = self.lanes.lane_mut(sm).core.try_launch_cta(CtaConfig {
                 kernel_id: g.kernel,
                 grid_handle: handle,
@@ -585,7 +586,7 @@ impl Gpu {
             // Per-kernel counter scoping by retire interval: this record's
             // delta covers everything since the previous retire boundary, so
             // record deltas telescope to the run totals.
-            self.lanes.settle();
+            self.lanes.settle(self.cycle + 1);
             let snap = self.stats();
             let delta = snap.delta_since(&self.record_base);
             self.record_base = snap;
@@ -612,7 +613,10 @@ impl Gpu {
         }
         if let Some((sm, slot, parent_handle)) = grid.parent {
             // No wake: the notification only reaches a CTA that is still
-            // resident, and a lane with one is awake.
+            // resident, and a lane with one is awake. It may release warps
+            // parked on `Dsync`, so a parked lane is credited through this
+            // cycle and unparked first.
+            self.lanes.unpark(sm, self.cycle + 1);
             self.lanes
                 .lane_mut(sm)
                 .core
