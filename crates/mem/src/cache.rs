@@ -147,7 +147,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LineState {
     tag: u64,
     valid: bool,
@@ -159,7 +159,7 @@ struct LineState {
 ///
 /// The cache is a pure timing model: [`Cache::access`] classifies an access
 /// and [`Cache::fill`] installs a line when the lower level responds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
     sets: u64,
@@ -169,6 +169,10 @@ pub struct Cache {
     mshrs: MshrSet,
     stats: CacheStats,
     tick: u64,
+    /// No line installed and no miss allocated since the last flush (or
+    /// construction): every line is invalid and clean, no MSHR is held, and
+    /// a flush would change nothing.
+    flushed: bool,
 }
 
 impl Cache {
@@ -190,6 +194,7 @@ impl Cache {
             mshrs: MshrSet::default(),
             stats: CacheStats::default(),
             tick: 0,
+            flushed: true,
         }
     }
 
@@ -210,13 +215,18 @@ impl Cache {
 
     /// Invalidate all lines and clear MSHRs (used between kernel launches to
     /// model the locality loss the paper attributes to `cudaMemcpy`
-    /// boundaries).
+    /// boundaries). Returns at once when nothing was installed or allocated
+    /// since the last flush.
     pub fn flush(&mut self) {
+        if self.flushed {
+            return;
+        }
         for l in &mut self.lines {
             l.valid = false;
             l.dirty = false;
         }
         self.mshrs.clear();
+        self.flushed = true;
     }
 
     /// Forget every outstanding miss, and nothing else: tags, LRU stamps and
@@ -302,6 +312,7 @@ impl Cache {
             return CacheOutcome::ReservationFail;
         }
         self.mshrs.insert(laddr);
+        self.flushed = false;
 
         // Choose a victim now so a dirty writeback can be reported with the
         // miss (the line itself is installed by `fill`).
@@ -332,6 +343,7 @@ impl Cache {
             return;
         }
         self.tick += 1;
+        self.flushed = false;
         let (laddr, _, base, tag) = self.locate(addr);
         self.mshrs.remove(&laddr);
         // Prefer the way reserved at miss time.
@@ -522,6 +534,35 @@ mod tests {
         c.fill(0, false);
         assert_eq!(c.access(0, false), CacheOutcome::Hit);
         c.flush();
+        assert!(matches!(c.access(0, false), CacheOutcome::Miss { .. }));
+    }
+
+    #[test]
+    fn a_flush_with_nothing_installed_since_the_last_is_skipped_and_changes_nothing() {
+        let mut c = small_cache(WritePolicy::WriteThrough);
+        // Resident lines, LRU stamps from a hit and an outstanding miss.
+        c.access(0, false);
+        c.fill(0, false);
+        c.access(256, false);
+        c.fill(256, false);
+        assert_eq!(c.access(0, true), CacheOutcome::Hit);
+        assert!(matches!(c.access(128, false), CacheOutcome::Miss { .. }));
+        c.flush();
+        assert_eq!(c.outstanding(), 0);
+        // Write misses on a write-through cache move the LRU clock and the
+        // counters but install nothing.
+        assert_eq!(c.access(384, true), CacheOutcome::Bypass);
+        assert_eq!(c.access(0, true), CacheOutcome::Bypass);
+        assert!(c.flushed);
+        let mut walked = c.clone();
+        walked.flushed = false;
+        walked.flush();
+        c.flush();
+        assert_eq!(c, walked);
+        // A miss allocated since the last flush is not skipped.
+        assert!(matches!(c.access(0, false), CacheOutcome::Miss { .. }));
+        c.flush();
+        assert_eq!(c.outstanding(), 0);
         assert!(matches!(c.access(0, false), CacheOutcome::Miss { .. }));
     }
 }

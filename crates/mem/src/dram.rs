@@ -101,13 +101,13 @@ impl DramStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingReq {
     id: u64,
     addr: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Bank {
     open_row: Option<u64>,
     ready_at: u64,
@@ -116,7 +116,7 @@ struct Bank {
 /// One DRAM channel: a request queue, per-bank row state, and a shared data
 /// bus. [`Dram::tick`] issues at most one request per cycle and returns
 /// `(id, completion_cycle)` pairs as requests finish.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dram {
     config: DramConfig,
     queue: Vec<PendingReq>,
@@ -184,6 +184,12 @@ impl Dram {
     /// requests.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.overflow.is_empty() && self.in_flight.is_empty()
+    }
+
+    /// True when [`Dram::tick`] at `now` would change nothing: the channel is
+    /// idle and its data bus free.
+    pub fn is_quiet(&self, now: u64) -> bool {
+        self.is_idle() && self.bus_free_at <= now
     }
 
     /// Current channel occupancy: queued, backlogged, plus in-flight
@@ -635,6 +641,29 @@ mod tests {
         assert_eq!(done_a, done_b, "completions must not shift");
         assert_eq!(per_tick.stats(), skipping.stats());
         assert_eq!(per_tick.bank_stats(), skipping.bank_stats());
+    }
+
+    #[test]
+    fn a_quiet_channel_tick_changes_nothing() {
+        let cfg = DramConfig::default();
+        let mut d = Dram::new(cfg);
+        assert!(d.is_quiet(0));
+        d.push(1, 0, 0);
+        let done = drain(&mut d, 45);
+        assert_eq!(done, [(1, 44)]);
+        // Idle, but ticked at a cycle before the bus frees (as after a drain
+        // off the device clock) it still counts an active cycle.
+        assert!(d.is_idle() && !d.is_quiet(43));
+        let mut early = d.clone();
+        assert!(early.tick(43).is_empty());
+        assert_ne!(early, d);
+        // Quiet: a tick changes nothing, however many.
+        let before = d.clone();
+        for now in 44..200 {
+            assert!(d.is_quiet(now));
+            assert!(d.tick(now).is_empty());
+        }
+        assert_eq!(d, before);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::stats::{HostStats, RunStats};
 use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind};
 
 use self::lanes::Lanes;
-use self::launch::Grid;
+use self::launch::{Grid, LedgerSummary};
 use self::memcpy::InboundCopy;
 use self::memsys::MemSystem;
 
@@ -128,6 +128,9 @@ pub struct Gpu {
     draining: Option<u64>,
     device_queue: VecDeque<u64>,
     grids: HashMap<u64, Grid>,
+    /// What the per-cycle readers ask of `grids` and the stream queues,
+    /// rebuilt at every ledger event (`launch.rs`).
+    summary: LedgerSummary,
     next_grid: u64,
     /// Retired local-memory arenas available for reuse, as `(size, base)`.
     /// Exact-size recycling keyed off the launch geometry keeps steady-state
@@ -139,7 +142,7 @@ pub struct Gpu {
     /// Reused per-cycle scratch for the device-queue dispatch sweep.
     scratch_handles: Vec<u64>,
     /// Launch shapes `(kernel, threads per CTA)` no SM can currently place,
-    /// valid for one dispatch sweep or one fast-forward scan.
+    /// valid for one dispatch sweep.
     refused_shapes: Vec<(KernelId, u32)>,
     host: HostStats,
     /// Sticky device fault (CUDA semantics): once set, every device-touching
@@ -195,6 +198,7 @@ impl Gpu {
             draining: None,
             device_queue: VecDeque::new(),
             grids: HashMap::new(),
+            summary: LedgerSummary::default(),
             next_grid: 1,
             free_arenas: Vec::new(),
             const_bindings: HashMap::new(),

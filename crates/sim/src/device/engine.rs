@@ -9,7 +9,8 @@
 //!
 //! 1. **Pre** ([`Gpu::cycle_pre`]) — the memory system ticks (replies due
 //!    land in their SM's inbound port; `memsys.rs` has the order inside),
-//!    then CTAs dispatch — waking the lanes they land on.
+//!    then grids arm and CTAs dispatch, as far as anything is due — waking
+//!    the lanes they land on.
 //! 2. **SM** (`Lanes::tick_awake`) — every *awake* lane that is not parked
 //!    ticks against a *read-only* snapshot of device memory, writing only
 //!    its own core state and its own ports; stores and atomics go to a
@@ -37,6 +38,12 @@
 //! [`Gpu::arming_after`] — and [`Gpu::busy`], the drain check,
 //! [`Gpu::progress`] and the deadlock report are each one expression over
 //! it.
+//!
+//! The frame around the SM phase pays per event, not per cycle: what it
+//! asks of the grid/stream ledger — `device_busy_at`, `arming_after`, the
+//! active head's deadline in `sync_check`, whether `arm_and_dispatch` has
+//! anything to do — is read off the ledger summary (`launch.rs`), which
+//! only ledger events rebuild; `run` asks [`Gpu::busy`] once per iteration.
 
 use ggpu_sm::{Trap, WarpReport, WarpWait};
 
@@ -112,18 +119,24 @@ impl Gpu {
 
     /// The `synchronize` loop: step while anything is busy, check for
     /// faults and hangs after every ticked cycle, and fast-forward the dead
-    /// span behind it.
+    /// span behind it. `busy` is asked once per iteration: a jump changes
+    /// none of its terms.
     fn run(&mut self, start: u64) -> Result<(), SimError> {
-        while self.busy() {
+        if !self.busy() {
+            return Ok(());
+        }
+        loop {
             self.step();
             if let Some(outcome) = self.sync_check(start) {
                 return outcome;
+            }
+            if !self.busy() {
+                return Ok(());
             }
             if self.config.fast_forward {
                 self.try_fast_forward(start);
             }
         }
-        Ok(())
     }
 
     /// One device cycle — the only place the three phases are composed.
@@ -145,26 +158,20 @@ impl Gpu {
         // Deadline: the active grid overran its cycle budget (counted from
         // arm). Enforced here, on the watchdog's schedule, so a hung *and*
         // budgeted grid is killed by whichever trips first.
-        if let Some(h) = self.active_grid_handle() {
-            let expired = self
-                .grids
-                .get(&h)
-                .and_then(|g| g.deadline_at)
-                .is_some_and(|dl| self.cycle >= dl);
-            if expired {
-                let g = &self.grids[&h];
-                let err = SimError::DeadlineExceeded {
-                    kernel: self.kernel_name(g.kernel),
-                    stream: g.stream,
-                    budget: g.deadline_budget.unwrap_or(0),
-                    cycle: self.cycle,
-                };
-                self.kill_active_stream(err);
-                if let Some(f) = self.fault.clone() {
-                    return Some(Err(f));
-                }
-                return None;
+        if self.cycle >= self.summary().head_deadline {
+            let h = self.active_grid_handle().expect("a deadline is the head's");
+            let g = &self.grids[&h];
+            let err = SimError::DeadlineExceeded {
+                kernel: self.kernel_name(g.kernel),
+                stream: g.stream,
+                budget: g.deadline_budget.unwrap_or(0),
+                cycle: self.cycle,
+            };
+            self.kill_active_stream(err);
+            if let Some(f) = self.fault.clone() {
+                return Some(Err(f));
             }
+            return None;
         }
         let stalled = self.cycle - self.last_progress;
         if stalled >= self.config.watchdog_cycles || self.cycle - start >= MAX_SYNC_CYCLES {
@@ -220,23 +227,21 @@ impl Gpu {
     /// Whether, from an idle SM's perspective, the device is mid-kernel at
     /// `now` — drives the `FunctionalDone` stall classification.
     ///
-    /// Legacy mode counts every grid in the map (queued host grids
-    /// included). Under [`crate::GpuConfig::stream_isolation`] only grids
-    /// inside their execution window count — a queued host grid on an
-    /// inactive stream is *outside* any window, and a retiring grid's drain
-    /// tail is *inside* it — so the classification a grid observes never
-    /// depends on what sits queued behind it on other streams.
+    /// Legacy mode counts every grid still before or inside dispatch or
+    /// waiting out its arm window (queued host grids included). Under
+    /// [`crate::GpuConfig::stream_isolation`] only grids inside their
+    /// execution window count — an armed grid with CTAs left to place or
+    /// not yet past its arm cycle, or a retiring grid's drain tail; a
+    /// queued host grid on an inactive stream is *outside* any window — so
+    /// the classification a grid observes never depends on what sits
+    /// queued behind it on other streams. Both are read off the ledger
+    /// summary.
     pub(super) fn device_busy_at(&self, now: u64) -> bool {
+        let s = self.summary();
         if self.config.stream_isolation {
-            self.draining.is_some()
-                || self.grids.values().any(|g| match g.armed_at {
-                    None => !g.from_host,
-                    Some(t) => now < t || !g.fully_dispatched(),
-                })
+            self.draining.is_some() || !s.pending.is_empty() || now < s.last_arm
         } else {
-            self.grids
-                .values()
-                .any(|g| !g.fully_dispatched() || g.armed_at.map(|t| now < t).unwrap_or(true))
+            s.undispatched || now < s.last_arm
         }
     }
 
@@ -414,6 +419,7 @@ impl Gpu {
         }
         self.active_stream = None;
         self.draining = None;
+        self.rebuild_summary();
         // Forward progress restarts now. Without this bump a recovered
         // device would inherit the dead stream's stall count and the
         // watchdog could spuriously re-fire on the next grid's first

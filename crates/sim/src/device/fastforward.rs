@@ -62,7 +62,10 @@
 //!   nothing, so they answer alike — and once per launch shape, however
 //!   many grids of that shape are queued) — otherwise the sweep fails on
 //!   every SM each cycle, whose only effect is advancing the round-robin
-//!   cursor by exactly `n_sms` (invisible modulo `n_sms`).
+//!   cursor by exactly `n_sms` (invisible modulo `n_sms`). All of this but
+//!   the stream queues is read off the ledger summary (`launch.rs`): the
+//!   head's arm state, the earliest deadline, and the armed launch shapes
+//!   with CTAs left, with their arm cycles — the grid map is not scanned.
 //! * **Sampler** — interval windows close at absolute multiples of the
 //!   period, so the next boundary bounds `T`; the boundary cycle itself is
 //!   ticked normally and flushes with counters identical to the per-cycle
@@ -100,11 +103,9 @@ impl Gpu {
     /// `cycle_pre` of the next, with every lane and the device state at
     /// rest.
     pub(super) fn try_fast_forward(&mut self, start: u64) {
-        if !self.busy() {
-            // The loop is about to exit; a skip here would credit cycles
-            // the per-cycle engine never runs.
-            return;
-        }
+        // The caller has checked that the device is busy: past the last
+        // busy cycle a skip would credit cycles the per-cycle engine never
+        // runs.
         let c0 = self.cycle + 1;
         let mut t = self
             .last_progress
@@ -152,45 +153,29 @@ impl Gpu {
         // whenever the device is free and any healthy stream has queued
         // work; an already-selected head that has not armed yet does the
         // same. Both are state changes, so both veto.
-        match self.active_stream {
-            None => {
-                if self
-                    .streams
-                    .iter()
-                    .any(|s| s.fault.is_none() && !s.queue.is_empty())
-                {
-                    return;
-                }
-            }
-            Some(s) => {
-                let head = self.streams[s].queue.front();
-                if head.is_some_and(|h| self.grids.get(h).is_some_and(|g| g.armed_at.is_none())) {
-                    return;
-                }
-            }
+        let summary = self.summary();
+        let arbitration_due = self.active_stream.is_none()
+            && self
+                .streams
+                .iter()
+                .any(|s| s.fault.is_none() && !s.queue.is_empty());
+        if arbitration_due || summary.head_unarmed {
+            return;
         }
-        // Nothing moves between the grids scanned here, so one refusal per
-        // launch shape answers for every queued grid of that shape.
-        let refused = &mut self.refused_shapes;
-        refused.clear();
-        for g in self.grids.values() {
-            match g.armed_at {
-                Some(a) if a > c0 => t = t.min(a),
-                Some(_) if !g.fully_dispatched() => {
-                    let shape = (g.kernel, g.dims.threads_per_cta());
-                    if !refused.contains(&shape) {
-                        if self.lanes.any_can_accept(shape.0, shape.1) {
-                            return;
-                        }
-                        refused.push(shape);
-                    }
+        // A cycle budget must expire on the exact cycle the per-cycle
+        // engine would kill it on (the stamp lands in the error).
+        t = t.min(summary.deadline);
+        // Nothing moves while the pending shapes are asked, so one refusal
+        // answers for every entry of that shape, and they are adjacent.
+        let mut refused = None;
+        for &(kernel, threads, armed_at) in &summary.pending {
+            if armed_at > c0 {
+                t = t.min(armed_at);
+            } else if refused != Some((kernel, threads)) {
+                if self.lanes.any_can_accept(kernel, threads) {
+                    return;
                 }
-                _ => {}
-            }
-            // A cycle budget must expire on the exact cycle the per-cycle
-            // engine would kill it on (the stamp lands in the error).
-            if let Some(dl) = g.deadline_at {
-                t = t.min(dl);
+                refused = Some((kernel, threads));
             }
         }
 

@@ -1,5 +1,14 @@
 //! Grid lifecycle: launch validation and queueing, CTA dispatch across the
 //! SM cluster, the CDP (device-side launch) runtime, and grid retirement.
+//!
+//! Every edit of the grid map and the stream queues happens here or in the
+//! kill path, and each one — launch, CDP spawn, stream arbitration, arm, a
+//! grid becoming fully dispatched, retire, kill — ends by rebuilding the
+//! [`LedgerSummary`]. That rebuild is the one scan of the grid map; the
+//! per-cycle readers (`arm_and_dispatch`, `device_busy_at`,
+//! [`Gpu::arming_after`], `sync_check`'s deadline, fast-forward's dispatcher
+//! candidate) read the summary, so the frame around a ticked cycle pays per
+//! ledger event, not per cycle.
 
 use std::sync::Arc;
 
@@ -89,6 +98,50 @@ impl Grid {
     }
     pub(super) fn finished(&self) -> bool {
         self.fully_dispatched() && self.done_ctas >= self.dims.num_ctas()
+    }
+}
+
+/// What the per-cycle readers ask of the grid/stream ledger. Rebuilt from
+/// the grid map and the stream queues at every ledger event and nowhere
+/// else; a debug build checks it against a fresh rebuild on every read
+/// ([`Gpu::summary`]). `u64::MAX` stands for "none" in the cycle fields.
+#[derive(Debug, PartialEq, Eq)]
+pub(super) struct LedgerSummary {
+    /// Some grid still has CTAs to place, armed or not: it is before or
+    /// inside dispatch.
+    pub(super) undispatched: bool,
+    /// The latest `armed_at` of any grid (0 when none has armed).
+    pub(super) last_arm: u64,
+    /// `(kernel, threads per CTA, armed_at)` of every armed grid with CTAs
+    /// left to place, sorted and without repeats, so one launch shape's
+    /// entries are adjacent.
+    pub(super) pending: Vec<(KernelId, u32, u64)>,
+    /// The earliest `armed_at` of a CDP child with CTAs left to place.
+    pub(super) child_arm: u64,
+    /// The earliest `deadline_at` of any grid.
+    pub(super) deadline: u64,
+    /// The active stream's head has not armed yet.
+    pub(super) head_unarmed: bool,
+    /// The active head's `armed_at` while it is armed with CTAs left to
+    /// place.
+    pub(super) head_arm: u64,
+    /// The active head's `deadline_at`.
+    pub(super) head_deadline: u64,
+}
+
+impl Default for LedgerSummary {
+    /// The summary of a ledger without grids.
+    fn default() -> Self {
+        LedgerSummary {
+            undispatched: false,
+            last_arm: 0,
+            pending: Vec::new(),
+            child_arm: u64::MAX,
+            deadline: u64::MAX,
+            head_unarmed: false,
+            head_arm: u64::MAX,
+            head_deadline: u64::MAX,
+        }
     }
 }
 
@@ -249,6 +302,7 @@ impl Gpu {
         self.next_grid += 1;
         self.grids.insert(handle, grid);
         self.streams[stream].queue.push_back(handle);
+        self.rebuild_summary();
         self.host.kernel_launches += 1;
         if self.trace_on() {
             self.emit(TraceEventKind::KernelLaunch {
@@ -296,26 +350,52 @@ impl Gpu {
 
     // ---- dispatch ---------------------------------------------------------
 
+    /// Arbitrate, arm and dispatch, as far as the summary says anything is
+    /// due this cycle: a CDP child or the active head armed with CTAs left
+    /// to place, a head still to arm, or a queued host grid with no head.
+    /// Otherwise it returns at once.
     pub(super) fn arm_and_dispatch(&mut self) {
+        let now = self.cycle;
+        let summary = self.summary();
+        // Only a queued host grid can win arbitration, and it has not armed.
+        let arbitrate =
+            self.active_stream.is_none() && self.draining.is_none() && summary.undispatched;
+        // With no child due, every queued child is armed in the future: the
+        // CDP sweep would place nothing and its retain would keep every
+        // entry, so it is skipped.
+        let children_due = summary.child_arm <= now;
+        debug_assert!(
+            children_due
+                || self
+                    .device_queue
+                    .iter()
+                    .all(|h| self.grids.get(h).is_some_and(|g| !g.fully_dispatched())),
+            "a skipped CDP sweep would have pruned the device queue"
+        );
+        if !arbitrate && !children_due && !summary.head_unarmed && summary.head_arm > now {
+            return;
+        }
         // Within one call SM resources only shrink, so a launch shape every
         // SM has refused stays refused until the next cycle.
         self.refused_shapes.clear();
         // CDP children dispatch immediately (after their overhead window).
         // The handle list is copied into reused scratch so the sweep does
         // not allocate per cycle.
-        let mut handles = std::mem::take(&mut self.scratch_handles);
-        handles.clear();
-        handles.extend(self.device_queue.iter().copied());
-        for &h in &handles {
-            self.dispatch_grid(h);
+        if children_due {
+            let mut handles = std::mem::take(&mut self.scratch_handles);
+            handles.clear();
+            handles.extend(self.device_queue.iter().copied());
+            for &h in &handles {
+                self.dispatch_grid(h);
+            }
+            self.scratch_handles = handles;
+            self.device_queue.retain(|h| {
+                self.grids
+                    .get(h)
+                    .map(|g| !g.fully_dispatched())
+                    .unwrap_or(false)
+            });
         }
-        self.scratch_handles = handles;
-        self.device_queue.retain(|h| {
-            self.grids
-                .get(h)
-                .map(|g| !g.fully_dispatched())
-                .unwrap_or(false)
-        });
 
         // Host grids: one grid owns the device at a time. With a single
         // stream this degenerates to the legacy behaviour (the head of the
@@ -323,47 +403,45 @@ impl Gpu {
         // between non-faulted streams with queued work, switching only at
         // grid boundaries. Nothing activates while a finished grid is still
         // draining (stream-isolation two-phase retirement).
-        if self.active_stream.is_none() && self.draining.is_none() {
+        if arbitrate {
             let n = self.streams.len();
             for i in 0..n {
                 let s = (self.stream_cursor + i) % n;
                 if self.streams[s].fault.is_none() && !self.streams[s].queue.is_empty() {
                     self.active_stream = Some(s);
                     self.stream_cursor = (s + 1) % n;
+                    self.rebuild_summary();
                     break;
                 }
             }
         }
-        if let Some(s) = self.active_stream {
-            let head = *self.streams[s].queue.front().expect("active stream head");
-            let arm = {
-                let g = self.grids.get_mut(&head).expect("head grid exists");
-                if g.armed_at.is_none() {
-                    let armed = self.cycle + self.config.kernel_launch_overhead;
-                    g.armed_at = Some(armed);
-                    g.deadline_at = g.deadline_budget.map(|b| armed.saturating_add(b));
-                    true
-                } else {
-                    false
+        let Some(s) = self.active_stream else {
+            return;
+        };
+        let head = *self.streams[s].queue.front().expect("active stream head");
+        if self.summary().head_unarmed {
+            let g = self.grids.get_mut(&head).expect("head grid exists");
+            let armed = self.cycle + self.config.kernel_launch_overhead;
+            g.armed_at = Some(armed);
+            g.deadline_at = g.deadline_budget.map(|b| armed.saturating_add(b));
+            self.rebuild_summary();
+            if self.config.flush_between_kernels {
+                for lane in self.lanes.all_mut() {
+                    lane.core.flush_caches();
                 }
-            };
-            if arm {
-                if self.config.flush_between_kernels {
-                    for lane in self.lanes.all_mut() {
-                        lane.core.flush_caches();
-                    }
-                    self.memsys.flush_l2();
-                }
-                if self.config.stream_isolation {
-                    // Canonical boundary: scheduler and dispatch cursors
-                    // restart so intra-grid decisions never depend on where
-                    // the previous grid left them.
-                    self.dispatch_cursor = 0;
-                    for lane in self.lanes.all_mut() {
-                        lane.core.reset_schedulers();
-                    }
+                self.memsys.flush_l2();
+            }
+            if self.config.stream_isolation {
+                // Canonical boundary: scheduler and dispatch cursors
+                // restart so intra-grid decisions never depend on where
+                // the previous grid left them.
+                self.dispatch_cursor = 0;
+                for lane in self.lanes.all_mut() {
+                    lane.core.reset_schedulers();
                 }
             }
+        }
+        if self.summary().head_arm <= now {
             self.dispatch_grid(head);
         }
     }
@@ -378,9 +456,60 @@ impl Gpu {
     /// Whether any grid is still waiting out its launch overhead after
     /// cycle `now`.
     pub(super) fn arming_after(&self, now: u64) -> bool {
-        self.grids
-            .values()
-            .any(|g| g.armed_at.is_some_and(|t| t > now))
+        self.summary().last_arm > now
+    }
+
+    /// The ledger summary. A debug build first checks that it equals a
+    /// fresh rebuild, so every read audits the rebuild triggers.
+    pub(super) fn summary(&self) -> &LedgerSummary {
+        debug_assert_eq!(
+            self.summary,
+            self.summarize(Vec::new()),
+            "a ledger event did not rebuild the summary"
+        );
+        &self.summary
+    }
+
+    /// Rebuild the summary after a ledger event.
+    pub(super) fn rebuild_summary(&mut self) {
+        let pending = std::mem::take(&mut self.summary.pending);
+        self.summary = self.summarize(pending);
+    }
+
+    /// Summarise the grid map and the stream queues, reusing `pending`'s
+    /// allocation: the one scan of the map.
+    fn summarize(&self, mut pending: Vec<(KernelId, u32, u64)>) -> LedgerSummary {
+        pending.clear();
+        let mut s = LedgerSummary {
+            pending,
+            ..LedgerSummary::default()
+        };
+        for g in self.grids.values() {
+            s.undispatched |= !g.fully_dispatched();
+            if let Some(d) = g.deadline_at {
+                s.deadline = s.deadline.min(d);
+            }
+            let Some(a) = g.armed_at else {
+                continue;
+            };
+            s.last_arm = s.last_arm.max(a);
+            if !g.fully_dispatched() {
+                s.pending.push((g.kernel, g.dims.threads_per_cta(), a));
+                if !g.from_host {
+                    s.child_arm = s.child_arm.min(a);
+                }
+            }
+        }
+        s.pending.sort_unstable();
+        s.pending.dedup();
+        if let Some(g) = self.active_grid_handle().and_then(|h| self.grids.get(&h)) {
+            s.head_unarmed = g.armed_at.is_none();
+            if !g.fully_dispatched() {
+                s.head_arm = g.armed_at.unwrap_or(u64::MAX);
+            }
+            s.head_deadline = g.deadline_at.unwrap_or(u64::MAX);
+        }
+        s
     }
 
     fn dispatch_grid(&mut self, handle: u64) {
@@ -428,6 +557,7 @@ impl Gpu {
         if failures == n_sms {
             self.refused_shapes.push(shape);
         }
+        let fully_dispatched = g.fully_dispatched();
         if g.start_cycle.is_none() && g.next_cta > 0 {
             g.start_cycle = Some(self.cycle);
             let stream = g.stream;
@@ -437,6 +567,9 @@ impl Gpu {
                     stream,
                 });
             }
+        }
+        if fully_dispatched {
+            self.rebuild_summary();
         }
     }
 
@@ -556,6 +689,7 @@ impl Gpu {
         self.next_grid += 1;
         self.grids.insert(handle, grid);
         self.device_queue.push_back(handle);
+        self.rebuild_summary();
         if self.trace_on() {
             self.emit(TraceEventKind::CdpEnqueue {
                 grid: handle,
@@ -635,6 +769,7 @@ impl Gpu {
             debug_assert_eq!(self.active_stream, Some(s));
             self.active_stream = None;
         }
+        self.rebuild_summary();
     }
 }
 

@@ -18,7 +18,10 @@
 //!
 //! Nothing here has per-cycle state except the DRAM channels' active-cycle
 //! counters, which is why fast-forward needs only [`MemSystem::next_event`]
-//! and [`MemSystem::skip`].
+//! and [`MemSystem::skip`]. For the same reason `tick` passes by a quiet
+//! channel (`Dram::is_quiet`: nothing queued, backlogged or in flight and
+//! its bus free), whose tick would change nothing; the order among the
+//! channels that do tick is unchanged.
 
 use std::collections::HashMap;
 
@@ -130,6 +133,11 @@ impl MemSystem {
             }
         }
         for part in 0..self.dram.len() {
+            // A quiet channel's tick would change nothing, so it is passed
+            // by.
+            if self.dram[part].is_quiet(now) {
+                continue;
+            }
             for line in self.dram[part].tick(now) {
                 if line == WRITE_ID {
                     continue;
