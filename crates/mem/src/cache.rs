@@ -1,15 +1,15 @@
 //! Set-associative LRU cache with miss-status holding registers.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::LINE_BYTES;
 
 /// Trivial multiplicative hasher for line-address keys. Line addresses are
 /// already well-distributed `u64`s, so one Fibonacci-style multiply beats the
-/// default SipHash on the per-access MSHR probe without any new dependency.
-/// Only membership is ever queried (never iteration order), so the hasher
-/// cannot affect determinism.
+/// default SipHash on the per-access MSHR and line-index probes without any
+/// new dependency. Only keyed lookups are ever made (never iteration order),
+/// so the hasher cannot affect determinism.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct LineAddrHasher(u64);
 
@@ -33,6 +33,10 @@ impl Hasher for LineAddrHasher {
 
 /// O(1) keyed MSHR tag store (line address → outstanding miss).
 type MshrSet = HashSet<u64, BuildHasherDefault<LineAddrHasher>>;
+
+/// Line address → the lowest way (an index into [`Cache`]'s line array)
+/// holding that line valid.
+type LineIndex = HashMap<u64, usize, BuildHasherDefault<LineAddrHasher>>;
 
 /// Write-handling policy of a cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,11 +163,25 @@ struct LineState {
 ///
 /// The cache is a pure timing model: [`Cache::access`] classifies an access
 /// and [`Cache::fill`] installs a line when the lower level responds.
+///
+/// A lookup is one probe of a line index, not a scan of the set's ways. The
+/// answer is the scan's: the *lowest* valid way holding the line. A set can
+/// hold two valid copies of one line: `fill`'s LRU fallback installs a
+/// second when an earlier fill has already validated the line's reserved
+/// way — a fill with no miss outstanding (a local store), or the fill of a
+/// request that found the MSHR file full and was sent on anyway. The index
+/// then names the lower copy until it is evicted, when the entry is
+/// repaired from the set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
     sets: u64,
     lines: Vec<LineState>,
+    /// Every valid line's lowest way. Written only where a way changes
+    /// validity or tag: the way a miss reserves, the two installs of
+    /// [`Cache::fill`], and [`Cache::flush`]; a debug build checks the entry
+    /// of every line `access` and `fill` touch against a scan of its set.
+    index: LineIndex,
     /// Outstanding miss line addresses (tag-array side of the MSHR file),
     /// keyed for O(1) merge probes and fill releases.
     mshrs: MshrSet,
@@ -191,6 +209,7 @@ impl Cache {
                 };
                 (sets * config.ways as u64) as usize
             ],
+            index: LineIndex::default(),
             mshrs: MshrSet::default(),
             stats: CacheStats::default(),
             tick: 0,
@@ -225,6 +244,7 @@ impl Cache {
             l.valid = false;
             l.dirty = false;
         }
+        self.index.clear();
         self.mshrs.clear();
         self.flushed = true;
     }
@@ -237,14 +257,15 @@ impl Cache {
         self.mshrs.clear();
     }
 
-    /// Where the line holding `addr` lives: `(line address, set, index of
-    /// the set's first way, tag)`.
+    /// Where line `laddr` lives: `(set, index of the set's first way, tag)`.
     #[inline]
-    fn locate(&self, addr: u64) -> (u64, u64, usize, u64) {
-        let laddr = addr / self.config.line;
+    fn place(&self, laddr: u64) -> (u64, usize, u64) {
         let set = laddr % self.sets;
-        let base = (set * self.config.ways as u64) as usize;
-        (laddr, set, base, laddr / self.sets)
+        (
+            set,
+            (set * self.config.ways as u64) as usize,
+            laddr / self.sets,
+        )
     }
 
     /// The way to replace in the set starting at `base`: the first invalid
@@ -265,6 +286,52 @@ impl Cache {
         victim
     }
 
+    /// The lowest valid way of the set starting at `base` holding `tag`, by
+    /// a scan: the answer the index must give, asked only on the miss path
+    /// (eviction repair) and by the debug audit.
+    fn scan(&self, base: usize, tag: u64) -> Option<usize> {
+        (base..base + self.config.ways as usize).find(|&i| {
+            let line = &self.lines[i];
+            line.valid && line.tag == tag
+        })
+    }
+
+    /// Way `way` of `set` (first way `base`) has just stopped holding the
+    /// valid line `tag`. If the index named it, name the next copy in the
+    /// set, or drop the entry when there is none.
+    fn evicted(&mut self, set: u64, base: usize, way: usize, tag: u64) {
+        let laddr = tag * self.sets + set;
+        if self.index.get(&laddr) == Some(&way) {
+            match self.scan(base, tag) {
+                Some(copy) => self.index.insert(laddr, copy),
+                None => self.index.remove(&laddr),
+            };
+        }
+    }
+
+    /// Way `way` now holds line `laddr` valid; the index keeps the lowest
+    /// such way.
+    fn installed(&mut self, laddr: u64, way: usize) {
+        self.index
+            .entry(laddr)
+            .and_modify(|lowest| *lowest = (*lowest).min(way))
+            .or_insert(way);
+    }
+
+    /// Debug builds: line `laddr`'s index entry is what a scan of its set
+    /// finds. O(ways) per call, so tests stay about as fast as the scan
+    /// the index replaces.
+    fn audit(&self, laddr: u64) {
+        if cfg!(debug_assertions) {
+            let (_, base, tag) = self.place(laddr);
+            assert_eq!(
+                self.index.get(&laddr).copied(),
+                self.scan(base, tag),
+                "the line index disagrees with a scan of the set of line {laddr:#x}"
+            );
+        }
+    }
+
     /// Classify an access to `addr`.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
         self.tick += 1;
@@ -277,24 +344,23 @@ impl Cache {
             // Disabled cache: everything misses through, nothing tracked.
             return CacheOutcome::Miss { writeback: None };
         }
-        let (laddr, set, base, tag) = self.locate(addr);
+        let laddr = addr / self.config.line;
+        self.audit(laddr);
 
         // Lookup.
-        for i in 0..self.config.ways as usize {
-            let line = &mut self.lines[base + i];
-            if line.valid && line.tag == tag {
-                line.last_use = self.tick;
-                if is_write {
-                    self.stats.write_hit += 1;
-                    match self.config.write_policy {
-                        WritePolicy::WriteBack => line.dirty = true,
-                        WritePolicy::WriteThrough => {}
-                    }
-                } else {
-                    self.stats.read_hit += 1;
+        if let Some(&way) = self.index.get(&laddr) {
+            let line = &mut self.lines[way];
+            line.last_use = self.tick;
+            if is_write {
+                self.stats.write_hit += 1;
+                match self.config.write_policy {
+                    WritePolicy::WriteBack => line.dirty = true,
+                    WritePolicy::WriteThrough => {}
                 }
-                return CacheOutcome::Hit;
+            } else {
+                self.stats.read_hit += 1;
             }
+            return CacheOutcome::Hit;
         }
 
         // Write-through caches forward write misses without allocating.
@@ -316,22 +382,25 @@ impl Cache {
 
         // Choose a victim now so a dirty writeback can be reported with the
         // miss (the line itself is installed by `fill`).
+        let (set, base, tag) = self.place(laddr);
         let victim = self.victim(base);
-        let wb = {
-            let line = &mut self.lines[victim];
-            let wb = if line.valid && line.dirty {
-                self.stats.writebacks += 1;
-                Some((line.tag * self.sets + set) * self.config.line)
-            } else {
-                None
-            };
-            // Reserve the way immediately (tag update; becomes valid on fill).
-            line.tag = tag;
-            line.valid = false;
-            line.dirty = false;
-            line.last_use = self.tick;
-            wb
+        let old = self.lines[victim];
+        let wb = if old.valid && old.dirty {
+            self.stats.writebacks += 1;
+            Some((old.tag * self.sets + set) * self.config.line)
+        } else {
+            None
         };
+        // Reserve the way immediately (tag update; becomes valid on fill).
+        self.lines[victim] = LineState {
+            tag,
+            valid: false,
+            dirty: false,
+            last_use: self.tick,
+        };
+        if old.valid {
+            self.evicted(set, base, victim, old.tag);
+        }
         CacheOutcome::Miss { writeback: wb }
     }
 
@@ -344,26 +413,35 @@ impl Cache {
         }
         self.tick += 1;
         self.flushed = false;
-        let (laddr, _, base, tag) = self.locate(addr);
+        let laddr = addr / self.config.line;
+        let (set, base, tag) = self.place(laddr);
         self.mshrs.remove(&laddr);
+        let valid = LineState {
+            tag,
+            valid: true,
+            dirty,
+            last_use: self.tick,
+        };
         // Prefer the way reserved at miss time.
-        for i in 0..self.config.ways as usize {
-            let line = &mut self.lines[base + i];
-            if line.tag == tag && !line.valid {
-                line.valid = true;
-                line.dirty = dirty;
-                line.last_use = self.tick;
-                return;
+        let reserved = (base..base + self.config.ways as usize).find(|&i| {
+            let line = &self.lines[i];
+            line.tag == tag && !line.valid
+        });
+        if let Some(way) = reserved {
+            self.lines[way] = valid;
+            self.installed(laddr, way);
+        } else {
+            // Reservation was overwritten by a later miss to the same set;
+            // fall back to LRU install (a second copy when the line is
+            // already valid in another way).
+            let victim = self.victim(base);
+            let old = std::mem::replace(&mut self.lines[victim], valid);
+            if old.valid {
+                self.evicted(set, base, victim, old.tag);
             }
+            self.installed(laddr, victim);
         }
-        // Reservation was overwritten by a later miss to the same set; fall
-        // back to LRU install.
-        let victim = self.victim(base);
-        let line = &mut self.lines[victim];
-        line.tag = tag;
-        line.valid = true;
-        line.dirty = dirty;
-        line.last_use = self.tick;
+        self.audit(laddr);
     }
 
     /// Number of outstanding MSHR entries.
@@ -564,5 +642,308 @@ mod tests {
         c.flush();
         assert_eq!(c.outstanding(), 0);
         assert!(matches!(c.access(0, false), CacheOutcome::Miss { .. }));
+    }
+
+    #[test]
+    fn a_second_copy_from_the_fallback_fill_hits_the_lower_way_and_survives_its_eviction() {
+        // One set of four ways (the tag is the line address). Line 8 is the
+        // one that ends up twice.
+        let mut c = Cache::new(CacheConfig {
+            bytes: 4 * 128,
+            ways: 4,
+            line: 128,
+            write_policy: WritePolicy::WriteThrough,
+            mshr_entries: 4,
+        });
+        let copies = |c: &Cache| -> Vec<usize> {
+            (0..4)
+                .filter(|&i| c.lines[i].valid && c.lines[i].tag == 8)
+                .collect()
+        };
+        // A load miss reserves way a = 0.
+        assert!(matches!(
+            c.access(8 * 128, false),
+            CacheOutcome::Miss { .. }
+        ));
+        // A local store misses past the L1 and fills: that validates way a.
+        assert_eq!(c.access(8 * 128, true), CacheOutcome::Bypass);
+        c.fill(8 * 128, false);
+        assert_eq!(copies(&c), vec![0]);
+        // Lines 1 and 2 take ways 1 and 2; the load's own fill then finds
+        // no reserved way and installs a second copy in way b = 3.
+        for line in [1, 2] {
+            c.access(line * 128, false);
+            c.fill(line * 128, false);
+        }
+        c.fill(8 * 128, false);
+        assert_eq!(copies(&c), vec![0, 3], "two valid copies");
+        assert_eq!(c.index.get(&8), Some(&0), "the index names the lower");
+        // A lookup hits the lower copy: its LRU stamp moves, the other's not.
+        let mut looked = c.clone();
+        assert_eq!(looked.access(8 * 128, false), CacheOutcome::Hit);
+        assert_eq!(looked.lines[0].last_use, looked.tick);
+        assert_eq!(looked.lines[3].last_use, c.lines[3].last_use);
+        // Untouched, way a is the least recently used once lines 1 and 2
+        // are: the next miss evicts it, exposing the copy in way b.
+        for line in [1, 2] {
+            assert_eq!(c.access(line * 128, false), CacheOutcome::Hit);
+        }
+        assert!(matches!(
+            c.access(5 * 128, false),
+            CacheOutcome::Miss { .. }
+        ));
+        assert_eq!(c.lines[0].tag, 5, "way a was the victim");
+        assert_eq!(copies(&c), vec![3]);
+        assert_eq!(c.index.get(&8), Some(&3), "the entry moved to way b");
+        assert_eq!(c.access(8 * 128, false), CacheOutcome::Hit);
+        assert_eq!(c.lines[3].last_use, c.tick);
+    }
+
+    // ---- the line index against the way scan it replaced ---------------------
+
+    use proptest::prelude::*;
+
+    /// `Cache` as it was before the line index: every lookup scans the set.
+    struct Reference {
+        config: CacheConfig,
+        sets: u64,
+        lines: Vec<LineState>,
+        mshrs: HashSet<u64>,
+        stats: CacheStats,
+        tick: u64,
+    }
+
+    impl Reference {
+        fn new(config: CacheConfig) -> Self {
+            let sets = config.sets();
+            let line = LineState {
+                tag: 0,
+                valid: false,
+                dirty: false,
+                last_use: 0,
+            };
+            Reference {
+                config,
+                sets,
+                lines: vec![line; (sets * config.ways as u64) as usize],
+                mshrs: HashSet::new(),
+                stats: CacheStats::default(),
+                tick: 0,
+            }
+        }
+
+        fn flush(&mut self) {
+            for l in &mut self.lines {
+                l.valid = false;
+                l.dirty = false;
+            }
+            self.mshrs.clear();
+        }
+
+        fn locate(&self, addr: u64) -> (u64, u64, usize, u64) {
+            let laddr = addr / self.config.line;
+            let set = laddr % self.sets;
+            let base = (set * self.config.ways as u64) as usize;
+            (laddr, set, base, laddr / self.sets)
+        }
+
+        fn victim(&self, base: usize) -> usize {
+            let mut victim = base;
+            let mut oldest = u64::MAX;
+            for i in base..base + self.config.ways as usize {
+                let line = &self.lines[i];
+                if !line.valid {
+                    return i;
+                }
+                if line.last_use < oldest {
+                    oldest = line.last_use;
+                    victim = i;
+                }
+            }
+            victim
+        }
+
+        fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
+            self.tick += 1;
+            if is_write {
+                self.stats.write_access += 1;
+            } else {
+                self.stats.read_access += 1;
+            }
+            let (laddr, set, base, tag) = self.locate(addr);
+            for i in 0..self.config.ways as usize {
+                let line = &mut self.lines[base + i];
+                if line.valid && line.tag == tag {
+                    line.last_use = self.tick;
+                    if is_write {
+                        self.stats.write_hit += 1;
+                        if self.config.write_policy == WritePolicy::WriteBack {
+                            line.dirty = true;
+                        }
+                    } else {
+                        self.stats.read_hit += 1;
+                    }
+                    return CacheOutcome::Hit;
+                }
+            }
+            if is_write && self.config.write_policy == WritePolicy::WriteThrough {
+                return CacheOutcome::Bypass;
+            }
+            if self.mshrs.contains(&laddr) {
+                self.stats.mshr_merged += 1;
+                return CacheOutcome::MshrMerged;
+            }
+            if self.mshrs.len() >= self.config.mshr_entries as usize {
+                self.stats.reservation_fails += 1;
+                return CacheOutcome::ReservationFail;
+            }
+            self.mshrs.insert(laddr);
+            let victim = self.victim(base);
+            let line = &mut self.lines[victim];
+            let wb = if line.valid && line.dirty {
+                self.stats.writebacks += 1;
+                Some((line.tag * self.sets + set) * self.config.line)
+            } else {
+                None
+            };
+            *line = LineState {
+                tag,
+                valid: false,
+                dirty: false,
+                last_use: self.tick,
+            };
+            CacheOutcome::Miss { writeback: wb }
+        }
+
+        fn fill(&mut self, addr: u64, dirty: bool) {
+            self.tick += 1;
+            let (laddr, _, base, tag) = self.locate(addr);
+            self.mshrs.remove(&laddr);
+            let valid = LineState {
+                tag,
+                valid: true,
+                dirty,
+                last_use: self.tick,
+            };
+            for i in 0..self.config.ways as usize {
+                let line = &mut self.lines[base + i];
+                if line.tag == tag && !line.valid {
+                    *line = valid;
+                    return;
+                }
+            }
+            let victim = self.victim(base);
+            self.lines[victim] = valid;
+        }
+    }
+
+    /// One operation on both caches, from `(kind, pick, flag)`.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// A read or write of one of the pool's lines.
+        Access {
+            line: u64,
+            write: bool,
+        },
+        /// A clean or dirty fill of an outstanding miss (or of a pool line
+        /// when none is outstanding).
+        FillMiss {
+            pick: usize,
+            dirty: bool,
+        },
+        /// A fill of a pool line, whether or not a miss is outstanding for
+        /// it: the local-store path.
+        FillAny {
+            line: u64,
+            dirty: bool,
+        },
+        Flush,
+        ReleaseMshrs,
+    }
+
+    fn op(lines: u64) -> BoxedStrategy<Op> {
+        (0..16u8, 0..64usize, 0..2u8)
+            .prop_map(move |(kind, pick, flag)| {
+                let (line, flag) = (pick as u64 % lines, flag == 1);
+                match kind {
+                    0..=6 => Op::Access { line, write: flag },
+                    7..=11 => Op::FillMiss { pick, dirty: flag },
+                    12..=13 => Op::FillAny { line, dirty: flag },
+                    14 => Op::Flush,
+                    _ => Op::ReleaseMshrs,
+                }
+            })
+            .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_indexed_cache_is_the_way_scan_it_replaced(
+            sets in 1..5u64,
+            ways in 1..9u32,
+            write_back in 0..2u8,
+            mshr_entries in 1..5u32,
+            // Lines beyond the capacity, at offsets within a line.
+            extra in 1..9u64,
+            offsets in prop::collection::vec(0..128u64, 8),
+            ops in prop::collection::vec(op(64), 1..120),
+        ) {
+            let config = CacheConfig {
+                bytes: sets * ways as u64 * 128,
+                ways,
+                line: 128,
+                write_policy: if write_back == 1 { WritePolicy::WriteBack } else { WritePolicy::WriteThrough },
+                mshr_entries,
+            };
+            // A pool a few lines larger than the cache, so sets fill and evict.
+            let pool = sets * ways as u64 + extra;
+            let addr = |line: u64| (line % pool) * 128 + offsets[(line % 8) as usize];
+            let (mut c, mut r) = (Cache::new(config), Reference::new(config));
+            for (step, &op) in ops.iter().enumerate() {
+                match op {
+                    Op::Access { line, write } => {
+                        prop_assert_eq!(c.access(addr(line), write), r.access(addr(line), write), "step {} {:?}", step, op);
+                    }
+                    Op::FillMiss { pick, dirty } => {
+                        let mut misses: Vec<u64> = r.mshrs.iter().copied().collect();
+                        misses.sort_unstable();
+                        let at = match misses.get(pick % misses.len().max(1)) {
+                            Some(&line) => line * 128,
+                            None => addr(pick as u64),
+                        };
+                        c.fill(at, dirty);
+                        r.fill(at, dirty);
+                    }
+                    Op::FillAny { line, dirty } => {
+                        c.fill(addr(line), dirty);
+                        r.fill(addr(line), dirty);
+                    }
+                    Op::Flush => {
+                        c.flush();
+                        r.flush();
+                    }
+                    Op::ReleaseMshrs => {
+                        c.release_mshrs();
+                        r.mshrs.clear();
+                    }
+                }
+                prop_assert_eq!(&c.lines, &r.lines, "step {} {:?}", step, op);
+                prop_assert_eq!(c.stats(), &r.stats, "step {} {:?}", step, op);
+                prop_assert_eq!(c.mshrs.iter().copied().collect::<HashSet<u64>>(), r.mshrs.clone());
+                prop_assert_eq!(c.tick, r.tick);
+                // The whole index, not only the lines the debug audit touches:
+                // exactly the valid lines, each at its lowest way.
+                for (i, line) in c.lines.iter().enumerate().filter(|(_, l)| l.valid) {
+                    let laddr = line.tag * c.sets + i as u64 / ways as u64;
+                    let lowest = c.index.get(&laddr).copied();
+                    prop_assert!(lowest.is_some_and(|way| way <= i), "step {} {:?}: line {:#x}", step, op, laddr);
+                }
+                for (&laddr, &way) in &c.index {
+                    prop_assert!(c.lines[way].valid && c.lines[way].tag * c.sets + way as u64 / ways as u64 == laddr);
+                }
+            }
+        }
     }
 }

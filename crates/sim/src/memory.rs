@@ -1,6 +1,6 @@
 //! Functional device memory: a flat byte image with a bump allocator.
 
-use ggpu_isa::{AtomOp, FaultKind, Width};
+use ggpu_isa::{AtomOp, FaultKind, Row, Width, WARP_SIZE};
 use ggpu_sm::GlobalMem;
 
 /// A typed device pointer returned by [`DeviceMemory::alloc`].
@@ -29,11 +29,13 @@ impl std::fmt::Display for DevicePtr {
 /// any access and turns violations into guest faults.
 ///
 /// The SM reaches this type through `&dyn GlobalMem`, once per
-/// warp-instruction: the trait's `check_lanes` / `read_lanes` /
-/// `write_lanes` are not overridden, because their default bodies are
-/// compiled per implementation — inside them `check`, `read` and `write`
-/// below are direct, inlined calls, and an access inside the image is a
-/// bounds-checked sub-slice copy rather than a byte loop.
+/// warp-instruction and stage, and each `*_lanes` body here pays per row
+/// where it can: `check_lanes` is one reduction over the active lanes (the
+/// OR of the addresses for alignment, their minimum and maximum for the
+/// bounds and the poison window) and asks the per-lane `check` only of a
+/// row that may fault, to name the first faulting lane and the faulting
+/// mask; `read_lanes` / `write_lanes` resolve the width once, so every lane
+/// is a fixed-size copy.
 #[derive(Debug, Default)]
 pub struct DeviceMemory {
     data: Vec<u8>,
@@ -122,13 +124,12 @@ impl DeviceMemory {
         self.data[start..end].copy_from_slice(bytes);
     }
 
-    /// Copy device memory out to the host.
+    /// Copy device memory out to the host; bytes beyond the image read zero.
     pub fn read_slice(&self, ptr: DevicePtr, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
-        let start = ptr.0 as usize;
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = self.data.get(start + i).copied().unwrap_or(0);
-        }
+        let start = usize::try_from(ptr.0).map_or(self.data.len(), |s| s.min(self.data.len()));
+        let have = &self.data[start..self.data.len().min(start.saturating_add(len))];
+        out[..have.len()].copy_from_slice(have);
         out
     }
 
@@ -141,6 +142,78 @@ impl DeviceMemory {
     /// Write one u64.
     pub fn write_u64(&mut self, ptr: DevicePtr, v: u64) {
         self.write_slice(ptr, &v.to_le_bytes());
+    }
+
+    /// The `N` bytes at `addr`, little-endian, for `N` an access width;
+    /// bytes outside the image read zero.
+    #[inline]
+    fn read_n<const N: usize>(&self, addr: u64) -> u64 {
+        let mut bytes = [0u8; 8];
+        let inside = usize::try_from(addr)
+            .ok()
+            .and_then(|start| self.data.get(start..)?.first_chunk::<N>());
+        match inside {
+            Some(src) => *bytes.first_chunk_mut::<N>().expect("N <= 8") = *src,
+            // Partly or wholly outside the image: those bytes read zero.
+            None => {
+                for (i, b) in bytes[..N].iter_mut().enumerate() {
+                    let at = addr
+                        .checked_add(i as u64)
+                        .and_then(|a| usize::try_from(a).ok());
+                    *b = at.and_then(|a| self.data.get(a)).copied().unwrap_or(0);
+                }
+            }
+        }
+        u64::from_le_bytes(bytes)
+    }
+
+    /// Write the low `N` bytes of `value` at `addr`, growing the image.
+    #[inline]
+    fn write_n<const N: usize>(&mut self, addr: u64, value: u64) {
+        let range = self
+            .image_range(addr, N)
+            .expect("a write the guest-fault check admitted fits the address space");
+        if self.data.len() < range.end {
+            self.data.resize(range.end, 0);
+        }
+        let dst = self.data[range.start..].first_chunk_mut::<N>();
+        *dst.expect("the image reaches the write's end") =
+            *value.to_le_bytes().first_chunk::<N>().expect("N <= 8");
+    }
+
+    fn read_row<const N: usize>(&self, addrs: &Row, mask: u32) -> Row {
+        std::array::from_fn(|l| {
+            if mask >> l & 1 != 0 {
+                self.read_n::<N>(addrs[l])
+            } else {
+                0
+            }
+        })
+    }
+
+    fn write_row<const N: usize>(&mut self, addrs: &Row, values: &Row, mask: u32) {
+        for l in 0..WARP_SIZE {
+            if mask >> l & 1 != 0 {
+                self.write_n::<N>(addrs[l], values[l]);
+            }
+        }
+    }
+
+    /// Whether no active lane of a row whose addresses OR to `or` and span
+    /// `[lo, hi]` can fault at `width`: all aligned, all inside the
+    /// allocated range, and the span clear of the poison window. `false`
+    /// only says some lane *may* fault.
+    fn row_is_clean(&self, or: u64, lo: u64, hi: u64, width: Width) -> bool {
+        let w = width.bytes();
+        let Some(end) = hi.checked_add(w) else {
+            return false;
+        };
+        or.is_multiple_of(w)
+            && lo >= BASE
+            && end <= self.cursor
+            && self
+                .poison
+                .is_none_or(|(p_lo, p_hi)| end <= p_lo || lo >= p_hi)
     }
 }
 
@@ -162,35 +235,71 @@ impl GlobalMem for DeviceMemory {
         None
     }
 
-    #[inline]
-    fn read(&self, addr: u64, width: Width) -> u64 {
-        let n = width.bytes() as usize;
-        let mut bytes = [0u8; 8];
-        match self.image_range(addr, n).and_then(|r| self.data.get(r)) {
-            Some(src) => bytes[..n].copy_from_slice(src),
-            // Partly or wholly outside the image: those bytes read zero.
-            None => {
-                for (i, b) in bytes[..n].iter_mut().enumerate() {
-                    let at = addr
-                        .checked_add(i as u64)
-                        .and_then(|a| usize::try_from(a).ok());
-                    *b = at.and_then(|a| self.data.get(a)).copied().unwrap_or(0);
-                }
+    fn check_lanes(
+        &self,
+        addrs: &Row,
+        mask: u32,
+        width: Width,
+        store: bool,
+    ) -> Option<(FaultKind, u64, u32)> {
+        let (mut or, mut lo, mut hi) = (0u64, u64::MAX, 0u64);
+        for (l, &a) in addrs.iter().enumerate() {
+            let on = mask >> l & 1 != 0;
+            or |= if on { a } else { 0 };
+            lo = lo.min(if on { a } else { u64::MAX });
+            hi = hi.max(if on { a } else { 0 });
+        }
+        if mask == 0 || self.row_is_clean(or, lo, hi, width) {
+            return None;
+        }
+        // Some lane may fault: the per-lane rule names the first and the mask.
+        let mut first = None;
+        let mut faulting = 0u32;
+        for l in (0..WARP_SIZE).filter(|l| mask >> l & 1 != 0) {
+            if let Some(kind) = self.check(addrs[l], width, store) {
+                faulting |= 1 << l;
+                first.get_or_insert((kind, addrs[l]));
             }
         }
-        u64::from_le_bytes(bytes)
+        first.map(|(kind, addr)| (kind, addr, faulting))
+    }
+
+    #[inline]
+    fn read(&self, addr: u64, width: Width) -> u64 {
+        match width {
+            Width::B8 => self.read_n::<1>(addr),
+            Width::B16 => self.read_n::<2>(addr),
+            Width::B32 => self.read_n::<4>(addr),
+            Width::B64 => self.read_n::<8>(addr),
+        }
+    }
+
+    fn read_lanes(&self, addrs: &Row, mask: u32, width: Width) -> Row {
+        match width {
+            Width::B8 => self.read_row::<1>(addrs, mask),
+            Width::B16 => self.read_row::<2>(addrs, mask),
+            Width::B32 => self.read_row::<4>(addrs, mask),
+            Width::B64 => self.read_row::<8>(addrs, mask),
+        }
     }
 
     #[inline]
     fn write(&mut self, addr: u64, width: Width, value: u64) {
-        let n = width.bytes() as usize;
-        let range = self
-            .image_range(addr, n)
-            .expect("a write the guest-fault check admitted fits the address space");
-        if self.data.len() < range.end {
-            self.data.resize(range.end, 0);
+        match width {
+            Width::B8 => self.write_n::<1>(addr, value),
+            Width::B16 => self.write_n::<2>(addr, value),
+            Width::B32 => self.write_n::<4>(addr, value),
+            Width::B64 => self.write_n::<8>(addr, value),
         }
-        self.data[range].copy_from_slice(&value.to_le_bytes()[..n]);
+    }
+
+    fn write_lanes(&mut self, addrs: &Row, values: &Row, mask: u32, width: Width) {
+        match width {
+            Width::B8 => self.write_row::<1>(addrs, values, mask),
+            Width::B16 => self.write_row::<2>(addrs, values, mask),
+            Width::B32 => self.write_row::<4>(addrs, values, mask),
+            Width::B64 => self.write_row::<8>(addrs, values, mask),
+        }
     }
 
     fn atom(&mut self, op: AtomOp, addr: u64, src: u64, cas: u64) -> u64 {
@@ -223,6 +332,21 @@ mod tests {
         m.write_slice(p, &[1, 2, 3, 4]);
         assert_eq!(m.read_slice(p, 4), vec![1, 2, 3, 4]);
         assert_eq!(m.read_slice(p.offset(2), 2), vec![3, 4]);
+    }
+
+    #[test]
+    fn read_slice_reads_zero_past_the_image() {
+        let mut m = DeviceMemory::new();
+        let p = m.alloc(16);
+        m.write_slice(p, &[7; 16]);
+        let end = m.data.len() as u64;
+        // Across the end: the part inside the image, then zeros.
+        assert_eq!(m.read_slice(DevicePtr(end - 3), 6), vec![7, 7, 7, 0, 0, 0]);
+        assert_eq!(m.read_u64(DevicePtr(end - 4)), 0x0707_0707);
+        // Wholly beyond it, up to the top of the address space.
+        assert_eq!(m.read_slice(DevicePtr(end + 100), 4), vec![0; 4]);
+        assert_eq!(m.read_slice(DevicePtr(u64::MAX - 1), 4), vec![0; 4]);
+        assert_eq!(m.read_slice(DevicePtr(end), 0), Vec::<u8>::new());
     }
 
     #[test]
@@ -325,12 +449,12 @@ mod tests {
 
     // ---- rows equal lanes, fast path equals the byte loop ------------------
 
-    use ggpu_isa::{Row, WARP_SIZE};
     use proptest::prelude::*;
 
     /// The device memory's rules a byte and a lane at a time — `read` and
-    /// `write` as they were before the sub-slice fast path — under the
-    /// trait's default (per-lane) `*_lanes` bodies.
+    /// `write` as they were before the fixed-width copies — under the
+    /// trait's default (per-lane) `*_lanes` bodies, so `check_lanes` is the
+    /// per-lane rule with no reduction in front of it.
     struct Reference {
         data: Vec<u8>,
         frontier: u64,
@@ -401,7 +525,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
         fn lane_rows_equal_per_lane_accesses_of_the_byte_wise_reference(
@@ -411,10 +535,26 @@ mod tests {
             mask in prop_oneof![Just(u32::MAX), Just(0u32), 0..=u32::MAX],
             width in prop_oneof![Just(Width::B8), Just(Width::B16), Just(Width::B32), Just(Width::B64)],
             store in 0..2u8,
+            shape in 0..4u8,
+            k in 0..WARP_SIZE as u64 - 1,
         ) {
             let mut m = populated(&fill);
+            // Shape 0: lanes of every class. Otherwise a clean row, lanes
+            // one width apart, whose span is clear of the poisoned window
+            // (1), straddles a window that falls between lanes k and k + 1
+            // (2), or covers the last byte of lane k (3).
+            let w = width.bytes();
+            let lane = |l: u64| BASE + 384 + l * 2 * w;
+            let addrs: Row = std::array::from_fn(|l| match shape {
+                0 => lane_addr(&m, width, lanes[l]),
+                _ => lane(l as u64),
+            });
+            match shape {
+                2 => m.set_poison(Some((lane(k) + w, lane(k + 1)))),
+                3 => m.set_poison(Some((lane(k) + w - 1, lane(k) + w))),
+                _ => {}
+            }
             let mut r = Reference { data: m.data.clone(), frontier: m.cursor, poison: m.poison };
-            let addrs: Row = std::array::from_fn(|l| lane_addr(&m, width, lanes[l]));
             let values: Row = values.try_into().expect("32 lanes");
 
             // Through the trait object, as the SM calls them.

@@ -951,37 +951,50 @@ impl SmCore {
         dst.copy_from_slice(&value.to_le_bytes()[..dst.len()]);
     }
 
-    /// Per-lane local-memory remap into the grid's local arena.
+    /// Remap a row of thread-relative local addresses into the grid's local
+    /// arena, in place.
     ///
     /// Like real GPUs, local memory is interleaved per warp at 8-byte
     /// granularity (`[warp][granule][lane]`): when all lanes of a warp
     /// access the same local offset — the common case for spilled arrays —
     /// the 32 lane addresses are contiguous and coalesce into two 128-byte
-    /// transactions instead of 32.
-    fn local_addr(
-        interleave: bool,
-        cfg: &CtaConfig,
-        warp_in_cta: u32,
-        lane: usize,
-        addr: u64,
-    ) -> u64 {
+    /// transactions instead of 32. The warp's arena base is computed once;
+    /// every lane, active or not, is remapped with wrapping arithmetic, which
+    /// is exact on the active lanes (the extent check has bounded them) and
+    /// lets the garbage of inactive ones wrap instead of overflowing.
+    fn local_row(interleave: bool, cfg: &CtaConfig, warp_in_cta: u32, addrs: &mut Row) {
+        let lanes = WARP_SIZE as u64;
         if !interleave {
             // Ablation layout: contiguous per-thread arenas. Same-offset
             // accesses across a warp land `local_stride` bytes apart and
             // cannot coalesce.
-            let tid = warp_in_cta as u64 * WARP_SIZE as u64 + lane as u64;
-            let thread_global = cfg.cta_linear * cfg.dims.threads_per_cta() as u64 + tid;
-            return cfg.local_base + thread_global * cfg.local_stride + addr;
+            let first_thread = cfg
+                .cta_linear
+                .wrapping_mul(cfg.dims.threads_per_cta() as u64)
+                .wrapping_add(warp_in_cta as u64 * lanes);
+            let base = cfg
+                .local_base
+                .wrapping_add(first_thread.wrapping_mul(cfg.local_stride));
+            for (lane, a) in addrs.iter_mut().enumerate() {
+                *a = base
+                    .wrapping_add((lane as u64).wrapping_mul(cfg.local_stride))
+                    .wrapping_add(*a);
+            }
+            return;
         }
-        let warp_global = cfg.cta_linear * cfg.dims.warps_per_cta() as u64 + warp_in_cta as u64;
-        let granule = addr / 8;
-        let rem = addr % 8;
-        let warp_stride = cfg.local_stride * WARP_SIZE as u64;
-        cfg.local_base
-            + warp_global * warp_stride
-            + granule * (8 * WARP_SIZE as u64)
-            + lane as u64 * 8
-            + rem
+        let warp_global = cfg
+            .cta_linear
+            .wrapping_mul(cfg.dims.warps_per_cta() as u64)
+            .wrapping_add(warp_in_cta as u64);
+        let base = cfg
+            .local_base
+            .wrapping_add(warp_global.wrapping_mul(cfg.local_stride.wrapping_mul(lanes)));
+        for (lane, a) in addrs.iter_mut().enumerate() {
+            let granule = (*a / 8).wrapping_mul(8 * lanes);
+            *a = base
+                .wrapping_add(granule)
+                .wrapping_add(lane as u64 * 8 + *a % 8);
+        }
     }
 
     /// Park warp `widx` as trapped at `pc` and report the guest fault.
@@ -1021,15 +1034,21 @@ impl SmCore {
     /// The guest-fault check for the two spaces whose size the SM knows — a
     /// CTA's shared allocation, a thread's local arena: any access ending
     /// beyond `len` bytes (or past the end of the address space) faults.
-    /// Returns the first faulting address and the lane mask.
+    /// Returns the first faulting address and the lane mask. One maximum
+    /// over the active lanes clears a row; the lanes are walked only when
+    /// some lane fails.
     fn check_extent_lanes(addrs: &Row, mask: u32, width: Width, len: u64) -> Option<(u64, u32)> {
+        let w = width.bytes();
+        let hi = (0..WARP_SIZE).fold(0, |hi, l| {
+            hi.max(if mask >> l & 1 != 0 { addrs[l] } else { 0 })
+        });
+        if hi.checked_add(w).is_some_and(|end| end <= len) {
+            return None;
+        }
         let mut first: Option<u64> = None;
         let mut faulting = 0u32;
         for lane in lanes(mask) {
-            if addrs[lane]
-                .checked_add(width.bytes())
-                .is_none_or(|end| end > len)
-            {
+            if addrs[lane].checked_add(w).is_none_or(|end| end > len) {
                 faulting |= 1 << lane;
                 first.get_or_insert(addrs[lane]);
             }

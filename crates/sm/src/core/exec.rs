@@ -408,10 +408,8 @@ impl SmCore {
         });
         if fault.is_none() && !shared {
             if m.space == Space::Local {
-                let (interleave, wic) = (self.config.interleave_local, w.warp_in_cta);
-                for lane in lanes(mask) {
-                    addrs[lane] = Self::local_addr(interleave, &slot.cfg, wic, lane, addrs[lane]);
-                }
+                let interleave = self.config.interleave_local;
+                Self::local_row(interleave, &slot.cfg, w.warp_in_cta, &mut addrs);
             }
             let store = !matches!(m.access, Access::Load(_));
             fault = gmem.check_lanes(&addrs, mask, m.width, store);

@@ -1,7 +1,8 @@
 //! Tests of what only the core's own module can see: the readiness memo
 //! against a fresh derivation at every invalidation event, the row forms of
-//! `issue` against the scalar operations lane by lane, the order the store
-//! log commits in, and what `abort_workload` leaves in the caches.
+//! `issue` against the scalar operations lane by lane, the extent check and
+//! the local remap against their per-lane forms, the order the store log
+//! commits in, and what `abort_workload` leaves in the caches.
 
 use std::sync::Arc;
 
@@ -445,6 +446,116 @@ proptest! {
         let mut data = data;
         SmCore::bytes_write(&mut data, addr, width, value);
         prop_assert_eq!(data, written);
+    }
+}
+
+// ---- the guest-fault extent and the local remap, rows against lanes ----------
+
+/// `check_extent_lanes` lane by lane, as it was before the reduction.
+fn extent_reference(addrs: &Row, mask: u32, width: Width, len: u64) -> Option<(u64, u32)> {
+    let mut first = None;
+    let mut faulting = 0u32;
+    for lane in (0..WARP_SIZE).filter(|l| mask & (1 << l) != 0) {
+        if addrs[lane]
+            .checked_add(width.bytes())
+            .is_none_or(|end| end > len)
+        {
+            faulting |= 1 << lane;
+            first.get_or_insert(addrs[lane]);
+        }
+    }
+    first.map(|a| (a, faulting))
+}
+
+/// The local remap one lane at a time, as `mem_access` did it before the
+/// warp's arena base was hoisted out of the lane loop.
+fn local_addr(interleave: bool, cfg: &CtaConfig, warp_in_cta: u32, lane: usize, addr: u64) -> u64 {
+    if !interleave {
+        let tid = warp_in_cta as u64 * WARP_SIZE as u64 + lane as u64;
+        let thread_global = cfg.cta_linear * cfg.dims.threads_per_cta() as u64 + tid;
+        return cfg.local_base + thread_global * cfg.local_stride + addr;
+    }
+    let warp_global = cfg.cta_linear * cfg.dims.warps_per_cta() as u64 + warp_in_cta as u64;
+    let granule = addr / 8;
+    let rem = addr % 8;
+    let warp_stride = cfg.local_stride * WARP_SIZE as u64;
+    cfg.local_base
+        + warp_global * warp_stride
+        + granule * (8 * WARP_SIZE as u64)
+        + lane as u64 * 8
+        + rem
+}
+
+fn width() -> BoxedStrategy<Width> {
+    prop_oneof![
+        Just(Width::B8),
+        Just(Width::B16),
+        Just(Width::B32),
+        Just(Width::B64)
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn the_extent_check_reduction_is_the_per_lane_rule(
+        lanes in prop::collection::vec((0..4u8, 0..=u64::MAX), WARP_SIZE),
+        mask in prop_oneof![Just(FULL_MASK), Just(0u32), 0..=u32::MAX],
+        width in width(),
+        len in prop_oneof![Just(0u64), 1..4096u64, Just(u64::MAX)],
+    ) {
+        // Lanes well inside the extent, around its end, anywhere, and at the
+        // top of the address space, where the address plus the width
+        // overflows.
+        let addrs: Row = std::array::from_fn(|l| match lanes[l] {
+            (0, v) => v % len.max(1),
+            (1, v) => len.saturating_sub(8).saturating_add(v % 16),
+            (2, v) => v,
+            (_, v) => u64::MAX - v % 8,
+        });
+        prop_assert_eq!(
+            SmCore::check_extent_lanes(&addrs, mask, width, len),
+            extent_reference(&addrs, mask, width, len)
+        );
+    }
+
+    #[test]
+    fn the_row_remap_is_the_per_lane_remap_on_the_active_lanes(
+        offsets in prop::collection::vec(0..=u64::MAX, WARP_SIZE),
+        garbage in prop::collection::vec(0..64u64, WARP_SIZE),
+        mask in prop_oneof![Just(FULL_MASK), Just(0u32), 0..=u32::MAX],
+        interleave in 0..2u8,
+        local_stride in 1..2048u64,
+        (cta_linear, threads, warp) in (0..4096u64, 1..=1024u32, 0..32u32),
+        local_base in 0..1u64 << 40,
+    ) {
+        let cfg = CtaConfig {
+            kernel_id: KernelId(0),
+            grid_handle: 1,
+            cta_linear,
+            dims: LaunchDims::linear(cta_linear as u32 + 1, threads),
+            params: Arc::new(Vec::new()),
+            const_data: Arc::new(Vec::new()),
+            local_base,
+            local_stride,
+        };
+        let warp_in_cta = warp % cfg.dims.warps_per_cta();
+        // Active lanes hold thread-relative offsets the extent check admits;
+        // inactive ones hold garbage near the top of the address space.
+        let raw: Row = std::array::from_fn(|l| {
+            if mask & (1 << l) != 0 {
+                offsets[l] % local_stride
+            } else {
+                u64::MAX - garbage[l]
+            }
+        });
+        let mut row = raw;
+        SmCore::local_row(interleave == 1, &cfg, warp_in_cta, &mut row);
+        for l in (0..WARP_SIZE).filter(|l| mask & (1 << l) != 0) {
+            prop_assert_eq!(row[l], local_addr(interleave == 1, &cfg, warp_in_cta, l, raw[l]), "lane {}", l);
+        }
     }
 }
 
