@@ -276,8 +276,7 @@ fn ledger_row(tune: impl Fn(&mut GpuConfig), row: impl Fn(&mut Gpu, &LedgerKerne
         for fast_forward in [false, true] {
             let mut cfg = GpuConfig::test_small()
                 .with_fast_forward(fast_forward)
-                .with_stream_isolation(stream_isolation)
-                .with_kernel_records(true);
+                .with_stream_isolation(stream_isolation);
             cfg.trace = true;
             tune(&mut cfg);
             let (program, k) = ledger_program();

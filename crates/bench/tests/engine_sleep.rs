@@ -303,9 +303,8 @@ enum Kill {
 /// the same clean run on a new device.
 fn killed_then_clean(kill: Kill, fast_forward: bool, fresh: &CleanRun) -> CleanRun {
     let (program, k) = build_program();
-    let mut cfg = baseline(fast_forward)
-        .with_stream_isolation(true)
-        .with_kernel_records(true);
+    let mut cfg = baseline(fast_forward).with_stream_isolation(true);
+    cfg.trace = true;
     cfg.watchdog_cycles = 2_000;
     if matches!(kill, Kill::Hang) {
         cfg.fault_plan.drop_reply = Some(0);
@@ -372,9 +371,8 @@ fn killed_then_clean(kill: Kill, fast_forward: bool, fresh: &CleanRun) -> CleanR
 fn a_kill_with_lanes_asleep_leaves_a_device_as_good_as_new() {
     let fresh = {
         let (program, k) = build_program();
-        let cfg = baseline(false)
-            .with_stream_isolation(true)
-            .with_kernel_records(true);
+        let mut cfg = baseline(false).with_stream_isolation(true);
+        cfg.trace = true;
         let mut gpu = Gpu::new(program, cfg);
         gpu.malloc(256);
         clean_run(&mut gpu, &k)
@@ -562,8 +560,7 @@ fn no_l1(fast_forward: bool) -> GpuConfig {
     let mut cfg = GpuConfig::test_small()
         .with_cache_sizes(0, 4 << 20)
         .with_fast_forward(fast_forward)
-        .with_attribution(true)
-        .with_kernel_records(true);
+        .with_attribution(true);
     cfg.trace = true;
     cfg.sample_interval_cycles = PARKED_SAMPLE_INTERVAL;
     cfg

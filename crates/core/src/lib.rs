@@ -29,8 +29,8 @@ pub use ggpu_sim::{
     chrome_trace_json, json, run_stats_json, CacheStats, DeadlockReport, DeviceFault, DramStats,
     FaultKind, FaultPlan, Gpu, GpuConfig, IntervalSample, KernelPcProfile, KernelRecord,
     LaunchProblem, PartitionUnit, PcCounters, PcProfile, PcProfileRow, ProfileReport, RunStats,
-    SimError, SmStats, SmUnit, StallBreakdown, StallReason, TraceBuffer, TraceEvent,
-    TraceEventKind, UnitProfile,
+    SimError, SmStats, SmUnit, StallBreakdown, StallReason, TraceEvent, TraceEventKind,
+    UnitProfile,
 };
 
 use ggpu_sm::SmConfig;

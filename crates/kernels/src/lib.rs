@@ -139,8 +139,9 @@ pub struct BenchResult {
     /// Human-readable summary of what ran.
     pub detail: String,
     /// Time-resolved profile (per-kernel records, interval samples, event
-    /// trace), present when the run's [`GpuConfig`] enabled profiling
-    /// (tracing and/or interval sampling); `None` otherwise.
+    /// trace, attribution), present when the run's [`GpuConfig`] turned
+    /// the device's recorder on (tracing, interval sampling or per-PC
+    /// attribution; see [`Gpu::profiling_enabled`]); `None` otherwise.
     pub profile: Option<Box<ProfileReport>>,
 }
 

@@ -76,9 +76,10 @@ use ggpu_sim::GpuConfig;
 /// are refused at admission with a typed error.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Base device configuration. The service forces the isolation knobs
-    /// it depends on (`stream_isolation`, `kernel_records`,
-    /// `flush_between_kernels`) regardless of what this says.
+    /// Base device configuration. The service forces the knobs it depends
+    /// on (`stream_isolation`, `flush_between_kernels`, and `trace`, which
+    /// also keeps the per-grid records its report joins against)
+    /// regardless of what this says.
     pub gpu: GpuConfig,
     /// Devices in the node the service drives (each a full `gpu` clone;
     /// `0` is treated as `1`). Workers round-robin over devices, so the
@@ -127,11 +128,5 @@ impl ServeConfig {
             phmm_read_len: 10,
             phmm_hap_len: 14,
         }
-    }
-
-    /// Spread the service over `n` devices (builder style).
-    pub fn with_devices(mut self, n: usize) -> Self {
-        self.n_devices = n;
-        self
     }
 }

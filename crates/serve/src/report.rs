@@ -1,6 +1,7 @@
 //! The serving observability report: metrics, latency histograms, the
 //! host event stream, batch spans, request trails, and a unified
-//! host+device Chrome-trace export.
+//! host+device Chrome-trace export. The histograms are folded from the
+//! trails when the report is built; nothing keeps them between reports.
 //!
 //! The Chrome trace renders one Perfetto process per participant on one
 //! cycle timeline: pid 0 holds the host rows (an admission-queue-depth
@@ -16,12 +17,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ggpu_sim::json::{quoted, JsonWriter};
-use ggpu_sim::{grid_device, ChromeTrace, InstantScope, KernelRecord, TraceEvent, TraceEventKind};
+use ggpu_sim::{
+    grid_device, ChromeTrace, InstantScope, KernelRecord, Log, TraceEvent, TraceEventKind,
+};
 
 use crate::histogram::{Histogram, LatencyStats};
 use crate::metrics::ServeMetrics;
 use crate::shape::ShapeKey;
-use crate::telemetry::{BatchSpan, JobTrail, ServeEvent, ServeEventKind};
+use crate::telemetry::{BatchSpan, JobTrail, OutcomeTag, ServeEvent, ServeEventKind};
 
 /// Everything the serving layer observed, in one exportable bundle.
 /// Built by [`crate::Service::report`].
@@ -65,6 +68,75 @@ pub struct DeviceLog {
 }
 
 impl ServeReport {
+    /// A report over `trails` (in completion order), with the latency
+    /// histogram forest folded from them.
+    pub(crate) fn new(
+        metrics: ServeMetrics,
+        clock_ghz: f64,
+        events: &Log<ServeEvent>,
+        spans: Vec<BatchSpan>,
+        trails: Vec<JobTrail>,
+        in_flight: u64,
+        devices: Vec<DeviceLog>,
+    ) -> Self {
+        let mut global = LatencyStats::default();
+        let mut per_tenant = BTreeMap::new();
+        let mut per_shape = BTreeMap::new();
+        for t in &trails {
+            let queue_wait = t
+                .batch_assign_cycle
+                .map(|a| a.saturating_sub(t.submit_cycle));
+            let batch_formation = t
+                .batch_assign_cycle
+                .zip(t.first_launch_cycle)
+                .map(|(a, l)| l.saturating_sub(a));
+            for stats in [
+                &mut global,
+                per_tenant.entry(t.tenant.0).or_default(),
+                per_shape.entry(t.shape).or_default(),
+            ] {
+                if let Some(v) = queue_wait {
+                    stats.queue_wait.record(v);
+                }
+                if let Some(v) = batch_formation {
+                    stats.batch_formation.record(v);
+                }
+                if let Some(v) = t.device_exec {
+                    stats.device_exec.record(v);
+                }
+                stats.e2e.record(t.e2e);
+            }
+        }
+        let per_outcome = [
+            OutcomeTag::Done,
+            OutcomeTag::Shed,
+            OutcomeTag::DeadlineExceeded,
+            OutcomeTag::Failed,
+        ]
+        .map(|outcome| {
+            let mut h = Histogram::new();
+            for t in trails.iter().filter(|t| t.outcome == outcome) {
+                h.record(t.e2e);
+            }
+            (outcome.tag(), h)
+        })
+        .into();
+        ServeReport {
+            metrics,
+            clock_ghz,
+            global,
+            per_tenant,
+            per_shape,
+            per_outcome,
+            events: events.entries().to_vec(),
+            events_dropped: events.dropped(),
+            spans,
+            trails,
+            in_flight,
+            devices,
+        }
+    }
+
     /// The `n` slowest terminated jobs by end-to-end cycles (ties broken
     /// by job id, so the order is deterministic).
     pub fn slowest(&self, n: usize) -> Vec<&JobTrail> {

@@ -17,7 +17,7 @@ use crate::error::{AdmitError, ServiceDead};
 use crate::job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, Priority, Tenant};
 use crate::metrics::ServeMetrics;
 use crate::queue::{AdmissionQueue, QueuedJob};
-use crate::report::ServeReport;
+use crate::report::{DeviceLog, ServeReport};
 use crate::shape::{shape_of, ShapeKey};
 use crate::telemetry::{OutcomeTag, RejectReason, ServeTelemetry};
 use crate::ServeConfig;
@@ -31,7 +31,8 @@ const BACKOFF_BASE: u64 = 1;
 /// Backoff ceiling, in rounds.
 const BACKOFF_CAP: u64 = 8;
 /// Capacity of the telemetry event log ([`crate::ServeEvent`]s); further
-/// events are dropped and counted, like the device trace buffer.
+/// events are dropped and counted, the device recorder's [`ggpu_sim::Log`]
+/// rule.
 const TELEMETRY_EVENTS: usize = 1 << 16;
 /// Most threads per CTA a pairwise / Pair-HMM kernel is compiled for.
 const SW_TPC_CAP: u32 = 64;
@@ -72,8 +73,6 @@ pub struct Service {
     round: u64,
     next_job: u64,
     next_batch: u64,
-    /// Kernel records already fed to telemetry, per device.
-    records_seen: Vec<usize>,
 }
 
 impl Service {
@@ -84,15 +83,14 @@ impl Service {
     pub fn new(cfg: ServeConfig) -> Result<Self, SimError> {
         let mut gcfg = cfg.gpu.clone();
         // The service owns the isolation contract: per-stream fault
-        // scoping, canonical kernel boundaries, and per-grid records are
-        // not optional here.
+        // scoping and canonical kernel boundaries are not optional here.
         gcfg.stream_isolation = true;
-        gcfg.kernel_records = true;
         gcfg.flush_between_kernels = true;
         gcfg.sample_interval_cycles = 0;
         // The unified host+device timeline needs the stream-annotated
-        // device event trace; the buffer is bounded, so this is a memory
-        // cap, not a correctness knob.
+        // device event trace, and the report joins spans and trails
+        // against the per-grid records the trace switch keeps; the event
+        // log is bounded, so this is a memory cap, not a correctness knob.
         gcfg.trace = true;
         let smem = gcfg.sm.smem_bytes;
 
@@ -179,7 +177,6 @@ impl Service {
             round: 0,
             next_job: 0,
             next_batch: 0,
-            records_seen: vec![0; n_devices],
         })
     }
 
@@ -342,7 +339,6 @@ impl Service {
                 })?;
             }
         }
-        self.ingest_records();
         for (w, batch, span) in launched {
             let (device, stream) = (self.workers[w].device, self.workers[w].stream);
             if let Some(err) = self.node.device(device).stream_fault(stream).cloned() {
@@ -377,21 +373,6 @@ impl Service {
         self.metrics
             .gauge_inflight_batches(self.parked.len() as u64);
         Ok(())
-    }
-
-    /// Feed newly retired [`ggpu_sim::KernelRecord`]s to the telemetry
-    /// layer (grid start/retire joins for spans and device-exec stage),
-    /// device by device. Grid handles are node-unique, so the joins need
-    /// no device disambiguation.
-    fn ingest_records(&mut self) {
-        for d in 0..self.node.n_devices() {
-            let records = self.node.device(d).kernel_records();
-            let seen = self.records_seen[d];
-            if records.len() > seen {
-                self.telemetry.ingest_records(&records[seen..]);
-                self.records_seen[d] = records.len();
-            }
-        }
     }
 
     /// Drive rounds until no queued or parked work remains (or the round
@@ -456,11 +437,6 @@ impl Service {
         self.node.stats().total()
     }
 
-    /// Per-device statistics plus fabric counters.
-    pub fn node_stats(&self) -> ggpu_sim::NodeStats {
-        self.node.stats()
-    }
-
     /// Devices the service is serving over.
     pub fn n_devices(&self) -> usize {
         self.node.n_devices()
@@ -488,36 +464,34 @@ impl Service {
     /// Snapshot everything the serving layer observed — counters, the
     /// latency histogram forest, the typed host event stream, batch
     /// spans, request trails, and the device's stream-annotated trace —
-    /// as one exportable [`ServeReport`]. Taking a report does not drain
-    /// anything; it can be called repeatedly.
-    pub fn report(&mut self) -> ServeReport {
-        self.ingest_records();
-        ServeReport {
-            metrics: self.metrics,
-            clock_ghz: self.cfg.gpu.clock_ghz,
-            global: self.telemetry.global.clone(),
-            per_tenant: self.telemetry.per_tenant.clone(),
-            per_shape: self.telemetry.per_shape.clone(),
-            per_outcome: vec![
-                ("done", self.telemetry.per_outcome[0].clone()),
-                ("shed", self.telemetry.per_outcome[1].clone()),
-                ("deadline_exceeded", self.telemetry.per_outcome[2].clone()),
-                ("failed", self.telemetry.per_outcome[3].clone()),
-            ],
-            events: self.telemetry.events().to_vec(),
-            events_dropped: self.telemetry.dropped(),
-            spans: self.telemetry.spans().to_vec(),
-            trails: self.telemetry.trails().to_vec(),
-            in_flight: self.telemetry.in_flight() as u64,
-            devices: self
-                .node
-                .devices()
-                .map(|g| crate::report::DeviceLog {
-                    events: g.trace_events().to_vec(),
-                    records: g.kernel_records().to_vec(),
-                })
-                .collect(),
-        }
+    /// as one exportable [`ServeReport`]. Spans and trails get their
+    /// device times here, from the kernel records; grid handles are
+    /// node-unique, so the join needs no device disambiguation. Taking a
+    /// report drains nothing; it can be called repeatedly.
+    pub fn report(&self) -> ServeReport {
+        let devices: Vec<DeviceLog> = self
+            .node
+            .devices()
+            .map(|g| DeviceLog {
+                events: g.trace_events().to_vec(),
+                records: g.kernel_records().to_vec(),
+            })
+            .collect();
+        let grid_times = devices
+            .iter()
+            .flat_map(|d| &d.records)
+            .map(|r| (r.grid, (r.start_cycle, r.retire_cycle)))
+            .collect();
+        let (spans, trails) = self.telemetry.joined(&grid_times);
+        ServeReport::new(
+            self.metrics,
+            self.cfg.gpu.clock_ghz,
+            self.telemetry.events(),
+            spans,
+            trails,
+            self.telemetry.in_flight() as u64,
+            devices,
+        )
     }
 
     /// Record a terminal outcome exactly once and release quota.

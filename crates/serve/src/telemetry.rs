@@ -9,16 +9,20 @@
 //! is the foreign key into [`ggpu_sim::KernelRecord`]s and the
 //! stream-annotated device trace.
 //!
+//! The telemetry keeps only what the device does not: the host event log,
+//! the jobs' trails and the batch launches. Whatever needs a device time
+//! (a span's start and retire, a job's device-execution stage) is joined
+//! against the devices' kernel records when a report is taken.
+//!
 //! Everything here is driven by deterministic cycle counts and service
 //! decisions, so the event stream, the latency histograms, and the
 //! per-batch spans are bit-identical from run to run.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use ggpu_sim::json::JsonWriter;
-use ggpu_sim::StreamId;
+use ggpu_sim::{Log, StreamId};
 
-use crate::histogram::LatencyStats;
 use crate::job::{JobId, JobOutcome, Priority, Tenant};
 use crate::shape::ShapeKey;
 
@@ -346,8 +350,8 @@ pub struct JobTrail {
     /// Every grid launched on its behalf (including failed attempts),
     /// oldest first; capped at [`MAX_TRAIL_GRIDS`].
     pub grids: Vec<GridRef>,
-    /// Device execution cycles of the final successful grid, when it
-    /// retired with a [`ggpu_sim::KernelRecord`].
+    /// Device execution cycles (start to retire) of a `Done` job's last
+    /// grid, when it retired with a [`ggpu_sim::KernelRecord`].
     pub device_exec: Option<u64>,
     /// End-to-end cycles (complete - submit).
     pub e2e: u64,
@@ -357,8 +361,8 @@ pub struct JobTrail {
 /// by the service's attempt/split ladder, so this bound is generous).
 const MAX_TRAIL_GRIDS: usize = 32;
 
-/// One batch launch as a host-side span: launch to retire (or to the
-/// settle cycle when the stream faulted and no record exists).
+/// One batch launch as a host-side span: launch to retire, or to the
+/// settle cycle when the stream faulted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchSpan {
     /// Batch id.
@@ -379,7 +383,8 @@ pub struct BatchSpan {
     pub launch_cycle: u64,
     /// Cycle the grid's first CTA dispatched (from its record), when known.
     pub start_cycle: Option<u64>,
-    /// Retire cycle (from its record) or the settle cycle if it faulted.
+    /// The settle cycle if it faulted; otherwise the retire cycle from its
+    /// record, or the launch cycle when it has none.
     pub end_cycle: u64,
     /// Whether the stream came back faulted for this launch.
     pub faulted: bool,
@@ -416,73 +421,36 @@ struct JobTrack {
     grids: Vec<GridRef>,
 }
 
-/// The serving layer's telemetry state: bounded event log, per-job
-/// tracks/trails, per-batch spans, grid timing joins, and the latency
-/// histogram forest.
-#[derive(Debug, Default)]
+/// The serving layer's telemetry state: the bounded event log, per-job
+/// tracks (closed into trails), and one span per batch launch, holding
+/// the launch and, if the stream faulted, the settle cycle.
+#[derive(Debug)]
 pub(crate) struct ServeTelemetry {
-    events: Vec<ServeEvent>,
-    capacity: usize,
-    dropped: u64,
+    events: Log<ServeEvent>,
     round: u64,
     tracks: HashMap<JobId, JobTrack>,
     trails: Vec<JobTrail>,
     spans: Vec<BatchSpan>,
-    /// Open spans: index into `spans` still awaiting an end cycle.
-    open_spans: Vec<usize>,
-    /// grid handle -> (start_cycle, retire_cycle), fed from KernelRecords.
-    grid_times: HashMap<u64, (u64, u64)>,
-    pub(crate) global: LatencyStats,
-    pub(crate) per_tenant: BTreeMap<u32, LatencyStats>,
-    pub(crate) per_shape: BTreeMap<ShapeKey, LatencyStats>,
-    /// End-to-end histograms keyed by [`OutcomeTag`] order:
-    /// done, shed, deadline_exceeded, failed.
-    pub(crate) per_outcome: [crate::histogram::Histogram; 4],
-}
-
-fn outcome_slot(tag: OutcomeTag) -> usize {
-    match tag {
-        OutcomeTag::Done => 0,
-        OutcomeTag::Shed => 1,
-        OutcomeTag::DeadlineExceeded => 2,
-        OutcomeTag::Failed => 3,
-    }
 }
 
 impl ServeTelemetry {
     pub(crate) fn new(capacity: usize) -> Self {
         ServeTelemetry {
-            capacity,
-            ..Default::default()
+            events: Log::new(capacity),
+            round: 0,
+            tracks: HashMap::new(),
+            trails: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
     fn push(&mut self, cycle: u64, kind: ServeEventKind) {
-        if self.events.len() < self.capacity {
-            self.events.push(ServeEvent {
-                cycle,
-                round: self.round,
-                kind,
-            });
-        } else {
-            self.dropped += 1;
-        }
+        let round = self.round;
+        self.events.push(ServeEvent { cycle, round, kind }, false);
     }
 
-    pub(crate) fn events(&self) -> &[ServeEvent] {
+    pub(crate) fn events(&self) -> &Log<ServeEvent> {
         &self.events
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    pub(crate) fn trails(&self) -> &[JobTrail] {
-        &self.trails
-    }
-
-    pub(crate) fn spans(&self) -> &[BatchSpan] {
-        &self.spans
     }
 
     pub(crate) fn in_flight(&self) -> usize {
@@ -493,23 +461,42 @@ impl ServeTelemetry {
         self.round = round;
     }
 
-    /// Ingest newly retired kernel records for grid start/retire joins,
-    /// and close any open batch span whose grid now has a record.
-    pub(crate) fn ingest_records(&mut self, records: &[ggpu_sim::KernelRecord]) {
-        for r in records {
-            self.grid_times
-                .insert(r.grid, (r.start_cycle, r.retire_cycle));
-        }
-        self.open_spans.retain(|&i| {
-            let span = &mut self.spans[i];
-            if let Some(&(start, retire)) = self.grid_times.get(&span.grid) {
-                span.start_cycle = Some(start);
-                span.end_cycle = retire;
-                false
-            } else {
-                true
-            }
-        });
+    /// The batch spans and job trails with their device times joined in
+    /// from `grid_times` (grid handle → first-CTA start, retire cycle).
+    pub(crate) fn joined(
+        &self,
+        grid_times: &HashMap<u64, (u64, u64)>,
+    ) -> (Vec<BatchSpan>, Vec<JobTrail>) {
+        let spans = self
+            .spans
+            .iter()
+            .map(|span| {
+                let mut span = span.clone();
+                if let Some(&(start, retire)) = grid_times.get(&span.grid) {
+                    span.start_cycle = Some(start);
+                    if !span.faulted {
+                        span.end_cycle = retire;
+                    }
+                }
+                span
+            })
+            .collect();
+        let trails = self
+            .trails
+            .iter()
+            .map(|trail| {
+                let mut trail = trail.clone();
+                if trail.outcome == OutcomeTag::Done {
+                    trail.device_exec = trail
+                        .grids
+                        .last()
+                        .and_then(|g| grid_times.get(&g.grid))
+                        .map(|&(start, retire)| retire.saturating_sub(start));
+                }
+                trail
+            })
+            .collect();
+        (spans, trails)
     }
 
     pub(crate) fn on_submit(&mut self, cycle: u64, tenant: Tenant, priority: Priority) {
@@ -581,8 +568,9 @@ impl ServeTelemetry {
         );
     }
 
-    /// Record a launch: the event, the open batch span, and per-member
-    /// grid refs. `members` are the batch's job ids.
+    /// Record a launch: the event, the batch span (its index is returned
+    /// for [`ServeTelemetry::on_span_faulted`]), and per-member grid refs.
+    /// `members` are the batch's job ids.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_launch(
         &mut self,
@@ -621,7 +609,6 @@ impl ServeTelemetry {
                 attempt,
             },
         );
-        let idx = self.spans.len();
         self.spans.push(BatchSpan {
             batch,
             worker,
@@ -635,8 +622,7 @@ impl ServeTelemetry {
             end_cycle: cycle,
             faulted: false,
         });
-        self.open_spans.push(idx);
-        idx
+        self.spans.len() - 1
     }
 
     /// Mark a launched span as faulted, ending at the settle cycle.
@@ -645,7 +631,6 @@ impl ServeTelemetry {
             s.faulted = true;
             s.end_cycle = cycle;
         }
-        self.open_spans.retain(|&i| i != span);
     }
 
     pub(crate) fn on_retry(&mut self, cycle: u64, batch: u64, attempt: u32, not_before_round: u64) {
@@ -680,8 +665,7 @@ impl ServeTelemetry {
         );
     }
 
-    /// Close a job's track into a trail, record its stage latencies into
-    /// the histogram forest, and emit the Complete event.
+    /// Close a job's track into a trail and emit the Complete event.
     pub(crate) fn on_complete(&mut self, cycle: u64, job: JobId, tenant: Tenant, tag: OutcomeTag) {
         self.push(
             cycle,
@@ -694,40 +678,6 @@ impl ServeTelemetry {
         let Some(track) = self.tracks.remove(&job) else {
             return;
         };
-        let e2e = cycle.saturating_sub(track.submit_cycle);
-        let queue_wait = track
-            .batch_assign_cycle
-            .map(|c| c.saturating_sub(track.submit_cycle));
-        let batch_formation = match (track.batch_assign_cycle, track.first_launch_cycle) {
-            (Some(a), Some(l)) => Some(l.saturating_sub(a)),
-            _ => None,
-        };
-        let device_exec = if tag == OutcomeTag::Done {
-            track
-                .grids
-                .last()
-                .and_then(|g| self.grid_times.get(&g.grid))
-                .map(|&(start, retire)| retire.saturating_sub(start))
-        } else {
-            None
-        };
-        for stats in [
-            &mut self.global,
-            self.per_tenant.entry(track.tenant.0).or_default(),
-            self.per_shape.entry(track.shape).or_default(),
-        ] {
-            if let Some(v) = queue_wait {
-                stats.queue_wait.record(v);
-            }
-            if let Some(v) = batch_formation {
-                stats.batch_formation.record(v);
-            }
-            if let Some(v) = device_exec {
-                stats.device_exec.record(v);
-            }
-            stats.e2e.record(e2e);
-        }
-        self.per_outcome[outcome_slot(tag)].record(e2e);
         self.trails.push(JobTrail {
             job,
             tenant: track.tenant,
@@ -739,8 +689,40 @@ impl ServeTelemetry {
             complete_cycle: cycle,
             outcome: tag,
             grids: track.grids,
-            device_exec,
-            e2e,
+            device_exec: None,
+            e2e: cycle.saturating_sub(track.submit_cycle),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Three jobs, each on its own launch: one completes on a grid with a
+    /// record, one fails on a faulted grid, one completes on a grid whose
+    /// record has not been taken.
+    #[test]
+    fn spans_and_trails_join_device_times_at_report_time() {
+        let mut t = ServeTelemetry::new(16);
+        let shape = ShapeKey::Fm;
+        for job in 0..3 {
+            t.on_admit(0, JobId(job), Tenant(0), shape, Priority(0), 1);
+            let span = t.on_launch(10, job, 0, StreamId(1), 100 + job, shape, 1, &[JobId(job)]);
+            if job == 1 {
+                t.on_span_faulted(span, 700);
+            }
+        }
+        t.on_complete(800, JobId(0), Tenant(0), OutcomeTag::Done);
+        t.on_complete(800, JobId(1), Tenant(0), OutcomeTag::Failed);
+        t.on_complete(800, JobId(2), Tenant(0), OutcomeTag::Done);
+        // The faulted grid has a record too: the settle cycle still ends
+        // its span, and a failed job has no device stage.
+        let times = HashMap::from([(100, (20, 400)), (101, (30, 500))]);
+        let (spans, trails) = t.joined(&times);
+        let ends: Vec<_> = spans.iter().map(|s| (s.start_cycle, s.end_cycle)).collect();
+        assert_eq!(ends, [(Some(20), 400), (Some(30), 700), (None, 10)]);
+        let exec: Vec<_> = trails.iter().map(|t| t.device_exec).collect();
+        assert_eq!(exec, [Some(380), None, None]);
     }
 }

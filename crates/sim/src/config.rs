@@ -95,8 +95,10 @@ pub struct GpuConfig {
     /// sampling entirely — the only cost on the disabled path is one
     /// branch per device cycle.
     pub sample_interval_cycles: u64,
-    /// Record a structured event trace into the in-memory buffer
-    /// ([`crate::Gpu::trace_events`]). Off by default.
+    /// Record a structured event trace ([`crate::Gpu::trace_events`]).
+    /// Like sampling and attribution, this turns the device's recorder on,
+    /// so per-kernel records ([`crate::Gpu::kernel_records`]) are kept
+    /// too. Off by default.
     pub trace: bool,
     /// Inert: one thread ticks one device. Kept until `benchmark/` stops
     /// naming it (with [`GpuConfig::with_sim_threads`]); read by nothing.
@@ -124,10 +126,6 @@ pub struct GpuConfig {
     /// this on: it is what makes a non-faulted stream's results bit-equal
     /// to a fault-free run even when sibling streams fault and retry.
     pub stream_isolation: bool,
-    /// Keep a per-kernel [`crate::KernelRecord`] for every retired grid
-    /// even when tracing, sampling, and attribution are all off. Serving
-    /// harnesses use the records as their per-batch accounting ledger.
-    pub kernel_records: bool,
 }
 
 impl Default for GpuConfig {
@@ -164,7 +162,6 @@ impl GpuConfig {
             sim_threads: 1,
             fast_forward: true,
             stream_isolation: false,
-            kernel_records: false,
         }
     }
 
@@ -219,13 +216,6 @@ impl GpuConfig {
         self
     }
 
-    /// Keep per-kernel records regardless of other profiling knobs; see
-    /// [`GpuConfig::kernel_records`].
-    pub fn with_kernel_records(mut self, on: bool) -> Self {
-        self.kernel_records = on;
-        self
-    }
-
     /// Enable or disable per-PC attribution (the code axis of
     /// [`crate::ProfileReport`]); shorthand for setting
     /// [`ggpu_sm::SmConfig::attribution`].
@@ -268,13 +258,7 @@ mod tests {
         assert!(c.fault_plan.drop_memcpy.is_none());
         assert!(c.fault_plan.poison_memcpy.is_none());
         assert!(!c.stream_isolation, "legacy boundaries by default");
-        assert!(!c.kernel_records);
         assert!(c.with_stream_isolation(true).stream_isolation);
-        assert!(
-            GpuConfig::rtx3070()
-                .with_kernel_records(true)
-                .kernel_records
-        );
     }
 
     #[test]

@@ -41,11 +41,12 @@ use crate::config::GpuConfig;
 use crate::error::SimError;
 use crate::memory::DeviceMemory;
 use crate::profile::{
-    IntervalSample, KernelPcProfile, KernelRecord, PcProfile, PcProfileRow, ProfileReport, Sampler,
-    SmUnit, UnitProfile,
+    IntervalSample, KernelPcProfile, KernelRecord, PcProfile, PcProfileRow, ProfileReport, SmUnit,
+    UnitProfile,
 };
+use crate::recorder::Recorder;
 use crate::stats::{HostStats, RunStats};
-use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind};
+use crate::trace::{TraceEvent, TraceEventKind};
 
 use self::lanes::Lanes;
 use self::launch::{Grid, LedgerSummary};
@@ -81,14 +82,6 @@ struct StreamState {
     queue: VecDeque<u64>,
     fault: Option<SimError>,
 }
-
-/// Interval-sample ring capacity; once full, the oldest sample is evicted
-/// (and counted in [`Gpu::samples_dropped`]).
-const SAMPLE_RING_CAPACITY: usize = 4096;
-
-/// Trace-buffer capacity in events (terminal fault/deadlock events are
-/// retained past it).
-const TRACE_CAPACITY: usize = 1 << 20;
 
 /// The simulated GPU plus its host-side API.
 ///
@@ -161,18 +154,9 @@ pub struct Gpu {
     /// violation), resolved against the owning stream at the end of
     /// `cycle_post`.
     pending_fault: Option<SimError>,
-    /// The event trace buffer; `None` unless [`GpuConfig::trace`] is set,
-    /// which keeps the disabled path at one branch per emission site.
-    sink: Option<TraceBuffer>,
-    /// Per-kernel records, in retire order (collected while profiling is
-    /// enabled).
-    records: Vec<KernelRecord>,
-    /// Counter snapshot at the last retire boundary (or stats reset); the
-    /// base of the next kernel record's delta.
-    record_base: RunStats,
-    /// Interval sampler, present only when
-    /// [`GpuConfig::sample_interval_cycles`] is non-zero.
-    sampler: Option<Sampler>,
+    /// Events, kernel records and samples; `None` unless tracing,
+    /// sampling or attribution is on (see [`Gpu::profiling_enabled`]).
+    recorder: Option<Recorder>,
 }
 
 impl Gpu {
@@ -211,11 +195,8 @@ impl Gpu {
             fast_forward_skipped_cycles: 0,
             memcpys_done: 0,
             pending_fault: None,
-            sink: config.trace.then(|| TraceBuffer::new(TRACE_CAPACITY)),
-            records: Vec::new(),
-            record_base: RunStats::default(),
-            sampler: (config.sample_interval_cycles > 0)
-                .then(|| Sampler::new(config.sample_interval_cycles, SAMPLE_RING_CAPACITY)),
+            recorder: (config.trace || config.sample_interval_cycles > 0 || config.sm.attribution)
+                .then(Recorder::new),
             config,
             program,
         }
@@ -288,8 +269,8 @@ impl Gpu {
         self.device_queue
             .retain(|h| self.grids.contains_key(h) && !self.grids[h].finished());
         self.last_progress = self.cycle;
-        if self.profiling_enabled() {
-            self.record_base = self.stats();
+        if let Some((now, r)) = self.recorder_at_now() {
+            r.rebase(now);
         }
         err
     }
@@ -341,7 +322,7 @@ impl Gpu {
     }
 
     /// Reset every statistic (not memory contents or cache tags), including
-    /// per-kernel records, interval samples, and the trace buffer.
+    /// per-kernel records, interval samples, and the event trace.
     pub fn reset_stats(&mut self) {
         self.host = HostStats::default();
         self.fast_forward_skipped_cycles = 0;
@@ -351,53 +332,40 @@ impl Gpu {
             lane.core.reset_pc_table();
         }
         self.memsys.reset_stats();
-        self.records.clear();
-        self.record_base = RunStats::default();
-        if let Some(s) = &mut self.sampler {
-            let interval = s.interval;
-            let capacity = s.capacity;
-            *s = Sampler::new(interval, capacity);
-            s.last_boundary = self.cycle;
-        }
-        if let Some(b) = &mut self.sink {
-            let _ = b.take();
+        if let Some(r) = &mut self.recorder {
+            r.reset(self.cycle);
         }
     }
 
     // ---- profiling --------------------------------------------------------
 
-    /// Whether the profiling layer is collecting anything: tracing is on,
-    /// interval sampling is on, per-PC attribution is on, and/or
-    /// standalone kernel records are requested
-    /// ([`GpuConfig::kernel_records`]). Per-kernel records are collected
-    /// exactly while this is true. Profiling never changes simulated timing
-    /// or [`Gpu::stats`] — with everything disabled the per-cycle cost is a
-    /// single branch.
+    /// Whether the device's recorder exists: tracing, interval sampling
+    /// or per-PC attribution is on. Per-kernel records are collected
+    /// exactly while this is true, whichever switch turned it on.
+    /// Profiling never changes simulated timing or [`Gpu::stats`] — with
+    /// everything disabled the per-cycle cost is a single branch.
     pub fn profiling_enabled(&self) -> bool {
-        self.trace_on()
-            || self.sampler.is_some()
-            || self.config.sm.attribution
-            || self.config.kernel_records
+        self.recorder.is_some()
     }
 
     /// Per-kernel counter records collected so far, in retire order.
     pub fn kernel_records(&self) -> &[KernelRecord] {
-        &self.records
+        self.recorder.as_ref().map_or(&[], Recorder::records)
     }
 
-    /// Completed interval samples currently in the ring, oldest first.
+    /// Completed interval samples kept so far, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = &IntervalSample> + '_ {
-        self.sampler.iter().flat_map(|s| s.ring.iter())
+        self.recorder.iter().flat_map(|r| r.samples().entries())
     }
 
-    /// Samples evicted from the ring so far.
+    /// Samples dropped after the sample log filled.
     pub fn samples_dropped(&self) -> u64 {
-        self.sampler.as_ref().map_or(0, |s| s.dropped)
+        self.recorder.as_ref().map_or(0, |r| r.samples().dropped())
     }
 
-    /// Events recorded by the trace buffer (empty when tracing is off).
+    /// Events recorded so far (empty when tracing is off).
     pub fn trace_events(&self) -> &[TraceEvent] {
-        self.sink.as_ref().map_or(&[], TraceBuffer::events)
+        self.recorder.as_ref().map_or(&[], |r| r.events().entries())
     }
 
     /// The code axis of attribution: per-PC counters merged across SMs in
@@ -466,47 +434,43 @@ impl Gpu {
     /// samples start from the current counter values).
     pub fn take_profile(&mut self) -> ProfileReport {
         self.flush_sample();
-        let stats = self.stats();
-        let (samples, samples_dropped) = match &mut self.sampler {
-            Some(s) => (
-                std::mem::take(&mut s.ring).into_iter().collect(),
-                std::mem::take(&mut s.dropped),
-            ),
-            None => (Vec::new(), 0),
-        };
-        let (events, events_dropped) = self
-            .sink
-            .as_mut()
-            .map(TraceBuffer::take)
-            .unwrap_or_default();
-        self.record_base = stats.clone();
-        ProfileReport {
-            stats,
+        let mut report = ProfileReport {
+            stats: self.stats(),
             clock_ghz: self.config.clock_ghz,
-            kernels: std::mem::take(&mut self.records),
-            samples,
-            samples_dropped,
-            events,
-            events_dropped,
             pc: self.pc_profile(),
             units: self.unit_profile(),
+            ..ProfileReport::default()
+        };
+        if let Some(r) = &mut self.recorder {
+            r.take_into(&mut report);
         }
+        report
     }
 
     #[inline]
     fn trace_on(&self) -> bool {
-        self.sink.is_some()
+        self.config.trace
     }
 
     /// Record one event. Callers guard with [`Gpu::trace_on`] so the
     /// disabled path never constructs an event.
     fn emit(&mut self, kind: TraceEventKind) {
-        if let Some(b) = &mut self.sink {
-            b.event(TraceEvent {
+        if let Some(r) = &mut self.recorder {
+            r.event(TraceEvent {
                 cycle: self.cycle,
                 kind,
             });
         }
+    }
+
+    /// The recorder with every lane settled through this cycle and the
+    /// counters snapshotted (the base its deltas are taken against);
+    /// `None`, settling nothing, when the recorder is off.
+    fn recorder_at_now(&mut self) -> Option<(RunStats, &mut Recorder)> {
+        self.recorder.as_ref()?;
+        self.lanes.settle(self.cycle + 1);
+        let now = self.stats();
+        self.recorder.as_mut().map(|r| (now, r))
     }
 
     /// Display name for a kernel id.
@@ -517,13 +481,13 @@ impl Gpu {
             .unwrap_or_else(|| format!("k{}", id.0))
     }
 
-    /// Close the sampler's current window at this cycle (no-op when
+    /// Close the current sample window at this cycle (no-op when
     /// sampling is off or no cycles elapsed since the last boundary).
     fn flush_sample(&mut self) {
-        if self.sampler.is_some() {
-            let snap = self.stats();
-            if let Some(s) = &mut self.sampler {
-                s.close_window(self.cycle, &snap);
+        if self.config.sample_interval_cycles != 0 {
+            let cycle = self.cycle;
+            if let Some((now, r)) = self.recorder_at_now() {
+                r.close_window(cycle, now);
             }
         }
     }

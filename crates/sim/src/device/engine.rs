@@ -351,12 +351,11 @@ impl Gpu {
             self.last_progress = now;
         }
 
-        // 7. Interval sampler: close a window at each absolute multiple of
+        // 7. Interval sampling: close a window at each absolute multiple of
         // the sampling period. One branch when sampling is off.
         if self.config.sample_interval_cycles != 0
             && now.is_multiple_of(self.config.sample_interval_cycles)
         {
-            self.lanes.settle(now + 1);
             self.flush_sample();
         }
 
@@ -429,9 +428,8 @@ impl Gpu {
         // off-clock DRAM drain above included), mirroring a retire
         // boundary; otherwise the first record after recovery absorbs the
         // dead stream's counters.
-        if self.profiling_enabled() {
-            self.lanes.settle(self.cycle + 1);
-            self.record_base = self.stats();
+        if let Some((now, r)) = self.recorder_at_now() {
+            r.rebase(now);
         }
     }
 

@@ -716,15 +716,11 @@ impl Gpu {
             let size = arena_bytes(grid.local_stride, grid.dims).expect("sized at launch");
             self.free_arenas.push((size, grid.local_base));
         }
-        if self.profiling_enabled() {
-            // Per-kernel counter scoping by retire interval: this record's
-            // delta covers everything since the previous retire boundary, so
-            // record deltas telescope to the run totals.
+        if self.recorder.is_some() {
+            // Per-kernel counter scoping by retire interval (the recorder
+            // turns the snapshot into the delta since the last retire).
             self.lanes.settle(self.cycle + 1);
-            let snap = self.stats();
-            let delta = snap.delta_since(&self.record_base);
-            self.record_base = snap;
-            self.records.push(KernelRecord {
+            let record = KernelRecord {
                 grid: handle,
                 kernel: self.kernel_name(grid.kernel),
                 kernel_id: grid.kernel.0,
@@ -736,8 +732,11 @@ impl Gpu {
                 launch_cycle: grid.launch_cycle,
                 start_cycle: grid.start_cycle.unwrap_or(grid.launch_cycle),
                 retire_cycle: self.cycle,
-                stats: delta,
-            });
+                stats: self.stats(),
+            };
+            if let Some(r) = &mut self.recorder {
+                r.retire(record);
+            }
         }
         if self.trace_on() {
             self.emit(TraceEventKind::KernelRetire {

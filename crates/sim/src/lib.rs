@@ -53,6 +53,7 @@ pub mod json;
 mod memory;
 mod node;
 mod profile;
+mod recorder;
 mod stats;
 mod trace;
 
@@ -65,9 +66,10 @@ pub use profile::{
     run_stats_json, IntervalSample, KernelPcProfile, KernelRecord, PartitionUnit, PcProfile,
     PcProfileRow, ProfileReport, SmUnit, UnitProfile,
 };
+pub use recorder::Log;
 pub use stats::{HostStats, RunStats};
 pub use trace::{
-    chrome_trace_json, ChromeTrace, CopyDir, InstantScope, TraceBuffer, TraceEvent, TraceEventKind,
+    chrome_trace_json, ChromeTrace, CopyDir, InstantScope, TraceEvent, TraceEventKind,
 };
 
 // Re-export the fault vocabulary so harnesses matching on errors don't need

@@ -542,7 +542,7 @@ mod tests {
     fn grid_handles_are_disjoint_across_devices() {
         let (p, k) = double_program();
         let mut cfg = NodeConfig::test_small(2);
-        cfg.gpu = cfg.gpu.with_kernel_records(true);
+        cfg.gpu.trace = true;
         let mut node = GpuNode::new(p, cfg);
         for d in 0..2 {
             let out = node.device_mut(d).malloc(64 * 8);

@@ -1,14 +1,12 @@
-//! Time-resolved profiling: per-kernel counter scoping, the interval
-//! sampler, and the machine-readable [`ProfileReport`] export.
+//! Time-resolved profiling: per-kernel records, interval samples,
+//! attribution, and the machine-readable [`ProfileReport`] export.
 //!
-//! All three layers are built on one primitive —
-//! [`RunStats::delta_since`] between two whole-machine counter snapshots —
-//! so every number in a record or sample is a plain counter difference,
-//! not a separately maintained statistic. Hot-path counters stay ordinary
-//! fields; the profiler only reads them at kernel-retire and
-//! interval boundaries.
-
-use std::collections::VecDeque;
+//! Records and samples are built on one primitive —
+//! [`RunStats::delta_since`] between two whole-machine counter snapshots,
+//! taken by the device's recorder — so every number in a record or sample
+//! is a plain counter difference, not a separately maintained statistic.
+//! Hot-path counters stay ordinary fields; the recorder only reads them at
+//! kernel-retire and interval boundaries.
 
 use ggpu_mem::{CacheStats, DramStats};
 use ggpu_sm::{PcCounters, SmField, SmStats, StallBreakdown, StallReason};
@@ -184,56 +182,6 @@ impl IntervalSample {
             w.end_obj();
             w.raw("stats", &run_stats_json(&self.stats));
         })
-    }
-}
-
-/// Interval-sampler state (owned by the device; populated only when
-/// [`crate::GpuConfig::sample_interval_cycles`] is non-zero).
-#[derive(Debug)]
-pub(crate) struct Sampler {
-    /// Sampling period in cycles.
-    pub interval: u64,
-    /// Ring capacity; the oldest sample is dropped (and counted) beyond it.
-    pub capacity: usize,
-    /// Counter snapshot at the last emitted boundary.
-    pub base: RunStats,
-    /// Cycle of the last emitted boundary.
-    pub last_boundary: u64,
-    /// Completed samples, oldest first.
-    pub ring: VecDeque<IntervalSample>,
-    /// Samples evicted from the ring.
-    pub dropped: u64,
-}
-
-impl Sampler {
-    pub fn new(interval: u64, capacity: usize) -> Self {
-        Sampler {
-            interval,
-            capacity: capacity.max(1),
-            base: RunStats::default(),
-            last_boundary: 0,
-            ring: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Close the window `[last_boundary, now)` against snapshot `now_stats`.
-    pub fn close_window(&mut self, now: u64, now_stats: &RunStats) {
-        if now <= self.last_boundary {
-            return;
-        }
-        let delta = now_stats.delta_since(&self.base);
-        self.ring.push_back(IntervalSample {
-            start_cycle: self.last_boundary,
-            end_cycle: now,
-            stats: delta,
-        });
-        if self.ring.len() > self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.base = now_stats.clone();
-        self.last_boundary = now;
     }
 }
 
@@ -445,11 +393,11 @@ pub struct ProfileReport {
     pub kernels: Vec<KernelRecord>,
     /// Interval samples, oldest first.
     pub samples: Vec<IntervalSample>,
-    /// Samples evicted from the ring before the report was taken.
+    /// Samples dropped after the sample log filled.
     pub samples_dropped: u64,
     /// The event trace (empty unless tracing was enabled).
     pub events: Vec<TraceEvent>,
-    /// Events dropped after the trace buffer filled.
+    /// Events dropped after the event log filled.
     pub events_dropped: u64,
     /// Code-axis attribution (per-PC counters, symbolicated); `None`
     /// unless [`ggpu_sm::SmConfig::attribution`] was on.
@@ -557,37 +505,6 @@ pub fn run_stats_json(s: &RunStats) -> String {
 mod tests {
     use super::*;
     use crate::json::Json;
-
-    #[test]
-    fn sampler_closes_windows_and_telescopes() {
-        let mut s = Sampler::new(100, 8);
-        let mut snap = RunStats::default();
-        snap.sm.issued = 40;
-        s.close_window(100, &snap);
-        snap.sm.issued = 90;
-        s.close_window(200, &snap);
-        // Same boundary again: no empty duplicate.
-        s.close_window(200, &snap);
-        assert_eq!(s.ring.len(), 2);
-        assert_eq!(s.ring[0].stats.sm.issued, 40);
-        assert_eq!(s.ring[1].stats.sm.issued, 50);
-        let total: u64 = s.ring.iter().map(|x| x.stats.sm.issued).sum();
-        assert_eq!(total, snap.sm.issued);
-        assert_eq!(s.ring[1].cycles(), 100);
-    }
-
-    #[test]
-    fn sampler_ring_evicts_oldest() {
-        let mut s = Sampler::new(10, 2);
-        let mut snap = RunStats::default();
-        for i in 1..=4u64 {
-            snap.sm.issued = i * 10;
-            s.close_window(i * 10, &snap);
-        }
-        assert_eq!(s.ring.len(), 2);
-        assert_eq!(s.dropped, 2);
-        assert_eq!(s.ring[0].start_cycle, 20);
-    }
 
     #[test]
     fn run_stats_json_parses_with_all_sections() {

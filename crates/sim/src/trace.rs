@@ -1,9 +1,10 @@
-//! Structured event trace: typed device events, the in-memory buffer they
-//! land in, and a Chrome-trace (`chrome://tracing` / Perfetto) JSON writer.
+//! Structured event trace: typed device events and a Chrome-trace
+//! (`chrome://tracing` / Perfetto) JSON writer.
 //!
-//! Tracing is off by default; [`crate::GpuConfig::trace`] turns the buffer
-//! on. Every emission site in the device is guarded by a single "is tracing
-//! on?" branch, so the disabled path costs one predictable branch and no
+//! Tracing is off by default; [`crate::GpuConfig::trace`] turns it on, and
+//! events land in the device recorder's bounded [`crate::Log`]. Every
+//! emission site in the device is guarded by a single "is tracing on?"
+//! branch, so the disabled path costs one predictable branch and no
 //! allocation.
 
 use std::fmt;
@@ -130,8 +131,8 @@ impl TraceEventKind {
     }
 
     /// Whether this event records a terminal device error. Terminal events
-    /// bypass the trace-buffer capacity so a truncated trace still ends
-    /// with its fault.
+    /// bypass the log's capacity so a truncated trace still ends with its
+    /// fault.
     pub fn is_terminal(&self) -> bool {
         matches!(
             self,
@@ -216,56 +217,6 @@ impl TraceEvent {
                 }
             }
         })
-    }
-}
-
-/// The in-memory trace: a capacity-bounded event log.
-///
-/// When the buffer is full, further events are dropped (and counted) —
-/// except terminal fault/deadlock events, which are always retained so a
-/// truncated timeline still ends with its fault.
-#[derive(Debug, Clone, Default)]
-pub struct TraceBuffer {
-    events: Vec<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl TraceBuffer {
-    /// Buffer holding at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        TraceBuffer {
-            events: Vec::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Events recorded so far, in emission order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Events dropped on the floor after the buffer filled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Take the recorded events, leaving the buffer empty.
-    pub fn take(&mut self) -> (Vec<TraceEvent>, u64) {
-        (
-            std::mem::take(&mut self.events),
-            std::mem::take(&mut self.dropped),
-        )
-    }
-
-    /// Record one event, or count it as dropped when the buffer is full.
-    pub fn event(&mut self, ev: TraceEvent) {
-        if self.events.len() < self.capacity || ev.kind.is_terminal() {
-            self.events.push(ev);
-        } else {
-            self.dropped += 1;
-        }
     }
 }
 
@@ -590,24 +541,6 @@ mod tests {
 
     fn ev(cycle: u64, kind: TraceEventKind) -> TraceEvent {
         TraceEvent { cycle, kind }
-    }
-
-    #[test]
-    fn buffer_caps_and_keeps_terminal_events() {
-        let mut b = TraceBuffer::new(2);
-        for i in 0..5 {
-            b.event(ev(i, TraceEventKind::KernelStart { grid: i, stream: 0 }));
-        }
-        b.event(ev(
-            9,
-            TraceEventKind::Deadlock {
-                stalled_for: 100,
-                stream: 0,
-            },
-        ));
-        assert_eq!(b.events().len(), 3);
-        assert_eq!(b.dropped(), 3);
-        assert!(b.events().last().expect("non-empty").kind.is_terminal());
     }
 
     #[test]

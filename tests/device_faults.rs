@@ -349,9 +349,7 @@ fn recursive_program() -> (Program, KernelId, KernelId) {
 
 #[test]
 fn cdp_nesting_limit_faults_one_level_past_it_and_recovers() {
-    let mut config = GpuConfig::test_small()
-        .with_stream_isolation(true)
-        .with_kernel_records(true);
+    let mut config = GpuConfig::test_small().with_stream_isolation(true);
     config.cdp_max_depth = 3;
     config.trace = true;
     // What a clean run looks like: elapsed cycles, its kernel record's SM
@@ -749,7 +747,8 @@ fn reset_fault_rescopes_kernel_records() {
         b.exit();
         b.finish()
     });
-    let mut config = GpuConfig::test_small().with_kernel_records(true);
+    let mut config = GpuConfig::test_small();
+    config.trace = true;
     config.watchdog_cycles = 2_000;
     config.fault_plan.drop_reply = Some(0);
     let mut gpu = Gpu::new(p, config);

@@ -62,7 +62,6 @@ fn run_sharded(
 ) {
     let (p, k) = work_program();
     let mut cfg = NodeConfig::test_small(n_devices).with_parallel_hosts(parallel_hosts);
-    cfg.gpu = cfg.gpu.with_kernel_records(true);
     cfg.gpu.trace = true;
     let mut node = GpuNode::new(p, cfg);
 
@@ -182,10 +181,8 @@ fn stream_fault_on_one_device_leaves_others_untouched() {
     let run = |inject: bool| {
         let (p, good, bad) = oob_program();
         let mut cfg = NodeConfig::test_small(2);
-        cfg.gpu = cfg
-            .gpu
-            .with_stream_isolation(true)
-            .with_kernel_records(true);
+        cfg.gpu = cfg.gpu.with_stream_isolation(true);
+        cfg.gpu.trace = true;
         let mut node = GpuNode::new(p, cfg);
         let s0 = node.device_mut(0).create_stream();
         let out0 = node.device_mut(0).malloc(64 * 8);

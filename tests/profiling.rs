@@ -117,6 +117,38 @@ fn cdp_children_recorded_with_parent_and_depth() {
 }
 
 #[test]
+fn records_do_not_depend_on_which_switch_turns_the_recorder_on() {
+    let bench = benchmark(Scale::Tiny, "SW").expect("SW exists");
+    let mut traced = GpuConfig::test_small();
+    traced.trace = true;
+    let mut sampled = GpuConfig::test_small();
+    sampled.sample_interval_cycles = 1_000;
+    let attributed = GpuConfig::test_small().with_attribution(true);
+    let runs: Vec<_> = [traced, sampled, attributed]
+        .iter()
+        .map(|config| {
+            let r = bench.run(config, true);
+            assert!(r.verified);
+            let profile = r.profile.expect("each switch turns the recorder on");
+            (profile.kernels, profile.stats)
+        })
+        .collect();
+    let (records, stats) = &runs[0];
+    assert!(
+        records.iter().any(|k| k.is_cdp_child()),
+        "a CDP run records its children"
+    );
+    let sum = |f: fn(&ggpu_core::RunStats) -> u64| records.iter().map(|k| f(&k.stats)).sum::<u64>();
+    assert_eq!(sum(|s| s.sm.issued), stats.sm.issued);
+    assert_eq!(sum(|s| s.sm.thread_instrs), stats.sm.thread_instrs);
+    assert_eq!(sum(|s| s.sm.ctas_completed), stats.sm.ctas_completed);
+    for (other_records, other_stats) in &runs[1..] {
+        assert_eq!(other_records, records);
+        assert_eq!(other_stats, stats);
+    }
+}
+
+#[test]
 fn sampler_covers_run_and_sums_to_aggregates() {
     let program = write_tids_program();
     let kid = ggpu_isa::KernelId(0);

@@ -64,7 +64,8 @@ fn the_engine_thread_count_names_are_inert() {
     // `benchmark/` still names a per-device thread count. Whatever it is
     // set to, one thread ticks the device and every result is the untouched
     // config's — so deleting the names later changes nothing.
-    let base = GpuConfig::test_small().with_kernel_records(true);
+    let mut base = GpuConfig::test_small();
+    base.trace = true;
     let built = base.clone().with_sim_threads(4);
     let mut assigned = base.clone();
     assigned.sim_threads = 64;
