@@ -28,11 +28,12 @@
 use std::collections::HashMap;
 
 use ggpu_bench::cli::{self, Args};
-use ggpu_bench::export::{write_json_doc, Table};
-use ggpu_core::json::{Json, JsonWriter};
-use ggpu_core::{
-    benchmark, render_table, GpuConfig, KernelPcProfile, PcProfile, ProfileReport, Scale,
-    StallReason, UnitProfile, BENCHMARKS,
+use ggpu_bench::export::{render_table, write_json_doc, Table};
+use ggpu_kernels::{benchmark, Scale, BENCHMARKS};
+use ggpu_sim::json::{Json, JsonWriter};
+use ggpu_sim::{
+    GpuConfig, KernelPcProfile, PcProfile, ProfileReport, RunStats, StallBreakdown, StallReason,
+    UnitProfile,
 };
 
 fn main() {
@@ -221,7 +222,7 @@ fn print_listing(k: &KernelPcProfile, top: usize) {
     );
 }
 
-fn top_stall(s: ggpu_core::StallBreakdown) -> String {
+fn top_stall(s: StallBreakdown) -> String {
     StallReason::ALL
         .iter()
         .max_by_key(|&&r| s.get(r))
@@ -341,7 +342,7 @@ fn write_outputs(
     abbrev: &str,
     scale: Scale,
     cdp: bool,
-    stats: &ggpu_core::RunStats,
+    stats: &RunStats,
     profile: &ProfileReport,
 ) {
     let doc = JsonWriter::object(|w| {

@@ -35,13 +35,13 @@
 
 use ggpu_bench::cli::{self, Args};
 use ggpu_bench::export::{write_json_doc, Table};
-use ggpu_core::json::JsonWriter;
 use ggpu_genomics::random_genome;
 use ggpu_isa::{KernelId, LaunchDims, Program};
 use ggpu_kernels::dp::{build_dp_kernel, scoring_const_data};
 use ggpu_kernels::nvb::{build_fm_search_kernel, FmTables};
 use ggpu_kernels::pairhmm::{build_pairhmm_kernel, phred_const_data};
 use ggpu_kernels::served;
+use ggpu_sim::json::JsonWriter;
 use ggpu_sim::{shard_ranges, DevicePtr, GpuConfig, GpuNode, NodeConfig, RunStats};
 use rand::{Rng, SeedableRng};
 

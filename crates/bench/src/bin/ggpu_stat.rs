@@ -28,15 +28,14 @@
 use std::collections::VecDeque;
 
 use ggpu_bench::cli::{self, Args};
-use ggpu_bench::export::{write_json_doc, Table};
-use ggpu_core::json::JsonWriter;
-use ggpu_core::render_table;
+use ggpu_bench::export::{render_table, write_json_doc, Table};
 use ggpu_genomics::random_genome;
 use ggpu_serve::traffic::{self, GENOME_LEN};
 use ggpu_serve::{
     AdmitError, Histogram, JobKind, LatencyStats, Priority, ServeConfig, ServeReport, Service,
     Tenant,
 };
+use ggpu_sim::json::JsonWriter;
 use ggpu_sim::FaultPlan;
 use rand::SeedableRng;
 

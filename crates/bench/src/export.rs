@@ -1,6 +1,6 @@
 //! The one artifact exporter: every table the harness binaries print or
 //! write as CSV is a [`Table`], and every JSON document they write goes
-//! through [`write_json_doc`]. Files land in [`crate::results_dir`].
+//! through [`write_json_doc`]. Files land in `crate::results_dir`.
 //!
 //! Both writers make a malformed artifact impossible rather than checking
 //! for one afterwards: a [`Table`] is rectangular by construction and has
@@ -9,8 +9,7 @@
 
 use std::path::PathBuf;
 
-use ggpu_core::json::Json;
-use ggpu_core::render_table;
+use ggpu_sim::json::Json;
 
 /// Write `contents` to `<results_dir>/<file>`. Failures warn and
 /// continue — an export never breaks the run that produced it.
@@ -51,6 +50,37 @@ fn csv_cell(s: &str) -> String {
     } else {
         s.to_string()
     }
+}
+
+/// Render a simple aligned text table (header, rule, rows).
+pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (i, cell) in row.iter().enumerate() {
+            if i < widths.len() {
+                widths[i] = widths[i].max(cell.len());
+            }
+        }
+    }
+    let mut out = String::new();
+    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
+        cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| format!("{:<w$}", c, w = widths.get(i).copied().unwrap_or(0)))
+            .collect::<Vec<_>>()
+            .join("  ")
+    };
+    let header_cells: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
+    out.push_str(&fmt_row(&header_cells, &widths));
+    out.push('\n');
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    out.push('\n');
+    for row in rows {
+        out.push_str(&fmt_row(row, &widths));
+        out.push('\n');
+    }
+    out
 }
 
 /// A named rectangular table: one header row and data rows of the same
@@ -99,7 +129,7 @@ impl Table {
     }
 
     /// CSV rendering: header line then one line per row, `\n`-terminated.
-    pub fn csv(&self) -> String {
+    pub(crate) fn csv(&self) -> String {
         let mut out = String::new();
         for row in std::iter::once(&self.headers).chain(&self.rows) {
             let cells: Vec<String> = row.iter().map(|c| csv_cell(c)).collect();
@@ -115,7 +145,7 @@ impl Table {
     }
 
     /// Print the text rendering and mirror the table to its CSV file.
-    pub fn emit(&self) {
+    pub(crate) fn emit(&self) {
         println!("{}", self.text());
         self.write_csv();
     }
@@ -149,6 +179,19 @@ mod tests {
             t.text(),
             render_table(&["a", "bench"], &[row(&["longer", "2"])])
         );
+    }
+
+    #[test]
+    fn render_table_aligns() {
+        let t = render_table(
+            &["a", "bench"],
+            &[
+                vec!["x".into(), "1".into()],
+                vec!["longer".into(), "2".into()],
+            ],
+        );
+        assert!(t.contains("bench"));
+        assert!(t.lines().count() == 4);
     }
 
     #[test]

@@ -10,16 +10,14 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use ggpu_core::json::JsonWriter;
-use ggpu_core::{
-    all_benchmarks, chrome_trace_json, sram_usage, BenchResult, Benchmark, GpuConfig,
-    ProfileReport, Scale, TraceEvent,
-};
 use ggpu_icnt::Topology;
 use ggpu_isa::{InstrClass, Space};
 use ggpu_kernels::pairwise::PairwiseBench;
 use ggpu_kernels::star::StarBench;
+use ggpu_kernels::{all_benchmarks, BenchResult, Benchmark, Scale};
 use ggpu_mem::DramScheduler;
+use ggpu_sim::json::JsonWriter;
+use ggpu_sim::{chrome_trace_json, GpuConfig, ProfileReport, TraceEvent};
 use ggpu_sm::{SchedPolicy, StallReason};
 
 use crate::export::{write_json_doc, Table};
@@ -41,7 +39,7 @@ pub struct Runs {
 impl Runs {
     /// An empty ledger at `scale`: nothing is built or simulated until an
     /// experiment asks for it.
-    pub fn new(scale: Scale) -> Runs {
+    pub(crate) fn new(scale: Scale) -> Runs {
         Runs {
             scale,
             benches: None,
@@ -103,7 +101,7 @@ fn sweep(
         let b = runs.benches()[bench].as_ref();
         let resident: Vec<bool> = configs
             .iter()
-            .map(|c| sram_usage(b, &c.sm).resident_ctas > 0)
+            .map(|c| b.resources().sram_usage(&c.sm).resident_ctas > 0)
             .collect();
         let mut row = vec![label];
         for (config, ok) in configs.iter().zip(&resident) {
@@ -140,7 +138,7 @@ fn pct(fraction: f64) -> String {
 }
 
 /// Table I: hardware configuration space (baseline bolded in the paper).
-pub fn table1() {
+pub(crate) fn table1() {
     let c = GpuConfig::rtx3070();
     println!("TABLE I: Hardware configuration settings\n");
     let rows = vec![
@@ -203,7 +201,7 @@ const VIRTUAL_CHANNELS: u32 = 2;
 const VC_BUFFERS: u32 = 4;
 
 /// Table II: interconnect configuration space.
-pub fn table2() {
+pub(crate) fn table2() {
     let c = GpuConfig::rtx3070();
     println!("TABLE II: Interconnect configuration settings\n");
     let rows = vec![
@@ -227,13 +225,13 @@ pub fn table2() {
 }
 
 /// Table III: benchmark properties.
-pub fn table3(runs: &mut Runs) {
+pub(crate) fn table3(runs: &mut Runs) {
     println!("TABLE III: Benchmark properties (paper launch shapes; simulated workloads are scaled per DESIGN.md)\n");
     let sm = GpuConfig::rtx3070().sm;
     let mut rows = Vec::new();
     for b in runs.benches() {
         let t = b.table3();
-        let u = sram_usage(b.as_ref(), &sm);
+        let u = b.resources().sram_usage(&sm);
         rows.push(vec![
             t.name.to_string(),
             t.abbrev.to_string(),
@@ -280,7 +278,7 @@ fn best_seconds<T>(oracle: impl Fn() -> T) -> f64 {
 /// Figure 2: CPU vs GPU vs GPU+CDP for SW, NW, STAR (normalized to CPU).
 /// One benchmark instance per row fills all three columns: the CPU time is
 /// that instance's own oracle, the function its `run` verifies against.
-pub fn fig2(runs: &mut Runs) {
+pub(crate) fn fig2(runs: &mut Runs) {
     println!("FIGURE 2: CPU vs GPU vs GPU+CDP execution time (normalized to CPU = 1.0)\n");
     let config = GpuConfig::rtx3070();
     let sw = PairwiseBench::sw(runs.scale);
@@ -319,7 +317,7 @@ pub fn fig2(runs: &mut Runs) {
 }
 
 /// Figure 3: kernel execution time, CDP vs non-CDP.
-pub fn fig3(runs: &mut Runs) {
+pub(crate) fn fig3(runs: &mut Runs) {
     println!("FIGURE 3: CDP vs non-CDP kernel execution time\n");
     let cycles = baseline_rows(runs, 1, |r| vec![r.kernel_cycles.to_string()]);
     let mut rows = Vec::new();
@@ -353,7 +351,7 @@ pub fn fig3(runs: &mut Runs) {
 }
 
 /// Figure 4: kernel/PCI invocation counts and times.
-pub fn fig4(runs: &mut Runs) {
+pub(crate) fn fig4(runs: &mut Runs) {
     println!("FIGURE 4(a): kernel and PCI (cudaMemcpy) invocation counts");
     println!("FIGURE 4(b): total and average kernel / PCI time (cycles)\n");
     let rows = baseline_rows(runs, 6, |r| {
@@ -384,7 +382,7 @@ pub fn fig4(runs: &mut Runs) {
 }
 
 /// Figure 5: pipeline-stall breakdown.
-pub fn fig5(runs: &mut Runs) {
+pub(crate) fn fig5(runs: &mut Runs) {
     println!("FIGURE 5: pipeline stall breakdown (% of stall cycles)\n");
     let rows = baseline_rows(runs, StallReason::ALL.len(), |r| {
         let stalls = &r.stats.sm.stalls;
@@ -399,12 +397,12 @@ pub fn fig5(runs: &mut Runs) {
 }
 
 /// Figure 6: SRAM utilization.
-pub fn fig6(runs: &mut Runs) {
+pub(crate) fn fig6(runs: &mut Runs) {
     println!("FIGURE 6: utilization of SRAM structures (% of capacity)\n");
     let sm = GpuConfig::rtx3070().sm;
     let mut rows = Vec::new();
     for b in runs.benches() {
-        let u = sram_usage(b.as_ref(), &sm);
+        let u = b.resources().sram_usage(&sm);
         rows.push(vec![
             b.abbrev().to_string(),
             format!("{}", u.resident_ctas),
@@ -422,7 +420,7 @@ pub fn fig6(runs: &mut Runs) {
 }
 
 /// Figure 7: NW and PairHMM with vs without shared memory.
-pub fn fig7(runs: &mut Runs) {
+pub(crate) fn fig7(runs: &mut Runs) {
     println!("FIGURE 7: execution time without shared memory, normalized to with shared memory\n");
     let config = GpuConfig::rtx3070();
     let run = |b: &dyn Benchmark| {
@@ -447,7 +445,7 @@ pub fn fig7(runs: &mut Runs) {
 }
 
 /// Figure 8: instruction-type distribution.
-pub fn fig8(runs: &mut Runs) {
+pub(crate) fn fig8(runs: &mut Runs) {
     println!("FIGURE 8: distribution of instruction types (% of issued instructions)\n");
     let rows = baseline_rows(runs, InstrClass::ALL.len(), |r| {
         InstrClass::ALL
@@ -458,7 +456,7 @@ pub fn fig8(runs: &mut Runs) {
 }
 
 /// Figure 9: memory-instruction space distribution.
-pub fn fig9(runs: &mut Runs) {
+pub(crate) fn fig9(runs: &mut Runs) {
     println!("FIGURE 9: distribution of memory instruction types (% of memory instructions)\n");
     let rows = baseline_rows(runs, Space::ALL.len(), |r| {
         Space::ALL
@@ -476,7 +474,7 @@ pub fn fig9(runs: &mut Runs) {
 }
 
 /// Figure 10: warp-occupancy histogram (8 buckets of 4 lanes).
-pub fn fig10(runs: &mut Runs) {
+pub(crate) fn fig10(runs: &mut Runs) {
     println!("FIGURE 10: warp occupancy (% of issues per active-lane bucket)\n");
     let rows = baseline_rows(runs, 8, |r| {
         (0..8u32)
@@ -519,7 +517,7 @@ fn emit_sweep(runs: &mut Runs, name: &str, named: Named, base: usize) {
 }
 
 /// Figure 11: CTA-per-core scaling (25/50/100/150/200% of resources).
-pub fn fig11(runs: &mut Runs) {
+pub(crate) fn fig11(runs: &mut Runs) {
     println!("FIGURE 11: speedup when scaling SM resources (CTAs/threads/regs/smem)\n");
     let configs = [25u32, 50, 100, 150, 200]
         .iter()
@@ -549,13 +547,13 @@ fn cache_configs() -> Named {
 }
 
 /// Figure 12: speedup across cache configurations (baseline 128K+4M).
-pub fn fig12(runs: &mut Runs) {
+pub(crate) fn fig12(runs: &mut Runs) {
     println!("FIGURE 12: speedup vs cache sizes (normalized to 128KB L1 + 4MB L2)\n");
     emit_sweep(runs, "fig12", cache_configs(), 2);
 }
 
 /// Figures 13 and 14: L1 and L2 miss rates across the cache sweep.
-pub fn fig13_14(runs: &mut Runs) {
+pub(crate) fn fig13_14(runs: &mut Runs) {
     println!("FIGURE 13/14: L1 and L2 miss rates (%) across cache configurations\n");
     let (headers, configs) = split(cache_configs());
     let l1 = sweep(runs, &configs, 2, 1, |r, _| {
@@ -571,7 +569,7 @@ pub fn fig13_14(runs: &mut Runs) {
 }
 
 /// Figure 15: perfect-memory speedup.
-pub fn fig15(runs: &mut Runs) {
+pub(crate) fn fig15(runs: &mut Runs) {
     println!("FIGURE 15: speedup with a perfect (zero-latency) memory system\n");
     let mut perfect = GpuConfig::rtx3070();
     perfect.sm.perfect_memory = true;
@@ -591,7 +589,7 @@ pub fn fig15(runs: &mut Runs) {
 }
 
 /// Figures 16-18: memory-controller sweep + DRAM efficiency/utilization.
-pub fn fig16_17_18(runs: &mut Runs) {
+pub(crate) fn fig16_17_18(runs: &mut Runs) {
     println!("FIGURE 16: speedup per memory controller (vs FR-FCFS baseline)");
     println!("FIGURE 17: DRAM efficiency (%)   FIGURE 18: DRAM utilization (%)\n");
     let mk = |sched: DramScheduler| {
@@ -618,7 +616,7 @@ pub fn fig16_17_18(runs: &mut Runs) {
 }
 
 /// Figure 19: warp-scheduler sweep.
-pub fn fig19(runs: &mut Runs) {
+pub(crate) fn fig19(runs: &mut Runs) {
     println!("FIGURE 19: scheduler performance (speedup vs LRR)\n");
     let mk = |policy: SchedPolicy| {
         let mut c = GpuConfig::rtx3070();
@@ -635,7 +633,7 @@ pub fn fig19(runs: &mut Runs) {
 }
 
 /// Figure 20: interconnect-topology sweep.
-pub fn fig20(runs: &mut Runs) {
+pub(crate) fn fig20(runs: &mut Runs) {
     println!("FIGURE 20: interconnect topology (speedup vs local crossbar)\n");
     let mk = |t: Topology| {
         let mut c = GpuConfig::rtx3070();
@@ -652,7 +650,7 @@ pub fn fig20(runs: &mut Runs) {
 }
 
 /// Figure 21: mesh router-latency sweep.
-pub fn fig21(runs: &mut Runs) {
+pub(crate) fn fig21(runs: &mut Runs) {
     println!("FIGURE 21: mesh network latency (+0/4/8/16 cycle router delay, speedup vs +0)\n");
     let mk = |delay: u64| {
         let mut c = GpuConfig::rtx3070();
@@ -668,7 +666,7 @@ pub fn fig21(runs: &mut Runs) {
 }
 
 /// Figure 22: mesh channel-bandwidth sweep.
-pub fn fig22(runs: &mut Runs) {
+pub(crate) fn fig22(runs: &mut Runs) {
     println!("FIGURE 22: mesh channel bandwidth (flit bytes, speedup vs 40B)\n");
     let mk = |flit: u32| {
         let mut c = GpuConfig::rtx3070();
@@ -688,7 +686,7 @@ pub fn fig22(runs: &mut Runs) {
 /// * Local-memory interleaving (warp-interleaved vs contiguous per-thread
 ///   arenas) on the local-memory-heavy GASAL2-LOCAL benchmark.
 /// * L1 caching of local stores (disable by shrinking L1 to zero).
-pub fn ablation(runs: &mut Runs) {
+pub(crate) fn ablation(runs: &mut Runs) {
     println!("ABLATION: simulator design choices (GASAL2-LOCAL kernel cycles)\n");
     let gl = runs.benches().iter().position(|b| b.abbrev() == "GL");
     let gl = gl.expect("GL exists");
@@ -722,7 +720,7 @@ pub fn ablation(runs: &mut Runs) {
 /// Extension: GASAL2 "with traceback" — the optional mode the paper lists
 /// but does not characterize. Compares kernel cycles of the score-only
 /// global aligner against the full-CIGAR traceback kernel.
-pub fn extension_traceback(runs: &mut Runs) {
+pub(crate) fn extension_traceback(runs: &mut Runs) {
     println!("EXTENSION: GASAL2 global alignment with full-CIGAR traceback\n");
     let config = GpuConfig::rtx3070();
     let bench = ggpu_kernels::traceback::TracebackBench::new(runs.scale);
@@ -764,7 +762,7 @@ fn profile_of(r: &BenchResult) -> &ProfileReport {
 ///
 /// Both documents are re-parsed with [`Json::parse`] before being written,
 /// so an export that reaches disk is well-formed by construction.
-pub fn profile(runs: &mut Runs, write_json: bool, write_trace: bool) {
+pub(crate) fn profile(runs: &mut Runs, write_json: bool, write_trace: bool) {
     println!("PROFILE: time-resolved per-kernel records, interval samples, event trace\n");
     let mut config = GpuConfig::rtx3070();
     config.sample_interval_cycles = 20_000;
@@ -825,7 +823,7 @@ pub fn profile(runs: &mut Runs, write_json: bool, write_trace: bool) {
 }
 
 /// One experiment: its name and the function formatting it from the ledger.
-pub type Experiment = (&'static str, fn(&mut Runs));
+pub(crate) type Experiment = (&'static str, fn(&mut Runs));
 
 /// Every experiment in paper order — the one table both `all` and name
 /// lookup go through.
@@ -858,7 +856,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
 
 /// Run the experiments `names` select — [`EXPERIMENTS`] names, a single
 /// figure of a combined experiment such as `fig13`, or `all` — over one
-/// ledger at `scale`, after the [`profile`] export when `json` or `trace`
+/// ledger at `scale`, after the `profile` export when `json` or `trace`
 /// asks for it. Every name is resolved first: an unknown one runs nothing
 /// and is returned as the error message.
 pub fn run(names: &[String], scale: Scale, json: bool, trace: bool) -> Result<(), String> {

@@ -16,6 +16,7 @@
 //! [`cli`] the one argument walker all the harness binaries share.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod cli;
 pub mod export;
@@ -29,7 +30,7 @@ use std::path::PathBuf;
 /// `GGPU_RESULTS_DIR` overrides; the default is the workspace-root
 /// `results/` directory, resolved against the compiled-in crate path so
 /// every binary agrees on one location regardless of the invocation cwd.
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     std::env::var_os("GGPU_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"))

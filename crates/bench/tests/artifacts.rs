@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use ggpu_core::json::Json;
+use ggpu_sim::json::Json;
 
 /// Run harness binary `exe` with the space-separated `args`, writing into
 /// a fresh results directory, and return that directory. Panics unless it

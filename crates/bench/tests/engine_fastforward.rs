@@ -1,5 +1,5 @@
 //! The fast-forward contract: idle-cycle fast-forward
-//! ([`ggpu_core::GpuConfig::fast_forward`]) is a pure engine optimisation.
+//! ([`ggpu_sim::GpuConfig::fast_forward`]) is a pure engine optimisation.
 //! A run with skipping enabled must be **bit-identical** — same counters,
 //! per-kernel records, interval samples, event trace, and per-PC profile —
 //! to the per-cycle run, while actually skipping a meaningful number of
@@ -11,11 +11,11 @@
 //! cycle whether or not the dead span leading up to it was fast-forwarded,
 //! and over hand-built rows that move the grid/stream ledger next to a jump.
 
-use ggpu_core::{benchmark, GpuConfig, RunStats, Scale};
 use ggpu_isa::{KernelBuilder, KernelId, LaunchDims, Operand, Program, Space, Width};
+use ggpu_kernels::{benchmark, Scale};
 use ggpu_sim::{
-    DevicePtr, FaultPlan, Gpu, IntervalSample, KernelRecord, LaunchOptions, PcProfile, SimError,
-    StreamId, TraceEvent, TraceEventKind,
+    DevicePtr, FaultPlan, Gpu, GpuConfig, IntervalSample, KernelRecord, LaunchOptions, PcProfile,
+    RunStats, SimError, StreamId, TraceEvent, TraceEventKind,
 };
 
 /// Profiling-heavy configuration so the comparison covers every observable

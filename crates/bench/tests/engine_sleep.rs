@@ -10,11 +10,11 @@
 //! equals the device's); and cycle counts, hang cycles and trace order are
 //! pinned to values taken from the commit before lanes could sleep.
 
-use ggpu_core::{benchmark, GpuConfig, RunStats, Scale};
 use ggpu_isa::{KernelBuilder, KernelId, LaunchDims, Operand, Program, Space, Width};
+use ggpu_kernels::{benchmark, Scale};
 use ggpu_sim::{
-    DevicePtr, FaultPlan, Gpu, IntervalSample, KernelRecord, LaunchOptions, PcProfile, SimError,
-    SmStats, StreamId, TraceEvent, TraceEventKind, UnitProfile,
+    DevicePtr, FaultPlan, Gpu, GpuConfig, IntervalSample, KernelRecord, LaunchOptions, PcProfile,
+    RunStats, SimError, SmStats, StreamId, TraceEvent, TraceEventKind, UnitProfile,
 };
 
 /// `fast_forward` settings; the first entry is the reference.

@@ -23,9 +23,10 @@
 //!   change the model regenerates the table from the failure message and
 //!   says so.
 
-use ggpu_core::{benchmark, GpuConfig, RunStats, Scale};
 use ggpu_icnt::Topology;
+use ggpu_kernels::{benchmark, Scale};
 use ggpu_mem::DramScheduler;
+use ggpu_sim::{GpuConfig, RunStats};
 
 const WORKLOADS: [(&str, bool); 3] = [("SW", false), ("NvB", false), ("STAR", true)];
 

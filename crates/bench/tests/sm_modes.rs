@@ -19,8 +19,8 @@
 //!   to keep results reads the same numbers; one that is meant to change the
 //!   model regenerates the table from the failure message and says so.
 
-use ggpu_core::{benchmark, GpuConfig, RunStats, Scale};
-use ggpu_sim::PcProfile;
+use ggpu_kernels::{benchmark, Scale};
+use ggpu_sim::{GpuConfig, PcProfile, RunStats};
 use ggpu_sm::{SchedPolicy, StallReason};
 
 const WORKLOADS: [(&str, bool); 4] = [("NW", false), ("GG", false), ("NvB", false), ("NvB", true)];

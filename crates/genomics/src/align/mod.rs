@@ -1,6 +1,6 @@
 //! Pairwise sequence alignment: global (Needleman-Wunsch), local
-//! (Smith-Waterman), semi-global, banded, and KSW2-style extension
-//! alignment with z-drop.
+//! (Smith-Waterman), semi-global, and KSW2-style extension alignment with
+//! z-drop.
 //!
 //! All algorithms operate on symbol slices (2-bit DNA codes or ASCII amino
 //! acids) and are generic over a [`SubstScore`](crate::SubstScore).
@@ -11,9 +11,9 @@ mod semiglobal;
 mod sw;
 
 pub use ksw::{ksw_extend, KswResult};
-pub use nw::{nw_align, nw_align_banded, nw_score};
+pub use nw::{nw_align, nw_score};
 pub use semiglobal::{semiglobal_align, semiglobal_score};
-pub use sw::{sw_align, sw_score};
+pub use sw::sw_score;
 
 /// One CIGAR operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,17 +24,6 @@ pub enum CigarOp {
     Ins,
     /// Deletion from the query relative to the target (`D`).
     Del,
-}
-
-impl CigarOp {
-    /// SAM character.
-    pub fn as_char(self) -> char {
-        match self {
-            CigarOp::Match => 'M',
-            CigarOp::Ins => 'I',
-            CigarOp::Del => 'D',
-        }
-    }
 }
 
 /// A pairwise alignment: score, CIGAR, and aligned coordinate ranges
@@ -52,14 +41,6 @@ pub struct Alignment {
 }
 
 impl Alignment {
-    /// SAM-style CIGAR string (`"3M1I2M"`).
-    pub fn cigar_string(&self) -> String {
-        self.cigar
-            .iter()
-            .map(|(op, n)| format!("{n}{}", op.as_char()))
-            .collect()
-    }
-
     /// Number of query symbols consumed by the CIGAR.
     pub fn query_len(&self) -> usize {
         self.cigar
@@ -77,42 +58,6 @@ impl Alignment {
             .map(|(_, n)| *n as usize)
             .sum()
     }
-
-    /// Fraction of aligned columns that are exact matches, given the two
-    /// sequences (used for clustering identity).
-    pub fn identity(&self, query: &[u8], target: &[u8]) -> f64 {
-        let mut qi = self.query.0;
-        let mut ti = self.target.0;
-        let mut matches = 0usize;
-        let mut columns = 0usize;
-        for &(op, n) in &self.cigar {
-            match op {
-                CigarOp::Match => {
-                    for _ in 0..n {
-                        if query[qi] == target[ti] {
-                            matches += 1;
-                        }
-                        qi += 1;
-                        ti += 1;
-                        columns += 1;
-                    }
-                }
-                CigarOp::Ins => {
-                    qi += n as usize;
-                    columns += n as usize;
-                }
-                CigarOp::Del => {
-                    ti += n as usize;
-                    columns += n as usize;
-                }
-            }
-        }
-        if columns == 0 {
-            0.0
-        } else {
-            matches as f64 / columns as f64
-        }
-    }
 }
 
 /// Push an op onto a run-length CIGAR, merging adjacent runs.
@@ -128,30 +73,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cigar_string_and_lengths() {
+    fn cigar_lengths() {
         let a = Alignment {
             score: 5,
             cigar: vec![(CigarOp::Match, 3), (CigarOp::Ins, 1), (CigarOp::Del, 2)],
             query: (0, 4),
             target: (0, 5),
         };
-        assert_eq!(a.cigar_string(), "3M1I2D");
         assert_eq!(a.query_len(), 4);
         assert_eq!(a.target_len(), 5);
-    }
-
-    #[test]
-    fn identity_counts_matches_over_columns() {
-        // query ACG vs target ATG aligned 3M: 2/3 identity.
-        let a = Alignment {
-            score: 0,
-            cigar: vec![(CigarOp::Match, 3)],
-            query: (0, 3),
-            target: (0, 3),
-        };
-        let q = [0u8, 1, 2];
-        let t = [0u8, 3, 2];
-        assert!((a.identity(&q, &t) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Needleman-Wunsch global alignment (linear and affine gaps, full and
-//! banded).
+//! Needleman-Wunsch global alignment (linear and affine gaps).
 
 use crate::scoring::{GapModel, SubstScore};
 
@@ -57,22 +56,8 @@ fn nw_score_linear(query: &[u8], target: &[u8], subst: &impl SubstScore, penalty
 
 /// Full global alignment with traceback (affine gaps via Gotoh).
 pub fn nw_align(query: &[u8], target: &[u8], subst: &impl SubstScore, gaps: GapModel) -> Alignment {
-    nw_align_banded(query, target, subst, gaps, usize::MAX)
-}
-
-/// Banded global alignment: cells with `|i - j| > band` are excluded. Pass
-/// `usize::MAX` for an unbanded alignment. The band is widened to at least
-/// the length difference so an alignment always exists.
-pub fn nw_align_banded(
-    query: &[u8],
-    target: &[u8],
-    subst: &impl SubstScore,
-    gaps: GapModel,
-    band: usize,
-) -> Alignment {
     let n = query.len();
     let m = target.len();
-    let band = band.max(n.abs_diff(m) + 1);
     let (open, extend) = match gaps {
         GapModel::Affine { open, extend } => (open, extend),
         GapModel::Linear { penalty } => (0, penalty),
@@ -84,20 +69,13 @@ pub fn nw_align_banded(
     let mut f = vec![NEG_INF; (n + 1) * w]; // gap in target (Ins)
     h[0] = 0;
     for j in 1..=m {
-        if j > band {
-            break;
-        }
         e[idx(0, j)] = -(open + extend * j as i32);
         h[idx(0, j)] = e[idx(0, j)];
     }
     for i in 1..=n {
-        if i <= band {
-            f[idx(i, 0)] = -(open + extend * i as i32);
-            h[idx(i, 0)] = f[idx(i, 0)];
-        }
-        let lo = i.saturating_sub(band).max(1);
-        let hi = i.saturating_add(band).min(m);
-        for j in lo..=hi {
+        f[idx(i, 0)] = -(open + extend * i as i32);
+        h[idx(i, 0)] = f[idx(i, 0)];
+        for j in 1..=m {
             let ii = idx(i, j);
             e[ii] = (e[ii - 1] - extend).max(h[ii - 1] - open - extend);
             f[ii] = (f[ii - w] - extend).max(h[ii - w] - open - extend);
@@ -119,7 +97,7 @@ pub fn nw_align_banded(
                     let diag = h[idx(i - 1, j - 1)]
                         .saturating_add(subst.score(query[i - 1], target[j - 1]));
                     if h[ii] == diag {
-                        push_rev(&mut cigar_rev, CigarOp::Match);
+                        push_op(&mut cigar_rev, CigarOp::Match);
                         i -= 1;
                         j -= 1;
                         continue;
@@ -135,7 +113,7 @@ pub fn nw_align_banded(
             }
             1 => {
                 // Deletion (consume target).
-                push_rev(&mut cigar_rev, CigarOp::Del);
+                push_op(&mut cigar_rev, CigarOp::Del);
                 let from_open = h[ii - 1] - open - extend;
                 if e[ii] != from_open && j > 1 {
                     // stay in E
@@ -146,7 +124,7 @@ pub fn nw_align_banded(
             }
             _ => {
                 // Insertion (consume query).
-                push_rev(&mut cigar_rev, CigarOp::Ins);
+                push_op(&mut cigar_rev, CigarOp::Ins);
                 let from_open = h[ii - w] - open - extend;
                 if f[ii] != from_open && i > 1 {
                     // stay in F
@@ -164,10 +142,6 @@ pub fn nw_align_banded(
         query: (0, n),
         target: (0, m),
     }
-}
-
-fn push_rev(cigar: &mut Vec<(CigarOp, u32)>, op: CigarOp) {
-    push_op(cigar, op);
 }
 
 #[cfg(test)]
@@ -191,7 +165,7 @@ mod tests {
         let s = dna("ACGTACGT");
         let a = nw_align(s.codes(), s.codes(), &SUB, GAPS);
         assert_eq!(a.score, 16);
-        assert_eq!(a.cigar_string(), "8M");
+        assert_eq!(a.cigar, vec![(CigarOp::Match, 8)]);
         assert_eq!(nw_score(s.codes(), s.codes(), &SUB, GAPS), 16);
     }
 
@@ -199,7 +173,7 @@ mod tests {
     fn single_mismatch() {
         let a = nw_align(dna("ACGT").codes(), dna("AGGT").codes(), &SUB, GAPS);
         assert_eq!(a.score, 3 * 2 - 3);
-        assert_eq!(a.cigar_string(), "4M");
+        assert_eq!(a.cigar, vec![(CigarOp::Match, 4)]);
     }
 
     #[test]
@@ -227,7 +201,7 @@ mod tests {
         let a = nw_align(q.codes(), t.codes(), &SUB, GAPS);
         assert_eq!(a.score, 8 * 2 - (5 + 2 * 2));
         let ins_runs = a.cigar.iter().filter(|(op, _)| *op == CigarOp::Ins).count();
-        assert_eq!(ins_runs, 1, "CIGAR {}", a.cigar_string());
+        assert_eq!(ins_runs, 1, "CIGAR {:?}", a.cigar);
     }
 
     #[test]
@@ -248,21 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn banded_equals_full_when_band_wide_enough() {
-        let q = dna("ACGTAGCTAGCTTACGACGT");
-        let t = dna("ACGTTAGCTAGTTACGTCGT");
-        let full = nw_align(q.codes(), t.codes(), &SUB, GAPS);
-        let banded = nw_align_banded(q.codes(), t.codes(), &SUB, GAPS, 8);
-        assert_eq!(full.score, banded.score);
-    }
-
-    #[test]
     fn empty_sequences() {
         let a = nw_align(&[], &[], &SUB, GAPS);
         assert_eq!(a.score, 0);
         assert!(a.cigar.is_empty());
         let b = nw_align(dna("ACG").codes(), &[], &SUB, GAPS);
         assert_eq!(b.score, -(5 + 3 * 2));
-        assert_eq!(b.cigar_string(), "3I");
+        assert_eq!(b.cigar, vec![(CigarOp::Ins, 3)]);
     }
 }

@@ -136,7 +136,7 @@ mod tests {
         let window = dna("TTTTTACGTACGTTTTT");
         let a = semiglobal_align(read.codes(), window.codes(), &SUB, GAPS);
         assert_eq!(a.score, 16, "full-length free placement");
-        assert_eq!(a.cigar_string(), "8M");
+        assert_eq!(a.cigar, vec![(CigarOp::Match, 8)]);
         assert_eq!(a.target, (5, 13));
     }
 

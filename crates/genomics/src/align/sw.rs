@@ -2,8 +2,6 @@
 
 use crate::scoring::{GapModel, SubstScore};
 
-use super::{push_op, Alignment, CigarOp};
-
 const NEG_INF: i32 = i32::MIN / 4;
 
 /// Local alignment score only (two-row Gotoh with a zero floor).
@@ -29,81 +27,6 @@ pub fn sw_score(query: &[u8], target: &[u8], subst: &impl SubstScore, gaps: GapM
         std::mem::swap(&mut e_prev, &mut e);
     }
     best
-}
-
-/// Full local alignment with traceback. The returned
-/// [`Alignment::query`] / [`Alignment::target`] ranges give the aligned
-/// substrings.
-pub fn sw_align(query: &[u8], target: &[u8], subst: &impl SubstScore, gaps: GapModel) -> Alignment {
-    let (open, extend) = affine(gaps);
-    let n = query.len();
-    let m = target.len();
-    let w = m + 1;
-    let idx = |i: usize, j: usize| i * w + j;
-    let mut h = vec![0i32; (n + 1) * w];
-    let mut e = vec![NEG_INF; (n + 1) * w];
-    let mut f = vec![NEG_INF; (n + 1) * w];
-    let mut best = 0;
-    let mut best_at = (0usize, 0usize);
-    for i in 1..=n {
-        for j in 1..=m {
-            let ii = idx(i, j);
-            e[ii] = (e[ii - 1] - extend).max(h[ii - 1] - open - extend);
-            f[ii] = (f[ii - w] - extend).max(h[ii - w] - open - extend);
-            let diag = h[ii - w - 1] + subst.score(query[i - 1], target[j - 1]);
-            h[ii] = diag.max(e[ii]).max(f[ii]).max(0);
-            if h[ii] > best {
-                best = h[ii];
-                best_at = (i, j);
-            }
-        }
-    }
-
-    // Traceback from the best cell until a zero cell.
-    let mut cigar: Vec<(CigarOp, u32)> = Vec::new();
-    let (mut i, mut j) = best_at;
-    let (end_i, end_j) = best_at;
-    let mut state = 0u8;
-    while i > 0 && j > 0 && h[idx(i, j)] > 0 {
-        let ii = idx(i, j);
-        match state {
-            0 => {
-                let diag = h[idx(i - 1, j - 1)] + subst.score(query[i - 1], target[j - 1]);
-                if h[ii] == diag {
-                    push_op(&mut cigar, CigarOp::Match);
-                    i -= 1;
-                    j -= 1;
-                } else if h[ii] == e[ii] {
-                    state = 1;
-                } else {
-                    state = 2;
-                }
-            }
-            1 => {
-                push_op(&mut cigar, CigarOp::Del);
-                let from_open = h[ii - 1] - open - extend;
-                if e[ii] == from_open || j <= 1 {
-                    state = 0;
-                }
-                j -= 1;
-            }
-            _ => {
-                push_op(&mut cigar, CigarOp::Ins);
-                let from_open = h[ii - w] - open - extend;
-                if f[ii] == from_open || i <= 1 {
-                    state = 0;
-                }
-                i -= 1;
-            }
-        }
-    }
-    cigar.reverse();
-    Alignment {
-        score: best,
-        cigar,
-        query: (i, end_i),
-        target: (j, end_j),
-    }
 }
 
 fn affine(gaps: GapModel) -> (i32, i32) {
@@ -134,20 +57,7 @@ mod tests {
         // Query CCC GTACGT AAA vs target TT GTACGT GG: local region GTACGT.
         let q = dna("CCCGTACGTAAA");
         let t = dna("TTGTACGTGG");
-        let a = sw_align(q.codes(), t.codes(), &SUB, GAPS);
-        assert_eq!(a.score, 12);
-        assert_eq!(a.cigar_string(), "6M");
-        assert_eq!(&q.codes()[a.query.0..a.query.1], dna("GTACGT").codes());
-        assert_eq!(&t.codes()[a.target.0..a.target.1], dna("GTACGT").codes());
-    }
-
-    #[test]
-    fn score_matches_align() {
-        let q = dna("ACGTAGCTAGCTT");
-        let t = dna("GGACGTAGTAGCTTAC");
-        let a = sw_align(q.codes(), t.codes(), &SUB, GAPS);
-        assert_eq!(a.score, sw_score(q.codes(), t.codes(), &SUB, GAPS));
-        assert!(a.score > 0);
+        assert_eq!(sw_score(q.codes(), t.codes(), &SUB, GAPS), 12);
     }
 
     #[test]
@@ -155,9 +65,6 @@ mod tests {
         let q = dna("AAAAAAAA");
         let t = dna("TTTTTTTT");
         assert_eq!(sw_score(q.codes(), t.codes(), &SUB, GAPS), 0);
-        let a = sw_align(q.codes(), t.codes(), &SUB, GAPS);
-        assert_eq!(a.score, 0);
-        assert!(a.cigar.is_empty());
     }
 
     #[test]
@@ -175,23 +82,14 @@ mod tests {
         let q = dna("GGGACGTTACGTGGG");
         let t = dna("ACGTACGT");
         let cheap = GapModel::Affine { open: 2, extend: 1 };
-        let a = sw_align(q.codes(), t.codes(), &SUB, cheap);
         // Aligns ACGT[T]ACGT against ACGTACGT with one insertion:
         // 8 matches - (open 2 + extend 1) = 13, beating any ungapped run.
-        assert_eq!(a.score, 8 * 2 - 3);
-        let ins: u32 = a
-            .cigar
-            .iter()
-            .filter(|(op, _)| *op == CigarOp::Ins)
-            .map(|(_, n)| *n)
-            .sum();
-        assert_eq!(ins, 1, "CIGAR {}", a.cigar_string());
+        assert_eq!(sw_score(q.codes(), t.codes(), &SUB, cheap), 8 * 2 - 3);
     }
 
     #[test]
     fn empty_inputs() {
         assert_eq!(sw_score(&[], &[], &SUB, GAPS), 0);
-        let a = sw_align(&[], dna("ACGT").codes(), &SUB, GAPS);
-        assert_eq!(a.score, 0);
+        assert_eq!(sw_score(&[], dna("ACGT").codes(), &SUB, GAPS), 0);
     }
 }

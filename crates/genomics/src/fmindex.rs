@@ -130,18 +130,8 @@ impl FmIndex {
         }
     }
 
-    /// Text length including the sentinel.
-    pub fn len(&self) -> usize {
-        self.text_len
-    }
-
-    /// True when the index holds only the sentinel.
-    pub fn is_empty(&self) -> bool {
-        self.text_len <= 1
-    }
-
     /// Number of occurrences of symbol `c` in `bwt[0..pos)`.
-    pub fn occ(&self, c: u8, pos: usize) -> usize {
+    pub(crate) fn occ(&self, c: u8, pos: usize) -> usize {
         let block = pos / OCC_BLOCK;
         let mut count = self.checkpoints[block][c as usize] as usize;
         for &b in &self.bwt[block * OCC_BLOCK..pos] {
@@ -182,7 +172,7 @@ impl FmIndex {
 
     /// Text position of the suffix at SA row `row`, via sampled SA +
     /// LF-stepping.
-    pub fn locate_row(&self, row: usize) -> usize {
+    pub(crate) fn locate_row(&self, row: usize) -> usize {
         let mut r = row;
         let mut steps = 0usize;
         loop {

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// 2-bit DNA codes: A=0, C=1, G=2, T=3.
-pub const DNA_ALPHABET: [u8; 4] = [b'A', b'C', b'G', b'T'];
+pub(crate) const DNA_ALPHABET: [u8; 4] = [b'A', b'C', b'G', b'T'];
 
 /// Encode an ASCII nucleotide to its 2-bit code; `None` for non-ACGT
 /// (including N).
@@ -89,7 +89,8 @@ impl DnaSeq {
         self.codes.len()
     }
 
-    /// True when empty.
+    /// True when empty (clippy's `len_without_is_empty` pairs it with
+    /// [`DnaSeq::len`]).
     pub fn is_empty(&self) -> bool {
         self.codes.is_empty()
     }

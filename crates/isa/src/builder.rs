@@ -7,13 +7,13 @@
 
 use crate::instr::{Instr, Space, Width};
 use crate::kernel::Kernel;
-use crate::op::{AluOp, AtomOp, CmpOp, CvtKind, ScalarType};
+use crate::op::{AluOp, AtomOp, CmpOp, ScalarType};
 use crate::reg::{Operand, Reg, SpecialReg};
 use crate::MAX_REGS;
 
 /// A forward-referenceable code label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Label(usize);
+pub(crate) struct Label(usize);
 
 #[derive(Debug, Clone, Copy)]
 enum PatchSlot {
@@ -58,7 +58,7 @@ impl KernelBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if more than [`MAX_REGS`] registers are allocated.
+    /// Panics if more than `MAX_REGS` registers are allocated.
     pub fn reg(&mut self) -> Reg {
         assert!(self.next_reg < MAX_REGS, "kernel uses too many registers");
         let r = Reg(self.next_reg);
@@ -97,7 +97,7 @@ impl KernelBuilder {
     // ---- labels and raw emission ---------------------------------------
 
     /// Create an unbound label.
-    pub fn label(&mut self) -> Label {
+    pub(crate) fn label(&mut self) -> Label {
         self.labels.push(None);
         Label(self.labels.len() - 1)
     }
@@ -107,18 +107,18 @@ impl KernelBuilder {
     /// # Panics
     ///
     /// Panics if the label was already bound.
-    pub fn bind(&mut self, label: Label) {
+    pub(crate) fn bind(&mut self, label: Label) {
         assert!(self.labels[label.0].is_none(), "label bound twice");
         self.labels[label.0] = Some(self.instrs.len());
     }
 
     /// Current PC (index of the next emitted instruction).
-    pub fn pc(&self) -> usize {
+    pub(crate) fn pc(&self) -> usize {
         self.instrs.len()
     }
 
     /// Emit a raw instruction.
-    pub fn push(&mut self, instr: Instr) {
+    pub(crate) fn push(&mut self, instr: Instr) {
         self.instrs.push(instr);
     }
 
@@ -225,33 +225,6 @@ impl KernelBuilder {
         let p = self.reg();
         self.setp(p, cmp, ScalarType::S64, a, b);
         p
-    }
-
-    /// Conversion.
-    pub fn cvt(&mut self, kind: CvtKind, dst: Reg, src: impl Into<Operand>) {
-        self.push(Instr::Cvt {
-            kind,
-            dst,
-            src: src.into(),
-        });
-    }
-
-    /// Fused multiply-add (f32 or f64).
-    pub fn fma(
-        &mut self,
-        f64: bool,
-        dst: Reg,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-        c: impl Into<Operand>,
-    ) {
-        self.push(Instr::Fma {
-            f64,
-            dst,
-            a: a.into(),
-            b: b.into(),
-            c: c.into(),
-        });
     }
 
     /// Read a special register.
@@ -380,7 +353,7 @@ impl KernelBuilder {
     }
 
     /// Unconditional branch to `label`.
-    pub fn bra(&mut self, label: Label) {
+    pub(crate) fn bra(&mut self, label: Label) {
         let pc = self.pc();
         self.patches.push((pc, PatchSlot::Target, label));
         // Unconditional branches never diverge; reconv is set to the target
@@ -396,7 +369,7 @@ impl KernelBuilder {
     /// Conditional branch: lanes where `pred`'s truth equals `expect` jump
     /// to `label`; the rest fall through. `reconv` is the reconvergence
     /// label for the SIMT stack.
-    pub fn bra_if(&mut self, pred: Reg, expect: bool, label: Label, reconv: Label) {
+    pub(crate) fn bra_if(&mut self, pred: Reg, expect: bool, label: Label, reconv: Label) {
         let pc = self.pc();
         self.patches.push((pc, PatchSlot::Target, label));
         self.patches.push((pc, PatchSlot::Reconv, reconv));

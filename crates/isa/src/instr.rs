@@ -280,12 +280,12 @@ impl Instr {
     }
 
     /// Source registers read by the instruction.
-    pub fn srcs(&self) -> Vec<Reg> {
+    pub(crate) fn srcs(&self) -> Vec<Reg> {
         self.src_array().into_iter().flatten().collect()
     }
 
     /// Source registers as a fixed array (allocation-free variant of
-    /// [`Instr::srcs`] for scheduler hot paths).
+    /// `Instr::srcs` for scheduler hot paths).
     pub fn src_array(&self) -> [Option<Reg>; 3] {
         match self {
             Instr::Alu { a, b, .. } | Instr::SetP { a, b, .. } => [a.as_reg(), b.as_reg(), None],

@@ -317,16 +317,6 @@ impl Program {
         self.kernels.get(id.0 as usize)
     }
 
-    /// Number of kernels in the program.
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// True when the program holds no kernels.
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
-    }
-
     /// Iterate over `(id, kernel)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (KernelId, &Kernel)> {
         self.kernels
@@ -488,9 +478,9 @@ mod tests {
     #[test]
     fn program_roundtrip() {
         let mut p = Program::new();
-        assert!(p.is_empty());
+        assert_eq!(p.iter().count(), 0);
         let id = p.add(trivial_kernel());
-        assert_eq!(p.len(), 1);
+        assert_eq!(p.iter().count(), 1);
         assert_eq!(p.kernel(id).name, "t");
         assert!(p.get(KernelId(7)).is_none());
         assert!(p.validate().is_ok());

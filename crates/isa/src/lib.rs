@@ -45,6 +45,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod builder;
@@ -65,4 +66,4 @@ pub use reg::{Operand, Reg, SpecialReg};
 pub const WARP_SIZE: usize = 32;
 
 /// Hard cap on architectural registers per thread.
-pub const MAX_REGS: u16 = 255;
+pub(crate) const MAX_REGS: u16 = 255;

@@ -282,7 +282,7 @@ impl AluOp {
     }
 
     /// Mnemonic used in disassembly.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         use AluOp::*;
         match self {
             IAdd => "add.s64",
@@ -404,7 +404,7 @@ impl CmpOp {
     }
 
     /// Mnemonic suffix used in disassembly.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             CmpOp::Eq => "eq",
             CmpOp::Ne => "ne",
@@ -468,7 +468,7 @@ impl CvtKind {
     }
 
     /// Mnemonic used in disassembly.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             CvtKind::I2F => "cvt.f32.s64",
             CvtKind::I2D => "cvt.f64.s64",
@@ -519,7 +519,7 @@ impl AtomOp {
     }
 
     /// Mnemonic used in disassembly.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             AtomOp::Add => "atom.add",
             AtomOp::Min => "atom.min",

@@ -49,7 +49,7 @@ impl Operand {
 
     /// The register read by this operand, if any.
     #[inline]
-    pub fn as_reg(&self) -> Option<Reg> {
+    pub(crate) fn as_reg(&self) -> Option<Reg> {
         match self {
             Operand::Reg(r) => Some(*r),
             Operand::Imm(_) => None,

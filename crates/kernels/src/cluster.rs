@@ -44,7 +44,7 @@ arg_block! {
 }
 
 /// Identity threshold of the benchmark.
-pub const IDENTITY: f64 = 0.82;
+pub(crate) const IDENTITY: f64 = 0.82;
 
 /// The CLUSTER benchmark instance.
 #[derive(Debug, Clone)]

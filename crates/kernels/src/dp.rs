@@ -23,7 +23,7 @@ use crate::host::i64_bytes;
 use crate::pairwise::{GAP_EXTEND, GAP_OPEN, MATCH, MISMATCH};
 
 /// Negative infinity inside kernels (far below any reachable score).
-pub const KERNEL_NEG_INF: i64 = -1_000_000_000;
+pub(crate) const KERNEL_NEG_INF: i64 = -1_000_000_000;
 
 arg_block! {
     /// Launch arguments of a [`build_dp_kernel`] kernel.

@@ -15,24 +15,24 @@ use ggpu_sim::{DevicePtr, Gpu, SimError};
 use crate::dp::{DpParentArgs, DpSlot, DP_PARAM_WORDS};
 
 /// Little-endian image of a `u32` table (lengths, indices, FM tables).
-pub fn u32_bytes(xs: &[u32]) -> Vec<u8> {
+pub(crate) fn u32_bytes(xs: &[u32]) -> Vec<u8> {
     xs.iter().flat_map(|x| x.to_le_bytes()).collect()
 }
 
 /// Little-endian image of an `i64` table (scores, thresholds, constants).
-pub fn i64_bytes(xs: &[i64]) -> Vec<u8> {
+pub(crate) fn i64_bytes(xs: &[i64]) -> Vec<u8> {
     xs.iter().flat_map(|x| x.to_le_bytes()).collect()
 }
 
 /// Allocate `bytes.len()` device bytes and copy `bytes` in: one allocation,
 /// one PCIe transfer.
-pub fn try_upload(gpu: &mut Gpu, bytes: &[u8]) -> Result<DevicePtr, SimError> {
+pub(crate) fn try_upload(gpu: &mut Gpu, bytes: &[u8]) -> Result<DevicePtr, SimError> {
     let ptr = gpu.try_malloc(bytes.len() as u64)?;
     gpu.try_memcpy_h2d(ptr, bytes)?;
     Ok(ptr)
 }
 
-/// [`try_upload`], panicking where it would return an error.
+/// `try_upload`, panicking where it would return an error.
 pub fn upload(gpu: &mut Gpu, bytes: &[u8]) -> DevicePtr {
     try_upload(gpu, bytes).unwrap_or_else(|e| panic!("upload failed: {e}"))
 }
@@ -60,7 +60,7 @@ pub fn read_i64s(gpu: &mut Gpu, src: DevicePtr, n: usize) -> Vec<i64> {
 }
 
 /// Copy `n` u32 entries home (one PCIe transfer).
-pub fn read_u32s(gpu: &mut Gpu, src: DevicePtr, n: usize) -> Vec<u32> {
+pub(crate) fn read_u32s(gpu: &mut Gpu, src: DevicePtr, n: usize) -> Vec<u32> {
     gpu.memcpy_d2h(src, n * 4)
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte entry")))
@@ -69,12 +69,12 @@ pub fn read_u32s(gpu: &mut Gpu, src: DevicePtr, n: usize) -> Vec<u32> {
 
 /// Items per launch when `n` items are split over at most `batches`
 /// launches (never zero, so a parent kernel can divide by it).
-pub fn per_batch(n: usize, batches: usize) -> usize {
+pub(crate) fn per_batch(n: usize, batches: usize) -> usize {
     n.div_ceil(batches).max(1)
 }
 
 /// The non-empty `start..end` ranges of that split, in order.
-pub fn batch_ranges(n: usize, batches: usize) -> impl Iterator<Item = Range<usize>> {
+pub(crate) fn batch_ranges(n: usize, batches: usize) -> impl Iterator<Item = Range<usize>> {
     let per = per_batch(n, batches);
     (0..n).step_by(per).map(move |s| s..(s + per).min(n))
 }
@@ -85,7 +85,7 @@ pub fn batch_ranges(n: usize, batches: usize) -> impl Iterator<Item = Range<usiz
 /// each child one full CTA of `child_cta` threads so shared-memory slicing
 /// and occupancy match the non-CDP launch. Allocates the parameter-block
 /// scratch the parent writes.
-pub fn launch_dp_parent(
+pub(crate) fn launch_dp_parent(
     gpu: &mut Gpu,
     parent: KernelId,
     child: [u64; DP_PARAM_WORDS as usize],

@@ -14,6 +14,10 @@
 //! | PairHMM | Pair-HMM forward algorithm | [`pairhmm`] |
 //! | NvB | FM-index read alignment (NvBowtie-style) | [`nvb`] |
 //!
+//! [`all_benchmarks`], [`benchmark`] and [`BENCHMARKS`] are the registry
+//! every harness and example starts from; [`KernelResources::sram_usage`]
+//! is Figure 6's SRAM-utilization computation.
+//!
 //! Every run validates the device results against the CPU reference
 //! implementations in `ggpu-genomics` before reporting statistics, so a
 //! figure regenerated by `ggpu-bench` is backed by a functionally correct
@@ -26,6 +30,7 @@
 //! host drivers").
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 /// Declare a kernel's argument block from `word: "meaning"` rows: a struct
@@ -85,6 +90,7 @@ pub mod traceback;
 
 use ggpu_isa::Kernel;
 use ggpu_sim::{Gpu, GpuConfig, ProfileReport, RunStats};
+use ggpu_sm::SmConfig;
 
 /// Workload scale: `Tiny` keeps unit tests fast; `Small` is the default
 /// for regenerating figures; `Paper` mirrors Table III's published input
@@ -101,7 +107,7 @@ pub enum Scale {
 
 impl Scale {
     /// Every scale, smallest first.
-    pub const ALL: [Scale; 3] = [Scale::Tiny, Scale::Small, Scale::Paper];
+    pub(crate) const ALL: [Scale; 3] = [Scale::Tiny, Scale::Small, Scale::Paper];
 
     /// Stable lower-case name, as accepted by `--scale` and used in result
     /// file names.
@@ -149,7 +155,7 @@ impl BenchResult {
     /// What every benchmark reports once its device work is done: the
     /// device's counters, its profile if profiling was on, and the
     /// benchmark's own verdict and summary line.
-    pub fn collect(gpu: &mut Gpu, verified: bool, detail: String) -> Self {
+    pub(crate) fn collect(gpu: &mut Gpu, verified: bool, detail: String) -> Self {
         let profile = gpu
             .profiling_enabled()
             .then(|| Box::new(gpu.take_profile()));
@@ -203,7 +209,7 @@ pub struct KernelResources {
 
 impl KernelResources {
     /// The resources `kernel` declares, launched with `threads_per_cta`.
-    pub fn of(kernel: &Kernel, threads_per_cta: u32) -> Self {
+    pub(crate) fn of(kernel: &Kernel, threads_per_cta: u32) -> Self {
         KernelResources {
             regs_per_thread: kernel.regs_per_thread,
             smem_per_cta: kernel.smem_per_cta,
@@ -211,6 +217,39 @@ impl KernelResources {
             threads_per_cta,
         }
     }
+
+    /// Figure 6's SRAM utilization under `sm`: the fraction of each
+    /// on-chip SRAM structure occupied by the concurrently resident CTAs.
+    pub fn sram_usage(&self, sm: &SmConfig) -> SramUsage {
+        let ctas = sm.max_resident_ctas(
+            self.threads_per_cta,
+            self.regs_per_thread,
+            self.smem_per_cta,
+        );
+        let regs_used = self.regs_per_thread as u64 * self.threads_per_cta as u64 * ctas as u64;
+        let smem_used = self.smem_per_cta as u64 * ctas as u64;
+        SramUsage {
+            resident_ctas: ctas,
+            registers: (regs_used as f64 / sm.registers as f64).min(1.0),
+            shared: (smem_used as f64 / sm.smem_bytes as f64).min(1.0),
+            constant: (self.cmem_bytes as f64 / 64.0 / 1024.0).min(1.0),
+        }
+    }
+}
+
+/// SRAM utilization of one benchmark (Figure 6), from
+/// [`KernelResources::sram_usage`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SramUsage {
+    /// Concurrent CTAs per SM under the occupancy rules.
+    pub resident_ctas: u32,
+    /// Register-file utilization in `[0, 1]`.
+    pub registers: f64,
+    /// Shared-memory utilization in `[0, 1]`.
+    pub shared: f64,
+    /// Constant-memory utilization in `[0, 1]` (single image; constant
+    /// memory is not replicated per CTA).
+    pub constant: f64,
 }
 
 /// A runnable Genomics-GPU benchmark.
@@ -242,4 +281,64 @@ pub fn all_benchmarks(scale: Scale) -> Vec<Box<dyn Benchmark>> {
         Box::new(pairhmm::PairHmmBench::new(scale, true)),
         Box::new(nvb::NvbBench::new(scale)),
     ]
+}
+
+/// Abbreviations of the ten benchmarks in Table III order.
+pub const BENCHMARKS: [&str; 10] = [
+    "SW", "NW", "STAR", "GG", "GL", "GKSW", "GSG", "CLUSTER", "PairHMM", "NvB",
+];
+
+/// Look up one benchmark by its abbreviation.
+pub fn benchmark(scale: Scale, abbrev: &str) -> Option<Box<dyn Benchmark>> {
+    all_benchmarks(scale)
+        .into_iter()
+        .find(|b| b.abbrev() == abbrev)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_has_ten_benchmarks() {
+        let all = all_benchmarks(Scale::Tiny);
+        assert_eq!(all.len(), 10);
+        let abbrevs: Vec<&str> = all.iter().map(|b| b.abbrev()).collect();
+        assert_eq!(abbrevs, BENCHMARKS);
+    }
+
+    #[test]
+    fn benchmark_lookup() {
+        assert!(benchmark(Scale::Tiny, "SW").is_some());
+        assert!(benchmark(Scale::Tiny, "PairHMM").is_some());
+        assert!(benchmark(Scale::Tiny, "XXX").is_none());
+    }
+
+    #[test]
+    fn sram_usage_is_sane_for_all() {
+        let sm = SmConfig::default();
+        for b in all_benchmarks(Scale::Tiny) {
+            let u = b.resources().sram_usage(&sm);
+            assert!(u.resident_ctas >= 1, "{}", b.abbrev());
+            assert!((0.0..=1.0).contains(&u.registers));
+            assert!((0.0..=1.0).contains(&u.shared));
+            assert!((0.0..=1.0).contains(&u.constant));
+            // Table III: shared-memory users actually occupy shared memory.
+            if b.table3().shared_memory {
+                assert!(u.shared > 0.0, "{} should use smem", b.abbrev());
+            }
+        }
+    }
+
+    #[test]
+    fn table3_rows_match_paper_shapes() {
+        for b in all_benchmarks(Scale::Tiny) {
+            let row = b.table3();
+            assert!(row.constant_memory, "{}: all rows use const", row.abbrev);
+            assert!(row.grid.0 >= 1 && row.cta.0 >= 32);
+        }
+        let nvb = benchmark(Scale::Tiny, "NvB").unwrap().table3();
+        assert_eq!(nvb.grid, (2048, 1, 1));
+        assert_eq!(nvb.cta, (256, 1, 1));
+    }
 }

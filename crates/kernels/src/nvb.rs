@@ -23,8 +23,8 @@ use ggpu_isa::{
 use ggpu_sim::{DevicePtr, Gpu, GpuConfig, GpuNode, SimError};
 use rand::{Rng, SeedableRng};
 
-use ggpu_genomics::fmindex::{bwt_from_sa, suffix_array, SENTINEL};
 use ggpu_genomics::random_genome;
+use ggpu_genomics::{bwt_from_sa, suffix_array, SENTINEL};
 
 use crate::dp::st_param_block;
 use crate::host::{batch_ranges, read_u64s, try_upload, u32_bytes};
@@ -79,7 +79,7 @@ pub fn unpack_hit(word: u64) -> (u32, u32) {
 }
 
 /// Maximum candidate positions verified per read.
-pub const MAX_HITS: u64 = 8;
+pub(crate) const MAX_HITS: u64 = 8;
 
 /// Flattened FM-index tables ready for device upload.
 #[derive(Debug, Clone)]
@@ -187,7 +187,7 @@ impl FmTables {
     }
 
     /// CPU backward search over these tables: SA interval of `pattern`.
-    pub fn backward_search(&self, pattern: &[u8]) -> (usize, usize) {
+    pub(crate) fn backward_search(&self, pattern: &[u8]) -> (usize, usize) {
         let n = self.text.len();
         let (mut lo, mut hi) = (0usize, n);
         for &c in pattern.iter().rev() {

@@ -235,7 +235,7 @@ impl PairwiseBench {
     }
 
     /// GASAL2 LOCAL.
-    pub fn gasal_local(scale: Scale) -> Self {
+    pub(crate) fn gasal_local(scale: Scale) -> Self {
         Self::build(
             "GASAL2 LOCAL",
             "GL",
@@ -253,7 +253,7 @@ impl PairwiseBench {
     }
 
     /// GASAL2 KSW (extension with z-drop).
-    pub fn gasal_ksw(scale: Scale) -> Self {
+    pub(crate) fn gasal_ksw(scale: Scale) -> Self {
         Self::build(
             "GASAL2 KSW",
             "GKSW",
@@ -271,7 +271,7 @@ impl PairwiseBench {
     }
 
     /// GASAL2 SEMI-GLOBAL.
-    pub fn gasal_semiglobal(scale: Scale) -> Self {
+    pub(crate) fn gasal_semiglobal(scale: Scale) -> Self {
         Self::build(
             "GASAL2 SEMI-GLOBAL",
             "GSG",

@@ -40,11 +40,11 @@ arg_block! {
 }
 
 /// CIGAR op codes written by the kernel (per column).
-pub const OP_MATCH: u8 = 0;
+pub(crate) const OP_MATCH: u8 = 0;
 /// Insertion (consumes query).
-pub const OP_INS: u8 = 1;
+pub(crate) const OP_INS: u8 = 1;
 /// Deletion (consumes target).
-pub const OP_DEL: u8 = 2;
+pub(crate) const OP_DEL: u8 = 2;
 
 /// Configuration of the traceback kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +64,7 @@ pub struct TracebackKernelCfg {
 impl TracebackKernelCfg {
     /// Local bytes per thread: two DP rows (i64) plus the direction matrix
     /// (1 byte per cell).
-    pub fn local_bytes(&self) -> u32 {
+    pub(crate) fn local_bytes(&self) -> u32 {
         let rows = 2 * (self.max_len + 1) * 8;
         let dirs = (self.max_len + 1) * (self.max_len + 1);
         rows + dirs

@@ -38,18 +38,9 @@ type MshrSet = HashSet<u64, BuildHasherDefault<LineAddrHasher>>;
 /// holding that line valid.
 type LineIndex = HashMap<u64, usize, BuildHasherDefault<LineAddrHasher>>;
 
-/// Write-handling policy of a cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WritePolicy {
-    /// Writes go straight to the next level and do not allocate on miss
-    /// (NVIDIA-style L1 behaviour for global stores).
-    WriteThrough,
-    /// Writes allocate and dirty the line; evictions of dirty lines produce
-    /// writebacks (L2 behaviour).
-    WriteBack,
-}
-
-/// Geometry and policy of one cache.
+/// Geometry of one cache. Every cache is write-through: a write hit
+/// updates the line in place, and a write miss goes to the next level
+/// without allocating (NVIDIA-style behaviour for global stores).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes. A capacity of zero disables the cache
@@ -59,26 +50,23 @@ pub struct CacheConfig {
     pub ways: u32,
     /// Line size in bytes.
     pub line: u64,
-    /// Write policy.
-    pub write_policy: WritePolicy,
     /// Number of MSHR entries (distinct outstanding miss lines).
     pub mshr_entries: u32,
 }
 
 impl CacheConfig {
     /// Convenience constructor with 128-byte lines.
-    pub fn new(bytes: u64, ways: u32, write_policy: WritePolicy) -> Self {
+    pub fn new(bytes: u64, ways: u32) -> Self {
         CacheConfig {
             bytes,
             ways,
             line: LINE_BYTES,
-            write_policy,
             mshr_entries: 64,
         }
     }
 
     /// Number of sets implied by the geometry (at least 1 when enabled).
-    pub fn sets(&self) -> u64 {
+    pub(crate) fn sets(&self) -> u64 {
         if self.bytes == 0 {
             0
         } else {
@@ -104,8 +92,8 @@ pub enum CacheOutcome {
     /// The MSHR file is full; the access cannot be processed this cycle and
     /// the requester must retry (a structural stall).
     ReservationFail,
-    /// Write-through store on a write-through cache: forwarded to the next
-    /// level without allocation (counted as neither hit nor demand miss).
+    /// Write miss: forwarded to the next level without allocation (counted
+    /// as neither hit nor demand miss).
     Bypass,
 }
 
@@ -215,11 +203,6 @@ impl Cache {
             tick: 0,
             flushed: true,
         }
-    }
-
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Accumulated statistics.
@@ -353,18 +336,14 @@ impl Cache {
             line.last_use = self.tick;
             if is_write {
                 self.stats.write_hit += 1;
-                match self.config.write_policy {
-                    WritePolicy::WriteBack => line.dirty = true,
-                    WritePolicy::WriteThrough => {}
-                }
             } else {
                 self.stats.read_hit += 1;
             }
             return CacheOutcome::Hit;
         }
 
-        // Write-through caches forward write misses without allocating.
-        if is_write && self.config.write_policy == WritePolicy::WriteThrough {
+        // Write misses are forwarded without allocating.
+        if is_write {
             return CacheOutcome::Bypass;
         }
 
@@ -405,8 +384,8 @@ impl Cache {
     }
 
     /// Install the line containing `addr` (response from the lower level)
-    /// and release its MSHR. Marks the line dirty when `dirty` is set
-    /// (write-allocate fills).
+    /// and release its MSHR. Marks the line dirty when `dirty` is set; the
+    /// simulator's write-through caches always pass `false`.
     pub fn fill(&mut self, addr: u64, dirty: bool) {
         if self.config.bytes == 0 {
             return;
@@ -454,29 +433,25 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn small_cache(policy: WritePolicy) -> Cache {
+    fn small_cache() -> Cache {
         // 2 sets x 2 ways x 128B lines = 512B.
         Cache::new(CacheConfig {
             bytes: 512,
             ways: 2,
             line: 128,
-            write_policy: policy,
             mshr_entries: 4,
         })
     }
 
     #[test]
     fn sets_geometry() {
-        assert_eq!(
-            CacheConfig::new(128 * 1024, 256, WritePolicy::WriteThrough).sets(),
-            4
-        );
-        assert_eq!(CacheConfig::new(0, 4, WritePolicy::WriteBack).sets(), 0);
+        assert_eq!(CacheConfig::new(128 * 1024, 256).sets(), 4);
+        assert_eq!(CacheConfig::new(0, 4).sets(), 0);
     }
 
     #[test]
     fn miss_then_hit_after_fill() {
-        let mut c = small_cache(WritePolicy::WriteBack);
+        let mut c = small_cache();
         assert!(matches!(
             c.access(0, false),
             CacheOutcome::Miss { writeback: None }
@@ -490,7 +465,7 @@ mod tests {
 
     #[test]
     fn mshr_merges_and_fills_release() {
-        let mut c = small_cache(WritePolicy::WriteBack);
+        let mut c = small_cache();
         assert!(matches!(c.access(0, false), CacheOutcome::Miss { .. }));
         assert_eq!(c.access(32, false), CacheOutcome::MshrMerged);
         assert_eq!(c.outstanding(), 1);
@@ -501,7 +476,7 @@ mod tests {
 
     #[test]
     fn mshr_capacity_reservation_fail() {
-        let mut c = small_cache(WritePolicy::WriteBack);
+        let mut c = small_cache();
         // 4 distinct lines fill the MSHR file.
         for i in 0..4u64 {
             assert!(matches!(
@@ -515,7 +490,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        let mut c = small_cache(WritePolicy::WriteBack);
+        let mut c = small_cache();
         // Set 0 is lines with (line_addr % 2 == 0): addrs 0, 256, 512.
         c.access(0, false);
         c.fill(0, false);
@@ -531,9 +506,8 @@ mod tests {
 
     #[test]
     fn writeback_of_dirty_victim() {
-        let mut c = small_cache(WritePolicy::WriteBack);
-        c.access(0, true);
-        c.fill(0, true); // dirty fill (write-allocate)
+        let mut c = small_cache();
+        c.fill(0, true); // a dirty fill
         c.access(256, false);
         c.fill(256, false);
         // Evict line 0 (LRU) with a third line in set 0.
@@ -546,7 +520,7 @@ mod tests {
 
     #[test]
     fn write_through_bypasses_write_misses() {
-        let mut c = small_cache(WritePolicy::WriteThrough);
+        let mut c = small_cache();
         assert_eq!(c.access(0, true), CacheOutcome::Bypass);
         // No allocation happened.
         assert!(matches!(c.access(0, false), CacheOutcome::Miss { .. }));
@@ -557,7 +531,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_always_misses() {
-        let mut c = Cache::new(CacheConfig::new(0, 1, WritePolicy::WriteThrough));
+        let mut c = Cache::new(CacheConfig::new(0, 1));
         for i in 0..10 {
             assert!(matches!(c.access(i * 4, false), CacheOutcome::Miss { .. }));
         }
@@ -572,7 +546,7 @@ mod tests {
         // line allocates, later touches merge, capacity gates allocations
         // (merges still succeed at capacity), and fills release exactly
         // their own line regardless of alloc/fill ordering.
-        let mut c = small_cache(WritePolicy::WriteBack);
+        let mut c = small_cache();
         for i in 0..4u64 {
             assert!(matches!(
                 c.access(i * 128, false),
@@ -607,7 +581,7 @@ mod tests {
 
     #[test]
     fn flush_invalidates() {
-        let mut c = small_cache(WritePolicy::WriteBack);
+        let mut c = small_cache();
         c.access(0, false);
         c.fill(0, false);
         assert_eq!(c.access(0, false), CacheOutcome::Hit);
@@ -617,7 +591,7 @@ mod tests {
 
     #[test]
     fn a_flush_with_nothing_installed_since_the_last_is_skipped_and_changes_nothing() {
-        let mut c = small_cache(WritePolicy::WriteThrough);
+        let mut c = small_cache();
         // Resident lines, LRU stamps from a hit and an outstanding miss.
         c.access(0, false);
         c.fill(0, false);
@@ -652,7 +626,6 @@ mod tests {
             bytes: 4 * 128,
             ways: 4,
             line: 128,
-            write_policy: WritePolicy::WriteThrough,
             mshr_entries: 4,
         });
         let copies = |c: &Cache| -> Vec<usize> {
@@ -777,16 +750,13 @@ mod tests {
                     line.last_use = self.tick;
                     if is_write {
                         self.stats.write_hit += 1;
-                        if self.config.write_policy == WritePolicy::WriteBack {
-                            line.dirty = true;
-                        }
                     } else {
                         self.stats.read_hit += 1;
                     }
                     return CacheOutcome::Hit;
                 }
             }
-            if is_write && self.config.write_policy == WritePolicy::WriteThrough {
+            if is_write {
                 return CacheOutcome::Bypass;
             }
             if self.mshrs.contains(&laddr) {
@@ -883,7 +853,6 @@ mod tests {
         fn the_indexed_cache_is_the_way_scan_it_replaced(
             sets in 1..5u64,
             ways in 1..9u32,
-            write_back in 0..2u8,
             mshr_entries in 1..5u32,
             // Lines beyond the capacity, at offsets within a line.
             extra in 1..9u64,
@@ -894,7 +863,6 @@ mod tests {
                 bytes: sets * ways as u64 * 128,
                 ways,
                 line: 128,
-                write_policy: if write_back == 1 { WritePolicy::WriteBack } else { WritePolicy::WriteThrough },
                 mshr_entries,
             };
             // A pool a few lines larger than the cache, so sets fill and evict.

@@ -155,11 +155,6 @@ impl Dram {
         }
     }
 
-    /// The configuration this channel was built with.
-    pub fn config(&self) -> &DramConfig {
-        &self.config
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &DramStats {
         &self.stats

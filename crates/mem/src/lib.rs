@@ -16,6 +16,7 @@
 //! misses, and DRAM returns completion timestamps.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 /// Declare a struct of plain `u64` event counters whose field list is
@@ -71,7 +72,7 @@ macro_rules! counter_set {
 mod cache;
 mod dram;
 
-pub use cache::{Cache, CacheConfig, CacheOutcome, CacheStats, WritePolicy};
+pub use cache::{Cache, CacheConfig, CacheOutcome, CacheStats};
 pub use dram::{Dram, DramConfig, DramScheduler, DramStats};
 
 /// Line size shared by every cache level, per Table I (128-byte lines).

@@ -66,12 +66,12 @@ pub struct Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one value.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         let i = index_of(v);
         if i >= self.buckets.len() {
             self.buckets.resize(i + 1, 0);
@@ -88,28 +88,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(v);
     }
 
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
     /// Recorded values.
     pub fn count(&self) -> u64 {
         self.count
@@ -121,7 +99,7 @@ impl Histogram {
     }
 
     /// Exact minimum recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -178,7 +156,7 @@ impl Histogram {
 
     /// Serialize as a standalone JSON object: exact summary stats, the
     /// standard percentile ladder, and the occupied buckets.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         JsonWriter::object(|w| {
             w.u64("count", self.count)
                 .u64("sum", self.sum)
@@ -225,7 +203,7 @@ pub struct LatencyStats {
 
 impl LatencyStats {
     /// Serialize the four stage histograms as one JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         JsonWriter::object(|w| {
             w.raw("queue_wait", &self.queue_wait.to_json())
                 .raw("batch_formation", &self.batch_formation.to_json())
@@ -275,26 +253,6 @@ mod tests {
         h.record(3000);
         let p99 = h.percentile(99.0);
         assert!(p99 >= 3000 && (p99 - 3000) as f64 <= 0.125 * 3000.0);
-    }
-
-    #[test]
-    fn merge_telescopes() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in 0..500u64 {
-            let x = v * v % 10_007;
-            if v % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-            all.record(x);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged, all);
-        assert_eq!(merged.count(), 500);
     }
 
     #[test]
@@ -350,40 +308,6 @@ mod tests {
         for (low, high, _) in h.nonzero_buckets() {
             assert!(low <= high, "bucket bounds stay ordered at the top");
         }
-    }
-
-    #[test]
-    fn merge_of_disjoint_histograms_spans_both_ranges() {
-        let mut lo = Histogram::new();
-        for v in 10..20u64 {
-            lo.record(v);
-        }
-        let mut hi = Histogram::new();
-        for v in 1_000_000..1_000_010u64 {
-            hi.record(v);
-        }
-        // Merging the wider (hi) into the narrower (lo) forces the bucket
-        // vector to grow; counts, sum, and extrema all fold exactly.
-        let mut merged = lo.clone();
-        merged.merge(&hi);
-        assert_eq!(merged.count(), 20);
-        assert_eq!(merged.sum(), lo.sum() + hi.sum());
-        assert_eq!(merged.min(), 10);
-        assert_eq!(merged.max(), 1_000_009);
-        // Low quantiles come from the low range, high from the high range.
-        assert!(merged.percentile(25.0) < 20);
-        assert!(merged.percentile(90.0) >= 1_000_000);
-        // Merge is order-independent.
-        let mut other = hi.clone();
-        other.merge(&lo);
-        assert_eq!(merged, other);
-        // Merging an empty histogram is a no-op in both directions.
-        let before = merged.clone();
-        merged.merge(&Histogram::new());
-        assert_eq!(merged, before);
-        let mut empty = Histogram::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

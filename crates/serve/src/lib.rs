@@ -11,7 +11,7 @@
 //! * **Typed jobs** ([`JobKind`]): Smith–Waterman pairwise scoring,
 //!   FM-index read mapping against a resident reference, and Pair-HMM
 //!   forward likelihoods.
-//! * **Shape batching** ([`ShapeKey`]): same-shaped requests fuse into one
+//! * **Shape batching** (`ShapeKey`): same-shaped requests fuse into one
 //!   grid — same kernel binary, same strides — and are scheduled onto
 //!   CUDA-style streams, one worker (stream + private slabs) at a time.
 //! * **Admission control**: a bounded queue with per-tenant quotas.
@@ -41,11 +41,12 @@
 //! `tests/serve_soak.rs` assertable.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod batch;
 mod error;
-pub mod histogram;
+mod histogram;
 mod job;
 mod metrics;
 mod queue;
@@ -61,7 +62,6 @@ pub use job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, Priority, Tenant};
 pub use metrics::ServeMetrics;
 pub use report::ServeReport;
 pub use service::Service;
-pub use shape::{shape_of, ShapeKey};
 pub use telemetry::{
     BatchSpan, GridRef, JobTrail, OutcomeTag, RejectReason, ServeEvent, ServeEventKind,
 };

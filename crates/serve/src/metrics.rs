@@ -109,7 +109,7 @@ impl ServeMetrics {
     }
 
     /// Serialize as a standalone JSON object (one key per field).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         JsonWriter::object(|w| {
             self.for_each_field(w.u64_fields());
         })

@@ -437,11 +437,6 @@ impl Service {
         self.node.stats().total()
     }
 
-    /// Devices the service is serving over.
-    pub fn n_devices(&self) -> usize {
-        self.node.n_devices()
-    }
-
     /// Device-memory allocation counts per device. Flat across rounds and
     /// shape changes once the service is built: slabs and local-memory
     /// arenas are recycled, never reallocated.

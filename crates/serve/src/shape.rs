@@ -35,7 +35,7 @@ impl std::fmt::Display for ShapeKey {
 
 /// Classify a job against the service's configured shapes, or reject it
 /// with a typed admission error.
-pub fn shape_of(kind: &JobKind, cfg: &ServeConfig) -> Result<ShapeKey, AdmitError> {
+pub(crate) fn shape_of(kind: &JobKind, cfg: &ServeConfig) -> Result<ShapeKey, AdmitError> {
     match kind {
         JobKind::Pairwise { query, target } => {
             let len = query.len().max(target.len());

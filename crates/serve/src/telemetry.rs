@@ -40,7 +40,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Short machine-readable tag.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             RejectReason::Overload => "overload",
             RejectReason::Quota => "quota",
@@ -64,7 +64,7 @@ pub enum OutcomeTag {
 
 impl OutcomeTag {
     /// Classify a terminal [`JobOutcome`].
-    pub fn of(outcome: &JobOutcome) -> Self {
+    pub(crate) fn of(outcome: &JobOutcome) -> Self {
         match outcome {
             JobOutcome::Done(_) => OutcomeTag::Done,
             JobOutcome::Shed => OutcomeTag::Shed,
@@ -188,7 +188,7 @@ pub enum ServeEventKind {
 
 impl ServeEventKind {
     /// Short machine-readable tag for this event kind.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             ServeEventKind::Submit { .. } => "submit",
             ServeEventKind::Admit { .. } => "admit",
@@ -217,7 +217,7 @@ pub struct ServeEvent {
 
 impl ServeEvent {
     /// Serialize as a standalone JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         JsonWriter::object(|w| {
             w.u64("cycle", self.cycle)
                 .u64("round", self.round)
@@ -348,7 +348,7 @@ pub struct JobTrail {
     /// Outcome class.
     pub outcome: OutcomeTag,
     /// Every grid launched on its behalf (including failed attempts),
-    /// oldest first; capped at [`MAX_TRAIL_GRIDS`].
+    /// oldest first; capped at `MAX_TRAIL_GRIDS`.
     pub grids: Vec<GridRef>,
     /// Device execution cycles (start to retire) of a `Done` job's last
     /// grid, when it retired with a [`ggpu_sim::KernelRecord`].
@@ -392,7 +392,7 @@ pub struct BatchSpan {
 
 impl BatchSpan {
     /// Serialize as a standalone JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         JsonWriter::object(|w| {
             w.u64("batch", self.batch)
                 .u64("worker", self.worker as u64)

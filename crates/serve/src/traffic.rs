@@ -17,11 +17,11 @@ use crate::{JobKind, ServeConfig};
 /// Reference-genome length the synthetic mix maps reads against.
 pub const GENOME_LEN: usize = 600;
 /// Fixed FM-index read length of the mix (bases).
-pub const FM_READ_LEN: u32 = 16;
+pub(crate) const FM_READ_LEN: u32 = 16;
 /// Fixed Pair-HMM read length of the mix (bases).
-pub const PHMM_READ_LEN: u32 = 10;
+pub(crate) const PHMM_READ_LEN: u32 = 10;
 /// Fixed Pair-HMM haplotype length of the mix (bases).
-pub const PHMM_HAP_LEN: u32 = 14;
+pub(crate) const PHMM_HAP_LEN: u32 = 14;
 /// Tenants the mix round-robins submissions across.
 pub const TENANTS: u32 = 4;
 

@@ -1,7 +1,7 @@
 //! Whole-GPU configuration (Tables I and II) with the RTX 3070 baseline.
 
 use ggpu_icnt::IcntConfig;
-use ggpu_mem::{CacheConfig, DramConfig, WritePolicy};
+use ggpu_mem::{CacheConfig, DramConfig};
 use ggpu_sm::SmConfig;
 
 /// Host-to-device interconnect (PCIe) model.
@@ -144,7 +144,7 @@ impl GpuConfig {
             sm: SmConfig::default(),
             // 4MB / 8 partitions = 512KB per slice, 16-way. Write-through keeps
             // the store path simple (stores stream to DRAM, loads allocate).
-            l2_slice: CacheConfig::new(512 * 1024, 16, WritePolicy::WriteThrough),
+            l2_slice: CacheConfig::new(512 * 1024, 16),
             dram: DramConfig::default(),
             icnt: IcntConfig::default(),
             l2_latency: 90,

@@ -41,8 +41,7 @@ use crate::config::GpuConfig;
 use crate::error::SimError;
 use crate::memory::DeviceMemory;
 use crate::profile::{
-    IntervalSample, KernelPcProfile, KernelRecord, PcProfile, PcProfileRow, ProfileReport, SmUnit,
-    UnitProfile,
+    KernelPcProfile, KernelRecord, PcProfile, PcProfileRow, ProfileReport, SmUnit, UnitProfile,
 };
 use crate::recorder::Recorder;
 use crate::stats::{HostStats, RunStats};
@@ -203,13 +202,8 @@ impl Gpu {
     }
 
     /// The configuration the GPU was built with.
-    pub fn config(&self) -> &GpuConfig {
+    pub(crate) fn config(&self) -> &GpuConfig {
         &self.config
-    }
-
-    /// The program loaded on the device.
-    pub fn program(&self) -> &Program {
-        &self.program
     }
 
     /// Current simulated cycle.
@@ -222,7 +216,7 @@ impl Gpu {
     /// `device_index << 40`) so grid handles — the join key between kernel
     /// records, trace events, and serving telemetry — stay unique across
     /// every device in the node. Must be called before the first launch.
-    pub fn set_grid_base(&mut self, base: u64) {
+    pub(crate) fn set_grid_base(&mut self, base: u64) {
         debug_assert_eq!(self.next_grid, 1, "grid base must be set before launches");
         self.next_grid = base + 1;
     }
@@ -353,16 +347,6 @@ impl Gpu {
         self.recorder.as_ref().map_or(&[], Recorder::records)
     }
 
-    /// Completed interval samples kept so far, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = &IntervalSample> + '_ {
-        self.recorder.iter().flat_map(|r| r.samples().entries())
-    }
-
-    /// Samples dropped after the sample log filled.
-    pub fn samples_dropped(&self) -> u64 {
-        self.recorder.as_ref().map_or(0, |r| r.samples().dropped())
-    }
-
     /// Events recorded so far (empty when tracing is off).
     pub fn trace_events(&self) -> &[TraceEvent] {
         self.recorder.as_ref().map_or(&[], |r| r.events().entries())
@@ -371,7 +355,7 @@ impl Gpu {
     /// The code axis of attribution: per-PC counters merged across SMs in
     /// SM-index order and symbolicated against the loaded program. `None`
     /// unless the GPU was built with [`ggpu_sm::SmConfig::attribution`].
-    pub fn pc_profile(&self) -> Option<PcProfile> {
+    pub(crate) fn pc_profile(&self) -> Option<PcProfile> {
         let mut merged: Option<ggpu_sm::PcTable> = None;
         for core in self.lanes.all_cores() {
             let t = core.pc_table()?;

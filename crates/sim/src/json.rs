@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 /// Escape `s` as the *contents* of a JSON string (no surrounding quotes).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -43,6 +43,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -73,8 +74,7 @@ pub use trace::{
 };
 
 // Re-export the fault vocabulary so harnesses matching on errors don't need
-// direct `ggpu-isa` / `ggpu-sm` dependencies.
-pub use ggpu_isa::FaultKind;
+// a direct `ggpu-sm` dependency.
 pub use ggpu_sm::{WarpReport, WarpWait};
 
 // Re-export the counter vocabulary the attribution profiler exposes, so

@@ -3,7 +3,7 @@
 use ggpu_isa::{AtomOp, FaultKind, Row, Width, WARP_SIZE};
 use ggpu_sm::GlobalMem;
 
-/// A typed device pointer returned by [`DeviceMemory::alloc`].
+/// A typed device pointer returned by `DeviceMemory::alloc`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DevicePtr(pub u64);
 
@@ -55,7 +55,7 @@ const BASE: u64 = 4096;
 
 impl DeviceMemory {
     /// Fresh empty memory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DeviceMemory {
             data: Vec::new(),
             cursor: BASE,
@@ -65,7 +65,7 @@ impl DeviceMemory {
     }
 
     /// Mark `[start, end)` as unmapped for fault injection (`None` clears).
-    pub fn set_poison(&mut self, range: Option<(u64, u64)>) {
+    pub(crate) fn set_poison(&mut self, range: Option<(u64, u64)>) {
         self.poison = range;
     }
 
@@ -75,7 +75,7 @@ impl DeviceMemory {
     }
 
     /// Allocate `bytes` of device memory (256-byte aligned).
-    pub fn alloc(&mut self, bytes: u64) -> DevicePtr {
+    pub(crate) fn alloc(&mut self, bytes: u64) -> DevicePtr {
         let addr = self.cursor;
         self.cursor = (addr + bytes).div_ceil(ALLOC_ALIGN) * ALLOC_ALIGN;
         let end = (addr + bytes) as usize;
@@ -91,7 +91,7 @@ impl DeviceMemory {
         self.cursor - BASE
     }
 
-    /// Total [`DeviceMemory::alloc`] calls so far. Monotone: recycling an
+    /// Total `DeviceMemory::alloc` calls so far. Monotone: recycling an
     /// arena does not allocate, so a steady-state harness sees this stay
     /// flat while throughput continues.
     pub fn alloc_count(&self) -> u64 {
@@ -115,7 +115,7 @@ impl DeviceMemory {
     }
 
     /// Copy a host slice into device memory.
-    pub fn write_slice(&mut self, ptr: DevicePtr, bytes: &[u8]) {
+    pub(crate) fn write_slice(&mut self, ptr: DevicePtr, bytes: &[u8]) {
         let start = ptr.0 as usize;
         let end = start + bytes.len();
         if self.data.len() < end {

@@ -324,14 +324,6 @@ impl GpuNode {
         }
     }
 
-    /// Reset every device's statistics and the fabric counters.
-    pub fn reset_stats(&mut self) {
-        for g in &mut self.devices {
-            g.reset_stats();
-        }
-        self.fabric.reset_stats();
-    }
-
     /// One Chrome trace for the whole node: device `d`'s events render
     /// under pid `d` (process label `gpu<d>`), with kernels and P2P/PCIe
     /// transfers on the same per-device thread rows a single-device trace

@@ -13,7 +13,7 @@ use ggpu_sm::{PcCounters, SmField, SmStats, StallBreakdown, StallReason};
 
 use crate::json::JsonWriter;
 use crate::stats::RunStats;
-use crate::trace::{chrome_trace_json, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// Counter record for one kernel launch (host or CDP child).
 ///
@@ -113,7 +113,7 @@ pub struct IntervalSample {
 
 impl IntervalSample {
     /// Window length in cycles.
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         self.end_cycle.saturating_sub(self.start_cycle)
     }
 
@@ -139,7 +139,7 @@ impl IntervalSample {
     }
 
     /// L2 miss rate over the window's accesses.
-    pub fn l2_miss_rate(&self) -> f64 {
+    pub(crate) fn l2_miss_rate(&self) -> f64 {
         self.stats.l2.miss_rate()
     }
 
@@ -149,7 +149,7 @@ impl IntervalSample {
     }
 
     /// NoC utilization proxy: flits moved per cycle across both networks.
-    pub fn noc_flits_per_cycle(&self) -> f64 {
+    pub(crate) fn noc_flits_per_cycle(&self) -> f64 {
         let c = self.cycles();
         if c == 0 {
             0.0
@@ -159,13 +159,13 @@ impl IntervalSample {
     }
 
     /// Fraction of the window's stall cycles attributed to `reason`.
-    pub fn stall_fraction(&self, reason: StallReason) -> f64 {
+    pub(crate) fn stall_fraction(&self, reason: StallReason) -> f64 {
         self.stats.sm.stalls.fraction(reason)
     }
 
     /// Serialize as a standalone JSON object (derived rates plus the raw
     /// counter delta).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         JsonWriter::object(|w| {
             w.u64("start_cycle", self.start_cycle)
                 .u64("end_cycle", self.end_cycle)
@@ -217,7 +217,7 @@ impl KernelPcProfile {
     }
 
     /// Serialize as a standalone JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         JsonWriter::object(|w| {
             w.u64("kernel_id", self.kernel_id as u64)
                 .str("kernel", &self.kernel);
@@ -248,7 +248,7 @@ impl PcProfile {
     }
 
     /// Serialize as a standalone JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         JsonWriter::object(|w| {
             w.arr_raw("kernels", self.kernels.iter().map(|k| k.to_json()));
             w.raw("unattributed", &stalls_json(&self.unattributed));
@@ -303,7 +303,7 @@ pub struct UnitProfile {
 
 impl UnitProfile {
     /// Serialize as a standalone JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         JsonWriter::object(|w| {
             w.arr_raw("sms", self.sms.iter().map(sm_unit_json));
             w.arr_raw(
@@ -432,16 +432,6 @@ impl ProfileReport {
     pub fn dropped_total(&self) -> u64 {
         self.samples_dropped + self.events_dropped
     }
-
-    /// Render this report's event trace as a Chrome-trace JSON document
-    /// viewable in Perfetto (<https://ui.perfetto.dev>) or
-    /// `chrome://tracing`.
-    pub fn chrome_trace(&self, label: &str) -> String {
-        chrome_trace_json(
-            &[(label.to_string(), self.events.as_slice())],
-            self.clock_ghz,
-        )
-    }
 }
 
 /// Serialize a [`RunStats`] snapshot (or delta) as a JSON object: every
@@ -505,6 +495,7 @@ pub fn run_stats_json(s: &RunStats) -> String {
 mod tests {
     use super::*;
     use crate::json::Json;
+    use crate::trace::chrome_trace_json;
 
     #[test]
     fn run_stats_json_parses_with_all_sections() {
@@ -637,6 +628,10 @@ mod tests {
             Some(500)
         );
         // The chrome trace is also well-formed JSON even when empty.
-        Json::parse(&report.chrome_trace("t")).expect("chrome trace well-formed");
+        let trace = chrome_trace_json(
+            &[("t".to_string(), report.events.as_slice())],
+            report.clock_ghz,
+        );
+        Json::parse(&trace).expect("chrome trace well-formed");
     }
 }

@@ -54,7 +54,7 @@ impl<T> Log<T> {
     }
 
     /// Take the entries and the drop count, leaving the log empty.
-    pub fn take(&mut self) -> (Vec<T>, u64) {
+    pub(crate) fn take(&mut self) -> (Vec<T>, u64) {
         (
             std::mem::take(&mut self.entries),
             std::mem::take(&mut self.dropped),
@@ -87,7 +87,7 @@ pub(crate) struct Recorder {
 }
 
 impl Recorder {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Recorder {
             events: Log::new(EVENT_CAP),
             records: Vec::new(),
@@ -98,26 +98,22 @@ impl Recorder {
         }
     }
 
-    pub fn events(&self) -> &Log<TraceEvent> {
+    pub(crate) fn events(&self) -> &Log<TraceEvent> {
         &self.events
     }
 
-    pub fn records(&self) -> &[KernelRecord] {
+    pub(crate) fn records(&self) -> &[KernelRecord] {
         &self.records
     }
 
-    pub fn samples(&self) -> &Log<IntervalSample> {
-        &self.samples
-    }
-
     /// Append `event`; fault and deadlock events are terminal.
-    pub fn event(&mut self, event: TraceEvent) {
+    pub(crate) fn event(&mut self, event: TraceEvent) {
         let terminal = event.kind.is_terminal();
         self.events.push(event, terminal);
     }
 
     /// Forget everything; counters restart from zero at cycle `now`.
-    pub fn reset(&mut self, now: u64) {
+    pub(crate) fn reset(&mut self, now: u64) {
         *self = Recorder {
             window_start: now,
             ..Recorder::new()
@@ -126,14 +122,14 @@ impl Recorder {
 
     /// Scope the span up to `now` out of the next record (a killed or
     /// reset stream's counters belong to no kernel).
-    pub fn rebase(&mut self, now: RunStats) {
+    pub(crate) fn rebase(&mut self, now: RunStats) {
         self.record_base = now;
     }
 
     /// Keep `record`, whose `stats` holds the counters at its retire, as
     /// the delta since the previous retire boundary. Retire intervals
     /// partition the run, so record deltas telescope to the run totals.
-    pub fn retire(&mut self, mut record: KernelRecord) {
+    pub(crate) fn retire(&mut self, mut record: KernelRecord) {
         let delta = record.stats.delta_since(&self.record_base);
         self.record_base = std::mem::replace(&mut record.stats, delta);
         self.records.push(record);
@@ -141,7 +137,7 @@ impl Recorder {
 
     /// Close the window `[window_start, cycle)` against the counters `now`
     /// (no-op when no cycle elapsed since the last boundary).
-    pub fn close_window(&mut self, cycle: u64, now: RunStats) {
+    pub(crate) fn close_window(&mut self, cycle: u64, now: RunStats) {
         if cycle <= self.window_start {
             return;
         }
@@ -160,7 +156,7 @@ impl Recorder {
 
     /// Move everything recorded into `report`, whose `stats` become the
     /// base of the next record.
-    pub fn take_into(&mut self, report: &mut ProfileReport) {
+    pub(crate) fn take_into(&mut self, report: &mut ProfileReport) {
         report.kernels = std::mem::take(&mut self.records);
         (report.samples, report.samples_dropped) = self.samples.take();
         (report.events, report.events_dropped) = self.events.take();

@@ -117,7 +117,7 @@ impl RunStats {
     /// wrapping). This is the primitive behind per-kernel counter scoping
     /// and the interval sampler: every counter in the result covers exactly
     /// the window between the two snapshots.
-    pub fn delta_since(&self, base: &RunStats) -> RunStats {
+    pub(crate) fn delta_since(&self, base: &RunStats) -> RunStats {
         RunStats {
             host: self.host.delta_since(&base.host),
             sm: self.sm.delta_since(&base.sm),

@@ -133,7 +133,7 @@ impl TraceEventKind {
     /// Whether this event records a terminal device error. Terminal events
     /// bypass the log's capacity so a truncated trace still ends with its
     /// fault.
-    pub fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         matches!(
             self,
             TraceEventKind::Fault { .. } | TraceEventKind::Deadlock { .. }
@@ -252,7 +252,7 @@ impl ChromeTrace {
     }
 
     /// Convert device cycles to Chrome-trace microseconds.
-    pub fn cycles_to_us(&self, cycles: u64) -> f64 {
+    pub(crate) fn cycles_to_us(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_ghz * 1000.0)
     }
 
@@ -373,7 +373,7 @@ impl ChromeTrace {
     /// track, tid `1 + depth` holds kernels at CDP nesting `depth`, so
     /// parent and child launches land on adjacent rows. Faults and watchdog
     /// fires are instant events.
-    pub fn device_log(&mut self, pid: usize, process_name: &str, events: &[TraceEvent]) {
+    pub(crate) fn device_log(&mut self, pid: usize, process_name: &str, events: &[TraceEvent]) {
         self.process_name(pid, process_name);
         self.thread_name(pid, 0, "host (memcpy)");
 

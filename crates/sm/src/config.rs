@@ -1,7 +1,7 @@
 //! Per-SM configuration: resource limits (Table I), scheduler policy, and
 //! execution latencies.
 
-use ggpu_mem::{CacheConfig, WritePolicy};
+use ggpu_mem::CacheConfig;
 
 /// Warp scheduler policies evaluated in Figure 19 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,12 +111,6 @@ pub struct SmConfig {
     /// contiguous private arena — an ablation that destroys local-memory
     /// coalescing and shows why the interleaved layout matters.
     pub interleave_local: bool,
-    /// Treat a barrier reached by a divergent warp subset as a guest fault
-    /// instead of parking the partial warp. Off by default: real GPUs leave
-    /// this undefined rather than trapping, and well-formed suite kernels
-    /// only hit barriers fully converged, but turning it on catches the
-    /// classic `__syncthreads()`-under-divergence bug deterministically.
-    pub trap_divergent_barrier: bool,
     /// Keep a per-PC attribution table ([`crate::PcTable`]) charging issues,
     /// stalls, L1 traffic, divergence and replays to individual
     /// instructions. Off by default; when off the SM allocates no table and
@@ -133,13 +127,12 @@ impl Default for SmConfig {
             smem_bytes: 100 * 1024,
             schedulers: 4,
             policy: SchedPolicy::Lrr,
-            l1: CacheConfig::new(128 * 1024, 256, WritePolicy::WriteThrough),
-            const_cache: CacheConfig::new(64 * 1024, 256, WritePolicy::WriteThrough),
-            tex_cache: CacheConfig::new(128 * 1024, 64, WritePolicy::WriteThrough),
+            l1: CacheConfig::new(128 * 1024, 256),
+            const_cache: CacheConfig::new(64 * 1024, 256),
+            tex_cache: CacheConfig::new(128 * 1024, 64),
             lat: LatencyConfig::default(),
             perfect_memory: false,
             interleave_local: true,
-            trap_divergent_barrier: false,
             attribution: false,
         }
     }

@@ -330,7 +330,7 @@ impl InstrMeta {
 /// A single streaming multiprocessor.
 ///
 /// The device calls [`SmCore::try_launch_cta`] to place work,
-/// [`SmCore::tick`] every cycle, [`SmCore::mem_response`] when the memory
+/// [`SmCore::tick`] every cycle, `SmCore::mem_response` when the memory
 /// system answers a request, and [`SmCore::child_grid_done`] when a CDP
 /// child grid drains.
 #[derive(Debug)]
@@ -411,11 +411,6 @@ impl SmCore {
         }
     }
 
-    /// The SM's configuration.
-    pub fn config(&self) -> &SmConfig {
-        &self.config
-    }
-
     /// True when no warps are resident.
     pub fn is_idle(&self) -> bool {
         self.live_warps == 0
@@ -427,7 +422,8 @@ impl SmCore {
     }
 
     /// Number of live CTAs.
-    pub fn resident_ctas(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn resident_ctas(&self) -> u32 {
         self.used_slots
     }
 
@@ -533,7 +529,7 @@ impl SmCore {
     }
 
     /// Memory-system response for request `id` issued earlier.
-    pub fn mem_response(&mut self, id: u64, now: u64) {
+    pub(crate) fn mem_response(&mut self, id: u64, now: u64) {
         match self.outstanding.remove(&id) {
             Some(RespRoute::LoadFill { tex, line }) => {
                 let cache = if tex { &mut self.tc } else { &mut self.l1 };

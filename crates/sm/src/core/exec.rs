@@ -188,7 +188,10 @@ impl SmCore {
                 return self.mem_access(widx, entry, m, now, gmem, out);
             }
             Instr::Bar => {
-                if self.config.trap_divergent_barrier && w.stack.len() > 1 {
+                // Real GPUs leave a barrier under divergence undefined; a
+                // typed fault catches the `__syncthreads()`-under-divergence
+                // bug deterministically instead of emulating one outcome.
+                if w.stack.len() > 1 {
                     return self.trap(widx, pc, FaultKind::BarrierDivergence, mask, None, out);
                 }
                 w.advance_pc();

@@ -26,6 +26,7 @@
 //! the interconnect to L2/DRAM, and dispatches CTAs and CDP child grids.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -923,33 +924,23 @@ mod tests {
     }
 
     #[test]
-    fn divergent_barrier_traps_when_enabled() {
-        let build = |trap: bool| {
-            let mut b = KernelBuilder::new("divbar");
-            let tid = b.global_tid();
-            let p = b.cmp_s(CmpOp::Lt, Operand::reg(tid), Operand::imm(16));
-            b.if_then(p, |b| {
-                b.bar();
-            });
+    fn divergent_barrier_traps() {
+        let mut b = KernelBuilder::new("divbar");
+        let tid = b.global_tid();
+        let p = b.cmp_s(CmpOp::Lt, Operand::reg(tid), Operand::imm(16));
+        b.if_then(p, |b| {
             b.bar();
-            b.exit();
-            let mut prog = Program::new();
-            prog.add(b.finish());
-            let program = Arc::new(prog);
-            let cfg = SmConfig {
-                trap_divergent_barrier: trap,
-                ..SmConfig::default()
-            };
-            let mut sm = SmCore::new(cfg, Arc::clone(&program));
-            sm.try_launch_cta(cta_cfg(&program, LaunchDims::linear(1, 32), vec![]));
-            let mut mem = TestMem::default();
-            run_standalone(&mut sm, &mut mem, 10_000)
-        };
-        // Single-warp CTA: the lenient per-warp barrier account lets the
-        // divergent barrier pass when trapping is off...
-        assert!(build(false).is_ok());
-        // ...and the strict mode reports the bug deterministically.
-        let err = build(true).expect_err("divergent barrier must trap");
+        });
+        b.bar();
+        b.exit();
+        let mut prog = Program::new();
+        prog.add(b.finish());
+        let program = Arc::new(prog);
+        let mut sm = SmCore::new(SmConfig::default(), Arc::clone(&program));
+        sm.try_launch_cta(cta_cfg(&program, LaunchDims::linear(1, 32), vec![]));
+        let mut mem = TestMem::default();
+        let err =
+            run_standalone(&mut sm, &mut mem, 10_000).expect_err("divergent barrier must trap");
         assert_eq!(err.traps[0].kind, ggpu_isa::FaultKind::BarrierDivergence);
         assert!(err.traps[0].instr.contains("bar"));
     }

@@ -40,11 +40,6 @@ pub struct PcCounters {
 }
 
 impl PcCounters {
-    /// True when every counter is zero (row can be elided from listings).
-    pub fn is_zero(&self) -> bool {
-        *self == PcCounters::default()
-    }
-
     /// L1 miss rate at this PC, in `[0, 1]`; zero when the PC generated no
     /// L1 traffic.
     pub fn l1_miss_rate(&self) -> f64 {
@@ -66,7 +61,7 @@ impl PcCounters {
     }
 
     /// Accumulate another row into this one (field-wise sums).
-    pub fn merge(&mut self, other: &PcCounters) {
+    pub(crate) fn merge(&mut self, other: &PcCounters) {
         self.issues += other.issues;
         self.lanes += other.lanes;
         self.stalls.merge(&other.stalls);
@@ -92,7 +87,7 @@ pub struct PcTable {
 
 impl PcTable {
     /// Build an all-zero table sized for `program`.
-    pub fn new(program: &Program) -> Self {
+    pub(crate) fn new(program: &Program) -> Self {
         PcTable {
             kernels: program
                 .iter()
@@ -109,7 +104,7 @@ impl PcTable {
 
     /// Charge one issued warp-instruction with `lanes` active lanes.
     #[inline]
-    pub fn record_issue(&mut self, kid: KernelId, pc: usize, lanes: u32) {
+    pub(crate) fn record_issue(&mut self, kid: KernelId, pc: usize, lanes: u32) {
         if let Some(r) = self.row(kid, pc) {
             r.issues += 1;
             r.lanes += lanes as u64;
@@ -121,7 +116,7 @@ impl PcTable {
     /// fast-forward credits it at once — falling back to the unattributed
     /// bucket when the PC is out of range.
     #[inline]
-    pub fn record_stall_cycles(
+    pub(crate) fn record_stall_cycles(
         &mut self,
         kid: KernelId,
         pc: usize,
@@ -137,13 +132,13 @@ impl PcTable {
     /// Charge stall cycles with no representative instruction (idle and
     /// functional-done slots).
     #[inline]
-    pub fn record_unattributed(&mut self, reason: StallReason, cycles: u64) {
+    pub(crate) fn record_unattributed(&mut self, reason: StallReason, cycles: u64) {
         self.unattributed.add(reason, cycles);
     }
 
     /// Charge L1 data-cache traffic: `accesses` probes of which `hits` hit.
     #[inline]
-    pub fn record_l1(&mut self, kid: KernelId, pc: usize, accesses: u64, hits: u64) {
+    pub(crate) fn record_l1(&mut self, kid: KernelId, pc: usize, accesses: u64, hits: u64) {
         if let Some(r) = self.row(kid, pc) {
             r.l1_accesses += accesses;
             r.l1_hits += hits;
@@ -153,7 +148,7 @@ impl PcTable {
     /// Charge `txns` coalesced transactions and the implied replay cycles
     /// (`txns - 1` extra issue-slot cycles when `txns > 1`).
     #[inline]
-    pub fn record_txns(&mut self, kid: KernelId, pc: usize, txns: u64, replays: u64) {
+    pub(crate) fn record_txns(&mut self, kid: KernelId, pc: usize, txns: u64, replays: u64) {
         if let Some(r) = self.row(kid, pc) {
             r.mem_txns += txns;
             r.replays += replays;
@@ -162,7 +157,7 @@ impl PcTable {
 
     /// Charge `n` off-chip requests.
     #[inline]
-    pub fn record_offchip(&mut self, kid: KernelId, pc: usize, n: u64) {
+    pub(crate) fn record_offchip(&mut self, kid: KernelId, pc: usize, n: u64) {
         if let Some(r) = self.row(kid, pc) {
             r.offchip_txns += n;
         }
@@ -176,36 +171,14 @@ impl PcTable {
             .unwrap_or(&[])
     }
 
-    /// Number of kernels covered.
-    pub fn n_kernels(&self) -> usize {
-        self.kernels.len()
-    }
-
     /// Stall cycles with no representative PC.
     pub fn unattributed(&self) -> &StallBreakdown {
         &self.unattributed
     }
 
-    /// Sum of a per-row counter over every PC of every kernel.
-    pub fn total<F: Fn(&PcCounters) -> u64>(&self, f: F) -> u64 {
-        self.kernels.iter().flat_map(|k| k.iter()).map(f).sum()
-    }
-
-    /// Sum of all per-PC stall breakdowns plus the unattributed bucket —
-    /// telescopes to the SM's aggregate stall breakdown.
-    pub fn total_stalls(&self) -> StallBreakdown {
-        let mut t = self.unattributed;
-        for k in &self.kernels {
-            for r in k {
-                t.merge(&r.stalls);
-            }
-        }
-        t
-    }
-
     /// Accumulate another table into this one. Tables must come from the
     /// same program; extra kernels/PCs in `other` are ignored (cannot occur
-    /// between tables built by [`PcTable::new`] on one program).
+    /// between tables built by `PcTable::new` on one program).
     pub fn merge(&mut self, other: &PcTable) {
         for (ks, ko) in self.kernels.iter_mut().zip(&other.kernels) {
             for (s, o) in ks.iter_mut().zip(ko) {
@@ -220,6 +193,20 @@ impl PcTable {
 mod tests {
     use super::*;
     use ggpu_isa::KernelBuilder;
+
+    /// Sum of a per-row counter over every PC of every kernel.
+    fn total(t: &PcTable, f: impl Fn(&PcCounters) -> u64) -> u64 {
+        t.kernels.iter().flatten().map(f).sum()
+    }
+
+    /// Sum of all per-PC stall breakdowns plus the unattributed bucket.
+    fn total_stalls(t: &PcTable) -> StallBreakdown {
+        let mut s = t.unattributed;
+        for r in t.kernels.iter().flatten() {
+            s.merge(&r.stalls);
+        }
+        s
+    }
 
     fn two_kernel_program() -> Program {
         let mut p = Program::new();
@@ -237,7 +224,7 @@ mod tests {
     #[test]
     fn table_sized_from_program() {
         let t = PcTable::new(&two_kernel_program());
-        assert_eq!(t.n_kernels(), 2);
+        assert_eq!(t.kernels.len(), 2);
         assert_eq!(t.kernel(KernelId(0)).len(), 1);
         assert_eq!(t.kernel(KernelId(1)).len(), 2);
         assert!(t.kernel(KernelId(9)).is_empty());
@@ -265,7 +252,7 @@ mod tests {
             t.kernel(KernelId(1))[1].stalls.get(StallReason::DataHazard),
             1
         );
-        assert!(t.kernel(KernelId(0))[0].is_zero());
+        assert_eq!(t.kernel(KernelId(0))[0], PcCounters::default());
     }
 
     #[test]
@@ -277,7 +264,7 @@ mod tests {
         assert_eq!(t.unattributed().get(StallReason::MemLatency), 1);
         assert_eq!(t.unattributed().get(StallReason::Barrier), 1);
         assert_eq!(t.unattributed().get(StallReason::Idle), 5);
-        assert_eq!(t.total_stalls().total(), 7);
+        assert_eq!(total_stalls(&t).total(), 7);
     }
 
     #[test]
@@ -292,8 +279,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.kernel(KernelId(1))[1].issues, 2);
         assert_eq!(a.kernel(KernelId(1))[1].lanes, 32);
-        assert_eq!(a.total(|r| r.lanes), 32);
-        assert_eq!(a.total_stalls().get(StallReason::MemLatency), 1);
+        assert_eq!(total(&a, |r| r.lanes), 32);
+        assert_eq!(total_stalls(&a).get(StallReason::MemLatency), 1);
         assert_eq!(a.unattributed().get(StallReason::Idle), 2);
     }
 }

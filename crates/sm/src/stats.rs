@@ -63,7 +63,7 @@ pub struct StallBreakdown([u64; 6]);
 
 impl StallBreakdown {
     /// Record `cycles` of stall for `reason`.
-    pub fn add(&mut self, reason: StallReason, cycles: u64) {
+    pub(crate) fn add(&mut self, reason: StallReason, cycles: u64) {
         self.0[reason.index()] += cycles;
     }
 
@@ -88,7 +88,7 @@ impl StallBreakdown {
     }
 
     /// Merge another breakdown into this one.
-    pub fn merge(&mut self, other: &StallBreakdown) {
+    pub(crate) fn merge(&mut self, other: &StallBreakdown) {
         for i in 0..6 {
             self.0[i] += other.0[i];
         }
@@ -96,7 +96,7 @@ impl StallBreakdown {
 
     /// Counter delta since `base` (per-reason saturating subtraction), for
     /// interval sampling and per-kernel counter scoping.
-    pub fn delta_since(&self, base: &StallBreakdown) -> StallBreakdown {
+    pub(crate) fn delta_since(&self, base: &StallBreakdown) -> StallBreakdown {
         let mut d = StallBreakdown::default();
         for i in 0..6 {
             d.0[i] = self.0[i].saturating_sub(base.0[i]);
@@ -169,7 +169,7 @@ pub struct SmStats {
 
 impl SmStats {
     /// Record an issued warp-instruction.
-    pub fn record_issue(&mut self, class: InstrClass, active_lanes: u32) {
+    pub(crate) fn record_issue(&mut self, class: InstrClass, active_lanes: u32) {
         self.issued += 1;
         self.thread_instrs += active_lanes as u64;
         self.instr_mix[class_index(class)] += 1;
@@ -179,7 +179,7 @@ impl SmStats {
     }
 
     /// Record a memory instruction's space.
-    pub fn record_mem(&mut self, space: Space) {
+    pub(crate) fn record_mem(&mut self, space: Space) {
         self.mem_space[space_index(space)] += 1;
     }
 

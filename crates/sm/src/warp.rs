@@ -84,7 +84,7 @@ pub(crate) struct Warp {
 
 impl Warp {
     /// Create a warp starting at PC 0 with `active` initial lanes.
-    pub fn new(
+    pub(crate) fn new(
         regs_per_thread: u32,
         active: u32,
         cta_slot: usize,
@@ -121,7 +121,7 @@ impl Warp {
     /// warp, which is what lets an answer given at one cycle stand at later
     /// ones.
     #[inline]
-    pub fn remembered(&self, now: u64) -> Option<(WaitKind, u64)> {
+    pub(crate) fn remembered(&self, now: u64) -> Option<(WaitKind, u64)> {
         match self.memo? {
             (WaitKind::Ready, _) => Some((WaitKind::Ready, now)),
             (kind, wake) if now < wake => Some((kind, wake)),
@@ -134,13 +134,13 @@ impl Warp {
     /// (PC, issue window, scoreboard, parking, exit, trap), an arriving fill,
     /// and a release from a barrier or a device sync.
     #[inline]
-    pub fn forget_readiness(&mut self) {
+    pub(crate) fn forget_readiness(&mut self) {
         self.memo = None;
     }
 
     /// Pop reconverged SIMT entries, returning the current entry. `None`
     /// when the stack would underflow (warp must be `done`).
-    pub fn reconverge(&mut self) -> Option<SimtEntry> {
+    pub(crate) fn reconverge(&mut self) -> Option<SimtEntry> {
         while let Some(top) = self.stack.last() {
             if top.pc == top.rpc {
                 self.stack.pop();
@@ -153,14 +153,14 @@ impl Warp {
 
     /// Write register `r` in `lane`.
     #[inline]
-    pub fn write(&mut self, r: Reg, lane: usize, v: u64) {
+    pub(crate) fn write(&mut self, r: Reg, lane: usize, v: u64) {
         self.regs[r.0 as usize][lane] = v;
     }
 
     /// An operand across the warp: the register's row, or the immediate in
     /// every lane.
     #[inline]
-    pub fn row(&self, op: Operand) -> Row {
+    pub(crate) fn row(&self, op: Operand) -> Row {
         match op {
             Operand::Reg(r) => self.regs[r.0 as usize],
             Operand::Imm(v) => [v; WARP_SIZE],
@@ -171,7 +171,7 @@ impl Warp {
     /// their contents. The one register write-back of every warp-wide
     /// instruction.
     #[inline]
-    pub fn write_row(&mut self, dst: Reg, mask: u32, row: &Row) {
+    pub(crate) fn write_row(&mut self, dst: Reg, mask: u32, row: &Row) {
         let dst = &mut self.regs[dst.0 as usize];
         if mask == FULL_MASK {
             *dst = *row;
@@ -183,7 +183,7 @@ impl Warp {
     }
 
     /// Advance the current path's PC by one instruction.
-    pub fn advance_pc(&mut self) {
+    pub(crate) fn advance_pc(&mut self) {
         if let Some(top) = self.stack.last_mut() {
             top.pc += 1;
         }
@@ -195,7 +195,7 @@ impl Warp {
     /// entry's mask minus `taken` falls through. On divergence the current
     /// entry becomes the reconvergence continuation and both paths are
     /// pushed (taken executes first).
-    pub fn branch(&mut self, taken: u32, target: usize, fallthrough: usize, reconv: usize) {
+    pub(crate) fn branch(&mut self, taken: u32, target: usize, fallthrough: usize, reconv: usize) {
         let top = self.stack.last_mut().expect("branch on empty SIMT stack");
         let mask = top.mask;
         let taken = taken & mask;
@@ -221,7 +221,7 @@ impl Warp {
 
     /// One of the memory fills `r` waits on has arrived at `now`; the value
     /// is readable the cycle after the last one.
-    pub fn fill_arrived(&mut self, r: Reg, now: u64) {
+    pub(crate) fn fill_arrived(&mut self, r: Reg, now: u64) {
         self.forget_readiness();
         let i = r.0 as usize;
         self.reg_pending[i] = self.reg_pending[i].saturating_sub(1);
@@ -240,7 +240,7 @@ impl Warp {
     /// data hazard that is the *earliest* operand boundary, not the latest:
     /// the engine re-asks at every boundary, and which cycles it proves dead
     /// (and therefore skips) is part of the pinned results.
-    pub fn readiness(
+    pub(crate) fn readiness(
         &self,
         srcs: &[Option<Reg>; 3],
         dst: Option<Reg>,

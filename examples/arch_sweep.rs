@@ -9,7 +9,8 @@
 //! cargo run --release --example arch_sweep
 //! ```
 
-use ggpu_core::{benchmark, GpuConfig, Scale};
+use ggpu_kernels::{benchmark, Scale};
+use ggpu_sim::GpuConfig;
 use ggpu_sm::SchedPolicy;
 
 fn main() {

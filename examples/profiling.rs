@@ -15,8 +15,9 @@
 //!   <https://ui.perfetto.dev> (one process row per variant, one thread
 //!   row per CDP nesting depth).
 
-use ggpu_core::json::{Json, JsonWriter};
-use ggpu_core::{benchmark, chrome_trace_json, GpuConfig, ProfileReport, Scale, TraceEvent};
+use ggpu_kernels::{benchmark, Scale};
+use ggpu_sim::json::{Json, JsonWriter};
+use ggpu_sim::{chrome_trace_json, GpuConfig, ProfileReport, TraceEvent};
 
 fn main() {
     // Profiling is opt-in: interval sampling via `sample_interval_cycles`,

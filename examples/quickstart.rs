@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ggpu_core::{benchmark, GpuConfig, Scale};
+use ggpu_kernels::{benchmark, Scale};
+use ggpu_sim::GpuConfig;
 use ggpu_sm::StallReason;
 
 fn main() {

@@ -4,7 +4,8 @@
 //! bytes on every run is `crates/bench/tests/artifacts.rs`, against the
 //! committed `results/prof_sw.json`.)
 
-use ggpu_core::{benchmark, GpuConfig, ProfileReport, RunStats, Scale, StallReason};
+use ggpu_kernels::{benchmark, Scale};
+use ggpu_sim::{GpuConfig, ProfileReport, RunStats, StallReason};
 
 /// Run the GG pairwise workload (CDP on, so child launches and parent
 /// overlap exercise the attribution paths) with per-PC attribution.

@@ -2,10 +2,10 @@
 //! counter scoping, the interval sampler, the structured event trace, and
 //! the machine-readable JSON exports.
 
-use ggpu_core::json::Json;
-use ggpu_core::{benchmark, chrome_trace_json, GpuConfig, Scale, TraceEventKind};
 use ggpu_isa::{InstrClass, KernelBuilder, LaunchDims, Operand, Program, Space, Width};
-use ggpu_sim::Gpu;
+use ggpu_kernels::{benchmark, Scale};
+use ggpu_sim::json::Json;
+use ggpu_sim::{chrome_trace_json, Gpu, GpuConfig, RunStats, TraceEventKind};
 
 /// One thread-indexed global store per thread — enough issued instructions
 /// to make the counters move, trivially verifiable.
@@ -138,7 +138,7 @@ fn records_do_not_depend_on_which_switch_turns_the_recorder_on() {
         records.iter().any(|k| k.is_cdp_child()),
         "a CDP run records its children"
     );
-    let sum = |f: fn(&ggpu_core::RunStats) -> u64| records.iter().map(|k| f(&k.stats)).sum::<u64>();
+    let sum = |f: fn(&RunStats) -> u64| records.iter().map(|k| f(&k.stats)).sum::<u64>();
     assert_eq!(sum(|s| s.sm.issued), stats.sm.issued);
     assert_eq!(sum(|s| s.sm.thread_instrs), stats.sm.thread_instrs);
     assert_eq!(sum(|s| s.sm.ctas_completed), stats.sm.ctas_completed);

@@ -1,9 +1,10 @@
 //! Cross-crate behavioural tests: the simulator's microarchitectural knobs
 //! must move the genomics workloads in the directions the paper reports.
 
-use ggpu_core::{benchmark, GpuConfig, Scale};
 use ggpu_icnt::Topology;
+use ggpu_kernels::{benchmark, Scale};
 use ggpu_mem::DramScheduler;
+use ggpu_sim::GpuConfig;
 
 fn cfg() -> GpuConfig {
     GpuConfig {

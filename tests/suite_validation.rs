@@ -2,7 +2,8 @@
 //! non-CDP variants, must produce device results identical to the CPU
 //! reference implementations.
 
-use ggpu_core::{all_benchmarks, GpuConfig, Scale, BENCHMARKS};
+use ggpu_kernels::{all_benchmarks, Scale, BENCHMARKS};
+use ggpu_sim::GpuConfig;
 
 fn test_config() -> GpuConfig {
     GpuConfig {
@@ -51,7 +52,7 @@ fn runs_are_deterministic() {
     // identical cycle counts — the simulator is fully deterministic, which
     // is what makes the paper's figures reproducible.
     let config = test_config();
-    let b = ggpu_core::benchmark(Scale::Tiny, "GL").expect("GL exists");
+    let b = ggpu_kernels::benchmark(Scale::Tiny, "GL").expect("GL exists");
     let r1 = b.run(&config, false);
     let r2 = b.run(&config, false);
     assert_eq!(r1.kernel_cycles, r2.kernel_cycles);
@@ -69,10 +70,10 @@ fn the_engine_thread_count_names_are_inert() {
     let built = base.clone().with_sim_threads(4);
     let mut assigned = base.clone();
     assigned.sim_threads = 64;
-    let b = ggpu_core::benchmark(Scale::Tiny, "SW").expect("SW exists");
+    let b = ggpu_kernels::benchmark(Scale::Tiny, "SW").expect("SW exists");
     let want = b.run(&base, false);
     let records =
-        |r: &ggpu_core::BenchResult| r.profile.as_ref().expect("records on").kernels.clone();
+        |r: &ggpu_kernels::BenchResult| r.profile.as_ref().expect("records on").kernels.clone();
     assert!(want.verified && !records(&want).is_empty());
     for config in [built, assigned] {
         let got = b.run(&config, false);
@@ -92,7 +93,7 @@ fn benchmarks_respond_to_memory_latency() {
     slow.dram.t_cl = 200;
     slow.dram.t_rcd = 200;
     slow.dram.t_rp = 200;
-    let b = ggpu_core::benchmark(Scale::Tiny, "NvB").expect("NvB exists");
+    let b = ggpu_kernels::benchmark(Scale::Tiny, "NvB").expect("NvB exists");
     let fast = b.run(&base, false);
     let slowr = b.run(&slow, false);
     assert!(fast.verified && slowr.verified);
