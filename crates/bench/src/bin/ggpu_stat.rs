@@ -36,7 +36,7 @@ use ggpu_serve::{
     Tenant,
 };
 use ggpu_sim::json::JsonWriter;
-use ggpu_sim::FaultPlan;
+use ggpu_sim::{FaultPlan, CLOCK_GHZ};
 use rand::SeedableRng;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +90,7 @@ fn main() {
         jobs,
         wave,
         seed,
-        report.clock_ghz
+        CLOCK_GHZ
     );
     let tag = tag.as_deref().unwrap_or(scenario.tag());
     let latency = latency_table(tag, &report);

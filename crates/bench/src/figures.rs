@@ -15,10 +15,10 @@ use ggpu_isa::{InstrClass, Space};
 use ggpu_kernels::pairwise::PairwiseBench;
 use ggpu_kernels::star::StarBench;
 use ggpu_kernels::{all_benchmarks, BenchResult, Benchmark, Scale};
-use ggpu_mem::DramScheduler;
+use ggpu_mem::{CacheConfig, DramScheduler};
 use ggpu_sim::json::JsonWriter;
 use ggpu_sim::{chrome_trace_json, GpuConfig, ProfileReport, TraceEvent};
-use ggpu_sm::{SchedPolicy, StallReason};
+use ggpu_sm::{SchedPolicy, StallReason, CONST_CACHE, TEX_CACHE};
 
 use crate::export::{write_json_doc, Table};
 
@@ -137,6 +137,16 @@ fn pct(fraction: f64) -> String {
     format!("{:.1}", fraction * 100.0)
 }
 
+/// A fixed cache's Table I row: capacity, associativity, line size.
+fn cache_geometry(c: CacheConfig) -> String {
+    format!(
+        "{}KB ({}-way, {}B lines, LRU)",
+        c.bytes / 1024,
+        c.ways,
+        c.line
+    )
+}
+
 /// Table I: hardware configuration space (baseline bolded in the paper).
 pub(crate) fn table1() {
     let c = GpuConfig::rtx3070();
@@ -146,17 +156,11 @@ pub(crate) fn table1() {
         vec!["Warp Size".into(), "32".into()],
         vec![
             "Constant Cache Size / Core".into(),
-            format!(
-                "{}KB (256-way, 128B lines, LRU)",
-                c.sm.const_cache.bytes / 1024
-            ),
+            cache_geometry(CONST_CACHE),
         ],
         vec![
             "Texture Cache Size / Core".into(),
-            format!(
-                "{}KB (64-way, 128B lines, LRU)",
-                c.sm.tex_cache.bytes / 1024
-            ),
+            cache_geometry(TEX_CACHE),
         ],
         vec![
             "Number of Registers / Core".into(),
@@ -298,8 +302,8 @@ pub(crate) fn fig2(runs: &mut Runs) {
             "{} validation",
             b.abbrev()
         );
-        let gpu_s = gpu.stats.seconds(config.clock_ghz);
-        let cdp_s = gpu_cdp.stats.seconds(config.clock_ghz);
+        let gpu_s = gpu.stats.seconds();
+        let cdp_s = gpu_cdp.stats.seconds();
         rows.push(vec![
             b.abbrev().to_string(),
             "1.000".into(),
@@ -812,7 +816,7 @@ pub(crate) fn profile(runs: &mut Runs, write_json: bool, write_trace: bool) {
             .iter()
             .map(|(label, r)| (label.clone(), profile_of(r).events.as_slice()))
             .collect();
-        let doc = chrome_trace_json(&logs, config.clock_ghz);
+        let doc = chrome_trace_json(&logs);
         if let Some(path) = write_json_doc(&format!("trace_{tag}"), &doc) {
             println!(
                 "Open https://ui.perfetto.dev and load {} to view the timeline.",

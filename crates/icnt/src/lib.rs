@@ -142,9 +142,11 @@ pub struct IcntConfig {
     /// Extra per-hop router pipeline delay in cycles (Figure 21 sweeps
     /// 0/4/8/16 on top of the 1-cycle base hop).
     pub router_delay: u64,
-    /// Bytes of header added to every packet.
-    pub header_bytes: u32,
 }
+
+/// Bytes of header added to every packet, on-chip and on the inter-GPU
+/// fabric alike.
+const HEADER_BYTES: u32 = 8;
 
 impl Default for IcntConfig {
     /// Table II defaults: 40-byte flits, zero extra routing delay, local
@@ -154,7 +156,6 @@ impl Default for IcntConfig {
             topology: Topology::LocalXbar,
             flit_bytes: 40,
             router_delay: 0,
-            header_bytes: 8,
         }
     }
 }
@@ -347,7 +348,7 @@ impl Icnt {
 
     /// Flits needed for a payload of `bytes`.
     pub(crate) fn flits_for(&self, bytes: u32) -> u64 {
-        ((bytes + self.config.header_bytes).div_ceil(self.config.flit_bytes)) as u64
+        ((bytes + HEADER_BYTES).div_ceil(self.config.flit_bytes)) as u64
     }
 
     /// Send a packet of `bytes` from `from` to `to` at time `now`; returns

@@ -56,7 +56,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// Convenience constructor with 128-byte lines.
-    pub fn new(bytes: u64, ways: u32) -> Self {
+    pub const fn new(bytes: u64, ways: u32) -> Self {
         CacheConfig {
             bytes,
             ways,

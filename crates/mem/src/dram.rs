@@ -16,21 +16,27 @@ pub enum DramScheduler {
     OoO(u32),
 }
 
-/// DRAM channel configuration.
+// GDDR6-flavoured channel geometry and timings of the RTX 3070 baseline.
+// The paper's sweeps vary only the scheduler and the queue, so these are
+// constants rather than fields of `DramConfig`.
+
+/// Banks per channel.
+const BANKS: usize = 16;
+/// Row (page) size in bytes.
+const ROW_BYTES: u64 = 2048;
+/// Column-access latency (cycles) for a row hit.
+const T_CL: u64 = 20;
+/// Precharge latency (cycles).
+const T_RP: u64 = 20;
+/// Activate latency (cycles).
+const T_RCD: u64 = 20;
+/// Data-burst occupancy of the channel pins per request (cycles).
+const BURST: u64 = 4;
+
+/// The settable half of a DRAM channel: the request scheduler Figures
+/// 16-18 sweep and the queue depth. Geometry and timings are fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
-    /// Banks per channel.
-    pub banks: u32,
-    /// Row (page) size in bytes.
-    pub row_bytes: u64,
-    /// Column-access latency (cycles) for a row hit.
-    pub t_cl: u64,
-    /// Precharge latency (cycles).
-    pub t_rp: u64,
-    /// Activate latency (cycles).
-    pub t_rcd: u64,
-    /// Data-burst occupancy of the channel pins per request (cycles).
-    pub burst: u64,
     /// Scheduler discipline.
     pub scheduler: DramScheduler,
     /// Request queue capacity; pushes beyond this are rejected (back-pressure).
@@ -38,15 +44,9 @@ pub struct DramConfig {
 }
 
 impl Default for DramConfig {
-    /// GDDR6-flavoured defaults used by the RTX 3070 baseline.
+    /// The RTX 3070 baseline: FR-FCFS over a 32-entry queue.
     fn default() -> Self {
         DramConfig {
-            banks: 16,
-            row_bytes: 2048,
-            t_cl: 20,
-            t_rp: 20,
-            t_rcd: 20,
-            burst: 4,
             scheduler: DramScheduler::FrFcfs,
             queue_size: 32,
         }
@@ -123,7 +123,7 @@ pub struct Dram {
     /// Overflow backlog: requests accepted by [`Dram::enqueue`] while the
     /// scheduler queue was full, replayed in arrival order as space opens.
     overflow: VecDeque<PendingReq>,
-    banks: Vec<Bank>,
+    banks: [Bank; BANKS],
     bus_free_at: u64,
     /// (id, done_at) of requests issued but not yet reported complete.
     in_flight: Vec<(u64, u64)>,
@@ -131,7 +131,7 @@ pub struct Dram {
     /// Per-bank (requests serviced, row hits) — the profiler's spatial
     /// attribution axis. Always maintained; two counter increments per
     /// serviced request.
-    bank_stats: Vec<(u64, u64)>,
+    bank_stats: [(u64, u64); BANKS],
 }
 
 impl Dram {
@@ -141,17 +141,14 @@ impl Dram {
             config,
             queue: Vec::new(),
             overflow: VecDeque::new(),
-            banks: vec![
-                Bank {
-                    open_row: None,
-                    ready_at: 0,
-                };
-                config.banks as usize
-            ],
+            banks: [Bank {
+                open_row: None,
+                ready_at: 0,
+            }; BANKS],
             bus_free_at: 0,
             in_flight: Vec::new(),
             stats: DramStats::default(),
-            bank_stats: vec![(0, 0); config.banks as usize],
+            bank_stats: [(0, 0); BANKS],
         }
     }
 
@@ -235,10 +232,10 @@ impl Dram {
 
     #[inline]
     fn bank_and_row(&self, addr: u64) -> (usize, u64) {
-        let row_global = addr / self.config.row_bytes;
+        let row_global = addr / ROW_BYTES;
         (
-            (row_global % self.config.banks as u64) as usize,
-            row_global / self.config.banks as u64,
+            (row_global % BANKS as u64) as usize,
+            row_global / BANKS as u64,
         )
     }
 
@@ -267,16 +264,16 @@ impl Dram {
                 let bank = &mut self.banks[bank_idx];
                 let row_hit = bank.open_row == Some(row);
                 let latency = if row_hit {
-                    self.config.t_cl
+                    T_CL
                 } else if bank.open_row.is_some() {
-                    self.config.t_rp + self.config.t_rcd + self.config.t_cl
+                    T_RP + T_RCD + T_CL
                 } else {
-                    self.config.t_rcd + self.config.t_cl
+                    T_RCD + T_CL
                 };
                 bank.open_row = Some(row);
                 let start = now.max(bank.ready_at);
                 let data_start = start + latency;
-                let done = data_start + self.config.burst;
+                let done = data_start + BURST;
                 bank.ready_at = done;
                 self.bus_free_at = done;
                 self.stats.requests += 1;
@@ -285,7 +282,7 @@ impl Dram {
                     self.stats.row_hits += 1;
                     self.bank_stats[bank_idx].1 += 1;
                 }
-                self.stats.data_cycles += self.config.burst;
+                self.stats.data_cycles += BURST;
                 self.in_flight.push((req.id, done));
             }
         }
@@ -409,7 +406,7 @@ mod tests {
         // Two different rows in the same bank: row * banks * row_bytes apart.
         let mut d2 = Dram::new(cfg);
         d2.push(1, 0, 0);
-        d2.push(2, cfg.row_bytes * cfg.banks as u64, 0);
+        d2.push(2, ROW_BYTES * BANKS as u64, 0);
         let done2 = drain(&mut d2, 800);
         let t_conflict = done2[1].1 - done2[0].1;
         assert!(
@@ -422,7 +419,7 @@ mod tests {
     fn frfcfs_prefers_row_hits_fifo_does_not() {
         let cfg = DramConfig::default();
         // Open row 0 of bank 0, then queue a conflicting row and a row hit.
-        let conflict_addr = cfg.row_bytes * cfg.banks as u64; // bank 0, row 1
+        let conflict_addr = ROW_BYTES * BANKS as u64; // bank 0, row 1
         let mut fr = Dram::new(DramConfig {
             scheduler: DramScheduler::FrFcfs,
             ..cfg
@@ -524,7 +521,7 @@ mod tests {
             t_closed > t_hit,
             "closed-row access ({t_closed}) must be slower than a row hit ({t_hit})"
         );
-        assert_eq!(t_closed - t_hit, cfg.t_rcd, "difference is the activate");
+        assert_eq!(t_closed - t_hit, T_RCD, "difference is the activate");
     }
 
     #[test]
@@ -549,7 +546,7 @@ mod tests {
         let s = *d.stats();
         assert_eq!(s.requests, 2);
         assert_eq!(s.row_hits, 1);
-        assert_eq!(s.data_cycles, 2 * cfg.burst);
+        assert_eq!(s.data_cycles, 2 * BURST);
         assert!(s.efficiency() > 0.0 && s.efficiency() <= 1.0);
         assert!(s.utilization(300) > 0.0 && s.utilization(300) < s.efficiency());
         assert_eq!(s.row_hit_rate(), 0.5);
@@ -562,7 +559,7 @@ mod tests {
         // Bank 0 twice (second is a row hit) and bank 1 once.
         d.push(1, 0, 0);
         d.push(2, 64, 0);
-        d.push(3, cfg.row_bytes, 0);
+        d.push(3, ROW_BYTES, 0);
         let _ = drain(&mut d, 500);
         let s = *d.stats();
         assert_eq!(s.requests, 3);
@@ -583,7 +580,7 @@ mod tests {
         let cfg = DramConfig::default();
         // Open bank0/row0; then queue [conflict, hit]; with window=1 the
         // scheduler behaves like FIFO and cannot see the hit.
-        let conflict_addr = cfg.row_bytes * cfg.banks as u64;
+        let conflict_addr = ROW_BYTES * BANKS as u64;
         let mut d = Dram::new(DramConfig {
             scheduler: DramScheduler::OoO(1),
             ..cfg
@@ -608,8 +605,8 @@ mod tests {
         let mut skipping = Dram::new(cfg);
         for d in [&mut per_tick, &mut skipping] {
             d.push(1, 0, 0);
-            d.push(2, cfg.row_bytes, 0);
-            d.push(3, cfg.row_bytes * cfg.banks as u64, 0);
+            d.push(2, ROW_BYTES, 0);
+            d.push(3, ROW_BYTES * BANKS as u64, 0);
         }
         let mut done_a = Vec::new();
         for t in 0..300 {
@@ -667,10 +664,10 @@ mod tests {
         let mut d = Dram::new(cfg);
         // Two different banks (consecutive rows map to consecutive banks).
         d.push(1, 0, 0);
-        d.push(2, cfg.row_bytes, 0);
+        d.push(2, ROW_BYTES, 0);
         let done = drain(&mut d, 400);
         assert_eq!(done.len(), 2);
         // Second completes at least one burst after the first.
-        assert!(done[1].1 >= done[0].1 + cfg.burst);
+        assert!(done[1].1 >= done[0].1 + BURST);
     }
 }

@@ -19,6 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ggpu_sim::json::{quoted, JsonWriter};
 use ggpu_sim::{
     grid_device, ChromeTrace, InstantScope, KernelRecord, Log, TraceEvent, TraceEventKind,
+    CLOCK_GHZ,
 };
 
 use crate::histogram::{Histogram, LatencyStats};
@@ -32,8 +33,6 @@ use crate::telemetry::{BatchSpan, JobTrail, OutcomeTag, ServeEvent, ServeEventKi
 pub struct ServeReport {
     /// Lifetime counters and gauges.
     pub metrics: ServeMetrics,
-    /// Device clock in GHz (for cycle→time conversion in the trace).
-    pub clock_ghz: f64,
     /// Latency histograms over every admitted job.
     pub global: LatencyStats,
     /// Latency histograms broken down per tenant.
@@ -72,7 +71,6 @@ impl ServeReport {
     /// histogram forest folded from them.
     pub(crate) fn new(
         metrics: ServeMetrics,
-        clock_ghz: f64,
         events: &Log<ServeEvent>,
         spans: Vec<BatchSpan>,
         trails: Vec<JobTrail>,
@@ -123,7 +121,6 @@ impl ServeReport {
         .into();
         ServeReport {
             metrics,
-            clock_ghz,
             global,
             per_tenant,
             per_shape,
@@ -199,7 +196,7 @@ impl ServeReport {
     /// [`ggpu_sim::json`]; parse it back with [`ggpu_sim::json::Json`]).
     pub fn to_json(&self) -> String {
         JsonWriter::object(|w| {
-            w.f64("clock_ghz", self.clock_ghz)
+            w.f64("clock_ghz", CLOCK_GHZ)
                 .raw("metrics", &self.metrics.to_json())
                 .u64("in_flight", self.in_flight)
                 .u64("events_dropped", self.events_dropped);
@@ -232,7 +229,7 @@ impl ServeReport {
     /// Render the unified host+device Chrome trace. Load at
     /// <https://ui.perfetto.dev>.
     pub fn chrome_trace(&self) -> String {
-        let mut tr = ChromeTrace::new(self.clock_ghz, InstantScope::Thread);
+        let mut tr = ChromeTrace::new(InstantScope::Thread);
 
         const HOST: usize = 0;
         // Device `d` renders as pid DEV0 + d.

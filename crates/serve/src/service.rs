@@ -79,7 +79,9 @@ impl Service {
     /// Build the service: compile every configured kernel shape, upload
     /// the FM reference, create one stream and one slab set per worker.
     /// Every device byte the request path will ever touch is allocated
-    /// here.
+    /// here. A device configuration that fails `GpuConfig::validate` (with
+    /// the service's own knobs forced) is returned as
+    /// [`SimError::InvalidConfig`] before anything is built.
     pub fn new(cfg: ServeConfig) -> Result<Self, SimError> {
         let mut gcfg = cfg.gpu.clone();
         // The service owns the isolation contract: per-stream fault
@@ -92,6 +94,7 @@ impl Service {
         // against the per-grid records the trace switch keeps; the event
         // log is bounded, so this is a memory cap, not a correctness knob.
         gcfg.trace = true;
+        gcfg.validate()?;
         let smem = gcfg.sm.smem_bytes;
 
         let mut program = Program::new();
@@ -480,7 +483,6 @@ impl Service {
         let (spans, trails) = self.telemetry.joined(&grid_times);
         ServeReport::new(
             self.metrics,
-            self.cfg.gpu.clock_ghz,
             self.telemetry.events(),
             spans,
             trails,

@@ -1,27 +1,22 @@
 //! Whole-GPU configuration (Tables I and II) with the RTX 3070 baseline.
 
 use ggpu_icnt::IcntConfig;
-use ggpu_mem::{CacheConfig, DramConfig};
+use ggpu_mem::{CacheConfig, DramConfig, LINE_BYTES};
 use ggpu_sm::SmConfig;
 
-/// Host-to-device interconnect (PCIe) model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PcieConfig {
-    /// Fixed per-transfer latency in GPU cycles (driver + DMA setup).
-    pub latency: u64,
-    /// Transfer bandwidth in bytes per GPU cycle.
-    pub bytes_per_cycle: f64,
-}
+use crate::error::SimError;
 
-impl Default for PcieConfig {
-    /// ~PCIe 4.0 x16 at a 1.5 GHz GPU clock.
-    fn default() -> Self {
-        PcieConfig {
-            latency: 2_000,
-            bytes_per_cycle: 12.0,
-        }
-    }
-}
+/// GPU clock in GHz, used only to convert cycles to seconds in reports.
+pub const CLOCK_GHZ: f64 = 1.5;
+
+/// L2 access latency in cycles.
+pub(crate) const L2_LATENCY: u64 = 90;
+
+/// Fixed per-transfer PCIe latency in GPU cycles (driver + DMA setup).
+pub(crate) const PCIE_LATENCY: u64 = 2_000;
+
+/// PCIe bandwidth in bytes per GPU cycle: ~PCIe 4.0 x16 at [`CLOCK_GHZ`].
+pub(crate) const PCIE_BYTES_PER_CYCLE: f64 = 12.0;
 
 /// Deterministic fault-injection plan, for exercising the error paths of
 /// the device model (and of harnesses built on it) without crafting a
@@ -52,7 +47,13 @@ pub struct FaultPlan {
     pub poison_memcpy: Option<u64>,
 }
 
-/// Full GPU configuration.
+/// Full GPU configuration: the values some figure, tool, service, example
+/// or test sets to something other than the baseline. What the paper never
+/// varies is a constant in the crate that reads it: the clock, the L2
+/// latency and PCIe here ([`CLOCK_GHZ`]), the SM latencies and the constant
+/// and texture caches in `ggpu-sm`, the DRAM timings in `ggpu-mem`, the
+/// packet header in `ggpu-icnt`. [`GpuConfig::validate`] says which values
+/// the simulator cannot run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Number of SMs ("shader cores" in Table I; 78 in the paper's setup).
@@ -67,8 +68,6 @@ pub struct GpuConfig {
     pub dram: DramConfig,
     /// Interconnect configuration (shared by request and reply networks).
     pub icnt: IcntConfig,
-    /// L2 access latency in cycles.
-    pub l2_latency: u64,
     /// Host-side kernel-launch overhead in cycles (driver + setup); burned
     /// before each grid's CTAs begin dispatching.
     pub kernel_launch_overhead: u64,
@@ -77,10 +76,6 @@ pub struct GpuConfig {
     /// Flush L1/L2 between host kernel launches, modelling the locality
     /// loss across `cudaMemcpy` boundaries the paper describes in §IV-G.
     pub flush_between_kernels: bool,
-    /// PCIe model.
-    pub pcie: PcieConfig,
-    /// GPU clock in GHz, used only to convert cycles to seconds in reports.
-    pub clock_ghz: f64,
     /// Forward-progress watchdog: if no SM issues an instruction and no
     /// memory-system activity is observed for this many consecutive cycles,
     /// `try_synchronize` returns a deadlock report instead of spinning.
@@ -147,12 +142,9 @@ impl GpuConfig {
             l2_slice: CacheConfig::new(512 * 1024, 16),
             dram: DramConfig::default(),
             icnt: IcntConfig::default(),
-            l2_latency: 90,
             kernel_launch_overhead: 3_000,
             cdp_launch_overhead: 500,
             flush_between_kernels: true,
-            pcie: PcieConfig::default(),
-            clock_ghz: 1.5,
             watchdog_cycles: 50_000,
             memory_limit: 8 << 30,
             cdp_max_depth: 24,
@@ -227,6 +219,49 @@ impl GpuConfig {
     /// Total L2 capacity across partitions.
     pub fn l2_total(&self) -> u64 {
         self.l2_slice.bytes * self.n_partitions as u64
+    }
+
+    /// Reject the values the simulator cannot run: each would divide by
+    /// zero, never place a CTA, never accept a DRAM request, or silently
+    /// model a line size the rest of the machine does not use. Anything
+    /// else runs, or ends in a typed launch, memory or watchdog error.
+    pub fn validate(&self) -> Result<(), SimError> {
+        const WAYS: &str = "a cache needs at least one way";
+        const LINE: &str = "every level of the hierarchy moves 128-byte lines";
+        let rules = [
+            ("n_sms", self.n_sms == 0, "a device needs at least one SM"),
+            (
+                "n_partitions",
+                self.n_partitions == 0,
+                "a device needs at least one memory partition",
+            ),
+            (
+                "sm.max_ctas",
+                self.sm.max_ctas == 0,
+                "an SM must hold a CTA",
+            ),
+            ("sm.l1.ways", self.sm.l1.ways == 0, WAYS),
+            ("sm.l1.line", self.sm.l1.line != LINE_BYTES, LINE),
+            ("l2_slice.ways", self.l2_slice.ways == 0, WAYS),
+            ("l2_slice.line", self.l2_slice.line != LINE_BYTES, LINE),
+            (
+                "dram.queue_size",
+                self.dram.queue_size == 0,
+                "a DRAM channel must queue a request",
+            ),
+            (
+                "icnt.flit_bytes",
+                self.icnt.flit_bytes == 0,
+                "a flit must carry at least one byte",
+            ),
+        ];
+        match rules.into_iter().find(|&(_, bad, _)| bad) {
+            Some((field, _, why)) => Err(SimError::InvalidConfig {
+                field,
+                why: why.to_string(),
+            }),
+            None => Ok(()),
+        }
     }
 }
 

@@ -160,7 +160,25 @@ pub struct Gpu {
 
 impl Gpu {
     /// Build a GPU running `program` under `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config` fails [`GpuConfig::validate`] (use
+    /// [`Gpu::try_new`] to get the typed error) or a kernel of `program`
+    /// fails validation.
     pub fn new(program: Program, config: GpuConfig) -> Self {
+        Self::try_new(program, config).unwrap_or_else(|e| panic!("Gpu::new failed: {e}"))
+    }
+
+    /// Build a GPU running `program` under `config`, or return
+    /// [`SimError::InvalidConfig`] naming the first field
+    /// [`GpuConfig::validate`] rejects.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a kernel of `program` fails validation.
+    pub fn try_new(program: Program, config: GpuConfig) -> Result<Self, SimError> {
+        config.validate()?;
         program
             .validate()
             .unwrap_or_else(|(name, e)| panic!("kernel `{name}` invalid: {e}"));
@@ -169,7 +187,7 @@ impl Gpu {
             Lanes::new((0..config.n_sms).map(|_| SmCore::new(config.sm, Arc::clone(&program))));
         let mut mem = DeviceMemory::new();
         mem.set_poison(config.fault_plan.poison);
-        Gpu {
+        Ok(Gpu {
             lanes,
             mem,
             memsys: MemSystem::new(&config),
@@ -198,12 +216,7 @@ impl Gpu {
                 .then(Recorder::new),
             config,
             program,
-        }
-    }
-
-    /// The configuration the GPU was built with.
-    pub(crate) fn config(&self) -> &GpuConfig {
-        &self.config
+        })
     }
 
     /// Current simulated cycle.
@@ -420,7 +433,6 @@ impl Gpu {
         self.flush_sample();
         let mut report = ProfileReport {
             stats: self.stats(),
-            clock_ghz: self.config.clock_ghz,
             pc: self.pc_profile(),
             units: self.unit_profile(),
             ..ProfileReport::default()

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use ggpu_isa::KernelId;
 
+use crate::config::{PCIE_BYTES_PER_CYCLE, PCIE_LATENCY};
 use crate::error::SimError;
 use crate::memory::DevicePtr;
 use crate::trace::{CopyDir, TraceEventKind};
@@ -111,8 +112,7 @@ impl Gpu {
         } else {
             self.mem.write_slice(dst, data);
         }
-        let cost = self.config.pcie.latency
-            + (data.len() as f64 / self.config.pcie.bytes_per_cycle) as u64;
+        let cost = PCIE_LATENCY + (data.len() as f64 / PCIE_BYTES_PER_CYCLE) as u64;
         self.host.pci_count += 1;
         self.host.h2d_bytes += data.len() as u64;
         self.host.pci_cycles += cost;
@@ -143,8 +143,7 @@ impl Gpu {
         }
         self.check_copy(CopyDir::D2H, src, len)?;
         let poison = self.memcpy_inject(CopyDir::D2H)?;
-        let cost =
-            self.config.pcie.latency + (len as f64 / self.config.pcie.bytes_per_cycle) as u64;
+        let cost = PCIE_LATENCY + (len as f64 / PCIE_BYTES_PER_CYCLE) as u64;
         self.host.pci_count += 1;
         self.host.d2h_bytes += len as u64;
         self.host.pci_cycles += cost;

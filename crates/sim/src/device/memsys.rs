@@ -29,7 +29,7 @@ use ggpu_icnt::{DeliveryQueue, Icnt};
 use ggpu_mem::{Cache, CacheOutcome, Dram, LINE_BYTES};
 use ggpu_sm::{MemRequest, ReqKind};
 
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, L2_LATENCY};
 use crate::profile::PartitionUnit;
 use crate::stats::RunStats;
 
@@ -64,7 +64,6 @@ enum Packet {
 #[derive(Debug)]
 pub(super) struct MemSystem {
     n_sms: usize,
-    l2_latency: u64,
     /// [`crate::FaultPlan::drop_reply`].
     drop_reply: Option<u64>,
     l2: Vec<Cache>,
@@ -85,7 +84,6 @@ impl MemSystem {
         let parts = config.n_partitions;
         MemSystem {
             n_sms: config.n_sms,
-            l2_latency: config.l2_latency,
             drop_reply: config.fault_plan.drop_reply,
             l2: (0..parts).map(|_| Cache::new(config.l2_slice)).collect(),
             dram: (0..parts).map(|_| Dram::new(config.dram)).collect(),
@@ -161,7 +159,7 @@ impl MemSystem {
         // Load or atomic: the read path through L2.
         let line = addr / LINE_BYTES;
         match self.l2[part].access(addr, false) {
-            CacheOutcome::Hit => self.reply(part, sm, id, now, self.l2_latency),
+            CacheOutcome::Hit => self.reply(part, sm, id, now, L2_LATENCY),
             outcome => {
                 self.waiters.entry((part, line)).or_default().push((sm, id));
                 if outcome != CacheOutcome::MshrMerged {
@@ -320,6 +318,14 @@ mod tests {
     /// A line in partition 0, DRAM bank 2, row 0 of `test_small()`'s layout.
     const LINE_A: u64 = 4096;
 
+    /// `ggpu-mem`'s DRAM row size, and a closed bank's service time:
+    /// activate, column access, burst (20 + 20 + 4 cycles).
+    const DRAM_ROW_BYTES: u64 = 2048;
+    const DRAM_COLD: u64 = 44;
+
+    /// `ggpu-icnt`'s per-packet header.
+    const HEADER_BYTES: u32 = 8;
+
     fn req(id: u64, addr: u64, kind: ReqKind) -> MemRequest {
         MemRequest {
             id,
@@ -330,7 +336,7 @@ mod tests {
     }
 
     fn flits(c: &GpuConfig, bytes: u32) -> u64 {
-        (bytes + c.icnt.header_bytes).div_ceil(c.icnt.flit_bytes) as u64
+        (bytes + HEADER_BYTES).div_ceil(c.icnt.flit_bytes) as u64
     }
 
     /// Uncontended latency across the local crossbar: an input and an output
@@ -338,11 +344,6 @@ mod tests {
     /// behind the head.
     fn wire(c: &GpuConfig, bytes: u32) -> u64 {
         2 * (1 + c.icnt.router_delay) + flits(c, bytes) - 1
-    }
-
-    /// A closed bank: activate, column access, burst.
-    fn dram_cold(c: &GpuConfig) -> u64 {
-        c.dram.t_rcd + c.dram.t_cl + c.dram.burst
     }
 
     /// Tick every cycle of `from..=to`; the `(cycle, sm, id)` replies.
@@ -372,7 +373,7 @@ mod tests {
         // The miss goes to DRAM the cycle it arrives (arrivals run before the
         // channels) and the fill answers both loads the cycle it completes,
         // in arrival order: the second reply queues behind the first's flits.
-        let filled = 10 + wire(&c, LOAD_REQ_BYTES) + dram_cold(&c);
+        let filled = 10 + wire(&c, LOAD_REQ_BYTES) + DRAM_COLD;
         let first = filled + wire(&c, REPLY_BYTES);
         assert_eq!(
             run(&mut ms, 1, 99),
@@ -380,13 +381,13 @@ mod tests {
         );
         // The line is resident now: a hit pays the L2 latency, no DRAM.
         ms.send(0, req(3, LINE_A, ReqKind::Load), 100);
-        let hit = 100 + wire(&c, LOAD_REQ_BYTES) + c.l2_latency + wire(&c, REPLY_BYTES);
+        let hit = 100 + wire(&c, LOAD_REQ_BYTES) + L2_LATENCY + wire(&c, REPLY_BYTES);
         assert_eq!(run(&mut ms, 100, 299), [(hit, 0, 3)]);
         // An atomic takes the read path with a wider request packet; its
         // line is in another bank, still closed.
-        let other_bank = LINE_A + 2 * c.dram.row_bytes;
+        let other_bank = LINE_A + 2 * DRAM_ROW_BYTES;
         ms.send(2, req(4, other_bank, ReqKind::Atomic), 300);
-        let atomic = 300 + wire(&c, ATOMIC_REQ_BYTES) + dram_cold(&c) + wire(&c, REPLY_BYTES);
+        let atomic = 300 + wire(&c, ATOMIC_REQ_BYTES) + DRAM_COLD + wire(&c, REPLY_BYTES);
         assert_eq!(run(&mut ms, 300, 499), [(atomic, 2, 4)]);
         assert!(ms.is_idle());
 
@@ -503,7 +504,7 @@ mod tests {
         let c = GpuConfig::test_small();
         let mut ms = MemSystem::new(&c);
         // A line made resident beforehand, in another bank.
-        let resident = LINE_A + 2 * c.dram.row_bytes;
+        let resident = LINE_A + 2 * DRAM_ROW_BYTES;
         ms.send(2, req(0, resident, ReqKind::Load), 1);
         assert_eq!(run(&mut ms, 1, 99).len(), 1);
         ms.send(0, req(1, LINE_A, ReqKind::Load), 100);
@@ -524,11 +525,11 @@ mod tests {
         // same partition, bank and row, closed again.
         assert_eq!(run(&mut ms, 111, 199), []);
         ms.send(0, req(3, LINE_A, ReqKind::Load), 200);
-        let fresh = 200 + wire(&c, LOAD_REQ_BYTES) + dram_cold(&c) + wire(&c, REPLY_BYTES);
+        let fresh = 200 + wire(&c, LOAD_REQ_BYTES) + DRAM_COLD + wire(&c, REPLY_BYTES);
         assert_eq!(run(&mut ms, 200, 399), [(fresh, 0, 3)]);
         // The line resident before the abort still hits.
         ms.send(2, req(4, resident, ReqKind::Load), 400);
-        let hit = 400 + wire(&c, LOAD_REQ_BYTES) + c.l2_latency + wire(&c, REPLY_BYTES);
+        let hit = 400 + wire(&c, LOAD_REQ_BYTES) + L2_LATENCY + wire(&c, REPLY_BYTES);
         assert_eq!(run(&mut ms, 400, 599), [(hit, 2, 4)]);
     }
 }

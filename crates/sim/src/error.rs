@@ -1,5 +1,5 @@
-//! Typed simulation errors: guest faults, deadlock reports, launch
-//! validation failures, and allocation failures.
+//! Typed simulation errors: guest faults, deadlock reports, configuration
+//! and launch validation failures, and allocation failures.
 //!
 //! The host API comes in two flavours: the original panicking methods
 //! ([`crate::Gpu::synchronize`] and friends) and fallible `try_*` variants
@@ -243,6 +243,14 @@ pub enum SimError {
     DeviceFault(Box<DeviceFault>),
     /// The forward-progress watchdog fired; the device was halted.
     Deadlock(Box<DeadlockReport>),
+    /// A [`crate::GpuConfig`] the simulator cannot run, rejected by
+    /// [`crate::GpuConfig::validate`] before a device is built.
+    InvalidConfig {
+        /// Path of the offending field, e.g. `"l2_slice.ways"`.
+        field: &'static str,
+        /// Why the value cannot be simulated.
+        why: String,
+    },
     /// A launch configuration was rejected before any work was enqueued.
     InvalidLaunch {
         /// Name of the kernel (or `"?"` when the id was unknown).
@@ -303,6 +311,9 @@ impl fmt::Display for SimError {
         match self {
             SimError::DeviceFault(d) => write!(f, "device fault: {d}"),
             SimError::Deadlock(r) => write!(f, "device deadlock: {r}"),
+            SimError::InvalidConfig { field, why } => {
+                write!(f, "invalid configuration: `{field}`: {why}")
+            }
             SimError::InvalidLaunch { kernel, problem } => {
                 write!(f, "invalid launch of kernel `{kernel}`: {problem}")
             }

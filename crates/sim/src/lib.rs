@@ -58,7 +58,7 @@ mod recorder;
 mod stats;
 mod trace;
 
-pub use config::{FaultPlan, GpuConfig, PcieConfig};
+pub use config::{FaultPlan, GpuConfig, CLOCK_GHZ};
 pub use device::{Gpu, LaunchOptions, StreamId};
 pub use error::{DeadlockReport, DeviceFault, LaunchProblem, SimError};
 pub use memory::{DeviceMemory, DevicePtr};
@@ -164,7 +164,8 @@ mod tests {
         assert_eq!(s.host.pci_count, 2);
         assert_eq!(s.host.h2d_bytes, 4096);
         assert_eq!(s.host.d2h_bytes, 4096);
-        assert!(s.host.pci_cycles >= 2 * gpu.config().pcie.latency);
+        let one = config::PCIE_LATENCY + (4096.0 / config::PCIE_BYTES_PER_CYCLE) as u64;
+        assert_eq!(s.host.pci_cycles, 2 * one);
     }
 
     #[test]
@@ -317,7 +318,7 @@ mod tests {
         // take_profile carries both axes; reset clears the PC table.
         let report = gpu.take_profile();
         assert!(report.pc.is_some());
-        assert_eq!(report.units.sms.len(), gpu.config().n_sms);
+        assert_eq!(report.units.sms.len(), GpuConfig::test_small().n_sms);
         gpu.reset_stats();
         let pc = gpu.pc_profile().expect("table survives reset, zeroed");
         assert_eq!(pc.total(|c| c.issues), 0);

@@ -335,7 +335,7 @@ impl GpuNode {
             .enumerate()
             .map(|(d, g)| (format!("gpu{d}"), g.trace_events()))
             .collect();
-        chrome_trace_json(&logs, self.devices[0].config().clock_ghz)
+        chrome_trace_json(&logs)
     }
 }
 

@@ -387,8 +387,6 @@ fn partition_unit_json(p: &PartitionUnit) -> String {
 pub struct ProfileReport {
     /// Final whole-run counters at the time the report was taken.
     pub stats: RunStats,
-    /// GPU clock in GHz (for cycle→time conversion in exports).
-    pub clock_ghz: f64,
     /// One record per retired kernel launch, in retire order.
     pub kernels: Vec<KernelRecord>,
     /// Interval samples, oldest first.
@@ -411,7 +409,7 @@ impl ProfileReport {
     /// JSON document.
     pub fn to_json(&self) -> String {
         JsonWriter::object(|w| {
-            w.f64("clock_ghz", self.clock_ghz)
+            w.f64("clock_ghz", crate::CLOCK_GHZ)
                 .raw("stats", &run_stats_json(&self.stats));
             w.arr_raw("kernels", self.kernels.iter().map(|k| k.to_json()));
             w.arr_raw("samples", self.samples.iter().map(|s| s.to_json()));
@@ -589,7 +587,6 @@ mod tests {
     fn profile_report_json_round_trips() {
         let report = ProfileReport {
             stats: RunStats::default(),
-            clock_ghz: 1.5,
             kernels: vec![KernelRecord {
                 grid: 1,
                 kernel: "k".to_string(),
@@ -628,10 +625,7 @@ mod tests {
             Some(500)
         );
         // The chrome trace is also well-formed JSON even when empty.
-        let trace = chrome_trace_json(
-            &[("t".to_string(), report.events.as_slice())],
-            report.clock_ghz,
-        );
+        let trace = chrome_trace_json(&[("t".to_string(), report.events.as_slice())]);
         Json::parse(&trace).expect("chrome trace well-formed");
     }
 }

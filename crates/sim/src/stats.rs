@@ -92,9 +92,9 @@ impl RunStats {
         self.host.kernel_cycles + self.host.pci_cycles
     }
 
-    /// Convert cycles to seconds at `clock_ghz`.
-    pub fn seconds(&self, clock_ghz: f64) -> f64 {
-        self.total_cycles() as f64 / (clock_ghz * 1e9)
+    /// End-to-end time in seconds at [`crate::CLOCK_GHZ`].
+    pub fn seconds(&self) -> f64 {
+        self.total_cycles() as f64 / (crate::CLOCK_GHZ * 1e9)
     }
 
     /// Field-wise accumulation of another snapshot into this one — the
@@ -182,6 +182,6 @@ mod tests {
         r.sm.issued = 2000;
         assert_eq!(r.ipc(), 2.0);
         assert_eq!(r.total_cycles(), 1500);
-        assert!((r.seconds(1.5) - 1e-6).abs() < 1e-12);
+        assert!((r.seconds() - 1e-6).abs() < 1e-12);
     }
 }

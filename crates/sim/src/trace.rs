@@ -12,6 +12,7 @@ use std::fmt;
 use ggpu_isa::FaultKind;
 
 use crate::json::{escape, num, quoted, JsonWriter};
+use crate::CLOCK_GHZ;
 
 /// Direction of a `cudaMemcpy` transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,31 +230,28 @@ pub enum InstantScope {
     Thread,
 }
 
+/// Convert device cycles to Chrome-trace microseconds at [`CLOCK_GHZ`].
+fn cycles_to_us(cycles: u64) -> f64 {
+    cycles as f64 / (CLOCK_GHZ * 1000.0)
+}
+
 /// The Chrome-trace (`chrome://tracing` / Perfetto) document builder: the
 /// one event serializer, cycle→µs conversion and document envelope every
 /// trace in the workspace — single device, node, serving — is written
 /// through. Load the result at <https://ui.perfetto.dev>.
 #[derive(Debug)]
 pub struct ChromeTrace {
-    clock_ghz: f64,
     instant_scope: InstantScope,
     events: Vec<String>,
 }
 
 impl ChromeTrace {
-    /// Empty trace on a `clock_ghz` cycle clock (a non-positive clock is
-    /// read as 1 GHz) whose instant events get `instant_scope`.
-    pub fn new(clock_ghz: f64, instant_scope: InstantScope) -> Self {
+    /// Empty trace whose instant events get `instant_scope`.
+    pub fn new(instant_scope: InstantScope) -> Self {
         ChromeTrace {
-            clock_ghz: if clock_ghz > 0.0 { clock_ghz } else { 1.0 },
             instant_scope,
             events: Vec::new(),
         }
-    }
-
-    /// Convert device cycles to Chrome-trace microseconds.
-    pub(crate) fn cycles_to_us(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.clock_ghz * 1000.0)
     }
 
     /// Serialize one event. `ph` is the Chrome phase; `args` values are
@@ -274,15 +272,12 @@ impl ChromeTrace {
             "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
             escape(name),
             ph,
-            num(self.cycles_to_us(cycle)),
+            num(cycles_to_us(cycle)),
             pid,
             tid
         );
         if let Some(d) = dur_cycles {
-            s.push_str(&format!(
-                ",\"dur\":{}",
-                num(self.cycles_to_us(d).max(0.001))
-            ));
+            s.push_str(&format!(",\"dur\":{}", num(cycles_to_us(d).max(0.001))));
         }
         if ph == 'i' {
             s.push_str(match self.instant_scope {
@@ -526,8 +521,8 @@ impl ChromeTrace {
 
 /// Render one or more `(label, events)` logs as a complete Chrome-trace
 /// JSON document (one Perfetto "process" per log, pid = index).
-pub fn chrome_trace_json(logs: &[(String, &[TraceEvent])], clock_ghz: f64) -> String {
-    let mut t = ChromeTrace::new(clock_ghz, InstantScope::Global);
+pub fn chrome_trace_json(logs: &[(String, &[TraceEvent])]) -> String {
+    let mut t = ChromeTrace::new(InstantScope::Global);
     for (pid, (label, log)) in logs.iter().enumerate() {
         t.device_log(pid, label, log);
     }
@@ -578,18 +573,19 @@ mod tests {
                     stream: 0,
                 },
             ),
-            ev(100, TraceEventKind::KernelStart { grid: 1, stream: 0 }),
+            ev(150, TraceEventKind::KernelStart { grid: 1, stream: 0 }),
             ev(
-                150,
+                200,
                 TraceEventKind::Memcpy {
                     dir: CopyDir::H2D,
                     bytes: 64,
                     cycles: 10,
                 },
             ),
-            ev(900, TraceEventKind::KernelRetire { grid: 1, stream: 0 }),
+            ev(1350, TraceEventKind::KernelRetire { grid: 1, stream: 0 }),
         ];
-        let json = chrome_trace_json(&[("dev".to_string(), log.as_slice())], 1.0);
+        // 1.5 cycles per nanosecond: cycle 150 is 0.1 µs, 1200 cycles 0.8 µs.
+        let json = chrome_trace_json(&[("dev".to_string(), log.as_slice())]);
         let v = Json::parse(&json).expect("well-formed chrome trace");
         let evs = v
             .get("traceEvents")
@@ -630,7 +626,7 @@ mod tests {
                 },
             ),
         ];
-        let json = chrome_trace_json(&[("dev".to_string(), log.as_slice())], 1.5);
+        let json = chrome_trace_json(&[("dev".to_string(), log.as_slice())]);
         let v = Json::parse(&json).expect("well-formed");
         let evs = v.get("traceEvents").and_then(Json::as_arr).expect("arr");
         assert!(evs.iter().any(|e| {

@@ -1,5 +1,5 @@
-//! Per-SM configuration: resource limits (Table I), scheduler policy, and
-//! execution latencies.
+//! Per-SM configuration: resource limits (Table I) and scheduler policy,
+//! plus the execution latencies and fixed cache geometries as constants.
 
 use ggpu_mem::CacheConfig;
 
@@ -30,54 +30,51 @@ impl std::fmt::Display for SchedPolicy {
     }
 }
 
-/// Pipeline latencies in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyConfig {
+/// Pipeline latencies in cycles. Table I fixes them and no figure varies
+/// them, so they are constants rather than configuration.
+pub(crate) mod lat {
     /// Integer ALU result latency.
-    pub int: u64,
+    pub(crate) const INT: u64 = 4;
     /// f32 result latency.
-    pub fp32: u64,
+    pub(crate) const FP32: u64 = 4;
     /// f64 result latency (consumer GPUs run FP64 at reduced rate).
-    pub fp64: u64,
+    pub(crate) const FP64: u64 = 32;
     /// Special-function-unit latency.
-    pub sfu: u64,
+    pub(crate) const SFU: u64 = 16;
     /// Shared-memory access latency (plus bank-conflict serialization).
-    pub smem: u64,
+    pub(crate) const SMEM: u64 = 24;
     /// Constant-cache hit latency.
-    pub cmem_hit: u64,
+    pub(crate) const CMEM_HIT: u64 = 8;
     /// Constant-cache miss penalty (fixed; constants are tiny).
-    pub cmem_miss: u64,
+    pub(crate) const CMEM_MISS: u64 = 150;
     /// Parameter-buffer read latency.
-    pub param: u64,
+    pub(crate) const PARAM: u64 = 2;
     /// L1 hit latency for global/local/texture loads.
-    pub l1_hit: u64,
+    pub(crate) const L1_HIT: u64 = 32;
     /// Cycles after a branch issues before the warp may issue again
     /// (control hazard window).
-    pub branch: u64,
+    pub(crate) const BRANCH: u64 = 6;
     /// Minimum cycles between issues from the same warp after an f64 op
     /// (throughput penalty).
-    pub f64_interval: u64,
+    pub(crate) const F64_INTERVAL: u64 = 8;
+    /// Cycles a device-side launch occupies the launching warp.
+    pub(crate) const DEVICE_LAUNCH: u64 = 150;
 }
 
-impl Default for LatencyConfig {
-    fn default() -> Self {
-        LatencyConfig {
-            int: 4,
-            fp32: 4,
-            fp64: 32,
-            sfu: 16,
-            smem: 24,
-            cmem_hit: 8,
-            cmem_miss: 150,
-            param: 2,
-            l1_hit: 32,
-            branch: 6,
-            f64_interval: 8,
-        }
-    }
-}
+/// Warp schedulers per SM (issue slots per cycle).
+pub(crate) const SCHEDULERS: usize = 4;
 
-/// Full per-SM configuration.
+/// Constant cache geometry of every SM (Table I: 64KB, 256-way).
+pub const CONST_CACHE: CacheConfig = CacheConfig::new(64 * 1024, 256);
+
+/// Texture cache geometry of every SM (Table I: 128KB, 64-way).
+pub const TEX_CACHE: CacheConfig = CacheConfig::new(128 * 1024, 64);
+
+/// The settable per-SM configuration: what the paper's sweeps vary (CTA
+/// resources for Figure 11, the L1 for Figures 12-14, the warp scheduler
+/// for Figure 19, perfect memory for Figure 15) and three model switches.
+/// Latencies, the scheduler count and the constant and texture caches are
+/// fixed ([`CONST_CACHE`], [`TEX_CACHE`]).
 ///
 /// The defaults are the RTX 3070 baseline of Table I: 32 CTAs/core, 1536
 /// threads/core, 65536 registers/core, 100KB shared memory, 128KB L1.
@@ -91,18 +88,10 @@ pub struct SmConfig {
     pub registers: u32,
     /// Shared-memory capacity in bytes.
     pub smem_bytes: u32,
-    /// Number of warp schedulers (issue slots per cycle).
-    pub schedulers: u32,
     /// Scheduling policy.
     pub policy: SchedPolicy,
     /// L1 data cache geometry.
     pub l1: CacheConfig,
-    /// Constant cache geometry.
-    pub const_cache: CacheConfig,
-    /// Texture cache geometry.
-    pub tex_cache: CacheConfig,
-    /// Pipeline latencies.
-    pub lat: LatencyConfig,
     /// When set, every off-chip access completes at L1-hit latency with no
     /// traffic (the paper's Figure 15 "perfect memory").
     pub perfect_memory: bool,
@@ -125,12 +114,8 @@ impl Default for SmConfig {
             max_threads: 1536,
             registers: 65536,
             smem_bytes: 100 * 1024,
-            schedulers: 4,
             policy: SchedPolicy::Lrr,
             l1: CacheConfig::new(128 * 1024, 256),
-            const_cache: CacheConfig::new(64 * 1024, 256),
-            tex_cache: CacheConfig::new(128 * 1024, 64),
-            lat: LatencyConfig::default(),
             perfect_memory: false,
             interleave_local: true,
             attribution: false,

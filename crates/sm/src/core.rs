@@ -32,7 +32,7 @@ use ggpu_isa::{
 };
 use ggpu_mem::{Cache, CacheStats, LINE_BYTES};
 
-use crate::config::{LatencyConfig, SchedPolicy, SmConfig};
+use crate::config::{lat, SchedPolicy, SmConfig, CONST_CACHE, SCHEDULERS, TEX_CACHE};
 use crate::pc::PcTable;
 use crate::ports::{MemOp, SmPorts, TickOutput};
 use crate::stats::{SmStats, StallReason};
@@ -288,31 +288,31 @@ struct InstrMeta {
 }
 
 impl InstrMeta {
-    fn new(instr: &Instr, lat: &LatencyConfig) -> Self {
+    fn new(instr: &Instr) -> Self {
         let (l, pen) = match *instr {
             Instr::Alu { op, .. } => {
                 let l = match op.class() {
-                    InstrClass::Sfu => lat.sfu,
+                    InstrClass::Sfu => lat::SFU,
                     InstrClass::Fp => {
                         if op.is_f64() {
-                            lat.fp64
+                            lat::FP64
                         } else {
-                            lat.fp32
+                            lat::FP32
                         }
                     }
-                    _ => lat.int,
+                    _ => lat::INT,
                 };
                 (l, op.is_f64())
             }
-            Instr::Fma { f64, .. } => (if f64 { lat.fp64 } else { lat.fp32 }, f64),
+            Instr::Fma { f64, .. } => (if f64 { lat::FP64 } else { lat::FP32 }, f64),
             Instr::Mov { .. } | Instr::Sreg { .. } => (1, false),
-            Instr::Sel { .. } | Instr::SetP { .. } => (lat.int, false),
+            Instr::Sel { .. } | Instr::SetP { .. } => (lat::INT, false),
             Instr::Cvt { kind, .. } => {
                 let fp = matches!(
                     kind,
                     CvtKind::I2D | CvtKind::D2I | CvtKind::F2D | CvtKind::D2F
                 );
-                (if fp { lat.fp32 } else { lat.int }, false)
+                (if fp { lat::FP32 } else { lat::INT }, false)
             }
             _ => (0, false),
         };
@@ -354,9 +354,9 @@ pub struct SmCore {
     next_req_id: u64,
     age_counter: u64,
     /// Per-scheduler round-robin cursor.
-    rr_cursor: Vec<usize>,
+    rr_cursor: [usize; SCHEDULERS],
     /// Per-scheduler sticky warp for GTO.
-    gto_current: Vec<Option<usize>>,
+    gto_current: [Option<usize>; SCHEDULERS],
     stats: SmStats,
     /// Per-PC attribution table, allocated only when
     /// [`SmConfig::attribution`] is set.
@@ -378,18 +378,13 @@ impl SmCore {
             pc_stats: config.attribution.then(|| Box::new(PcTable::new(&program))),
             decoded: program
                 .iter()
-                .map(|(_, k)| {
-                    k.instrs
-                        .iter()
-                        .map(|i| InstrMeta::new(i, &config.lat))
-                        .collect()
-                })
+                .map(|(_, k)| k.instrs.iter().map(InstrMeta::new).collect())
                 .collect(),
             l1: Cache::new(config.l1),
-            cc: Cache::new(config.const_cache),
-            tc: Cache::new(config.tex_cache),
-            rr_cursor: vec![0; config.schedulers as usize],
-            gto_current: vec![None; config.schedulers as usize],
+            cc: Cache::new(CONST_CACHE),
+            tc: Cache::new(TEX_CACHE),
+            rr_cursor: [0; SCHEDULERS],
+            gto_current: [None; SCHEDULERS],
             config,
             program,
             slots: Vec::new(),
@@ -596,7 +591,7 @@ impl SmCore {
         }
         self.stats.cycles += 1;
         let mut dominant = None;
-        for sched in 0..self.config.schedulers as usize {
+        for sched in 0..SCHEDULERS {
             match self.pick(sched, now) {
                 Ok(widx) => self.issue(widx, now, gmem, &mut ports.out),
                 Err(stall) => self.charge_stall(stall, now, 1, &mut dominant),
@@ -615,7 +610,7 @@ impl SmCore {
         debug_assert_eq!(self.live_warps, 0, "idle credit on a busy SM");
         self.stats.cycles += cycles;
         if busy_cycles > 0 {
-            let slots = self.config.schedulers as u64 * busy_cycles;
+            let slots = SCHEDULERS as u64 * busy_cycles;
             self.stats.stalls.add(StallReason::FunctionalDone, slots);
             if let Some(t) = self.pc_stats.as_deref_mut() {
                 t.record_unattributed(StallReason::FunctionalDone, slots);
@@ -695,7 +690,7 @@ impl SmCore {
         }
         self.stats.cycles += span;
         let mut dominant = None;
-        for sched in 0..self.config.schedulers as usize {
+        for sched in 0..SCHEDULERS {
             match self.pick(sched, c0) {
                 Ok(_) => debug_assert!(false, "fast-forward skipped an issuing cycle"),
                 Err(stall) => self.charge_stall(stall, c0, span, &mut dominant),
@@ -849,7 +844,7 @@ impl SmCore {
     /// Scheduler `sched` picks a warp among its share (every
     /// `schedulers`-th slot), or reports the stall the slot records.
     fn pick(&mut self, sched: usize, now: u64) -> Result<usize, Stall> {
-        let stall = self.survey(sched, self.config.schedulers as usize, now);
+        let stall = self.survey(sched, SCHEDULERS, now);
         let ready = &self.ready;
         if ready.is_empty() {
             return Err(stall);

@@ -22,6 +22,7 @@ use ggpu_isa::{AtomOp, FaultKind, Instr, Operand, Reg, Space, Width, WARP_SIZE};
 use ggpu_mem::{CacheOutcome, LINE_BYTES};
 
 use crate::coalesce::{bank_conflict_degree, coalesce_lines};
+use crate::config::lat;
 use crate::ports::{CompletedCta, DeviceLaunch, MemOp, MemRequest, ReqKind, TickOutput};
 use crate::warp::{active_row, lanes, SimtEntry, WarpBlock};
 
@@ -86,7 +87,6 @@ impl SmCore {
             // for hand-built kernels whose last path misses `Exit`).
             return self.trap(widx, pc, FaultKind::InvalidPc, mask, None, out);
         };
-        let lat = self.config.lat;
         // Predecoded result latency for the directly-executed arms below —
         // no per-issue re-match of the op class.
         let meta = self.decoded[kid.0 as usize][pc];
@@ -213,7 +213,7 @@ impl SmCore {
                     }
                 };
                 w.branch(taken, target, pc + 1, reconv);
-                w.next_issue_at = now + lat.branch;
+                w.next_issue_at = now + lat::BRANCH;
                 w.issue_block_is_control = true;
                 return;
             }
@@ -226,7 +226,7 @@ impl SmCore {
             } => {
                 w.advance_pc();
                 // Device-side launch overhead occupies the warp.
-                w.next_issue_at = now + lat.cmem_miss.max(100);
+                w.next_issue_at = now + lat::DEVICE_LAUNCH;
                 w.issue_block_is_control = true;
                 // Parameter-block reads fault like any other global access;
                 // every lane's block is checked before any launch is emitted.
@@ -294,7 +294,7 @@ impl SmCore {
         w.write_row(dst, mask, &row);
         w.reg_ready[dst.0 as usize] = now + meta.lat;
         if meta.f64_pen {
-            w.next_issue_at = now + lat.f64_interval;
+            w.next_issue_at = now + lat::F64_INTERVAL;
         }
         w.advance_pc();
     }
@@ -355,7 +355,6 @@ impl SmCore {
         out: &mut TickOutput,
     ) {
         let SimtEntry { pc, mask, .. } = entry;
-        let lat = self.config.lat;
         let w = self.warps[widx]
             .as_mut()
             .expect("scheduled warp is resident");
@@ -377,7 +376,7 @@ impl SmCore {
                     Self::param_read(&slot.cfg.params, addrs[l], m.width)
                 });
                 w.write_row(dst, mask, &row);
-                w.reg_ready[dst.0 as usize] = now + lat.param;
+                w.reg_ready[dst.0 as usize] = now + lat::PARAM;
                 return w.advance_pc();
             }
             (Space::Const, Access::Load(dst)) => {
@@ -387,11 +386,11 @@ impl SmCore {
                 w.write_row(dst, mask, &row);
                 // Constant cache timing: a miss pays a fixed refill penalty.
                 coalesce_lines(&addrs, mask, m.width.bytes(), &mut self.scratch_lines);
-                let mut l = lat.cmem_hit;
+                let mut l = lat::CMEM_HIT;
                 for &line in &self.scratch_lines {
                     if self.cc.access(line * LINE_BYTES, false) != CacheOutcome::Hit {
                         self.cc.fill(line * LINE_BYTES, false);
-                        l = lat.cmem_miss;
+                        l = lat::CMEM_MISS;
                     }
                 }
                 w.reg_ready[dst.0 as usize] = now + l;
@@ -491,12 +490,12 @@ impl SmCore {
                 conflicts
             };
             match dst {
-                Some(dst) => w.reg_ready[dst.0 as usize] = now + lat.smem + extra,
+                Some(dst) => w.reg_ready[dst.0 as usize] = now + lat::SMEM + extra,
                 None => w.next_issue_at = now + 1 + extra,
             }
         } else if self.config.perfect_memory {
             if let Some(dst) = dst {
-                w.reg_ready[dst.0 as usize] = now + lat.l1_hit;
+                w.reg_ready[dst.0 as usize] = now + lat::L1_HIT;
             }
         } else {
             coalesce_lines(&addrs, mask, m.width.bytes(), &mut self.scratch_lines);
@@ -573,7 +572,7 @@ impl SmCore {
             }
             if let Some(dst) = dst {
                 if misses == 0 {
-                    w.reg_ready[dst.0 as usize] = now + lat.l1_hit + serialize;
+                    w.reg_ready[dst.0 as usize] = now + lat::L1_HIT + serialize;
                 } else {
                     w.reg_pending[dst.0 as usize] += misses;
                 }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use super::exec::fma;
 use super::*;
-use crate::config::SmConfig;
+use crate::config::{lat, SmConfig};
 use crate::ports::{MemRequest, ReqKind};
 use crate::tests::{BoundedMem, TestMem};
 use crate::warp::FULL_MASK;
@@ -113,7 +113,7 @@ fn kernel(build: impl FnOnce(&mut KernelBuilder)) -> Kernel {
 
 #[test]
 fn memo_follows_the_issue_of_an_alu_op() {
-    let int = SmConfig::default().lat.int;
+    let int = lat::INT;
     let mut rig = Rig::new(
         vec![kernel(|b| {
             let (x, y) = (b.reg(), b.reg());
@@ -142,7 +142,7 @@ fn memo_follows_the_issue_of_an_alu_op() {
 
 #[test]
 fn memo_follows_the_issue_of_a_branch() {
-    let branch = SmConfig::default().lat.branch;
+    let branch = lat::BRANCH;
     let mut rig = Rig::new(
         vec![kernel(|b| {
             let p = b.cmp_s(CmpOp::Eq, Operand::imm(0), Operand::imm(0));

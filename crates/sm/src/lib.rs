@@ -43,7 +43,7 @@ pub use crate::ports::{
     CompletedCta, DeviceLaunch, MemOp, MemRequest, ReqKind, SmPorts, TickOutput,
 };
 pub use coalesce::coalesce_lines;
-pub use config::{LatencyConfig, SchedPolicy, SmConfig};
+pub use config::{SchedPolicy, SmConfig, CONST_CACHE, TEX_CACHE};
 pub use pc::{PcCounters, PcTable};
 pub use stats::{SmField, SmStats, StallBreakdown, StallReason};
 

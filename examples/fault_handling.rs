@@ -36,7 +36,6 @@ fn main() {
 
     let mut config = GpuConfig::test_small();
     config.trace = true;
-    let clock_ghz = config.clock_ghz;
     let mut gpu = Gpu::new(program, config);
     let buf = gpu.malloc(64 * 8);
 
@@ -114,7 +113,7 @@ fn main() {
         ("oob-fault".to_string(), fault_log.as_slice()),
         ("watchdog-deadlock".to_string(), deadlock_log.as_slice()),
     ];
-    let doc = chrome_trace_json(&logs, clock_ghz);
+    let doc = chrome_trace_json(&logs);
     std::fs::create_dir_all("results").expect("create results/");
     let path = "results/fault_trace.json";
     std::fs::write(path, doc).expect("write trace");

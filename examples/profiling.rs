@@ -119,7 +119,7 @@ fn main() {
         .iter()
         .map(|(label, p)| (label.clone(), p.events.as_slice()))
         .collect();
-    let trace_doc = chrome_trace_json(&logs, config.clock_ghz);
+    let trace_doc = chrome_trace_json(&logs);
     Json::parse(&trace_doc).expect("profiling_trace.json must be well-formed");
     std::fs::write("results/profiling_trace.json", &trace_doc).expect("write trace");
     println!(

@@ -258,10 +258,7 @@ fn chrome_trace_is_well_formed() {
     let r = bench.run(&config, true);
     assert!(r.verified);
     let profile = r.profile.expect("profiling enabled");
-    let doc = chrome_trace_json(
-        &[("SW-CDP".to_string(), profile.events.as_slice())],
-        config.clock_ghz,
-    );
+    let doc = chrome_trace_json(&[("SW-CDP".to_string(), profile.events.as_slice())]);
     let parsed = Json::parse(&doc).expect("Chrome trace parses");
     let events = parsed
         .get("traceEvents")

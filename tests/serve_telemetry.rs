@@ -300,7 +300,7 @@ fn sim_node_and_serve_traces_share_one_envelope() {
             .expect("launch");
     }
     node.sync_all();
-    let sim = chrome_trace_json(&[("gpu".to_string(), node.device(0).trace_events())], 1.5);
+    let sim = chrome_trace_json(&[("gpu".to_string(), node.device(0).trace_events())]);
     let serve = run_soak(7004, 24, 6).chrome_trace();
 
     for (producer, doc, instant_scope) in [

@@ -86,20 +86,19 @@ fn the_engine_thread_count_names_are_inert() {
 
 #[test]
 fn benchmarks_respond_to_memory_latency() {
-    // A sanity check on the timing model: making DRAM dramatically slower
-    // must not speed anything up.
+    // A sanity check on the timing model: making the path to L2 and DRAM
+    // dramatically slower (every request and reply crosses two routers,
+    // each now 100 cycles deep) must cost cycles.
     let base = test_config();
     let mut slow = test_config();
-    slow.dram.t_cl = 200;
-    slow.dram.t_rcd = 200;
-    slow.dram.t_rp = 200;
+    slow.icnt.router_delay = 100;
     let b = ggpu_kernels::benchmark(Scale::Tiny, "NvB").expect("NvB exists");
     let fast = b.run(&base, false);
     let slowr = b.run(&slow, false);
     assert!(fast.verified && slowr.verified);
     assert!(
         slowr.kernel_cycles > fast.kernel_cycles,
-        "slower DRAM must cost cycles ({} vs {})",
+        "a slower memory path must cost cycles ({} vs {})",
         slowr.kernel_cycles,
         fast.kernel_cycles
     );
