@@ -8,8 +8,7 @@
 //! slowest requests with the device events causally tied to each.
 //!
 //! ```text
-//! ggpu-stat [SCENARIO] [--jobs N] [--wave N] [--seed S] [--top N]
-//!           [--trace] [--tag NAME]
+//! ggpu-stat [SCENARIO] [--jobs N] [--seed S] [--trace] [--tag NAME]
 //! scenarios: steady    well-provisioned queue, no faults (default)
 //!            overload  burst arrivals into a shallow queue (backpressure)
 //!            faults    the soak fault plan: dropped PCIe transfer +
@@ -56,16 +55,18 @@ impl Scenario {
     }
 }
 
-const USAGE: &str = "usage: ggpu-stat [steady|overload|faults] [--jobs N] [--wave N] [--seed S]\n\
-    \u{20}                [--top N] [--trace] [--tag NAME]";
+const USAGE: &str =
+    "usage: ggpu-stat [steady|overload|faults] [--jobs N] [--seed S] [--trace] [--tag NAME]";
+/// Arrivals offered before each scheduling round.
+const WAVE: usize = 6;
+/// Rows in the slowest-requests table.
+const TOP: usize = 5;
 
 fn main() {
     let mut args = Args::from_env(USAGE);
     let mut scenario = Scenario::Steady;
     let mut jobs = 48usize;
-    let mut wave = 6usize;
     let mut seed = 42u64;
-    let mut top = 5usize;
     let mut trace = false;
     let mut tag: Option<String> = None;
     while let Some(a) = args.next() {
@@ -74,21 +75,19 @@ fn main() {
             "overload" => scenario = Scenario::Overload,
             "faults" => scenario = Scenario::Faults,
             "--jobs" => jobs = args.value(cli::positive),
-            "--wave" => wave = args.value(cli::positive),
             "--seed" => seed = args.value(|s| s.parse().ok()),
-            "--top" => top = args.value(cli::positive),
             "--trace" => trace = true,
             "--tag" => tag = Some(args.value(cli::name)),
             _ => args.usage(),
         }
     }
 
-    let report = run_scenario(scenario, seed, jobs, wave);
+    let report = run_scenario(scenario, seed, jobs);
     println!(
         "ggpu-stat: scenario={} jobs={} wave={} seed={} clock={}GHz\n",
         scenario.tag(),
         jobs,
-        wave,
+        WAVE,
         seed,
         CLOCK_GHZ
     );
@@ -96,8 +95,8 @@ fn main() {
     let latency = latency_table(tag, &report);
     print_metrics(&report);
     println!("== latency (cycles)\n{}", latency.text());
-    print_slowest(&report, top);
-    write_outputs(tag, seed, jobs, wave, &report, &latency, trace);
+    print_slowest(&report);
+    write_outputs(tag, seed, jobs, &report, &latency, trace);
     let violations = verify_invariants(&report);
     if !violations.is_empty() {
         for v in &violations {
@@ -194,7 +193,7 @@ fn scenario_config(scenario: Scenario, genome: &[u8]) -> ServeConfig {
 /// Submissions the bounded queue refuses are re-offered next round — the
 /// rejection still lands in the metrics, which is the point of the
 /// overload scenario.
-fn run_scenario(scenario: Scenario, seed: u64, jobs: usize, wave: usize) -> ServeReport {
+fn run_scenario(scenario: Scenario, seed: u64, jobs: usize) -> ServeReport {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let genome = random_genome(GENOME_LEN, &mut rng).codes().to_vec();
     let mut svc = Service::new(scenario_config(scenario, &genome)).expect("build service");
@@ -205,7 +204,7 @@ fn run_scenario(scenario: Scenario, seed: u64, jobs: usize, wave: usize) -> Serv
     let mut submitted = 0u32;
     let mut rounds = 0u64;
     while !pending.is_empty() {
-        for _ in 0..wave {
+        for _ in 0..WAVE {
             let Some(kind) = pending.pop_front() else {
                 break;
             };
@@ -299,10 +298,10 @@ fn latency_table(tag: &str, r: &ServeReport) -> Table {
     )
 }
 
-fn print_slowest(r: &ServeReport, top: usize) {
-    println!("== top {top} slowest requests");
+fn print_slowest(r: &ServeReport) {
+    println!("== top {TOP} slowest requests");
     let rows: Vec<Vec<String>> = r
-        .slowest(top)
+        .slowest(TOP)
         .iter()
         .map(|t| {
             vec![
@@ -337,7 +336,7 @@ fn print_slowest(r: &ServeReport, top: usize) {
     );
     // The causal device slice for each: what the device did on this
     // request's grids/streams while it was alive.
-    for t in r.slowest(top) {
+    for t in r.slowest(TOP) {
         let causal = r.causal_device_events(t);
         let summary: Vec<String> = causal
             .iter()
@@ -362,20 +361,12 @@ fn print_slowest(r: &ServeReport, top: usize) {
 
 // ---- exports ---------------------------------------------------------------
 
-fn write_outputs(
-    tag: &str,
-    seed: u64,
-    jobs: usize,
-    wave: usize,
-    r: &ServeReport,
-    latency: &Table,
-    trace: bool,
-) {
+fn write_outputs(tag: &str, seed: u64, jobs: usize, r: &ServeReport, latency: &Table, trace: bool) {
     let doc = JsonWriter::object(|w| {
         w.str("scenario", tag)
             .u64("seed", seed)
             .u64("jobs", jobs as u64)
-            .u64("wave", wave as u64)
+            .u64("wave", WAVE as u64)
             .raw("report", &r.to_json());
     });
     write_json_doc(&format!("serve_{tag}"), &doc);

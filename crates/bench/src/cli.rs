@@ -48,7 +48,7 @@ impl Iterator for Args {
     }
 }
 
-/// A count of at least one (`--jobs`, `--wave`, `--top`, `--limit`).
+/// A count of at least one (`--jobs`, `--top`, `--limit`).
 pub fn positive(s: &str) -> Option<usize> {
     s.parse().ok().filter(|&n| n >= 1)
 }

@@ -36,17 +36,16 @@ pub enum JobKind {
     /// Exact FM-index mapping of `read` against the service's reference
     /// genome; returns the best `(match_count, position)` candidate.
     FmMap {
-        /// Read codes; length must equal the service's configured FM read
-        /// length.
+        /// Read codes, [`crate::FM_READ_LEN`] of them.
         read: Vec<u8>,
     },
     /// Pair-HMM forward likelihood of `read`/`quals` against `hap`.
     PairHmm {
-        /// Read codes (configured read length).
+        /// Read codes, [`crate::PHMM_READ_LEN`] of them.
         read: Vec<u8>,
         /// Phred quality per read base (same length as `read`).
         quals: Vec<u8>,
-        /// Haplotype codes (configured haplotype length).
+        /// Haplotype codes, [`crate::PHMM_HAP_LEN`] of them.
         hap: Vec<u8>,
     },
 }

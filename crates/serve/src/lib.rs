@@ -68,12 +68,23 @@ pub use telemetry::{
 
 use ggpu_sim::GpuConfig;
 
+/// Pairwise stride buckets (bases), ascending. A pair is served by the
+/// smallest bucket that fits it; longer pairs are [`AdmitError::TooLarge`].
+pub const PAIRWISE_BUCKETS: [u32; 2] = [32, 64];
+/// The FM read length (bases) every FM mapping job has.
+pub const FM_READ_LEN: u32 = 16;
+/// The Pair-HMM read length (bases) every Pair-HMM job has.
+pub const PHMM_READ_LEN: u32 = 10;
+/// The Pair-HMM haplotype length (bases) every Pair-HMM job has.
+pub const PHMM_HAP_LEN: u32 = 14;
+
 /// Static configuration of a [`Service`].
 ///
-/// Kernel shapes are compile-time properties of the service: pairwise
-/// length buckets, the FM read length, and the Pair-HMM pair geometry are
-/// all fixed at [`Service::new`], and jobs that fit no configured shape
-/// are refused at admission with a typed error.
+/// Kernel shapes are compile-time properties of the service: the pairwise
+/// length buckets ([`PAIRWISE_BUCKETS`]), the FM read length
+/// ([`FM_READ_LEN`]) and the Pair-HMM pair geometry ([`PHMM_READ_LEN`],
+/// [`PHMM_HAP_LEN`]) are constants, and jobs that fit no shape are refused
+/// at admission with a typed error. The service drives one device.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Base device configuration. The service forces the knobs it depends
@@ -81,52 +92,31 @@ pub struct ServeConfig {
     /// also keeps the per-grid records its report joins against)
     /// regardless of what this says.
     pub gpu: GpuConfig,
-    /// Devices in the node the service drives (each a full `gpu` clone;
-    /// `0` is treated as `1`). Workers round-robin over devices, so the
-    /// same submission stream shards across the node; the FM reference is
-    /// uploaded once and broadcast to peer devices over the inter-GPU
-    /// fabric.
-    pub n_devices: usize,
-    /// Concurrent workers (one stream + slab set each, pinned to device
-    /// `worker % n_devices`).
+    /// Concurrent workers (one stream + slab set each); at least one.
     pub workers: usize,
     /// Admission queue bound; beyond it submissions shed or are refused.
     pub queue_capacity: usize,
     /// Maximum admitted-but-unfinished jobs per tenant.
     pub tenant_quota: usize,
-    /// Maximum jobs fused into one grid.
+    /// Maximum jobs fused into one grid; at least one.
     pub max_batch: usize,
-    /// Pairwise stride buckets (bases). A pair is served by the smallest
-    /// bucket that fits it; longer pairs are [`AdmitError::TooLarge`].
-    pub pairwise_buckets: Vec<u32>,
     /// Reference genome (2-bit codes) for FM mapping; empty disables the
     /// FM pipeline.
     pub fm_genome: Vec<u8>,
-    /// Fixed FM read length (bases).
-    pub fm_read_len: u32,
-    /// Fixed Pair-HMM read length; 0 disables the pipeline.
-    pub phmm_read_len: u32,
-    /// Fixed Pair-HMM haplotype length (must be >= the read length).
-    pub phmm_hap_len: u32,
 }
 
 impl ServeConfig {
-    /// A small configuration for tests: two workers, modest buckets, and
+    /// A small configuration for tests: two workers, batches of eight, and
     /// the fast unit-test device. FM serving stays disabled until a
     /// genome is supplied.
     pub fn test_small() -> Self {
         ServeConfig {
             gpu: GpuConfig::test_small(),
-            n_devices: 1,
             workers: 2,
             queue_capacity: 32,
             tenant_quota: 24,
             max_batch: 8,
-            pairwise_buckets: vec![32, 64],
             fm_genome: Vec::new(),
-            fm_read_len: 16,
-            phmm_read_len: 10,
-            phmm_hap_len: 14,
         }
     }
 }

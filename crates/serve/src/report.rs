@@ -5,10 +5,10 @@
 //!
 //! The Chrome trace renders one Perfetto process per participant on one
 //! cycle timeline: pid 0 holds the host rows (an admission-queue-depth
-//! counter track, one row per worker, one row per tenant) and pid
-//! `1 + d` holds device `d`'s rows (one row per stream built from
-//! [`ggpu_sim::KernelRecord`]s, plus PCIe/P2P transfers and
-//! fault/watchdog instants from the stream-annotated device trace). Host
+//! counter track, one row per worker, one row per tenant) and pid 1
+//! holds the device's rows (one row per stream built from
+//! [`ggpu_sim::KernelRecord`]s, plus PCIe transfers and fault/watchdog
+//! instants from the stream-annotated device trace). Host
 //! events carry the grid handle and [`ggpu_sim::StreamId`], so a slow
 //! request can be followed from admission through queue wait, batch
 //! formation, stream launch, and the device kernel's start/retire —
@@ -18,8 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ggpu_sim::json::{quoted, JsonWriter};
 use ggpu_sim::{
-    grid_device, ChromeTrace, InstantScope, KernelRecord, Log, TraceEvent, TraceEventKind,
-    CLOCK_GHZ,
+    ChromeTrace, InstantScope, KernelRecord, Log, TraceEvent, TraceEventKind, CLOCK_GHZ,
 };
 
 use crate::histogram::{Histogram, LatencyStats};
@@ -52,18 +51,10 @@ pub struct ServeReport {
     pub trails: Vec<JobTrail>,
     /// Admitted jobs not yet terminal when the report was taken.
     pub in_flight: u64,
-    /// One log per device, in device-index order.
-    pub devices: Vec<DeviceLog>,
-}
-
-/// One device's observability slice of a [`ServeReport`].
-#[derive(Debug)]
-pub struct DeviceLog {
     /// The device's stream-annotated event trace.
-    pub events: Vec<TraceEvent>,
-    /// Per-grid records (the join target of launch events); grid handles
-    /// encode the device ([`ggpu_sim::grid_device`]).
-    pub records: Vec<KernelRecord>,
+    pub device_events: Vec<TraceEvent>,
+    /// The device's per-grid records (the join target of launch events).
+    pub device_records: Vec<KernelRecord>,
 }
 
 impl ServeReport {
@@ -75,7 +66,8 @@ impl ServeReport {
         spans: Vec<BatchSpan>,
         trails: Vec<JobTrail>,
         in_flight: u64,
-        devices: Vec<DeviceLog>,
+        device_events: Vec<TraceEvent>,
+        device_records: Vec<KernelRecord>,
     ) -> Self {
         let mut global = LatencyStats::default();
         let mut per_tenant = BTreeMap::new();
@@ -130,7 +122,8 @@ impl ServeReport {
             spans,
             trails,
             in_flight,
-            devices,
+            device_events,
+            device_records,
         }
     }
 
@@ -143,34 +136,15 @@ impl ServeReport {
         sorted
     }
 
-    /// Every device's trace events, flattened in device-index order.
-    pub fn device_events(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.devices.iter().flat_map(|d| d.events.iter())
-    }
-
-    /// Every device's kernel records, flattened in device-index order.
-    pub fn device_records(&self) -> impl Iterator<Item = &KernelRecord> + '_ {
-        self.devices.iter().flat_map(|d| d.records.iter())
-    }
-
     /// Device events causally tied to a trail: events whose grid handle
-    /// matches one of the trail's launches (grid handles are node-unique),
-    /// or whose stream matches one of the trail's streams *on the same
-    /// device* within the trail's lifetime window — stream ids repeat
-    /// across devices, so stream matches are scoped to the devices the
-    /// trail actually launched on.
+    /// matches one of the trail's launches, or whose stream matches one of
+    /// the trail's streams within the trail's lifetime window.
     pub fn causal_device_events(&self, trail: &JobTrail) -> Vec<&TraceEvent> {
         let grids: BTreeSet<u64> = trail.grids.iter().map(|g| g.grid).collect();
-        let streams: BTreeSet<(usize, usize)> = trail
-            .grids
+        let streams: BTreeSet<usize> = trail.grids.iter().map(|g| g.stream).collect();
+        self.device_events
             .iter()
-            .map(|g| (grid_device(g.grid), g.stream))
-            .collect();
-        self.devices
-            .iter()
-            .enumerate()
-            .flat_map(|(d, log)| log.events.iter().map(move |ev| (d, ev)))
-            .filter(|(d, ev)| {
+            .filter(|ev| {
                 let (grid, stream) = match &ev.kind {
                     TraceEventKind::KernelLaunch { grid, stream, .. }
                     | TraceEventKind::CdpEnqueue { grid, stream, .. }
@@ -183,12 +157,11 @@ impl ServeReport {
                 if let Some(g) = grid {
                     grids.contains(&g)
                 } else {
-                    streams.contains(&(*d, stream))
+                    streams.contains(&stream)
                         && ev.cycle >= trail.submit_cycle
                         && ev.cycle <= trail.complete_cycle
                 }
             })
-            .map(|(_, ev)| ev)
             .collect()
     }
 
@@ -221,8 +194,14 @@ impl ServeReport {
             w.arr_raw("events", self.events.iter().map(|ev| ev.to_json()));
             w.arr_raw("batches", self.spans.iter().map(|span| span.to_json()));
             w.arr_raw("requests", self.trails.iter().map(trail_json));
-            w.arr_raw("device_events", self.device_events().map(|ev| ev.to_json()));
-            w.arr_raw("kernels", self.device_records().map(|r| r.to_json()));
+            w.arr_raw(
+                "device_events",
+                self.device_events.iter().map(TraceEvent::to_json),
+            );
+            w.arr_raw(
+                "kernels",
+                self.device_records.iter().map(KernelRecord::to_json),
+            );
         })
     }
 
@@ -232,17 +211,14 @@ impl ServeReport {
         let mut tr = ChromeTrace::new(InstantScope::Thread);
 
         const HOST: usize = 0;
-        // Device `d` renders as pid DEV0 + d.
-        const DEV0: usize = 1;
+        const DEVICE: usize = 1;
         const TID_QUEUE: u64 = 0;
         const TID_WORKER0: u64 = 1;
         const TID_TENANT0: u64 = 100;
 
         tr.process_name(HOST, "ggpu-serve host");
-        for d in 0..self.devices.len() {
-            tr.process_name(DEV0 + d, &format!("device {d}"));
-            tr.thread_name(DEV0 + d, 0, "transfers (pcie/p2p)");
-        }
+        tr.process_name(DEVICE, "device 0");
+        tr.thread_name(DEVICE, 0, "transfers (pcie/p2p)");
         tr.thread_name(HOST, TID_QUEUE, "admission queue");
 
         // --- host: queue-depth counter track -------------------------------
@@ -377,72 +353,69 @@ impl ServeReport {
             tr.thread_name(HOST, TID_TENANT0 + *t as u64, &format!("tenant {t}"));
         }
 
-        // --- devices: one pid per device, one row per stream ----------------
-        for (d, log) in self.devices.iter().enumerate() {
-            let pid = DEV0 + d;
-            let mut streams: BTreeSet<usize> = BTreeSet::new();
-            for r in &log.records {
-                streams.insert(r.stream);
-                tr.slice(
-                    pid,
-                    1 + r.stream as u64,
-                    &format!("{} #{}", r.kernel, r.grid),
-                    r.start_cycle,
-                    r.retire_cycle.saturating_sub(r.start_cycle),
-                    &[
-                        ("grid", r.grid.to_string()),
-                        ("kernel", quoted(&r.kernel)),
-                        ("stream", r.stream.to_string()),
-                        ("ctas", r.ctas.to_string()),
-                        ("launch_cycle", r.launch_cycle.to_string()),
-                        ("retire_cycle", r.retire_cycle.to_string()),
-                    ],
-                );
-            }
-            // Faults, watchdog fires, and PCIe/P2P transfers from the trace.
-            for e in &log.events {
-                match &e.kind {
-                    TraceEventKind::Memcpy { dir, bytes, cycles } => tr.slice(
-                        pid,
-                        0,
-                        &format!("memcpy_{dir}"),
+        // --- device: one row per stream -----------------------------------
+        let mut streams: BTreeSet<usize> = BTreeSet::new();
+        for r in &self.device_records {
+            streams.insert(r.stream);
+            tr.slice(
+                DEVICE,
+                1 + r.stream as u64,
+                &format!("{} #{}", r.kernel, r.grid),
+                r.start_cycle,
+                r.retire_cycle.saturating_sub(r.start_cycle),
+                &[
+                    ("grid", r.grid.to_string()),
+                    ("kernel", quoted(&r.kernel)),
+                    ("stream", r.stream.to_string()),
+                    ("ctas", r.ctas.to_string()),
+                    ("launch_cycle", r.launch_cycle.to_string()),
+                    ("retire_cycle", r.retire_cycle.to_string()),
+                ],
+            );
+        }
+        // Faults, watchdog fires, and PCIe transfers from the trace.
+        for e in &self.device_events {
+            match &e.kind {
+                TraceEventKind::Memcpy { dir, bytes, cycles } => tr.slice(
+                    DEVICE,
+                    0,
+                    &format!("memcpy_{dir}"),
+                    e.cycle,
+                    *cycles,
+                    &[("bytes", bytes.to_string())],
+                ),
+                TraceEventKind::Fault {
+                    kind,
+                    kernel,
+                    stream,
+                } => {
+                    streams.insert(*stream);
+                    tr.instant(
+                        DEVICE,
+                        1 + *stream as u64,
+                        &format!("FAULT: {kind}"),
                         e.cycle,
-                        *cycles,
-                        &[("bytes", bytes.to_string())],
-                    ),
-                    TraceEventKind::Fault {
-                        kind,
-                        kernel,
-                        stream,
-                    } => {
-                        streams.insert(*stream);
-                        tr.instant(
-                            pid,
-                            1 + *stream as u64,
-                            &format!("FAULT: {kind}"),
-                            e.cycle,
-                            &[("kernel", quoted(kernel)), ("stream", stream.to_string())],
-                        );
-                    }
-                    TraceEventKind::Deadlock {
-                        stalled_for,
-                        stream,
-                    } => {
-                        streams.insert(*stream);
-                        tr.instant(
-                            pid,
-                            1 + *stream as u64,
-                            "DEADLOCK (watchdog)",
-                            e.cycle,
-                            &[("stalled_for", stalled_for.to_string())],
-                        );
-                    }
-                    _ => {}
+                        &[("kernel", quoted(kernel)), ("stream", stream.to_string())],
+                    );
                 }
+                TraceEventKind::Deadlock {
+                    stalled_for,
+                    stream,
+                } => {
+                    streams.insert(*stream);
+                    tr.instant(
+                        DEVICE,
+                        1 + *stream as u64,
+                        "DEADLOCK (watchdog)",
+                        e.cycle,
+                        &[("stalled_for", stalled_for.to_string())],
+                    );
+                }
+                _ => {}
             }
-            for s in &streams {
-                tr.thread_name(pid, 1 + *s as u64, &format!("stream {s}"));
-            }
+        }
+        for s in &streams {
+            tr.thread_name(DEVICE, 1 + *s as u64, &format!("stream {s}"));
         }
 
         tr.finish()

@@ -10,17 +10,17 @@ use ggpu_kernels::pairhmm::{
     build_pairhmm_kernel, log_likelihood, phred_const_data, PairHmmKernelCfg,
 };
 use ggpu_kernels::served;
-use ggpu_sim::{DevicePtr, Gpu, GpuNode, LaunchOptions, NodeConfig, SimError, StreamId};
+use ggpu_sim::{DevicePtr, Gpu, KernelRecord, LaunchOptions, SimError, StreamId};
 
 use crate::batch::Batch;
 use crate::error::{AdmitError, ServiceDead};
 use crate::job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, Priority, Tenant};
 use crate::metrics::ServeMetrics;
 use crate::queue::{AdmissionQueue, QueuedJob};
-use crate::report::{DeviceLog, ServeReport};
+use crate::report::ServeReport;
 use crate::shape::{shape_of, ShapeKey};
 use crate::telemetry::{OutcomeTag, RejectReason, ServeTelemetry};
-use crate::ServeConfig;
+use crate::{ServeConfig, FM_READ_LEN, PAIRWISE_BUCKETS, PHMM_HAP_LEN, PHMM_READ_LEN};
 
 /// Launch attempts per batch before it splits (deadline overruns split
 /// immediately — rerunning identical work in a deterministic simulator
@@ -38,13 +38,12 @@ const TELEMETRY_EVENTS: usize = 1 << 16;
 const SW_TPC_CAP: u32 = 64;
 const PHMM_TPC_CAP: u32 = 32;
 
-/// One worker: a device, a stream on it, and private input/output slabs.
+/// One worker: a stream on the device and private input/output slabs.
 /// Slabs are allocated eagerly at build time and recycled across every
 /// batch and shape, so the request path never allocates device memory —
 /// overload surfaces as a typed admission error, not as OOM mid-flight.
 #[derive(Clone, Copy)]
 struct Worker {
-    device: usize,
     stream: StreamId,
     /// Input slabs, in the order the shape's pipeline lays them out.
     slabs: [DevicePtr; 3],
@@ -54,15 +53,15 @@ struct Worker {
 /// The alignment service. See the crate docs for the architecture.
 pub struct Service {
     cfg: ServeConfig,
-    node: GpuNode,
+    gpu: Gpu,
     /// One compiled pairwise kernel per length bucket (`max_len`).
     dp: Vec<(DpKernelCfg, KernelId)>,
-    /// The FM kernel and each device's copy of the reference tables
-    /// (uploaded once at build, shared read-only by every stream); `None`
-    /// when FM serving is disabled.
-    fm: Option<(KernelId, Vec<FmDevice>)>,
-    /// The Pair-HMM kernel; `None` when disabled.
-    ph: Option<(PairHmmKernelCfg, KernelId)>,
+    /// The FM kernel and the device's reference tables (uploaded once at
+    /// build, shared read-only by every stream); `None` when FM serving is
+    /// disabled.
+    fm: Option<(KernelId, FmDevice)>,
+    /// The Pair-HMM kernel.
+    ph: (PairHmmKernelCfg, KernelId),
     workers: Vec<Worker>,
     queue: AdmissionQueue,
     parked: Vec<Batch>,
@@ -79,10 +78,19 @@ impl Service {
     /// Build the service: compile every configured kernel shape, upload
     /// the FM reference, create one stream and one slab set per worker.
     /// Every device byte the request path will ever touch is allocated
-    /// here. A device configuration that fails `GpuConfig::validate` (with
-    /// the service's own knobs forced) is returned as
-    /// [`SimError::InvalidConfig`] before anything is built.
+    /// here. Zero `workers` or `max_batch`, or a device configuration that
+    /// fails `GpuConfig::validate` (with the service's own knobs forced),
+    /// is returned as [`SimError::InvalidConfig`].
     pub fn new(cfg: ServeConfig) -> Result<Self, SimError> {
+        let zero = [("workers", cfg.workers), ("max_batch", cfg.max_batch)]
+            .into_iter()
+            .find_map(|(field, v)| (v == 0).then_some(field));
+        if let Some(field) = zero {
+            return Err(SimError::InvalidConfig {
+                field,
+                why: "a service needs at least one worker and one job per batch".into(),
+            });
+        }
         let mut gcfg = cfg.gpu.clone();
         // The service owns the isolation contract: per-stream fault
         // scoping and canonical kernel boundaries are not optional here.
@@ -94,14 +102,12 @@ impl Service {
         // against the per-grid records the trace switch keeps; the event
         // log is bounded, so this is a memory cap, not a correctness knob.
         gcfg.trace = true;
-        gcfg.validate()?;
         let smem = gcfg.sm.smem_bytes;
 
         let mut program = Program::new();
-        let dp: Vec<(DpKernelCfg, KernelId)> = cfg
-            .pairwise_buckets
-            .iter()
-            .map(|&bucket| {
+        let dp: Vec<(DpKernelCfg, KernelId)> = PAIRWISE_BUCKETS
+            .into_iter()
+            .map(|bucket| {
                 let kcfg = served::sw_cfg(bucket, smem, SW_TPC_CAP);
                 let name = format!("serve-sw-{bucket}");
                 (kcfg, program.add(build_dp_kernel(&name, &kcfg)))
@@ -109,56 +115,44 @@ impl Service {
             .collect();
         let fm_kernel =
             (!cfg.fm_genome.is_empty()).then(|| program.add(build_fm_search_kernel("serve-fm")));
-        let ph = (cfg.phmm_read_len > 0 && cfg.phmm_hap_len >= cfg.phmm_read_len).then(|| {
-            let kcfg = served::pairhmm_cfg(cfg.phmm_read_len, cfg.phmm_hap_len, smem, PHMM_TPC_CAP);
-            (
-                kcfg,
-                program.add(build_pairhmm_kernel("serve-pairhmm", &kcfg)),
-            )
-        });
+        let ph_cfg = served::pairhmm_cfg(PHMM_READ_LEN, PHMM_HAP_LEN, smem, PHMM_TPC_CAP);
+        let ph = (
+            ph_cfg,
+            program.add(build_pairhmm_kernel("serve-pairhmm", &ph_cfg)),
+        );
 
-        let n_devices = cfg.n_devices.max(1);
-        let mut node = GpuNode::new(program, NodeConfig::new(n_devices, gcfg));
-        for d in 0..n_devices {
-            let dev = node.device_mut(d);
-            for (kcfg, kernel) in &dp {
-                dev.bind_constants(*kernel, scoring_const_data(kcfg));
-            }
-            if let Some((_, kernel)) = ph {
-                dev.bind_constants(kernel, phred_const_data());
-            }
+        let mut gpu = Gpu::try_new(program, gcfg)?;
+        for (kcfg, kernel) in &dp {
+            gpu.bind_constants(*kernel, scoring_const_data(kcfg));
         }
+        gpu.bind_constants(ph.1, phred_const_data());
         let fm = match fm_kernel {
             Some(kernel) => {
                 let tables = FmTables::build(&cfg.fm_genome);
-                Some((kernel, tables.upload_to_node(&mut node, kernel)?))
+                let resident = tables.upload(&mut gpu)?;
+                gpu.bind_constants(kernel, tables.const_data());
+                Some((kernel, resident))
             }
             None => None,
         };
 
         // Slab sizing: the maximum any shape needs for a full batch.
-        let nb = cfg.max_batch.max(1) as u64;
-        let lmax = cfg.pairwise_buckets.iter().copied().max().unwrap_or(0) as u64;
-        let a_bytes = (nb * lmax)
-            .max(nb * cfg.fm_read_len as u64)
-            .max(nb * cfg.phmm_read_len as u64)
-            .max(1);
-        let b_bytes = (nb * lmax).max(nb * cfg.phmm_read_len as u64).max(1);
-        let c_bytes = (nb * 4).max(nb * cfg.phmm_hap_len as u64).max(1);
+        let nb = cfg.max_batch as u64;
+        let lmax = PAIRWISE_BUCKETS[PAIRWISE_BUCKETS.len() - 1] as u64;
+        let a_bytes = nb * lmax.max(FM_READ_LEN as u64).max(PHMM_READ_LEN as u64);
+        let b_bytes = nb * lmax.max(PHMM_READ_LEN as u64);
+        let c_bytes = nb * PHMM_HAP_LEN.max(4) as u64;
         let mut workers = Vec::new();
         let mut metrics = ServeMetrics::default();
-        for w in 0..cfg.workers.max(1) {
-            let device = w % n_devices;
-            let dev = node.device_mut(device);
+        for _ in 0..cfg.workers {
             workers.push(Worker {
-                device,
-                stream: dev.create_stream(),
+                stream: gpu.create_stream(),
                 slabs: [
-                    dev.try_malloc(a_bytes)?,
-                    dev.try_malloc(b_bytes)?,
-                    dev.try_malloc(c_bytes)?,
+                    gpu.try_malloc(a_bytes)?,
+                    gpu.try_malloc(b_bytes)?,
+                    gpu.try_malloc(c_bytes)?,
                 ],
-                out: dev.try_malloc(nb * 8)?,
+                out: gpu.try_malloc(nb * 8)?,
             });
             metrics.streams_created += 1;
         }
@@ -166,7 +160,7 @@ impl Service {
         let telemetry = ServeTelemetry::new(TELEMETRY_EVENTS);
         Ok(Service {
             cfg,
-            node,
+            gpu,
             dp,
             fm,
             ph,
@@ -183,11 +177,10 @@ impl Service {
         })
     }
 
-    /// The host-side clock: the furthest-ahead device cycle counter.
-    /// Deterministic (device clocks are) and monotone, so telemetry
-    /// timestamps order consistently across devices.
+    /// The host-side clock: the device cycle counter. Deterministic and
+    /// monotone, so telemetry timestamps order consistently.
     fn now(&self) -> u64 {
-        self.node.devices().map(Gpu::cycle).max().unwrap_or(0)
+        self.gpu.cycle()
     }
 
     /// Submit one job. Admission is synchronous and typed: the job is
@@ -237,9 +230,9 @@ impl Service {
                     self.metrics.rejected_overload += 1;
                     self.telemetry
                         .on_reject(cycle, tenant, RejectReason::Overload);
-                    let per_round = (self.workers.len() * self.cfg.max_batch.max(1)) as u64;
+                    let per_round = (self.workers.len() * self.cfg.max_batch) as u64;
                     return Err(AdmitError::Overloaded {
-                        retry_after_rounds: (self.queue.len() as u64 / per_round.max(1)).max(1),
+                        retry_after_rounds: (self.queue.len() as u64 / per_round).max(1),
                     });
                 }
             }
@@ -284,7 +277,7 @@ impl Service {
         }
         self.parked = still_parked;
         while work.len() < self.workers.len() {
-            let jobs = self.queue.take_batch(self.cfg.max_batch.max(1));
+            let jobs = self.queue.take_batch(self.cfg.max_batch);
             if jobs.is_empty() {
                 break;
             }
@@ -332,28 +325,22 @@ impl Service {
             }
         }
         if !launched.is_empty() {
-            // Streams >= 1 never poison a device: a worker fault leaves
-            // its device's result Ok and is read back per stream below.
-            // Devices simulate concurrently; results come back in
-            // device-index order.
-            for r in self.node.try_sync_all() {
-                r.map_err(|e| ServiceDead {
-                    error: e.to_string(),
-                })?;
-            }
+            // Streams >= 1 never poison the device: a worker fault leaves
+            // the result Ok and is read back per stream below.
+            self.gpu.try_synchronize().map_err(|e| ServiceDead {
+                error: e.to_string(),
+            })?;
         }
         for (w, batch, span) in launched {
-            let (device, stream) = (self.workers[w].device, self.workers[w].stream);
-            if let Some(err) = self.node.device(device).stream_fault(stream).cloned() {
+            let stream = self.workers[w].stream;
+            if let Some(err) = self.gpu.stream_fault(stream).cloned() {
                 // Recover the stream (proves the device survives), then
-                // retire it — retries go out on a fresh stream. The fault
-                // is scoped to this device; workers on other devices never
-                // see it.
+                // retire it — retries go out on a fresh stream.
                 let cycle = self.now();
                 self.telemetry.on_span_faulted(span, cycle);
-                let _ = self.node.device_mut(device).reset_stream(stream);
+                let _ = self.gpu.reset_stream(stream);
                 self.metrics.stream_resets += 1;
-                self.workers[w].stream = self.node.device_mut(device).create_stream();
+                self.workers[w].stream = self.gpu.create_stream();
                 self.metrics.streams_created += 1;
                 self.telemetry
                     .on_stream_reset(cycle, w, stream, self.workers[w].stream);
@@ -432,52 +419,33 @@ impl Service {
         self.queue.len() + self.parked.iter().map(|b| b.jobs.len()).sum::<usize>()
     }
 
-    /// Node-total device statistics — every per-device counter merged
-    /// with [`ggpu_sim::RunStats::merge`] (for soak assertions and
-    /// dashboards). Identical to the single device's stats when
-    /// `n_devices == 1`.
+    /// Device statistics (for soak assertions and dashboards).
     pub fn stats(&self) -> ggpu_sim::RunStats {
-        self.node.stats().total()
+        self.gpu.stats()
     }
 
-    /// Device-memory allocation counts per device. Flat across rounds and
-    /// shape changes once the service is built: slabs and local-memory
-    /// arenas are recycled, never reallocated.
-    pub fn device_alloc_counts(&self) -> Vec<u64> {
-        self.node
-            .devices()
-            .map(|g| g.memory().alloc_count())
-            .collect()
+    /// Device-memory allocation count. Flat across rounds and shape
+    /// changes once the service is built: slabs and local-memory arenas
+    /// are recycled, never reallocated.
+    pub fn device_alloc_count(&self) -> u64 {
+        self.gpu.memory().alloc_count()
     }
 
-    /// Per-grid records from every device, concatenated in device-index
-    /// order (stream-stamped; grid handles encode the device).
-    pub fn kernel_records(&self) -> Vec<ggpu_sim::KernelRecord> {
-        self.node
-            .devices()
-            .flat_map(|g| g.kernel_records().iter().cloned())
-            .collect()
+    /// The device's per-grid records, stream-stamped.
+    pub fn kernel_records(&self) -> &[KernelRecord] {
+        self.gpu.kernel_records()
     }
 
     /// Snapshot everything the serving layer observed — counters, the
     /// latency histogram forest, the typed host event stream, batch
     /// spans, request trails, and the device's stream-annotated trace —
     /// as one exportable [`ServeReport`]. Spans and trails get their
-    /// device times here, from the kernel records; grid handles are
-    /// node-unique, so the join needs no device disambiguation. Taking a
-    /// report drains nothing; it can be called repeatedly.
+    /// device times here, joined to the kernel records by grid handle.
+    /// Taking a report drains nothing; it can be called repeatedly.
     pub fn report(&self) -> ServeReport {
-        let devices: Vec<DeviceLog> = self
-            .node
-            .devices()
-            .map(|g| DeviceLog {
-                events: g.trace_events().to_vec(),
-                records: g.kernel_records().to_vec(),
-            })
-            .collect();
-        let grid_times = devices
+        let grid_times = self
+            .kernel_records()
             .iter()
-            .flat_map(|d| &d.records)
             .map(|r| (r.grid, (r.start_cycle, r.retire_cycle)))
             .collect();
         let (spans, trails) = self.telemetry.joined(&grid_times);
@@ -487,7 +455,8 @@ impl Service {
             spans,
             trails,
             self.telemetry.in_flight() as u64,
-            devices,
+            self.gpu.trace_events().to_vec(),
+            self.kernel_records().to_vec(),
         )
     }
 
@@ -554,24 +523,18 @@ impl Service {
     }
 
     /// Upload a batch into worker `w`'s slabs and launch its fused grid
-    /// on the worker's stream (on the worker's device), returning the
-    /// node-unique device grid handle (the telemetry join key into kernel
-    /// records and the device trace). Any error leaves the device clean —
-    /// the grid was not enqueued.
+    /// on the worker's stream, returning the device grid handle (the
+    /// telemetry join key into kernel records and the device trace). Any
+    /// error leaves the device clean — the grid was not enqueued.
     fn upload_and_launch(&mut self, w: usize, batch: &Batch) -> Result<u64, SimError> {
         let n = batch.jobs.len() as u64;
-        let Worker {
-            device,
-            stream,
-            slabs,
-            out,
-        } = self.workers[w];
+        let Worker { stream, slabs, out } = self.workers[w];
         let opts = LaunchOptions {
             stream,
             deadline: batch.cycle_budget(),
         };
         let slab_addrs = slabs.map(|p| p.0);
-        let gpu = self.node.device_mut(device);
+        let gpu = &mut self.gpu;
         let grid = match batch.shape {
             ShapeKey::Pairwise { bucket } => {
                 let (kcfg, kernel) = self
@@ -603,20 +566,11 @@ impl Service {
                 // the slab so unmapped lanes read as "no hit" rather than
                 // the previous batch's results.
                 gpu.try_memcpy_h2d(out, &vec![0u8; (n * 8) as usize])?;
-                let (dims, words) = served::fm_launch(
-                    self.cfg.fm_read_len,
-                    slab_addrs[0],
-                    &tables[device],
-                    out.0,
-                    n,
-                );
+                let (dims, words) = served::fm_launch(FM_READ_LEN, slab_addrs[0], tables, out.0, n);
                 gpu.try_launch_on(*kernel, dims, &words, opts)?
             }
             ShapeKey::PairHmm => {
-                let (kcfg, kernel) = self
-                    .ph
-                    .as_ref()
-                    .expect("PairHMM shape admitted without pipe");
+                let (kcfg, kernel) = &self.ph;
                 let mut encoded = [Vec::new(), Vec::new(), Vec::new()];
                 for job in &batch.jobs {
                     let JobKind::PairHmm { read, quals, hap } = &job.spec.kind else {
@@ -640,9 +594,9 @@ impl Service {
     /// D2H transfer is retried once (the drop is per-transfer, not
     /// sticky) before counting as a batch failure.
     fn readback(&mut self, w: usize, batch: &Batch) -> Result<Vec<JobOutput>, SimError> {
-        let (device, out) = (self.workers[w].device, self.workers[w].out);
+        let out = self.workers[w].out;
         let bytes = batch.jobs.len() * 8;
-        let gpu = self.node.device_mut(device);
+        let gpu = &mut self.gpu;
         let raw = match gpu.try_memcpy_d2h(out, bytes) {
             Ok(raw) => raw,
             Err(SimError::MemcpyDropped { .. }) => gpu.try_memcpy_d2h(out, bytes)?,

@@ -6,13 +6,13 @@
 
 use crate::error::AdmitError;
 use crate::job::JobKind;
-use crate::ServeConfig;
+use crate::{ServeConfig, FM_READ_LEN, PAIRWISE_BUCKETS, PHMM_HAP_LEN, PHMM_READ_LEN};
 
 /// Batching key. Two jobs fuse into one grid iff their keys are equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ShapeKey {
-    /// Smith–Waterman pairs padded to `bucket` bases (a configured
-    /// power-of-two-ish stride; the kernel is compiled per bucket).
+    /// Smith–Waterman pairs padded to `bucket` bases (one of
+    /// [`crate::PAIRWISE_BUCKETS`]; the kernel is compiled per bucket).
     Pairwise {
         /// Buffer stride in bases.
         bucket: u32,
@@ -44,15 +44,12 @@ pub(crate) fn shape_of(kind: &JobKind, cfg: &ServeConfig) -> Result<ShapeKey, Ad
                     why: "empty pairwise sequences".into(),
                 });
             }
-            let bucket = cfg
-                .pairwise_buckets
-                .iter()
-                .copied()
-                .filter(|&b| len <= b as usize)
-                .min()
+            let bucket = PAIRWISE_BUCKETS
+                .into_iter()
+                .find(|&b| len <= b as usize)
                 .ok_or(AdmitError::TooLarge {
                     len,
-                    max: cfg.pairwise_buckets.iter().copied().max().unwrap_or(0) as usize,
+                    max: PAIRWISE_BUCKETS[PAIRWISE_BUCKETS.len() - 1] as usize,
                 })?;
             Ok(ShapeKey::Pairwise { bucket })
         }
@@ -62,34 +59,28 @@ pub(crate) fn shape_of(kind: &JobKind, cfg: &ServeConfig) -> Result<ShapeKey, Ad
                     why: "service built without an FM reference".into(),
                 });
             }
-            if read.len() != cfg.fm_read_len as usize {
+            if read.len() != FM_READ_LEN as usize {
                 return Err(AdmitError::UnsupportedShape {
-                    why: format!(
-                        "FM read length {} != configured {}",
-                        read.len(),
-                        cfg.fm_read_len
-                    ),
+                    why: format!("FM read length {} != configured {FM_READ_LEN}", read.len()),
                 });
             }
             Ok(ShapeKey::Fm)
         }
         JobKind::PairHmm { read, quals, hap } => {
-            if read.len() != cfg.phmm_read_len as usize || quals.len() != read.len() {
+            if read.len() != PHMM_READ_LEN as usize || quals.len() != read.len() {
                 return Err(AdmitError::UnsupportedShape {
                     why: format!(
-                        "PairHMM read/qual lengths {}/{} != configured {}",
+                        "PairHMM read/qual lengths {}/{} != configured {PHMM_READ_LEN}",
                         read.len(),
-                        quals.len(),
-                        cfg.phmm_read_len
+                        quals.len()
                     ),
                 });
             }
-            if hap.len() != cfg.phmm_hap_len as usize {
+            if hap.len() != PHMM_HAP_LEN as usize {
                 return Err(AdmitError::UnsupportedShape {
                     why: format!(
-                        "PairHMM hap length {} != configured {}",
-                        hap.len(),
-                        cfg.phmm_hap_len
+                        "PairHMM hap length {} != configured {PHMM_HAP_LEN}",
+                        hap.len()
                     ),
                 });
             }

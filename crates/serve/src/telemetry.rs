@@ -12,7 +12,7 @@
 //! The telemetry keeps only what the device does not: the host event log,
 //! the jobs' trails and the batch launches. Whatever needs a device time
 //! (a span's start and retire, a job's device-execution stage) is joined
-//! against the devices' kernel records when a report is taken.
+//! against the device's kernel records when a report is taken.
 //!
 //! Everything here is driven by deterministic cycle counts and service
 //! decisions, so the event stream, the latency histograms, and the

@@ -8,40 +8,28 @@
 //! Each consumer owns its submission loop: `ggpu-stat` re-offers refused
 //! jobs next round, `benchmark/` drops them.
 
-use ggpu_sim::GpuConfig;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::{JobKind, ServeConfig};
+use crate::{JobKind, ServeConfig, FM_READ_LEN, PHMM_HAP_LEN, PHMM_READ_LEN};
 
 /// Reference-genome length the synthetic mix maps reads against.
 pub const GENOME_LEN: usize = 600;
-/// Fixed FM-index read length of the mix (bases).
-pub(crate) const FM_READ_LEN: u32 = 16;
-/// Fixed Pair-HMM read length of the mix (bases).
-pub(crate) const PHMM_READ_LEN: u32 = 10;
-/// Fixed Pair-HMM haplotype length of the mix (bases).
-pub(crate) const PHMM_HAP_LEN: u32 = 14;
 /// Tenants the mix round-robins submissions across.
 pub const TENANTS: u32 = 4;
 
 /// The service geometry every seeded scenario and benchmark starts
 /// from: 3 workers, batches of 4, a 24-deep queue, and all three kernel
 /// pipelines enabled against `genome` (2-bit codes). Callers tweak from
-/// here (shrink the queue for overload, attach a fault plan, spread
-/// over devices).
+/// here (shrink the queue for overload, attach a fault plan).
 pub fn base_config(genome: &[u8]) -> ServeConfig {
     let mut cfg = ServeConfig::test_small();
-    cfg.gpu = GpuConfig::test_small();
     cfg.gpu.watchdog_cycles = 10_000;
     cfg.workers = 3;
     cfg.queue_capacity = 24;
     cfg.tenant_quota = 64;
     cfg.max_batch = 4;
     cfg.fm_genome = genome.to_vec();
-    cfg.fm_read_len = FM_READ_LEN;
-    cfg.phmm_read_len = PHMM_READ_LEN;
-    cfg.phmm_hap_len = PHMM_HAP_LEN;
     cfg
 }
 

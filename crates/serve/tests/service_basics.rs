@@ -64,7 +64,6 @@ fn fm_mapping_matches_cpu_oracle() {
     let genome = random_genome(600, &mut rng);
     let mut cfg = ServeConfig::test_small();
     cfg.fm_genome = genome.codes().to_vec();
-    cfg.fm_read_len = 16;
     let tables = FmTables::build(genome.codes());
     let mut svc = Service::new(cfg).expect("build service");
     let mut expected = Vec::new();
@@ -391,13 +390,13 @@ fn device_allocations_stay_flat_across_shape_changes() {
     for shape in 0..4 {
         wave(&mut svc, shape, &mut rng);
     }
-    let warm = svc.device_alloc_counts();
+    let warm = svc.device_alloc_count();
     // Keep rotating shapes: no shape change may allocate device memory.
     for round in 0..3 {
         for shape in 0..4 {
             wave(&mut svc, shape, &mut rng);
             assert_eq!(
-                svc.device_alloc_counts(),
+                svc.device_alloc_count(),
                 warm,
                 "allocation count grew in round {round} after switching to shape {shape}"
             );

@@ -79,6 +79,7 @@ pub struct GpuConfig {
     /// Forward-progress watchdog: if no SM issues an instruction and no
     /// memory-system activity is observed for this many consecutive cycles,
     /// `try_synchronize` returns a deadlock report instead of spinning.
+    /// At least one: `0` would declare every kernel deadlocked at once.
     pub watchdog_cycles: u64,
     /// Device memory capacity in bytes; `try_malloc` beyond it fails.
     pub memory_limit: u64,
@@ -222,8 +223,9 @@ impl GpuConfig {
     }
 
     /// Reject the values the simulator cannot run: each would divide by
-    /// zero, never place a CTA, never accept a DRAM request, or silently
-    /// model a line size the rest of the machine does not use. Anything
+    /// zero, never place a CTA, never accept a DRAM request, silently
+    /// model a line size the rest of the machine does not use, or fire the
+    /// watchdog before any kernel can make progress. Anything
     /// else runs, or ends in a typed launch, memory or watchdog error.
     pub fn validate(&self) -> Result<(), SimError> {
         const WAYS: &str = "a cache needs at least one way";
@@ -253,6 +255,11 @@ impl GpuConfig {
                 "icnt.flit_bytes",
                 self.icnt.flit_bytes == 0,
                 "a flit must carry at least one byte",
+            ),
+            (
+                "watchdog_cycles",
+                self.watchdog_cycles == 0,
+                "the watchdog needs at least one cycle",
             ),
         ];
         match rules.into_iter().find(|&(_, bad, _)| bad) {

@@ -273,6 +273,22 @@ mod tests {
         assert_eq!(s.l1.accesses(), 0);
     }
 
+    /// Merging one device's stats into an empty total gives the device's
+    /// stats back — `sm.cycles` merges as a max, every other counter as a
+    /// sum — so a one-device total and the device's own stats are `==`.
+    #[test]
+    fn merging_into_default_is_the_identity() {
+        let (p, k) = double_program();
+        let mut gpu = Gpu::new(p, GpuConfig::test_small());
+        let out = gpu.malloc(8 * 64);
+        gpu.run_kernel(k, LaunchDims::linear(2, 32), &[out.0]);
+        let stats = gpu.stats();
+        assert!(stats.sm.cycles > 0 && stats.sm.issued > 0);
+        let mut total = RunStats::default();
+        total.merge(&stats);
+        assert_eq!(total, stats);
+    }
+
     #[test]
     fn attribution_profile_telescopes_to_run_stats() {
         let (p, k) = double_program();

@@ -106,10 +106,11 @@ type Edit = fn(&mut GpuConfig);
 
 /// Before validation each of these panicked, divided by zero, spun to the
 /// watchdog or ran to cycle 2·10⁹ — or, for `line = 96`, was silently
-/// accepted. Each row now comes back as `InvalidConfig` naming its field.
+/// accepted, and `watchdog_cycles = 0` declared the kernel deadlocked at
+/// cycle 1. Each row now comes back as `InvalidConfig` naming its field.
 #[test]
 fn each_config_that_used_to_panic_or_hang_names_its_field() {
-    let probes: [(&str, Edit); 11] = [
+    let probes: [(&str, Edit); 12] = [
         ("n_sms", |c| c.n_sms = 0),
         ("n_partitions", |c| c.n_partitions = 0),
         ("sm.max_ctas", |c| c.sm.max_ctas = 0),
@@ -120,6 +121,7 @@ fn each_config_that_used_to_panic_or_hang_names_its_field() {
         ("l2_slice.line", |c| c.l2_slice.line = 96),
         ("dram.queue_size", |c| c.dram.queue_size = 0),
         ("icnt.flit_bytes", |c| c.icnt.flit_bytes = 0),
+        ("watchdog_cycles", |c| c.watchdog_cycles = 0),
         // The first failing rule wins when several fields are bad.
         ("n_sms", |c| {
             c.n_sms = 0;
@@ -145,6 +147,31 @@ fn gpu_new_panics_with_the_typed_message() {
     let mut c = GpuConfig::test_small();
     c.icnt.flit_bytes = 0;
     let _ = Gpu::new(program(), c);
+}
+
+/// A change to the service's test configuration.
+type ServeEdit = fn(&mut ServeConfig);
+
+/// Zero workers or a zero batch bound is refused with `InvalidConfig`
+/// naming its field, not read as one.
+#[test]
+fn the_service_rejects_zero_workers_or_batch() {
+    let probes: [(&str, ServeEdit); 2] = [
+        ("workers", |c| c.workers = 0),
+        ("max_batch", |c| c.max_batch = 0),
+    ];
+    for (field, edit) in probes {
+        let mut cfg = ServeConfig::test_small();
+        edit(&mut cfg);
+        match Service::new(cfg) {
+            Err(SimError::InvalidConfig { field: got, why }) => {
+                assert_eq!(got, field, "{why}");
+                assert!(!why.is_empty());
+            }
+            Err(e) => panic!("{field}: expected InvalidConfig, got {e}"),
+            Ok(_) => panic!("{field}: expected InvalidConfig, got a service"),
+        }
+    }
 }
 
 #[test]

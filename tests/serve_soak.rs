@@ -22,16 +22,17 @@ use ggpu_kernels::nvb::FmTables;
 use ggpu_kernels::pairhmm::{GAP_EXT_P, GAP_OPEN_P};
 use ggpu_kernels::pairwise::{GAP_EXTEND, GAP_OPEN, MATCH, MISMATCH};
 use ggpu_serve::{
-    AdmitError, JobId, JobKind, JobOutcome, JobOutput, Priority, ServeConfig, Service, Tenant,
+    traffic, AdmitError, JobId, JobKind, JobOutcome, JobOutput, Priority, ServeConfig, Service,
+    Tenant,
 };
-use ggpu_sim::{FaultPlan, GpuConfig};
+use ggpu_sim::FaultPlan;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
-const GENOME_LEN: usize = 600;
-const FM_READ_LEN: usize = 16;
-const PHMM_READ: usize = 10;
-const PHMM_HAP: usize = 14;
+const GENOME_LEN: usize = traffic::GENOME_LEN;
+const FM_READ_LEN: usize = ggpu_serve::FM_READ_LEN as usize;
+const PHMM_READ: usize = ggpu_serve::PHMM_READ_LEN as usize;
+const PHMM_HAP: usize = ggpu_serve::PHMM_HAP_LEN as usize;
 
 /// The CPU-side ground truth for one job.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,18 +112,8 @@ impl Oracle {
 }
 
 fn soak_config(oracle: &Oracle, plan: FaultPlan) -> ServeConfig {
-    let mut cfg = ServeConfig::test_small();
-    cfg.gpu = GpuConfig::test_small();
-    cfg.gpu.watchdog_cycles = 10_000;
+    let mut cfg = traffic::base_config(&oracle.genome);
     cfg.gpu.fault_plan = plan;
-    cfg.workers = 3;
-    cfg.queue_capacity = 24;
-    cfg.tenant_quota = 64;
-    cfg.max_batch = 4;
-    cfg.fm_genome = oracle.genome.clone();
-    cfg.fm_read_len = FM_READ_LEN as u32;
-    cfg.phmm_read_len = PHMM_READ as u32;
-    cfg.phmm_hap_len = PHMM_HAP as u32;
     cfg
 }
 

@@ -16,32 +16,22 @@
 use ggpu_genomics::random_genome;
 use ggpu_isa::{KernelBuilder, LaunchDims, Program};
 use ggpu_serve::{
-    AdmitError, JobKind, OutcomeTag, Priority, ServeConfig, ServeEventKind, ServeReport, Service,
-    Tenant,
+    traffic, AdmitError, JobKind, OutcomeTag, Priority, ServeConfig, ServeEventKind, ServeReport,
+    Service, Tenant,
 };
 use ggpu_sim::json::Json;
-use ggpu_sim::{chrome_trace_json, FaultPlan, GpuConfig, GpuNode, NodeConfig, TraceEventKind};
+use ggpu_sim::{chrome_trace_json, FaultPlan, GpuNode, NodeConfig, TraceEventKind};
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
-const GENOME_LEN: usize = 600;
-const FM_READ_LEN: usize = 16;
-const PHMM_READ: usize = 10;
-const PHMM_HAP: usize = 14;
+const GENOME_LEN: usize = traffic::GENOME_LEN;
+const FM_READ_LEN: usize = ggpu_serve::FM_READ_LEN as usize;
+const PHMM_READ: usize = ggpu_serve::PHMM_READ_LEN as usize;
+const PHMM_HAP: usize = ggpu_serve::PHMM_HAP_LEN as usize;
 
 fn soak_config(genome: &[u8], plan: FaultPlan) -> ServeConfig {
-    let mut cfg = ServeConfig::test_small();
-    cfg.gpu = GpuConfig::test_small();
-    cfg.gpu.watchdog_cycles = 10_000;
+    let mut cfg = traffic::base_config(genome);
     cfg.gpu.fault_plan = plan;
-    cfg.workers = 3;
-    cfg.queue_capacity = 24;
-    cfg.tenant_quota = 64;
-    cfg.max_batch = 4;
-    cfg.fm_genome = genome.to_vec();
-    cfg.fm_read_len = FM_READ_LEN as u32;
-    cfg.phmm_read_len = PHMM_READ as u32;
-    cfg.phmm_hap_len = PHMM_HAP as u32;
     cfg
 }
 
@@ -208,7 +198,8 @@ fn a_request_full_path_joins_host_and_device() {
     // launched at (or after) the host enqueue and retired before the job
     // completed.
     let rec = r
-        .device_records()
+        .device_records
+        .iter()
         .find(|rec| rec.grid == gref.grid)
         .expect("kernel record for the trail's grid");
     assert_eq!(rec.stream, gref.stream);
@@ -218,7 +209,7 @@ fn a_request_full_path_joins_host_and_device() {
     // And the stream-annotated device trace has its start/retire events.
     let mut started = false;
     let mut retired = false;
-    for ev in r.device_events() {
+    for ev in &r.device_events {
         match ev.kind {
             TraceEventKind::KernelStart { grid, stream } if grid == gref.grid => {
                 assert_eq!(stream, gref.stream);
