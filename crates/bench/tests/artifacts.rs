@@ -1,12 +1,10 @@
-//! End-to-end checks on the files the harness binaries write: the
-//! committed `results/` artifacts are pinned byte-for-byte, and the
-//! throwaway smoke artifacts have the shape their consumers rely on.
+//! End-to-end checks on the harness binaries: the committed `results/`
+//! artifacts are pinned byte-for-byte and indexed, and a bad invocation
+//! is refused before anything runs.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-
-use ggpu_sim::json::Json;
 
 /// Run harness binary `exe` with the space-separated `args`, writing into
 /// a fresh results directory, and return that directory. Panics unless it
@@ -27,12 +25,7 @@ fn run_into(dir_name: &str, exe: &str, args: &str) -> PathBuf {
     dir
 }
 
-fn parse(path: &Path) -> Json {
-    let text = std::fs::read_to_string(path).expect("artifact written");
-    Json::parse(&text).expect("artifact is well-formed JSON")
-}
-
-/// Regenerate the committed serving, attribution and scaling artifacts with
+/// Regenerate the committed serving and attribution artifacts with
 /// the commands `results/README.md` documents and require the same bytes. A
 /// counter or field added to an export without regenerating `results/`
 /// fails here instead of leaving stale files behind — and so does a host
@@ -50,14 +43,7 @@ fn committed_artifacts_are_regenerated_byte_for_byte() {
         env!("CARGO_BIN_EXE_ggpu-prof"),
         "SW --scale tiny",
     );
-    let scale = run_into(
-        "pin-scale",
-        env!("CARGO_BIN_EXE_ggpu-scale"),
-        "--jobs 32 --devices 1,2 --tag smoke",
-    );
     for (dir, file) in [
-        (&scale, "scaling_smoke.json"),
-        (&scale, "scaling_smoke.csv"),
         (&soak, "serve_soak.json"),
         (&soak, "serve_soak_latency.csv"),
         (&soak, "serve_soak_requests.csv"),
@@ -74,69 +60,6 @@ fn committed_artifacts_are_regenerated_byte_for_byte() {
             "results/{file} is stale: regenerate it (see results/README.md)"
         );
     }
-}
-
-/// The 2-device scaling smoke: every workload has a point per device
-/// count, sharding used the fabric, the CSV has one row per point, and
-/// the node trace has one process per device with kernel slices.
-#[test]
-fn scaling_smoke_artifacts_have_the_expected_shape() {
-    let dir = run_into(
-        "scale-smoke",
-        env!("CARGO_BIN_EXE_ggpu-scale"),
-        "--jobs 32 --devices 1,2 --trace --tag smoke",
-    );
-    let doc = parse(&dir.join("scaling_smoke.json"));
-    let workloads = doc
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .expect("workloads");
-    let names: Vec<&str> = workloads
-        .iter()
-        .filter_map(|w| w.get("workload").and_then(Json::as_str))
-        .collect();
-    assert_eq!(names, ["sw", "fm", "phmm"]);
-    for w in workloads {
-        let class = w.get("class").and_then(Json::as_str).expect("class");
-        assert!(matches!(class, "fabric_bound" | "compute_bound"), "{class}");
-        let points = w.get("points").and_then(Json::as_arr).expect("points");
-        let devices: Vec<u64> = points
-            .iter()
-            .filter_map(|p| p.get("devices").and_then(Json::as_u64))
-            .collect();
-        assert_eq!(devices, [1, 2]);
-        let wide = &points[1];
-        let per_device = wide.get("per_device_cycles").and_then(Json::as_arr);
-        assert_eq!(per_device.map(<[Json]>::len), Some(2));
-        let p2p_bytes = wide.get("p2p_bytes").and_then(Json::as_u64);
-        assert!(p2p_bytes > Some(0), "sharding must use the fabric");
-    }
-
-    let csv = std::fs::read_to_string(dir.join("scaling_smoke.csv")).expect("csv");
-    assert_eq!(
-        csv.lines().count(),
-        1 + 3 * 2,
-        "header + workload x devices"
-    );
-
-    let trace = parse(&dir.join("scaling_trace.json"));
-    let events = trace
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("traceEvents");
-    let pids: BTreeSet<u64> = events
-        .iter()
-        .filter_map(|e| e.get("pid").and_then(Json::as_u64))
-        .collect();
-    assert_eq!(pids, BTreeSet::from([0, 1]), "one process per device");
-    let has_ph = |e: &Json, ph: &str| e.get("ph").and_then(Json::as_str) == Some(ph);
-    assert!(events.iter().any(|e| has_ph(e, "M")), "metadata rows");
-    assert!(events.iter().any(|e| {
-        has_ph(e, "X")
-            && e.get("name")
-                .and_then(Json::as_str)
-                .is_some_and(|n| n.contains('#'))
-    }));
 }
 
 /// An unknown experiment name is an error (exit status 2), not a printed
@@ -174,7 +97,6 @@ fn a_bad_argument_is_a_usage_error_in_every_binary() {
         (env!("CARGO_BIN_EXE_figures"), "fig2", "--scale"),
         (env!("CARGO_BIN_EXE_ggpu-stat"), "faults", "--jobs"),
         (env!("CARGO_BIN_EXE_ggpu-prof"), "SW", "--top"),
-        (env!("CARGO_BIN_EXE_ggpu-scale"), "--trace", "--jobs"),
     ];
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("bad-args");
     let _ = std::fs::remove_dir_all(&dir);

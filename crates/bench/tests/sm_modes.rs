@@ -6,9 +6,9 @@
 //! perfect memory, the `ablation` local-memory layout and the L1-off device —
 //! were only ever checked for "completes" or "not slower". Here each of them
 //! runs four workloads that between them touch every path of the SM's memory
-//! pipeline (`NW`: shared rows and barriers; `GG`: local rows; `NvB`:
-//! texture, constant and global atomics; `NvB` with CDP: device launches and
-//! `Dsync`), and must
+//! pipeline (`NW`: shared rows; `GG`: local rows; `NvB`: texture, constant
+//! and global atomics; `NvB` with CDP: device launches and `Dsync`). No
+//! suite kernel emits a barrier (`Bar`), so none is covered here. Each mode must
 //!
 //! * give `==` [`RunStats`] and per-PC tables with `fast_forward` on and off
 //!   — which holds `SmCore::{next_wake, skip_cycles}` to the readiness rule

@@ -144,8 +144,7 @@ pub struct IcntConfig {
     pub router_delay: u64,
 }
 
-/// Bytes of header added to every packet, on-chip and on the inter-GPU
-/// fabric alike.
+/// Bytes of header added to every packet.
 const HEADER_BYTES: u32 = 8;
 
 impl Default for IcntConfig {

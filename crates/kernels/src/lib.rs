@@ -26,8 +26,7 @@
 //! The order of a kernel's u64 parameter words is declared once, as the
 //! field order of the argument block beside its emitter; [`host`] holds
 //! what every driver repeats around a launch and [`served`] the three
-//! pipelines `ggpu-serve` and `ggpu-scale` run (DESIGN.md, "Kernel ABI and
-//! host drivers").
+//! pipelines `ggpu-serve` runs (DESIGN.md, "Kernel ABI and host drivers").
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]

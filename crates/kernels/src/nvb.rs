@@ -17,10 +17,8 @@
 //! Reads are processed in batches staged over PCIe, giving NvB its high
 //! kernel *and* PCI counts in Figure 4.
 
-use ggpu_isa::{
-    AtomOp, CmpOp, Kernel, KernelBuilder, KernelId, LaunchDims, Operand, Program, Space, Width,
-};
-use ggpu_sim::{DevicePtr, Gpu, GpuConfig, GpuNode, SimError};
+use ggpu_isa::{AtomOp, CmpOp, Kernel, KernelBuilder, LaunchDims, Operand, Program, Space, Width};
+use ggpu_sim::{DevicePtr, Gpu, GpuConfig, SimError};
 use rand::{Rng, SeedableRng};
 
 use ggpu_genomics::random_genome;
@@ -148,42 +146,6 @@ impl FmTables {
             occ: try_upload(gpu, &u32_bytes(&self.occ))?,
             sa: try_upload(gpu, &u32_bytes(&self.sa))?,
         })
-    }
-
-    /// Make the tables resident on every device of `node` and bind
-    /// [`FmTables::const_data`] to `kernel` there: uploaded once to device
-    /// 0 over PCIe, then replicated to each peer over the inter-GPU fabric
-    /// — the broadcast that makes FM mapping fabric-bound — and landed
-    /// before any kernel can read them.
-    pub fn upload_to_node(
-        &self,
-        node: &mut GpuNode,
-        kernel: KernelId,
-    ) -> Result<Vec<FmDevice>, SimError> {
-        let first = self.upload(node.device_mut(0))?;
-        let mut devices = vec![first];
-        for d in 1..node.n_devices() {
-            let mut peer = first;
-            for (ptr, len) in [
-                (&mut peer.text, self.text.len()),
-                (&mut peer.occ, self.occ.len() * 4),
-                (&mut peer.sa, self.sa.len() * 4),
-            ] {
-                let dst = node.device_mut(d).try_malloc(len as u64)?;
-                node.try_p2p_copy(0, *ptr, d, dst, len)?;
-                *ptr = dst;
-            }
-            devices.push(peer);
-        }
-        for d in 0..node.n_devices() {
-            node.device_mut(d).bind_constants(kernel, self.const_data());
-        }
-        if devices.len() > 1 {
-            for r in node.try_sync_all() {
-                r?;
-            }
-        }
-        Ok(devices)
     }
 
     /// CPU backward search over these tables: SA interval of `pattern`.
@@ -680,7 +642,7 @@ mod tests {
         // much larger than L1 — the paper's defining NvB property.
         let b = NvbBench::new(Scale::Tiny);
         let mut small_l1 = cfg();
-        small_l1.sm.l1.bytes = 16 * 1024;
+        small_l1.sm.l1.bytes = 32 * 1024;
         let r = b.run(&small_l1, false);
         assert!(
             r.stats.l1.miss_rate() > 0.2,

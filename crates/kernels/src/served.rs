@@ -1,13 +1,13 @@
-//! The three pipelines `ggpu-serve` serves and `ggpu-scale` shards:
+//! The three pipelines `ggpu-serve` serves:
 //! Smith–Waterman over a length bucket, FM-index read mapping against
 //! resident tables, and Pair-HMM forward likelihoods.
 //!
-//! What the two hosts must agree on to run the same kernel lives here: the
+//! What a host must agree on with the kernel to run it lives here: the
 //! kernel configuration (threads per CTA chosen to fit shared memory), the
 //! slab layout, and the launch shape and argument words for `n` jobs. What a
 //! result word means is beside each kernel ([`crate::nvb::unpack_hit`],
 //! [`crate::pairhmm::log_likelihood`]; an SW word is the i64 score). Slab
-//! allocation, devices, streams and failure handling stay with the host.
+//! allocation, the device, streams and failure handling stay with the host.
 
 use ggpu_isa::LaunchDims;
 

@@ -25,7 +25,7 @@
 /// profiling window and export is built from, so a counter added to the
 /// declaration reaches all of them — and every artifact — by construction:
 ///
-/// * `merge(&mut self, &Self)` — field-wise sum (unit → device → node);
+/// * `merge(&mut self, &Self)` — field-wise sum (unit → device);
 /// * `delta_since(&self, &Self) -> Self` — field-wise saturating
 ///   difference, the window between two snapshots;
 /// * `for_each_field(&self, FnMut(&'static str, u64))` — the fields by

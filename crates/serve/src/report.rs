@@ -218,7 +218,7 @@ impl ServeReport {
 
         tr.process_name(HOST, "ggpu-serve host");
         tr.process_name(DEVICE, "device 0");
-        tr.thread_name(DEVICE, 0, "transfers (pcie/p2p)");
+        tr.thread_name(DEVICE, 0, "transfers (pcie)");
         tr.thread_name(HOST, TID_QUEUE, "admission queue");
 
         // --- host: queue-depth counter track -------------------------------

@@ -170,7 +170,8 @@ impl GpuConfig {
     }
 
     /// Set total L1 (per SM) and total L2 sizes, keeping geometry rules from
-    /// Table I (the Figure 12-14 cache sweep).
+    /// Table I (the Figure 12-14 cache sweep). A size that is not a whole
+    /// number of sets fails [`GpuConfig::validate`].
     pub fn with_cache_sizes(mut self, l1_bytes: u64, l2_total_bytes: u64) -> Self {
         self.sm.l1.bytes = l1_bytes;
         self.l2_slice.bytes = l2_total_bytes / self.n_partitions as u64;
@@ -224,12 +225,22 @@ impl GpuConfig {
 
     /// Reject the values the simulator cannot run: each would divide by
     /// zero, never place a CTA, never accept a DRAM request, silently
-    /// model a line size the rest of the machine does not use, or fire the
-    /// watchdog before any kernel can make progress. Anything
-    /// else runs, or ends in a typed launch, memory or watchdog error.
+    /// model a line size the rest of the machine does not use or a cache
+    /// size it cannot build, or fire the watchdog before any kernel can
+    /// make progress. Anything else runs, or ends in a typed launch, memory
+    /// or watchdog error.
     pub fn validate(&self) -> Result<(), SimError> {
         const WAYS: &str = "a cache needs at least one way";
         const LINE: &str = "every level of the hierarchy moves 128-byte lines";
+        const SETS: &str = "a cache holds a whole number of sets of `ways` 128-byte lines";
+        // Nonzero and not a multiple of one set; `None` (zero ways) is the
+        // ways rule's to report.
+        let partial_set = |c: &CacheConfig| {
+            c.bytes != 0
+                && c.bytes
+                    .checked_rem(u64::from(c.ways) * LINE_BYTES)
+                    .is_some_and(|r| r != 0)
+        };
         let rules = [
             ("n_sms", self.n_sms == 0, "a device needs at least one SM"),
             (
@@ -246,6 +257,8 @@ impl GpuConfig {
             ("sm.l1.line", self.sm.l1.line != LINE_BYTES, LINE),
             ("l2_slice.ways", self.l2_slice.ways == 0, WAYS),
             ("l2_slice.line", self.l2_slice.line != LINE_BYTES, LINE),
+            ("sm.l1.bytes", partial_set(&self.sm.l1), SETS),
+            ("l2_slice.bytes", partial_set(&self.l2_slice), SETS),
             (
                 "dram.queue_size",
                 self.dram.queue_size == 0,

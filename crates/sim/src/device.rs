@@ -10,16 +10,15 @@
 //!   what is in flight between them.
 //! * the grid/stream ledger in this struct, edited by [`launch`] (grid
 //!   validation/queueing, CTA dispatch, the CDP runtime, retirement) and
-//!   [`memcpy`] (`malloc`, host and peer transfers, constant binding, the
-//!   PCIe cost model), beside functional [`DeviceMemory`].
+//!   [`memcpy`] (`malloc`, host transfers, constant binding, the PCIe
+//!   cost model), beside functional [`DeviceMemory`].
 //!
 //! [`engine`] composes them into the per-cycle loop, `synchronize`, the
 //! watchdog and the kill path; [`fastforward`] jumps the spans in which
 //! none of them can act. This file is the facade: construction, accessors,
 //! statistics, and the profiling surface.
 //!
-//! One thread ticks one device; a [`crate::GpuNode`] may give each of its
-//! devices a host thread of its own.
+//! One thread ticks one device.
 
 mod engine;
 mod fastforward;
@@ -33,7 +32,6 @@ pub use self::launch::LaunchOptions;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use ggpu_icnt::DeliveryQueue;
 use ggpu_isa::{KernelId, Program};
 use ggpu_sm::SmCore;
 
@@ -49,7 +47,6 @@ use crate::trace::{TraceEvent, TraceEventKind};
 
 use self::lanes::Lanes;
 use self::launch::{Grid, LedgerSummary};
-use self::memcpy::InboundCopy;
 use self::memsys::MemSystem;
 
 /// Identifier of a host-side stream. Stream 0 is the default stream every
@@ -104,10 +101,6 @@ pub struct Gpu {
     /// Everything on the far side of the lanes' ports: networks, L2, DRAM.
     memsys: MemSystem,
     cycle: u64,
-    /// Peer-to-peer payloads in flight *towards* this device over the node
-    /// fabric, applied to memory in the serial post phase at their exact
-    /// arrival cycle ([`crate::GpuNode::try_p2p_copy`] stamps them).
-    pending_inbound: DeliveryQueue<InboundCopy>,
     /// Host streams; index 0 is the default stream (the legacy host queue).
     streams: Vec<StreamState>,
     /// Stream whose head grid currently owns the device (armed or running),
@@ -192,7 +185,6 @@ impl Gpu {
             mem,
             memsys: MemSystem::new(&config),
             cycle: 0,
-            pending_inbound: DeliveryQueue::new(),
             streams: vec![StreamState::default()],
             active_stream: None,
             stream_cursor: 0,
@@ -222,16 +214,6 @@ impl Gpu {
     /// Current simulated cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Offset all future grid handles by `base` (`next_grid` becomes
-    /// `base + 1`). A node calls this once per device at construction (with
-    /// `device_index << 40`) so grid handles — the join key between kernel
-    /// records, trace events, and serving telemetry — stay unique across
-    /// every device in the node. Must be called before the first launch.
-    pub(crate) fn set_grid_base(&mut self, base: u64) {
-        debug_assert_eq!(self.next_grid, 1, "grid base must be set before launches");
-        self.next_grid = base + 1;
     }
 
     /// Simulated cycles elided by idle-cycle fast-forward so far (see

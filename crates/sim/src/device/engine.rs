@@ -62,22 +62,16 @@ pub(super) const MAX_SYNC_CYCLES: u64 = 2_000_000_000;
 impl Gpu {
     /// Whether any work remains on the device.
     pub fn busy(&self) -> bool {
-        !self.grids.is_empty()
-            || !self.memsys.is_idle()
-            || !self.pending_inbound.is_empty()
-            || self.lanes.holds_work()
+        !self.grids.is_empty() || !self.memsys.is_idle() || self.lanes.holds_work()
     }
 
     /// Whether the forward-progress watchdog counts the cycle `now` as
     /// progress: `issued` instructions issued in it, the memory system is
-    /// working, a P2P payload is inbound over the node fabric, or a grid is
-    /// waiting out its launch overhead. Every term but `issued` is constant
-    /// over a dead span, so fast-forward asks once for the whole span.
+    /// working, or a grid is waiting out its launch overhead. Every term but
+    /// `issued` is constant over a dead span, so fast-forward asks once for
+    /// the whole span.
     pub(super) fn progress(&self, now: u64, issued: u64) -> bool {
-        issued > 0
-            || !self.memsys.is_idle()
-            || !self.pending_inbound.is_empty()
-            || self.arming_after(now)
+        issued > 0 || !self.memsys.is_idle() || self.arming_after(now)
     }
 
     /// Run the device until all launched grids complete; returns elapsed
@@ -249,24 +243,6 @@ impl Gpu {
     /// order (the deterministic merge), then resolve faults, feed the
     /// watchdog, sample, and put the lanes that ran dry to sleep.
     fn cycle_post(&mut self, now: u64) {
-        // 3b. Land due peer-to-peer payloads before the SM merge: the DMA
-        // write commits at its exact arrival cycle, ahead of any same-cycle
-        // SM store, so node-level memory state does not depend on how the
-        // node schedules its devices.
-        while let Some(copy) = self.pending_inbound.pop_due(now) {
-            self.mem
-                .write_slice(crate::memory::DevicePtr(copy.dst), &copy.bytes);
-            self.host.p2p_recvs += 1;
-            self.host.p2p_bytes_in += copy.bytes.len() as u64;
-            if self.trace_on() {
-                self.emit(TraceEventKind::Memcpy {
-                    dir: crate::trace::CopyDir::P2P,
-                    bytes: copy.bytes.len() as u64,
-                    cycles: copy.cycles,
-                });
-            }
-        }
-
         // 4. Merge the SM outputs of the lanes that produced any. Each
         // lane's buffers are swapped out, drained in place (retaining
         // capacity), and swapped back — the steady-state hot path allocates

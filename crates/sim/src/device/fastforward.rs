@@ -74,10 +74,10 @@
 //!   watchdog_cycles`) and the absolute backstop bound `T`, so the ticked
 //!   cycle at which `sync_check` fires — and the cycle stamped into the
 //!   report — are unchanged. The progress predicate itself is constant
-//!   over a dead span (its inputs — `MemSystem::is_idle`, an inbound P2P
-//!   payload, pending arm windows — are exactly what the candidates
-//!   freeze), so [`Gpu::progress`] is evaluated once at `c0` and applied to
-//!   the whole span.
+//!   over a dead span (its inputs — `MemSystem::is_idle` and pending arm
+//!   windows — are exactly what the candidates freeze), so
+//!   [`Gpu::progress`] is evaluated once at `c0` and applied to the whole
+//!   span.
 //!
 //! Anything not listed (the memcpy engine) is purely event-driven on
 //! absolute cycle numbers and has no per-cycle state.
@@ -131,16 +131,6 @@ impl Gpu {
             return;
         }
         t = t.min(next);
-
-        // Earliest inbound peer-to-peer arrival over the node fabric: the
-        // payload must land in `cycle_post` of its exact arrival cycle, so
-        // the span may not jump past it.
-        if let Some(due) = self.pending_inbound.next_due() {
-            if due <= c0 {
-                return;
-            }
-            t = t.min(due);
-        }
 
         // Dispatcher. A retiring grid in its drain window finalises the
         // moment its residual traffic lands — a cycle_post decision the

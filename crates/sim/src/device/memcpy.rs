@@ -16,21 +16,6 @@ use crate::trace::{CopyDir, TraceEventKind};
 
 use super::Gpu;
 
-/// A peer-to-peer payload in flight towards this device over the node
-/// fabric, waiting in [`Gpu`]'s inbound delivery queue until its arrival
-/// cycle. Applied to device memory in the post phase, so delivery
-/// order — and therefore memory state — does not depend on how the node
-/// schedules its devices.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub(super) struct InboundCopy {
-    /// Destination address in this device's memory.
-    pub(super) dst: u64,
-    /// Modelled fabric cycles the transfer took (for the trace).
-    pub(super) cycles: u64,
-    /// The payload.
-    pub(super) bytes: Vec<u8>,
-}
-
 impl Gpu {
     /// Allocate device memory, failing when the configured capacity
     /// ([`crate::GpuConfig::memory_limit`]) would be exceeded.
@@ -62,16 +47,11 @@ impl Gpu {
             .unwrap_or_else(|e| panic!("malloc failed: {e}"))
     }
 
-    /// The range rule every host and peer copy answers to before anything
-    /// is counted, charged or moved: `[ptr, ptr + len)` must be allocated
+    /// The range rule every host copy answers to before anything is
+    /// counted, charged or moved: `[ptr, ptr + len)` must be allocated
     /// device memory ([`crate::DeviceMemory`]'s `in_bounds`, the rule guest
     /// accesses trap on). Not sticky.
-    pub(crate) fn check_copy(
-        &self,
-        dir: CopyDir,
-        ptr: DevicePtr,
-        len: usize,
-    ) -> Result<(), SimError> {
+    fn check_copy(&self, dir: CopyDir, ptr: DevicePtr, len: usize) -> Result<(), SimError> {
         if self.mem.in_bounds(ptr.0, len as u64) {
             return Ok(());
         }
@@ -179,62 +159,5 @@ impl Gpu {
     /// would); inherited by CDP children of the same kernel id.
     pub fn bind_constants(&mut self, kernel: KernelId, data: Vec<u8>) {
         self.const_bindings.insert(kernel.0, Arc::new(data));
-    }
-
-    // ---- node peer-to-peer hooks (driven by `crate::GpuNode`) -------------
-
-    /// Source half of a node P2P copy, after the node has checked this
-    /// device's sticky fault and both ranges: run the shared memcpy
-    /// fault-injection hooks (P2P transfers share the drop/poison counter
-    /// with PCIe transfers, in call order) and read the payload out of this
-    /// device's memory. A poisoned transfer corrupts the payload as it
-    /// enters the fabric — the destination receives the twisted bytes while
-    /// the source image stays intact.
-    pub(crate) fn p2p_read(&mut self, src: DevicePtr, len: usize) -> Result<Vec<u8>, SimError> {
-        let poison = self.memcpy_inject(CopyDir::P2P)?;
-        let mut bytes = self.mem.read_slice(src, len);
-        if poison {
-            for b in &mut bytes {
-                *b ^= 0xA5;
-            }
-        }
-        Ok(bytes)
-    }
-
-    /// Charge this device's outbound P2P counters for a transfer of `bytes`
-    /// taking `cycles` fabric cycles, and emit the source-side trace event.
-    pub(crate) fn p2p_charge_out(&mut self, bytes: u64, cycles: u64) {
-        self.host.p2p_sends += 1;
-        self.host.p2p_bytes_out += bytes;
-        self.host.p2p_cycles += cycles;
-        if self.trace_on() {
-            self.emit(TraceEventKind::Memcpy {
-                dir: CopyDir::P2P,
-                bytes,
-                cycles,
-            });
-        }
-    }
-
-    /// Destination half of a node P2P copy: queue the payload for delivery
-    /// into this device's memory at `arrival` (its own cycle clock). The
-    /// write lands in the post phase of that cycle; until then the
-    /// pending payload keeps the device busy and vetoes fast-forward past
-    /// the arrival.
-    pub(crate) fn p2p_queue_inbound(
-        &mut self,
-        arrival: u64,
-        dst: DevicePtr,
-        cycles: u64,
-        bytes: Vec<u8>,
-    ) {
-        self.pending_inbound.push(
-            arrival.max(self.cycle + 1),
-            InboundCopy {
-                dst: dst.0,
-                cycles,
-                bytes,
-            },
-        );
     }
 }

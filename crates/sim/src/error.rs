@@ -291,7 +291,7 @@ pub enum SimError {
         /// Transfer direction.
         dir: CopyDir,
     },
-    /// A host or peer copy named a range outside allocated device memory
+    /// A host copy named a range outside allocated device memory
     /// (the null page, past the allocation frontier, or wrapping the address
     /// space). Nothing moved and nothing was charged; not sticky.
     InvalidCopy {

@@ -52,7 +52,6 @@ mod device;
 mod error;
 pub mod json;
 mod memory;
-mod node;
 mod profile;
 mod recorder;
 mod stats;
@@ -62,7 +61,6 @@ pub use config::{FaultPlan, GpuConfig, CLOCK_GHZ};
 pub use device::{Gpu, LaunchOptions, StreamId};
 pub use error::{DeadlockReport, DeviceFault, LaunchProblem, SimError};
 pub use memory::{DeviceMemory, DevicePtr};
-pub use node::{grid_device, shard_ranges, GpuNode, NodeConfig, NodeStats};
 pub use profile::{
     run_stats_json, IntervalSample, KernelPcProfile, KernelRecord, PartitionUnit, PcProfile,
     PcProfileRow, ProfileReport, SmUnit, UnitProfile,
@@ -82,8 +80,8 @@ pub use ggpu_sm::{WarpReport, WarpWait};
 pub use ggpu_mem::{CacheStats, DramStats};
 
 // Re-export the interconnect vocabulary so [`GpuConfig::icnt`] can be swept
-// and [`NodeStats::fabric`] read without a direct `ggpu-icnt` dependency.
-pub use ggpu_icnt::{IcntConfig, IcntStats, Topology};
+// without a direct `ggpu-icnt` dependency.
+pub use ggpu_icnt::{IcntConfig, Topology};
 pub use ggpu_sm::{PcCounters, PcTable, SmStats, StallBreakdown, StallReason};
 
 #[cfg(test)]

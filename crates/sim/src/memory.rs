@@ -101,7 +101,7 @@ impl DeviceMemory {
     /// Whether `[addr, addr + len)` lies inside allocated memory: above the
     /// null page, below the allocation frontier, not wrapping the address
     /// space. The one range rule — guest accesses ([`GlobalMem::check`]) and
-    /// host or peer copies both answer to it.
+    /// host copies both answer to it.
     pub(crate) fn in_bounds(&self, addr: u64, len: u64) -> bool {
         addr >= BASE && addr.checked_add(len).is_some_and(|end| end <= self.cursor)
     }

@@ -19,17 +19,6 @@ ggpu_mem::counter_set! {
         pub h2d_bytes,
         /// Device→host bytes moved.
         pub d2h_bytes,
-        /// Peer-to-peer transfers this device initiated over the node fabric.
-        pub p2p_sends,
-        /// Peer-to-peer transfers that landed in this device's memory.
-        pub p2p_recvs,
-        /// Bytes this device sent to peer devices.
-        pub p2p_bytes_out,
-        /// Bytes this device received from peer devices.
-        pub p2p_bytes_in,
-        /// Modelled fabric cycles charged to this device's outbound transfers
-        /// (serialization + link latency, including queueing).
-        pub p2p_cycles,
     }
 }
 
@@ -97,11 +86,11 @@ impl RunStats {
         self.total_cycles() as f64 / (crate::CLOCK_GHZ * 1e9)
     }
 
-    /// Field-wise accumulation of another snapshot into this one — the
-    /// node-level aggregation primitive: per-device [`RunStats`] merge in
-    /// device-index order and the result is the node total every per-device
-    /// counter telescopes to. `sm.cycles` merges as a max (the same rule
-    /// the device applies across its SMs); every other counter sums.
+    /// Field-wise accumulation of another snapshot into this one — how
+    /// `benchmark/` totals one pass: each job's [`RunStats`] merge in
+    /// catalog order into the pass's counters. `sm.cycles` merges as a max
+    /// (the same rule the device applies across its SMs); every other
+    /// counter sums.
     pub fn merge(&mut self, other: &RunStats) {
         self.host.merge(&other.host);
         self.sm.merge(&other.sm);

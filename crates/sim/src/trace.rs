@@ -21,8 +21,6 @@ pub enum CopyDir {
     H2D,
     /// Device to host.
     D2H,
-    /// Device to device across the node fabric (peer-to-peer).
-    P2P,
 }
 
 impl fmt::Display for CopyDir {
@@ -30,7 +28,6 @@ impl fmt::Display for CopyDir {
         f.write_str(match self {
             CopyDir::H2D => "h2d",
             CopyDir::D2H => "d2h",
-            CopyDir::P2P => "p2p",
         })
     }
 }
@@ -237,8 +234,8 @@ fn cycles_to_us(cycles: u64) -> f64 {
 
 /// The Chrome-trace (`chrome://tracing` / Perfetto) document builder: the
 /// one event serializer, cycle→µs conversion and document envelope every
-/// trace in the workspace — single device, node, serving — is written
-/// through. Load the result at <https://ui.perfetto.dev>.
+/// trace in the workspace — device and serving — is written through. Load
+/// the result at <https://ui.perfetto.dev>.
 #[derive(Debug)]
 pub struct ChromeTrace {
     instant_scope: InstantScope,

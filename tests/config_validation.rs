@@ -107,10 +107,12 @@ type Edit = fn(&mut GpuConfig);
 /// Before validation each of these panicked, divided by zero, spun to the
 /// watchdog or ran to cycle 2·10⁹ — or, for `line = 96`, was silently
 /// accepted, and `watchdog_cycles = 0` declared the kernel deadlocked at
-/// cycle 1. Each row now comes back as `InvalidConfig` naming its field.
+/// cycle 1; a cache size that is not a whole number of sets was rounded,
+/// so a 16 KB L1 of 256 ways simulated 32 KB. Each row now comes back as
+/// `InvalidConfig` naming its field.
 #[test]
 fn each_config_that_used_to_panic_or_hang_names_its_field() {
-    let probes: [(&str, Edit); 12] = [
+    let probes: [(&str, Edit); 14] = [
         ("n_sms", |c| c.n_sms = 0),
         ("n_partitions", |c| c.n_partitions = 0),
         ("sm.max_ctas", |c| c.sm.max_ctas = 0),
@@ -119,6 +121,8 @@ fn each_config_that_used_to_panic_or_hang_names_its_field() {
         ("l2_slice.ways", |c| c.l2_slice.ways = 0),
         ("l2_slice.line", |c| c.l2_slice.line = 0),
         ("l2_slice.line", |c| c.l2_slice.line = 96),
+        ("sm.l1.bytes", |c| c.sm.l1.bytes = 16 * 1024),
+        ("l2_slice.bytes", |c| c.l2_slice.bytes = 3000),
         ("dram.queue_size", |c| c.dram.queue_size = 0),
         ("icnt.flit_bytes", |c| c.icnt.flit_bytes = 0),
         ("watchdog_cycles", |c| c.watchdog_cycles = 0),

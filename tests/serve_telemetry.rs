@@ -20,7 +20,7 @@ use ggpu_serve::{
     Service, Tenant,
 };
 use ggpu_sim::json::Json;
-use ggpu_sim::{chrome_trace_json, FaultPlan, GpuNode, NodeConfig, TraceEventKind};
+use ggpu_sim::{chrome_trace_json, FaultPlan, Gpu, GpuConfig, TraceEventKind};
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
@@ -272,33 +272,26 @@ fn report_json_parses_and_chrome_trace_is_well_formed() {
     );
 }
 
-/// Sim-, node- and serve-produced traces all come out of the one
-/// `ChromeTrace` builder: each parses, has exactly the
-/// `displayTimeUnit`/`traceEvents` envelope, and every event carries the
-/// mandatory keys (instants with the producer's scope).
+/// Sim- and serve-produced traces both come out of the one `ChromeTrace`
+/// builder: each parses, has exactly the `displayTimeUnit`/`traceEvents`
+/// envelope, and every event carries the mandatory keys (instants with the
+/// producer's scope).
 #[test]
-fn sim_node_and_serve_traces_share_one_envelope() {
+fn sim_and_serve_traces_share_one_envelope() {
     let mut b = KernelBuilder::new("noop");
     b.exit();
     let mut program = Program::new();
     let kernel = program.add(b.finish());
-    let mut cfg = NodeConfig::test_small(2);
-    cfg.gpu.trace = true;
-    let mut node = GpuNode::new(program, cfg);
-    for d in 0..2 {
-        node.device_mut(d)
-            .try_launch(kernel, LaunchDims::linear(1, 32), &[])
-            .expect("launch");
-    }
-    node.sync_all();
-    let sim = chrome_trace_json(&[("gpu".to_string(), node.device(0).trace_events())]);
+    let mut cfg = GpuConfig::test_small();
+    cfg.trace = true;
+    let mut gpu = Gpu::new(program, cfg);
+    gpu.try_launch(kernel, LaunchDims::linear(1, 32), &[])
+        .expect("launch");
+    gpu.synchronize();
+    let sim = chrome_trace_json(&[("gpu".to_string(), gpu.trace_events())]);
     let serve = run_soak(7004, 24, 6).chrome_trace();
 
-    for (producer, doc, instant_scope) in [
-        ("sim", sim, "g"),
-        ("node", node.chrome_trace(), "g"),
-        ("serve", serve, "t"),
-    ] {
+    for (producer, doc, instant_scope) in [("sim", sim, "g"), ("serve", serve, "t")] {
         let v = Json::parse(&doc).unwrap_or_else(|e| panic!("{producer} trace: {e}"));
         let Json::Obj(fields) = &v else {
             panic!("{producer} trace is not an object");
