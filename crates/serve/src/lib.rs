@@ -28,10 +28,12 @@
 //! * **Deadlines**: per-job cycle budgets ride the launch
 //!   ([`ggpu_sim::LaunchOptions::deadline`]) and are enforced *on device*
 //!   by the watchdog machinery.
-//! * **Observability**: every request is traced through its lifecycle
-//!   (typed [`ServeEvent`]s carrying the device stream and grid handle),
-//!   latencies land in dependency-free log-bucketed [`Histogram`]s per
-//!   tenant/shape/outcome, and [`Service::report`] bundles it all —
+//! * **Observability**: every serving decision is recorded once, as a
+//!   typed [`ServeEvent`] (launches carry the device stream and grid
+//!   handle), and the [`ServeMetrics`] counters are counted from those
+//!   events. [`Service::report`] folds the request trails and batch spans
+//!   from the log, latencies into dependency-free log-bucketed
+//!   [`Histogram`]s per tenant/shape/outcome, and bundles it all —
 //!   including a unified host+device Chrome trace — as a [`ServeReport`].
 //!
 //! Everything is deterministic: given the same submissions and the same

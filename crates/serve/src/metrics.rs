@@ -1,9 +1,15 @@
-//! Service counters: one cheap, copyable struct, bumped inline.
+//! Service counters: one cheap, copyable struct, counted from the serve
+//! events as they are recorded.
 
 use ggpu_sim::json::JsonWriter;
 
+use crate::telemetry::{OutcomeTag, RejectReason, ServeEventKind};
+
 /// Monotonic counters and saturation gauges over a [`crate::Service`]'s
-/// lifetime.
+/// lifetime. Every counter an event stands for is counted from that event
+/// ([`ServeMetrics::count`]), so counters and the event log cannot
+/// disagree; `rounds`, the streams created at build and the in-flight
+/// batch gauge have no event and are set by the service itself.
 ///
 /// # Conservation invariants
 ///
@@ -71,6 +77,44 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
+    /// Count one recorded event: the counter it stands for, and the queue
+    /// depth (with its high-water mark) where it carries one. A stream
+    /// reset also creates the stream that replaces the reset one; a shed
+    /// job is counted at its `shed`, not at its `complete`.
+    pub(crate) fn count(&mut self, kind: &ServeEventKind) {
+        use ServeEventKind as K;
+        match *kind {
+            K::Submit { .. } => self.submitted += 1,
+            K::Reject { reason, .. } => match reason {
+                RejectReason::Overload => self.rejected_overload += 1,
+                RejectReason::Quota => self.rejected_quota += 1,
+                RejectReason::Shape => self.rejected_shape += 1,
+            },
+            K::Admit { queue_depth, .. } => {
+                self.admitted += 1;
+                self.gauge_queue_depth(queue_depth);
+            }
+            K::Shed { queue_depth, .. } => {
+                self.shed += 1;
+                self.gauge_queue_depth(queue_depth);
+            }
+            K::BatchAssign { queue_depth, .. } => self.gauge_queue_depth(queue_depth),
+            K::Launch { .. } => self.batches_launched += 1,
+            K::Retry { .. } => self.retries += 1,
+            K::Split { .. } => self.splits += 1,
+            K::StreamReset { .. } => {
+                self.stream_resets += 1;
+                self.streams_created += 1;
+            }
+            K::Complete { outcome, .. } => match outcome {
+                OutcomeTag::Done => self.completed += 1,
+                OutcomeTag::Failed => self.failed += 1,
+                OutcomeTag::DeadlineExceeded => self.deadline_exceeded += 1,
+                OutcomeTag::Shed => {}
+            },
+        }
+    }
+
     /// Record the current queue depth, tracking the high-water mark.
     pub(crate) fn gauge_queue_depth(&mut self, depth: u64) {
         self.queue_depth = depth;

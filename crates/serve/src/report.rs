@@ -1,7 +1,8 @@
 //! The serving observability report: metrics, latency histograms, the
 //! host event stream, batch spans, request trails, and a unified
-//! host+device Chrome-trace export. The histograms are folded from the
-//! trails when the report is built; nothing keeps them between reports.
+//! host+device Chrome-trace export. Spans and trails are folded from the
+//! event log when the report is built, and the histograms from the
+//! trails; nothing keeps them between reports.
 //!
 //! The Chrome trace renders one Perfetto process per participant on one
 //! cycle timeline: pid 0 holds the host rows (an admission-queue-depth
@@ -17,14 +18,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ggpu_sim::json::{quoted, JsonWriter};
-use ggpu_sim::{
-    ChromeTrace, InstantScope, KernelRecord, Log, TraceEvent, TraceEventKind, CLOCK_GHZ,
-};
+use ggpu_sim::{ChromeTrace, InstantScope, KernelRecord, TraceEvent, TraceEventKind, CLOCK_GHZ};
 
 use crate::histogram::{Histogram, LatencyStats};
 use crate::metrics::ServeMetrics;
 use crate::shape::ShapeKey;
-use crate::telemetry::{BatchSpan, JobTrail, OutcomeTag, ServeEvent, ServeEventKind};
+use crate::telemetry::{
+    spans_and_trails, BatchSpan, JobTrail, OutcomeTag, ServeEvent, ServeEventKind,
+};
 
 /// Everything the serving layer observed, in one exportable bundle.
 /// Built by [`crate::Service::report`].
@@ -41,15 +42,18 @@ pub struct ServeReport {
     /// End-to-end histograms per outcome class, as `(tag, histogram)` in
     /// a fixed order: done, shed, deadline_exceeded, failed.
     pub per_outcome: Vec<(&'static str, Histogram)>,
-    /// The typed host event stream, in emission order.
+    /// The typed host event stream, in emission order: every serving
+    /// decision since the service was built (the log is not capped, since
+    /// spans and trails are folded from it).
     pub events: Vec<ServeEvent>,
-    /// Host events dropped after the log filled.
-    pub events_dropped: u64,
-    /// One span per batch launch (launch → retire/fault-settle).
+    /// One span per batch launch (launch → retire, or the stream reset
+    /// that ended it), folded from the events.
     pub spans: Vec<BatchSpan>,
-    /// One trail per terminated job, in completion order.
+    /// One trail per terminated job, in completion order, folded from the
+    /// events.
     pub trails: Vec<JobTrail>,
-    /// Admitted jobs not yet terminal when the report was taken.
+    /// Admitted jobs not yet terminal when the report was taken
+    /// (`admitted` less the four terminal counters).
     pub in_flight: u64,
     /// The device's stream-annotated event trace.
     pub device_events: Vec<TraceEvent>,
@@ -58,17 +62,20 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// A report over `trails` (in completion order), with the latency
-    /// histogram forest folded from them.
+    /// A report over the serve event log: spans and trails folded from
+    /// `events` and joined to `device_records` by grid handle, and the
+    /// latency histogram forest folded from the trails.
     pub(crate) fn new(
         metrics: ServeMetrics,
-        events: &Log<ServeEvent>,
-        spans: Vec<BatchSpan>,
-        trails: Vec<JobTrail>,
-        in_flight: u64,
+        events: &[ServeEvent],
         device_events: Vec<TraceEvent>,
         device_records: Vec<KernelRecord>,
     ) -> Self {
+        let grid_times = device_records
+            .iter()
+            .map(|r| (r.grid, (r.start_cycle, r.retire_cycle)))
+            .collect();
+        let (spans, trails) = spans_and_trails(events, &grid_times);
         let mut global = LatencyStats::default();
         let mut per_tenant = BTreeMap::new();
         let mut per_shape = BTreeMap::new();
@@ -117,11 +124,11 @@ impl ServeReport {
             per_tenant,
             per_shape,
             per_outcome,
-            events: events.entries().to_vec(),
-            events_dropped: events.dropped(),
+            events: events.to_vec(),
             spans,
             trails,
-            in_flight,
+            in_flight: metrics.admitted
+                - (metrics.completed + metrics.failed + metrics.deadline_exceeded + metrics.shed),
             device_events,
             device_records,
         }
@@ -171,8 +178,7 @@ impl ServeReport {
         JsonWriter::object(|w| {
             w.f64("clock_ghz", CLOCK_GHZ)
                 .raw("metrics", &self.metrics.to_json())
-                .u64("in_flight", self.in_flight)
-                .u64("events_dropped", self.events_dropped);
+                .u64("in_flight", self.in_flight);
             w.begin_obj_key("latency");
             w.raw("global", &self.global.to_json());
             w.begin_obj_key("per_tenant");
@@ -305,7 +311,9 @@ impl ServeReport {
                         ("not_before_round", not_before_round.to_string()),
                     ],
                 ),
-                ServeEventKind::Split { batch, left, right } => tr.instant(
+                ServeEventKind::Split {
+                    batch, left, right, ..
+                } => tr.instant(
                     HOST,
                     TID_WORKER0 + worker_of(batch),
                     &format!("split batch {batch} -> {left}+{right}"),

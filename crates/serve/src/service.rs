@@ -19,7 +19,7 @@ use crate::metrics::ServeMetrics;
 use crate::queue::{AdmissionQueue, QueuedJob};
 use crate::report::ServeReport;
 use crate::shape::{shape_of, ShapeKey};
-use crate::telemetry::{OutcomeTag, RejectReason, ServeTelemetry};
+use crate::telemetry::{OutcomeTag, RejectReason, ServeEvent, ServeEventKind};
 use crate::{ServeConfig, FM_READ_LEN, PAIRWISE_BUCKETS, PHMM_HAP_LEN, PHMM_READ_LEN};
 
 /// Launch attempts per batch before it splits (deadline overruns split
@@ -30,10 +30,6 @@ const MAX_ATTEMPTS: u32 = 3;
 const BACKOFF_BASE: u64 = 1;
 /// Backoff ceiling, in rounds.
 const BACKOFF_CAP: u64 = 8;
-/// Capacity of the telemetry event log ([`crate::ServeEvent`]s); further
-/// events are dropped and counted, the device recorder's [`ggpu_sim::Log`]
-/// rule.
-const TELEMETRY_EVENTS: usize = 1 << 16;
 /// Most threads per CTA a pairwise / Pair-HMM kernel is compiled for.
 const SW_TPC_CAP: u32 = 64;
 const PHMM_TPC_CAP: u32 = 32;
@@ -67,10 +63,12 @@ pub struct Service {
     parked: Vec<Batch>,
     inflight: HashMap<Tenant, usize>,
     outcomes: BTreeMap<JobId, JobOutcome>,
+    /// Counted from `events`; `metrics.rounds` is the current round and
+    /// `metrics.admitted` the next job id.
     metrics: ServeMetrics,
-    telemetry: ServeTelemetry,
-    round: u64,
-    next_job: u64,
+    /// Every serving decision, once, in order: the service's only
+    /// telemetry state (see [`Service::record`]).
+    events: Vec<ServeEvent>,
     next_batch: u64,
 }
 
@@ -157,7 +155,6 @@ impl Service {
             metrics.streams_created += 1;
         }
 
-        let telemetry = ServeTelemetry::new(TELEMETRY_EVENTS);
         Ok(Service {
             cfg,
             gpu,
@@ -170,9 +167,7 @@ impl Service {
             inflight: HashMap::new(),
             outcomes: BTreeMap::new(),
             metrics,
-            telemetry,
-            round: 0,
-            next_job: 0,
+            events: Vec::new(),
             next_batch: 0,
         })
     }
@@ -181,6 +176,17 @@ impl Service {
     /// monotone, so telemetry timestamps order consistently.
     fn now(&self) -> u64 {
         self.gpu.cycle()
+    }
+
+    /// Record one serving decision: count it, and append it to the log
+    /// stamped with the current cycle and round.
+    fn record(&mut self, kind: ServeEventKind) {
+        self.metrics.count(&kind);
+        self.events.push(ServeEvent {
+            cycle: self.now(),
+            round: self.metrics.rounds,
+            kind,
+        });
     }
 
     /// Submit one job. Admission is synchronous and typed: the job is
@@ -193,21 +199,18 @@ impl Service {
         deadline: Option<u64>,
         kind: JobKind,
     ) -> Result<JobId, AdmitError> {
-        self.metrics.submitted += 1;
-        let cycle = self.now();
-        self.telemetry.on_submit(cycle, tenant, priority);
+        self.record(ServeEventKind::Submit { tenant, priority });
+        let reject = |reason| ServeEventKind::Reject { tenant, reason };
         let shape = match shape_of(&kind, &self.cfg) {
             Ok(s) => s,
             Err(e) => {
-                self.metrics.rejected_shape += 1;
-                self.telemetry.on_reject(cycle, tenant, RejectReason::Shape);
+                self.record(reject(RejectReason::Shape));
                 return Err(e);
             }
         };
         let in_flight = self.inflight.get(&tenant).copied().unwrap_or(0);
         if in_flight >= self.cfg.tenant_quota {
-            self.metrics.rejected_quota += 1;
-            self.telemetry.on_reject(cycle, tenant, RejectReason::Quota);
+            self.record(reject(RejectReason::Quota));
             return Err(AdmitError::QuotaExceeded {
                 tenant,
                 in_flight,
@@ -217,19 +220,15 @@ impl Service {
         if self.queue.len() >= self.cfg.queue_capacity {
             match self.queue.shed_for(priority) {
                 Some(victim) => {
-                    self.metrics.shed += 1;
-                    self.telemetry.on_shed(
-                        cycle,
-                        victim.spec.id,
-                        victim.spec.tenant,
-                        self.queue.len() as u64,
-                    );
+                    self.record(ServeEventKind::Shed {
+                        job: victim.spec.id,
+                        tenant: victim.spec.tenant,
+                        queue_depth: self.queue.len() as u64,
+                    });
                     self.finish(victim.spec.id, victim.spec.tenant, JobOutcome::Shed);
                 }
                 None => {
-                    self.metrics.rejected_overload += 1;
-                    self.telemetry
-                        .on_reject(cycle, tenant, RejectReason::Overload);
+                    self.record(reject(RejectReason::Overload));
                     let per_round = (self.workers.len() * self.cfg.max_batch) as u64;
                     return Err(AdmitError::Overloaded {
                         retry_after_rounds: (self.queue.len() as u64 / per_round).max(1),
@@ -237,10 +236,8 @@ impl Service {
                 }
             }
         }
-        let id = JobId(self.next_job);
-        self.next_job += 1;
+        let id = JobId(self.metrics.admitted);
         *self.inflight.entry(tenant).or_insert(0) += 1;
-        self.metrics.admitted += 1;
         self.queue.push(QueuedJob {
             spec: JobSpec {
                 id,
@@ -251,9 +248,13 @@ impl Service {
             },
             shape,
         });
-        self.metrics.gauge_queue_depth(self.queue.len() as u64);
-        self.telemetry
-            .on_admit(cycle, id, tenant, shape, priority, self.queue.len() as u64);
+        self.record(ServeEventKind::Admit {
+            job: id,
+            tenant,
+            shape,
+            priority,
+            queue_depth: self.queue.len() as u64,
+        });
         Ok(id)
     }
 
@@ -263,13 +264,11 @@ impl Service {
     /// stream — faulted streams are reset (and replaced with fresh ones)
     /// and their batches re-queued, healthy streams' results are decoded.
     pub fn run_round(&mut self) -> Result<(), ServiceDead> {
-        self.round += 1;
         self.metrics.rounds += 1;
-        self.telemetry.set_round(self.round);
         let mut work: Vec<Batch> = Vec::new();
         let mut still_parked = Vec::new();
         for b in std::mem::take(&mut self.parked) {
-            if b.not_before <= self.round && work.len() < self.workers.len() {
+            if b.not_before <= self.metrics.rounds && work.len() < self.workers.len() {
                 work.push(b);
             } else {
                 still_parked.push(b);
@@ -281,43 +280,38 @@ impl Service {
             if jobs.is_empty() {
                 break;
             }
-            let id = self.next_batch;
+            let batch = self.next_batch;
             self.next_batch += 1;
-            let cycle = self.now();
-            let depth = self.queue.len() as u64;
+            let queue_depth = self.queue.len() as u64;
             for job in &jobs {
-                self.telemetry
-                    .on_batch_assign(cycle, job.spec.id, id, depth);
+                self.record(ServeEventKind::BatchAssign {
+                    job: job.spec.id,
+                    batch,
+                    queue_depth,
+                });
             }
-            work.push(Batch::new(id, jobs));
-        }
-        self.metrics.gauge_queue_depth(self.queue.len() as u64);
-        if work.is_empty() {
-            self.metrics
-                .gauge_inflight_batches(self.parked.len() as u64);
-            return Ok(());
+            work.push(Batch::new(batch, jobs));
         }
         self.metrics
             .gauge_inflight_batches((work.len() + self.parked.len()) as u64);
+        if work.is_empty() {
+            return Ok(());
+        }
 
-        let mut launched: Vec<(usize, Batch, usize)> = Vec::new();
+        let mut launched: Vec<(usize, Batch)> = Vec::new();
         let mut failed: Vec<(Batch, SimError)> = Vec::new();
         for (w, batch) in work.into_iter().enumerate() {
             match self.upload_and_launch(w, &batch) {
                 Ok(grid) => {
-                    self.metrics.batches_launched += 1;
-                    let members: Vec<JobId> = batch.jobs.iter().map(|j| j.spec.id).collect();
-                    let span = self.telemetry.on_launch(
-                        self.now(),
-                        batch.id,
-                        w,
-                        self.workers[w].stream,
+                    self.record(ServeEventKind::Launch {
+                        batch: batch.id,
+                        worker: w,
+                        stream: self.workers[w].stream,
                         grid,
-                        batch.shape,
-                        batch.attempts + 1,
-                        &members,
-                    );
-                    launched.push((w, batch, span));
+                        jobs: batch.jobs.len() as u64,
+                        attempt: batch.attempts + 1,
+                    });
+                    launched.push((w, batch));
                 }
                 // Host-side failure (e.g. a dropped PCIe transfer):
                 // nothing reached the device for this batch.
@@ -331,25 +325,24 @@ impl Service {
                 error: e.to_string(),
             })?;
         }
-        for (w, batch, span) in launched {
+        for (w, batch) in launched {
             let stream = self.workers[w].stream;
             if let Some(err) = self.gpu.stream_fault(stream).cloned() {
                 // Recover the stream (proves the device survives), then
-                // retire it — retries go out on a fresh stream.
-                let cycle = self.now();
-                self.telemetry.on_span_faulted(span, cycle);
+                // retire it — retries go out on a fresh stream. The reset
+                // also ends the batch's span, as faulted.
                 let _ = self.gpu.reset_stream(stream);
-                self.metrics.stream_resets += 1;
                 self.workers[w].stream = self.gpu.create_stream();
-                self.metrics.streams_created += 1;
-                self.telemetry
-                    .on_stream_reset(cycle, w, stream, self.workers[w].stream);
+                self.record(ServeEventKind::StreamReset {
+                    worker: w,
+                    old_stream: stream,
+                    new_stream: self.workers[w].stream,
+                });
                 failed.push((batch, err));
             } else {
                 match self.readback(w, &batch) {
                     Ok(outputs) => {
                         for (job, out) in batch.jobs.into_iter().zip(outputs) {
-                            self.metrics.completed += 1;
                             self.finish(job.spec.id, job.spec.tenant, JobOutcome::Done(out));
                         }
                     }
@@ -374,7 +367,6 @@ impl Service {
             if rounds > max_rounds {
                 for batch in std::mem::take(&mut self.parked) {
                     for job in batch.jobs {
-                        self.metrics.failed += 1;
                         self.finish(
                             job.spec.id,
                             job.spec.tenant,
@@ -384,7 +376,6 @@ impl Service {
                 }
                 while !self.queue.is_empty() {
                     for job in self.queue.take_batch(usize::MAX) {
-                        self.metrics.failed += 1;
                         self.finish(
                             job.spec.id,
                             job.spec.tenant,
@@ -392,6 +383,8 @@ impl Service {
                         );
                     }
                 }
+                // The one queue change no `queue_depth` event records.
+                self.metrics.gauge_queue_depth(0);
                 break;
             }
             self.run_round()?;
@@ -439,22 +432,13 @@ impl Service {
     /// Snapshot everything the serving layer observed — counters, the
     /// latency histogram forest, the typed host event stream, batch
     /// spans, request trails, and the device's stream-annotated trace —
-    /// as one exportable [`ServeReport`]. Spans and trails get their
-    /// device times here, joined to the kernel records by grid handle.
+    /// as one exportable [`ServeReport`]. Spans and trails are folded from
+    /// the event log here and joined to the kernel records by grid handle.
     /// Taking a report drains nothing; it can be called repeatedly.
     pub fn report(&self) -> ServeReport {
-        let grid_times = self
-            .kernel_records()
-            .iter()
-            .map(|r| (r.grid, (r.start_cycle, r.retire_cycle)))
-            .collect();
-        let (spans, trails) = self.telemetry.joined(&grid_times);
         ServeReport::new(
             self.metrics,
-            self.telemetry.events(),
-            spans,
-            trails,
-            self.telemetry.in_flight() as u64,
+            &self.events,
             self.gpu.trace_events().to_vec(),
             self.kernel_records().to_vec(),
         )
@@ -465,8 +449,11 @@ impl Service {
         if let Some(n) = self.inflight.get_mut(&tenant) {
             *n = n.saturating_sub(1);
         }
-        self.telemetry
-            .on_complete(self.now(), id, tenant, OutcomeTag::of(&outcome));
+        self.record(ServeEventKind::Complete {
+            job: id,
+            tenant,
+            outcome: OutcomeTag::of(&outcome),
+        });
         let prev = self.outcomes.insert(id, outcome);
         debug_assert!(prev.is_none(), "outcome recorded twice for {id}");
     }
@@ -487,35 +474,40 @@ impl Service {
     /// would trade latency for collapse.
     fn batch_failed(&mut self, mut batch: Batch, err: SimError) {
         let deadline = matches!(err, SimError::DeadlineExceeded { .. });
-        let cycle = self.now();
         batch.attempts += 1;
         if !deadline && batch.attempts < MAX_ATTEMPTS {
-            self.metrics.retries += 1;
-            batch.not_before = self.round + Self::backoff(batch.attempts);
-            self.telemetry
-                .on_retry(cycle, batch.id, batch.attempts, batch.not_before);
+            batch.not_before = self.metrics.rounds + Self::backoff(batch.attempts);
+            self.record(ServeEventKind::Retry {
+                batch: batch.id,
+                attempt: batch.attempts,
+                not_before_round: batch.not_before,
+            });
             self.parked.push(batch);
             return;
         }
         if batch.jobs.len() > 1 && self.queue.len() < self.cfg.queue_capacity {
-            self.metrics.splits += 1;
             let right = batch.jobs.split_off(batch.jobs.len() / 2);
             let (left_id, right_id) = (self.next_batch, self.next_batch + 1);
             self.next_batch += 2;
-            self.telemetry.on_split(cycle, batch.id, left_id, right_id);
+            let ids = |jobs: &[QueuedJob]| jobs.iter().map(|j| j.spec.id).collect();
+            self.record(ServeEventKind::Split {
+                batch: batch.id,
+                left: left_id,
+                right: right_id,
+                left_jobs: ids(&batch.jobs),
+                right_jobs: ids(&right),
+            });
             for (id, half) in [(left_id, batch.jobs), (right_id, right)] {
                 let mut b = Batch::new(id, half);
-                b.not_before = self.round + 1;
+                b.not_before = self.metrics.rounds + 1;
                 self.parked.push(b);
             }
             return;
         }
         for job in batch.jobs {
             let outcome = if deadline {
-                self.metrics.deadline_exceeded += 1;
                 JobOutcome::DeadlineExceeded
             } else {
-                self.metrics.failed += 1;
                 JobOutcome::Failed(err.to_string())
             };
             self.finish(job.spec.id, job.spec.tenant, outcome);

@@ -1,5 +1,5 @@
-//! Request-lifecycle telemetry: a typed host event stream, per-job
-//! latency tracks, and per-batch device spans.
+//! Request-lifecycle telemetry: the typed host event log, and the
+//! per-job trails and per-batch spans folded from it.
 //!
 //! Every event is stamped with the device cycle at emission
 //! ([`ggpu_sim::Gpu::cycle`]) — the same clock the device's
@@ -9,10 +9,11 @@
 //! is the foreign key into [`ggpu_sim::KernelRecord`]s and the
 //! stream-annotated device trace.
 //!
-//! The telemetry keeps only what the device does not: the host event log,
-//! the jobs' trails and the batch launches. Whatever needs a device time
-//! (a span's start and retire, a job's device-execution stage) is joined
-//! against the device's kernel records when a report is taken.
+//! The event log is the service's only telemetry state: its counters are
+//! counted from the events as they are recorded, and trails and spans are
+//! folded from the log when a report is taken ([`spans_and_trails`]),
+//! together with whatever needs a device time (a span's start and
+//! retire, a job's device-execution stage).
 //!
 //! Everything here is driven by deterministic cycle counts and service
 //! decisions, so the event stream, the latency histograms, and the
@@ -21,7 +22,7 @@
 use std::collections::HashMap;
 
 use ggpu_sim::json::JsonWriter;
-use ggpu_sim::{Log, StreamId};
+use ggpu_sim::StreamId;
 
 use crate::job::{JobId, JobOutcome, Priority, Tenant};
 use crate::shape::ShapeKey;
@@ -165,6 +166,10 @@ pub enum ServeEventKind {
         left: u64,
         /// New right-half batch id.
         right: u64,
+        /// The jobs in the left half, in batch order.
+        left_jobs: Vec<JobId>,
+        /// The jobs in the right half, in batch order.
+        right_jobs: Vec<JobId>,
     },
     /// A faulted worker stream was reset and replaced.
     StreamReset {
@@ -186,24 +191,6 @@ pub enum ServeEventKind {
     },
 }
 
-impl ServeEventKind {
-    /// Short machine-readable tag for this event kind.
-    pub(crate) fn tag(&self) -> &'static str {
-        match self {
-            ServeEventKind::Submit { .. } => "submit",
-            ServeEventKind::Admit { .. } => "admit",
-            ServeEventKind::Reject { .. } => "reject",
-            ServeEventKind::Shed { .. } => "shed",
-            ServeEventKind::BatchAssign { .. } => "batch_assign",
-            ServeEventKind::Launch { .. } => "launch",
-            ServeEventKind::Retry { .. } => "retry",
-            ServeEventKind::Split { .. } => "split",
-            ServeEventKind::StreamReset { .. } => "stream_reset",
-            ServeEventKind::Complete { .. } => "complete",
-        }
-    }
-}
-
 /// One timestamped serving-layer event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeEvent {
@@ -219,12 +206,11 @@ impl ServeEvent {
     /// Serialize as a standalone JSON object.
     pub(crate) fn to_json(&self) -> String {
         JsonWriter::object(|w| {
-            w.u64("cycle", self.cycle)
-                .u64("round", self.round)
-                .str("event", self.kind.tag());
+            w.u64("cycle", self.cycle).u64("round", self.round);
             match &self.kind {
                 ServeEventKind::Submit { tenant, priority } => {
-                    w.u64("tenant", tenant.0 as u64)
+                    w.str("event", "submit")
+                        .u64("tenant", tenant.0 as u64)
                         .u64("priority", priority.0 as u64);
                 }
                 ServeEventKind::Admit {
@@ -234,21 +220,25 @@ impl ServeEvent {
                     priority,
                     queue_depth,
                 } => {
-                    w.u64("job", job.0)
+                    w.str("event", "admit")
+                        .u64("job", job.0)
                         .u64("tenant", tenant.0 as u64)
                         .str("shape", &shape.to_string())
                         .u64("priority", priority.0 as u64)
                         .u64("queue_depth", *queue_depth);
                 }
                 ServeEventKind::Reject { tenant, reason } => {
-                    w.u64("tenant", tenant.0 as u64).str("reason", reason.tag());
+                    w.str("event", "reject")
+                        .u64("tenant", tenant.0 as u64)
+                        .str("reason", reason.tag());
                 }
                 ServeEventKind::Shed {
                     job,
                     tenant,
                     queue_depth,
                 } => {
-                    w.u64("job", job.0)
+                    w.str("event", "shed")
+                        .u64("job", job.0)
                         .u64("tenant", tenant.0 as u64)
                         .u64("queue_depth", *queue_depth);
                 }
@@ -257,7 +247,8 @@ impl ServeEvent {
                     batch,
                     queue_depth,
                 } => {
-                    w.u64("job", job.0)
+                    w.str("event", "batch_assign")
+                        .u64("job", job.0)
                         .u64("batch", *batch)
                         .u64("queue_depth", *queue_depth);
                 }
@@ -269,7 +260,8 @@ impl ServeEvent {
                     jobs,
                     attempt,
                 } => {
-                    w.u64("batch", *batch)
+                    w.str("event", "launch")
+                        .u64("batch", *batch)
                         .u64("worker", *worker as u64)
                         .u64("stream", stream.0 as u64)
                         .u64("grid", *grid)
@@ -281,21 +273,33 @@ impl ServeEvent {
                     attempt,
                     not_before_round,
                 } => {
-                    w.u64("batch", *batch)
+                    w.str("event", "retry")
+                        .u64("batch", *batch)
                         .u64("attempt", *attempt as u64)
                         .u64("not_before_round", *not_before_round);
                 }
-                ServeEventKind::Split { batch, left, right } => {
-                    w.u64("batch", *batch)
+                ServeEventKind::Split {
+                    batch,
+                    left,
+                    right,
+                    left_jobs,
+                    right_jobs,
+                } => {
+                    w.str("event", "split")
+                        .u64("batch", *batch)
                         .u64("left", *left)
                         .u64("right", *right);
+                    for (key, jobs) in [("left_jobs", left_jobs), ("right_jobs", right_jobs)] {
+                        w.arr_raw(key, jobs.iter().map(|j| j.0.to_string()));
+                    }
                 }
                 ServeEventKind::StreamReset {
                     worker,
                     old_stream,
                     new_stream,
                 } => {
-                    w.u64("worker", *worker as u64)
+                    w.str("event", "stream_reset")
+                        .u64("worker", *worker as u64)
                         .u64("old_stream", old_stream.0 as u64)
                         .u64("new_stream", new_stream.0 as u64);
                 }
@@ -304,7 +308,8 @@ impl ServeEvent {
                     tenant,
                     outcome,
                 } => {
-                    w.u64("job", job.0)
+                    w.str("event", "complete")
+                        .u64("job", job.0)
                         .u64("tenant", tenant.0 as u64)
                         .str("outcome", outcome.tag());
                 }
@@ -362,7 +367,7 @@ pub struct JobTrail {
 const MAX_TRAIL_GRIDS: usize = 32;
 
 /// One batch launch as a host-side span: launch to retire, or to the
-/// settle cycle when the stream faulted.
+/// stream reset when the stream faulted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchSpan {
     /// Batch id.
@@ -383,7 +388,7 @@ pub struct BatchSpan {
     pub launch_cycle: u64,
     /// Cycle the grid's first CTA dispatched (from its record), when known.
     pub start_cycle: Option<u64>,
-    /// The settle cycle if it faulted; otherwise the retire cycle from its
+    /// The reset cycle if it faulted; otherwise the retire cycle from its
     /// record, or the launch cycle when it has none.
     pub end_cycle: u64,
     /// Whether the stream came back faulted for this launch.
@@ -409,317 +414,218 @@ impl BatchSpan {
     }
 }
 
-/// An in-flight job's accumulating lifecycle state.
-#[derive(Debug, Clone)]
-struct JobTrack {
-    tenant: Tenant,
-    shape: ShapeKey,
-    priority: Priority,
-    submit_cycle: u64,
-    batch_assign_cycle: Option<u64>,
-    first_launch_cycle: Option<u64>,
-    grids: Vec<GridRef>,
-}
-
-/// The serving layer's telemetry state: the bounded event log, per-job
-/// tracks (closed into trails), and one span per batch launch, holding
-/// the launch and, if the stream faulted, the settle cycle.
-#[derive(Debug)]
-pub(crate) struct ServeTelemetry {
-    events: Log<ServeEvent>,
-    round: u64,
-    tracks: HashMap<JobId, JobTrack>,
-    trails: Vec<JobTrail>,
-    spans: Vec<BatchSpan>,
-}
-
-impl ServeTelemetry {
-    pub(crate) fn new(capacity: usize) -> Self {
-        ServeTelemetry {
-            events: Log::new(capacity),
-            round: 0,
-            tracks: HashMap::new(),
-            trails: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, cycle: u64, kind: ServeEventKind) {
-        let round = self.round;
-        self.events.push(ServeEvent { cycle, round, kind }, false);
-    }
-
-    pub(crate) fn events(&self) -> &Log<ServeEvent> {
-        &self.events
-    }
-
-    pub(crate) fn in_flight(&self) -> usize {
-        self.tracks.len()
-    }
-
-    pub(crate) fn set_round(&mut self, round: u64) {
-        self.round = round;
-    }
-
-    /// The batch spans and job trails with their device times joined in
-    /// from `grid_times` (grid handle → first-CTA start, retire cycle).
-    pub(crate) fn joined(
-        &self,
-        grid_times: &HashMap<u64, (u64, u64)>,
-    ) -> (Vec<BatchSpan>, Vec<JobTrail>) {
-        let spans = self
-            .spans
-            .iter()
-            .map(|span| {
-                let mut span = span.clone();
-                if let Some(&(start, retire)) = grid_times.get(&span.grid) {
-                    span.start_cycle = Some(start);
-                    if !span.faulted {
-                        span.end_cycle = retire;
-                    }
-                }
-                span
-            })
-            .collect();
-        let trails = self
-            .trails
-            .iter()
-            .map(|trail| {
-                let mut trail = trail.clone();
-                if trail.outcome == OutcomeTag::Done {
-                    trail.device_exec = trail
-                        .grids
-                        .last()
-                        .and_then(|g| grid_times.get(&g.grid))
-                        .map(|&(start, retire)| retire.saturating_sub(start));
-                }
-                trail
-            })
-            .collect();
-        (spans, trails)
-    }
-
-    pub(crate) fn on_submit(&mut self, cycle: u64, tenant: Tenant, priority: Priority) {
-        self.push(cycle, ServeEventKind::Submit { tenant, priority });
-    }
-
-    pub(crate) fn on_reject(&mut self, cycle: u64, tenant: Tenant, reason: RejectReason) {
-        self.push(cycle, ServeEventKind::Reject { tenant, reason });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_admit(
-        &mut self,
-        cycle: u64,
-        job: JobId,
-        tenant: Tenant,
-        shape: ShapeKey,
-        priority: Priority,
-        queue_depth: u64,
-    ) {
-        self.tracks.insert(
-            job,
-            JobTrack {
-                tenant,
-                shape,
-                priority,
-                submit_cycle: cycle,
-                batch_assign_cycle: None,
-                first_launch_cycle: None,
-                grids: Vec::new(),
-            },
-        );
-        self.push(
-            cycle,
+/// The batch spans and job trails, folded in one pass over the serve
+/// event log and joined to the device by grid handle (`grid_times`: grid
+/// → first-CTA start, retire cycle).
+///
+/// A job's track opens at its `admit` and takes its first `batch_assign`
+/// cycle. A batch's members are its `batch_assign`s, or the half a
+/// `split` names. A `launch` gives each member its first-launch cycle and
+/// a [`GridRef`], and opens a span; a `stream_reset` marks the last span
+/// launched on its old stream as faulted, ending at the reset. A
+/// `complete` closes the job's track into a trail, so trails are in
+/// completion order. The join gives each span its grid's start and,
+/// unless it faulted, its retire, and each `Done` trail the device time
+/// of its last grid.
+pub(crate) fn spans_and_trails(
+    events: &[ServeEvent],
+    grid_times: &HashMap<u64, (u64, u64)>,
+) -> (Vec<BatchSpan>, Vec<JobTrail>) {
+    // An open track is a trail whose completion fields are not yet set.
+    let mut open: HashMap<JobId, JobTrail> = HashMap::new();
+    let mut members: HashMap<u64, Vec<JobId>> = HashMap::new();
+    let mut last_span: HashMap<StreamId, usize> = HashMap::new();
+    let (mut spans, mut trails) = (Vec::new(), Vec::new());
+    for &ServeEvent {
+        cycle, ref kind, ..
+    } in events
+    {
+        match kind {
             ServeEventKind::Admit {
                 job,
                 tenant,
                 shape,
                 priority,
-                queue_depth,
-            },
-        );
-    }
-
-    pub(crate) fn on_shed(&mut self, cycle: u64, job: JobId, tenant: Tenant, queue_depth: u64) {
-        self.push(
-            cycle,
-            ServeEventKind::Shed {
-                job,
-                tenant,
-                queue_depth,
-            },
-        );
-    }
-
-    pub(crate) fn on_batch_assign(&mut self, cycle: u64, job: JobId, batch: u64, queue_depth: u64) {
-        if let Some(t) = self.tracks.get_mut(&job) {
-            if t.batch_assign_cycle.is_none() {
-                t.batch_assign_cycle = Some(cycle);
+                ..
+            } => {
+                let track = JobTrail {
+                    job: *job,
+                    tenant: *tenant,
+                    shape: *shape,
+                    priority: *priority,
+                    submit_cycle: cycle,
+                    batch_assign_cycle: None,
+                    first_launch_cycle: None,
+                    complete_cycle: cycle,
+                    outcome: OutcomeTag::Done,
+                    grids: Vec::new(),
+                    device_exec: None,
+                    e2e: 0,
+                };
+                open.insert(*job, track);
             }
-        }
-        self.push(
-            cycle,
-            ServeEventKind::BatchAssign {
-                job,
-                batch,
-                queue_depth,
-            },
-        );
-    }
-
-    /// Record a launch: the event, the batch span (its index is returned
-    /// for [`ServeTelemetry::on_span_faulted`]), and per-member grid refs.
-    /// `members` are the batch's job ids.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_launch(
-        &mut self,
-        cycle: u64,
-        batch: u64,
-        worker: usize,
-        stream: StreamId,
-        grid: u64,
-        shape: ShapeKey,
-        attempt: u32,
-        members: &[JobId],
-    ) -> usize {
-        for &job in members {
-            if let Some(t) = self.tracks.get_mut(&job) {
-                if t.first_launch_cycle.is_none() {
-                    t.first_launch_cycle = Some(cycle);
-                }
-                if t.grids.len() < MAX_TRAIL_GRIDS {
-                    t.grids.push(GridRef {
-                        grid,
-                        stream: stream.0,
-                        worker,
-                        launch_cycle: cycle,
-                    });
-                }
+            ServeEventKind::BatchAssign { job, batch, .. } => {
+                members.entry(*batch).or_default().push(*job);
+                let t = open.get_mut(job).expect("an assigned job is in flight");
+                t.batch_assign_cycle.get_or_insert(cycle);
             }
-        }
-        self.push(
-            cycle,
+            ServeEventKind::Split {
+                left,
+                right,
+                left_jobs,
+                right_jobs,
+                ..
+            } => {
+                members.insert(*left, left_jobs.clone());
+                members.insert(*right, right_jobs.clone());
+            }
             ServeEventKind::Launch {
                 batch,
                 worker,
                 stream,
                 grid,
-                jobs: members.len() as u64,
+                jobs,
                 attempt,
-            },
-        );
-        self.spans.push(BatchSpan {
-            batch,
-            worker,
-            stream: stream.0,
-            grid,
-            shape,
-            jobs: members.len() as u64,
-            attempt,
-            launch_cycle: cycle,
-            start_cycle: None,
-            end_cycle: cycle,
-            faulted: false,
-        });
-        self.spans.len() - 1
-    }
-
-    /// Mark a launched span as faulted, ending at the settle cycle.
-    pub(crate) fn on_span_faulted(&mut self, span: usize, cycle: u64) {
-        if let Some(s) = self.spans.get_mut(span) {
-            s.faulted = true;
-            s.end_cycle = cycle;
+            } => {
+                for job in &members[batch] {
+                    let t = open.get_mut(job).expect("a launched job is in flight");
+                    t.first_launch_cycle.get_or_insert(cycle);
+                    if t.grids.len() < MAX_TRAIL_GRIDS {
+                        t.grids.push(GridRef {
+                            grid: *grid,
+                            stream: stream.0,
+                            worker: *worker,
+                            launch_cycle: cycle,
+                        });
+                    }
+                }
+                last_span.insert(*stream, spans.len());
+                spans.push(BatchSpan {
+                    batch: *batch,
+                    worker: *worker,
+                    stream: stream.0,
+                    grid: *grid,
+                    shape: open[&members[batch][0]].shape,
+                    jobs: *jobs,
+                    attempt: *attempt,
+                    launch_cycle: cycle,
+                    start_cycle: None,
+                    end_cycle: cycle,
+                    faulted: false,
+                });
+            }
+            ServeEventKind::StreamReset { old_stream, .. } => {
+                if let Some(&i) = last_span.get(old_stream) {
+                    spans[i].faulted = true;
+                    spans[i].end_cycle = cycle;
+                }
+            }
+            ServeEventKind::Complete { job, outcome, .. } => {
+                if let Some(mut t) = open.remove(job) {
+                    t.complete_cycle = cycle;
+                    t.outcome = *outcome;
+                    t.e2e = cycle.saturating_sub(t.submit_cycle);
+                    trails.push(t);
+                }
+            }
+            _ => {}
         }
     }
-
-    pub(crate) fn on_retry(&mut self, cycle: u64, batch: u64, attempt: u32, not_before_round: u64) {
-        self.push(
-            cycle,
-            ServeEventKind::Retry {
-                batch,
-                attempt,
-                not_before_round,
-            },
-        );
+    for span in &mut spans {
+        if let Some(&(start, retire)) = grid_times.get(&span.grid) {
+            span.start_cycle = Some(start);
+            if !span.faulted {
+                span.end_cycle = retire;
+            }
+        }
     }
-
-    pub(crate) fn on_split(&mut self, cycle: u64, batch: u64, left: u64, right: u64) {
-        self.push(cycle, ServeEventKind::Split { batch, left, right });
+    for t in trails.iter_mut().filter(|t| t.outcome == OutcomeTag::Done) {
+        t.device_exec = t
+            .grids
+            .last()
+            .and_then(|g| grid_times.get(&g.grid))
+            .map(|&(start, retire)| retire.saturating_sub(start));
     }
-
-    pub(crate) fn on_stream_reset(
-        &mut self,
-        cycle: u64,
-        worker: usize,
-        old_stream: StreamId,
-        new_stream: StreamId,
-    ) {
-        self.push(
-            cycle,
-            ServeEventKind::StreamReset {
-                worker,
-                old_stream,
-                new_stream,
-            },
-        );
-    }
-
-    /// Close a job's track into a trail and emit the Complete event.
-    pub(crate) fn on_complete(&mut self, cycle: u64, job: JobId, tenant: Tenant, tag: OutcomeTag) {
-        self.push(
-            cycle,
-            ServeEventKind::Complete {
-                job,
-                tenant,
-                outcome: tag,
-            },
-        );
-        let Some(track) = self.tracks.remove(&job) else {
-            return;
-        };
-        self.trails.push(JobTrail {
-            job,
-            tenant: track.tenant,
-            shape: track.shape,
-            priority: track.priority,
-            submit_cycle: track.submit_cycle,
-            batch_assign_cycle: track.batch_assign_cycle,
-            first_launch_cycle: track.first_launch_cycle,
-            complete_cycle: cycle,
-            outcome: tag,
-            grids: track.grids,
-            device_exec: None,
-            e2e: cycle.saturating_sub(track.submit_cycle),
-        });
-    }
+    (spans, trails)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Three jobs, each on its own launch: one completes on a grid with a
-    /// record, one fails on a faulted grid, one completes on a grid whose
-    /// record has not been taken.
+    /// Three jobs, each its own batch on its own stream: one completes on
+    /// a grid with a record, one fails on a grid whose stream was reset at
+    /// 700, one completes on a grid whose record has not been taken.
     #[test]
     fn spans_and_trails_join_device_times_at_report_time() {
-        let mut t = ServeTelemetry::new(16);
-        let shape = ShapeKey::Fm;
+        let mut kinds = Vec::new();
         for job in 0..3 {
-            t.on_admit(0, JobId(job), Tenant(0), shape, Priority(0), 1);
-            let span = t.on_launch(10, job, 0, StreamId(1), 100 + job, shape, 1, &[JobId(job)]);
-            if job == 1 {
-                t.on_span_faulted(span, 700);
-            }
+            let (id, stream) = (JobId(job), StreamId(job as usize + 1));
+            kinds.push((
+                0,
+                ServeEventKind::Admit {
+                    job: id,
+                    tenant: Tenant(0),
+                    shape: ShapeKey::Fm,
+                    priority: Priority(0),
+                    queue_depth: 1,
+                },
+            ));
+            kinds.push((
+                0,
+                ServeEventKind::BatchAssign {
+                    job: id,
+                    batch: job,
+                    queue_depth: 0,
+                },
+            ));
+            kinds.push((
+                10,
+                ServeEventKind::Launch {
+                    batch: job,
+                    worker: job as usize,
+                    stream,
+                    grid: 100 + job,
+                    jobs: 1,
+                    attempt: 1,
+                },
+            ));
         }
-        t.on_complete(800, JobId(0), Tenant(0), OutcomeTag::Done);
-        t.on_complete(800, JobId(1), Tenant(0), OutcomeTag::Failed);
-        t.on_complete(800, JobId(2), Tenant(0), OutcomeTag::Done);
-        // The faulted grid has a record too: the settle cycle still ends
+        kinds.push((
+            700,
+            ServeEventKind::StreamReset {
+                worker: 1,
+                old_stream: StreamId(2),
+                new_stream: StreamId(4),
+            },
+        ));
+        for (job, outcome) in [OutcomeTag::Done, OutcomeTag::Failed, OutcomeTag::Done]
+            .into_iter()
+            .enumerate()
+        {
+            let job = JobId(job as u64);
+            let tenant = Tenant(0);
+            kinds.push((
+                800,
+                ServeEventKind::Complete {
+                    job,
+                    tenant,
+                    outcome,
+                },
+            ));
+        }
+        let events: Vec<_> = kinds
+            .into_iter()
+            .map(|(cycle, kind)| ServeEvent {
+                cycle,
+                round: 1,
+                kind,
+            })
+            .collect();
+        // The faulted grid has a record too: the reset cycle still ends
         // its span, and a failed job has no device stage.
         let times = HashMap::from([(100, (20, 400)), (101, (30, 500))]);
-        let (spans, trails) = t.joined(&times);
+        let (spans, trails) = spans_and_trails(&events, &times);
         let ends: Vec<_> = spans.iter().map(|s| (s.start_cycle, s.end_cycle)).collect();
         assert_eq!(ends, [(Some(20), 400), (Some(30), 700), (None, 10)]);
         let exec: Vec<_> = trails.iter().map(|t| t.device_exec).collect();

@@ -295,6 +295,28 @@ fn metrics_conserve_submissions_and_track_saturation() {
     assert_eq!(m.inflight_batches, 0);
 }
 
+/// A round cap fails the queued jobs without a `queue_depth` event; the
+/// queue-depth gauge still reads the empty queue, before and after the
+/// next round.
+#[test]
+fn a_round_cap_drain_empties_the_queue_gauge() {
+    let mut svc = Service::new(ServeConfig::test_small()).expect("build service");
+    for _ in 0..20 {
+        let kind = JobKind::Pairwise {
+            query: vec![1; 20],
+            target: vec![2; 20],
+        };
+        svc.submit(Tenant(0), Priority(0), None, kind)
+            .expect("20 jobs fit a 32-deep queue and a quota of 24");
+    }
+    svc.run_until_idle(1).expect("no device-wide fault");
+    let m = svc.metrics();
+    assert_eq!((svc.backlog(), m.failed), (0, 4), "the cap failed the rest");
+    assert_eq!(m.queue_depth, 0);
+    svc.run_round().expect("no device-wide fault");
+    assert_eq!(svc.metrics().queue_depth, 0);
+}
+
 #[test]
 fn mixed_shapes_batch_separately_and_all_complete() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(44);

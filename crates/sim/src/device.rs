@@ -72,7 +72,8 @@ impl std::fmt::Display for StreamId {
 }
 
 /// Per-stream host state: the FIFO of queued grid handles and the stream's
-/// sticky fault, if any.
+/// sticky fault, if any. The default stream's fault is the device-wide
+/// sticky fault ([`Gpu::fault`]).
 #[derive(Debug, Default)]
 struct StreamState {
     queue: VecDeque<u64>,
@@ -130,9 +131,6 @@ pub struct Gpu {
     /// valid for one dispatch sweep.
     refused_shapes: Vec<(KernelId, u32)>,
     host: HostStats,
-    /// Sticky device fault (CUDA semantics): once set, every device-touching
-    /// API call returns it until [`Gpu::reset_fault`].
-    fault: Option<SimError>,
     /// Last cycle at which the forward-progress watchdog observed activity.
     last_progress: u64,
     /// Cycles elided by idle-cycle fast-forward ([`GpuConfig::fast_forward`]).
@@ -199,7 +197,6 @@ impl Gpu {
             scratch_handles: Vec::new(),
             refused_shapes: Vec::new(),
             host: HostStats::default(),
-            fault: None,
             last_progress: 0,
             fast_forward_skipped_cycles: 0,
             memcpys_done: 0,
@@ -235,10 +232,11 @@ impl Gpu {
     }
 
     /// The sticky fault the device is currently in, if any. This is the
-    /// *device-wide* fault (default-stream semantics); per-stream faults
-    /// are reported by [`Gpu::stream_fault`].
+    /// *device-wide* fault (default-stream semantics): once set, every
+    /// device-touching API call returns it until [`Gpu::reset_fault`].
+    /// Per-stream faults are reported by [`Gpu::stream_fault`].
     pub fn fault(&self) -> Option<&SimError> {
-        self.fault.as_ref()
+        self.streams[0].fault.as_ref()
     }
 
     /// Clear the sticky fault state and return it. The device was already
@@ -246,15 +244,13 @@ impl Gpu {
     /// ready for new launches (memory contents and statistics survive).
     ///
     /// Besides taking the fault, this scrubs recovery-relevant residue the
-    /// halt could not know about: the default stream's own fault marker,
-    /// CDP pending-launch entries whose grids are gone (drained but never
+    /// halt could not know about: CDP pending-launch entries whose grids are gone (drained but never
     /// retired), the watchdog's progress marker (so the next launch starts
     /// its stall count from zero instead of inheriting the hang's), and —
     /// when profiling — the record-delta base (so the next kernel record
     /// does not absorb the killed span's counters).
     pub fn reset_fault(&mut self) -> Option<SimError> {
-        let err = self.fault.take();
-        self.streams[0].fault = None;
+        let err = self.streams[0].fault.take();
         self.device_queue
             .retain(|h| self.grids.contains_key(h) && !self.grids[h].finished());
         self.last_progress = self.cycle;

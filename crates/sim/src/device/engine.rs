@@ -85,7 +85,7 @@ impl Gpu {
     /// [`SimError::Deadlock`] with a per-warp blocked-state report. Either
     /// way the `Gpu` stays usable after [`Gpu::reset_fault`].
     pub fn try_synchronize(&mut self) -> Result<u64, SimError> {
-        if let Some(f) = self.fault.clone() {
+        if let Some(f) = self.fault().cloned() {
             return Err(f);
         }
         let start = self.cycle;
@@ -146,7 +146,7 @@ impl Gpu {
     /// streams keep running and the fault is reported through
     /// [`Gpu::stream_fault`].
     fn sync_check(&mut self, start: u64) -> Option<Result<(), SimError>> {
-        if let Some(f) = self.fault.clone() {
+        if let Some(f) = self.fault().cloned() {
             return Some(Err(f));
         }
         // Deadline: the active grid overran its cycle budget (counted from
@@ -162,7 +162,7 @@ impl Gpu {
                 cycle: self.cycle,
             };
             self.kill_active_stream(err);
-            if let Some(f) = self.fault.clone() {
+            if let Some(f) = self.fault().cloned() {
                 return Some(Err(f));
             }
             return None;
@@ -177,7 +177,7 @@ impl Gpu {
                 });
             }
             self.kill_active_stream(err.clone());
-            if self.fault.is_some() {
+            if self.fault().is_some() {
                 return Some(Err(err));
             }
             return None;
@@ -188,7 +188,7 @@ impl Gpu {
     /// Advance the device one cycle. No-op while the device is in the fault
     /// state (until [`Gpu::reset_fault`]).
     pub fn tick(&mut self) {
-        if self.fault.is_some() {
+        if self.fault().is_some() {
             return;
         }
         self.step();
@@ -362,8 +362,8 @@ impl Gpu {
     }
 
     /// Kill the active stream after a fault, deadline overrun, or watchdog
-    /// hang: mark the stream faulted (mirrored into the device-wide sticky
-    /// fault when it is the default stream), abort resident work on every
+    /// hang: mark the stream faulted (for the default stream, that is the
+    /// device-wide sticky fault), abort resident work on every
     /// SM, drop the stream's grids (in-flight and queued alike) and all
     /// in-flight packets, and drain the DRAM channels so the device returns
     /// to a clean idle state. Other streams' *queued* grids have not
@@ -371,11 +371,8 @@ impl Gpu {
     /// statistics survive too.
     pub(super) fn kill_active_stream(&mut self, err: SimError) {
         let s = self.active_stream.unwrap_or(0);
-        self.streams[s].fault = Some(err.clone());
-        if s == 0 {
-            // The default stream keeps CUDA's device-wide sticky semantics.
-            self.fault = Some(err);
-        }
+        // The default stream's fault is CUDA's device-wide sticky fault.
+        self.streams[s].fault = Some(err);
         // Parked lanes are credited through this cycle before their warps
         // go. Sleeping lanes are aborted too: the abort also resets slot and
         // warp free lists, which decide where the next CTA lands.

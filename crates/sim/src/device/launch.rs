@@ -271,7 +271,7 @@ impl Gpu {
         params: &[u64],
         opts: LaunchOptions,
     ) -> Result<u64, SimError> {
-        if let Some(f) = self.fault.clone() {
+        if let Some(f) = self.fault().cloned() {
             return Err(f);
         }
         let stream = opts.stream.0;
@@ -623,7 +623,7 @@ impl Gpu {
     /// current cycle's SM phase (runs in the post-phase merge, so children
     /// enqueue in deterministic SM-index order).
     pub(super) fn spawn_child(&mut self, parent_sm: usize, l: ggpu_sm::DeviceLaunch) {
-        if self.fault.is_some() || self.pending_fault.is_some() {
+        if self.fault().is_some() || self.pending_fault.is_some() {
             return;
         }
         let parent = self.grids.get(&l.parent_grid);

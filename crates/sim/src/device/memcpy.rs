@@ -23,7 +23,7 @@ impl Gpu {
     /// Allocation failure is *not* sticky (as in CUDA): the device stays
     /// usable and smaller allocations may still succeed.
     pub fn try_malloc(&mut self, bytes: u64) -> Result<DevicePtr, SimError> {
-        if let Some(f) = self.fault.clone() {
+        if let Some(f) = self.fault().cloned() {
             return Err(f);
         }
         let in_use = self.mem.allocated();
@@ -80,7 +80,7 @@ impl Gpu {
 
     /// Copy host data to the device (one PCI transaction).
     pub fn try_memcpy_h2d(&mut self, dst: DevicePtr, data: &[u8]) -> Result<(), SimError> {
-        if let Some(f) = self.fault.clone() {
+        if let Some(f) = self.fault().cloned() {
             return Err(f);
         }
         self.check_copy(CopyDir::H2D, dst, data.len())?;
@@ -118,7 +118,7 @@ impl Gpu {
 
     /// Copy device data back to the host (one PCI transaction).
     pub fn try_memcpy_d2h(&mut self, src: DevicePtr, len: usize) -> Result<Vec<u8>, SimError> {
-        if let Some(f) = self.fault.clone() {
+        if let Some(f) = self.fault().cloned() {
             return Err(f);
         }
         self.check_copy(CopyDir::D2H, src, len)?;

@@ -65,7 +65,6 @@ pub use profile::{
     run_stats_json, IntervalSample, KernelPcProfile, KernelRecord, PartitionUnit, PcProfile,
     PcProfileRow, ProfileReport, SmUnit, UnitProfile,
 };
-pub use recorder::Log;
 pub use stats::{HostStats, RunStats};
 pub use trace::{
     chrome_trace_json, ChromeTrace, CopyDir, InstantScope, TraceEvent, TraceEventKind,

@@ -17,7 +17,7 @@ use crate::trace::TraceEvent;
 /// (a fault, a watchdog fire) is always kept, so a truncated log still ends
 /// with what ended the run.
 #[derive(Debug, Clone)]
-pub struct Log<T> {
+pub(crate) struct Log<T> {
     entries: Vec<T>,
     cap: usize,
     dropped: u64,
@@ -25,7 +25,7 @@ pub struct Log<T> {
 
 impl<T> Log<T> {
     /// An empty log keeping at most `cap` non-terminal entries.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         Log {
             entries: Vec::new(),
             cap,
@@ -35,7 +35,7 @@ impl<T> Log<T> {
 
     /// Append `entry`, or count it as dropped when the log is full and
     /// the entry is not `terminal`.
-    pub fn push(&mut self, entry: T, terminal: bool) {
+    pub(crate) fn push(&mut self, entry: T, terminal: bool) {
         if self.entries.len() < self.cap || terminal {
             self.entries.push(entry);
         } else {
@@ -44,13 +44,8 @@ impl<T> Log<T> {
     }
 
     /// Entries kept so far, in push order.
-    pub fn entries(&self) -> &[T] {
+    pub(crate) fn entries(&self) -> &[T] {
         &self.entries
-    }
-
-    /// Entries dropped after the log filled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Take the entries and the drop count, leaving the log empty.
@@ -177,10 +172,8 @@ mod tests {
         log.push(99, true);
         log.push(6, false);
         assert_eq!(log.entries(), &[0, 1, 99]);
-        assert_eq!(log.dropped(), 4);
         assert_eq!(log.take(), (vec![0, 1, 99], 4));
-        assert!(log.entries().is_empty());
-        assert_eq!(log.dropped(), 0);
+        assert_eq!(log.take(), (vec![], 0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! (`chrome://tracing` / Perfetto) JSON writer.
 //!
 //! Tracing is off by default; [`crate::GpuConfig::trace`] turns it on, and
-//! events land in the device recorder's bounded [`crate::Log`]. Every
+//! events land in the device recorder's bounded log. Every
 //! emission site in the device is guarded by a single "is tracing on?"
 //! branch, so the disabled path costs one predictable branch and no
 //! allocation.

@@ -22,12 +22,12 @@ use ggpu_kernels::nvb::FmTables;
 use ggpu_kernels::pairhmm::{GAP_EXT_P, GAP_OPEN_P};
 use ggpu_kernels::pairwise::{GAP_EXTEND, GAP_OPEN, MATCH, MISMATCH};
 use ggpu_serve::{
-    traffic, AdmitError, JobId, JobKind, JobOutcome, JobOutput, Priority, ServeConfig, Service,
-    Tenant,
+    traffic, AdmitError, JobId, JobKind, JobOutcome, JobOutput, Priority, ServeConfig,
+    ServeEventKind, Service, Tenant,
 };
 use ggpu_sim::FaultPlan;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 const GENOME_LEN: usize = traffic::GENOME_LEN;
 const FM_READ_LEN: usize = ggpu_serve::FM_READ_LEN as usize;
@@ -272,8 +272,11 @@ fn overload_storm_is_typed_and_everything_admitted_completes() {
     assert_done_matches_oracle(&run);
 }
 
-#[test]
-fn impossible_deadlines_degrade_gracefully() {
+/// Twelve jobs on one tenant, every third with a 5-cycle budget — launch
+/// overhead alone exceeds it, so the grid is killed on device, the batch
+/// splits, and only the doomed jobs end `DeadlineExceeded`. Returns the
+/// drained service, the doomed ids and the others with their oracle.
+fn run_impossible_deadlines() -> (Service, Vec<JobId>, Vec<(JobId, Expected)>) {
     let oracle = Oracle::new(4004);
     let mut svc = Service::new(soak_config(&oracle, FaultPlan::default())).expect("build service");
     let mut rng = rand::rngs::StdRng::seed_from_u64(4004 ^ 0x5eed);
@@ -281,9 +284,6 @@ fn impossible_deadlines_degrade_gracefully() {
     let mut fine = Vec::new();
     for i in 0..12 {
         let (kind, want) = oracle.gen_job(&mut rng);
-        // Every third job gets a 5-cycle budget — launch overhead alone
-        // exceeds it, so the grid is killed on device, the batch splits,
-        // and only the doomed job ends `DeadlineExceeded`.
         if i % 3 == 0 {
             let id = svc
                 .submit(Tenant(0), Priority(0), Some(5), kind)
@@ -298,6 +298,12 @@ fn impossible_deadlines_degrade_gracefully() {
     }
     svc.run_until_idle(500)
         .expect("deadline kills must stay stream-scoped");
+    (svc, doomed, fine)
+}
+
+#[test]
+fn impossible_deadlines_degrade_gracefully() {
+    let (svc, doomed, fine) = run_impossible_deadlines();
     for id in &doomed {
         assert!(
             matches!(svc.outcome(*id), Some(JobOutcome::DeadlineExceeded)),
@@ -317,4 +323,65 @@ fn impossible_deadlines_degrade_gracefully() {
     assert_eq!(m.deadline_exceeded, doomed.len() as u64);
     assert!(m.splits >= 1, "deadline kill must split the batch: {m:?}");
     assert!(m.stream_resets >= doomed.len() as u64);
+}
+
+/// Each `split` names the jobs in its halves: together they are the
+/// parent batch's members, every member's trail lists the parent's grid
+/// before its half's, and each half's span carries its half's size and
+/// the parent's shape.
+#[test]
+fn split_halves_name_their_jobs_and_trails_cross_the_split() {
+    let (svc, _, _) = run_impossible_deadlines();
+    let report = svc.report();
+    let mut members: HashMap<u64, Vec<JobId>> = HashMap::new();
+    // Each batch's launch grids, oldest first.
+    let mut grids: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut splits = Vec::new();
+    for ev in &report.events {
+        match &ev.kind {
+            ServeEventKind::BatchAssign { job, batch, .. } => {
+                members.entry(*batch).or_default().push(*job)
+            }
+            ServeEventKind::Launch { batch, grid, .. } => {
+                grids.entry(*batch).or_default().push(*grid)
+            }
+            ServeEventKind::Split {
+                batch,
+                left,
+                right,
+                left_jobs,
+                right_jobs,
+            } => {
+                let halves = [left_jobs.clone(), right_jobs.clone()].concat();
+                assert_eq!(halves, members[batch], "split {batch} lost or gained a job");
+                assert!(!left_jobs.is_empty() && !right_jobs.is_empty());
+                members.insert(*left, left_jobs.clone());
+                members.insert(*right, right_jobs.clone());
+                let parent_grid = *grids[batch].last().expect("a split batch launched");
+                splits.push((*batch, parent_grid, [*left, *right]));
+            }
+            _ => {}
+        }
+    }
+    assert!(!splits.is_empty(), "the deadline kill must split a batch");
+    for (batch, parent_grid, halves) in splits {
+        let parent_span = report.spans.iter().find(|s| s.grid == parent_grid).unwrap();
+        for half in halves {
+            let half_grid = grids[&half][0];
+            for job in &members[&half] {
+                let trail = report.trails.iter().find(|t| t.job == *job).unwrap();
+                let at = |g: u64| trail.grids.iter().position(|r| r.grid == g);
+                let (parent_at, half_at) = (at(parent_grid), at(half_grid));
+                assert!(
+                    parent_at.is_some() && parent_at < half_at,
+                    "{job}: batch {batch}'s grid {parent_grid} must precede half {half}'s grid {half_grid} in {:?}",
+                    trail.grids
+                );
+            }
+            for span in report.spans.iter().filter(|s| s.batch == half) {
+                assert_eq!(span.jobs, members[&half].len() as u64, "half {half}'s span");
+                assert_eq!(span.shape, parent_span.shape, "half {half}'s span");
+            }
+        }
+    }
 }
