@@ -2,10 +2,13 @@
 //!
 //! Drives a seeded traffic scenario through `ggpu-serve` and renders
 //! everything the observability layer captured: the `ServeMetrics`
-//! conservation ledger, per-stage latency histograms (queue wait, batch
-//! formation, device execution, end-to-end) with p50/p90/p99/max broken
-//! down per tenant and per kernel shape, and a top-N table of the
-//! slowest requests with the device events causally tied to each.
+//! conservation ledger, exact per-stage latencies (queue wait, batch
+//! formation, device execution, end-to-end) with nearest-rank
+//! p50/p90/p99 and max broken down per tenant and per kernel shape, and
+//! a top-N table of the slowest requests with the device events causally
+//! tied to each. It exits non-zero if the ledger does not balance, a
+//! breakdown does not telescope to the global latencies, or a global
+//! end-to-end quantile is not the nearest rank over the request list.
 //!
 //! ```text
 //! ggpu-stat [SCENARIO] [--jobs N] [--seed S] [--trace] [--tag NAME]
@@ -31,7 +34,7 @@ use ggpu_bench::export::{render_table, write_json_doc, Table};
 use ggpu_genomics::random_genome;
 use ggpu_serve::traffic::{self, GENOME_LEN};
 use ggpu_serve::{
-    AdmitError, Histogram, JobKind, LatencyStats, Priority, ServeConfig, ServeReport, Service,
+    AdmitError, JobKind, LatencyStats, LatencySummary, Priority, ServeConfig, ServeReport, Service,
     Tenant,
 };
 use ggpu_sim::json::JsonWriter;
@@ -104,14 +107,16 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("invariants: conservation ok, histograms telescope");
+    println!("invariants: conservation ok, latencies telescope and are exact");
 }
 
-/// Check the `ServeMetrics` conservation ledger and that the latency
-/// histograms telescope: every scoped breakdown (per tenant, per shape,
-/// per outcome) must sum back to the global end-to-end histogram, both
-/// in sample count and in total recorded cycles. Returns the list of
-/// violations; the process exits non-zero if any.
+/// Check the `ServeMetrics` conservation ledger, that the latencies
+/// telescope — every scoped breakdown (per tenant, per shape, per
+/// outcome) must sum back to the global end-to-end latencies, both in
+/// count and in total cycles — and that the global end-to-end summary is
+/// exact: its count, quantiles and max are the nearest rank over the
+/// request list. Returns the list of violations; the process exits
+/// non-zero if any.
 fn verify_invariants(r: &ServeReport) -> Vec<String> {
     let mut bad = Vec::new();
     let m = r.metrics;
@@ -129,41 +134,58 @@ fn verify_invariants(r: &ServeReport) -> Vec<String> {
             m.admitted, terminal, m.completed, m.failed, m.deadline_exceeded, m.shed
         ));
     }
-    let global = (r.global.e2e.count(), r.global.e2e.sum());
+    let global = (r.global.e2e.count, r.global.e2e.sum);
     if global.0 != terminal {
         bad.push(format!(
-            "global e2e histogram has {} samples but {} requests terminated",
+            "global e2e latencies have {} samples but {} requests terminated",
             global.0, terminal
         ));
     }
     let scopes: [(&str, (u64, u64)); 3] = [
         (
             "tenant",
-            r.per_tenant.iter().fold((0, 0), |(c, s), (_, st)| {
-                (c + st.e2e.count(), s + st.e2e.sum())
-            }),
+            r.per_tenant
+                .iter()
+                .fold((0, 0), |(c, s), (_, st)| (c + st.e2e.count, s + st.e2e.sum)),
         ),
         (
             "shape",
-            r.per_shape.iter().fold((0, 0), |(c, s), (_, st)| {
-                (c + st.e2e.count(), s + st.e2e.sum())
-            }),
+            r.per_shape
+                .iter()
+                .fold((0, 0), |(c, s), (_, st)| (c + st.e2e.count, s + st.e2e.sum)),
         ),
         (
             "outcome",
             r.per_outcome
                 .iter()
-                .fold((0, 0), |(c, s), (_, h)| (c + h.count(), s + h.sum())),
+                .fold((0, 0), |(c, s), (_, e2e)| (c + e2e.count, s + e2e.sum)),
         ),
     ];
     for (scope, (count, sum)) in scopes {
         if (count, sum) != global {
             bad.push(format!(
-                "per-{scope} e2e histograms do not telescope to global: \
+                "per-{scope} e2e latencies do not telescope to global: \
                  {count} samples / {sum} cycles vs {} / {}",
                 global.0, global.1
             ));
         }
+    }
+    // Exactness: rank ceil(q·n) of the request list's sorted e2e cycles.
+    let mut e2e: Vec<u64> = r.trails.iter().map(|t| t.e2e).collect();
+    e2e.sort_unstable();
+    let n = e2e.len();
+    let rank = |q: f64| {
+        let i = ((q * n as f64).ceil() as usize).max(1) - 1;
+        e2e.get(i).copied().unwrap_or(0)
+    };
+    let exact = (n as u64, rank(0.5), rank(0.9), rank(0.99), rank(1.0));
+    let s = &r.global.e2e;
+    let reported = (s.count, s.p50, s.p90, s.p99, s.max);
+    if reported != exact {
+        bad.push(format!(
+            "global e2e (count, p50, p90, p99, max) {reported:?} is not the nearest \
+             rank over the request list {exact:?}"
+        ));
     }
     bad
 }
@@ -249,34 +271,34 @@ fn print_metrics(r: &ServeReport) {
     );
 }
 
-/// One latency-table row: a histogram's count, quantiles, max and mean.
-fn histogram_row(scope: &str, stage: &str, h: &Histogram) -> Vec<String> {
+/// One latency-table row: a summary's count, quantiles, max and mean.
+fn latency_row(scope: &str, stage: &str, s: &LatencySummary) -> Vec<String> {
     vec![
         scope.to_string(),
         stage.to_string(),
-        h.count().to_string(),
-        h.percentile(50.0).to_string(),
-        h.percentile(90.0).to_string(),
-        h.percentile(99.0).to_string(),
-        h.max().to_string(),
-        format!("{:.1}", h.mean()),
+        s.count.to_string(),
+        s.p50.to_string(),
+        s.p90.to_string(),
+        s.p99.to_string(),
+        s.max.to_string(),
+        format!("{:.1}", s.mean()),
     ]
 }
 
 fn stage_rows(scope: &str, stats: &LatencyStats, rows: &mut Vec<Vec<String>>) {
-    for (stage, h) in [
+    for (stage, s) in [
         ("queue_wait", &stats.queue_wait),
         ("batch_formation", &stats.batch_formation),
         ("device_exec", &stats.device_exec),
         ("e2e", &stats.e2e),
     ] {
-        rows.push(histogram_row(scope, stage, h));
+        rows.push(latency_row(scope, stage, s));
     }
 }
 
 /// The latency table (`serve_<tag>_latency`): every scope × stage row —
 /// global, per tenant, per shape, and the per-outcome end-to-end
-/// histograms.
+/// summaries.
 fn latency_table(tag: &str, r: &ServeReport) -> Table {
     let mut rows = Vec::new();
     stage_rows("global", &r.global, &mut rows);
@@ -286,8 +308,8 @@ fn latency_table(tag: &str, r: &ServeReport) -> Table {
     for (shape, stats) in &r.per_shape {
         stage_rows(&format!("shape/{shape}"), stats, &mut rows);
     }
-    for (outcome, h) in r.per_outcome.iter().filter(|(_, h)| h.count() > 0) {
-        rows.push(histogram_row(&format!("outcome/{outcome}"), "e2e", h));
+    for (outcome, e2e) in r.per_outcome.iter().filter(|(_, e2e)| e2e.count > 0) {
+        rows.push(latency_row(&format!("outcome/{outcome}"), "e2e", e2e));
     }
     Table::new(
         format!("serve_{tag}_latency"),

@@ -32,8 +32,9 @@
 //!   typed [`ServeEvent`] (launches carry the device stream and grid
 //!   handle), and the [`ServeMetrics`] counters are counted from those
 //!   events. [`Service::report`] folds the request trails and batch spans
-//!   from the log, latencies into dependency-free log-bucketed
-//!   [`Histogram`]s per tenant/shape/outcome, and bundles it all —
+//!   from the log, summarizes each stage's latencies exactly per
+//!   tenant/shape/outcome (nearest-rank [`LatencySummary`]s from the
+//!   trails), and bundles it all —
 //!   including a unified host+device Chrome trace — as a [`ServeReport`].
 //!
 //! Everything is deterministic: given the same submissions and the same
@@ -48,8 +49,8 @@
 
 mod batch;
 mod error;
-mod histogram;
 mod job;
+mod latency;
 mod metrics;
 mod queue;
 mod report;
@@ -59,8 +60,8 @@ mod telemetry;
 pub mod traffic;
 
 pub use error::{AdmitError, ServiceDead};
-pub use histogram::{Histogram, LatencyStats};
 pub use job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, Priority, Tenant};
+pub use latency::{LatencyStats, LatencySummary};
 pub use metrics::ServeMetrics;
 pub use report::ServeReport;
 pub use service::Service;

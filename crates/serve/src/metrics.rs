@@ -7,7 +7,7 @@ use crate::telemetry::{OutcomeTag, RejectReason, ServeEventKind};
 
 /// Monotonic counters and saturation gauges over a [`crate::Service`]'s
 /// lifetime. Every counter an event stands for is counted from that event
-/// ([`ServeMetrics::count`]), so counters and the event log cannot
+/// (`ServeMetrics::count`), so counters and the event log cannot
 /// disagree; `rounds`, the streams created at build and the in-flight
 /// batch gauge have no event and are set by the service itself.
 ///
@@ -30,7 +30,7 @@ use crate::telemetry::{OutcomeTag, RejectReason, ServeEventKind};
 /// While work is in flight the right-hand side lags `admitted` by exactly
 /// the number of admitted-but-unfinished jobs. Both invariants are
 /// enforced by `conservation` tests in `crates/serve/tests` and by the
-/// telemetry layer, whose end-to-end histogram count telescopes to the
+/// telemetry layer, whose end-to-end latency count telescopes to the
 /// terminal-outcome sum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeMetrics {

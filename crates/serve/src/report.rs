@@ -1,8 +1,8 @@
-//! The serving observability report: metrics, latency histograms, the
+//! The serving observability report: metrics, latency summaries, the
 //! host event stream, batch spans, request trails, and a unified
 //! host+device Chrome-trace export. Spans and trails are folded from the
-//! event log when the report is built, and the histograms from the
-//! trails; nothing keeps them between reports.
+//! event log when the report is built, and the latency summaries from the
+//! trails (exact, by nearest rank); nothing keeps them between reports.
 //!
 //! The Chrome trace renders one Perfetto process per participant on one
 //! cycle timeline: pid 0 holds the host rows (an admission-queue-depth
@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ggpu_sim::json::{quoted, JsonWriter};
 use ggpu_sim::{ChromeTrace, InstantScope, KernelRecord, TraceEvent, TraceEventKind, CLOCK_GHZ};
 
-use crate::histogram::{Histogram, LatencyStats};
+use crate::latency::{LatencyStats, LatencySummary};
 use crate::metrics::ServeMetrics;
 use crate::shape::ShapeKey;
 use crate::telemetry::{
@@ -33,15 +33,15 @@ use crate::telemetry::{
 pub struct ServeReport {
     /// Lifetime counters and gauges.
     pub metrics: ServeMetrics,
-    /// Latency histograms over every admitted job.
+    /// Latency summaries over every admitted job.
     pub global: LatencyStats,
-    /// Latency histograms broken down per tenant.
+    /// Latency summaries broken down per tenant.
     pub per_tenant: BTreeMap<u32, LatencyStats>,
-    /// Latency histograms broken down per kernel shape.
+    /// Latency summaries broken down per kernel shape.
     pub per_shape: BTreeMap<ShapeKey, LatencyStats>,
-    /// End-to-end histograms per outcome class, as `(tag, histogram)` in
-    /// a fixed order: done, shed, deadline_exceeded, failed.
-    pub per_outcome: Vec<(&'static str, Histogram)>,
+    /// End-to-end summaries per outcome class, as `(tag, summary)` in a
+    /// fixed order: done, shed, deadline_exceeded, failed.
+    pub per_outcome: Vec<(&'static str, LatencySummary)>,
     /// The typed host event stream, in emission order: every serving
     /// decision since the service was built (the log is not capped, since
     /// spans and trails are folded from it).
@@ -63,8 +63,8 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// A report over the serve event log: spans and trails folded from
-    /// `events` and joined to `device_records` by grid handle, and the
-    /// latency histogram forest folded from the trails.
+    /// `events` and joined to `device_records` by grid handle, and every
+    /// latency summary computed from the trails.
     pub(crate) fn new(
         metrics: ServeMetrics,
         events: &[ServeEvent],
@@ -76,34 +76,6 @@ impl ServeReport {
             .map(|r| (r.grid, (r.start_cycle, r.retire_cycle)))
             .collect();
         let (spans, trails) = spans_and_trails(events, &grid_times);
-        let mut global = LatencyStats::default();
-        let mut per_tenant = BTreeMap::new();
-        let mut per_shape = BTreeMap::new();
-        for t in &trails {
-            let queue_wait = t
-                .batch_assign_cycle
-                .map(|a| a.saturating_sub(t.submit_cycle));
-            let batch_formation = t
-                .batch_assign_cycle
-                .zip(t.first_launch_cycle)
-                .map(|(a, l)| l.saturating_sub(a));
-            for stats in [
-                &mut global,
-                per_tenant.entry(t.tenant.0).or_default(),
-                per_shape.entry(t.shape).or_default(),
-            ] {
-                if let Some(v) = queue_wait {
-                    stats.queue_wait.record(v);
-                }
-                if let Some(v) = batch_formation {
-                    stats.batch_formation.record(v);
-                }
-                if let Some(v) = t.device_exec {
-                    stats.device_exec.record(v);
-                }
-                stats.e2e.record(t.e2e);
-            }
-        }
         let per_outcome = [
             OutcomeTag::Done,
             OutcomeTag::Shed,
@@ -111,18 +83,18 @@ impl ServeReport {
             OutcomeTag::Failed,
         ]
         .map(|outcome| {
-            let mut h = Histogram::new();
-            for t in trails.iter().filter(|t| t.outcome == outcome) {
-                h.record(t.e2e);
-            }
-            (outcome.tag(), h)
+            let e2e = trails
+                .iter()
+                .filter(|t| t.outcome == outcome)
+                .map(|t| t.e2e);
+            (outcome.tag(), LatencySummary::new(e2e.collect()))
         })
         .into();
         ServeReport {
             metrics,
-            global,
-            per_tenant,
-            per_shape,
+            global: LatencyStats::of(trails.iter()),
+            per_tenant: per_key(&trails, |t| t.tenant.0),
+            per_shape: per_key(&trails, |t| t.shape),
             per_outcome,
             events: events.to_vec(),
             spans,
@@ -192,8 +164,8 @@ impl ServeReport {
             }
             w.end_obj();
             w.begin_obj_key("per_outcome");
-            for (tag, h) in &self.per_outcome {
-                w.raw(tag, &h.to_json());
+            for (tag, s) in &self.per_outcome {
+                w.raw(tag, &s.to_json());
             }
             w.end_obj();
             w.end_obj();
@@ -428,6 +400,17 @@ impl ServeReport {
 
         tr.finish()
     }
+}
+
+/// One [`LatencyStats`] per distinct `key` among `trails`, in key order.
+fn per_key<K: Ord + Copy>(
+    trails: &[JobTrail],
+    key: impl Fn(&JobTrail) -> K,
+) -> BTreeMap<K, LatencyStats> {
+    let keys: BTreeSet<K> = trails.iter().map(&key).collect();
+    keys.into_iter()
+        .map(|k| (k, LatencyStats::of(trails.iter().filter(|t| key(t) == k))))
+        .collect()
 }
 
 /// Serialize one trail as a JSON object.

@@ -430,7 +430,7 @@ impl Service {
     }
 
     /// Snapshot everything the serving layer observed — counters, the
-    /// latency histogram forest, the typed host event stream, batch
+    /// latency summaries, the typed host event stream, batch
     /// spans, request trails, and the device's stream-annotated trace —
     /// as one exportable [`ServeReport`]. Spans and trails are folded from
     /// the event log here and joined to the kernel records by grid handle.

@@ -16,7 +16,7 @@
 //! retire, a job's device-execution stage).
 //!
 //! Everything here is driven by deterministic cycle counts and service
-//! decisions, so the event stream, the latency histograms, and the
+//! decisions, so the event stream, the latency summaries, and the
 //! per-batch spans are bit-identical from run to run.
 
 use std::collections::HashMap;

@@ -3,7 +3,7 @@
 //! Two consumers share this module: the `ggpu-stat` telemetry CLI
 //! (scenario replay) and `benchmark/` (the `serve_mix` workload and the
 //! serve probes). Keeping the geometry and the job-mix generator here
-//! means both drive the *same* request population, so a latency histogram
+//! means both drive the *same* request population, so a latency quantile
 //! in one and a host-time metric in the other describe the same workload.
 //! Each consumer owns its submission loop: `ggpu-stat` re-offers refused
 //! jobs next round, `benchmark/` drops them.

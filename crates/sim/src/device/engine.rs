@@ -210,11 +210,11 @@ impl Gpu {
         // 3. CTA dispatch (children first, then the active host grid).
         self.arm_and_dispatch();
 
-        // Sleeping lanes see this cycle through the clock; a lane dispatch
-        // just woke was credited up to the previous cycle and ticks this one
-        // itself.
+        // Sleeping lanes see this cycle through the busy total; a lane
+        // dispatch just woke was credited up to the previous cycle and ticks
+        // this one itself.
         let device_busy = self.device_busy_at(now);
-        self.lanes.advance_clock(1, device_busy);
+        self.lanes.count_busy(1, device_busy);
         (now, device_busy)
     }
 
@@ -338,7 +338,7 @@ impl Gpu {
         // 8. Lanes with nothing resident, in flight or left to merge sleep
         // until dispatch wakes them. (The fault path above returns with its
         // aborted lanes still awake; they sleep after their next cycle.)
-        self.lanes.sleep_idle();
+        self.lanes.sleep_idle(now + 1);
     }
 
     // ---- fault handling ---------------------------------------------------

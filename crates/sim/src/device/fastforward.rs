@@ -22,7 +22,7 @@
 //! * **SM wakes** — only awake lanes are asked. A sleeping lane has nothing
 //!   resident and nothing in flight, so it has no timed wake-up at all
 //!   (dispatch wakes it, and the dispatcher is bounded below); its share of
-//!   the span reaches it through the idle clock. For an awake lane
+//!   the span reaches it through the busy total. For an awake lane
 //!   [`ggpu_sm::SmCore::next_wake`] is the minimum, over its warps, of the
 //!   wake-up the SM's one readiness rule (`Warp::readiness`, the function
 //!   the schedulers pick by) returns beside the wait kind: `c0` unless
@@ -83,11 +83,13 @@
 //! absolute cycle numbers and has no per-cycle state.
 //!
 //! The span is credited in O(awake lanes): each awake lane that is not
-//! parked in one `skip_cycles` call, every sleeping lane by advancing the
-//! idle clock ([`super::lanes`]) by the span — the same two totals a ticked
-//! cycle advances by one, which is why a lane cannot tell how the cycles it
-//! slept through were retired. A parked lane is left alone: the span joins
-//! the cycles it is credited when it resumes or a counter is read.
+//! parked in one `skip_cycles` call, every sleeping lane by counting the
+//! span into the busy total ([`super::lanes`]) when the device is busy —
+//! what a ticked cycle adds one at a time — and by the clock's own jump,
+//! since a sleeping lane is credited `end - from` cycles; that is why a
+//! lane cannot tell how the cycles it slept through were retired. A parked
+//! lane is left alone: the span joins the cycles it is credited when it
+//! resumes or a counter is read.
 
 use super::Gpu;
 
@@ -95,7 +97,7 @@ impl Gpu {
     /// Park the awake lanes the scan reaches that cannot issue on the next
     /// cycle. Then, if that cycle begins a dead span, credit the span to
     /// every unit (unparked awake lanes directly, sleeping lanes through the
-    /// idle clock, parked lanes at their next credit) and advance the clock
+    /// busy total, parked lanes at their next credit) and advance the clock
     /// to its last cycle. The jump is a no-op (the engine keeps ticking
     /// per-cycle) whenever any unit might act on the next cycle.
     ///

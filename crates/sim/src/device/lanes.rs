@@ -1,6 +1,6 @@
 //! The SM lanes: every core with its port pair, the awake-lane list, and
-//! the clock sleeping lanes are credited from — one owned [`Lanes`], a plain
-//! field of [`super::Gpu`]. It is the SM side of the ports: the memory
+//! the busy total sleeping lanes are credited from — one owned [`Lanes`], a
+//! plain field of [`super::Gpu`]. It is the SM side of the ports: the memory
 //! system on the other side hands it reply ids ([`Lanes::deliver_reply`])
 //! and knows an SM only as an index.
 //!
@@ -23,10 +23,11 @@
 //! the end of the post phase and is then visited by nothing — not the SM
 //! phase, the merge, the fast-forward scan or the pending-work questions
 //! ([`Lanes::holds_work`], [`Lanes::outstanding_requests`]) — until CTA dispatch
-//! wakes it. The device keeps the two running totals in an [`IdleClock`];
-//! a sleeping lane remembers the reading it is credited up to and receives
-//! the difference when it wakes or at a settle point (anything that reads
-//! counters). DESIGN.md, "Sleeping SMs", has the invariant in full.
+//! wakes it. Like a parked lane it remembers the first cycle `from` it has
+//! not been credited (and the device's busy total at that point), and
+//! receives `end - from` cycles, the busy ones among them, when it wakes or
+//! at a settle point (anything that reads counters). DESIGN.md, "Sleeping
+//! SMs", has the invariant in full.
 //!
 //! # Parked lanes
 //!
@@ -48,14 +49,12 @@ use ggpu_sm::{SmCore, SmPorts};
 
 use crate::memory::DeviceMemory;
 
-/// Device-wide running totals that a sleeping lane's per-cycle side effects
-/// are a pure function of: cycles elapsed, and cycles elapsed while the
-/// device was busy ([`super::Gpu::device_busy_at`]). Advanced by one per
-/// ticked cycle and by the span per fast-forwarded span.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct IdleClock {
-    cycles: u64,
-    busy_cycles: u64,
+/// A sleeping lane's uncredited span: cycles `from..` are not yet credited
+/// to its idle counters, and `busy` is [`Lanes`]' busy total at `from`.
+#[derive(Debug, Clone, Copy)]
+struct Asleep {
+    from: u64,
+    busy: u64,
 }
 
 /// A parked lane's skipped span: cycles `from..` are not yet credited, and
@@ -73,20 +72,20 @@ pub(super) struct SmLane {
     pub(super) core: SmCore,
     pub(super) ports: SmPorts,
     /// `None` while the lane is awake (ticked, merged and scanned every
-    /// cycle). A sleeping lane holds the [`IdleClock`] reading up to which
-    /// its idle cycles have been credited to its counters.
-    credited_to: Option<IdleClock>,
+    /// cycle), `Some` while it sleeps.
+    asleep: Option<Asleep>,
     /// `Some` while the lane is awake but parked.
     parked: Option<Parked>,
 }
 
 impl SmLane {
-    /// Bring a sleeping lane's counters up to `clock`. No-op when awake.
-    fn settle(&mut self, clock: IdleClock) {
-        if let Some(at) = &mut self.credited_to {
-            self.core
-                .credit_idle(clock.cycles - at.cycles, clock.busy_cycles - at.busy_cycles);
-            *at = clock;
+    /// Credit a sleeping lane every cycle before `end` that it has not been
+    /// credited yet; `busy` is the busy total through `end - 1`. No-op when
+    /// awake.
+    fn settle(&mut self, end: u64, busy: u64) {
+        if let Some(a) = &mut self.asleep {
+            self.core.credit_idle(end - a.from, busy - a.busy);
+            *a = Asleep { from: end, busy };
         }
     }
 
@@ -128,33 +127,36 @@ impl SmLane {
 }
 
 /// Every lane in SM-index order, the awake ones' indices (ascending — the
-/// merge order) and the clock the sleeping ones are credited from.
+/// merge order) and the busy total the sleeping ones are credited from.
 /// Everything on the per-cycle path goes through the awake list; only settle
 /// points and stream-wide resets visit every lane.
 #[derive(Debug)]
 pub(super) struct Lanes {
     lanes: Vec<SmLane>,
     awake: Vec<usize>,
-    clock: IdleClock,
+    /// Cycles so far that saw the device busy
+    /// ([`super::Gpu::device_busy_at`]).
+    busy_cycles: u64,
     /// Lane-ticks the SM phase passed by because the lane was parked.
     #[cfg(test)]
     parked_ticks: u64,
 }
 
 impl Lanes {
-    /// One lane per core, nothing resident, all asleep since cycle 0.
+    /// One lane per core, nothing resident, all asleep since cycle 0: the
+    /// first cycle ticked is 1.
     pub(super) fn new(cores: impl Iterator<Item = SmCore>) -> Self {
         Lanes {
             lanes: cores
                 .map(|core| SmLane {
                     core,
                     ports: SmPorts::new(),
-                    credited_to: Some(IdleClock::default()),
+                    asleep: Some(Asleep { from: 1, busy: 0 }),
                     parked: None,
                 })
                 .collect(),
             awake: Vec::new(),
-            clock: IdleClock::default(),
+            busy_cycles: 0,
             #[cfg(test)]
             parked_ticks: 0,
         }
@@ -218,7 +220,7 @@ impl Lanes {
     /// sleeps.
     pub(super) fn deliver_reply(&mut self, sm: usize, id: u64) {
         let lane = &mut self.lanes[sm];
-        debug_assert!(lane.credited_to.is_none(), "reply to sleeping SM {sm}");
+        debug_assert!(lane.asleep.is_none(), "reply to sleeping SM {sm}");
         lane.ports.replies.push(id);
     }
 
@@ -243,14 +245,15 @@ impl Lanes {
     }
 
     /// Ready lane `sm` for dispatch at cycle `now`, before its state
-    /// changes: a sleeping lane is credited its idle cycles up to now and
-    /// put back on the awake list, a parked one is credited the cycles
-    /// before `now` and unparked. Either way it ticks `now` itself.
+    /// changes and before `now` is counted busy or not: a sleeping lane is
+    /// credited the cycles before `now` and put back on the awake list, a
+    /// parked one is credited the same and unparked. Either way it ticks
+    /// `now` itself.
     pub(super) fn wake(&mut self, sm: usize, now: u64) {
         let lane = &mut self.lanes[sm];
-        if lane.credited_to.is_some() {
-            lane.settle(self.clock);
-            lane.credited_to = None;
+        if lane.asleep.is_some() {
+            lane.settle(now, self.busy_cycles);
+            lane.asleep = None;
             let at = self.awake.partition_point(|&i| i < sm);
             self.awake.insert(at, sm);
         } else {
@@ -271,31 +274,34 @@ impl Lanes {
         }
     }
 
-    /// Advance the idle clock over `cycles` cycles that all saw the same
-    /// `device_busy`: the one ticked cycle about to run its SM phase, or a
+    /// Count `cycles` cycles that all saw the same `device_busy` into the
+    /// busy total: the one ticked cycle about to run its SM phase, or a
     /// fast-forwarded span.
-    pub(super) fn advance_clock(&mut self, cycles: u64, device_busy: bool) {
-        self.clock.cycles += cycles;
+    pub(super) fn count_busy(&mut self, cycles: u64, device_busy: bool) {
         if device_busy {
-            self.clock.busy_cycles += cycles;
+            self.busy_cycles += cycles;
         }
     }
 
     /// Put every awake lane that [`SmLane::can_sleep`] to sleep, crediting
-    /// nothing: it was ticked through the current cycle.
-    pub(super) fn sleep_idle(&mut self) {
+    /// nothing: it was ticked through the current cycle, so `from` (the
+    /// current cycle + 1) is its first uncredited one.
+    pub(super) fn sleep_idle(&mut self, from: u64) {
         let Lanes {
             lanes,
             awake,
-            clock,
+            busy_cycles,
             ..
         } = self;
         awake.retain(|&i| {
             let lane = &mut lanes[i];
             if lane.can_sleep() {
-                lane.credited_to = Some(*clock);
+                lane.asleep = Some(Asleep {
+                    from,
+                    busy: *busy_cycles,
+                });
             }
-            lane.credited_to.is_none()
+            lane.asleep.is_none()
         });
     }
 
@@ -338,7 +344,7 @@ impl Lanes {
 
     /// Credit a fast-forwarded span of `span` cycles from `c0` to every
     /// awake lane that is not parked (a parked lane's share waits for its
-    /// next credit); sleeping lanes get theirs through the idle clock.
+    /// next credit); sleeping lanes get theirs through the busy total.
     pub(super) fn skip_span(&mut self, c0: u64, device_busy: bool, span: u64) {
         for &sm in &self.awake {
             let lane = &mut self.lanes[sm];
@@ -346,16 +352,16 @@ impl Lanes {
                 lane.core.skip_cycles(c0, device_busy, span);
             }
         }
-        self.advance_clock(span, device_busy);
+        self.count_busy(span, device_busy);
     }
 
-    /// Credit every sleeping lane up to the current clock and every parked
-    /// lane through cycle `end - 1`, so that reading any lane's counters
-    /// sees what ticking it every cycle would have produced. Lanes stay
-    /// asleep or parked.
+    /// Credit every sleeping and every parked lane through cycle `end - 1`
+    /// (the current cycle), so that reading any lane's counters sees what
+    /// ticking it every cycle would have produced. Lanes stay asleep or
+    /// parked.
     pub(super) fn settle(&mut self, end: u64) {
         for lane in &mut self.lanes {
-            lane.settle(self.clock);
+            lane.settle(end, self.busy_cycles);
             lane.credit_parked(end);
         }
     }

@@ -8,7 +8,7 @@
 //!
 //! 1. the conservation ledger (`submitted == admitted + rejected`,
 //!    `admitted == terminal outcomes`),
-//! 2. the per-stage latency histograms with their percentiles,
+//! 2. the per-stage latencies with their exact percentiles,
 //! 3. the slowest request's trail, joined to the device events its grids
 //!    caused (launch → deadlock → relaunch → retire),
 //! 4. and exports the unified host+device Chrome trace —
@@ -97,7 +97,7 @@ fn main() {
     );
 
     println!("3. latency percentiles (cycles):");
-    for (stage, h) in [
+    for (stage, s) in [
         ("queue_wait", &report.global.queue_wait),
         ("batch_formation", &report.global.batch_formation),
         ("device_exec", &report.global.device_exec),
@@ -105,12 +105,7 @@ fn main() {
     ] {
         println!(
             "   {:>16}: n={:<3} p50={:<8} p90={:<8} p99={:<8} max={}",
-            stage,
-            h.count(),
-            h.percentile(50.0),
-            h.percentile(90.0),
-            h.percentile(99.0),
-            h.max()
+            stage, s.count, s.p50, s.p90, s.p99, s.max
         );
     }
 

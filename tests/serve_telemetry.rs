@@ -7,8 +7,9 @@
 //!
 //! * the JSON report, the unified host+device Chrome trace, and the raw
 //!   `ServeEvent` stream are **bit-identical** from run to run;
-//! * histogram bucket counts **telescope** exactly to the `ServeMetrics`
-//!   terminal-outcome counters (per tenant, per shape, per outcome);
+//! * latency counts **telescope** exactly to the `ServeMetrics`
+//!   terminal-outcome counters (per tenant, per shape, per outcome), and
+//!   the quantiles are the nearest rank over the request list;
 //! * a request's full path is reconstructible: its trail's grid handle
 //!   joins to a device `KernelRecord` and to `KernelStart`/`KernelRetire`
 //!   trace events on the same stream, inside the host launch window.
@@ -139,23 +140,30 @@ fn histograms_telescope_to_metrics_totals() {
     let terminal = m.completed + m.failed + m.deadline_exceeded + m.shed;
     assert_eq!(m.admitted, terminal, "drained service must balance");
 
-    // The e2e histogram records exactly one sample per admitted job, so
-    // its count — and its per-bucket sum — telescopes to the terminal
-    // total, globally and across every breakdown.
-    assert_eq!(r.global.e2e.count(), terminal);
-    let bucket_sum: u64 = r.global.e2e.nonzero_buckets().iter().map(|b| b.2).sum();
-    assert_eq!(bucket_sum, terminal, "bucket counts must telescope");
-    let tenant_sum: u64 = r.per_tenant.values().map(|s| s.e2e.count()).sum();
+    // The e2e latencies hold exactly one value per admitted job, so their
+    // count telescopes to the terminal total, globally and across every
+    // breakdown.
+    assert_eq!(r.global.e2e.count, terminal);
+    // The median is the request list's own: rank ceil(n/2) of the sorted
+    // end-to-end cycles.
+    let mut e2e: Vec<u64> = r.trails.iter().map(|t| t.e2e).collect();
+    e2e.sort_unstable();
+    assert_eq!(
+        r.global.e2e.p50,
+        e2e[e2e.len().div_ceil(2) - 1],
+        "p50 must be the nearest rank over the trails"
+    );
+    let tenant_sum: u64 = r.per_tenant.values().map(|s| s.e2e.count).sum();
     assert_eq!(tenant_sum, terminal);
-    let shape_sum: u64 = r.per_shape.values().map(|s| s.e2e.count()).sum();
+    let shape_sum: u64 = r.per_shape.values().map(|s| s.e2e.count).sum();
     assert_eq!(shape_sum, terminal);
 
-    // Per-outcome histograms match the individual counters.
+    // Per-outcome latencies match the individual counters.
     let by_tag = |tag: &str| {
         r.per_outcome
             .iter()
             .find(|(t, _)| *t == tag)
-            .map(|(_, h)| h.count())
+            .map(|(_, e2e)| e2e.count)
             .unwrap_or(0)
     };
     assert_eq!(by_tag("done"), m.completed);
@@ -163,10 +171,10 @@ fn histograms_telescope_to_metrics_totals() {
     assert_eq!(by_tag("deadline_exceeded"), m.deadline_exceeded);
     assert_eq!(by_tag("shed"), m.shed);
 
-    // Stage histograms are subsets of e2e: a job only has queue-wait (and
+    // Stage latencies are subsets of e2e: a job only has queue-wait (and
     // later stages) once it actually reached that stage.
-    assert!(r.global.queue_wait.count() <= terminal);
-    assert!(r.global.device_exec.count() <= m.completed);
+    assert!(r.global.queue_wait.count <= terminal);
+    assert!(r.global.device_exec.count <= m.completed);
     // One trail per terminal outcome, and a quiescent report has no
     // in-flight jobs.
     assert_eq!(r.trails.len() as u64, terminal);
