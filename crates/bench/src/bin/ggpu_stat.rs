@@ -100,7 +100,7 @@ fn main() {
     println!("== latency (cycles)\n{}", latency.text());
     print_slowest(&report);
     write_outputs(tag, seed, jobs, &report, &latency, trace);
-    let violations = verify_invariants(&report);
+    let violations = verify_invariants(scenario, &report);
     if !violations.is_empty() {
         for v in &violations {
             eprintln!("INVARIANT VIOLATED: {v}");
@@ -113,13 +113,17 @@ fn main() {
 /// Check the `ServeMetrics` conservation ledger, that the latencies
 /// telescope — every scoped breakdown (per tenant, per shape, per
 /// outcome) must sum back to the global end-to-end latencies, both in
-/// count and in total cycles — and that the global end-to-end summary is
+/// count and in total cycles — that the global end-to-end summary is
 /// exact: its count, quantiles and max are the nearest rank over the
-/// request list. Returns the list of violations; the process exits
-/// non-zero if any.
-fn verify_invariants(r: &ServeReport) -> Vec<String> {
+/// request list, and that the overload scenario did overload: some
+/// arrival was refused or shed. Returns the list of violations; the
+/// process exits non-zero if any.
+fn verify_invariants(scenario: Scenario, r: &ServeReport) -> Vec<String> {
     let mut bad = Vec::new();
     let m = r.metrics;
+    if scenario == Scenario::Overload && m.rejected_overload + m.shed == 0 {
+        bad.push("overload: no arrival was refused or shed".to_string());
+    }
     let rejected = m.rejected_overload + m.rejected_quota + m.rejected_shape;
     if m.submitted != m.admitted + rejected {
         bad.push(format!(
@@ -197,9 +201,8 @@ fn scenario_config(scenario: Scenario, genome: &[u8]) -> ServeConfig {
     let mut cfg = traffic::base_config(genome);
     match scenario {
         Scenario::Steady => {}
-        Scenario::Overload => {
-            cfg.queue_capacity = 8;
-        }
+        // Shallower than one wave: every wave meets a full queue.
+        Scenario::Overload => cfg.queue_capacity = 4,
         Scenario::Faults => {
             cfg.gpu.fault_plan = FaultPlan {
                 drop_memcpy: Some(7),

@@ -199,8 +199,6 @@ fn run_fire_and_forget(fast_forward: bool, drop_reply: bool) -> Gpu {
     let (program, k) = build_program();
     let mut cfg = baseline(fast_forward).with_stream_isolation(true);
     cfg.watchdog_cycles = 2_000;
-    // Keep L1 contents across the two grids of the late-reply test.
-    cfg.flush_between_kernels = false;
     if drop_reply {
         cfg.fault_plan = FaultPlan {
             drop_reply: Some(0),
@@ -230,15 +228,9 @@ fn a_lane_with_no_warps_and_a_load_in_flight_stays_awake_for_its_reply() {
         assert_eq!(units.sms[0].l1.read_access, 1, "{at}");
         assert_eq!(units.sms[0].l1.read_hit, 0, "{at}");
         assert!(per_sm_cycles(&gpu).iter().all(|&c| c == ELAPSED), "{at}");
-
-        // The late reply filled L1: the same line now hits, on the same SM
-        // (stream isolation restarts the dispatch cursor per grid).
-        let (_, k) = build_program();
-        gpu.launch(k.loader, LaunchDims::linear(1, 1), &[4096]);
-        gpu.try_synchronize().expect("clean run");
-        let units = gpu.unit_profile();
-        assert_eq!(units.sms[0].l1.read_access, 2, "{at}");
-        assert_eq!(units.sms[0].l1.read_hit, 1, "{at}: the fill was lost");
+        // That the late reply still fills the L1 is `ggpu-sm`'s
+        // `a_reply_to_a_core_with_no_live_warps_still_fills_its_l1`: the next
+        // grid's arm flushes the caches, so no later grid can see it.
     }
 }
 

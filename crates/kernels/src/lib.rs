@@ -25,8 +25,8 @@
 //!
 //! The order of a kernel's u64 parameter words is declared once, as the
 //! field order of the argument block beside its emitter; [`host`] holds
-//! what every driver repeats around a launch and [`served`] the three
-//! pipelines `ggpu-serve` runs (DESIGN.md, "Kernel ABI and host drivers").
+//! what every driver repeats around a launch (DESIGN.md, "Kernel ABI and
+//! host drivers").
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -83,7 +83,6 @@ pub mod host;
 pub mod nvb;
 pub mod pairhmm;
 pub mod pairwise;
-pub mod served;
 pub mod star;
 pub mod traceback;
 

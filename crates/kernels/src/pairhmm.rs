@@ -88,7 +88,7 @@ pub struct PairHmmKernelCfg {
 impl PairHmmKernelCfg {
     /// Bytes of row storage per thread: six rows (prev+cur × M/X/Y) of
     /// `(hap_len+1)` f64s.
-    pub(crate) fn row_bytes(&self) -> u32 {
+    pub fn row_bytes(&self) -> u32 {
         6 * (self.hap_len + 1) * 8
     }
 }

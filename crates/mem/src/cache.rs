@@ -38,6 +38,10 @@ type MshrSet = HashSet<u64, BuildHasherDefault<LineAddrHasher>>;
 /// holding that line valid.
 type LineIndex = HashMap<u64, usize, BuildHasherDefault<LineAddrHasher>>;
 
+/// MSHR entries per cache: the distinct miss lines one cache can have
+/// outstanding before an access reports [`CacheOutcome::ReservationFail`].
+const MSHR_ENTRIES: usize = 64;
+
 /// Geometry of one cache. Every cache is write-through: a write hit
 /// updates the line in place, and a write miss goes to the next level
 /// without allocating (NVIDIA-style behaviour for global stores).
@@ -50,8 +54,6 @@ pub struct CacheConfig {
     pub ways: u32,
     /// Line size in bytes.
     pub line: u64,
-    /// Number of MSHR entries (distinct outstanding miss lines).
-    pub mshr_entries: u32,
 }
 
 impl CacheConfig {
@@ -61,7 +63,6 @@ impl CacheConfig {
             bytes,
             ways,
             line: LINE_BYTES,
-            mshr_entries: 64,
         }
     }
 
@@ -163,6 +164,8 @@ struct LineState {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
+    /// [`MSHR_ENTRIES`]; this module's tests shrink it to fill the file.
+    mshr_capacity: usize,
     sets: u64,
     lines: Vec<LineState>,
     /// Every valid line's lowest way. Written only where a way changes
@@ -187,6 +190,7 @@ impl Cache {
         let sets = config.sets();
         Cache {
             config,
+            mshr_capacity: MSHR_ENTRIES,
             sets,
             lines: vec![
                 LineState {
@@ -352,7 +356,7 @@ impl Cache {
             self.stats.mshr_merged += 1;
             return CacheOutcome::MshrMerged;
         }
-        if self.mshrs.len() >= self.config.mshr_entries as usize {
+        if self.mshrs.len() >= self.mshr_capacity {
             self.stats.reservation_fails += 1;
             return CacheOutcome::ReservationFail;
         }
@@ -433,14 +437,17 @@ impl Cache {
 mod tests {
     use super::*;
 
+    /// A cache of `config`'s geometry whose MSHR file holds `entries`.
+    fn with_mshrs(config: CacheConfig, entries: usize) -> Cache {
+        Cache {
+            mshr_capacity: entries,
+            ..Cache::new(config)
+        }
+    }
+
     fn small_cache() -> Cache {
-        // 2 sets x 2 ways x 128B lines = 512B.
-        Cache::new(CacheConfig {
-            bytes: 512,
-            ways: 2,
-            line: 128,
-            mshr_entries: 4,
-        })
+        // 2 sets x 2 ways x 128B lines = 512B, four MSHRs.
+        with_mshrs(CacheConfig::new(512, 2), 4)
     }
 
     #[test]
@@ -622,12 +629,7 @@ mod tests {
     fn a_second_copy_from_the_fallback_fill_hits_the_lower_way_and_survives_its_eviction() {
         // One set of four ways (the tag is the line address). Line 8 is the
         // one that ends up twice.
-        let mut c = Cache::new(CacheConfig {
-            bytes: 4 * 128,
-            ways: 4,
-            line: 128,
-            mshr_entries: 4,
-        });
+        let mut c = with_mshrs(CacheConfig::new(4 * 128, 4), 4);
         let copies = |c: &Cache| -> Vec<usize> {
             (0..4)
                 .filter(|&i| c.lines[i].valid && c.lines[i].tag == 8)
@@ -679,6 +681,7 @@ mod tests {
     /// `Cache` as it was before the line index: every lookup scans the set.
     struct Reference {
         config: CacheConfig,
+        mshr_capacity: usize,
         sets: u64,
         lines: Vec<LineState>,
         mshrs: HashSet<u64>,
@@ -687,7 +690,7 @@ mod tests {
     }
 
     impl Reference {
-        fn new(config: CacheConfig) -> Self {
+        fn new(config: CacheConfig, mshr_capacity: usize) -> Self {
             let sets = config.sets();
             let line = LineState {
                 tag: 0,
@@ -697,6 +700,7 @@ mod tests {
             };
             Reference {
                 config,
+                mshr_capacity,
                 sets,
                 lines: vec![line; (sets * config.ways as u64) as usize],
                 mshrs: HashSet::new(),
@@ -763,7 +767,7 @@ mod tests {
                 self.stats.mshr_merged += 1;
                 return CacheOutcome::MshrMerged;
             }
-            if self.mshrs.len() >= self.config.mshr_entries as usize {
+            if self.mshrs.len() >= self.mshr_capacity {
                 self.stats.reservation_fails += 1;
                 return CacheOutcome::ReservationFail;
             }
@@ -853,22 +857,17 @@ mod tests {
         fn the_indexed_cache_is_the_way_scan_it_replaced(
             sets in 1..5u64,
             ways in 1..9u32,
-            mshr_entries in 1..5u32,
+            mshr_capacity in 1..5usize,
             // Lines beyond the capacity, at offsets within a line.
             extra in 1..9u64,
             offsets in prop::collection::vec(0..128u64, 8),
             ops in prop::collection::vec(op(64), 1..120),
         ) {
-            let config = CacheConfig {
-                bytes: sets * ways as u64 * 128,
-                ways,
-                line: 128,
-                mshr_entries,
-            };
+            let config = CacheConfig::new(sets * ways as u64 * 128, ways);
             // A pool a few lines larger than the cache, so sets fill and evict.
             let pool = sets * ways as u64 + extra;
             let addr = |line: u64| (line % pool) * 128 + offsets[(line % 8) as usize];
-            let (mut c, mut r) = (Cache::new(config), Reference::new(config));
+            let (mut c, mut r) = (with_mshrs(config, mshr_capacity), Reference::new(config, mshr_capacity));
             for (step, &op) in ops.iter().enumerate() {
                 match op {
                     Op::Access { line, write } => {

@@ -1,7 +1,7 @@
 //! Fused batches: a set of same-shape jobs that share one grid, and its
 //! retry state. How a batch is laid out in the device slabs and what its
 //! result words mean belongs to the shape's pipeline
-//! ([`ggpu_kernels::served`]).
+//! (`crate::served`).
 
 use crate::queue::QueuedJob;
 use crate::shape::ShapeKey;

@@ -54,6 +54,7 @@ mod latency;
 mod metrics;
 mod queue;
 mod report;
+mod served;
 mod service;
 mod shape;
 mod telemetry;
@@ -80,6 +81,12 @@ pub const FM_READ_LEN: u32 = 16;
 pub const PHMM_READ_LEN: u32 = 10;
 /// The Pair-HMM haplotype length (bases) every Pair-HMM job has.
 pub const PHMM_HAP_LEN: u32 = 14;
+/// Concurrent workers, each one stream and one slab set on the device.
+pub const WORKERS: usize = 3;
+/// Most jobs fused into one grid.
+pub const MAX_BATCH: usize = 4;
+/// Most admitted-but-unfinished jobs per tenant.
+pub const TENANT_QUOTA: usize = 64;
 
 /// Static configuration of a [`Service`].
 ///
@@ -87,38 +94,30 @@ pub const PHMM_HAP_LEN: u32 = 14;
 /// length buckets ([`PAIRWISE_BUCKETS`]), the FM read length
 /// ([`FM_READ_LEN`]) and the Pair-HMM pair geometry ([`PHMM_READ_LEN`],
 /// [`PHMM_HAP_LEN`]) are constants, and jobs that fit no shape are refused
-/// at admission with a typed error. The service drives one device.
+/// at admission with a typed error. So are the worker count
+/// ([`WORKERS`]), the batch bound ([`MAX_BATCH`]) and the per-tenant quota
+/// ([`TENANT_QUOTA`]). The service drives one device.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Base device configuration. The service forces the knobs it depends
-    /// on (`stream_isolation`, `flush_between_kernels`, and `trace`, which
-    /// also keeps the per-grid records its report joins against)
-    /// regardless of what this says.
+    /// on (`stream_isolation`, and `trace`, which also keeps the per-grid
+    /// records its report joins against) regardless of what this says.
     pub gpu: GpuConfig,
-    /// Concurrent workers (one stream + slab set each); at least one.
-    pub workers: usize,
     /// Admission queue bound; beyond it submissions shed or are refused.
     pub queue_capacity: usize,
-    /// Maximum admitted-but-unfinished jobs per tenant.
-    pub tenant_quota: usize,
-    /// Maximum jobs fused into one grid; at least one.
-    pub max_batch: usize,
     /// Reference genome (2-bit codes) for FM mapping; empty disables the
     /// FM pipeline.
     pub fm_genome: Vec<u8>,
 }
 
 impl ServeConfig {
-    /// A small configuration for tests: two workers, batches of eight, and
-    /// the fast unit-test device. FM serving stays disabled until a
-    /// genome is supplied.
+    /// A small configuration for tests: a 32-deep queue and the fast
+    /// unit-test device. FM serving stays disabled until a genome is
+    /// supplied.
     pub fn test_small() -> Self {
         ServeConfig {
             gpu: GpuConfig::test_small(),
-            workers: 2,
             queue_capacity: 32,
-            tenant_quota: 24,
-            max_batch: 8,
             fm_genome: Vec::new(),
         }
     }

@@ -9,7 +9,6 @@ use ggpu_kernels::nvb::{build_fm_search_kernel, unpack_hit, FmDevice, FmTables};
 use ggpu_kernels::pairhmm::{
     build_pairhmm_kernel, log_likelihood, phred_const_data, PairHmmKernelCfg,
 };
-use ggpu_kernels::served;
 use ggpu_sim::{DevicePtr, Gpu, KernelRecord, LaunchOptions, SimError, StreamId};
 
 use crate::batch::Batch;
@@ -18,9 +17,13 @@ use crate::job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, Priority, Tenan
 use crate::metrics::ServeMetrics;
 use crate::queue::{AdmissionQueue, QueuedJob};
 use crate::report::ServeReport;
+use crate::served;
 use crate::shape::{shape_of, ShapeKey};
 use crate::telemetry::{OutcomeTag, RejectReason, ServeEvent, ServeEventKind};
-use crate::{ServeConfig, FM_READ_LEN, PAIRWISE_BUCKETS, PHMM_HAP_LEN, PHMM_READ_LEN};
+use crate::{
+    ServeConfig, FM_READ_LEN, MAX_BATCH, PAIRWISE_BUCKETS, PHMM_HAP_LEN, PHMM_READ_LEN,
+    TENANT_QUOTA, WORKERS,
+};
 
 /// Launch attempts per batch before it splits (deadline overruns split
 /// immediately — rerunning identical work in a deterministic simulator
@@ -30,9 +33,6 @@ const MAX_ATTEMPTS: u32 = 3;
 const BACKOFF_BASE: u64 = 1;
 /// Backoff ceiling, in rounds.
 const BACKOFF_CAP: u64 = 8;
-/// Most threads per CTA a pairwise / Pair-HMM kernel is compiled for.
-const SW_TPC_CAP: u32 = 64;
-const PHMM_TPC_CAP: u32 = 32;
 
 /// One worker: a stream on the device and private input/output slabs.
 /// Slabs are allocated eagerly at build time and recycled across every
@@ -76,24 +76,14 @@ impl Service {
     /// Build the service: compile every configured kernel shape, upload
     /// the FM reference, create one stream and one slab set per worker.
     /// Every device byte the request path will ever touch is allocated
-    /// here. Zero `workers` or `max_batch`, or a device configuration that
-    /// fails `GpuConfig::validate` (with the service's own knobs forced),
-    /// is returned as [`SimError::InvalidConfig`].
+    /// here. A device configuration that fails `GpuConfig::validate` (with
+    /// the service's own knobs forced) is returned as
+    /// [`SimError::InvalidConfig`].
     pub fn new(cfg: ServeConfig) -> Result<Self, SimError> {
-        let zero = [("workers", cfg.workers), ("max_batch", cfg.max_batch)]
-            .into_iter()
-            .find_map(|(field, v)| (v == 0).then_some(field));
-        if let Some(field) = zero {
-            return Err(SimError::InvalidConfig {
-                field,
-                why: "a service needs at least one worker and one job per batch".into(),
-            });
-        }
         let mut gcfg = cfg.gpu.clone();
         // The service owns the isolation contract: per-stream fault
         // scoping and canonical kernel boundaries are not optional here.
         gcfg.stream_isolation = true;
-        gcfg.flush_between_kernels = true;
         gcfg.sample_interval_cycles = 0;
         // The unified host+device timeline needs the stream-annotated
         // device event trace, and the report joins spans and trails
@@ -106,14 +96,14 @@ impl Service {
         let dp: Vec<(DpKernelCfg, KernelId)> = PAIRWISE_BUCKETS
             .into_iter()
             .map(|bucket| {
-                let kcfg = served::sw_cfg(bucket, smem, SW_TPC_CAP);
+                let kcfg = served::sw_cfg(bucket, smem);
                 let name = format!("serve-sw-{bucket}");
                 (kcfg, program.add(build_dp_kernel(&name, &kcfg)))
             })
             .collect();
         let fm_kernel =
             (!cfg.fm_genome.is_empty()).then(|| program.add(build_fm_search_kernel("serve-fm")));
-        let ph_cfg = served::pairhmm_cfg(PHMM_READ_LEN, PHMM_HAP_LEN, smem, PHMM_TPC_CAP);
+        let ph_cfg = served::pairhmm_cfg(smem);
         let ph = (
             ph_cfg,
             program.add(build_pairhmm_kernel("serve-pairhmm", &ph_cfg)),
@@ -135,14 +125,14 @@ impl Service {
         };
 
         // Slab sizing: the maximum any shape needs for a full batch.
-        let nb = cfg.max_batch as u64;
+        let nb = MAX_BATCH as u64;
         let lmax = PAIRWISE_BUCKETS[PAIRWISE_BUCKETS.len() - 1] as u64;
         let a_bytes = nb * lmax.max(FM_READ_LEN as u64).max(PHMM_READ_LEN as u64);
         let b_bytes = nb * lmax.max(PHMM_READ_LEN as u64);
         let c_bytes = nb * PHMM_HAP_LEN.max(4) as u64;
         let mut workers = Vec::new();
         let mut metrics = ServeMetrics::default();
-        for _ in 0..cfg.workers {
+        for _ in 0..WORKERS {
             workers.push(Worker {
                 stream: gpu.create_stream(),
                 slabs: [
@@ -209,12 +199,12 @@ impl Service {
             }
         };
         let in_flight = self.inflight.get(&tenant).copied().unwrap_or(0);
-        if in_flight >= self.cfg.tenant_quota {
+        if in_flight >= TENANT_QUOTA {
             self.record(reject(RejectReason::Quota));
             return Err(AdmitError::QuotaExceeded {
                 tenant,
                 in_flight,
-                quota: self.cfg.tenant_quota,
+                quota: TENANT_QUOTA,
             });
         }
         if self.queue.len() >= self.cfg.queue_capacity {
@@ -229,7 +219,7 @@ impl Service {
                 }
                 None => {
                     self.record(reject(RejectReason::Overload));
-                    let per_round = (self.workers.len() * self.cfg.max_batch) as u64;
+                    let per_round = (WORKERS * MAX_BATCH) as u64;
                     return Err(AdmitError::Overloaded {
                         retry_after_rounds: (self.queue.len() as u64 / per_round).max(1),
                     });
@@ -276,7 +266,7 @@ impl Service {
         }
         self.parked = still_parked;
         while work.len() < self.workers.len() {
-            let jobs = self.queue.take_batch(self.cfg.max_batch);
+            let jobs = self.queue.take_batch(MAX_BATCH);
             if jobs.is_empty() {
                 break;
             }
@@ -558,7 +548,7 @@ impl Service {
                 // the slab so unmapped lanes read as "no hit" rather than
                 // the previous batch's results.
                 gpu.try_memcpy_h2d(out, &vec![0u8; (n * 8) as usize])?;
-                let (dims, words) = served::fm_launch(FM_READ_LEN, slab_addrs[0], tables, out.0, n);
+                let (dims, words) = served::fm_launch(slab_addrs[0], tables, out.0, n);
                 gpu.try_launch_on(*kernel, dims, &words, opts)?
             }
             ShapeKey::PairHmm => {

@@ -19,16 +19,14 @@ pub const GENOME_LEN: usize = 600;
 pub const TENANTS: u32 = 4;
 
 /// The service geometry every seeded scenario and benchmark starts
-/// from: 3 workers, batches of 4, a 24-deep queue, and all three kernel
-/// pipelines enabled against `genome` (2-bit codes). Callers tweak from
-/// here (shrink the queue for overload, attach a fault plan).
+/// from: a 24-deep queue and all three kernel pipelines enabled against
+/// `genome` (2-bit codes), on the service's [`crate::WORKERS`] workers
+/// with batches of [`crate::MAX_BATCH`]. Callers tweak from here (shrink
+/// the queue for overload, attach a fault plan).
 pub fn base_config(genome: &[u8]) -> ServeConfig {
     let mut cfg = ServeConfig::test_small();
     cfg.gpu.watchdog_cycles = 10_000;
-    cfg.workers = 3;
     cfg.queue_capacity = 24;
-    cfg.tenant_quota = 64;
-    cfg.max_batch = 4;
     cfg.fm_genome = genome.to_vec();
     cfg
 }

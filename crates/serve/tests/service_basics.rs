@@ -6,7 +6,8 @@ use ggpu_kernels::nvb::FmTables;
 use ggpu_kernels::pairhmm::{GAP_EXT_P, GAP_OPEN_P};
 use ggpu_kernels::pairwise::{GAP_EXTEND, GAP_OPEN, MATCH, MISMATCH};
 use ggpu_serve::{
-    AdmitError, JobKind, JobOutcome, JobOutput, Priority, ServeConfig, Service, Tenant,
+    AdmitError, JobKind, JobOutcome, JobOutput, Priority, ServeConfig, Service, Tenant, MAX_BATCH,
+    TENANT_QUOTA, WORKERS,
 };
 use rand::{Rng, SeedableRng};
 
@@ -131,7 +132,6 @@ fn pairhmm_likelihoods_match_cpu_oracle() {
 fn overload_is_typed_and_sheds_by_priority() {
     let mut cfg = ServeConfig::test_small();
     cfg.queue_capacity = 4;
-    cfg.tenant_quota = 100;
     let mut svc = Service::new(cfg).expect("build service");
     let job = |_p: u8| JobKind::Pairwise {
         query: vec![0, 1, 2, 3],
@@ -165,23 +165,26 @@ fn overload_is_typed_and_sheds_by_priority() {
 
 #[test]
 fn quota_and_shape_rejections_are_typed() {
+    // A queue deeper than the quota, so the quota is what refuses.
     let mut cfg = ServeConfig::test_small();
-    cfg.tenant_quota = 2;
+    cfg.queue_capacity = TENANT_QUOTA + 8;
     let mut svc = Service::new(cfg).expect("build service");
     let pair = || JobKind::Pairwise {
         query: vec![0, 1],
         target: vec![2, 3],
     };
-    svc.submit(Tenant(7), Priority(0), None, pair())
-        .expect("1st");
-    svc.submit(Tenant(7), Priority(0), None, pair())
-        .expect("2nd");
+    for i in 0..TENANT_QUOTA {
+        svc.submit(Tenant(7), Priority(0), None, pair())
+            .unwrap_or_else(|e| panic!("job {i} is within the quota: {e:?}"));
+    }
     match svc.submit(Tenant(7), Priority(0), None, pair()) {
         Err(AdmitError::QuotaExceeded {
-            tenant, in_flight, ..
+            tenant,
+            in_flight,
+            quota,
         }) => {
             assert_eq!(tenant, Tenant(7));
-            assert_eq!(in_flight, 2);
+            assert_eq!((in_flight, quota), (TENANT_QUOTA, TENANT_QUOTA));
         }
         other => panic!("expected QuotaExceeded, got {other:?}"),
     }
@@ -224,16 +227,16 @@ fn metrics_conserve_submissions_and_track_saturation() {
     //   submitted == admitted + rejected_overload + rejected_quota
     //                + rejected_shape
     //   admitted  == completed + failed + deadline_exceeded + shed
+    // The queue holds tenant 0's whole quota and one job more.
     let mut cfg = ServeConfig::test_small();
-    cfg.queue_capacity = 4;
-    cfg.tenant_quota = 3;
+    cfg.queue_capacity = TENANT_QUOTA + 1;
     let mut svc = Service::new(cfg).expect("build service");
     let pair = |p: u8| JobKind::Pairwise {
         query: vec![p % 4; 8],
         target: vec![(p + 1) % 4; 8],
     };
-    // Tenant 0 exhausts its quota (3 admitted, 4th refused).
-    for _ in 0..3 {
+    // Tenant 0 exhausts its quota (64 admitted, the next refused).
+    for _ in 0..TENANT_QUOTA {
         svc.submit(Tenant(0), Priority(1), None, pair(0))
             .expect("admit within quota");
     }
@@ -278,8 +281,9 @@ fn metrics_conserve_submissions_and_track_saturation() {
         m.completed + m.failed + m.deadline_exceeded + m.shed,
         "a drained service must account every admitted job: {m:?}"
     );
-    assert_eq!(m.submitted, 8);
-    assert_eq!(m.admitted, 5);
+    let quota = TENANT_QUOTA as u64;
+    assert_eq!(m.submitted, quota + 5);
+    assert_eq!(m.admitted, quota + 2);
     assert_eq!(m.rejected_quota, 1);
     assert_eq!(m.rejected_overload, 1);
     assert_eq!(m.rejected_shape, 1);
@@ -289,7 +293,11 @@ fn metrics_conserve_submissions_and_track_saturation() {
 
     // Saturation gauges: the queue hit its bound while filling, and both
     // gauges return to zero once drained.
-    assert_eq!(m.queue_depth_hwm, 4, "queue saturation went unrecorded");
+    assert_eq!(
+        m.queue_depth_hwm,
+        quota + 1,
+        "queue saturation went unrecorded"
+    );
     assert_eq!(m.queue_depth, 0);
     assert!(m.inflight_batches_hwm >= 1);
     assert_eq!(m.inflight_batches, 0);
@@ -307,11 +315,17 @@ fn a_round_cap_drain_empties_the_queue_gauge() {
             target: vec![2; 20],
         };
         svc.submit(Tenant(0), Priority(0), None, kind)
-            .expect("20 jobs fit a 32-deep queue and a quota of 24");
+            .expect("20 jobs fit a 32-deep queue and a quota of 64");
     }
+    // One round launches a batch per worker; the cap fails the rest.
     svc.run_until_idle(1).expect("no device-wide fault");
     let m = svc.metrics();
-    assert_eq!((svc.backlog(), m.failed), (0, 4), "the cap failed the rest");
+    let rest = (20 - WORKERS * MAX_BATCH) as u64;
+    assert_eq!(
+        (svc.backlog(), m.failed),
+        (0, rest),
+        "the cap failed the rest"
+    );
     assert_eq!(m.queue_depth, 0);
     svc.run_round().expect("no device-wide fault");
     assert_eq!(svc.metrics().queue_depth, 0);
@@ -323,7 +337,6 @@ fn mixed_shapes_batch_separately_and_all_complete() {
     let genome = random_genome(400, &mut rng);
     let mut cfg = ServeConfig::test_small();
     cfg.fm_genome = genome.codes().to_vec();
-    cfg.max_batch = 4;
     let mut svc = Service::new(cfg).expect("build service");
     let mut n = 0;
     for i in 0..18 {

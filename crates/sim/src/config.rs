@@ -48,12 +48,13 @@ pub struct FaultPlan {
 }
 
 /// Full GPU configuration: the values some figure, tool, service, example
-/// or test sets to something other than the baseline. What the paper never
-/// varies is a constant in the crate that reads it: the clock, the L2
-/// latency and PCIe here ([`CLOCK_GHZ`]), the SM latencies and the constant
-/// and texture caches in `ggpu-sm`, the DRAM timings in `ggpu-mem`, the
-/// packet header in `ggpu-icnt`. [`GpuConfig::validate`] says which values
-/// the simulator cannot run.
+/// or benchmark sets to something other than the baseline. The rest is a
+/// constant in the crate that reads it: the clock, L2 latency and PCIe
+/// here ([`CLOCK_GHZ`]), the CDP depth limit, the SM latencies and constant
+/// and texture caches in `ggpu-sm`, the DRAM timings and MSHR file in
+/// `ggpu-mem`, the packet header in `ggpu-icnt`; every host-grid arm
+/// flushes the caches. [`GpuConfig::validate`] says which values the
+/// simulator cannot run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Number of SMs ("shader cores" in Table I; 78 in the paper's setup).
@@ -73,9 +74,6 @@ pub struct GpuConfig {
     pub kernel_launch_overhead: u64,
     /// Device-side (CDP) child-launch overhead in cycles.
     pub cdp_launch_overhead: u64,
-    /// Flush L1/L2 between host kernel launches, modelling the locality
-    /// loss across `cudaMemcpy` boundaries the paper describes in §IV-G.
-    pub flush_between_kernels: bool,
     /// Forward-progress watchdog: if no SM issues an instruction and no
     /// memory-system activity is observed for this many consecutive cycles,
     /// `try_synchronize` returns a deadlock report instead of spinning.
@@ -83,8 +81,6 @@ pub struct GpuConfig {
     pub watchdog_cycles: u64,
     /// Device memory capacity in bytes; `try_malloc` beyond it fails.
     pub memory_limit: u64,
-    /// Maximum CDP nesting depth (as `cudaLimitDevRuntimeSyncDepth`).
-    pub cdp_max_depth: u32,
     /// Deterministic fault injection (testing / hardening harnesses).
     pub fault_plan: FaultPlan,
     /// Interval-sampler period in cycles; `0` (the default) disables
@@ -114,13 +110,13 @@ pub struct GpuConfig {
     /// Concretely: (a) a finished host grid retires only once every
     /// in-flight effect (network packets, DRAM requests, SM outstanding
     /// loads) has drained; (b) at each host-grid arm the SM scheduler
-    /// cursors and the CTA dispatch cursor reset, and (with
-    /// [`GpuConfig::flush_between_kernels`]) DRAM open rows close alongside
-    /// the cache flush. Off by default — the legacy engine retires grids
-    /// the cycle their last CTA completes, which is faster but lets row
-    /// state and cursor positions leak across kernels. `ggpu-serve` turns
-    /// this on: it is what makes a non-faulted stream's results bit-equal
-    /// to a fault-free run even when sibling streams fault and retry.
+    /// cursors and the CTA dispatch cursor reset, and DRAM open rows close
+    /// alongside the cache flush. Off by default — the legacy engine retires
+    /// grids the cycle their last CTA completes, which is faster but lets
+    /// row state and cursor positions leak across kernels. `ggpu-serve`
+    /// turns this on: it is what makes a non-faulted stream's results
+    /// bit-equal to a fault-free run even when sibling streams fault and
+    /// retry.
     pub stream_isolation: bool,
 }
 
@@ -145,10 +141,8 @@ impl GpuConfig {
             icnt: IcntConfig::default(),
             kernel_launch_overhead: 3_000,
             cdp_launch_overhead: 500,
-            flush_between_kernels: true,
             watchdog_cycles: 50_000,
             memory_limit: 8 << 30,
-            cdp_max_depth: 24,
             fault_plan: FaultPlan::default(),
             sample_interval_cycles: 0,
             trace: false,
@@ -307,7 +301,6 @@ mod tests {
         let c = GpuConfig::rtx3070();
         assert_eq!(c.watchdog_cycles, 50_000);
         assert_eq!(c.memory_limit, 8 << 30);
-        assert_eq!(c.cdp_max_depth, 24);
         assert_eq!(c.fault_plan, FaultPlan::default());
         assert!(c.fault_plan.poison.is_none());
         assert!(c.fault_plan.drop_memcpy.is_none());

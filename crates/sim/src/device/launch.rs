@@ -28,6 +28,10 @@ use super::{Gpu, StreamId};
 /// ([`crate::FaultPlan::cdp_full_at`] forces that path in tests).
 const CDP_QUEUE_LIMIT: usize = 2048;
 
+/// Deepest CDP nesting level a child grid may run at (as
+/// `cudaLimitDevRuntimeSyncDepth`); one deeper is [`FaultKind::CdpNestingExceeded`].
+const CDP_MAX_DEPTH: u32 = 24;
+
 /// Per-launch options for [`Gpu::try_launch_on`]: the target stream and an
 /// optional execution deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -425,12 +429,11 @@ impl Gpu {
             g.armed_at = Some(armed);
             g.deadline_at = g.deadline_budget.map(|b| armed.saturating_add(b));
             self.rebuild_summary();
-            if self.config.flush_between_kernels {
-                for lane in self.lanes.all_mut() {
-                    lane.core.flush_caches();
-                }
-                self.memsys.flush_l2();
+            // The locality loss across `cudaMemcpy` boundaries (§IV-G).
+            for lane in self.lanes.all_mut() {
+                lane.core.flush_caches();
             }
+            self.memsys.flush_l2();
             if self.config.stream_isolation {
                 // Canonical boundary: scheduler and dispatch cursors
                 // restart so intra-grid decisions never depend on where
@@ -639,7 +642,7 @@ impl Gpu {
         let dims = LaunchDims::linear(l.grid_x, l.block_x);
         let admitted = if forced_full || self.device_queue.len() >= CDP_QUEUE_LIMIT {
             Err((FaultKind::CdpQueueOverflow, None))
-        } else if depth > self.config.cdp_max_depth {
+        } else if depth > CDP_MAX_DEPTH {
             Err((FaultKind::CdpNestingExceeded, None))
         } else {
             self.new_grid(kernel, dims, l.params, stream)

@@ -2,7 +2,8 @@
 //! against a fresh derivation at every invalidation event, the row forms of
 //! `issue` against the scalar operations lane by lane, the extent check and
 //! the local remap against their per-lane forms, the order the store log
-//! commits in, and what `abort_workload` leaves in the caches.
+//! commits in, what `abort_workload` leaves in the caches, and that a reply
+//! reaching a core with no live warps still fills its L1.
 
 use std::sync::Arc;
 
@@ -704,4 +705,33 @@ fn abort_workload_releases_the_misses_it_was_waiting_for_and_nothing_else() {
         rig.sm.l1.access(0x3000, false),
         CacheOutcome::Miss { .. }
     ));
+}
+
+#[test]
+fn a_reply_to_a_core_with_no_live_warps_still_fills_its_l1() {
+    // The warp issues its load and exits without reading the value: the
+    // core is idle with the miss still outstanding.
+    let mut rig = Rig::new(
+        vec![kernel(|b| {
+            let (a, v) = (b.reg(), b.reg());
+            b.mov(a, Operand::imm(0x2000));
+            b.ld(Space::Global, Width::B64, v, a, 0);
+        })],
+        1,
+        vec![],
+    );
+    let sent = rig.step_until("the warp's exit", |r| r.sm.is_idle());
+    assert_eq!(sent.len(), 1);
+    assert!(rig.sm.has_outstanding());
+    assert_eq!(rig.sm.l1.outstanding(), 1);
+
+    rig.ports.replies.push(sent[0].id);
+    rig.step();
+    assert!(!rig.sm.has_outstanding());
+    assert_eq!(rig.sm.l1.outstanding(), 0, "the fill releases the miss");
+    assert_eq!(
+        rig.sm.l1.access(0x2000, false),
+        CacheOutcome::Hit,
+        "the fill was lost"
+    );
 }

@@ -37,8 +37,6 @@ fn main() {
         drop_reply: Some(25),
         ..FaultPlan::default()
     };
-    cfg.workers = 3;
-    cfg.max_batch = 4;
     cfg.fm_genome = genome.clone();
     let mut svc = Service::new(cfg).expect("build service");
 

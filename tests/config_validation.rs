@@ -153,31 +153,6 @@ fn gpu_new_panics_with_the_typed_message() {
     let _ = Gpu::new(program(), c);
 }
 
-/// A change to the service's test configuration.
-type ServeEdit = fn(&mut ServeConfig);
-
-/// Zero workers or a zero batch bound is refused with `InvalidConfig`
-/// naming its field, not read as one.
-#[test]
-fn the_service_rejects_zero_workers_or_batch() {
-    let probes: [(&str, ServeEdit); 2] = [
-        ("workers", |c| c.workers = 0),
-        ("max_batch", |c| c.max_batch = 0),
-    ];
-    for (field, edit) in probes {
-        let mut cfg = ServeConfig::test_small();
-        edit(&mut cfg);
-        match Service::new(cfg) {
-            Err(SimError::InvalidConfig { field: got, why }) => {
-                assert_eq!(got, field, "{why}");
-                assert!(!why.is_empty());
-            }
-            Err(e) => panic!("{field}: expected InvalidConfig, got {e}"),
-            Ok(_) => panic!("{field}: expected InvalidConfig, got a service"),
-        }
-    }
-}
-
 #[test]
 fn the_service_rejects_an_invalid_device_config() {
     let mut cfg = ServeConfig::test_small();
@@ -201,11 +176,9 @@ const FIELDS: &[(&str, &[u64])] = &[
     ("sm.l1.bytes", &[0, 1, 128, 3000, 131_072]),
     ("sm.l1.ways", &[0, 1, 3, 256, 1000]),
     ("sm.l1.line", &[0, 1, 64, 96, 128, 256]),
-    ("sm.l1.mshr_entries", &[0, 1, 2, 64]),
     ("l2_slice.bytes", &[0, 1, 128, 5000, 524_288]),
     ("l2_slice.ways", &[0, 1, 3, 16, 999]),
     ("l2_slice.line", &[0, 1, 96, 128, 129]),
-    ("l2_slice.mshr_entries", &[0, 1, 3, 64]),
     ("dram.queue_size", &[0, 1, 2, 32]),
     ("dram.scheduler", &[0, 1, 2, 3]),
     ("icnt.topology", &[0, 1, 2, 3]),
@@ -216,7 +189,6 @@ const FIELDS: &[(&str, &[u64])] = &[
     ("cdp_launch_overhead", &[0, 1, 500]),
     ("watchdog_cycles", &[0, 1, 100, 50_000]),
     ("memory_limit", &[0, 1, 4096, 8 << 30]),
-    ("cdp_max_depth", &[0, 1, 24]),
     ("sample_interval_cycles", &[0, 1, 7, 1000]),
 ];
 
@@ -232,11 +204,9 @@ fn set(c: &mut GpuConfig, field: &str, v: u64) {
         "sm.l1.bytes" => c.sm.l1.bytes = v,
         "sm.l1.ways" => c.sm.l1.ways = small,
         "sm.l1.line" => c.sm.l1.line = v,
-        "sm.l1.mshr_entries" => c.sm.l1.mshr_entries = small,
         "l2_slice.bytes" => c.l2_slice.bytes = v,
         "l2_slice.ways" => c.l2_slice.ways = small,
         "l2_slice.line" => c.l2_slice.line = v,
-        "l2_slice.mshr_entries" => c.l2_slice.mshr_entries = small,
         "dram.queue_size" => c.dram.queue_size = index,
         "dram.scheduler" => {
             c.dram.scheduler = [
@@ -268,7 +238,6 @@ fn set(c: &mut GpuConfig, field: &str, v: u64) {
         "cdp_launch_overhead" => c.cdp_launch_overhead = v,
         "watchdog_cycles" => c.watchdog_cycles = v,
         "memory_limit" => c.memory_limit = v,
-        "cdp_max_depth" => c.cdp_max_depth = small,
         "sample_interval_cycles" => c.sample_interval_cycles = v,
         _ => unreachable!("{field} is not in FIELDS"),
     }

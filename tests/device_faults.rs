@@ -349,8 +349,9 @@ fn recursive_program() -> (Program, KernelId, KernelId) {
 
 #[test]
 fn cdp_nesting_limit_faults_one_level_past_it_and_recovers() {
+    // The limit is 24 levels: 25 one-CTA grids are resident at once, well
+    // within `test_small`'s 4 SMs x 32 CTA slots.
     let mut config = GpuConfig::test_small().with_stream_isolation(true);
-    config.cdp_max_depth = 3;
     config.trace = true;
     // What a clean run looks like: elapsed cycles, its kernel record's SM
     // counters, and the bytes it wrote.
@@ -378,8 +379,8 @@ fn cdp_nesting_limit_faults_one_level_past_it_and_recovers() {
         }
         other => panic!("expected DeviceFault, got {other}"),
     }
-    // Children ran at depths 1..=3; the launch refused is the one that
-    // would have been depth 4.
+    // Children ran at depths 1..=24; the launch refused is the one that
+    // would have been depth 25.
     let depths: Vec<u32> = gpu
         .trace_events()
         .iter()
@@ -388,7 +389,7 @@ fn cdp_nesting_limit_faults_one_level_past_it_and_recovers() {
             _ => None,
         })
         .collect();
-    assert_eq!(depths, [1, 2, 3]);
+    assert_eq!(depths, (1..=24).collect::<Vec<u32>>());
     assert_eq!(gpu.fault(), Some(&err), "default-stream faults are sticky");
     assert_eq!(gpu.reset_fault(), Some(err));
     assert!(!gpu.busy(), "the killed grids are gone");
@@ -1122,12 +1123,13 @@ fn the_killed_load_line_is_loadable_again(gpu: &mut Gpu, copy: KernelId, buf: De
 #[test]
 fn a_watchdog_kill_releases_the_l1_miss_of_the_load_it_aborted() {
     // Regression: the kill cleared the SM's waiters but left the line's L1
-    // MSHR entry allocated until the next flush. Without a flush between
-    // kernels the next load of that line merged into a miss nothing would
-    // ever fill, and the recovered device hung to the watchdog.
+    // MSHR entry allocated, so a later load of that line could merge into a
+    // miss nothing would ever fill. Every host-grid arm also flushes the
+    // caches, so this test checks the recovery; `ggpu-sm`'s
+    // `abort_workload_releases_the_misses_it_was_waiting_for_and_nothing_else`
+    // checks the release itself.
     let (program, copy, _) = load_reuse_program(0);
     let mut config = GpuConfig::test_small();
-    config.flush_between_kernels = false;
     config.watchdog_cycles = 2_000;
     config.fault_plan.drop_reply = Some(0);
     let mut gpu = Gpu::new(program, config);
@@ -1148,11 +1150,13 @@ fn a_trap_kill_releases_the_l2_miss_of_the_load_it_aborted() {
     // The memory-side half of the same regression: the kill discards the
     // DRAM completion of a load in flight, so its L2 MSHR entry had no fill
     // left to release it. The L1 is off, so only the L2 entry is in play.
+    // As above, the arm flush clears it too; `ggpu-sim`'s
+    // `after_abort_the_system_is_idle_and_times_a_request_as_a_fresh_one`
+    // checks the release itself.
     // The load is at DRAM from the trap's cycle with no padding to the one
     // with ten adds (four cycles each); five sits in the middle.
     let (program, copy, trap) = load_reuse_program(5);
     let mut config = GpuConfig::test_small();
-    config.flush_between_kernels = false;
     config.watchdog_cycles = 2_000;
     config.sm.l1.bytes = 0;
     config.fault_plan.poison = Some((4096 + 512, 4096 + 576));
