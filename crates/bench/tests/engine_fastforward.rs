@@ -274,9 +274,10 @@ fn ledger_row(tune: impl Fn(&mut GpuConfig), row: impl Fn(&mut Gpu, &LedgerKerne
     for stream_isolation in [false, true] {
         let mut seen = Vec::new();
         for fast_forward in [false, true] {
-            let mut cfg = GpuConfig::test_small()
-                .with_fast_forward(fast_forward)
-                .with_stream_isolation(stream_isolation);
+            let mut cfg = GpuConfig {
+                stream_isolation,
+                ..GpuConfig::test_small().with_fast_forward(fast_forward)
+            };
             cfg.trace = true;
             tune(&mut cfg);
             let (program, k) = ledger_program();

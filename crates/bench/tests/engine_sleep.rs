@@ -197,7 +197,10 @@ fn per_sm_cycles(gpu: &Gpu) -> Vec<u64> {
 /// the reply lands (or the watchdog gives up on it).
 fn run_fire_and_forget(fast_forward: bool, drop_reply: bool) -> Gpu {
     let (program, k) = build_program();
-    let mut cfg = baseline(fast_forward).with_stream_isolation(true);
+    let mut cfg = GpuConfig {
+        stream_isolation: true,
+        ..baseline(fast_forward)
+    };
     cfg.watchdog_cycles = 2_000;
     if drop_reply {
         cfg.fault_plan = FaultPlan {
@@ -295,7 +298,10 @@ enum Kill {
 /// the same clean run on a new device.
 fn killed_then_clean(kill: Kill, fast_forward: bool, fresh: &CleanRun) -> CleanRun {
     let (program, k) = build_program();
-    let mut cfg = baseline(fast_forward).with_stream_isolation(true);
+    let mut cfg = GpuConfig {
+        stream_isolation: true,
+        ..baseline(fast_forward)
+    };
     cfg.trace = true;
     cfg.watchdog_cycles = 2_000;
     if matches!(kill, Kill::Hang) {
@@ -363,7 +369,10 @@ fn killed_then_clean(kill: Kill, fast_forward: bool, fresh: &CleanRun) -> CleanR
 fn a_kill_with_lanes_asleep_leaves_a_device_as_good_as_new() {
     let fresh = {
         let (program, k) = build_program();
-        let mut cfg = baseline(false).with_stream_isolation(true);
+        let mut cfg = GpuConfig {
+            stream_isolation: true,
+            ..baseline(false)
+        };
         cfg.trace = true;
         let mut gpu = Gpu::new(program, cfg);
         gpu.malloc(256);
@@ -768,7 +777,10 @@ fn hang_then_clean(gpu: &mut Gpu, k: &ParkingKernels) -> (SimError, Parking) {
 }
 
 fn hang_cfg(fast_forward: bool, drop_reply: Option<u64>) -> GpuConfig {
-    let mut cfg = no_l1(fast_forward).with_stream_isolation(true);
+    let mut cfg = GpuConfig {
+        stream_isolation: true,
+        ..no_l1(fast_forward)
+    };
     cfg.watchdog_cycles = 2_000;
     cfg.fault_plan.drop_reply = drop_reply;
     cfg

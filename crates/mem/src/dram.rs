@@ -107,15 +107,16 @@ struct PendingReq {
     addr: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Bank {
-    open_row: Option<u64>,
-    ready_at: u64,
-}
-
-/// One DRAM channel: a request queue, per-bank row state, and a shared data
-/// bus. [`Dram::tick`] issues at most one request per cycle and returns
-/// `(id, completion_cycle)` pairs as requests finish.
+/// One DRAM channel: a request queue, per-bank open rows, and a shared data
+/// bus. [`Dram::tick`] issues at most one request per cycle and returns the
+/// id of the request that finished, if one did.
+///
+/// The bus is held from a request's issue to its completion, so at most one
+/// request is ever in flight and no bank is still busy when the next one
+/// issues. A channel's efficiency (Fig 17) is therefore capped by the
+/// access latency, whatever the queue pressure: `BURST / (T_CL + BURST)` =
+/// 4/24 on a stream of row hits, 4/44 on closed rows and 4/64 on row
+/// conflicts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dram {
     config: DramConfig,
@@ -123,10 +124,11 @@ pub struct Dram {
     /// Overflow backlog: requests accepted by [`Dram::enqueue`] while the
     /// scheduler queue was full, replayed in arrival order as space opens.
     overflow: VecDeque<PendingReq>,
-    banks: [Bank; BANKS],
+    open_rows: [Option<u64>; BANKS],
     bus_free_at: u64,
-    /// (id, done_at) of requests issued but not yet reported complete.
-    in_flight: Vec<(u64, u64)>,
+    /// Id of the request issued but not yet reported complete. It holds the
+    /// bus, so it completes at `bus_free_at`.
+    in_flight: Option<u64>,
     stats: DramStats,
     /// Per-bank (requests serviced, row hits) — the profiler's spatial
     /// attribution axis. Always maintained; two counter increments per
@@ -141,12 +143,9 @@ impl Dram {
             config,
             queue: Vec::new(),
             overflow: VecDeque::new(),
-            banks: [Bank {
-                open_row: None,
-                ready_at: 0,
-            }; BANKS],
+            open_rows: [None; BANKS],
             bus_free_at: 0,
-            in_flight: Vec::new(),
+            in_flight: None,
             stats: DramStats::default(),
             bank_stats: [(0, 0); BANKS],
         }
@@ -175,7 +174,7 @@ impl Dram {
     /// True when the channel has no queued, backlogged, or in-flight
     /// requests.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.overflow.is_empty() && self.in_flight.is_empty()
+        self.queue.is_empty() && self.overflow.is_empty() && self.in_flight.is_none()
     }
 
     /// True when [`Dram::tick`] at `now` would change nothing: the channel is
@@ -187,7 +186,7 @@ impl Dram {
     /// Current channel occupancy: queued, backlogged, plus in-flight
     /// requests (deadlock diagnostics).
     pub fn queue_depth(&self) -> usize {
-        self.queue.len() + self.overflow.len() + self.in_flight.len()
+        self.queue.len() + self.overflow.len() + self.in_flight.is_some() as usize
     }
 
     /// Enqueue a request, never refusing it: when the scheduler queue is
@@ -209,13 +208,11 @@ impl Dram {
     /// Precharge every bank (close all open rows). Used at canonical kernel
     /// boundaries so the row-buffer state a grid starts from never depends
     /// on what ran before it. Only meaningful on an idle channel — by then
-    /// every `ready_at` and the bus have already expired, so forgetting the
-    /// open rows is the channel's entire residual state.
+    /// the bus has already expired, so forgetting the open rows is the
+    /// channel's entire residual state.
     pub fn close_rows(&mut self) {
         debug_assert!(self.is_idle(), "close_rows on a busy channel");
-        for b in &mut self.banks {
-            b.open_row = None;
-        }
+        self.open_rows = [None; BANKS];
     }
 
     /// Enqueue a request; returns `false` (and counts a rejection) when the
@@ -239,9 +236,9 @@ impl Dram {
         )
     }
 
-    /// Advance one cycle: possibly issue one queued request, and return the
-    /// ids of requests whose data has fully transferred by `now`.
-    pub fn tick(&mut self, now: u64) -> Vec<u64> {
+    /// Advance one cycle: report the request whose data has fully
+    /// transferred by `now`, if any, and possibly issue one queued request.
+    pub fn tick(&mut self, now: u64) -> std::option::IntoIter<u64> {
         // Replay the overflow backlog while the scheduler queue has space
         // (each refused replay still counts as a rejection, like any push).
         while let Some(&PendingReq { id, addr }) = self.overflow.front() {
@@ -252,30 +249,34 @@ impl Dram {
             }
         }
 
-        if !self.queue.is_empty() || !self.in_flight.is_empty() || self.bus_free_at > now {
+        if !self.queue.is_empty() || self.in_flight.is_some() || self.bus_free_at > now {
             self.stats.active_cycles += 1;
         }
+
+        // The completion is harvested first: it frees the bus it held.
+        let done = if self.bus_free_at <= now {
+            self.in_flight.take()
+        } else {
+            None
+        };
 
         // Issue at most one request per cycle when the bus can accept it.
         if !self.queue.is_empty() && self.bus_free_at <= now {
             if let Some(idx) = self.pick(now) {
+                debug_assert!(self.in_flight.is_none(), "two requests in flight");
                 let req = self.queue.remove(idx);
                 let (bank_idx, row) = self.bank_and_row(req.addr);
-                let bank = &mut self.banks[bank_idx];
-                let row_hit = bank.open_row == Some(row);
+                let open_row = &mut self.open_rows[bank_idx];
+                let row_hit = *open_row == Some(row);
                 let latency = if row_hit {
                     T_CL
-                } else if bank.open_row.is_some() {
+                } else if open_row.is_some() {
                     T_RP + T_RCD + T_CL
                 } else {
                     T_RCD + T_CL
                 };
-                bank.open_row = Some(row);
-                let start = now.max(bank.ready_at);
-                let data_start = start + latency;
-                let done = data_start + BURST;
-                bank.ready_at = done;
-                self.bus_free_at = done;
+                *open_row = Some(row);
+                self.bus_free_at = now + latency + BURST;
                 self.stats.requests += 1;
                 self.bank_stats[bank_idx].0 += 1;
                 if row_hit {
@@ -283,21 +284,10 @@ impl Dram {
                     self.bank_stats[bank_idx].1 += 1;
                 }
                 self.stats.data_cycles += BURST;
-                self.in_flight.push((req.id, done));
+                self.in_flight = Some(req.id);
             }
         }
-
-        // Harvest completions.
-        let mut done = Vec::new();
-        self.in_flight.retain(|&(id, t)| {
-            if t <= now {
-                done.push(id);
-                false
-            } else {
-                true
-            }
-        });
-        done
+        done.into_iter()
     }
 
     /// Conservative next cycle (≥ `c0`) at which [`Dram::tick`] could do
@@ -314,14 +304,12 @@ impl Dram {
             // queue stays full) happens every cycle: never skip over it.
             return c0;
         }
-        let mut t = u64::MAX;
-        if !self.queue.is_empty() {
-            t = t.min(self.bus_free_at.max(c0));
+        // Both the next issue and the in-flight completion wait for the bus.
+        if self.queue.is_empty() && self.in_flight.is_none() {
+            u64::MAX
+        } else {
+            self.bus_free_at.max(c0)
         }
-        if let Some(done) = self.in_flight.iter().map(|&(_, d)| d).min() {
-            t = t.min(done.max(c0));
-        }
-        t
     }
 
     /// Credit `span` fast-forwarded cycles starting at `c0` as if
@@ -331,7 +319,7 @@ impl Dram {
     /// terms are all constant (or expire at a known cycle) over the span.
     pub fn skip_cycles(&mut self, c0: u64, span: u64) {
         debug_assert!(self.overflow.is_empty(), "skipped over a backlog replay");
-        if !self.queue.is_empty() || !self.in_flight.is_empty() {
+        if !self.queue.is_empty() || self.in_flight.is_some() {
             self.stats.active_cycles += span;
         } else {
             // Idle channel still counts active while the bus drains.
@@ -353,8 +341,7 @@ impl Dram {
         let mut best: Option<usize> = None;
         for i in 0..window {
             let (bank_idx, row) = self.bank_and_row(self.queue[i].addr);
-            let bank = &self.banks[bank_idx];
-            if bank.open_row == Some(row) {
+            if self.open_rows[bank_idx] == Some(row) {
                 // Oldest row hit wins immediately under FR-FCFS.
                 return Some(i);
             }
@@ -370,6 +357,9 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One cache line: consecutive lines of a row are row hits.
+    const LINE: u64 = crate::LINE_BYTES;
 
     fn drain(dram: &mut Dram, until: u64) -> Vec<(u64, u64)> {
         let mut done = Vec::new();
@@ -647,15 +637,76 @@ mod tests {
         // off the device clock) it still counts an active cycle.
         assert!(d.is_idle() && !d.is_quiet(43));
         let mut early = d.clone();
-        assert!(early.tick(43).is_empty());
+        assert_eq!(early.tick(43).len(), 0);
         assert_ne!(early, d);
         // Quiet: a tick changes nothing, however many.
         let before = d.clone();
         for now in 44..200 {
             assert!(d.is_quiet(now));
-            assert!(d.tick(now).is_empty());
+            assert_eq!(d.tick(now).len(), 0);
         }
         assert_eq!(d, before);
+    }
+
+    /// Tick `d` every cycle from 0 until it is idle; each completion's cycle,
+    /// checking that no tick reports more than one.
+    fn completion_cycles(d: &mut Dram) -> Vec<u64> {
+        let mut at = Vec::new();
+        for t in 0..10_000 {
+            let done = d.tick(t);
+            assert!(done.len() <= 1, "two completions at cycle {t}");
+            at.extend(done.map(|_| t));
+            assert!(d.in_flight.is_none() || d.bus_free_at > t);
+            if d.is_idle() {
+                return at;
+            }
+        }
+        panic!("the channel never drained");
+    }
+
+    #[test]
+    fn a_saturated_row_hit_stream_is_capped_by_the_bus_hold() {
+        // Sixteen columns of one row, all queued at once: the first opens
+        // the row (tRCD + tCL + burst), every later one is a row hit that
+        // issues the cycle the one before it completes (tCL + burst).
+        let n = 16;
+        let mut d = Dram::new(DramConfig::default());
+        for i in 0..n {
+            assert!(d.push(i, i * LINE, 0));
+        }
+        let at = completion_cycles(&mut d);
+        let expect: Vec<u64> = (0..n).map(|i| 44 + 24 * i).collect();
+        assert_eq!(at, expect);
+        let s = *d.stats();
+        assert_eq!((s.requests, s.row_hits), (n, n - 1));
+        // The completion cycle is active too: 45 + 24 (n - 1) cycles carry
+        // 4n data cycles, which tends to BURST / (T_CL + BURST) = 1/6.
+        assert_eq!(s.data_cycles, BURST * n);
+        assert_eq!(s.active_cycles, 45 + (T_CL + BURST) * (n - 1));
+        assert!(s.efficiency() < BURST as f64 / (T_CL + BURST) as f64);
+    }
+
+    #[test]
+    fn closed_rows_and_row_conflicts_space_completions_by_their_latency() {
+        // A full queue of requests to sixteen closed banks: each pays an
+        // activate, and none overlaps the one before it.
+        let mut closed = Dram::new(DramConfig::default());
+        for b in 0..BANKS as u64 {
+            closed.push(b, b * ROW_BYTES, 0);
+        }
+        let at = completion_cycles(&mut closed);
+        assert!(at.windows(2).all(|w| w[1] - w[0] == T_RCD + T_CL + BURST));
+        // Sixteen rows of one bank: every request after the first is a
+        // conflict (precharge, activate, column access).
+        let mut conflicts = Dram::new(DramConfig::default());
+        for i in 0..16u64 {
+            conflicts.push(i, i * ROW_BYTES * BANKS as u64, 0);
+        }
+        let at = completion_cycles(&mut conflicts);
+        assert!(at
+            .windows(2)
+            .all(|w| w[1] - w[0] == T_RP + T_RCD + T_CL + BURST));
+        assert_eq!(conflicts.stats().row_hits, 0);
     }
 
     #[test]

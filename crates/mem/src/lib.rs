@@ -6,6 +6,8 @@
 //!   per-SM L1 data cache, the constant cache, the texture cache, and the
 //!   per-partition L2 slices. Configurations mirror Table I of the paper
 //!   (e.g. `128KB, 256-way, 128B lines` for L1).
+//! * [`FillWaiters`] — the requests parked on a line's fill, in arrival
+//!   order, with pooled storage (the SM's L1 and texture misses, the L2's).
 //! * [`Dram`] — a multi-bank DRAM channel with open-row tracking and three
 //!   schedulers ([`DramScheduler::FrFcfs`], [`DramScheduler::Fifo`],
 //!   [`DramScheduler::OoO`]) matching the paper's Figure 16 sweep, plus the
@@ -71,9 +73,11 @@ macro_rules! counter_set {
 
 mod cache;
 mod dram;
+mod waiters;
 
 pub use cache::{Cache, CacheConfig, CacheOutcome, CacheStats};
 pub use dram::{Dram, DramConfig, DramScheduler, DramStats};
+pub use waiters::FillWaiters;
 
 /// Line size shared by every cache level, per Table I (128-byte lines).
 pub const LINE_BYTES: u64 = 128;

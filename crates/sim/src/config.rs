@@ -197,13 +197,6 @@ impl GpuConfig {
         self
     }
 
-    /// Enable or disable stream-isolation mode (canonical kernel
-    /// boundaries); see [`GpuConfig::stream_isolation`].
-    pub fn with_stream_isolation(mut self, on: bool) -> Self {
-        self.stream_isolation = on;
-        self
-    }
-
     /// Enable or disable per-PC attribution (the code axis of
     /// [`crate::ProfileReport`]); shorthand for setting
     /// [`ggpu_sm::SmConfig::attribution`].
@@ -306,7 +299,6 @@ mod tests {
         assert!(c.fault_plan.drop_memcpy.is_none());
         assert!(c.fault_plan.poison_memcpy.is_none());
         assert!(!c.stream_isolation, "legacy boundaries by default");
-        assert!(c.with_stream_isolation(true).stream_isolation);
     }
 
     #[test]

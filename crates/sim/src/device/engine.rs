@@ -253,6 +253,9 @@ impl Gpu {
         for k in 0..self.lanes.awake().len() {
             let sm = self.lanes.awake()[k];
             let lane = self.lanes.lane_mut(sm);
+            // A lane whose tick only issued has nothing to merge.
+            issued += lane.ports.out.issued;
+            lane.ports.out.issued = 0;
             if lane.ports.out.is_empty() {
                 continue;
             }
@@ -283,8 +286,6 @@ impl Gpu {
                     first_trap = Some((sm, t));
                 }
             }
-            issued += out.issued;
-            out.issued = 0;
             self.lanes.lane_mut(sm).ports.out = out;
         }
 

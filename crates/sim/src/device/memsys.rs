@@ -7,9 +7,12 @@
 //! in the pre phase and does, in this order: due packets pop in (time,
 //! insertion) order — a reply goes to `deliver`, a request is looked up in
 //! its partition's L2 slice on the spot; then the DRAM channels tick in
-//! partition order, each completed fill installing its line and answering
-//! the loads parked on it in the order they arrived. [`MemSystem::send`]
-//! runs in the post phase, once per request in (SM index, issue order).
+//! partition order, each completing at most one request, and a completed
+//! fill installs its line and answers the loads parked on it in the order
+//! they arrived. Parked loads sit in pooled per-line lists
+//! ([`ggpu_mem::FillWaiters`]), so a steady-state miss allocates nothing.
+//! [`MemSystem::send`] runs in the post phase, once per request in (SM
+//! index, issue order).
 //! Link horizons, L2 LRU stamps, DRAM queue positions and the reply numbering
 //! [`crate::FaultPlan::drop_reply`] counts by are all functions of that
 //! order, so it is part of the results fence (`crates/bench/tests/
@@ -23,10 +26,8 @@
 //! its bus free), whose tick would change nothing; the order among the
 //! channels that do tick is unchanged.
 
-use std::collections::HashMap;
-
 use ggpu_icnt::{DeliveryQueue, Icnt};
-use ggpu_mem::{Cache, CacheOutcome, Dram, LINE_BYTES};
+use ggpu_mem::{Cache, CacheOutcome, Dram, FillWaiters, LINE_BYTES};
 use ggpu_sm::{MemRequest, ReqKind};
 
 use crate::config::{GpuConfig, L2_LATENCY};
@@ -72,9 +73,10 @@ pub(super) struct MemSystem {
     icnt_rep: Icnt,
     /// In-flight network packets, popped in (time, insertion) order.
     packets: DeliveryQueue<Packet>,
-    /// (partition, line) → (sm, request id) loads awaiting an L2 fill, in
-    /// arrival order.
-    waiters: HashMap<(usize, u64), Vec<(usize, u64)>>,
+    /// Line → (sm, request id) loads awaiting an L2 fill, in arrival order.
+    /// A line's partition is a function of the line (`partition_of`), so
+    /// the line alone is the key.
+    waiters: FillWaiters<(usize, u64)>,
     /// Replies sent so far, for deterministic drop-the-Nth injection.
     replies_sent: u64,
 }
@@ -90,7 +92,7 @@ impl MemSystem {
             icnt_req: Icnt::new(config.icnt, config.n_sms, parts),
             icnt_rep: Icnt::new(config.icnt, config.n_sms, parts),
             packets: DeliveryQueue::new(),
-            waiters: HashMap::new(),
+            waiters: FillWaiters::default(),
             replies_sent: 0,
         }
     }
@@ -136,15 +138,19 @@ impl MemSystem {
             if self.dram[part].is_quiet(now) {
                 continue;
             }
-            for line in self.dram[part].tick(now) {
-                if line == WRITE_ID {
-                    continue;
-                }
-                self.l2[part].fill(line * LINE_BYTES, false);
-                for (sm, id) in self.waiters.remove(&(part, line)).unwrap_or_default() {
-                    self.reply(part, sm, id, now, 0);
-                }
+            // A channel completes at most one request a tick.
+            let Some(line) = self.dram[part].tick(now).next() else {
+                continue;
+            };
+            if line == WRITE_ID {
+                continue;
             }
+            self.l2[part].fill(line * LINE_BYTES, false);
+            let parked = self.waiters.take(line);
+            for &(sm, id) in &parked {
+                self.reply(part, sm, id, now, 0);
+            }
+            self.waiters.recycle(parked);
         }
     }
 
@@ -161,7 +167,7 @@ impl MemSystem {
         match self.l2[part].access(addr, false) {
             CacheOutcome::Hit => self.reply(part, sm, id, now, L2_LATENCY),
             outcome => {
-                self.waiters.entry((part, line)).or_default().push((sm, id));
+                self.waiters.park(line, (sm, id));
                 if outcome != CacheOutcome::MshrMerged {
                     self.dram[part].enqueue(line, addr, now);
                 }

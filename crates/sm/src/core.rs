@@ -22,7 +22,7 @@ mod exec;
 #[cfg(test)]
 mod tests;
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ use ggpu_isa::{
     AtomOp, CvtKind, FaultKind, Instr, InstrClass, KernelId, LaunchDims, Program, Reg, Row, Space,
     SpecialReg, Width, WARP_SIZE,
 };
-use ggpu_mem::{Cache, CacheStats, LINE_BYTES};
+use ggpu_mem::{Cache, CacheStats, FillWaiters, LINE_BYTES};
 
 use crate::config::{lat, SchedPolicy, SmConfig, CONST_CACHE, SCHEDULERS, TEX_CACHE};
 use crate::pc::PcTable;
@@ -249,10 +249,64 @@ struct CtaSlot {
     smem_bytes: u32,
 }
 
+/// What a reply to a request answers: an L1 or texture line fill, or one
+/// warp's atomic.
 #[derive(Debug)]
 enum RespRoute {
     LoadFill { tex: bool, line: u64 },
     Atomic { warp: usize, reg: Reg },
+}
+
+/// The requests in flight to the memory system. Ids are handed out in issue
+/// order, so the table is a ring indexed by `id - base`: each slot holds its
+/// request's route until the reply takes it, and is `None` once answered or
+/// for a store, which no reply answers. Answered slots at the front are
+/// popped, so the ring spans the oldest unanswered request to the newest.
+#[derive(Debug, Default)]
+struct RequestTable {
+    /// Id of the request in the front slot.
+    base: u64,
+    slots: VecDeque<Option<RespRoute>>,
+    /// Slots still holding a route.
+    live: usize,
+}
+
+impl RequestTable {
+    /// Enter the next request, answered through `route` (`None`: no reply
+    /// comes); its id.
+    fn issue(&mut self, route: Option<RespRoute>) -> u64 {
+        let id = self.base + self.slots.len() as u64;
+        self.live += route.is_some() as usize;
+        self.slots.push_back(route);
+        self.pop_answered();
+        id
+    }
+
+    /// Take request `id`'s route. `None` for a request already answered,
+    /// one no reply answers, or one issued before the last
+    /// [`RequestTable::abort`].
+    fn answer(&mut self, id: u64) -> Option<RespRoute> {
+        let i = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        let route = self.slots.get_mut(i)?.take()?;
+        self.live -= 1;
+        self.pop_answered();
+        Some(route)
+    }
+
+    fn pop_answered(&mut self) {
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Forget every request in flight. Ids keep counting from where they
+    /// were, so a late reply to a forgotten request is ignored.
+    fn abort(&mut self) {
+        self.base += self.slots.len() as u64;
+        self.slots.clear();
+        self.live = 0;
+    }
 }
 
 /// A scheduler slot's stall: the reason, and the representative blocked warp
@@ -349,9 +403,10 @@ pub struct SmCore {
     l1: Cache,
     cc: Cache,
     tc: Cache,
-    outstanding: HashMap<u64, RespRoute>,
-    waiters: HashMap<(bool, u64), Vec<(usize, Reg)>>,
-    next_req_id: u64,
+    requests: RequestTable,
+    /// (warp, destination) loads parked on an L1 / texture line fill.
+    l1_waiters: FillWaiters<(usize, Reg)>,
+    tex_waiters: FillWaiters<(usize, Reg)>,
     age_counter: u64,
     /// Per-scheduler round-robin cursor.
     rr_cursor: [usize; SCHEDULERS],
@@ -396,9 +451,9 @@ impl SmCore {
             used_regs: 0,
             used_smem: 0,
             used_slots: 0,
-            outstanding: HashMap::new(),
-            waiters: HashMap::new(),
-            next_req_id: 0,
+            requests: RequestTable::default(),
+            l1_waiters: FillWaiters::default(),
+            tex_waiters: FillWaiters::default(),
             age_counter: 0,
             stats: SmStats::default(),
             scratch_lines: Vec::new(),
@@ -413,7 +468,7 @@ impl SmCore {
 
     /// True when requests are still outstanding to the memory system.
     pub fn has_outstanding(&self) -> bool {
-        !self.outstanding.is_empty()
+        self.requests.live > 0
     }
 
     /// Number of live CTAs.
@@ -525,15 +580,21 @@ impl SmCore {
 
     /// Memory-system response for request `id` issued earlier.
     pub(crate) fn mem_response(&mut self, id: u64, now: u64) {
-        match self.outstanding.remove(&id) {
+        match self.requests.answer(id) {
             Some(RespRoute::LoadFill { tex, line }) => {
-                let cache = if tex { &mut self.tc } else { &mut self.l1 };
+                let (cache, waiters) = if tex {
+                    (&mut self.tc, &mut self.tex_waiters)
+                } else {
+                    (&mut self.l1, &mut self.l1_waiters)
+                };
                 cache.fill(line * LINE_BYTES, false);
-                for (widx, reg) in self.waiters.remove(&(tex, line)).unwrap_or_default() {
+                let parked = waiters.take(line);
+                for &(widx, reg) in &parked {
                     if let Some(w) = self.warps[widx].as_mut() {
                         w.fill_arrived(reg, now);
                     }
                 }
+                waiters.recycle(parked);
             }
             Some(RespRoute::Atomic { warp, reg }) => {
                 if let Some(w) = self.warps[warp].as_mut() {
@@ -1063,8 +1124,9 @@ impl SmCore {
         self.used_regs = 0;
         self.used_smem = 0;
         self.used_slots = 0;
-        self.outstanding.clear();
-        self.waiters.clear();
+        self.requests.abort();
+        self.l1_waiters.clear();
+        self.tex_waiters.clear();
         self.l1.release_mshrs();
         self.tc.release_mshrs();
         self.reset_schedulers();
@@ -1082,7 +1144,7 @@ impl SmCore {
 
     /// Requests outstanding to the memory system.
     pub fn outstanding_requests(&self) -> usize {
-        self.outstanding.len()
+        self.requests.live
     }
 
     /// Blocked-state snapshot of every resident warp, tagged with the

@@ -512,8 +512,12 @@ impl SmCore {
                             continue;
                         }
                         misses += 1;
-                        let waiters = self.waiters.entry((tex, line)).or_default();
-                        waiters.push((widx, dst));
+                        let waiters = if tex {
+                            &mut self.tex_waiters
+                        } else {
+                            &mut self.l1_waiters
+                        };
+                        waiters.park(line, (widx, dst));
                         if outcome == CacheOutcome::MshrMerged {
                             continue;
                         }
@@ -544,11 +548,7 @@ impl SmCore {
                         (ReqKind::Atomic, Some(route))
                     }
                 };
-                let id = self.next_req_id;
-                self.next_req_id += 1;
-                if let Some(route) = route {
-                    self.outstanding.insert(id, route);
-                }
+                let id = self.requests.issue(route);
                 out.mem_requests.push(MemRequest {
                     id,
                     addr,

@@ -2,8 +2,9 @@
 //! against a fresh derivation at every invalidation event, the row forms of
 //! `issue` against the scalar operations lane by lane, the extent check and
 //! the local remap against their per-lane forms, the order the store log
-//! commits in, what `abort_workload` leaves in the caches, and that a reply
-//! reaching a core with no live warps still fills its L1.
+//! commits in, what `abort_workload` leaves in the caches, that a reply
+//! reaching a core with no live warps still fills its L1, and that the
+//! request ring counts and drains exactly.
 
 use std::sync::Arc;
 
@@ -37,17 +38,7 @@ impl Rig {
             program.add(k);
         }
         let mut sm = SmCore::new(SmConfig::default(), Arc::new(program));
-        let placed = sm.try_launch_cta(CtaConfig {
-            kernel_id: KernelId(0),
-            grid_handle: 1,
-            cta_linear: 0,
-            dims: LaunchDims::linear(1, threads),
-            params: Arc::new(params),
-            const_data: Arc::new(Vec::new()),
-            local_base: 1 << 30,
-            local_stride: 0,
-        });
-        assert!(placed);
+        assert!(sm.try_launch_cta(cta(threads, params)));
         Rig {
             sm,
             mem: BoundedMem {
@@ -100,6 +91,20 @@ impl Rig {
             requests.extend(self.step());
         }
         panic!("never reached: {what}");
+    }
+}
+
+/// CTA 0 of kernel 0.
+fn cta(threads: u32, params: Vec<u64>) -> CtaConfig {
+    CtaConfig {
+        kernel_id: KernelId(0),
+        grid_handle: 1,
+        cta_linear: 0,
+        dims: LaunchDims::linear(1, threads),
+        params: Arc::new(params),
+        const_data: Arc::new(Vec::new()),
+        local_base: 1 << 30,
+        local_stride: 0,
     }
 }
 
@@ -734,4 +739,79 @@ fn a_reply_to_a_core_with_no_live_warps_still_fills_its_l1() {
         CacheOutcome::Hit,
         "the fill was lost"
     );
+}
+
+// ---- the request ring -------------------------------------------------------
+
+#[test]
+fn a_reply_to_a_request_from_before_abort_workload_is_ignored() {
+    let load = || {
+        kernel(|b| {
+            let (a, v) = (b.reg(), b.reg());
+            b.mov(a, Operand::imm(0x2000));
+            b.ld(Space::Global, Width::B64, v, a, 0);
+            b.iadd(v, v, Operand::imm(1));
+        })
+    };
+    let mut rig = Rig::new(vec![load()], 1, vec![]);
+    let before = rig.step_until("the load", |r| r.sm.has_outstanding());
+    rig.sm.abort_workload();
+    // The same load again, on a fresh CTA: the line's miss was released
+    // with the abort, so it is a new request with a new id.
+    assert!(rig.sm.try_launch_cta(cta(1, vec![])));
+    let after = rig.step_until("the load again", |r| r.sm.has_outstanding());
+    assert_eq!((before.len(), after.len()), (1, 1));
+    assert!(after[0].id > before[0].id, "ids restarted after the abort");
+    // The aborted request's reply arrives late: it answers nothing.
+    rig.ports.replies.push(before[0].id);
+    rig.step();
+    assert_eq!(rig.sm.outstanding_requests(), 1);
+    assert_eq!(rig.sm.l1.outstanding(), 1, "the late reply filled the line");
+    rig.ports.replies.push(after[0].id);
+    rig.step_until("exit", |r| r.sm.is_idle());
+    assert!(!rig.sm.has_outstanding());
+    assert!(rig.sm.requests.slots.is_empty());
+}
+
+#[test]
+fn out_of_order_replies_between_stores_keep_the_count_exact_and_drain_the_ring() {
+    // Load, store, load, store, load: five requests on five lines; the
+    // stores take ids but expect no reply.
+    let mut rig = Rig::new(
+        vec![kernel(|b| {
+            let (a, x) = (b.reg(), b.reg());
+            let v = [b.reg(), b.reg(), b.reg()];
+            b.mov(a, Operand::imm(0x2000));
+            b.mov(x, Operand::imm(7));
+            b.ld(Space::Global, Width::B64, v[0], a, 0);
+            b.st(Space::Global, Width::B64, x, a, 0x1000);
+            b.ld(Space::Global, Width::B64, v[1], a, 0x2000);
+            b.st(Space::Global, Width::B64, x, a, 0x3000);
+            b.ld(Space::Global, Width::B64, v[2], a, 0x4000);
+            for r in v {
+                b.iadd(r, r, Operand::imm(1));
+            }
+        })],
+        1,
+        vec![],
+    );
+    let sent = rig.step_until("five requests", |r| r.sm.requests.slots.len() == 5);
+    let kinds: Vec<ReqKind> = sent.iter().map(|r| r.kind).collect();
+    use ReqKind::{Load, Store};
+    assert_eq!(kinds, [Load, Store, Load, Store, Load]);
+    assert!(sent.windows(2).all(|w| w[1].id == w[0].id + 1));
+    assert_eq!(rig.sm.outstanding_requests(), 3);
+    // Newest first: the front is still unanswered, so nothing pops. Then
+    // the oldest, which pops it and the store behind it; then the last.
+    let remaining = [(4, 2, 5), (0, 1, 3), (2, 0, 0)];
+    for (i, live, ring) in remaining {
+        rig.sm.mem_response(sent[i].id, rig.now);
+        assert_eq!(rig.sm.outstanding_requests(), live);
+        assert_eq!(rig.sm.has_outstanding(), live > 0);
+        assert_eq!(rig.sm.requests.slots.len(), ring, "after reply {i}");
+    }
+    // A second reply to an answered request changes nothing.
+    rig.sm.mem_response(sent[2].id, rig.now);
+    assert_eq!(rig.sm.outstanding_requests(), 0);
+    rig.step_until("exit", |r| r.sm.is_idle());
 }

@@ -351,7 +351,10 @@ fn recursive_program() -> (Program, KernelId, KernelId) {
 fn cdp_nesting_limit_faults_one_level_past_it_and_recovers() {
     // The limit is 24 levels: 25 one-CTA grids are resident at once, well
     // within `test_small`'s 4 SMs x 32 CTA slots.
-    let mut config = GpuConfig::test_small().with_stream_isolation(true);
+    let mut config = GpuConfig {
+        stream_isolation: true,
+        ..GpuConfig::test_small()
+    };
     config.trace = true;
     // What a clean run looks like: elapsed cycles, its kernel record's SM
     // counters, and the bytes it wrote.
@@ -542,7 +545,10 @@ fn stream_fault_isolates_and_reset_stream_recovers() {
         b.exit();
         b.finish()
     });
-    let config = GpuConfig::test_small().with_stream_isolation(true);
+    let config = GpuConfig {
+        stream_isolation: true,
+        ..GpuConfig::test_small()
+    };
     let mut gpu = Gpu::new(program, config);
     let bad_buf = gpu.malloc(256);
     let good_buf = gpu.malloc(64 * 8);
@@ -618,7 +624,10 @@ fn watchdog_kills_only_the_hung_stream() {
         b.exit();
         b.finish()
     });
-    let mut config = GpuConfig::test_small().with_stream_isolation(true);
+    let mut config = GpuConfig {
+        stream_isolation: true,
+        ..GpuConfig::test_small()
+    };
     config.watchdog_cycles = 2_000;
     config.fault_plan.drop_reply = Some(0);
     let mut gpu = Gpu::new(p, config);
@@ -670,7 +679,10 @@ fn deadline_budget_kills_grid_with_typed_error() {
     // deadline must fire, kill the owning stream, and spare the rest.
     let mut gpu = Gpu::new(
         write_tids(),
-        GpuConfig::test_small().with_stream_isolation(true),
+        GpuConfig {
+            stream_isolation: true,
+            ..GpuConfig::test_small()
+        },
     );
     let buf = gpu.malloc(64 * 8);
     let s1 = gpu.create_stream();
@@ -811,7 +823,10 @@ fn clean_grid(gpu: &mut Gpu, out: DevicePtr) -> (u64, ggpu_sim::RunStats) {
 /// recovers the device, and the next clean grid equals a fresh device's.
 fn wrapping_load_traps_and_recovers(space: Space, kind: FaultKind, lane_mask: u32) {
     let (program, pc) = wrapping_load_program(space);
-    let config = GpuConfig::test_small().with_stream_isolation(true);
+    let config = GpuConfig {
+        stream_isolation: true,
+        ..GpuConfig::test_small()
+    };
     let mut gpu = Gpu::new(program.clone(), config.clone());
     let out = gpu.malloc(64 * 8);
     let err = gpu
@@ -903,7 +918,10 @@ fn host_copies_outside_allocated_memory_are_typed_and_move_nothing() {
     // frontier silently grew device memory (a guest load of the same address
     // traps), the null-page read returned zeros — and each counted as a
     // transfer, shifting the fault plan's indices.
-    let mut config = GpuConfig::test_small().with_stream_isolation(true);
+    let mut config = GpuConfig {
+        stream_isolation: true,
+        ..GpuConfig::test_small()
+    };
     config.fault_plan.drop_memcpy = Some(1);
     let setup = |config: &GpuConfig| {
         let mut gpu = Gpu::new(local_hog_program(), config.clone());
@@ -948,7 +966,10 @@ fn host_copies_outside_allocated_memory_are_typed_and_move_nothing() {
 
 /// A device that can hold `write_tids`' buffer and little else.
 fn one_mib_device() -> (Gpu, DevicePtr, GpuConfig) {
-    let mut config = GpuConfig::test_small().with_stream_isolation(true);
+    let mut config = GpuConfig {
+        stream_isolation: true,
+        ..GpuConfig::test_small()
+    };
     config.memory_limit = 1 << 20;
     let mut gpu = Gpu::new(local_hog_program(), config.clone());
     let out = gpu.malloc(64 * 8);
