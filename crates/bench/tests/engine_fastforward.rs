@@ -444,3 +444,24 @@ fn a_kill_then_a_relaunch_on_a_fresh_stream_runs_as_ticked() {
     );
     assert!(skipped > 0, "nothing was jumped");
 }
+
+#[test]
+fn more_than_64_warps_on_an_sm_run_as_ticked() {
+    // The Figure 11 200 % SM admits 64 CTAs: 33-thread CTAs (two warps,
+    // the second with one lane) fill 128 warp slots, two words of the SM's
+    // readiness index, and the loads put every scheduler's share in a
+    // dead span.
+    const CTA: u32 = 33;
+    let skipped = ledger_row(
+        |cfg| *cfg = cfg.clone().with_cta_scale(200),
+        |gpu, k| {
+            let run = CopyRun::new(gpu, 256 * CTA);
+            gpu.try_launch(k.copy, LaunchDims::linear(256, CTA), &run.params())
+                .expect("launch");
+            gpu.synchronize();
+            assert!(run.written(gpu));
+            assert_eq!(gpu.stats().sm.ctas_completed, 256);
+        },
+    );
+    assert!(skipped > 0, "nothing was jumped");
+}

@@ -28,7 +28,7 @@
 //!   the schedulers pick by) returns beside the wait kind: `c0` unless
 //!   every live warp is blocked (barrier/CDP-join, scoreboard pending, or
 //!   an issue-interval/operand boundary strictly beyond `c0`). Boundaries
-//!   (`next_issue_at`, the earliest `reg_ready`) bound `T`, and scoreboard
+//!   (`next_issue_at`, the earliest operand `ready_at`) bound `T`, and scoreboard
 //!   releases only happen via replies, which are network events — bounded
 //!   below. Hence every warp's wait classification, and therefore the
 //!   per-scheduler stall record, is constant over the span and

@@ -4,19 +4,23 @@
 //! [`exec`](self); all traffic with the rest of the device crosses the
 //! explicit port boundary in [`crate::ports`].
 //!
-//! Every scheduling decision is a fold over one rule,
-//! [`SmCore::readiness`] ("can this warp issue at `now`, and if not why and
-//! until when"): a scheduler's [`pick`](SmCore::pick) and the SM-wide
-//! dominant wait fold it for the top-ranked wait kind
-//! ([`SmCore::survey`]), [`SmCore::next_wake`] folds it for the earliest
-//! timed wake-up, and [`SmCore::charge_stall`] is the one place a scheduler
-//! slot's stall is counted — [`SmCore::tick`] charges it for one cycle,
-//! [`SmCore::skip_cycles`] for a whole fast-forwarded span. The rule's
-//! answer is derived once per warp-state-change and remembered on the warp
-//! until an event that can change it (the warp's own issue, an arriving
-//! fill, a barrier or device-sync release) or the wake-up it named, so the
-//! sixteen scheduler slots and the fast-forward scan of a cycle mostly read
-//! it back; a debug build re-derives it every time and asserts the two agree.
+//! Every scheduling decision reads one rule, [`SmCore::derive_readiness`]
+//! ("can this warp issue at `now`, and if not why and until when"), through
+//! one readiness index ([`ReadyIndex`]): bitsets over the warp slots — ready,
+//! blocked by each wait kind in rank order, stale — and each slot's wake-up.
+//! An event that writes a field the rule reads (the warp's own issue, an
+//! arriving fill, a barrier or device-sync release, CTA placement, a freed
+//! slot) marks the slot stale. The index is refreshed when it is read, not
+//! at the event: only the stale slots and the timed ones whose wake-up has
+//! come are derived — and a wait known to end in `Ready` becomes ready at
+//! its wake-up with no derivation at all. A scheduler's
+//! [`pick`](SmCore::pick), the SM-wide dominant wait, [`SmCore::next_wake`]
+//! and the stall record of a dead span are then bit operations, and
+//! [`SmCore::charge_stall`] is the one place a scheduler slot's stall is
+//! counted — [`SmCore::tick`] charges it for one cycle,
+//! [`SmCore::skip_cycles`] for a whole fast-forwarded span. A debug build
+//! re-derives every slot a pick or `next_wake` reads and asserts the index
+//! agrees.
 
 mod exec;
 #[cfg(test)]
@@ -36,7 +40,7 @@ use crate::config::{lat, SchedPolicy, SmConfig, CONST_CACHE, SCHEDULERS, TEX_CAC
 use crate::pc::PcTable;
 use crate::ports::{MemOp, SmPorts, TickOutput};
 use crate::stats::{SmStats, StallReason};
-use crate::warp::{active_row, lane_mask, lanes, WaitKind, Warp, WarpBlock};
+use crate::warp::{active_row, lane_mask, lanes, Readiness, WaitKind, Warp, WarpBlock};
 
 /// Functional backing store for global/local/texture memory, provided by the
 /// device (the SM only models timing for these spaces).
@@ -315,7 +319,389 @@ type Stall = (StallReason, Option<usize>);
 
 /// Active-set size of the two-level scheduler: it rotates through at most
 /// this many ready warps.
-const TWO_LEVEL_ACTIVE: usize = 8;
+const TWO_LEVEL_ACTIVE: u32 = 8;
+
+/// The blocked wait kinds in rank order — the dominant wait of a set of
+/// slots is the first kind present — with the stall a scheduler slot then
+/// records.
+const BLOCKED: [(WaitKind, StallReason); 4] = [
+    (WaitKind::Memory, StallReason::MemLatency),
+    (WaitKind::Control, StallReason::ControlHazard),
+    (WaitKind::Data, StallReason::DataHazard),
+    (WaitKind::Sync, StallReason::Barrier),
+];
+
+/// Scheduler 0's share of one index word: scheduler `s` owns the slots
+/// `s`, `s + SCHEDULERS`, …, so its share is this mask shifted by `s`.
+const SHARE: u64 = u64::MAX / ((1 << SCHEDULERS) - 1);
+const _: () = assert!(64 % SCHEDULERS == 0, "a share repeats in every word");
+
+/// Every slot of a word.
+const ALL: u64 = u64::MAX;
+
+/// Every scheduler, one bit each.
+const EVERY_SCHEDULER: u32 = (1 << SCHEDULERS) - 1;
+
+/// 64 warp slots of the readiness index. A slot is in at most one of
+/// `ready` and the `blocked` sets, and in none while `stale` or empty.
+#[derive(Debug, Clone, Copy, Default)]
+struct IndexWord {
+    ready: u64,
+    /// Blocked slots by wait kind, in [`BLOCKED`]'s order.
+    blocked: [u64; 4],
+    /// Timed slots whose wait ends in `Ready` at their wake-up.
+    ends_ready: u64,
+    /// Slots an event has touched since their last derivation.
+    stale: u64,
+}
+
+impl IndexWord {
+    /// Slots with a timed wake-up: `Control` and `Data` waits.
+    #[inline]
+    fn timed(&self) -> u64 {
+        self.blocked[1] | self.blocked[2]
+    }
+
+    /// Slots blocked on any kind.
+    #[inline]
+    fn blocked_any(&self) -> u64 {
+        self.blocked.iter().fold(0, |any, set| any | set)
+    }
+
+    #[inline]
+    fn clear(&mut self, bit: u64) {
+        self.ready &= !bit;
+        for set in &mut self.blocked {
+            *set &= !bit;
+        }
+        self.ends_ready &= !bit;
+        self.stale &= !bit;
+    }
+}
+
+/// The readiness rule's answer for every warp slot, kept exact at the
+/// events that can change it (see the module doc). Grows with the SM's warp
+/// slots at CTA placement; empty until then.
+#[derive(Debug, Default)]
+struct ReadyIndex {
+    words: Vec<IndexWord>,
+    /// Each slot's wake-up, read for `Control` / `Data` slots only.
+    wake: Vec<u64>,
+    /// No timed slot wakes before this.
+    next_timed: u64,
+    /// The schedulers whose share holds a stale slot, one bit each.
+    stale_shares: u32,
+    /// The stall every scheduler records through a dead span, the idle
+    /// ones' already resolved to the dominant wait: stored by
+    /// [`SmCore::next_wake`] when nothing is ready, dropped at every event
+    /// and tick.
+    record: Option<[Stall; SCHEDULERS]>,
+    /// Derivations per slot.
+    #[cfg(test)]
+    derivations: Vec<u64>,
+}
+
+impl ReadyIndex {
+    /// Cover warp slots `0..slots`.
+    fn grow(&mut self, slots: usize) {
+        let words = slots.div_ceil(64);
+        if words > self.words.len() {
+            self.words.resize(words, IndexWord::default());
+            self.wake.resize(words * 64, u64::MAX);
+            #[cfg(test)]
+            self.derivations.resize(words * 64, 0);
+        }
+    }
+
+    /// An event touched `slot`'s warp: derive it again before it is read.
+    #[inline]
+    fn mark_stale(&mut self, slot: usize) {
+        let word = &mut self.words[slot / 64];
+        let bit = 1 << (slot % 64);
+        self.stale_shares |= 1 << (slot % SCHEDULERS);
+        word.clear(bit);
+        word.stale |= bit;
+        self.record = None;
+    }
+
+    /// `slot` no longer holds a warp.
+    fn vacate(&mut self, slot: usize) {
+        self.words[slot / 64].clear(1 << (slot % 64));
+        self.record = None;
+    }
+
+    /// Forget every slot (the SM dropped all its warps).
+    fn clear(&mut self) {
+        self.words.clear();
+        self.wake.clear();
+        self.next_timed = u64::MAX;
+        self.stale_shares = 0;
+        self.record = None;
+    }
+
+    /// Enter `slot`'s freshly derived `answer` (`None`: no running warp).
+    #[inline]
+    fn store(&mut self, slot: usize, answer: Option<Readiness>) {
+        #[cfg(test)]
+        {
+            self.derivations[slot] += 1;
+        }
+        let word = &mut self.words[slot / 64];
+        let bit = 1 << (slot % 64);
+        word.clear(bit);
+        let Some(r) = answer else { return };
+        self.wake[slot] = r.wake;
+        let row = match r.kind {
+            WaitKind::Ready => {
+                word.ready |= bit;
+                return;
+            }
+            WaitKind::Memory => 0,
+            WaitKind::Control => 1,
+            WaitKind::Data => 2,
+            WaitKind::Sync => 3,
+        };
+        word.blocked[row] |= bit;
+        if matches!(r.kind, WaitKind::Control | WaitKind::Data) {
+            if r.ends_ready {
+                word.ends_ready |= bit;
+            }
+            self.next_timed = self.next_timed.min(r.wake);
+        }
+    }
+
+    /// Derive the stale slots of the shares of `scheds` (one bit per
+    /// scheduler).
+    #[inline]
+    fn refresh_stale(&mut self, scheds: u32, derive: &mut impl FnMut(usize) -> Option<Readiness>) {
+        let scheds = scheds & self.stale_shares;
+        if scheds == 0 {
+            return;
+        }
+        self.stale_shares &= !scheds;
+        // `SHARE` times a scheduler mask is the union of those shares.
+        let share = SHARE * u64::from(scheds);
+        for wi in 0..self.words.len() {
+            let mut stale = self.words[wi].stale & share;
+            while stale != 0 {
+                let slot = wi * 64 + stale.trailing_zeros() as usize;
+                stale &= stale - 1;
+                self.store(slot, derive(slot));
+            }
+        }
+    }
+
+    /// Bring every slot up to date at `now`: derive the stale ones, and the
+    /// timed ones whose wake-up has come — except a wait that ends in
+    /// `Ready`, which becomes ready as it is.
+    #[inline]
+    fn refresh(&mut self, now: u64, derive: impl FnMut(usize) -> Option<Readiness>) {
+        if self.stale_shares != 0 || now >= self.next_timed {
+            self.refresh_slots(now, derive);
+        }
+    }
+
+    /// [`ReadyIndex::refresh`] with something to do.
+    #[inline]
+    fn refresh_slots(&mut self, now: u64, mut derive: impl FnMut(usize) -> Option<Readiness>) {
+        self.refresh_stale(EVERY_SCHEDULER, &mut derive);
+        if now < self.next_timed {
+            return;
+        }
+        let mut next = u64::MAX;
+        for wi in 0..self.words.len() {
+            let mut timed = self.words[wi].timed();
+            while timed != 0 {
+                let bit = timed & timed.wrapping_neg();
+                timed &= timed - 1;
+                let slot = wi * 64 + bit.trailing_zeros() as usize;
+                if self.wake[slot] > now {
+                    next = next.min(self.wake[slot]);
+                    continue;
+                }
+                let word = &mut self.words[wi];
+                if word.ends_ready & bit != 0 {
+                    word.clear(bit);
+                    word.ready |= bit;
+                    continue;
+                }
+                // A timed answer derived at `now` wakes after `now`.
+                self.store(slot, derive(slot));
+                if self.words[wi].timed() & bit != 0 {
+                    next = next.min(self.wake[slot]);
+                }
+            }
+        }
+        self.next_timed = next;
+    }
+
+    /// The earliest wake-up of any timed slot (`u64::MAX`: none), which
+    /// also makes the bound exact. Every slot must be fresh.
+    fn earliest_wake(&mut self) -> u64 {
+        let mut next = u64::MAX;
+        for (wi, word) in self.words.iter().enumerate() {
+            let mut timed = word.timed();
+            while timed != 0 {
+                next = next.min(self.wake[wi * 64 + timed.trailing_zeros() as usize]);
+                timed &= timed - 1;
+            }
+        }
+        self.next_timed = next;
+        next
+    }
+
+    /// The lowest slot at or above `from` whose bit `set` gives.
+    #[inline]
+    fn lowest(&self, from: usize, set: impl Fn(&IndexWord) -> u64) -> Option<usize> {
+        let start = from / 64;
+        for (wi, word) in self.words.iter().enumerate().skip(start) {
+            let mut bits = set(word);
+            if wi == start {
+                bits &= ALL << (from % 64);
+            }
+            if bits != 0 {
+                return Some(wi * 64 + bits.trailing_zeros() as usize);
+            }
+        }
+        None
+    }
+
+    /// How many slots below `slot` are in `set`.
+    fn rank(&self, slot: usize, set: impl Fn(&IndexWord) -> u64) -> u32 {
+        let (wi, below) = (slot / 64, (1u64 << (slot % 64)) - 1);
+        let whole: u32 = self.words[..wi].iter().map(|w| set(w).count_ones()).sum();
+        whole + (set(&self.words[wi]) & below).count_ones()
+    }
+
+    /// Whether `slot` is in `set`.
+    fn has(&self, slot: usize, set: impl Fn(&IndexWord) -> u64) -> bool {
+        self.words
+            .get(slot / 64)
+            .is_some_and(|w| set(w) >> (slot % 64) & 1 != 0)
+    }
+
+    /// Whether any slot of `share` is ready.
+    fn any_ready(&self, share: u64) -> bool {
+        self.words.iter().any(|w| w.ready & share != 0)
+    }
+
+    /// The stall of the slots of `share`: the first blocked kind present,
+    /// with its lowest slot as the representative; none blocked is an idle
+    /// slot.
+    fn stall(&self, share: u64) -> Stall {
+        // (row, slot) of the best so far: a later word only wins with a
+        // higher-ranked kind.
+        let mut best: Option<(usize, usize)> = None;
+        for (wi, word) in self.words.iter().enumerate() {
+            if word.blocked_any() & share == 0 {
+                continue;
+            }
+            let rows = best.map_or(BLOCKED.len(), |(row, _)| row);
+            if let Some(row) = (0..rows).find(|&row| word.blocked[row] & share != 0) {
+                let set = word.blocked[row] & share;
+                best = Some((row, wi * 64 + set.trailing_zeros() as usize));
+            }
+        }
+        best.map_or((StallReason::Idle, None), |(row, slot)| {
+            (BLOCKED[row].1, Some(slot))
+        })
+    }
+
+    /// The stall every scheduler records with nothing ready: each share's
+    /// [`ReadyIndex::stall`], an idle one resolved to the stall of every
+    /// slot at once (the dominant wait).
+    fn stall_record(&self) -> [Stall; SCHEDULERS] {
+        let dominant = self.stall(ALL);
+        std::array::from_fn(|sched| match self.stall(SHARE << sched) {
+            (StallReason::Idle, _) => dominant,
+            stall => stall,
+        })
+    }
+
+    /// The schedulers whose share holds a warp, one bit each. Stale slots
+    /// are in no set: the index must be fresh.
+    fn schedulers_held(&self) -> u32 {
+        self.words.iter().fold(0, |scheds, w| {
+            scheds | Self::schedulers_of(w.ready | w.blocked_any())
+        })
+    }
+
+    /// The schedulers owning a slot of `set`, one bit each.
+    #[inline]
+    fn schedulers_of(set: u64) -> u32 {
+        // Fold the word onto its lowest `SCHEDULERS` bits (slot `i` is
+        // scheduler `i % SCHEDULERS`'s).
+        let (mut m, mut shift) = (set, 32);
+        while shift >= SCHEDULERS {
+            m |= m >> shift;
+            shift /= 2;
+        }
+        (m & u64::from(EVERY_SCHEDULER)) as u32
+    }
+
+    /// Scheduler `sched`'s choice among the ready slots of its share under
+    /// `policy`, given its round-robin `cursor`, its GTO `current` warp and
+    /// each slot's `age` — or, with none ready, the stall the slot records.
+    fn choose(
+        &self,
+        policy: SchedPolicy,
+        sched: usize,
+        cursor: usize,
+        current: Option<usize>,
+        age: impl Fn(usize) -> u64,
+    ) -> Result<usize, Stall> {
+        let share = SHARE << sched;
+        let ready = |w: &IndexWord| w.ready & share;
+        let Some(first) = self.lowest(0, ready) else {
+            return Err(self.stall(share));
+        };
+        let oldest = || {
+            let mut best = (age(first), first);
+            for (wi, word) in self.words.iter().enumerate() {
+                let mut bits = ready(word);
+                while bits != 0 {
+                    let slot = wi * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    best = best.min((age(slot), slot));
+                }
+            }
+            best.1
+        };
+        Ok(match policy {
+            // Two-level approximates to LRR over the ready set because
+            // memory-blocked warps are already excluded from it (demotion);
+            // the active-set cap is modelled by rotating through at most
+            // `TWO_LEVEL_ACTIVE` of them, the lowest ready slots.
+            SchedPolicy::Lrr | SchedPolicy::TwoLevel => {
+                match self.lowest(cursor.saturating_add(1), ready) {
+                    Some(next)
+                        if policy == SchedPolicy::Lrr
+                            || self.rank(next, ready) < TWO_LEVEL_ACTIVE =>
+                    {
+                        next
+                    }
+                    _ => first,
+                }
+            }
+            // Greedy-then-oldest: stay on the current warp while it is ready.
+            SchedPolicy::Gto => match current {
+                Some(cur) if self.has(cur, ready) => cur,
+                _ => oldest(),
+            },
+            SchedPolicy::Old => oldest(),
+        })
+    }
+
+    /// `slot`'s indexed (kind, wake-up) at `now`, `None` for an empty or
+    /// stale slot.
+    fn class(&self, slot: usize, now: u64) -> Option<(WaitKind, u64)> {
+        if self.has(slot, |w| w.ready) {
+            return Some((WaitKind::Ready, now));
+        }
+        let row = (0..BLOCKED.len()).find(|&row| self.has(slot, |w| w.blocked[row]))?;
+        Some((BLOCKED[row].0, self.wake[slot]))
+    }
+}
 
 /// Predecoded per-instruction facts for the scheduler and issue hot paths:
 /// operand registers for scoreboard classification, the accounting class and
@@ -329,10 +715,10 @@ struct InstrMeta {
     class: InstrClass,
     /// Memory space accessed, for memory instructions (Figure 9).
     space: Option<Space>,
-    /// Source registers read by the instruction.
-    srcs: [Option<Reg>; 3],
-    /// Destination register, if any.
-    dst: Option<Reg>,
+    /// The registers the scoreboard checks, sources then the destination:
+    /// the first `n_ops` entries.
+    ops: [u16; 4],
+    n_ops: u8,
     /// Result latency for directly-executed (non-memory, non-control) ops;
     /// unused (zero) for memory/control instructions whose timing is
     /// computed at issue.
@@ -342,6 +728,7 @@ struct InstrMeta {
 }
 
 impl InstrMeta {
+    #[inline]
     fn new(instr: &Instr) -> Self {
         let (l, pen) = match *instr {
             Instr::Alu { op, .. } => {
@@ -370,14 +757,29 @@ impl InstrMeta {
             }
             _ => (0, false),
         };
+        // Packed in a register and unpacked once, which measured cheaper
+        // than stores at a running index: `SmCore::new` decodes the whole
+        // program once per SM, and device set-up pays it.
+        let [a, b, c] = instr.src_array();
+        let (mut packed, mut n_ops) = (0u64, 0);
+        for r in [a, b, c, instr.dst()].into_iter().flatten() {
+            packed |= u64::from(r.0) << (16 * n_ops);
+            n_ops += 1;
+        }
+        let ops = std::array::from_fn(|i| (packed >> (16 * i)) as u16);
         InstrMeta {
             class: instr.class(),
             space: instr.mem_space(),
-            srcs: instr.src_array(),
-            dst: instr.dst(),
+            ops,
+            n_ops: n_ops as u8,
             lat: l,
             f64_pen: pen,
         }
+    }
+
+    #[inline]
+    fn ops(&self) -> &[u16] {
+        &self.ops[..self.n_ops as usize]
     }
 }
 
@@ -416,11 +818,11 @@ pub struct SmCore {
     /// Per-PC attribution table, allocated only when
     /// [`SmConfig::attribution`] is set.
     pc_stats: Option<Box<PcTable>>,
-    /// Scratch buffers reused across cycles: the coalesced lines of the
-    /// access being issued, and the ready set of the latest
-    /// [`SmCore::survey`].
+    /// Scratch buffer reused across cycles: the coalesced lines of the
+    /// access being issued.
     scratch_lines: Vec<u64>,
-    ready: Vec<usize>,
+    /// The readiness rule's answer for every warp slot.
+    index: ReadyIndex,
     /// Predecoded instruction metadata, `decoded[kernel][pc]` — indexed
     /// exactly like [`PcTable`]'s rows.
     decoded: Vec<Vec<InstrMeta>>,
@@ -457,7 +859,7 @@ impl SmCore {
             age_counter: 0,
             stats: SmStats::default(),
             scratch_lines: Vec::new(),
-            ready: Vec::new(),
+            index: ReadyIndex::default(),
         }
     }
 
@@ -537,7 +939,15 @@ impl SmCore {
         for w in 0..warps_per_cta {
             let assigned_before = w * WARP_SIZE as u32;
             let active = lane_mask((threads - assigned_before.min(threads)).min(WARP_SIZE as u32));
-            let warp = Warp::new(regs_per_thread, active, slot_idx, w, self.age_counter);
+            let kernel = cfg.kernel_id.0 as usize;
+            let warp = Warp::new(
+                regs_per_thread,
+                active,
+                slot_idx,
+                kernel,
+                w,
+                self.age_counter,
+            );
             self.age_counter += 1;
             let widx = match self.free_warps.pop() {
                 Some(i) => {
@@ -550,6 +960,10 @@ impl SmCore {
                 }
             };
             warp_ids.push(widx);
+        }
+        self.index.grow(self.warps.len());
+        for &widx in &warp_ids {
+            self.index.mark_stale(widx);
         }
         self.live_warps += warps_per_cta;
 
@@ -592,6 +1006,7 @@ impl SmCore {
                 for &(widx, reg) in &parked {
                     if let Some(w) = self.warps[widx].as_mut() {
                         w.fill_arrived(reg, now);
+                        self.index.mark_stale(widx);
                     }
                 }
                 waiters.recycle(parked);
@@ -599,6 +1014,7 @@ impl SmCore {
             Some(RespRoute::Atomic { warp, reg }) => {
                 if let Some(w) = self.warps[warp].as_mut() {
                     w.fill_arrived(reg, now);
+                    self.index.mark_stale(warp);
                 }
             }
             None => {}
@@ -625,7 +1041,7 @@ impl SmCore {
                 if let Some(w) = self.warps[widx].as_mut() {
                     if w.block == WarpBlock::Dsync {
                         w.block = WarpBlock::None;
-                        w.forget_readiness();
+                        self.index.mark_stale(widx);
                     }
                 }
             }
@@ -643,6 +1059,7 @@ impl SmCore {
     /// `device_busy` tells the SM that the device is mid-launch or draining
     /// (empty cycles then count as "functional done" rather than idle).
     pub fn tick(&mut self, now: u64, gmem: &dyn GlobalMem, device_busy: bool, ports: &mut SmPorts) {
+        self.index.record = None;
         for id in ports.replies.drain(..) {
             self.mem_response(id, now);
         }
@@ -651,11 +1068,25 @@ impl SmCore {
             return;
         }
         self.stats.cycles += 1;
+        // Every share is read this cycle. A scheduler whose share holds no
+        // warp now holds none all cycle (events only take slots away), so
+        // it is idle without asking.
+        self.refresh(now);
+        let held = self.index.schedulers_held();
         let mut dominant = None;
         for sched in 0..SCHEDULERS {
-            match self.pick(sched, now) {
+            let picked = if held >> sched & 1 != 0 {
+                self.pick(sched, now)
+            } else {
+                Err((StallReason::Idle, None))
+            };
+            match picked {
                 Ok(widx) => self.issue(widx, now, gmem, &mut ports.out),
-                Err(stall) => self.charge_stall(stall, now, 1, &mut dominant),
+                Err((StallReason::Idle, _)) => {
+                    let stall = *dominant.get_or_insert_with(|| self.dominant(now));
+                    self.charge_stall(stall, 1);
+                }
+                Err(stall) => self.charge_stall(stall, 1),
             }
         }
     }
@@ -679,29 +1110,34 @@ impl SmCore {
         }
     }
 
-    /// Charge one scheduler slot's `stall` at `now` for `span` identical
-    /// cycles: one from [`SmCore::tick`], a whole proven-dead span from
-    /// [`SmCore::skip_cycles`].
-    ///
-    /// A scheduler with no warps of its own inherits the SM-wide dominant
-    /// wait, so small kernels don't drown Figure 5 in artificial idle slots;
-    /// `dominant` caches that answer across the schedulers of one cycle.
-    /// With attribution on, the cycles also go to the representative blocked
-    /// warp's current PC, or to the unattributed bucket when there is none.
-    fn charge_stall(&mut self, stall: Stall, now: u64, span: u64, dominant: &mut Option<Stall>) {
-        let (reason, rep) = match stall {
-            (StallReason::Idle, _) => *dominant.get_or_insert_with(|| self.survey(0, 1, now)),
-            stall => stall,
-        };
+    /// Charge one scheduler slot's `stall` for `span` identical cycles: one
+    /// from [`SmCore::tick`], a whole proven-dead span from
+    /// [`SmCore::skip_cycles`]. An idle slot arrives here already resolved
+    /// to the SM-wide dominant wait ([`SmCore::dominant`]), so small kernels
+    /// don't drown Figure 5 in artificial idle slots. With attribution on,
+    /// the cycles also go to the representative blocked warp's current PC
+    /// ([`SmCore::attribute_stall`]).
+    #[inline]
+    fn charge_stall(&mut self, (reason, rep): Stall, span: u64) {
         self.stats.stalls.add(reason, span);
-        let Some(t) = self.pc_stats.as_deref_mut() else {
-            return;
-        };
+        if self.pc_stats.is_some() {
+            self.attribute_stall(reason, rep, span);
+        }
+    }
+
+    /// [`SmCore::charge_stall`]'s per-PC half: the representative warp's
+    /// current PC, or the unattributed bucket when there is none.
+    #[cold]
+    #[inline(never)]
+    fn attribute_stall(&mut self, reason: StallReason, rep: Option<usize>, span: u64) {
         let located = rep.and_then(|widx| {
             let w = self.warps.get(widx)?.as_ref()?;
             let pc = w.stack.last()?.pc;
             Some((self.slots[w.cta_slot].cfg.kernel_id, pc))
         });
+        let Some(t) = self.pc_stats.as_deref_mut() else {
+            return;
+        };
         match located {
             Some((kid, pc)) => t.record_stall_cycles(kid, pc, reason, span),
             None => t.record_unattributed(reason, span),
@@ -715,29 +1151,30 @@ impl SmCore {
     /// some warp is ready right at `c0`, and `u64::MAX` when nothing on
     /// this SM has a timed wake-up (idle, or blocked only on external
     /// events). It is the minimum over the warps of the wake-up the
-    /// readiness rule returns — the same function the schedulers pick by.
+    /// readiness rule returns — the same index the schedulers pick from.
+    /// With nothing ready it also stores the stall record
+    /// [`SmCore::skip_cycles`] charges a dead span from.
     ///
     /// May pop exhausted divergence-stack entries, exactly as the first
     /// scheduling pass at `c0` would; the pops are idempotent, so SM state
     /// afterwards is identical to what a normal tick at `c0` would have
     /// observed.
     pub fn next_wake(&mut self, c0: u64) -> u64 {
-        let mut min = u64::MAX;
-        for widx in 0..self.warps.len() {
-            if let Some((_, wake)) = self.readiness(widx, c0) {
-                if wake == c0 {
-                    return c0;
-                }
-                min = min.min(wake);
-            }
+        self.refresh(c0);
+        self.audit_index(ALL, c0);
+        if self.index.any_ready(ALL) {
+            return c0;
         }
-        min
+        let wake = self.index.earliest_wake();
+        self.index.record = Some(self.index.stall_record());
+        wake
     }
 
     /// Credit `span` fast-forwarded cycles starting at `c0` as if
     /// [`SmCore::tick`] had run each one: cycle counters advance and every
     /// scheduler records the same stall it recorded (or would record) at
-    /// `c0`, multiplied by `span`.
+    /// `c0`, multiplied by `span` — the record [`SmCore::next_wake`] stored
+    /// when no event has touched the SM since, the fold at `c0` otherwise.
     ///
     /// Sound only when the engine has proven the span dead — `next_wake(c0)`
     /// exceeds `c0 + span - 1` for this SM and no external event lands
@@ -750,12 +1187,30 @@ impl SmCore {
             return;
         }
         self.stats.cycles += span;
-        let mut dominant = None;
-        for sched in 0..SCHEDULERS {
-            match self.pick(sched, c0) {
-                Ok(_) => debug_assert!(false, "fast-forward skipped an issuing cycle"),
-                Err(stall) => self.charge_stall(stall, c0, span, &mut dominant),
+        let record = match self.index.record {
+            Some(record) => {
+                if cfg!(debug_assertions) {
+                    self.refresh(c0);
+                    assert_eq!(
+                        record,
+                        self.index.stall_record(),
+                        "stale span record at {c0}"
+                    );
+                }
+                record
             }
+            None => {
+                self.refresh(c0);
+                self.audit_index(ALL, c0);
+                self.index.stall_record()
+            }
+        };
+        debug_assert!(
+            !self.index.any_ready(ALL),
+            "fast-forward skipped an issuing cycle"
+        );
+        for stall in record {
+            self.charge_stall(stall, span);
         }
     }
 
@@ -811,137 +1266,91 @@ impl SmCore {
         ops.clear();
     }
 
-    /// The one table over wait kinds: a kind's rank when a slot's stall is
-    /// classified (the dominant wait is the highest-ranked over the
-    /// candidates) and the [`StallReason`] the slot then records. `Ready`
-    /// never blocks; it shares `Sync`'s row only to keep the match total.
-    fn wait_row(kind: WaitKind) -> (u8, StallReason) {
-        match kind {
-            WaitKind::Memory => (3, StallReason::MemLatency),
-            WaitKind::Control => (2, StallReason::ControlHazard),
-            WaitKind::Data => (1, StallReason::DataHazard),
-            WaitKind::Sync | WaitKind::Ready => (0, StallReason::Barrier),
-        }
-    }
-
-    /// Readiness of warp `widx` at `now` — wait kind and timed wake-up, see
-    /// [`Warp::readiness`] — or `None` when the slot holds no running warp.
-    ///
-    /// The answer is derived once per warp-state-change and remembered on the
-    /// warp ([`Warp::remembered`] says for how long, [`Warp::forget_readiness`]
-    /// when it is dropped); every caller — `survey`, `pick`, the dominant-wait
-    /// fold, `next_wake`, `skip_cycles` — shares it. A debug build derives it
-    /// anyway and checks the remembered answer against it, so every test that
-    /// ticks an SM audits the memo.
-    fn readiness(&mut self, widx: usize, now: u64) -> Option<(WaitKind, u64)> {
-        let w = self.warps[widx].as_mut()?;
-        if let Some(remembered) = w.remembered(now) {
-            debug_assert_eq!(
-                Some(remembered),
-                Self::derive_readiness(&self.slots, &self.decoded, w, now),
-                "stale readiness memo: warp {widx} at cycle {now}"
-            );
-            return Some(remembered);
-        }
-        w.memo = Self::derive_readiness(&self.slots, &self.decoded, w, now);
-        w.memo
-    }
-
-    /// [`SmCore::readiness`] from the warp's state alone, no memo involved.
+    /// Readiness of warp `w` at `now` — the rule, [`Warp::readiness`], with
+    /// the two things the SM adds: the divergence stack is reconverged
+    /// first, and a PC off the end of the stream reads ready so `issue` can
+    /// raise `InvalidPc`. `None` once the warp has finished.
     ///
     /// May pop exhausted divergence-stack entries ([`Warp::reconverge`]); the
     /// pops are idempotent, so asking early (fast-forward's scan) leaves the
     /// state a normal tick at `now` would have observed.
-    fn derive_readiness(
-        slots: &[CtaSlot],
-        decoded: &[Vec<InstrMeta>],
-        w: &mut Warp,
-        now: u64,
-    ) -> Option<(WaitKind, u64)> {
+    #[inline]
+    fn derive_readiness(decoded: &[Vec<InstrMeta>], w: &mut Warp, now: u64) -> Option<Readiness> {
         if w.done {
             return None;
         }
         let pc = w.reconverge()?.pc;
-        let kid = slots[w.cta_slot].cfg.kernel_id;
-        let meta = decoded.get(kid.0 as usize).and_then(|k| k.get(pc));
+        let meta = decoded.get(w.kernel).and_then(|k| k.get(pc));
         Some(match meta {
-            Some(meta) => w.readiness(&meta.srcs, meta.dst, now),
+            Some(meta) => w.readiness(meta.ops(), now),
             // The PC fell off the instruction stream: the warp reads ready at
             // once so the scheduler picks it and `issue` raises the
             // `InvalidPc` trap (unless it is already parked or trapped).
-            None if w.block == WarpBlock::None => (WaitKind::Ready, now),
-            None => (WaitKind::Sync, u64::MAX),
+            None if w.block == WarpBlock::None => Readiness::new(WaitKind::Ready, now, false),
+            None => Readiness::new(WaitKind::Sync, u64::MAX, false),
         })
     }
 
-    /// Fold [`SmCore::readiness`] at `now` over warps `first`, `first + step`,
-    /// … (a scheduler's share, or every warp with `step` 1): the ready ones
-    /// are left in `self.ready`, and the return is the stall of the dominant
-    /// wait among the rest — Memory over Control over Data over Sync — with
-    /// the first warp to reach that rank as its representative. No blocked
-    /// warp at all (every live warp ready, or none in the share) is a
-    /// structurally idle slot.
-    fn survey(&mut self, first: usize, step: usize, now: u64) -> Stall {
-        self.ready.clear();
-        let mut blocked: Option<((u8, StallReason), usize)> = None;
-        for i in (first..self.warps.len()).step_by(step) {
-            match self.readiness(i, now) {
-                Some((WaitKind::Ready, _)) => self.ready.push(i),
-                Some((kind, _)) => {
-                    let row = Self::wait_row(kind);
-                    if blocked.is_none_or(|(top, _)| top.0 < row.0) {
-                        blocked = Some((row, i));
-                    }
-                }
-                None => {}
-            }
+    /// Bring the readiness index up to date at `now`
+    /// ([`ReadyIndex::refresh`]).
+    #[inline]
+    fn refresh(&mut self, now: u64) {
+        let (warps, decoded) = (&mut self.warps, &self.decoded);
+        self.index.refresh(now, |widx| {
+            Self::derive_readiness(decoded, warps[widx].as_mut()?, now)
+        });
+    }
+
+    /// In a debug build, check the index's answer for every slot of `share`
+    /// against one derived from the warp's state alone at `now`.
+    fn audit_index(&mut self, share: u64, now: u64) {
+        if !cfg!(debug_assertions) {
+            return;
         }
-        match blocked {
-            Some(((_, reason), widx)) => (reason, Some(widx)),
-            None => (StallReason::Idle, None),
+        for widx in (0..self.warps.len()).filter(|i| share >> (i % 64) & 1 != 0) {
+            let fresh = self.warps[widx]
+                .as_mut()
+                .and_then(|w| Self::derive_readiness(&self.decoded, w, now));
+            assert_eq!(
+                self.index.class(widx, now),
+                fresh.map(|r| (r.kind, r.wake)),
+                "stale readiness index: warp {widx} at cycle {now}"
+            );
         }
+    }
+
+    /// The SM-wide dominant wait at `now`, which an idle scheduler slot
+    /// records: the stall of every slot at once.
+    fn dominant(&mut self, now: u64) -> Stall {
+        self.refresh(now);
+        self.index.stall(ALL)
     }
 
     /// Scheduler `sched` picks a warp among its share (every
-    /// `schedulers`-th slot), or reports the stall the slot records.
+    /// `SCHEDULERS`-th slot), or reports the stall the slot records. The
+    /// index is fresh at `now` but for what this cycle's earlier issues
+    /// marked stale, which is derived here.
+    #[inline]
     fn pick(&mut self, sched: usize, now: u64) -> Result<usize, Stall> {
-        let stall = self.survey(sched, SCHEDULERS, now);
-        let ready = &self.ready;
-        if ready.is_empty() {
-            return Err(stall);
+        let (warps, decoded) = (&mut self.warps, &self.decoded);
+        self.index.refresh_stale(1 << sched, &mut |widx| {
+            Self::derive_readiness(decoded, warps[widx].as_mut()?, now)
+        });
+        self.audit_index(SHARE << sched, now);
+        let warps = &self.warps;
+        let widx = self.index.choose(
+            self.config.policy,
+            sched,
+            self.rr_cursor[sched],
+            self.gto_current[sched],
+            |i| warps[i].as_ref().map_or(u64::MAX, |w| w.age),
+        )?;
+        match self.config.policy {
+            SchedPolicy::Lrr | SchedPolicy::TwoLevel => self.rr_cursor[sched] = widx,
+            SchedPolicy::Gto => self.gto_current[sched] = Some(widx),
+            SchedPolicy::Old => {}
         }
-        let oldest = || {
-            *ready
-                .iter()
-                .min_by_key(|&&i| self.warps[i].as_ref().map_or(u64::MAX, |w| w.age))
-                .expect("ready set nonempty")
-        };
-        Ok(match self.config.policy {
-            SchedPolicy::Lrr | SchedPolicy::TwoLevel => {
-                // Two-level approximates to LRR over the ready set here
-                // because memory-blocked warps are already excluded from
-                // `ready` (demotion) — the active-set cap is modelled by
-                // rotating through at most `TWO_LEVEL_ACTIVE` of them.
-                let window = match self.config.policy {
-                    SchedPolicy::TwoLevel => &ready[..ready.len().min(TWO_LEVEL_ACTIVE)],
-                    _ => &ready[..],
-                };
-                let cursor = self.rr_cursor[sched];
-                let w = *window.iter().find(|&&w| w > cursor).unwrap_or(&window[0]);
-                self.rr_cursor[sched] = w;
-                w
-            }
-            // Greedy-then-oldest: stay on the current warp while it is ready.
-            SchedPolicy::Gto => match self.gto_current[sched] {
-                Some(cur) if ready.contains(&cur) => cur,
-                _ => {
-                    let w = oldest();
-                    self.gto_current[sched] = Some(w);
-                    w
-                }
-            },
-            SchedPolicy::Old => oldest(),
-        })
+        Ok(widx)
     }
 
     /// A special register across warp `warp_in_cta` of the CTA: the thread
@@ -1129,6 +1538,7 @@ impl SmCore {
         self.tex_waiters.clear();
         self.l1.release_mshrs();
         self.tc.release_mshrs();
+        self.index.clear();
         self.reset_schedulers();
     }
 
@@ -1159,7 +1569,7 @@ impl SmCore {
                 .get(slot.cfg.kernel_id)
                 .map(|k| k.name.clone())
                 .unwrap_or_else(|| format!("{}", slot.cfg.kernel_id));
-            let pending: u32 = w.reg_pending.iter().map(|&p| p as u32).sum();
+            let pending: u32 = w.scoreboard.iter().map(|s| s.pending as u32).sum();
             let wait = if w.done {
                 WarpWait::Done
             } else {

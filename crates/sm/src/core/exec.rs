@@ -73,10 +73,10 @@ impl SmCore {
         gmem: &dyn GlobalMem,
         out: &mut TickOutput,
     ) {
+        self.index.mark_stale(widx);
         let w = self.warps[widx]
             .as_mut()
             .expect("scheduled warp is resident");
-        w.forget_readiness();
         let entry = w.reconverge().expect("issuing finished warp");
         let SimtEntry { pc, mask, .. } = entry;
         let slot_idx = w.cta_slot;
@@ -281,6 +281,7 @@ impl SmCore {
                 slot.smem = Vec::new();
                 for wi in std::mem::take(&mut slot.warps) {
                     self.warps[wi] = None;
+                    self.index.vacate(wi);
                     self.free_warps.push(wi);
                 }
                 self.free_slots.push(slot_idx);
@@ -292,7 +293,7 @@ impl SmCore {
             }
         };
         w.write_row(dst, mask, &row);
-        w.reg_ready[dst.0 as usize] = now + meta.lat;
+        w.scoreboard[dst.0 as usize].ready_at = now + meta.lat;
         if meta.f64_pen {
             w.next_issue_at = now + lat::F64_INTERVAL;
         }
@@ -312,7 +313,7 @@ impl SmCore {
             if let Some(w) = self.warps[wi].as_mut() {
                 if w.block == WarpBlock::Barrier {
                     w.block = WarpBlock::None;
-                    w.forget_readiness();
+                    self.index.mark_stale(wi);
                 }
             }
         }
@@ -376,7 +377,7 @@ impl SmCore {
                     Self::param_read(&slot.cfg.params, addrs[l], m.width)
                 });
                 w.write_row(dst, mask, &row);
-                w.reg_ready[dst.0 as usize] = now + lat::PARAM;
+                w.scoreboard[dst.0 as usize].ready_at = now + lat::PARAM;
                 return w.advance_pc();
             }
             (Space::Const, Access::Load(dst)) => {
@@ -393,7 +394,7 @@ impl SmCore {
                         l = lat::CMEM_MISS;
                     }
                 }
-                w.reg_ready[dst.0 as usize] = now + l;
+                w.scoreboard[dst.0 as usize].ready_at = now + l;
                 return w.advance_pc();
             }
             _ => {}
@@ -423,7 +424,7 @@ impl SmCore {
         // 3. Functional effect. Off-chip writes are deferred: logged in issue
         // order and applied by the device after every SM has ticked. A global
         // atomic's old value is written back to `dst` at that commit; reads
-        // of `dst` are gated by `reg_ready`/`reg_pending` below, which never
+        // of `dst` are gated by its scoreboard entry below, which never
         // allow one before `now + 1`, so the commit-time write-back is
         // indistinguishable from an issue-time one.
         let dst = match m.access {
@@ -490,12 +491,12 @@ impl SmCore {
                 conflicts
             };
             match dst {
-                Some(dst) => w.reg_ready[dst.0 as usize] = now + lat::SMEM + extra,
+                Some(dst) => w.scoreboard[dst.0 as usize].ready_at = now + lat::SMEM + extra,
                 None => w.next_issue_at = now + 1 + extra,
             }
         } else if self.config.perfect_memory {
             if let Some(dst) = dst {
-                w.reg_ready[dst.0 as usize] = now + lat::L1_HIT;
+                w.scoreboard[dst.0 as usize].ready_at = now + lat::L1_HIT;
             }
         } else {
             coalesce_lines(&addrs, mask, m.width.bytes(), &mut self.scratch_lines);
@@ -572,9 +573,9 @@ impl SmCore {
             }
             if let Some(dst) = dst {
                 if misses == 0 {
-                    w.reg_ready[dst.0 as usize] = now + lat::L1_HIT + serialize;
+                    w.scoreboard[dst.0 as usize].ready_at = now + lat::L1_HIT + serialize;
                 } else {
-                    w.reg_pending[dst.0 as usize] += misses;
+                    w.scoreboard[dst.0 as usize].pending += misses;
                 }
             }
             w.next_issue_at = w.next_issue_at.max(now + 1 + serialize);

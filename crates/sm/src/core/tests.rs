@@ -1,5 +1,7 @@
-//! Tests of what only the core's own module can see: the readiness memo
-//! against a fresh derivation at every invalidation event, the row forms of
+//! Tests of what only the core's own module can see: the readiness index
+//! against a fresh derivation at every event that marks a slot stale, and
+//! its bit-operation scheduler against the list-based fold it replaced; the
+//! derivations the index saves; the row forms of
 //! `issue` against the scalar operations lane by lane, the extent check and
 //! the local remap against their per-lane forms, the order the store log
 //! commits in, what `abort_workload` leaves in the caches, that a reply
@@ -14,7 +16,7 @@ use proptest::prelude::*;
 
 use super::exec::fma;
 use super::*;
-use crate::config::{lat, SmConfig};
+use crate::config::{lat, SchedPolicy, SmConfig};
 use crate::ports::{MemRequest, ReqKind};
 use crate::tests::{BoundedMem, TestMem};
 use crate::warp::FULL_MASK;
@@ -33,14 +35,19 @@ struct Rig {
 
 impl Rig {
     fn new(kernels: Vec<Kernel>, threads: u32, params: Vec<u64>) -> Rig {
+        let mut rig = Rig::empty(SmConfig::default(), kernels);
+        assert!(rig.sm.try_launch_cta(cta(threads, params)));
+        rig
+    }
+
+    /// An SM with `config` and no CTA placed yet.
+    fn empty(config: SmConfig, kernels: Vec<Kernel>) -> Rig {
         let mut program = Program::new();
         for k in kernels {
             program.add(k);
         }
-        let mut sm = SmCore::new(SmConfig::default(), Arc::new(program));
-        assert!(sm.try_launch_cta(cta(threads, params)));
         Rig {
-            sm,
+            sm: SmCore::new(config, Arc::new(program)),
             mem: BoundedMem {
                 inner: TestMem::default(),
                 limit: MEM_LIMIT,
@@ -54,28 +61,76 @@ impl Rig {
         self.sm.warps[widx].as_ref().expect("resident warp")
     }
 
-    /// The memoised answer of every warp slot equals one derived from the
-    /// warp's state alone, at the current cycle. (A release build's
-    /// `readiness` returns the memo unchecked, so this is the check there.)
+    /// The index's answer for slot `widx` at the current cycle: `None` for
+    /// an empty slot, or one an event has made stale.
+    fn indexed(&self, widx: usize) -> Option<(WaitKind, u64)> {
+        self.sm.index.class(widx, self.now)
+    }
+
+    /// Derivations of slot `widx` so far.
+    fn derivations(&self, widx: usize) -> u64 {
+        self.sm.index.derivations[widx]
+    }
+
+    /// With every share refreshed at the current cycle, each slot's indexed
+    /// class and wake-up equal one derived from the warp's state alone, and
+    /// each scheduler's choice or stall — and the SM-wide dominant wait —
+    /// equal those of the list-based fold the index replaced.
     fn audit(&mut self) {
+        let now = self.now;
+        self.sm.refresh(now);
+        let mut fresh = Vec::new();
         for widx in 0..self.sm.warps.len() {
-            let memoised = self.sm.readiness(widx, self.now);
-            let derived = self.sm.warps[widx].as_mut().and_then(|w| {
-                SmCore::derive_readiness(&self.sm.slots, &self.sm.decoded, w, self.now)
-            });
-            assert_eq!(memoised, derived, "warp {widx} at cycle {}", self.now);
+            let derived = self.sm.warps[widx]
+                .as_mut()
+                .and_then(|w| SmCore::derive_readiness(&self.sm.decoded, w, now));
+            let derived = derived.map(|r| (r.kind, r.wake));
+            assert_eq!(self.indexed(widx), derived, "warp {widx} at cycle {now}");
+            fresh.push(derived);
         }
+        let ages: Vec<u64> = (self.sm.warps.iter())
+            .map(|w| w.as_ref().map_or(u64::MAX, |w| w.age))
+            .collect();
+        let policy = self.sm.config.policy;
+        for sched in 0..SCHEDULERS {
+            let (cursor, current) = (self.sm.rr_cursor[sched], self.sm.gto_current[sched]);
+            assert_eq!(
+                self.sm
+                    .index
+                    .choose(policy, sched, cursor, current, |i| ages[i]),
+                reference(policy, &fresh, sched, cursor, current, &ages),
+                "scheduler {sched} at cycle {now}"
+            );
+        }
+        assert_eq!(
+            self.sm.index.stall(ALL),
+            survey(&fresh, 0, 1).1,
+            "dominant wait at {now}"
+        );
+    }
+
+    /// Tick the current cycle and commit its stores; the requests it sent.
+    fn cycle(&mut self) -> Vec<MemRequest> {
+        self.sm.tick(self.now, &self.mem, false, &mut self.ports);
+        let out = &mut self.ports.out;
+        self.sm.commit_mem_ops(&mut self.mem, &mut out.mem_ops);
+        out.completed.clear();
+        out.mem_requests.drain(..).collect()
+    }
+
+    /// One cycle, unaudited (an audit refreshes the index, which a count
+    /// of derivations must not see); the requests it sent.
+    fn tick(&mut self) -> Vec<MemRequest> {
+        let requests = self.cycle();
+        self.now += 1;
+        requests
     }
 
     /// One cycle, audited before the tick and after it (the state the events
     /// inside the tick left, seen at the same cycle); the requests it sent.
     fn step(&mut self) -> Vec<MemRequest> {
         self.audit();
-        self.sm.tick(self.now, &self.mem, false, &mut self.ports);
-        let out = &mut self.ports.out;
-        self.sm.commit_mem_ops(&mut self.mem, &mut out.mem_ops);
-        out.completed.clear();
-        let requests = out.mem_requests.drain(..).collect();
+        let requests = self.cycle();
         self.audit();
         self.now += 1;
         requests
@@ -109,16 +164,16 @@ fn cta(threads: u32, params: Vec<u64>) -> CtaConfig {
 }
 
 fn kernel(build: impl FnOnce(&mut KernelBuilder)) -> Kernel {
-    let mut b = KernelBuilder::new("memo");
+    let mut b = KernelBuilder::new("rig");
     build(&mut b);
     b.exit();
     b.finish()
 }
 
-// ---- the memo cannot go stale: one test per invalidation event ------------
+// ---- the index cannot go stale: one test per event that marks a slot ------
 
 #[test]
-fn memo_follows_the_issue_of_an_alu_op() {
+fn index_follows_the_issue_of_an_alu_op() {
     let int = lat::INT;
     let mut rig = Rig::new(
         vec![kernel(|b| {
@@ -131,23 +186,29 @@ fn memo_follows_the_issue_of_an_alu_op() {
         vec![],
     );
     rig.audit();
-    assert_eq!(rig.warp(0).memo, Some((WaitKind::Ready, 0)));
+    assert_eq!(rig.indexed(0), Some((WaitKind::Ready, 0)));
     rig.step(); // mov
     rig.step(); // imul at cycle 1: y is ready `int` cycles later
     assert_eq!(rig.sm.stats.issued, 2);
     // The iadd waits on y: one derivation at cycle 2 stands, audited every
     // cycle, until the wake-up it named; then the warp is ready and issues.
     rig.audit();
-    assert_eq!(rig.warp(0).memo, Some((WaitKind::Data, 1 + int)));
+    assert_eq!(rig.indexed(0), Some((WaitKind::Data, 1 + int)));
+    let derived = rig.derivations(0);
     rig.step_until("the wake-up", |r| r.now == 1 + int);
     assert_eq!(rig.sm.stats.issued, 2);
+    // The wait ends in `Ready`: at the wake-up the slot reads ready without
+    // a second derivation.
+    rig.audit();
+    assert_eq!(rig.indexed(0), Some((WaitKind::Ready, 1 + int)));
+    assert_eq!(rig.derivations(0), derived);
     rig.step();
     assert_eq!(rig.sm.stats.issued, 3);
     rig.step_until("exit", |r| r.sm.is_idle());
 }
 
 #[test]
-fn memo_follows_the_issue_of_a_branch() {
+fn index_follows_the_issue_of_a_branch() {
     let branch = lat::BRANCH;
     let mut rig = Rig::new(
         vec![kernel(|b| {
@@ -164,14 +225,14 @@ fn memo_follows_the_issue_of_a_branch() {
     let issued_at = rig.now - 1;
     rig.audit();
     assert_eq!(
-        rig.warp(0).memo,
+        rig.indexed(0),
         Some((WaitKind::Control, issued_at + branch))
     );
     rig.step_until("exit", |r| r.sm.is_idle());
 }
 
 #[test]
-fn memo_follows_a_load_miss_and_each_arriving_fill() {
+fn index_follows_a_load_miss_and_each_arriving_fill() {
     // 32 lanes × 8 bytes: two lines, two fills pending on the destination.
     let mut rig = Rig::new(
         vec![kernel(|b| {
@@ -188,19 +249,19 @@ fn memo_follows_a_load_miss_and_each_arriving_fill() {
     assert_eq!(requests.len(), 2);
     // Past the load's issue window the dependent add waits on memory.
     rig.step_until("the memory wait", |r| {
-        r.warp(0).memo == Some((WaitKind::Memory, u64::MAX))
+        r.indexed(0) == Some((WaitKind::Memory, u64::MAX))
     });
     // A fill that is not the last one: still waiting on memory.
     rig.sm.mem_response(requests[0].id, rig.now);
-    assert_eq!(rig.warp(0).memo, None, "a fill drops the memo");
+    assert_eq!(rig.indexed(0), None, "a fill marks the slot stale");
     rig.audit();
-    assert_eq!(rig.warp(0).memo, Some((WaitKind::Memory, u64::MAX)));
+    assert_eq!(rig.indexed(0), Some((WaitKind::Memory, u64::MAX)));
     rig.step();
     // The last fill: the value is readable the cycle after.
     rig.sm.mem_response(requests[1].id, rig.now);
-    assert_eq!(rig.warp(0).memo, None);
+    assert_eq!(rig.indexed(0), None);
     rig.audit();
-    assert_eq!(rig.warp(0).memo, Some((WaitKind::Data, rig.now + 1)));
+    assert_eq!(rig.indexed(0), Some((WaitKind::Data, rig.now + 1)));
     rig.step_until("exit", |r| r.sm.is_idle());
 }
 
@@ -222,7 +283,7 @@ fn barrier_rig(detour: impl FnOnce(&mut KernelBuilder)) -> Rig {
         r.warp(0).block == WarpBlock::Barrier
     });
     rig.audit();
-    assert_eq!(rig.warp(0).memo, Some((WaitKind::Sync, u64::MAX)));
+    assert_eq!(rig.indexed(0), Some((WaitKind::Sync, u64::MAX)));
     rig
 }
 
@@ -234,7 +295,7 @@ fn dawdle(b: &mut KernelBuilder) {
 }
 
 #[test]
-fn memo_follows_a_barrier_released_by_the_last_arrival() {
+fn index_follows_a_barrier_released_by_the_last_arrival() {
     let mut rig = barrier_rig(dawdle);
     rig.step_until("the release", |r| r.warp(0).block == WarpBlock::None);
     assert!(!rig.warp(1).done, "warp 1 arrived at the barrier");
@@ -242,7 +303,7 @@ fn memo_follows_a_barrier_released_by_the_last_arrival() {
 }
 
 #[test]
-fn memo_follows_a_barrier_released_by_an_exit() {
+fn index_follows_a_barrier_released_by_an_exit() {
     let mut rig = barrier_rig(|b| {
         dawdle(b);
         b.exit();
@@ -253,7 +314,7 @@ fn memo_follows_a_barrier_released_by_an_exit() {
 }
 
 #[test]
-fn memo_follows_a_child_grid_completing() {
+fn index_follows_a_child_grid_completing() {
     let child = kernel(|_| {});
     let parent = kernel(|b| {
         b.launch(1, Operand::imm(1), Operand::imm(32), Operand::imm(0), 0);
@@ -262,17 +323,17 @@ fn memo_follows_a_child_grid_completing() {
     let mut rig = Rig::new(vec![parent, child], 1, vec![]);
     rig.step_until("the device sync", |r| r.warp(0).block == WarpBlock::Dsync);
     rig.audit();
-    assert_eq!(rig.warp(0).memo, Some((WaitKind::Sync, u64::MAX)));
+    assert_eq!(rig.indexed(0), Some((WaitKind::Sync, u64::MAX)));
     rig.step();
     rig.sm.child_grid_done(0, None);
-    assert_eq!(rig.warp(0).memo, None, "the release drops the memo");
+    assert_eq!(rig.indexed(0), None, "the release marks the slot stale");
     rig.audit();
-    assert!(matches!(rig.warp(0).memo, Some((WaitKind::Ready, _))));
+    assert!(matches!(rig.indexed(0), Some((WaitKind::Ready, _))));
     rig.step_until("exit", |r| r.sm.is_idle());
 }
 
 #[test]
-fn memo_follows_a_trap() {
+fn index_follows_a_trap() {
     let mut rig = Rig::new(
         vec![kernel(|b| {
             let a = b.reg();
@@ -284,11 +345,322 @@ fn memo_follows_a_trap() {
     );
     rig.step_until("the trap", |r| !r.ports.out.traps.is_empty());
     assert_eq!(rig.warp(0).block, WarpBlock::Trapped);
-    assert_eq!(rig.warp(0).memo, Some((WaitKind::Sync, u64::MAX)));
+    assert_eq!(rig.indexed(0), Some((WaitKind::Sync, u64::MAX)));
     for _ in 0..5 {
         rig.step();
     }
     assert_eq!(rig.sm.stats.issued, 2, "a trapped warp never issues again");
+}
+
+#[test]
+fn a_span_record_is_dropped_by_a_fill() {
+    let mut rig = Rig::new(
+        vec![kernel(|b| {
+            let (a, v) = (b.reg(), b.reg());
+            b.mov(a, Operand::imm(0x2000));
+            b.ld(Space::Global, Width::B64, v, a, 0);
+            b.iadd(v, v, Operand::imm(1));
+        })],
+        32,
+        vec![],
+    );
+    let sent = rig.step_until("the memory wait", |r| {
+        r.indexed(0) == Some((WaitKind::Memory, u64::MAX))
+    });
+    // Nothing is ready or timed: `next_wake` stores the record of a memory
+    // stall on every scheduler (the idle ones resolved to the dominant wait).
+    assert_eq!(rig.sm.next_wake(rig.now), u64::MAX);
+    let mem = (StallReason::MemLatency, Some(0));
+    assert_eq!(rig.sm.index.record, Some([mem; SCHEDULERS]));
+    // The fill turns the wait into a one-cycle data hazard: the span at
+    // `now` is still dead, but it is no longer a memory stall.
+    rig.sm.mem_response(sent[0].id, rig.now);
+    assert_eq!(rig.sm.index.record, None, "a fill drops the record");
+    let before = rig.sm.stats.stalls;
+    rig.sm.skip_cycles(rig.now, false, 1);
+    let after = rig.sm.stats.stalls;
+    assert_eq!(
+        after.get(StallReason::DataHazard) - before.get(StallReason::DataHazard),
+        SCHEDULERS as u64
+    );
+    assert_eq!(
+        after.get(StallReason::MemLatency),
+        before.get(StallReason::MemLatency)
+    );
+    rig.step_until("exit", |r| r.sm.is_idle());
+}
+
+// ---- what the index saves: derivations ---------------------------------------
+
+/// A dependent chain of `links` integer adds on one warp, run unaudited to
+/// the end; the derivations of its slot.
+fn chain_derivations(links: usize) -> u64 {
+    let mut rig = Rig::new(
+        vec![kernel(|b| {
+            let x = b.reg();
+            b.mov(x, Operand::imm(1));
+            for _ in 0..links {
+                b.iadd(x, x, Operand::imm(1));
+            }
+        })],
+        32,
+        vec![],
+    );
+    while !rig.sm.is_idle() {
+        rig.tick();
+    }
+    rig.derivations(0)
+}
+
+#[test]
+fn a_dependent_alu_chain_takes_one_derivation_fewer_per_issue() {
+    // Each link is derived at its issue cycle (the three idle schedulers ask
+    // for the dominant wait, which sees the warp in its issue window), then
+    // once the window closes (a data hazard on the previous link, which
+    // ends in `Ready`), and no more: at the wake-up it reads ready as it is.
+    // With the per-warp memo it replaced, a third derivation at the
+    // wake-up found `Ready`: 3 per link, and 50 for the 16-link chain.
+    let per_link = chain_derivations(17) - chain_derivations(16);
+    assert_eq!(per_link, 2);
+    assert_eq!(chain_derivations(16), 33);
+}
+
+#[test]
+fn an_exited_warp_is_not_derived_again() {
+    // Warp 1 exits at once; warp 0 runs a long chain, and the CTA (with
+    // warp 1's slot) stays resident until it ends.
+    let mut rig = Rig::new(
+        vec![kernel(|b| {
+            let w = b.reg();
+            b.sreg(w, SpecialReg::WarpId);
+            let late = b.cmp_s(CmpOp::Ne, Operand::reg(w), Operand::imm(0));
+            b.if_then(late, |b| b.exit());
+            let x = b.reg();
+            b.mov(x, Operand::imm(1));
+            for _ in 0..32 {
+                b.iadd(x, x, Operand::imm(1));
+            }
+        })],
+        64,
+        vec![],
+    );
+    rig.step_until("warp 1's exit", |r| r.warp(1).done);
+    rig.step();
+    let derived = rig.derivations(1);
+    let issued = rig.sm.stats.issued;
+    assert_eq!(rig.indexed(1), None, "a finished warp leaves every set");
+    rig.step_until("the CTA's end", |r| r.sm.is_idle());
+    assert!(rig.sm.stats.issued >= issued + 32);
+    assert_eq!(rig.derivations(1), derived);
+}
+
+// ---- the scheduler: bits against the list-based fold ------------------------
+
+/// The old table over wait kinds: a kind's rank (higher wins) and the stall
+/// it records.
+fn wait_row(kind: WaitKind) -> (u8, StallReason) {
+    match kind {
+        WaitKind::Memory => (3, StallReason::MemLatency),
+        WaitKind::Control => (2, StallReason::ControlHazard),
+        WaitKind::Data => (1, StallReason::DataHazard),
+        WaitKind::Sync | WaitKind::Ready => (0, StallReason::Barrier),
+    }
+}
+
+/// The fold the index replaced, over slots `first`, `first + step`, … of
+/// `classes`: the ready ones in ascending order, and the stall of the
+/// dominant wait among the rest with the first slot to reach that rank as
+/// its representative (none blocked: an idle slot).
+fn survey(classes: &[Option<(WaitKind, u64)>], first: usize, step: usize) -> (Vec<usize>, Stall) {
+    let mut ready = Vec::new();
+    let mut blocked: Option<((u8, StallReason), usize)> = None;
+    for i in (first..classes.len()).step_by(step) {
+        match classes[i] {
+            Some((WaitKind::Ready, _)) => ready.push(i),
+            Some((kind, _)) => {
+                let row = wait_row(kind);
+                if blocked.is_none_or(|(top, _)| top.0 < row.0) {
+                    blocked = Some((row, i));
+                }
+            }
+            None => {}
+        }
+    }
+    let stall = match blocked {
+        Some(((_, reason), widx)) => (reason, Some(widx)),
+        None => (StallReason::Idle, None),
+    };
+    (ready, stall)
+}
+
+/// The pick the index replaced: scheduler `sched`'s choice among its ready
+/// slots, or its stall.
+fn reference(
+    policy: SchedPolicy,
+    classes: &[Option<(WaitKind, u64)>],
+    sched: usize,
+    cursor: usize,
+    current: Option<usize>,
+    ages: &[u64],
+) -> Result<usize, Stall> {
+    let (ready, stall) = survey(classes, sched, SCHEDULERS);
+    if ready.is_empty() {
+        return Err(stall);
+    }
+    let oldest = || *ready.iter().min_by_key(|&&i| ages[i]).expect("nonempty");
+    Ok(match policy {
+        SchedPolicy::Lrr | SchedPolicy::TwoLevel => {
+            let window = match policy {
+                SchedPolicy::TwoLevel => &ready[..ready.len().min(TWO_LEVEL_ACTIVE as usize)],
+                _ => &ready[..],
+            };
+            *window.iter().find(|&&w| w > cursor).unwrap_or(&window[0])
+        }
+        SchedPolicy::Gto => match current {
+            Some(cur) if ready.contains(&cur) => cur,
+            _ => oldest(),
+        },
+        SchedPolicy::Old => oldest(),
+    })
+}
+
+const POLICIES: [SchedPolicy; 4] = [
+    SchedPolicy::Lrr,
+    SchedPolicy::TwoLevel,
+    SchedPolicy::Gto,
+    SchedPolicy::Old,
+];
+
+fn class() -> BoxedStrategy<Option<(WaitKind, u64)>> {
+    prop_oneof![
+        Just(None),
+        Just(Some((WaitKind::Ready, 0))),
+        Just(Some((WaitKind::Memory, u64::MAX))),
+        (1..50u64).prop_map(|w| Some((WaitKind::Control, w))),
+        (1..50u64).prop_map(|w| Some((WaitKind::Data, w))),
+        Just(Some((WaitKind::Sync, u64::MAX))),
+    ]
+    .boxed()
+}
+
+proptest! {
+    #[test]
+    fn the_bitset_scheduler_chooses_what_the_list_fold_chose(
+        classes in prop::collection::vec(class(), 1..200),
+        dense_ready in 0..2u8,
+        cursor in 0..210usize,
+        current in (0..2u8, 0..210usize).prop_map(|(some, c)| (some == 1).then_some(c)),
+        ages in prop::collection::vec(0..64u64, 200),
+    ) {
+        // Half the cases make most slots ready, so two-level's window of
+        // eight and the cursor's wrap-around both come into play.
+        let classes: Vec<_> = classes
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| if dense_ready == 1 && i % 3 != 0 { Some((WaitKind::Ready, 0)) } else { c })
+            .collect();
+        let mut index = ReadyIndex::default();
+        index.grow(classes.len());
+        for (slot, &c) in classes.iter().enumerate() {
+            let answer = c.map(|(kind, wake)| Readiness::new(kind, wake, false));
+            index.store(slot, answer);
+        }
+        for policy in POLICIES {
+            for sched in 0..SCHEDULERS {
+                prop_assert_eq!(
+                    index.choose(policy, sched, cursor, current, |i| ages[i]),
+                    reference(policy, &classes, sched, cursor, current, &ages),
+                    "{} scheduler {}", policy, sched
+                );
+            }
+        }
+        let dominant = survey(&classes, 0, 1).1;
+        prop_assert_eq!(index.stall(ALL), dominant);
+        // A dead span's record: each share's stall, an idle one the
+        // dominant wait.
+        for (sched, &stall) in index.stall_record().iter().enumerate() {
+            let want = match survey(&classes, sched, SCHEDULERS).1 {
+                (StallReason::Idle, _) => dominant,
+                stall => stall,
+            };
+            prop_assert_eq!(stall, want, "scheduler {}", sched);
+        }
+    }
+}
+
+/// A kernel of every wait kind: a load (memory), a branch on the warp id
+/// (control), dependent adds (data) and a barrier (sync), then a store.
+fn every_wait() -> Kernel {
+    kernel(|b| {
+        let tid = b.global_tid();
+        let (a, v, x, w) = (b.reg(), b.reg(), b.reg(), b.reg());
+        b.imul(a, tid, Operand::imm(8));
+        b.ld(Space::Global, Width::B64, v, a, 0x2000);
+        b.iadd(x, v, Operand::imm(1));
+        b.sreg(w, SpecialReg::WarpId);
+        let odd = b.cmp_s(CmpOp::Ne, Operand::reg(w), Operand::imm(0));
+        b.if_then(odd, |b| {
+            b.imul(x, x, Operand::imm(3));
+            b.iadd(x, x, Operand::reg(x));
+        });
+        b.bar();
+        b.st(Space::Global, Width::B64, Operand::reg(x), a, 0x8_0000);
+    })
+}
+
+#[test]
+fn more_than_64_warp_slots_schedule_as_the_list_fold_under_every_policy() {
+    // The Figure 11 200 % SM: 64 CTAs of 33 threads — two warps each, the
+    // second with one lane — fill 128 warp slots, two index words.
+    const CTAS: u32 = 64;
+    let base = SmConfig::default();
+    for policy in POLICIES {
+        let config = SmConfig {
+            max_ctas: base.max_ctas * 2,
+            max_threads: base.max_threads * 2,
+            registers: base.registers * 2,
+            smem_bytes: base.smem_bytes * 2,
+            policy,
+            ..base
+        };
+        let mut rig = Rig::empty(config, vec![every_wait()]);
+        for i in 0..CTAS {
+            let cfg = CtaConfig {
+                cta_linear: i as u64,
+                dims: LaunchDims::linear(CTAS, 33),
+                ..cta(33, vec![])
+            };
+            assert!(rig.sm.try_launch_cta(cfg), "CTA {i} fits");
+        }
+        assert_eq!(rig.sm.warps.len(), 128);
+        // Loads are answered 20 to 26 cycles after they are sent.
+        let mut in_flight: Vec<(u64, u64)> = Vec::new();
+        for _ in 0..20_000 {
+            if rig.sm.is_idle() {
+                break;
+            }
+            let now = rig.now;
+            in_flight.retain(|&(due, id)| {
+                if due == now {
+                    rig.ports.replies.push(id);
+                }
+                due != now
+            });
+            for r in rig.step() {
+                if r.kind != ReqKind::Store {
+                    in_flight.push((now + 20 + r.id % 7, r.id));
+                }
+            }
+        }
+        assert!(rig.sm.is_idle(), "{policy}: the CTAs never finished");
+        assert_eq!(rig.sm.stats.ctas_completed, CTAS as u64);
+        for t in 0..(CTAS * 33) as u64 {
+            // Warp 1 of each CTA (its thread 32) took the branch: (0 + 1) × 3 × 2.
+            let want = if t % 33 == 32 { 6 } else { 1 };
+            let got = rig.mem.inner.read(0x8_0000 + t * 8, Width::B64);
+            assert_eq!(got, want, "{policy}: thread {t}");
+        }
+    }
 }
 
 // ---- rows equal lanes, through `issue` ------------------------------------

@@ -5,12 +5,13 @@
 //! * `warp` (crate-private) — SIMT reconvergence stack (immediate
 //!   post-dominator reconvergence), registers as 32-lane rows, scoreboard
 //!   timing, and the one readiness rule, `Warp::readiness`: can the warp's
-//!   next instruction issue now, and if not why and until when — derived
-//!   once per warp-state-change and remembered on the warp.
+//!   next instruction issue now, and if not why and until when.
 //! * [`SmCore`] — CTA slots with occupancy-limited placement, four warp
 //!   schedulers ([`SchedPolicy`]: LRR / GTO / OLD / two-level) and the
 //!   fast-forward probes [`SmCore::next_wake`] / [`SmCore::skip_cycles`],
-//!   all folds over that rule; functional execution of the `ggpu-isa`
+//!   all bit operations on one readiness index that keeps the rule's
+//!   answer for every warp slot, derived again only after an event touched
+//!   the warp or its wake-up came; functional execution of the `ggpu-isa`
 //!   instruction set a 32-lane row at a time (the operation resolved once
 //!   per warp-instruction), with every load, store and atomic through one
 //!   memory pipeline (lane addresses → guest-fault check → functional effect →

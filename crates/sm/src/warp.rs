@@ -1,7 +1,7 @@
 //! Warp execution context: SIMT reconvergence stack, registers as 32-lane
 //! rows ([`Warp::row`] / [`Warp::write_row`] are how instructions read and
-//! write them), scoreboard timing state, and the remembered answer of the
-//! readiness rule ([`Warp::remembered`] / [`Warp::forget_readiness`]).
+//! write them), the scoreboard, and the readiness rule ([`Warp::readiness`])
+//! whose answers the SM keeps in its readiness index.
 
 use ggpu_isa::{Operand, Reg, Row, WARP_SIZE};
 
@@ -51,6 +51,40 @@ pub(crate) enum WaitKind {
     Sync,
 }
 
+/// One register's scoreboard entry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Score {
+    /// Cycle at which the register's value is available (RAW timing).
+    pub ready_at: u64,
+    /// Outstanding memory fills targeting the register.
+    pub pending: u16,
+}
+
+/// The readiness rule's answer for one warp at one cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Readiness {
+    /// Why the warp cannot issue, or [`WaitKind::Ready`].
+    pub kind: WaitKind,
+    /// The timed wake-up: the asking cycle when ready, the next cycle at
+    /// which the classification can change by the clock alone for a
+    /// `Control` / `Data` wait, `u64::MAX` when only an event releases it.
+    pub wake: u64,
+    /// A timed wait that ends in `Ready`: no operand is awaiting a fill and
+    /// every operand boundary lies at or before `wake`, so at `wake` (absent
+    /// an event) the rule answers `Ready`.
+    pub ends_ready: bool,
+}
+
+impl Readiness {
+    pub(crate) const fn new(kind: WaitKind, wake: u64, ends_ready: bool) -> Self {
+        Readiness {
+            kind,
+            wake,
+            ends_ready,
+        }
+    }
+}
+
 /// A warp's architectural and micro-architectural state.
 #[derive(Debug, Clone)]
 pub(crate) struct Warp {
@@ -58,10 +92,8 @@ pub(crate) struct Warp {
     pub stack: Vec<SimtEntry>,
     /// Registers, one 32-lane row each.
     pub regs: Vec<Row>,
-    /// Cycle at which each register's value is available (RAW timing).
-    pub reg_ready: Vec<u64>,
-    /// Outstanding memory fills targeting each register.
-    pub reg_pending: Vec<u16>,
+    /// Scoreboard, one entry per register.
+    pub scoreboard: Vec<Score>,
     /// Earliest cycle this warp may issue again.
     pub next_issue_at: u64,
     /// Whether the post-issue window is a control hazard (vs data).
@@ -72,14 +104,12 @@ pub(crate) struct Warp {
     pub done: bool,
     /// Index of the owning CTA slot on the SM.
     pub cta_slot: usize,
+    /// Index of the kernel it runs (its CTA's).
+    pub kernel: usize,
     /// Warp index within its CTA.
     pub warp_in_cta: u32,
     /// Monotonic age for GTO/OLD scheduling (smaller = older).
     pub age: u64,
-    /// The readiness answer last derived for this warp (see
-    /// [`Warp::remembered`]). Written by `SmCore::readiness` alone, dropped
-    /// by [`Warp::forget_readiness`] alone.
-    pub memo: Option<(WaitKind, u64)>,
 }
 
 impl Warp {
@@ -88,6 +118,7 @@ impl Warp {
         regs_per_thread: u32,
         active: u32,
         cta_slot: usize,
+        kernel: usize,
         warp_in_cta: u32,
         age: u64,
     ) -> Self {
@@ -99,43 +130,16 @@ impl Warp {
                 mask: active,
             }],
             regs: vec![[0; WARP_SIZE]; n],
-            reg_ready: vec![0; n],
-            reg_pending: vec![0; n],
+            scoreboard: vec![Score::default(); n],
             next_issue_at: 0,
             issue_block_is_control: false,
             block: WarpBlock::None,
             done: false,
             cta_slot,
+            kernel,
             warp_in_cta,
             age,
-            memo: None,
         }
-    }
-
-    /// The remembered readiness answer, if it still holds at `now`.
-    ///
-    /// Nothing but an event can undo `Ready`, `Memory` or `Sync`, so those
-    /// hold until [`Warp::forget_readiness`] (a ready warp's wake-up is the
-    /// asking cycle); a timed wait holds until the wake-up it named — the
-    /// cycle the rule itself says to ask again. `now` never decreases for a
-    /// warp, which is what lets an answer given at one cycle stand at later
-    /// ones.
-    #[inline]
-    pub(crate) fn remembered(&self, now: u64) -> Option<(WaitKind, u64)> {
-        match self.memo? {
-            (WaitKind::Ready, _) => Some((WaitKind::Ready, now)),
-            (kind, wake) if now < wake => Some((kind, wake)),
-            _ => None,
-        }
-    }
-
-    /// Drop the remembered readiness answer. Called at exactly the events
-    /// that write a field the readiness rule reads: the warp's own issue
-    /// (PC, issue window, scoreboard, parking, exit, trap), an arriving fill,
-    /// and a release from a barrier or a device sync.
-    #[inline]
-    pub(crate) fn forget_readiness(&mut self) {
-        self.memo = None;
     }
 
     /// Pop reconverged SIMT entries, returning the current entry. `None`
@@ -222,34 +226,46 @@ impl Warp {
     /// One of the memory fills `r` waits on has arrived at `now`; the value
     /// is readable the cycle after the last one.
     pub(crate) fn fill_arrived(&mut self, r: Reg, now: u64) {
-        self.forget_readiness();
-        let i = r.0 as usize;
-        self.reg_pending[i] = self.reg_pending[i].saturating_sub(1);
-        if self.reg_pending[i] == 0 {
-            self.reg_ready[i] = now + 1;
+        let s = &mut self.scoreboard[r.0 as usize];
+        s.pending = s.pending.saturating_sub(1);
+        if s.pending == 0 {
+            s.ready_at = now + 1;
         }
     }
 
-    /// The readiness rule: can an instruction reading `srcs` and writing
-    /// `dst` issue at `now`, and if not, why and until when.
+    /// The readiness rule: can an instruction whose scoreboarded registers
+    /// are `ops` (sources, then the destination) issue at `now`, and if not,
+    /// why and until when.
     ///
-    /// The second value is the warp's timed wake-up: `now` when it is ready,
-    /// the next cycle at which its classification can change by the clock
-    /// alone otherwise, and `u64::MAX` when only an external event (barrier
-    /// release, child-grid completion, a memory reply) can release it. For a
-    /// data hazard that is the *earliest* operand boundary, not the latest:
-    /// the engine re-asks at every boundary, and which cycles it proves dead
-    /// (and therefore skips) is part of the pinned results.
-    pub(crate) fn readiness(
-        &self,
-        srcs: &[Option<Reg>; 3],
-        dst: Option<Reg>,
-        now: u64,
-    ) -> (WaitKind, u64) {
+    /// The wake-up is `now` when the warp is ready, the next cycle at which
+    /// its classification can change by the clock alone otherwise, and
+    /// `u64::MAX` when only an external event (barrier release, child-grid
+    /// completion, a memory reply) can release it. For a data hazard that is
+    /// the *earliest* operand boundary, not the latest: the engine re-asks at
+    /// every boundary, and which cycles it proves dead (and therefore skips)
+    /// is part of the pinned results. Whether the wait ends in `Ready` at
+    /// that wake-up is said alongside ([`Readiness::ends_ready`]).
+    #[inline]
+    pub(crate) fn readiness(&self, ops: &[u16], now: u64) -> Readiness {
         if self.block != WarpBlock::None {
             // Barrier/Dsync/Trapped: released only by another warp's issue
             // or an external completion; no timed boundary.
-            return (WaitKind::Sync, u64::MAX);
+            return Readiness::new(WaitKind::Sync, u64::MAX, false);
+        }
+        // The earliest and the latest operand boundary after `now`; any
+        // operand awaiting a fill makes the latest `u64::MAX`.
+        let (mut first, mut last) = (u64::MAX, 0);
+        let mut filling = false;
+        for &r in ops {
+            let s = self.scoreboard[r as usize];
+            filling |= s.pending > 0;
+            if s.ready_at > now {
+                first = first.min(s.ready_at);
+                last = last.max(s.ready_at);
+            }
+        }
+        if filling {
+            last = u64::MAX;
         }
         if self.next_issue_at > now {
             // Control/Data until the issue window reopens; registers are
@@ -259,24 +275,16 @@ impl Warp {
             } else {
                 WaitKind::Data
             };
-            return (kind, self.next_issue_at);
+            return Readiness::new(kind, self.next_issue_at, last <= self.next_issue_at);
         }
-        let mut wake = u64::MAX;
-        for r in srcs.iter().flatten().copied().chain(dst) {
-            let i = r.0 as usize;
-            if self.reg_pending[i] > 0 {
-                // Awaiting memory fills: wakes only via `fill_arrived`, which
-                // the engine bounds by its event queue.
-                return (WaitKind::Memory, u64::MAX);
-            }
-            if self.reg_ready[i] > now {
-                wake = wake.min(self.reg_ready[i]);
-            }
-        }
-        if wake == u64::MAX {
-            (WaitKind::Ready, now)
+        if filling {
+            // Awaiting memory fills: wakes only via `fill_arrived`, which the
+            // engine bounds by its event queue.
+            Readiness::new(WaitKind::Memory, u64::MAX, false)
+        } else if first == u64::MAX {
+            Readiness::new(WaitKind::Ready, now, false)
         } else {
-            (WaitKind::Data, wake)
+            Readiness::new(WaitKind::Data, first, last <= first)
         }
     }
 }
@@ -326,7 +334,7 @@ mod tests {
 
     #[test]
     fn register_read_write_per_lane() {
-        let mut w = Warp::new(4, FULL_MASK, 0, 0, 0);
+        let mut w = Warp::new(4, FULL_MASK, 0, 0, 0, 0);
         w.write(Reg(2), 7, 42);
         let row = w.row(Operand::Reg(Reg(2)));
         assert_eq!((row[7], row[6]), (42, 0));
@@ -335,19 +343,19 @@ mod tests {
 
     #[test]
     fn uniform_branch_no_divergence() {
-        let mut w = Warp::new(1, FULL_MASK, 0, 0, 0);
+        let mut w = Warp::new(1, FULL_MASK, 0, 0, 0, 0);
         w.branch(FULL_MASK, 10, 1, 20);
         assert_eq!(w.stack.len(), 1);
         assert_eq!(w.reconverge().unwrap().pc, 10);
 
-        let mut w2 = Warp::new(1, FULL_MASK, 0, 0, 0);
+        let mut w2 = Warp::new(1, FULL_MASK, 0, 0, 0, 0);
         w2.branch(0, 10, 1, 20);
         assert_eq!(w2.reconverge().unwrap().pc, 1);
     }
 
     #[test]
     fn divergent_branch_pushes_both_paths_taken_first() {
-        let mut w = Warp::new(1, FULL_MASK, 0, 0, 0);
+        let mut w = Warp::new(1, FULL_MASK, 0, 0, 0, 0);
         w.branch(0xFFFF, 10, 1, 20);
         assert_eq!(w.stack.len(), 3);
         let top = w.reconverge().unwrap();
@@ -361,7 +369,7 @@ mod tests {
 
     #[test]
     fn reconvergence_pops_and_restores_full_mask() {
-        let mut w = Warp::new(1, FULL_MASK, 0, 0, 0);
+        let mut w = Warp::new(1, FULL_MASK, 0, 0, 0, 0);
         w.branch(0xFF, 10, 1, 20);
         // Taken path runs to the reconvergence point.
         w.stack.last_mut().unwrap().pc = 20;
@@ -377,7 +385,7 @@ mod tests {
 
     #[test]
     fn nested_divergence() {
-        let mut w = Warp::new(1, FULL_MASK, 0, 0, 0);
+        let mut w = Warp::new(1, FULL_MASK, 0, 0, 0, 0);
         w.branch(0xFFFF, 10, 1, 100); // outer
         w.branch(0xF, 30, 11, 50); // inner, within taken path
         let top = w.reconverge().unwrap();
@@ -387,54 +395,64 @@ mod tests {
         assert_eq!(w.stack.len(), 5);
     }
 
+    /// The rule's (kind, wake) for the operands r1, r2 (sources) and r0.
+    fn answer(w: &Warp, ops: &[u16], now: u64) -> (WaitKind, u64) {
+        let r = w.readiness(ops, now);
+        (r.kind, r.wake)
+    }
+
     #[test]
     fn wait_kinds() {
-        let mut w = Warp::new(4, FULL_MASK, 0, 0, 0);
-        let srcs = [Some(Reg(1)), Some(Reg(2)), None];
-        assert_eq!(w.readiness(&srcs, Some(Reg(0)), 10), (WaitKind::Ready, 10));
+        let mut w = Warp::new(4, FULL_MASK, 0, 0, 0, 0);
+        let ops = [1, 2, 0];
+        assert_eq!(answer(&w, &ops, 10), (WaitKind::Ready, 10));
 
-        w.reg_pending[1] = 1;
-        assert_eq!(
-            w.readiness(&srcs, Some(Reg(0)), 10),
-            (WaitKind::Memory, u64::MAX)
-        );
-        w.reg_pending[1] = 0;
+        w.scoreboard[1].pending = 1;
+        assert_eq!(answer(&w, &ops, 10), (WaitKind::Memory, u64::MAX));
+        w.scoreboard[1].pending = 0;
 
         // Two operands in flight: the wake-up is the earlier boundary, and
-        // the warp is ready only past the later one.
-        w.reg_ready[1] = 20;
-        w.reg_ready[2] = 15;
-        assert_eq!(w.readiness(&srcs, Some(Reg(0)), 10), (WaitKind::Data, 15));
-        assert_eq!(w.readiness(&srcs, Some(Reg(0)), 15), (WaitKind::Data, 20));
-        assert_eq!(w.readiness(&srcs, Some(Reg(0)), 20), (WaitKind::Ready, 20));
+        // the warp is ready only past the later one — which the first answer
+        // says by not ending in `Ready`, and the second by ending in it.
+        w.scoreboard[1].ready_at = 20;
+        w.scoreboard[2].ready_at = 15;
+        assert_eq!(answer(&w, &ops, 10), (WaitKind::Data, 15));
+        assert!(!w.readiness(&ops, 10).ends_ready);
+        assert_eq!(answer(&w, &ops, 15), (WaitKind::Data, 20));
+        assert!(w.readiness(&ops, 15).ends_ready);
+        assert_eq!(answer(&w, &ops, 20), (WaitKind::Ready, 20));
 
+        // An issue window ends in `Ready` only if every boundary lies at or
+        // before it and nothing is awaiting a fill.
         w.next_issue_at = 30;
-        assert_eq!(w.readiness(&srcs, None, 25), (WaitKind::Data, 30));
+        assert_eq!(answer(&w, &ops[..2], 25), (WaitKind::Data, 30));
+        assert!(w.readiness(&ops[..2], 10).ends_ready);
+        w.next_issue_at = 18;
+        assert!(!w.readiness(&ops[..2], 10).ends_ready);
+        w.next_issue_at = 30;
+        w.scoreboard[2].pending = 1;
+        assert!(!w.readiness(&ops[..2], 25).ends_ready);
+        w.scoreboard[2].pending = 0;
         w.issue_block_is_control = true;
-        assert_eq!(w.readiness(&srcs, None, 25), (WaitKind::Control, 30));
+        assert_eq!(answer(&w, &ops[..2], 25), (WaitKind::Control, 30));
 
         w.block = WarpBlock::Barrier;
-        assert_eq!(w.readiness(&srcs, None, 25), (WaitKind::Sync, u64::MAX));
+        assert_eq!(answer(&w, &ops[..2], 25), (WaitKind::Sync, u64::MAX));
     }
 
     #[test]
     fn pending_dst_blocks_as_memory() {
-        let mut w = Warp::new(4, FULL_MASK, 0, 0, 0);
-        w.reg_pending[0] = 2;
-        let regs = [None, None, None];
-        assert_eq!(
-            w.readiness(&regs, Some(Reg(0)), 0),
-            (WaitKind::Memory, u64::MAX)
-        );
+        let mut w = Warp::new(4, FULL_MASK, 0, 0, 0, 0);
+        w.scoreboard[0].pending = 2;
+        let ops = [0];
+        assert_eq!(answer(&w, &ops, 0), (WaitKind::Memory, u64::MAX));
         // The value is readable the cycle after the last fill lands.
         w.fill_arrived(Reg(0), 7);
-        assert_eq!(
-            w.readiness(&regs, Some(Reg(0)), 7),
-            (WaitKind::Memory, u64::MAX)
-        );
+        assert_eq!(answer(&w, &ops, 7), (WaitKind::Memory, u64::MAX));
         w.fill_arrived(Reg(0), 9);
-        assert_eq!(w.readiness(&regs, Some(Reg(0)), 9), (WaitKind::Data, 10));
-        assert_eq!(w.readiness(&regs, Some(Reg(0)), 10), (WaitKind::Ready, 10));
+        assert_eq!(answer(&w, &ops, 9), (WaitKind::Data, 10));
+        assert!(w.readiness(&ops, 9).ends_ready);
+        assert_eq!(answer(&w, &ops, 10), (WaitKind::Ready, 10));
     }
 
     #[test]
